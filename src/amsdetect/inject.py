@@ -22,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigurationError, InjectionError, InputError
-from .waveforms import (OpampModel, VrefBlockSignals, Waveform,
+from .waveforms import (OpampModel, VrefBlockSignals, VrefConfig, Waveform,
                         vref_output_block, vref_pll_block, vref_trig_block)
 
 __all__ = [
@@ -202,8 +202,47 @@ def apply_anomaly_spec(w: Waveform, spec: AnomalySpec) -> tuple[Waveform, Inject
     return out, rec
 
 
-_LOCATION_ORDER = [InjectionLocation.INPUT_A, InjectionLocation.PLL_B,
-                   InjectionLocation.TRIG_C]
+def _walk_chain(cfg: VrefConfig, inp: Waveform, specs: list[AnomalySpec],
+                upstream: VrefBlockSignals | None = None,
+                with_output: bool = True
+                ) -> tuple[dict[str, Waveform | None], list[InjectionRecord]]:
+    """One walk down the chain: input -> PLL -> trig -> output.
+
+    The specs located at a block are stamped, in order, on that block's
+    output signal before the next block runs.  While no spec has been
+    stamped yet, each block's signals are taken from ``upstream`` (blocks are
+    pure, so re-running them would reproduce those signals); without
+    ``upstream`` every block runs.  The output stage, the one block that
+    steps sample by sample, runs only when ``with_output`` is true;
+    otherwise ``output`` is None.
+
+    :returns: (signal name -> Waveform, records in block order)
+    """
+    by_loc: dict[InjectionLocation, list[AnomalySpec]] = {}
+    for sp in specs:
+        by_loc.setdefault(sp.location, []).append(sp)
+    records: list[InjectionRecord] = []
+
+    def stamp(w: Waveform, loc: InjectionLocation) -> Waveform:
+        for sp in by_loc.get(loc, []):
+            w, rec = apply_anomaly_spec(w, sp)
+            records.append(rec)
+        return w
+
+    inp = stamp(inp, InjectionLocation.INPUT_A)
+    rerun = upstream is None or InjectionLocation.INPUT_A in by_loc
+    f_trace, intensity = (vref_pll_block(inp, cfg) if rerun
+                          else (upstream.pll_frequency, upstream.pll_intensity))
+    intensity = stamp(intensity, InjectionLocation.PLL_B)
+    rerun = rerun or InjectionLocation.PLL_B in by_loc
+    trig = vref_trig_block(intensity, cfg) if rerun else upstream.trig
+    trig = stamp(trig, InjectionLocation.TRIG_C)
+    rerun = rerun or InjectionLocation.TRIG_C in by_loc
+    out = None
+    if with_output:
+        out = vref_output_block(trig, cfg) if rerun else upstream.output
+    return {"input": inp, "pll_frequency": f_trace, "pll_intensity": intensity,
+            "trig": trig, "output": out}, records
 
 
 def inject_multipoint(signals: VrefBlockSignals, specs: list[AnomalySpec]
@@ -217,38 +256,8 @@ def inject_multipoint(signals: VrefBlockSignals, specs: list[AnomalySpec]
     """
     if not specs:
         raise InjectionError("inject_multipoint needs at least one spec")
-    cfg = signals.config
-    inp = signals.input
-    f_trace, intensity = signals.pll_frequency, signals.pll_intensity
-    trig, out = signals.trig, signals.output
-    records: list[InjectionRecord] = []
-
-    by_loc: dict[InjectionLocation, list[AnomalySpec]] = {}
-    for sp in specs:
-        by_loc.setdefault(sp.location, []).append(sp)
-
-    for sp in by_loc.get(InjectionLocation.INPUT_A, []):
-        inp, rec = apply_anomaly_spec(inp, sp)
-        records.append(rec)
-    if InjectionLocation.INPUT_A in by_loc:
-        f_trace, intensity = vref_pll_block(inp, cfg)
-        trig = vref_trig_block(intensity, cfg)
-        out = vref_output_block(trig, cfg)
-
-    for sp in by_loc.get(InjectionLocation.PLL_B, []):
-        intensity, rec = apply_anomaly_spec(intensity, sp)
-        records.append(rec)
-    if InjectionLocation.PLL_B in by_loc:
-        trig = vref_trig_block(intensity, cfg)
-        out = vref_output_block(trig, cfg)
-
-    for sp in by_loc.get(InjectionLocation.TRIG_C, []):
-        trig, rec = apply_anomaly_spec(trig, sp)
-        records.append(rec)
-    if InjectionLocation.TRIG_C in by_loc:
-        out = vref_output_block(trig, cfg)
-
-    return VrefBlockSignals(inp, f_trace, intensity, trig, out, cfg), records
+    out, records = _walk_chain(signals.config, signals.input, specs, signals)
+    return VrefBlockSignals(**out, config=signals.config), records
 
 
 class FaultKind(Enum):

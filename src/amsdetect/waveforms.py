@@ -16,6 +16,12 @@ Implementation notes:
   drift term, and slew-rate limiting in transient mode.  Multi-stage amplifier
   chains model each closed-loop stage with the finite-gain correction
   g_eff = G*A/(A+G) so open-loop-gain faults remain visible through feedback.
+* The time recursions (output-stage Euler step, slew limiter, open-output
+  collapse) run sample by sample on Python floats taken from ``tolist()``:
+  the same IEEE double operations in the same order as on numpy scalars, so
+  the results are bit-identical, without numpy's per-scalar dispatch.
+  Closed forms (a geometric series, an ``lfilter``-style recursion) are
+  off-limits: they round differently and change the output bytes.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ __all__ = [
     "KStageAmplifier",
     "simulate_vref",
     "simulate_opamp",
+    "sine_stimulus",
     "build_kstage",
     "simulate_kstage",
     "stage_model",
@@ -229,12 +236,12 @@ def vref_output_block(trig: Waveform, config: VrefConfig) -> Waveform:
     dt = trig.sample_period
     alpha = dt / config.output_tau
     drive = config.output_level + config.output_gain * trig.samples
-    out = np.empty(len(trig))
+    out = []
     y = 0.0
-    for i in range(len(trig)):
-        y = y + alpha * (drive[i] - y)
-        out[i] = y
-    return Waveform(out, dt, "output")
+    for d in drive.tolist():
+        y = y + alpha * (d - y)
+        out.append(y)
+    return Waveform(np.array(out), dt, "output")
 
 
 def simulate_vref(config: VrefConfig, n_samples: int = 1500,
@@ -250,12 +257,10 @@ def simulate_vref(config: VrefConfig, n_samples: int = 1500,
         raise ConfigurationError("n_samples must be >= 2", config_key="n_samples")
     if duration <= 0:
         raise ConfigurationError("duration must be > 0", config_key="duration")
-    dt = duration / n_samples
-    inp = vref_input_block(config, n_samples, dt, seed)
-    f_trace, intensity = vref_pll_block(inp, config)
-    trig = vref_trig_block(intensity, config)
-    out = vref_output_block(trig, config)
-    return VrefBlockSignals(inp, f_trace, intensity, trig, out, config)
+    from .inject import _walk_chain  # late import: inject depends on this module
+    inp = vref_input_block(config, n_samples, duration / n_samples, seed)
+    signals, _ = _walk_chain(config, inp, [])
+    return VrefBlockSignals(**signals, config=config)
 
 
 @dataclass
@@ -325,10 +330,25 @@ class SweepSpec:
         return np.linspace(self.start, self.stop, self.n_points)
 
 
-def _static_transfer(model: OpampModel, vin: np.ndarray, temp: float) -> np.ndarray:
+def _static_transfer(model: OpampModel, vin: np.ndarray,
+                     temp: "float | np.ndarray") -> np.ndarray:
     out = (model.open_loop_gain * (vin - model.offset)
            + model.temp_coeff * (temp - model.nominal_temp))
     return np.clip(out, model.rail_low, model.rail_high)
+
+
+def sine_stimulus(n_samples: int, duration: float, dc: float, amplitude: float,
+                  frequency: float) -> Waveform:
+    """Transient stimulus dc + amplitude * sin(2*pi*frequency*t) over n_samples.
+
+    The sample period is duration / n_samples.
+    """
+    if n_samples < 1:
+        raise ConfigurationError("n_samples must be >= 1", config_key="n_samples")
+    dt = duration / n_samples
+    t = np.arange(n_samples) * dt
+    return Waveform(dc + amplitude * np.sin(2.0 * np.pi * frequency * t),
+                    dt, "stimulus")
 
 
 def simulate_opamp(model: OpampModel, mode: str,
@@ -349,21 +369,25 @@ def simulate_opamp(model: OpampModel, mode: str,
             # Broken output stage: input no longer drives the output; it
             # drifts onto the high rail with tau = 10 sample periods.
             alpha = 1.0 / 10.0
-            out = np.empty(len(stimulus))
+            out = []
             y = float(_static_transfer(model, stimulus.samples[:1], model.temperature)[0])
-            for i in range(len(stimulus)):
+            for _ in range(len(stimulus)):
                 y = y + alpha * (model.rail_high - y)
-                out[i] = y
-            return Waveform(out, dt, "output")
-        target = _static_transfer(model, stimulus.samples, model.temperature)
+                out.append(y)
+            return Waveform(np.array(out), dt, "output")
+        target = _static_transfer(model, stimulus.samples, model.temperature).tolist()
         max_step = model.slew_rate * dt
-        out = np.empty(len(stimulus))
         y = target[0]
-        out[0] = y
-        for i in range(1, len(stimulus)):
-            y = y + float(np.clip(target[i] - y, -max_step, max_step))
-            out[i] = y
-        return Waveform(out, dt, "output")
+        out = [y]
+        for t in target[1:]:
+            d = t - y
+            if d > max_step:
+                d = max_step
+            elif d < -max_step:
+                d = -max_step
+            y = y + d
+            out.append(y)
+        return Waveform(np.array(out), dt, "output")
     if mode == "dc_input_sweep":
         if not isinstance(stimulus, SweepSpec):
             raise InputError("dc_input_sweep needs a SweepSpec stimulus")
@@ -378,10 +402,8 @@ def simulate_opamp(model: OpampModel, mode: str,
         if model.open_collapse:
             out = np.full(stimulus.n_points, model.rail_high)
         else:
-            vin = np.full(stimulus.n_points, stimulus.bias)
-            out = (model.open_loop_gain * (vin - model.offset)
-                   + model.temp_coeff * (stimulus.values - model.nominal_temp))
-            out = np.clip(out, model.rail_low, model.rail_high)
+            out = _static_transfer(model, np.full(stimulus.n_points, stimulus.bias),
+                                   stimulus.values)
         return Waveform(out, 1.0, "dc_temp_sweep")
     raise ConfigurationError(f"unknown analysis mode {mode!r}", config_key="analysis")
 

@@ -2,13 +2,18 @@
 
 Everything here is deliberately written in plain Python (loops, the
 ``statistics`` module, ``math``) so that agreement with the vectorized
-package code is meaningful.  Keep this module free of amsdetect imports.
+package code is meaningful.  The exception is the time recursions at the
+end: they keep the simulator's original loops over numpy scalars, the
+arithmetic the Python-float loops in the package must reproduce bit for
+bit.  Keep this module free of amsdetect imports.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
+
+import numpy as np
 
 
 def exhaustive_two_means(points):
@@ -150,3 +155,49 @@ def straight_line_fit(values):
     num = sum((x - xbar) * (y - ybar) for x, y in zip(xs, values))
     den = sum((x - xbar) ** 2 for x in xs)
     return num / den
+
+
+def static_transfer_reference(model, vin, temp):
+    """Clipped linear opamp transfer; ``model`` is read for its attributes."""
+    out = (model.open_loop_gain * (vin - model.offset)
+           + model.temp_coeff * (temp - model.nominal_temp))
+    return np.clip(out, model.rail_low, model.rail_high)
+
+
+def opamp_transient_reference(model, samples, dt):
+    """Transient opamp output: slew-limited transfer, or the open collapse.
+
+    Steps through numpy arrays element by element, as the simulator did
+    before its loops moved to Python floats.
+    """
+    samples = np.asarray(samples, dtype=np.float64)
+    temp = model.nominal_temp if model.eval_temp is None else model.eval_temp
+    if model.open_collapse:
+        alpha = 1.0 / 10.0
+        out = np.empty(len(samples))
+        y = float(static_transfer_reference(model, samples[:1], temp)[0])
+        for i in range(len(samples)):
+            y = y + alpha * (model.rail_high - y)
+            out[i] = y
+        return out
+    target = static_transfer_reference(model, samples, temp)
+    max_step = model.slew_rate * dt
+    out = np.empty(len(samples))
+    y = target[0]
+    out[0] = y
+    for i in range(1, len(samples)):
+        y = y + float(np.clip(target[i] - y, -max_step, max_step))
+        out[i] = y
+    return out
+
+
+def output_stage_reference(trig, dt, config):
+    """Forward-Euler low-pass of the reference's output stage from 0 V."""
+    alpha = dt / config.output_tau
+    drive = config.output_level + config.output_gain * np.asarray(trig)
+    out = np.empty(len(drive))
+    y = 0.0
+    for i in range(len(drive)):
+        y = y + alpha * (drive[i] - y)
+        out[i] = y
+    return out

@@ -9,7 +9,10 @@ from amsdetect import (ALL_EXPERIMENTS, BLOCK_EXPERIMENTS, ConfigurationError,
                        generate_bundles, generate_dataset, load_config,
                        load_suite, permutation_accuracy, run_suite,
                        suite_to_csv)
-from amsdetect.bench import _child_seed
+from amsdetect.bench import SIGNAL_ORDER, _block_specs, _child_seed
+from amsdetect.features import extract_features
+from amsdetect.inject import inject_multipoint
+from amsdetect.waveforms import VrefConfig, simulate_vref
 
 
 def test_experiment_registry_is_complete():
@@ -120,6 +123,24 @@ def test_anomalous_bundles_differ_from_clean():
                      for b in bundles if b.label == 1])
     # injected input spikes blow up the frequency-trace variance
     assert anom[:, 1].mean() > 1.001 * clean[:, 1].mean()
+
+
+@pytest.mark.parametrize("experiment", list(BLOCK_EXPERIMENTS))
+@pytest.mark.parametrize("observed", [None, SIGNAL_ORDER])
+def test_block_bundles_match_simulate_then_inject(experiment, observed):
+    """One walk down the chain gives the bytes of simulate + inject."""
+    cfg = _fast_config(experiment=experiment, observed_signals=observed)
+    for i, b in enumerate(generate_bundles(cfg)):
+        label, idx = divmod(i, cfg.n_samples_per_class)
+        signals = simulate_vref(VrefConfig(noise_std=cfg.noise_std), cfg.n_samples,
+                                cfg.duration, _child_seed(cfg.seed, label, idx, 0))
+        if label == 1:
+            signals, _ = inject_multipoint(signals, _block_specs(cfg, label, idx))
+        by_name = signals.as_dict()
+        assert list(b.signal_features) == list(cfg.observed_signals)
+        for s in cfg.observed_signals:
+            ref = extract_features(by_name[s], cfg.features)[None, :]
+            assert b.signal_features[s].tobytes() == ref.tobytes()
 
 
 def test_permutation_accuracy_best_of_two_mappings():

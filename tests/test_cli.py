@@ -41,6 +41,10 @@ def test_bad_parameter_exits_two(tmp_path, capsys):
                "--rate-pct", "1000", "--out", str(tmp_path / "x")])
     assert rc == 2
     assert "rate" in capsys.readouterr().err
+    rc = main(["simulate", "--circuit", "opamp", "--n-samples", "0",
+               "--out", str(tmp_path / "y")])
+    assert rc == 2
+    assert "n_samples" in capsys.readouterr().err
 
 
 def test_full_pipeline(tmp_path, capsys):

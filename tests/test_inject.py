@@ -97,8 +97,10 @@ def test_multipoint_propagates_downstream():
     injected, records = inject_multipoint(clean, [spec])
     assert len(records) == 1
     assert records[0].location is InjectionLocation.PLL_B
-    # input untouched, intensity perturbed, trig and output re-simulated
-    assert np.array_equal(injected.input.samples, clean.input.samples)
+    # input and frequency reused, intensity perturbed, trig and output
+    # re-simulated
+    assert injected.input is clean.input
+    assert injected.pll_frequency is clean.pll_frequency
     assert not np.array_equal(injected.pll_intensity.samples,
                               clean.pll_intensity.samples)
     assert not np.array_equal(injected.trig.samples, clean.trig.samples)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 from amsdetect import (ConfigurationError, InputError, OpampModel, SweepSpec,
                        VrefConfig, Waveform, build_kstage,
@@ -8,6 +10,10 @@ from amsdetect import (ConfigurationError, InputError, OpampModel, SweepSpec,
                        waveform_to_csv)
 from amsdetect.waveforms import (AmplifierStage, stage_model, vref_output_block,
                                  vref_pll_block, vref_trig_block)
+from oracles import (opamp_transient_reference, output_stage_reference,
+                     static_transfer_reference)
+
+_samples = st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=200)
 
 
 def test_waveform_rejects_bad_inputs():
@@ -88,6 +94,15 @@ def test_blocks_are_pure_functions():
     assert np.array_equal(o2.samples, sig.output.samples)
 
 
+@settings(max_examples=60, deadline=None)
+@given(trig=_samples, level=st.floats(-5.0, 5.0), gain=st.floats(-5.0, 5.0),
+       tau=st.floats(1e-9, 1e-5), dt=st.floats(1e-10, 1e-7))
+def test_output_block_matches_numpy_scalar_reference(trig, level, gain, tau, dt):
+    cfg = VrefConfig(output_level=level, output_gain=gain, output_tau=tau)
+    out = vref_output_block(Waveform(np.array(trig), dt), cfg)
+    assert out.samples.tobytes() == output_stage_reference(trig, dt, cfg).tobytes()
+
+
 def test_vref_config_validation():
     with pytest.raises(ConfigurationError):
         VrefConfig(input_frequency=0.0)
@@ -134,6 +149,47 @@ def test_open_collapse_modes():
     assert tr.samples[-1] == pytest.approx(m.rail_high, rel=1e-3)
     sw = simulate_opamp(m, "dc_input_sweep", SweepSpec(0.0, 0.2, 10))
     assert np.all(sw.samples == m.rail_high)
+
+
+@settings(max_examples=80, deadline=None)
+@given(samples=_samples, gain=st.floats(0.1, 1e3), offset=st.floats(-1.0, 1.0),
+       rail_low=st.floats(-5.0, -0.1), rail_high=st.floats(0.1, 5.0),
+       slew_rate=st.floats(3.0, 12.0).map(lambda e: 10.0 ** e), eval_temp=st.none() | st.floats(-60.0, 200.0),
+       open_collapse=st.booleans())
+@example(samples=[0.0, 1.0, 1.0, -1.0, -1.0, 0.5], gain=100.0, offset=0.0,
+         rail_low=-2.5, rail_high=2.5, slew_rate=1e7, eval_temp=None,
+         open_collapse=False)   # every step slew-limited
+@example(samples=[0.0, 0.01, 0.02, 0.01], gain=20.0, offset=0.0, rail_low=-2.5,
+         rail_high=2.5, slew_rate=1e12, eval_temp=None,
+         open_collapse=False)   # no step slew-limited
+def test_transient_matches_numpy_scalar_reference(samples, gain, offset, rail_low,
+                                                  rail_high, slew_rate, eval_temp,
+                                                  open_collapse):
+    m = OpampModel(open_loop_gain=gain, offset=offset, rail_low=rail_low,
+                   rail_high=rail_high, slew_rate=slew_rate, eval_temp=eval_temp,
+                   open_collapse=open_collapse)
+    dt = 1e-8
+    out = simulate_opamp(m, "transient", Waveform(np.array(samples), dt))
+    ref = opamp_transient_reference(m, samples, dt)
+    if not open_collapse:
+        target = static_transfer_reference(m, np.array(samples), m.temperature)
+        limited = np.abs(target[1:] - ref[:-1]) > m.slew_rate * dt
+        event(f"slew engaged: {bool(limited.any())}")
+    assert out.samples.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(gain=st.floats(0.1, 1e3), offset=st.floats(-1.0, 1.0),
+       temp_coeff=st.floats(-0.01, 0.01), bias=st.floats(-1.0, 1.0),
+       start=st.floats(-60.0, 60.0), span=st.floats(1.0, 200.0),
+       n_points=st.integers(2, 50))
+def test_temp_sweep_matches_reference(gain, offset, temp_coeff, bias, start,
+                                      span, n_points):
+    m = OpampModel(open_loop_gain=gain, offset=offset, temp_coeff=temp_coeff)
+    spec = SweepSpec(start, start + span, n_points, bias)
+    out = simulate_opamp(m, "dc_temp_sweep", spec)
+    ref = static_transfer_reference(m, np.full(n_points, bias), spec.values)
+    assert out.samples.tobytes() == ref.tobytes()
 
 
 def test_eval_temp_shifts_output():
