@@ -21,8 +21,7 @@ from .inject import (TEMP_RANGE, AnomalySpec, ComponentFault, FaultKind,
                      inject_multipoint, inject_point_periodic,
                      inject_point_random, record_to_csv)
 from .features import (FEATURE_NAMES, FeatureRow, NormalizationParams,
-                       aggregate_multisignal, dataset_from_csv,
-                       dataset_to_csv, extract_features, feature_matrix,
+                       dataset_from_csv, dataset_to_csv, extract_features,
                        labels_array, normalize_dataset, windowed_features)
 from .cluster import (MODEL_FORMAT, MODEL_VERSION, VAR_FLOOR, CFEntry,
                       ClusterModel, as_matrix, assign, assign_many,
@@ -31,16 +30,15 @@ from .cluster import (MODEL_FORMAT, MODEL_VERSION, VAR_FLOOR, CFEntry,
                       gmm_log_responsibilities, gmm_responsibilities,
                       kmeans_pp_init, lloyd, load_model, save_model,
                       spectral_embedding)
-from .centroid import (CentroidPair, refine_model, refit_with_centroids,
-                       refit_with_centroids_nd, select_centroids,
-                       select_centroids_multi)
+from .centroid import (CentroidPair, refine_model, refit_with_centroids_nd,
+                       select_centroids, select_centroids_multi)
 from .earlydetect import (DetectionResult, detect_windowed,
                           detections_to_csv, latency_report)
 from .bench import (ALGORITHMS, ALL_EXPERIMENTS, BLOCK_EXPERIMENTS,
                     FAULT_EXPERIMENTS, SUITE_CSV_HEADER, EvaluationReport,
-                    ExperimentConfig, ResultRow, SampleBundle, SuiteEntry,
-                    SuiteResult, default_observed_signals, evaluate,
-                    generate_bundles, generate_dataset, load_config,
+                    ExperimentConfig, ResultRow, SuiteEntry, SuiteResult,
+                    default_observed_signals, evaluate, fit_model,
+                    generate_dataset, generate_features, load_config,
                     load_suite, permutation_accuracy, report_table,
                     report_to_csv, run_suite, suite_table, suite_to_csv)
 

@@ -1,11 +1,15 @@
 """Experiment harness: named experiments, dataset generation, evaluation.
 
 An ExperimentConfig names one monitored circuit, one injection/fault recipe,
-one algorithm and one featurization.  ``generate_dataset`` turns it into a
-balanced labeled dataset (labels ride along for scoring only -- fitting never
-sees them), ``evaluate`` fits and scores every signal/feature combination,
-and ``run_suite`` maps a list of configs to a combined report, continuing
-past per-entry failures.
+one algorithm and one featurization.  ``generate_features`` simulates its
+balanced instances (n clean, then n anomalous) into one raw feature array
+of shape (instances, windows, signals, features); labels and sample ids
+follow from the instance index and ride along for scoring only -- fitting
+never sees them.  ``evaluate`` slices that array once per signal/feature
+combination, normalizes, fits and scores the slice, and ``run_suite`` maps
+a list of configs to a combined report, continuing past per-entry failures.
+``generate_dataset`` is the row adapter: the same array as one
+``FeatureRow`` per (instance, window).
 
 Reproducibility contract: everything derives from ``config.seed`` through
 per-sample child seeds, so a (config, seed) pair yields byte-identical
@@ -20,11 +24,12 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .centroid import refine_model
-from .cluster import (as_matrix, assign_many, fit_birch, fit_gmm, fit_kmeans,
-                      fit_spectral)
+from .cluster import (ClusterModel, as_matrix, assign_many, fit_birch, fit_gmm,
+                      fit_kmeans, fit_spectral)
 from .earlydetect import detect_windowed, latency_report
 from .errors import AmsDetectError, ConfigurationError, FitError
-from .features import FEATURE_NAMES, FeatureRow, normalize_dataset
+from .features import (FEATURE_NAMES, FeatureRow, NormalizationParams,
+                       windowed_features)
 from .inject import (AnomalySpec, ComponentFault, InjectionLocation,
                      PointPeriodic, PointRandom, _walk_chain,
                      apply_component_fault)
@@ -34,7 +39,6 @@ from .waveforms import (OpampModel, SweepSpec, VrefConfig, Waveform,
                         vref_input_block)
 # Unused here; perfbench/test_perfbench.py checks its tracer at this binding.
 from .waveforms import simulate_vref  # noqa: F401
-from . import features as _features
 
 __all__ = [
     "BLOCK_EXPERIMENTS",
@@ -42,15 +46,15 @@ __all__ = [
     "ALL_EXPERIMENTS",
     "ALGORITHMS",
     "ExperimentConfig",
-    "SampleBundle",
     "ResultRow",
     "EvaluationReport",
     "SuiteEntry",
     "SuiteResult",
     "SUITE_CSV_HEADER",
     "default_observed_signals",
-    "generate_bundles",
+    "generate_features",
     "generate_dataset",
+    "fit_model",
     "permutation_accuracy",
     "evaluate",
     "run_suite",
@@ -271,23 +275,6 @@ def _child_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1, np.uint64)[0])
 
 
-@dataclass
-class SampleBundle:
-    """Raw (un-normalized) per-signal feature blocks for one signal instance."""
-
-    sample_id: str
-    label: int
-    signal_features: dict[str, np.ndarray]   # signal -> (n_windows, n_features)
-    samples_per_window: int
-    sample_period: float
-
-
-def _apply_window(w: Waveform, config: ExperimentConfig) -> np.ndarray:
-    if config.window_k:
-        return _features.windowed_features(w, config.window_k, config.features)
-    return _features.extract_features(w, config.features)[None, :]
-
-
 def _sample_id(label: int, idx: int) -> str:
     return f"{'anom' if label else 'clean'}-{idx:03d}"
 
@@ -307,17 +294,13 @@ def _block_specs(config: ExperimentConfig, label: int, idx: int) -> list[Anomaly
     return specs
 
 
-def _block_bundle(config: ExperimentConfig, label: int, idx: int) -> SampleBundle:
+def _block_signals(config: ExperimentConfig, label: int, idx: int) -> dict[str, Waveform]:
     vcfg = VrefConfig(**{"noise_std": config.noise_std, **config.vref_params})
     inp = vref_input_block(vcfg, config.n_samples,
                            config.duration / config.n_samples,
                            _child_seed(config.seed, label, idx, 0))
-    by_name, _ = _walk_chain(vcfg, inp, _block_specs(config, label, idx),
-                             with_output="output" in config.observed_signals)
-    feats = {s: _apply_window(by_name[s], config) for s in config.observed_signals}
-    return SampleBundle(_sample_id(label, idx), label, feats,
-                        config.n_samples // (config.window_k or 1),
-                        config.duration / config.n_samples)
+    return _walk_chain(vcfg, inp, _block_specs(config, label, idx),
+                       with_output="output" in config.observed_signals)[0]
 
 
 def _jittered(base: OpampModel, rng: np.random.Generator,
@@ -338,7 +321,7 @@ def _stimulus(config: ExperimentConfig) -> Waveform:
                          config.stim_amplitude, config.stim_frequency)
 
 
-def _component_bundle(config: ExperimentConfig, label: int, idx: int) -> SampleBundle:
+def _component_signals(config: ExperimentConfig, label: int, idx: int) -> dict[str, Waveform]:
     rng = np.random.default_rng(_child_seed(config.seed, label, idx, 0))
     base = (default_vref_component_model() if config.circuit == "vref_components"
             else OpampModel())
@@ -359,18 +342,15 @@ def _component_bundle(config: ExperimentConfig, label: int, idx: int) -> SampleB
         out = simulate_opamp(model, "dc_temp_sweep",
                              SweepSpec(start, stop, config.sweep_points,
                                        config.sweep_bias))
-    noisy = out.copy_with(out.samples
-                          + rng.normal(0.0, config.measurement_noise, len(out)))
-    feats = {"output": _apply_window(noisy, config)}
-    return SampleBundle(_sample_id(label, idx), label, feats,
-                        len(noisy) // (config.window_k or 1), noisy.sample_period)
+    return {"output": out.copy_with(
+        out.samples + rng.normal(0.0, config.measurement_noise, len(out)))}
 
 
 _KSTAGE_BASE = OpampModel(open_loop_gain=30.0, rail_low=-2.5, rail_high=2.5,
                           offset=0.01, slew_rate=5.0e7)
 
 
-def _kstage_bundle(config: ExperimentConfig, label: int, idx: int) -> SampleBundle:
+def _kstage_signals(config: ExperimentConfig, label: int, idx: int) -> dict[str, Waveform]:
     rng = np.random.default_rng(_child_seed(config.seed, label, idx, 0))
     base = _jittered(_KSTAGE_BASE, rng, config)
     gains = config.kstage_gains or (2.0,) * config.kstage_k
@@ -384,43 +364,55 @@ def _kstage_bundle(config: ExperimentConfig, label: int, idx: int) -> SampleBund
     else:
         amp = build_kstage(base, config.kstage_k, list(gains))
     out = simulate_kstage(amp, _stimulus(config))
-    noisy = out.copy_with(out.samples
-                          + rng.normal(0.0, config.measurement_noise, len(out)))
-    feats = {"output": _apply_window(noisy, config)}
-    return SampleBundle(_sample_id(label, idx), label, feats,
-                        len(noisy) // (config.window_k or 1), noisy.sample_period)
+    return {"output": out.copy_with(
+        out.samples + rng.normal(0.0, config.measurement_noise, len(out)))}
 
 
-def generate_bundles(config: ExperimentConfig) -> list[SampleBundle]:
-    """Balanced per-signal feature bundles: n clean then n anomalous."""
-    maker = {"vref_blocks": _block_bundle,
-             "vref_components": _component_bundle,
-             "opamp": _component_bundle,
-             "kstage": _kstage_bundle}[config.circuit]
-    out = []
-    for label in (0, 1):
-        for idx in range(config.n_samples_per_class):
-            out.append(maker(config, label, idx))
-    return out
+def generate_features(config: ExperimentConfig) -> tuple[np.ndarray, int, float]:
+    """Raw features of every instance, n clean then n anomalous.
 
-
-def _combine(bundles: list[SampleBundle], signals: tuple[str, ...],
-             feat_idx: list[int]) -> list[FeatureRow]:
-    rows = []
-    for b in bundles:
-        n_windows = next(iter(b.signal_features.values())).shape[0]
-        for w in range(n_windows):
-            values = np.concatenate(
-                [b.signal_features[s][w][feat_idx] for s in signals])
-            rows.append(FeatureRow(b.sample_id, b.label, w, values))
-    return rows
+    :returns: (feats, samples_per_window, sample_period) where feats has
+        shape (2n, windows, signals, features), signals in
+        ``observed_signals`` order and features in ``features`` order; the
+        two scalars come from the simulated waveforms
+    """
+    simulate = {"vref_blocks": _block_signals,
+                "vref_components": _component_signals,
+                "opamp": _component_signals,
+                "kstage": _kstage_signals}[config.circuit]
+    n, k = config.n_samples_per_class, config.window_k or 1
+    feats = np.empty((2 * n, k, len(config.observed_signals), len(config.features)))
+    for i in range(2 * n):
+        by_name = simulate(config, *divmod(i, n))
+        for j, s in enumerate(config.observed_signals):
+            feats[i, :, j] = windowed_features(by_name[s], k, config.features)
+    w = by_name[config.observed_signals[0]]
+    return feats, len(w) // k, w.sample_period
 
 
 def generate_dataset(config: ExperimentConfig) -> list[FeatureRow]:
-    """The config's full dataset: every observed signal x selected feature."""
-    bundles = generate_bundles(config)
-    return _combine(bundles, config.observed_signals,
-                    list(range(len(config.features))))
+    """The config's full dataset as rows: every observed signal x selected feature."""
+    feats = generate_features(config)[0]
+    n = config.n_samples_per_class
+    return [FeatureRow(_sample_id(*divmod(i, n)), i // n, w, feats[i, w])
+            for i in range(2 * n) for w in range(feats.shape[1])]
+
+
+def _best_mapping(labels: np.ndarray, pred_if_1: np.ndarray, pred_if_0: np.ndarray
+                  ) -> tuple[float, int, tuple[int, int, int, int]]:
+    """The better of two predictions, made with cluster 1 or cluster 0 anomalous.
+
+    Ties go to cluster 1.  :returns: (accuracy, anomalous cluster id,
+    (tn, fp, fn, tp))
+    """
+    acc1 = float(np.mean(pred_if_1 == labels))
+    acc0 = float(np.mean(pred_if_0 == labels))
+    pred, bad, acc = (pred_if_1, 1, acc1) if acc1 >= acc0 else (pred_if_0, 0, acc0)
+    tn = int(np.sum((labels == 0) & (pred == 0)))
+    fp = int(np.sum((labels == 0) & (pred == 1)))
+    fn = int(np.sum((labels == 1) & (pred == 0)))
+    tp = int(np.sum((labels == 1) & (pred == 1)))
+    return acc, bad, (tn, fp, fn, tp)
 
 
 def permutation_accuracy(labels, assignments) -> tuple[float, int, tuple[int, int, int, int]]:
@@ -433,17 +425,7 @@ def permutation_accuracy(labels, assignments) -> tuple[float, int, tuple[int, in
     asg = np.asarray(assignments, dtype=np.int64)
     if lab.shape != asg.shape or lab.size == 0:
         raise FitError("labels and assignments must be equal-length and non-empty")
-    acc_direct = float(np.mean(asg == lab))
-    acc_flipped = float(np.mean((1 - asg) == lab))
-    if acc_direct >= acc_flipped:
-        pred, bad, acc = asg, 1, acc_direct
-    else:
-        pred, bad, acc = 1 - asg, 0, acc_flipped
-    tn = int(np.sum((lab == 0) & (pred == 0)))
-    fp = int(np.sum((lab == 0) & (pred == 1)))
-    fn = int(np.sum((lab == 1) & (pred == 0)))
-    tp = int(np.sum((lab == 1) & (pred == 1)))
-    return acc, bad, (tn, fp, fn, tp)
+    return _best_mapping(lab, asg, 1 - asg)
 
 
 @dataclass
@@ -477,40 +459,16 @@ class EvaluationReport:
         return max(ok, key=lambda r: r.accuracy_pct)
 
 
-def _fit(config: ExperimentConfig, rows):
-    mat = as_matrix(rows)
-    if config.algorithm == "kmeans":
-        return fit_kmeans(mat, seed=config.seed)
-    if config.algorithm == "gmm":
-        return fit_gmm(mat, seed=config.seed)
-    if config.algorithm == "birch":
-        return fit_birch(mat, config.birch_branching, config.birch_threshold)
-    return fit_spectral(mat, config.spectral_sigma, seed=config.seed)
-
-
-def _score_windowed(rows, assignments) -> tuple[float, int, tuple, dict]:
-    """Per-signal verdicts: a signal is anomalous iff any window is."""
-    order: dict[str, dict] = {}
-    for r, a in zip(rows, assignments):
-        slot = order.setdefault(r.sample_id, {"label": r.label, "hits1": 0,
-                                              "hits0": 0, "n": 0})
-        slot["n"] += 1
-        if a == 1:
-            slot["hits1"] += 1
-        else:
-            slot["hits0"] += 1
-    labels = np.array([s["label"] for s in order.values()])
-    verdict_1 = np.array([1 if s["hits1"] else 0 for s in order.values()])
-    verdict_0 = np.array([1 if s["hits0"] else 0 for s in order.values()])
-    acc1 = float(np.mean(verdict_1 == labels))
-    acc0 = float(np.mean(verdict_0 == labels))
-    pred, bad, acc = ((verdict_1, 1, acc1) if acc1 >= acc0
-                      else (verdict_0, 0, acc0))
-    tn = int(np.sum((labels == 0) & (pred == 0)))
-    fp = int(np.sum((labels == 0) & (pred == 1)))
-    fn = int(np.sum((labels == 1) & (pred == 0)))
-    tp = int(np.sum((labels == 1) & (pred == 1)))
-    return acc, bad, (tn, fp, fn, tp), order
+def fit_model(algorithm: str, mat: np.ndarray, *, seed: int, birch_branching: int,
+              birch_threshold: float, spectral_sigma: float) -> ClusterModel:
+    """Fit one 2-cluster model of the named algorithm to a validated matrix."""
+    if algorithm == "kmeans":
+        return fit_kmeans(mat, seed=seed)
+    if algorithm == "gmm":
+        return fit_gmm(mat, seed=seed)
+    if algorithm == "birch":
+        return fit_birch(mat, birch_branching, birch_threshold)
+    return fit_spectral(mat, spectral_sigma, seed=seed)
 
 
 def evaluate(config: ExperimentConfig) -> EvaluationReport:
@@ -518,9 +476,14 @@ def evaluate(config: ExperimentConfig) -> EvaluationReport:
 
     Combinations cover every observed signal per feature, each signal's
     aggregated feature tuple, and (for multi-signal configs) cross-signal
-    tuples of each feature and of the full aggregate.
+    tuples of each feature and of the full aggregate.  A combination's
+    observation is its features concatenated signal-major, feature-minor.
+    Windowed configs score instances: one is anomalous iff any window is.
     """
-    bundles = generate_bundles(config)
+    feats, samples_per_window, sample_period = generate_features(config)
+    n_inst, n_win = feats.shape[:2]
+    n = n_inst // 2
+    labels = np.repeat([0, 1], n)
     combos: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
     for s in config.observed_signals:
         for f in config.features:
@@ -534,48 +497,44 @@ def evaluate(config: ExperimentConfig) -> EvaluationReport:
             combos.append((config.observed_signals, config.features))
 
     rows_out: list[ResultRow] = []
-    n_obs = 0
-    for signals, feats in combos:
+    for signals, names in combos:
         sig_name = "+".join(signals)
-        feat_name = feats[0] if len(feats) == 1 else "agg"
-        feat_idx = [config.features.index(f) for f in feats]
-        frows = _combine(bundles, signals, feat_idx)
-        n_obs = max(n_obs, len(frows))
+        feat_name = names[0] if len(names) == 1 else "agg"
+        sig_idx = [config.observed_signals.index(s) for s in signals]
+        feat_idx = [config.features.index(f) for f in names]
+        raw = feats[:, :, sig_idx][..., feat_idx].reshape(n_inst * n_win, -1)
         try:
-            norm_rows, _ = normalize_dataset(frows)
-            mat = as_matrix(norm_rows)
-            model = _fit(config, mat)
+            mat = as_matrix(NormalizationParams(raw.min(0), raw.max(0)).apply(raw))
+            model = fit_model(config.algorithm, mat, seed=config.seed,
+                              birch_branching=config.birch_branching,
+                              birch_threshold=config.birch_threshold,
+                              spectral_sigma=config.spectral_sigma)
             if config.centroid_select:
                 model = refine_model(model, mat, config.sigma_scope)
             assignments = assign_many(model, mat)
             if config.window_k:
-                acc, bad, conf, _ = _score_windowed(norm_rows, assignments)
-                detections = []
-                k = config.window_k
-                for b in bundles:
-                    if b.label != 1:
-                        continue
-                    rows_i = [r for r in norm_rows if r.sample_id == b.sample_id]
-                    rows_i.sort(key=lambda r: r.window_index)
-                    feats_i = np.stack([r.values for r in rows_i])
-                    detections.append(detect_windowed(
-                        model, feats_i, b.samples_per_window, b.sample_period,
-                        stop_early=True, anomalous_cluster=bad,
-                        sample_id=b.sample_id))
-                rep = latency_report(detections)
+                per_inst = assignments.reshape(n_inst, n_win)
+                acc, bad, conf = _best_mapping(labels, (per_inst == 1).any(axis=1),
+                                               (per_inst == 0).any(axis=1))
+                windows = mat.reshape(n_inst, n_win, -1)
+                rep = latency_report([
+                    detect_windowed(model, windows[i], samples_per_window,
+                                    sample_period, stop_early=True,
+                                    anomalous_cluster=bad,
+                                    sample_id=_sample_id(1, i - n))
+                    for i in range(n, n_inst)])
                 rows_out.append(ResultRow(sig_name, feat_name, 100.0 * acc,
                                           *conf,
                                           detect_rate=rep["detect_rate"],
                                           mean_speedup=rep["mean_speedup"],
                                           mean_latency_s=rep["mean_latency_s"]))
             else:
-                labels = np.array([r.label for r in frows])
                 acc, bad, conf = permutation_accuracy(labels, assignments)
                 rows_out.append(ResultRow(sig_name, feat_name, 100.0 * acc, *conf))
         except AmsDetectError as exc:
             rows_out.append(ResultRow(sig_name, feat_name, float("nan"),
                                       error=str(exc)))
-    report = EvaluationReport(config, n_obs, rows_out)
+    report = EvaluationReport(config, n_inst * n_win, rows_out)
     report.best  # raises FitError when every combination failed
     return report
 

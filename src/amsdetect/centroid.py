@@ -31,7 +31,6 @@ __all__ = [
     "CentroidPair",
     "select_centroids",
     "select_centroids_multi",
-    "refit_with_centroids",
     "refit_with_centroids_nd",
     "refine_model",
 ]
@@ -169,18 +168,6 @@ def _centroid_model(mat: np.ndarray, centroids: np.ndarray,
             sigma[j] = members.std(axis=0)
     return ClusterModel(algorithm="centroid", k=2, mu_k=mu, sigma_k=sigma,
                         centroids=centroids, centroid_pairs=list(pairs))
-
-
-def refit_with_centroids(rows, pair: CentroidPair) -> ClusterModel:
-    """Nearest-centroid model over {low, high} for a 1-D dataset."""
-    mat = as_matrix(rows)
-    if mat.shape[1] != 1:
-        raise InputError("refit_with_centroids expects 1-D rows; "
-                         "use refit_with_centroids_nd for vectors")
-    if pair.low == pair.high:
-        raise RefitError("low and high centroids coincide; nothing to refit")
-    centroids = np.array([[pair.low], [pair.high]])
-    return _centroid_model(mat, centroids, [pair])
 
 
 def refit_with_centroids_nd(rows, pairs: list[CentroidPair]) -> ClusterModel:

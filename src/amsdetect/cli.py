@@ -18,9 +18,9 @@ import sys
 
 import numpy as np
 
-from .bench import (ExperimentConfig, evaluate, load_config, load_suite,
-                    report_table, report_to_csv, run_suite, suite_table,
-                    suite_to_csv)
+from .bench import (ExperimentConfig, evaluate, fit_model, load_config,
+                    load_suite, report_table, report_to_csv, run_suite,
+                    suite_table, suite_to_csv)
 from .centroid import refine_model
 from .cluster import as_matrix, load_model, save_model
 from .earlydetect import detect_windowed, detections_to_csv, latency_report
@@ -135,18 +135,6 @@ def _cmd_featurize(args) -> int:
 
 # --------------------------------------------------------------------- fit
 
-def _fit_rows(args, rows):
-    from .cluster import fit_birch, fit_gmm, fit_kmeans, fit_spectral
-    mat = as_matrix(rows)
-    if args.algorithm == "kmeans":
-        return fit_kmeans(mat, seed=args.seed)
-    if args.algorithm == "gmm":
-        return fit_gmm(mat, seed=args.seed)
-    if args.algorithm == "birch":
-        return fit_birch(mat, args.birch_branching, args.birch_threshold)
-    return fit_spectral(mat, args.spectral_sigma, seed=args.seed)
-
-
 def _cmd_fit(args) -> int:
     names, rows = dataset_from_csv(args.infile)
     if args.no_normalize:
@@ -154,11 +142,15 @@ def _cmd_fit(args) -> int:
         fit_rows = rows
     else:
         fit_rows, norm = normalize_dataset(rows)
-    model = _fit_rows(args, fit_rows)
+    mat = as_matrix(fit_rows)
+    model = fit_model(args.algorithm, mat, seed=args.seed,
+                      birch_branching=args.birch_branching,
+                      birch_threshold=args.birch_threshold,
+                      spectral_sigma=args.spectral_sigma)
     model.feature_names = list(names)
     model.norm = norm
     if args.select_centroids:
-        model = refine_model(model, as_matrix(fit_rows), args.sigma_scope)
+        model = refine_model(model, mat, args.sigma_scope)
     save_model(model, args.out)
     sizes = np.bincount(model.train_assignments, minlength=model.k) \
         if model.train_assignments is not None else None
@@ -177,10 +169,9 @@ def _cmd_fit(args) -> int:
 def _cmd_select_centroids(args) -> int:
     model = load_model(args.model)
     _, rows = dataset_from_csv(args.infile)
+    mat = as_matrix(rows)
     if model.norm is not None:
-        mat = np.stack([model.norm.apply(r.values) for r in rows])
-    else:
-        mat = as_matrix(rows)
+        mat = model.norm.apply(mat)
     refined = refine_model(model, mat, args.sigma_scope)
     save_model(refined, args.out)
     for d, pair in enumerate(refined.centroid_pairs or []):
@@ -209,7 +200,7 @@ def _cmd_detect(args) -> int:
         srows.sort(key=lambda r: r.window_index)
         mat = np.stack([r.values for r in srows])
         if model.norm is not None:
-            mat = np.stack([model.norm.apply(v) for v in mat])
+            mat = model.norm.apply(mat)
         results.append(detect_windowed(
             model, mat, args.samples_per_window, args.sample_period,
             stop_early=not args.no_early_stop, sample_id=sample_id))

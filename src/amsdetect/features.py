@@ -1,4 +1,4 @@
-"""Feature extraction, windowing, aggregation and normalization.
+"""Feature extraction, windowing and normalization.
 
 Features are deliberately cheap time-domain statistics (the point of the
 harness is early detection, not rich featurization): arithmetic mean,
@@ -22,9 +22,7 @@ __all__ = [
     "NormalizationParams",
     "extract_features",
     "windowed_features",
-    "aggregate_multisignal",
     "normalize_dataset",
-    "feature_matrix",
     "labels_array",
     "dataset_to_csv",
     "dataset_from_csv",
@@ -44,16 +42,6 @@ def _as_samples(signal) -> np.ndarray:
     return arr
 
 
-def _slope(x: np.ndarray) -> float:
-    # least-squares slope of value against sample index (per-sample units)
-    n = x.size
-    if n < 2:
-        raise InputError("slope needs at least 2 samples")
-    idx = np.arange(n, dtype=np.float64)
-    di = idx - idx.mean()
-    return float(np.dot(di, x - x.mean()) / np.dot(di, di))
-
-
 def _check_selection(selection) -> tuple[str, ...]:
     sel = tuple(selection)
     if not sel:
@@ -67,19 +55,32 @@ def _check_selection(selection) -> tuple[str, ...]:
     return sel
 
 
+def _feature_rows(x: np.ndarray, sel: tuple[str, ...]) -> np.ndarray:
+    """Selected features of each row of a (k, w) array; returns (k, len(sel))."""
+    k, width = x.shape
+    means = x.mean(axis=1)
+    out = np.empty((k, len(sel)))
+    for j, name in enumerate(sel):
+        if name == "mean":
+            out[:, j] = means
+        elif name == "variance":
+            out[:, j] = x.var(axis=1)
+        else:
+            # least-squares slope of value against sample index (per-sample
+            # units); one dot per row keeps each window's bytes as if alone
+            if width < 2:
+                raise InputError("slope needs at least 2 samples")
+            idx = np.arange(width, dtype=np.float64)
+            di = idx - idx.mean()
+            den = np.dot(di, di)
+            out[:, j] = [np.dot(di, row - m) / den for row, m in zip(x, means)]
+    return out
+
+
 def extract_features(signal, selection=FEATURE_NAMES) -> np.ndarray:
     """Compute the selected features of one signal, in the given order."""
     x = _as_samples(signal)
-    sel = _check_selection(selection)
-    out = np.empty(len(sel))
-    for j, name in enumerate(sel):
-        if name == "mean":
-            out[j] = float(np.mean(x))
-        elif name == "variance":
-            out[j] = float(np.var(x))
-        else:
-            out[j] = _slope(x)
-    return out
+    return _feature_rows(x[None, :], _check_selection(selection))[0]
 
 
 def windowed_features(signal, k: int, selection=FEATURE_NAMES) -> np.ndarray:
@@ -92,17 +93,7 @@ def windowed_features(signal, k: int, selection=FEATURE_NAMES) -> np.ndarray:
         raise WindowError("window count must be >= 1")
     if x.size % k != 0:
         raise WindowError(f"{x.size} samples do not divide into {k} equal windows")
-    width = x.size // k
-    return np.stack([extract_features(x[i * width:(i + 1) * width], selection)
-                     for i in range(k)])
-
-
-def aggregate_multisignal(vectors) -> np.ndarray:
-    """Concatenate per-signal feature vectors into one observation tuple."""
-    vecs = [np.asarray(v, dtype=np.float64).ravel() for v in vectors]
-    if not vecs:
-        raise InputError("nothing to aggregate")
-    return np.concatenate(vecs)
+    return _feature_rows(x.reshape(k, -1), _check_selection(selection))
 
 
 @dataclass
@@ -136,26 +127,19 @@ class NormalizationParams:
             raise InputError("mins and maxs must have equal length")
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        """Map a raw vector with the frozen training min/max.
+        """Map raw vectors, shape (..., d), with the frozen training min/max.
 
         Constant training dimensions map to 0.5; unseen values outside the
         training range simply fall outside [0, 1].
         """
-        v = np.asarray(values, dtype=np.float64).ravel()
-        if v.shape != self.mins.shape:
-            raise InputError(f"expected {self.mins.size} dims, got {v.size}")
+        v = np.asarray(values, dtype=np.float64)
+        if v.ndim == 0 or v.shape[-1] != self.mins.size:
+            raise InputError(f"expected {self.mins.size} dims, got shape {v.shape}")
         span = self.maxs - self.mins
-        out = np.empty_like(v)
         const = span == 0.0
-        out[const] = 0.5
-        out[~const] = (v[~const] - self.mins[~const]) / span[~const]
+        out = (v - self.mins) / np.where(const, 1.0, span)
+        out[..., const] = 0.5
         return out
-
-
-def feature_matrix(rows: list[FeatureRow]) -> np.ndarray:
-    if not rows:
-        raise InputError("empty dataset")
-    return np.stack([r.values for r in rows])
 
 
 def labels_array(rows: list[FeatureRow]) -> np.ndarray:
@@ -165,10 +149,12 @@ def labels_array(rows: list[FeatureRow]) -> np.ndarray:
 def normalize_dataset(rows: list[FeatureRow]
                       ) -> tuple[list[FeatureRow], NormalizationParams]:
     """Min-max normalize every dimension to [0, 1] over the whole dataset."""
-    mat = feature_matrix(rows)
+    if not rows:
+        raise InputError("empty dataset")
+    mat = np.stack([r.values for r in rows])
     params = NormalizationParams(mat.min(axis=0), mat.max(axis=0))
-    out = [FeatureRow(r.sample_id, r.label, r.window_index, params.apply(r.values))
-           for r in rows]
+    out = [FeatureRow(r.sample_id, r.label, r.window_index, v)
+           for r, v in zip(rows, params.apply(mat))]
     return out, params
 
 
@@ -206,13 +192,18 @@ def dataset_from_csv(path) -> tuple[list[str], list[FeatureRow]]:
             raise InputError(f"{path}: unexpected dataset header")
         names = header[3:]
         rows = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            rows.append(FeatureRow(parts[0], int(parts[1]), int(parts[2]),
-                                   np.array([float(p) for p in parts[3:]])))
+        try:
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                parts = line.split(",")
+                if len(parts) != len(header):
+                    raise ValueError(f"{len(parts)} fields, header has {len(header)}")
+                rows.append(FeatureRow(parts[0], int(parts[1]), int(parts[2]),
+                                       np.array([float(p) for p in parts[3:]])))
+        except ValueError as exc:
+            raise InputError(f"{path}: bad row {line!r} ({exc})") from None
     if not rows:
         raise InputError(f"{path}: no data rows")
     return names, rows

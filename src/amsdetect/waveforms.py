@@ -507,16 +507,24 @@ def waveform_from_csv(path, name: str = "") -> Waveform:
         if header != "t,value":
             raise InputError(f"{path}: expected header 't,value', got {header!r}")
         t, v = [], []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            a, b = line.split(",")
-            t.append(float(a))
-            v.append(float(b))
+        try:
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                a, b = line.split(",")
+                t.append(float(a))
+                v.append(float(b))
+        except ValueError:
+            raise InputError(f"{path}: expected 't,value' numbers, got {line!r}") from None
     if len(v) < 2:
         raise InputError(f"{path}: need at least 2 samples")
     dt = t[1] - t[0]
     if dt <= 0:
         raise InputError(f"{path}: non-increasing time axis")
+    # waveform_to_csv's 13-digit times sit within ~1e-12 of t0 + i*dt
+    times = np.array(t)
+    if np.any(np.abs(times - times[0] - np.arange(times.size) * dt)
+              > 1e-6 * (np.abs(times) + dt)):
+        raise InputError(f"{path}: time axis is not uniformly spaced")
     return Waveform(np.array(v), dt, name)

@@ -2,10 +2,10 @@
 
 Everything here is deliberately written in plain Python (loops, the
 ``statistics`` module, ``math``) so that agreement with the vectorized
-package code is meaningful.  The exception is the time recursions at the
-end: they keep the simulator's original loops over numpy scalars, the
-arithmetic the Python-float loops in the package must reproduce bit for
-bit.  Keep this module free of amsdetect imports.
+package code is meaningful.  The exceptions keep the original numpy
+arithmetic the package must reproduce bit for bit: the per-window feature
+loop, and the time recursions at the end (the simulator's original loops
+over numpy scalars).  Keep this module free of amsdetect imports.
 """
 
 from __future__ import annotations
@@ -155,6 +155,28 @@ def straight_line_fit(values):
     num = sum((x - xbar) * (y - ybar) for x, y in zip(xs, values))
     den = sum((x - xbar) ** 2 for x in xs)
     return num / den
+
+
+def per_window_features(x, k, selection):
+    """Features of k equal windows, one window at a time: (k, len(selection)).
+
+    The original per-window numpy arithmetic: np.mean, np.var and the slope
+    as one dot of the centred index against the centred window.
+    """
+    width = len(x) // k
+    out = np.empty((k, len(selection)))
+    for i in range(k):
+        w = x[i * width:(i + 1) * width]
+        for j, name in enumerate(selection):
+            if name == "mean":
+                out[i, j] = float(np.mean(w))
+            elif name == "variance":
+                out[i, j] = float(np.var(w))
+            else:
+                idx = np.arange(width, dtype=np.float64)
+                di = idx - idx.mean()
+                out[i, j] = float(np.dot(di, w - w.mean()) / np.dot(di, di))
+    return out
 
 
 def static_transfer_reference(model, vin, temp):

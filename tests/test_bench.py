@@ -6,9 +6,10 @@ import pytest
 from amsdetect import (ALL_EXPERIMENTS, BLOCK_EXPERIMENTS, ConfigurationError,
                        ExperimentConfig, FAULT_EXPERIMENTS, SUITE_CSV_HEADER,
                        WindowError, default_observed_signals, evaluate,
-                       generate_bundles, generate_dataset, load_config,
+                       generate_dataset, generate_features, load_config,
                        load_suite, permutation_accuracy, run_suite,
                        suite_to_csv)
+from amsdetect import bench
 from amsdetect.bench import SIGNAL_ORDER, _block_specs, _child_seed
 from amsdetect.features import extract_features
 from amsdetect.inject import inject_multipoint
@@ -89,16 +90,18 @@ def _fast_config(**kw):
 
 def test_bundles_are_balanced_and_named():
     cfg = _fast_config(window_k=5)
-    bundles = generate_bundles(cfg)
-    assert len(bundles) == 20
-    assert bundles[0].sample_id == "clean-000"
-    assert bundles[10].sample_id == "anom-000"
-    assert [b.label for b in bundles] == [0] * 10 + [1] * 10
-    b = bundles[0]
-    assert set(b.signal_features) == {"pll_frequency", "pll_intensity"}
-    assert b.signal_features["pll_frequency"].shape == (5, 3)
-    assert b.samples_per_window == 60
-    assert b.sample_period == pytest.approx(20e-6 / 300)
+    feats, samples_per_window, sample_period = generate_features(cfg)
+    # instances x windows x (pll_frequency, pll_intensity) x features
+    assert feats.shape == (20, 5, 2, 3)
+    assert feats.dtype == np.float64
+    assert samples_per_window == 60
+    assert sample_period == pytest.approx(20e-6 / 300)
+    rows = generate_dataset(cfg)
+    assert len(rows) == 100
+    assert rows[0].sample_id == "clean-000"
+    assert rows[50].sample_id == "anom-000"
+    assert [r.label for r in rows] == [0] * 50 + [1] * 50
+    assert [r.window_index for r in rows[:5]] == [0, 1, 2, 3, 4]
 
 
 def test_dataset_generation_is_deterministic():
@@ -114,13 +117,33 @@ def test_dataset_generation_is_deterministic():
                    for ra, rc in zip(a, c))
 
 
+def test_combinations_concatenate_signals_in_order(monkeypatch):
+    """Each fit sees its dataset columns, signal-major, min-max normalized."""
+    cfg = _fast_config(window_k=5)
+    seen, fit = [], bench.fit_model
+
+    def spy(algorithm, mat, **kw):
+        seen.append(mat)
+        return fit(algorithm, mat, **kw)
+
+    monkeypatch.setattr(bench, "fit_model", spy)
+    report = evaluate(cfg)
+    data = np.stack([r.values for r in generate_dataset(cfg)])
+    n_feat = len(cfg.features)
+    assert len(seen) == len(report.rows) == 12
+    for mat, row in zip(seen, report.rows):
+        sig_idx = [cfg.observed_signals.index(s) for s in row.signal.split("+")]
+        feat_idx = (range(n_feat) if row.feature == "agg"
+                    else [cfg.features.index(row.feature)])
+        raw = data[:, [j * n_feat + f for j in sig_idx for f in feat_idx]]
+        want = (raw - raw.min(0)) / (raw.max(0) - raw.min(0))
+        assert mat.tobytes() == want.tobytes()
+
+
 def test_anomalous_bundles_differ_from_clean():
     cfg = _fast_config()
-    bundles = generate_bundles(cfg)
-    clean = np.stack([b.signal_features["pll_frequency"][0]
-                      for b in bundles if b.label == 0])
-    anom = np.stack([b.signal_features["pll_frequency"][0]
-                     for b in bundles if b.label == 1])
+    feats = generate_features(cfg)[0]
+    clean, anom = feats[:10, 0, 0], feats[10:, 0, 0]     # pll_frequency
     # injected input spikes blow up the frequency-trace variance
     assert anom[:, 1].mean() > 1.001 * clean[:, 1].mean()
 
@@ -130,17 +153,18 @@ def test_anomalous_bundles_differ_from_clean():
 def test_block_bundles_match_simulate_then_inject(experiment, observed):
     """One walk down the chain gives the bytes of simulate + inject."""
     cfg = _fast_config(experiment=experiment, observed_signals=observed)
-    for i, b in enumerate(generate_bundles(cfg)):
+    feats = generate_features(cfg)[0]
+    assert feats.shape[2] == len(cfg.observed_signals)
+    for i in range(feats.shape[0]):
         label, idx = divmod(i, cfg.n_samples_per_class)
         signals = simulate_vref(VrefConfig(noise_std=cfg.noise_std), cfg.n_samples,
                                 cfg.duration, _child_seed(cfg.seed, label, idx, 0))
         if label == 1:
             signals, _ = inject_multipoint(signals, _block_specs(cfg, label, idx))
         by_name = signals.as_dict()
-        assert list(b.signal_features) == list(cfg.observed_signals)
-        for s in cfg.observed_signals:
+        for j, s in enumerate(cfg.observed_signals):
             ref = extract_features(by_name[s], cfg.features)[None, :]
-            assert b.signal_features[s].tobytes() == ref.tobytes()
+            assert feats[i, :, j].tobytes() == ref.tobytes()
 
 
 def test_permutation_accuracy_best_of_two_mappings():
@@ -181,6 +205,24 @@ def test_evaluate_windowed_reports_detection_stats():
     assert best.detect_rate is not None
     assert best.detect_rate > 0.5
     assert best.mean_speedup >= 1.0
+
+
+def _scores(report):
+    return [(r.signal, r.feature, None if r.error else r.accuracy_pct,
+             r.tn, r.fp, r.fn, r.tp, r.error) for r in report.rows]
+
+
+@pytest.mark.parametrize("experiment", ["IA", "PPA", "OmBoth", "KStage",
+                                        "ITPA", "Open"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_single_window_scores_like_whole_signal(experiment, seed):
+    """With one window per instance, the per-instance verdict is the row's."""
+    kw = dict(experiment=experiment, seed=seed)
+    if experiment == "KStage":
+        kw["kstage_k"] = 2
+    whole = evaluate(_fast_config(**kw))
+    single = evaluate(_fast_config(window_k=1, **kw))
+    assert _scores(single) == _scores(whole)
 
 
 def test_evaluate_rejects_impossible_windowing():

@@ -3,8 +3,7 @@ import pytest
 
 from amsdetect import (CentroidPair, ConfigurationError, DegenerateDataError,
                        InputError, RefitError, assign_many, fit_kmeans,
-                       refine_model, refit_with_centroids,
-                       refit_with_centroids_nd, select_centroids,
+                       refine_model, refit_with_centroids_nd, select_centroids,
                        select_centroids_multi)
 from oracles import selection_trace
 
@@ -120,13 +119,13 @@ def test_multi_runs_per_dimension_with_fallback():
 
 def test_refit_assigns_nearest_centroid():
     rows = np.array([0.0, 0.3, 0.45, 0.55, 0.7, 1.0])[:, None]
-    model = refit_with_centroids(rows, CentroidPair(0.4, 0.6))
+    model = refit_with_centroids_nd(rows, [CentroidPair(0.4, 0.6)])
     assert model.algorithm == "centroid"
     assert np.array_equal(assign_many(model, rows), [0, 0, 0, 1, 1, 1])
     with pytest.raises(RefitError):
-        refit_with_centroids(rows, CentroidPair(0.5, 0.5))
+        refit_with_centroids_nd(rows, [CentroidPair(0.5, 0.5)])
     with pytest.raises(InputError):
-        refit_with_centroids(np.zeros((4, 2)), CentroidPair(0.4, 0.6))
+        refit_with_centroids_nd(np.zeros((4, 2)), [CentroidPair(0.4, 0.6)])
 
 
 def test_refit_nd_validation():

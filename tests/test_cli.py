@@ -47,6 +47,29 @@ def test_bad_parameter_exits_two(tmp_path, capsys):
     assert "n_samples" in capsys.readouterr().err
 
 
+WAVE = "t,value\n0.0,1.0\n1.0e-8,2.0\n2.0e-8,3.0\n"
+DATA = "sample_id,label,window_index,mean\na,0,0,0.5\nb,1,0,0.7\n"
+
+
+@pytest.mark.parametrize("command,text,message", [
+    ("inject", WAVE.replace("2.0\n", "two\n"), "'t,value' numbers"),
+    ("inject", WAVE.replace("2.0\n", "2.0,9\n"), "'t,value' numbers"),
+    ("inject", WAVE.replace("2.0e-8", "5.0e-8"), "not uniformly spaced"),
+    ("fit", DATA.replace("b,1,0,0.7", "b,1,0"), "fields"),
+    ("fit", DATA.replace("b,1,", "b,x,"), "invalid literal"),
+])
+def test_bad_csv_exits_two(tmp_path, capsys, command, text, message):
+    """Malformed waveform and dataset CSVs end in exit 2, not a traceback."""
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    args = ["--mode", "random"] if command == "inject" else []
+    rc = main([command, "--in", str(path), *args,
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "in.csv" in err and message in err
+
+
 def test_full_pipeline(tmp_path, capsys):
     sim = tmp_path / "sim"
     inj = tmp_path / "inj"

@@ -4,12 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from amsdetect import (FeatureRow, InputError, NormalizationParams,
-                       Waveform, WindowError, aggregate_multisignal,
-                       dataset_from_csv, dataset_to_csv, extract_features,
-                       feature_matrix, labels_array, normalize_dataset,
-                       windowed_features)
-from oracles import straight_line_fit
+from amsdetect import (FEATURE_NAMES, FeatureRow, InputError, NormalizationParams,
+                       Waveform, WindowError, dataset_from_csv,
+                       dataset_to_csv, extract_features, labels_array,
+                       normalize_dataset, windowed_features)
+from oracles import per_window_features, straight_line_fit
 
 
 def test_feature_values_on_known_signal():
@@ -86,11 +85,20 @@ def test_windowing_requires_even_split():
     assert windowed_features(x, 1).shape == (1, 3)
 
 
-def test_aggregate_concatenates_in_order():
-    out = aggregate_multisignal([np.array([1.0, 2.0]), np.array([3.0])])
-    assert np.array_equal(out, [1.0, 2.0, 3.0])
-    with pytest.raises(InputError):
-        aggregate_multisignal([])
+@given(st.sampled_from([1, 2, 3, 5, 10, 20]), st.integers(2, 400),
+       st.integers(0, 2**32 - 1), st.floats(-6, 3),
+       st.permutations(FEATURE_NAMES), st.integers(1, 3))
+@settings(max_examples=100, deadline=None)
+def test_windowed_features_match_per_window_reference(k, width, seed, log_scale,
+                                                      order, n_sel):
+    """Byte-equal to featurizing each window alone, wide windows included."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(rng.normal(0, 10), 10.0 ** log_scale, k * width)
+    sel = tuple(order[:n_sel])
+    got = windowed_features(x, k, sel)
+    assert got.tobytes() == per_window_features(x, k, sel).tobytes()
+    assert extract_features(x, sel).tobytes() == \
+        per_window_features(x, 1, sel)[0].tobytes()
 
 
 def test_feature_row_validation():
@@ -108,7 +116,7 @@ def _rows():
 
 def test_normalization_maps_to_unit_interval():
     rows, params = normalize_dataset(_rows())
-    mat = feature_matrix(rows)
+    mat = np.stack([r.values for r in rows])
     assert mat[:, 0].min() == 0.0
     assert mat[:, 0].max() == 1.0
     # constant dimension pins to the middle
@@ -121,6 +129,9 @@ def test_normalization_params_reproduce_training_rows():
     rows, params = normalize_dataset(raw)
     for r_raw, r_norm in zip(raw, rows):
         assert np.allclose(params.apply(r_raw.values), r_norm.values)
+    # a whole matrix maps in one call, row for row
+    mat = params.apply(np.stack([r.values for r in raw]))
+    assert mat.tobytes() == np.stack([r.values for r in rows]).tobytes()
     # out-of-range values are not clamped
     out = params.apply(np.array([8.0, 5.0]))
     assert out[0] == pytest.approx(2.0)

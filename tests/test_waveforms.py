@@ -1,3 +1,6 @@
+import pathlib
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
@@ -268,6 +271,19 @@ def test_waveform_csv_round_trip(tmp_path):
     assert back.sample_period == pytest.approx(w.sample_period, rel=1e-11)
     header = path.read_text().splitlines()[0]
     assert header == "t,value"
+
+
+@given(st.integers(2, 5000), st.floats(1e-12, 1e3))
+@settings(max_examples=40, deadline=None)
+def test_written_time_axis_passes_the_uniformity_check(n, period):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "w.csv"
+        waveform_to_csv(Waveform(np.zeros(n), period), path)
+        back = waveform_from_csv(path)
+        lines = path.read_text().splitlines()
+    assert len(back) == n
+    t0, t1 = (float(line.split(",")[0]) for line in lines[1:3])
+    assert back.sample_period == t1 - t0
 
 
 def test_waveform_csv_rejects_foreign_header(tmp_path):
