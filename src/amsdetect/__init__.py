@@ -24,12 +24,10 @@ from .features import (FEATURE_NAMES, FeatureRow, NormalizationParams,
                        dataset_from_csv, dataset_to_csv, extract_features,
                        labels_array, normalize_dataset, windowed_features)
 from .cluster import (MODEL_FORMAT, MODEL_VERSION, VAR_FLOOR, CFEntry,
-                      ClusterModel, as_matrix, assign, assign_many,
-                      canonical_permutation, cluster_stats, fit_birch,
-                      fit_gmm, fit_kmeans, fit_spectral,
-                      gmm_log_responsibilities, gmm_responsibilities,
-                      kmeans_pp_init, lloyd, load_model, save_model,
-                      spectral_embedding)
+                      ClusterModel, as_matrix, assign_many, canonical_labels,
+                      cluster_stats, fit_birch, fit_gmm, fit_kmeans,
+                      fit_spectral, gmm_log_responsibilities, kmeans_pp_init,
+                      lloyd, load_model, save_model, spectral_embedding)
 from .centroid import (CentroidPair, refine_model, refit_with_centroids_nd,
                        select_centroids, select_centroids_multi)
 from .earlydetect import (DetectionResult, detect_windowed,

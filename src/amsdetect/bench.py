@@ -124,6 +124,20 @@ def _default_circuit(experiment: str) -> str:
     return "kstage"
 
 
+def _type_ok(value, kind: str) -> bool:
+    """Whether a config value matches a field annotation such as ``int | None``."""
+    if kind.endswith(" | None"):
+        return value is None or _type_ok(value, kind[:-len(" | None")])
+    if kind.startswith("tuple["):
+        item = kind[len("tuple["):].split(",")[0]
+        return (isinstance(value, (list, tuple))
+                and all(_type_ok(v, item) for v in value))
+    if isinstance(value, bool):
+        return kind == "bool"
+    return isinstance(value, {"int": int, "float": (int, float), "str": str,
+                              "bool": bool, "dict": dict}[kind])
+
+
 @dataclass
 class ExperimentConfig:
     """Full description of one experiment run.  All knobs have defaults.
@@ -173,6 +187,17 @@ class ExperimentConfig:
     description: str = ""
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _type_ok(value, f.type):
+                raise ConfigurationError(f"{f.name} must be {f.type}, got {value!r}",
+                                         config_key=f.name)
+        vref_keys = {f.name for f in fields(VrefConfig)}
+        for key, value in self.vref_params.items():
+            if key not in vref_keys or not _type_ok(value, "float"):
+                raise ConfigurationError(
+                    f"vref_params needs numbers for keys of {sorted(vref_keys)}, "
+                    f"got {key!r}: {value!r}", config_key="vref_params")
         if self.experiment not in ALL_EXPERIMENTS:
             raise ConfigurationError(f"unknown experiment {self.experiment!r}",
                                      config_key="experiment")
@@ -206,9 +231,10 @@ class ExperimentConfig:
                 raise ConfigurationError(
                     f"signal {s!r} not observable on circuit {self.circuit} "
                     f"(allowed: {allowed_signals})", config_key="observed_signals")
-        if not self.observed_signals:
-            raise ConfigurationError("observed_signals must not be empty",
-                                     config_key="observed_signals")
+        if (len(set(self.observed_signals)) != len(self.observed_signals)
+                or not self.observed_signals):
+            raise ConfigurationError("observed_signals must be a non-empty set of "
+                                     "distinct names", config_key="observed_signals")
         if self.window_k is not None and self.window_k < 1:
             raise ConfigurationError("window_k must be >= 1", config_key="window_k")
         if self.sigma_scope not in ("global", "cluster"):

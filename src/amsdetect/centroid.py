@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cluster import ClusterModel, as_matrix, cluster_stats
+from .cluster.model import _nearest
 from .errors import (ConfigurationError, DegenerateDataError, InputError,
                      RefitError)
 
@@ -154,10 +155,15 @@ def select_centroids_multi(rows, mu_k, sigma_k,
     return pairs
 
 
-def _centroid_model(mat: np.ndarray, centroids: np.ndarray,
-                    pairs: list[CentroidPair]) -> ClusterModel:
-    labels = np.argmin(((mat[:, None, :] - centroids[None, :, :]) ** 2
-                        ).sum(axis=2), axis=1)
+def refit_with_centroids_nd(rows, pairs: list[CentroidPair]) -> ClusterModel:
+    """Nearest-centroid model over the per-dimension (low, high) vectors."""
+    mat = as_matrix(rows)
+    if len(pairs) != mat.shape[1]:
+        raise InputError(f"expected {mat.shape[1]} pairs, got {len(pairs)}")
+    centroids = np.array([[p.low for p in pairs], [p.high for p in pairs]])
+    if np.all(centroids[0] == centroids[1]):
+        raise RefitError("all centroid pairs coincide; nothing to refit")
+    labels = _nearest(mat, centroids)
     # lenient stats: an empty side keeps its centroid with zero spread
     mu = centroids.copy()
     sigma = np.zeros_like(centroids)
@@ -166,20 +172,8 @@ def _centroid_model(mat: np.ndarray, centroids: np.ndarray,
         if members.shape[0]:
             mu[j] = members.mean(axis=0)
             sigma[j] = members.std(axis=0)
-    return ClusterModel(algorithm="centroid", k=2, mu_k=mu, sigma_k=sigma,
+    return ClusterModel(algorithm="centroid", mu_k=mu, sigma_k=sigma,
                         centroids=centroids, centroid_pairs=list(pairs))
-
-
-def refit_with_centroids_nd(rows, pairs: list[CentroidPair]) -> ClusterModel:
-    """Nearest-centroid model over the per-dimension (low, high) vectors."""
-    mat = as_matrix(rows)
-    if len(pairs) != mat.shape[1]:
-        raise InputError(f"expected {mat.shape[1]} pairs, got {len(pairs)}")
-    low = np.array([p.low for p in pairs])
-    high = np.array([p.high for p in pairs])
-    if np.all(low == high):
-        raise RefitError("all centroid pairs coincide; nothing to refit")
-    return _centroid_model(mat, np.stack([low, high]), pairs)
 
 
 def refine_model(model: ClusterModel, rows,
@@ -187,8 +181,6 @@ def refine_model(model: ClusterModel, rows,
     """Full refinement pass: stats of the base model -> selection -> refit."""
     mat = as_matrix(rows)
     mu_k, sigma_k = cluster_stats(model, mat)
-    if model.k != 2:
-        raise InputError("centroid selection refines 2-cluster models only")
     pairs = select_centroids_multi(mat, mu_k, sigma_k, sigma_scope)
     refit = refit_with_centroids_nd(mat, pairs)
     refit.feature_names = model.feature_names

@@ -26,8 +26,7 @@ from .cluster import as_matrix, load_model, save_model
 from .earlydetect import detect_windowed, detections_to_csv, latency_report
 from .errors import AmsDetectError, InputError
 from .features import (FEATURE_NAMES, FeatureRow, dataset_from_csv,
-                       dataset_to_csv, extract_features, normalize_dataset,
-                       windowed_features)
+                       dataset_to_csv, normalize_dataset, windowed_features)
 from .inject import (ComponentFault, apply_component_fault,
                      inject_point_periodic, inject_point_random,
                      record_to_csv)
@@ -121,13 +120,9 @@ def _cmd_featurize(args) -> int:
     for path in args.infiles:
         wave = waveform_from_csv(path)
         sample_id = os.path.splitext(os.path.basename(path))[0]
-        if args.windows:
-            mat = windowed_features(wave, args.windows, features)
-            for w in range(mat.shape[0]):
-                rows.append(FeatureRow(sample_id, args.label, w, mat[w]))
-        else:
-            rows.append(FeatureRow(sample_id, args.label, 0,
-                                   extract_features(wave, features)))
+        mat = windowed_features(wave, args.windows or 1, features)
+        for w in range(mat.shape[0]):
+            rows.append(FeatureRow(sample_id, args.label, w, mat[w]))
     dataset_to_csv(rows, features, args.out)
     _write(args.out, f"dataset ({len(rows)} rows)")
     return 0

@@ -1,12 +1,15 @@
-"""Four from-scratch 2-way clustering algorithms over a shared model type."""
+"""Four from-scratch 2-cluster algorithms over a shared model type.
+
+The paper splits observations into two groups, normal and anomalous, so
+every fitter returns exactly two clusters in canonical order.
+"""
 
 from .birch import CFEntry, CFNode, CFTree, fit_birch
-from .gmm import (VAR_FLOOR, fit_gmm, gmm_log_responsibilities,
-                  gmm_responsibilities)
+from .gmm import VAR_FLOOR, fit_gmm, gmm_log_responsibilities
 from .kmeans import fit_kmeans, kmeans_pp_init, lloyd
 from .model import (MODEL_FORMAT, MODEL_VERSION, ClusterModel, as_matrix,
-                    assign, assign_many, canonical_permutation,
-                    cluster_stats, load_model, member_stats, save_model)
+                    assign_many, canonical_labels, cluster_stats, load_model,
+                    member_stats, save_model)
 from .spectral import fit_spectral, spectral_embedding
 
 __all__ = [
@@ -18,16 +21,14 @@ __all__ = [
     "CFTree",
     "ClusterModel",
     "as_matrix",
-    "assign",
     "assign_many",
-    "canonical_permutation",
+    "canonical_labels",
     "cluster_stats",
     "fit_birch",
     "fit_gmm",
     "fit_kmeans",
     "fit_spectral",
     "gmm_log_responsibilities",
-    "gmm_responsibilities",
     "kmeans_pp_init",
     "lloyd",
     "load_model",

@@ -5,8 +5,8 @@ sum and per-dimension square sum -- which add component-wise when subclusters
 merge.  Points are absorbed into the closest leaf entry whenever the merged
 entry's RMS radius stays under the threshold; otherwise they open a new entry,
 and nodes that outgrow the branching factor split around their farthest pair
-of entries.  The global phase runs weighted k-means over the leaf-entry
-centroids (weights = entry counts) with deterministic max-min seeding, so the
+of entries.  The global phase runs weighted 2-means over the leaf-entry
+centroids (weights = entry counts), seeded with their farthest pair, so the
 whole fit consumes no randomness.
 """
 
@@ -16,7 +16,7 @@ import numpy as np
 
 from ..errors import ConfigurationError, FitError
 from .kmeans import lloyd
-from .model import ClusterModel, as_matrix, canonical_permutation, member_stats
+from .model import ClusterModel, _nearest, _sqdist, as_matrix, canonical_labels
 
 __all__ = ["CFEntry", "CFNode", "CFTree", "fit_birch"]
 
@@ -68,6 +68,13 @@ class CFNode:
         self.entries: list[CFEntry] = entries if entries is not None else []
 
 
+def _farthest_pair(cents: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """Pairwise squared distances and the indices of the farthest pair."""
+    d2 = _sqdist(cents, cents)
+    i, j = np.unravel_index(int(np.argmax(d2)), d2.shape)
+    return d2, int(i), int(j)
+
+
 def _closest(entries: list[CFEntry], x: np.ndarray) -> int:
     cents = np.stack([e.centroid for e in entries])
     return int(np.argmin(((cents - x) ** 2).sum(axis=1)))
@@ -106,9 +113,7 @@ class CFTree:
         return None
 
     def _split(self, node: CFNode) -> tuple[CFEntry, CFEntry]:
-        cents = np.stack([e.centroid for e in node.entries])
-        d2 = ((cents[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
-        i, j = np.unravel_index(int(np.argmax(d2)), d2.shape)
+        d2, i, j = _farthest_pair(np.stack([e.centroid for e in node.entries]))
         group_a, group_b = [], []
         for idx, e in enumerate(node.entries):
             (group_a if d2[idx, i] <= d2[idx, j] else group_b).append(e)
@@ -138,23 +143,12 @@ class CFTree:
         return out
 
 
-def _maxmin_seeds(cents: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
-    """Deterministic seeding: farthest pair, then repeated max-min insertion."""
-    d2 = ((cents[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
-    i, j = np.unravel_index(int(np.argmax(d2)), d2.shape)
-    chosen = [int(i), int(j)]
-    while len(chosen) < k:
-        min_d2 = np.min(d2[:, chosen], axis=1)
-        chosen.append(int(np.argmax(min_d2)))
-    return cents[chosen[:k]].copy()
-
-
-def fit_birch(rows, branching: int = 16, radius_threshold: float = 0.05,
-              k: int = 2) -> ClusterModel:
-    """Build the CF tree and cluster the leaf subclusters into k groups.
+def fit_birch(rows, branching: int = 16,
+              radius_threshold: float = 0.05) -> ClusterModel:
+    """Build the CF tree and cluster the leaf subclusters into 2 groups.
 
     :raises ConfigurationError: non-positive threshold or branching < 2
-    :raises FitError: fewer leaf subclusters than k (threshold too coarse)
+    :raises FitError: fewer than 2 leaf subclusters (threshold too coarse)
     """
     mat = as_matrix(rows)
     if branching < 2:
@@ -162,31 +156,23 @@ def fit_birch(rows, branching: int = 16, radius_threshold: float = 0.05,
     if not radius_threshold > 0.0:
         raise ConfigurationError("radius_threshold must be > 0",
                                  config_key="radius_threshold")
-    if k < 2:
-        raise ConfigurationError("k must be >= 2", config_key="k")
-    if mat.shape[0] < k:
-        raise FitError(f"need at least k={k} rows, got {mat.shape[0]}")
+    if mat.shape[0] < 2:
+        raise FitError(f"need at least k=2 rows, got {mat.shape[0]}")
 
     tree = CFTree(branching, radius_threshold)
     for x in mat:
         tree.insert(x)
     entries = tree.leaf_entries()
-    if len(entries) < k:
-        raise FitError(f"only {len(entries)} leaf subclusters for k={k}; "
+    if len(entries) < 2:
+        raise FitError(f"only {len(entries)} leaf subclusters for k=2; "
                        "lower radius_threshold")
     cents = np.stack([e.centroid for e in entries])
     counts = np.array([e.n for e in entries], dtype=np.float64)
-    if np.unique(cents, axis=0).shape[0] < k:
-        raise FitError(f"need at least k={k} distinct subcluster centroids")
-    seeds = _maxmin_seeds(cents, counts, k)
-    global_centroids, _, history = lloyd(cents, seeds, weights=counts)
-
-    labels = np.argmin(((mat[:, None, :] - global_centroids[None, :, :]) ** 2
-                        ).sum(axis=2), axis=1)
-    perm = canonical_permutation(mat, labels, k)
-    labels = perm[labels]
-    global_centroids = global_centroids[np.argsort(perm)]
-    mu, sigma = member_stats(mat, labels, k)
-    return ClusterModel(algorithm="birch", k=k, mu_k=mu, sigma_k=sigma,
-                        centroids=global_centroids, train_assignments=labels,
+    if np.unique(cents, axis=0).shape[0] < 2:
+        raise FitError("need at least k=2 distinct subcluster centroids")
+    _, i, j = _farthest_pair(cents)
+    global_centroids, _, history = lloyd(cents, cents[[i, j]], weights=counts)
+    labels, order, mu, sigma = canonical_labels(mat, _nearest(mat, global_centroids))
+    return ClusterModel(algorithm="birch", mu_k=mu, sigma_k=sigma,
+                        centroids=global_centroids[order], train_assignments=labels,
                         sse_history=history)

@@ -1,4 +1,4 @@
-"""Diagonal-covariance Gaussian mixture fitted by EM.
+"""Two-component diagonal-covariance Gaussian mixture fitted by EM.
 
 Initialization comes from a k-means fit with the same seed unless explicit
 starting parameters are given (the explicit path exists so a single EM step
@@ -13,18 +13,18 @@ import math
 
 import numpy as np
 
-from ..errors import ConfigurationError, FitError
+from ..errors import FitError
 from .kmeans import fit_kmeans
-from .model import ClusterModel, as_matrix, canonical_permutation, member_stats
+from .model import ClusterModel, _nearest, as_matrix, canonical_labels
 
-__all__ = ["fit_gmm", "gmm_log_responsibilities", "gmm_responsibilities", "VAR_FLOOR"]
+__all__ = ["fit_gmm", "gmm_log_responsibilities", "VAR_FLOOR"]
 
 VAR_FLOOR = 1e-8
 
 
 def gmm_log_responsibilities(weights, means, variances, mat
                              ) -> tuple[np.ndarray, float]:
-    """Log responsibilities (n, k) and total log-likelihood of the data."""
+    """Log responsibilities (n, 2) and total log-likelihood of the data."""
     w = np.asarray(weights, dtype=np.float64)
     mu = np.asarray(means, dtype=np.float64)
     var = np.asarray(variances, dtype=np.float64)
@@ -38,43 +38,32 @@ def gmm_log_responsibilities(weights, means, variances, mat
     return log_joint - log_norm, float(log_norm.sum())
 
 
-def gmm_responsibilities(model: ClusterModel, rows) -> np.ndarray:
-    """Posterior membership probabilities under a fitted model."""
-    mat = as_matrix(rows)
-    log_resp, _ = gmm_log_responsibilities(model.weights, model.means,
-                                           model.variances, mat)
-    return np.exp(log_resp)
-
-
-def fit_gmm(rows, k: int = 2, max_iter: int = 200, tol: float = 1e-9,
+def fit_gmm(rows, max_iter: int = 200, tol: float = 1e-9,
             seed: int | None = 0, init_means=None, init_variances=None,
             init_weights=None) -> ClusterModel:
     """Fit by EM; the recorded log-likelihood history is non-decreasing.
 
-    :raises FitError: degenerate data (fewer than k distinct rows via the
+    :raises FitError: degenerate data (fewer than 2 distinct rows via the
         k-means init) or an empty hard cluster at convergence
     """
     mat = as_matrix(rows)
     n, d = mat.shape
-    if k < 2:
-        raise ConfigurationError("k must be >= 2", config_key="k")
-    if n < 2 * k:
-        raise FitError(f"need at least {2 * k} rows to fit {k} components")
+    if n < 4:
+        raise FitError("need at least 4 rows to fit 2 components")
 
     if init_means is not None:
-        mu = np.asarray(init_means, dtype=np.float64).reshape(k, d).copy()
-        var = (np.full((k, d), 1.0) if init_variances is None
-               else np.asarray(init_variances, dtype=np.float64).reshape(k, d).copy())
-        w = (np.full(k, 1.0 / k) if init_weights is None
+        mu = np.asarray(init_means, dtype=np.float64).reshape(2, d).copy()
+        var = (np.full((2, d), 1.0) if init_variances is None
+               else np.asarray(init_variances, dtype=np.float64).reshape(2, d).copy())
+        w = (np.full(2, 0.5) if init_weights is None
              else np.asarray(init_weights, dtype=np.float64).copy())
     else:
-        km = fit_kmeans(mat, k=k, seed=seed)
-        hard = np.argmin(((mat[:, None, :] - km.centroids[None, :, :]) ** 2
-                          ).sum(axis=2), axis=1)
+        km = fit_kmeans(mat, seed=seed)
+        hard = _nearest(mat, km.centroids)
         mu = km.centroids.copy()
-        var = np.empty((k, d))
-        w = np.empty(k)
-        for j in range(k):
+        var = np.empty((2, d))
+        w = np.empty(2)
+        for j in (0, 1):
             members = mat[hard == j]
             var[j] = np.maximum(members.var(axis=0), VAR_FLOOR)
             w[j] = members.shape[0] / n
@@ -94,19 +83,16 @@ def fit_gmm(rows, k: int = 2, max_iter: int = 200, tol: float = 1e-9,
         w = nj / n
         mu = (resp.T @ mat) / nj[:, None]
         var = np.empty_like(mu)
-        for j in range(k):
+        for j in (0, 1):
             var[j] = np.maximum(
                 (resp[:, j][:, None] * (mat - mu[j]) ** 2).sum(axis=0) / nj[j],
                 VAR_FLOOR)
 
     labels = np.argmax(log_resp, axis=1)
-    for j in range(k):
+    for j in (0, 1):
         if not np.any(labels == j):
             raise FitError(f"component {j} has no hard members at convergence")
-    perm = canonical_permutation(mat, labels, k)
-    labels = perm[labels]
-    inv = np.argsort(perm)
-    mu_stats, sigma_stats = member_stats(mat, labels, k)
-    return ClusterModel(algorithm="gmm", k=k, mu_k=mu_stats, sigma_k=sigma_stats,
-                        weights=w[inv], means=mu[inv], variances=var[inv],
+    labels, order, mu_stats, sigma_stats = canonical_labels(mat, labels)
+    return ClusterModel(algorithm="gmm", mu_k=mu_stats, sigma_k=sigma_stats,
+                        weights=w[order], means=mu[order], variances=var[order],
                         train_assignments=labels, loglik_history=history)

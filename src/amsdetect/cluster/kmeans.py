@@ -1,4 +1,4 @@
-"""Lloyd k-means with D^2-weighted seeding.
+"""Lloyd 2-means with D^2-weighted seeding.
 
 The inner loop (`lloyd`) is shared by the other algorithms: BIRCH reuses it
 with per-point weights for its global phase and spectral clustering runs it
@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigurationError, FitError
-from .model import ClusterModel, as_matrix, canonical_permutation, member_stats
+from .model import ClusterModel, _sqdist, as_matrix, canonical_labels
 
 __all__ = ["fit_kmeans", "lloyd", "kmeans_pp_init"]
 
@@ -20,42 +20,38 @@ def _sse(mat, centroids, labels, weights):
     return float(np.dot(weights, d2))
 
 
-def kmeans_pp_init(mat: np.ndarray, k: int, rng: np.random.Generator,
-                   weights: np.ndarray | None = None) -> np.ndarray:
-    """D^2 seeding: spread the initial centroids across the data."""
+def kmeans_pp_init(mat: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding for two centroids (Arthur & Vassilvitskii, 2007).
+
+    One uniform draw, then one draw weighted by squared distance to it.
+    """
     n = mat.shape[0]
-    w = np.ones(n) if weights is None else weights
-    chosen = [int(rng.integers(n))]
-    while len(chosen) < k:
-        d2 = np.min(((mat[:, None, :] - mat[chosen][None, :, :]) ** 2).sum(axis=2),
-                    axis=1)
-        probs = w * d2
-        total = probs.sum()
-        if total <= 0.0:
-            raise FitError("cannot seed k centroids: fewer than k distinct points")
-        chosen.append(int(rng.choice(n, p=probs / total)))
-    return mat[chosen].copy()
+    first = int(rng.integers(n))
+    d2 = _sqdist(mat, mat[[first]])[:, 0]
+    total = d2.sum()
+    if total <= 0.0:
+        raise FitError("cannot seed k centroids: fewer than k distinct points")
+    return mat[[first, int(rng.choice(n, p=d2 / total))]]
 
 
 def lloyd(mat: np.ndarray, centroids: np.ndarray, max_iter: int = 100,
           tol: float = 1e-10, weights: np.ndarray | None = None
           ) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """Iterate assignment/update until labels stabilize or SSE stalls.
+    """Iterate 2-means assignment/update until labels stabilize or SSE stalls.
 
     Returns (centroids, labels, sse_history); the history is recorded after
     every assignment step and is non-increasing.
     """
-    k = centroids.shape[0]
     n = mat.shape[0]
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
     centroids = centroids.astype(np.float64).copy()
     labels = None
     history: list[float] = []
     for _ in range(max_iter):
-        d2 = ((mat[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        d2 = _sqdist(mat, centroids)
         new_labels = np.argmin(d2, axis=1)
         # revive any emptied cluster with the worst-fitting point
-        for j in range(k):
+        for j in (0, 1):
             if not np.any(new_labels == j):
                 worst = int(np.argmax(w * d2[np.arange(n), new_labels]))
                 new_labels[worst] = j
@@ -65,7 +61,7 @@ def lloyd(mat: np.ndarray, centroids: np.ndarray, max_iter: int = 100,
             labels = new_labels
             break
         labels = new_labels
-        for j in range(k):
+        for j in (0, 1):
             members = labels == j
             centroids[j] = np.average(mat[members], axis=0, weights=w[members])
         if len(history) >= 2 and history[-2] - history[-1] < tol:
@@ -73,39 +69,33 @@ def lloyd(mat: np.ndarray, centroids: np.ndarray, max_iter: int = 100,
     return centroids, labels, history
 
 
-def fit_kmeans(rows, k: int = 2, max_iter: int = 100, tol: float = 1e-10,
+def fit_kmeans(rows, max_iter: int = 100, tol: float = 1e-10,
                seed: int | None = 0, init="kmeans++") -> ClusterModel:
-    """Fit k-means and return a canonical ClusterModel.
+    """Fit 2-means and return a canonical ClusterModel.
 
-    :param init: "kmeans++" (seeded by ``seed``) or an explicit (k, d) array
+    :param init: "kmeans++" (seeded by ``seed``) or an explicit (2, d) array
         of starting centroids
-    :raises FitError: fewer than k distinct rows, or an empty final cluster
+    :raises FitError: fewer than 2 distinct rows, or an empty final cluster
     """
     mat = as_matrix(rows)
-    if k < 2:
-        raise ConfigurationError("k must be >= 2", config_key="k")
-    if mat.shape[0] < k:
-        raise FitError(f"need at least k={k} rows, got {mat.shape[0]}")
-    if np.unique(mat, axis=0).shape[0] < k:
-        raise FitError(f"need at least k={k} distinct rows")
+    if mat.shape[0] < 2:
+        raise FitError(f"need at least k=2 rows, got {mat.shape[0]}")
+    if np.unique(mat, axis=0).shape[0] < 2:
+        raise FitError("need at least k=2 distinct rows")
     if isinstance(init, str):
         if init != "kmeans++":
             raise ConfigurationError(f"unknown init {init!r}", config_key="init")
-        start = kmeans_pp_init(mat, k, np.random.default_rng(seed))
+        start = kmeans_pp_init(mat, np.random.default_rng(seed))
     else:
         start = np.asarray(init, dtype=np.float64)
         if start.ndim == 1:
             start = start[:, None]
-        if start.shape != (k, mat.shape[1]):
+        if start.shape != (2, mat.shape[1]):
             raise ConfigurationError(
-                f"initial centroids must be ({k}, {mat.shape[1]})",
+                f"initial centroids must be (2, {mat.shape[1]})",
                 config_key="init")
     centroids, labels, history = lloyd(mat, start, max_iter, tol)
-    perm = canonical_permutation(mat, labels, k)
-    labels = perm[labels]
-    inv = np.argsort(perm)
-    centroids = centroids[inv]
-    mu, sigma = member_stats(mat, labels, k)
-    return ClusterModel(algorithm="kmeans", k=k, mu_k=mu, sigma_k=sigma,
-                        centroids=centroids, train_assignments=labels,
+    labels, order, mu, sigma = canonical_labels(mat, labels)
+    return ClusterModel(algorithm="kmeans", mu_k=mu, sigma_k=sigma,
+                        centroids=centroids[order], train_assignments=labels,
                         sse_history=history)

@@ -1,30 +1,30 @@
-"""Shared fitted-model container, assignment, statistics and serialization.
+"""Shared 2-cluster model container, assignment, statistics and serialization.
 
-A single ClusterModel dataclass holds the state of any of the four fitted
+Every model splits the data into two clusters, normal and anomalous.  A
+single ClusterModel dataclass holds the state of any of the four fitted
 algorithms (plus the nearest-centroid model produced by centroid refinement);
 the unused state slots stay None.  Cluster ids are canonical: cluster 0 is the
-cluster whose member rows have the lower mean along dimension 0 (stable order
-on ties), which gives every downstream consumer a deterministic labeling.
+cluster whose member rows have the lower mean along dimension 0 (ids kept on
+ties), which gives every downstream consumer a deterministic labeling.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 import json
 
 import numpy as np
 
-from ..errors import FitError, InputError, StatsError
+from ..errors import AmsDetectError, FitError, InputError, StatsError
 from ..features import FeatureRow, NormalizationParams
 
 __all__ = [
     "ClusterModel",
     "as_matrix",
-    "assign",
     "assign_many",
     "cluster_stats",
     "member_stats",
-    "canonical_permutation",
+    "canonical_labels",
     "save_model",
     "load_model",
     "MODEL_FORMAT",
@@ -54,12 +54,11 @@ def as_matrix(rows) -> np.ndarray:
 
 @dataclass
 class ClusterModel:
-    """A fitted 2-way (k-way) clustering with canonical cluster ordering."""
+    """A fitted 2-cluster model with canonical cluster ordering."""
 
     algorithm: str                       # kmeans | gmm | birch | spectral | centroid
-    k: int
-    mu_k: np.ndarray                     # (k, d) member means, canonical order
-    sigma_k: np.ndarray                  # (k, d) member population stds
+    mu_k: np.ndarray                     # (2, d) member means, canonical order
+    sigma_k: np.ndarray                  # (2, d) member population stds
     centroids: np.ndarray | None = None          # kmeans / birch global / centroid
     weights: np.ndarray | None = None             # gmm mixing weights
     means: np.ndarray | None = None                # gmm component means
@@ -77,20 +76,42 @@ class ClusterModel:
     def __post_init__(self):
         self.mu_k = np.asarray(self.mu_k, dtype=np.float64)
         self.sigma_k = np.asarray(self.sigma_k, dtype=np.float64)
-        if self.mu_k.shape != self.sigma_k.shape or self.mu_k.shape[0] != self.k:
-            raise InputError("mu_k/sigma_k must both be (k, d)")
+        if self.mu_k.ndim != 2 or len(self.mu_k) != 2 \
+                or self.mu_k.shape != self.sigma_k.shape:
+            raise InputError("mu_k/sigma_k must both be (2, d)")
+        # the state each algorithm assigns rows with, by shape
+        d, n = self.dim, len(self.train_rows) if np.ndim(self.train_rows) else "n"
+        state = {"kmeans": {"centroids": (2, d)}, "birch": {"centroids": (2, d)},
+                 "centroid": {"centroids": (2, d)},
+                 "gmm": {"weights": (2,), "means": (2, d), "variances": (2, d)},
+                 "spectral": {"train_rows": (n, d), "train_assignments": (n,)}}
+        if self.algorithm not in state:
+            raise InputError(f"unknown algorithm {self.algorithm!r}")
+        for key, shape in state[self.algorithm].items():
+            if np.shape(getattr(self, key)) != shape:
+                raise InputError(f"{self.algorithm} model needs {key} of shape {shape}")
+        if (self.algorithm == "spectral"
+                and not np.isin(self.train_assignments, (0, 1)).all()):
+            raise InputError("train_assignments must hold cluster ids 0 and 1")
+        if self.anomalous_cluster not in (0, 1):
+            raise InputError(f"anomalous_cluster must be 0 or 1, "
+                             f"got {self.anomalous_cluster!r}")
+
+    @property
+    def k(self) -> int:
+        return 2
 
     @property
     def dim(self) -> int:
         return int(self.mu_k.shape[1])
 
 
-def member_stats(mat: np.ndarray, labels: np.ndarray, k: int
+def member_stats(mat: np.ndarray, labels: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Per-cluster per-dimension mean and population std of member rows."""
-    mu = np.empty((k, mat.shape[1]))
-    sigma = np.empty((k, mat.shape[1]))
-    for j in range(k):
+    mu = np.empty((2, mat.shape[1]))
+    sigma = np.empty((2, mat.shape[1]))
+    for j in (0, 1):
         members = mat[labels == j]
         if members.shape[0] == 0:
             raise StatsError(f"cluster {j} has no members")
@@ -99,24 +120,33 @@ def member_stats(mat: np.ndarray, labels: np.ndarray, k: int
     return mu, sigma
 
 
-def canonical_permutation(mat: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    """perm[old_id] = new_id so new cluster 0 has the lower mean on dim 0."""
-    means0 = np.empty(k)
-    for j in range(k):
-        members = mat[labels == j]
-        if members.shape[0] == 0:
+def canonical_labels(mat: np.ndarray, labels: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Relabel a fitted split so cluster 0 has the lower member mean on dim 0.
+
+    The clusters swap only when cluster 1's mean is strictly lower, so ties
+    keep their ids.  :returns: (labels, order, mu_k, sigma_k) where
+    ``order[new_id] = old_id`` reorders per-cluster fit state (a swap is its
+    own inverse) and mu_k/sigma_k are the member stats in the new order
+    :raises FitError: a cluster has no members
+    """
+    for j in (0, 1):
+        if not np.any(labels == j):
             raise FitError(f"fit produced an empty cluster (id {j})")
-        means0[j] = members[:, 0].mean()
-    order = sorted(range(k), key=lambda j: (means0[j], j))
-    perm = np.empty(k, dtype=np.int64)
-    for new_id, old_id in enumerate(order):
-        perm[old_id] = new_id
-    return perm
+    mu, sigma = member_stats(mat, labels)
+    # mean(axis=0)[0] can differ in the last bit, so the decision sums the column
+    if mat[labels == 1, 0].mean() < mat[labels == 0, 0].mean():
+        return 1 - labels, np.array([1, 0]), mu[[1, 0]], sigma[[1, 0]]
+    return labels, np.array([0, 1]), mu, sigma
+
+
+def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of a and b, shape (na, nb)."""
+    return ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
 
 
 def _nearest(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    return np.argmin(d2, axis=1)  # ties resolve to the lower cluster id
+    return np.argmin(_sqdist(points, centroids), axis=1)  # ties: lower id
 
 
 def assign_many(model: ClusterModel, rows) -> np.ndarray:
@@ -131,15 +161,7 @@ def assign_many(model: ClusterModel, rows) -> np.ndarray:
         log_resp, _ = gmm_log_responsibilities(model.weights, model.means,
                                                model.variances, mat)
         return np.argmax(log_resp, axis=1)
-    if model.algorithm == "spectral":
-        d2 = ((mat[:, None, :] - model.train_rows[None, :, :]) ** 2).sum(axis=2)
-        nearest_row = np.argmin(d2, axis=1)
-        return model.train_assignments[nearest_row]
-    raise InputError(f"unknown algorithm {model.algorithm!r}")
-
-
-def assign(model: ClusterModel, row) -> int:
-    return int(assign_many(model, np.atleast_2d(np.asarray(row, dtype=np.float64)))[0])
+    return model.train_assignments[_nearest(mat, model.train_rows)]  # spectral
 
 
 def cluster_stats(model: ClusterModel, rows) -> tuple[np.ndarray, np.ndarray]:
@@ -149,10 +171,14 @@ def cluster_stats(model: ClusterModel, rows) -> tuple[np.ndarray, np.ndarray]:
     first), so relabeling the model's clusters cannot change the output order.
     """
     mat = as_matrix(rows)
-    labels = assign_many(model, mat)
-    mu, sigma = member_stats(mat, labels, model.k)
-    order = sorted(range(model.k), key=lambda j: (mu[j, 0], j))
-    return mu[order], sigma[order]
+    mu, sigma = member_stats(mat, assign_many(model, mat))
+    if mu[1, 0] < mu[0, 0]:
+        return mu[[1, 0]], sigma[[1, 0]]
+    return mu, sigma
+
+
+_ARRAYS = ("mu_k", "sigma_k", "centroids", "weights", "means", "variances",
+           "train_rows", "train_assignments", "embedding")
 
 
 def _arr(x):
@@ -161,31 +187,19 @@ def _arr(x):
 
 def save_model(model: ClusterModel, path) -> None:
     """Serialize to versioned JSON text; floats round-trip exactly."""
-    pairs = None
-    if model.centroid_pairs is not None:
-        pairs = [{"low": p.low, "high": p.high, "m_l": p.m_l, "m_g": p.m_g,
-                  "low_fallback": p.low_fallback, "high_fallback": p.high_fallback}
-                 for p in model.centroid_pairs]
     doc = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "algorithm": model.algorithm,
-        "k": model.k,
-        "mu_k": _arr(model.mu_k),
-        "sigma_k": _arr(model.sigma_k),
-        "centroids": _arr(model.centroids),
-        "weights": _arr(model.weights),
-        "means": _arr(model.means),
-        "variances": _arr(model.variances),
-        "train_rows": _arr(model.train_rows),
-        "train_assignments": _arr(model.train_assignments),
-        "embedding": _arr(model.embedding),
+        "k": 2,
+        **{key: _arr(getattr(model, key)) for key in _ARRAYS},
         "sse_history": model.sse_history,
         "loglik_history": model.loglik_history,
         "feature_names": list(model.feature_names) if model.feature_names else None,
         "norm": (None if model.norm is None else
                  {"mins": _arr(model.norm.mins), "maxs": _arr(model.norm.maxs)}),
-        "centroid_pairs": pairs,
+        "centroid_pairs": (None if model.centroid_pairs is None else
+                           [asdict(p) for p in model.centroid_pairs]),
         "anomalous_cluster": model.anomalous_cluster,
     }
     with open(path, "w") as fh:
@@ -198,43 +212,46 @@ def _np(x, dtype=np.float64):
 
 
 def load_model(path) -> ClusterModel:
+    """Read a model file written by save_model.
+
+    :raises InputError: not a model file of this version, or an entry that
+        is missing, not numeric, or of the wrong shape for the algorithm
+    """
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}: not a model file ({exc})")
-    if doc.get("format") != MODEL_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise InputError(f"{path}: not an {MODEL_FORMAT} file")
     if doc.get("version") != MODEL_VERSION:
         raise InputError(f"{path}: unsupported model version {doc.get('version')!r} "
                          f"(this build reads version {MODEL_VERSION})")
-    norm = None
-    if doc.get("norm") is not None:
-        norm = NormalizationParams(np.asarray(doc["norm"]["mins"]),
-                                   np.asarray(doc["norm"]["maxs"]))
-    pairs = None
-    if doc.get("centroid_pairs") is not None:
-        from ..centroid import CentroidPair
-        pairs = [CentroidPair(p["low"], p["high"], p["m_l"], p["m_g"],
-                              p["low_fallback"], p["high_fallback"])
-                 for p in doc["centroid_pairs"]]
-    return ClusterModel(
-        algorithm=doc["algorithm"],
-        k=doc["k"],
-        mu_k=_np(doc["mu_k"]),
-        sigma_k=_np(doc["sigma_k"]),
-        centroids=_np(doc.get("centroids")),
-        weights=_np(doc.get("weights")),
-        means=_np(doc.get("means")),
-        variances=_np(doc.get("variances")),
-        train_rows=_np(doc.get("train_rows")),
-        train_assignments=_np(doc.get("train_assignments"), dtype=np.int64),
-        embedding=_np(doc.get("embedding")),
-        sse_history=list(doc.get("sse_history") or []),
-        loglik_history=list(doc.get("loglik_history") or []),
-        feature_names=(tuple(doc["feature_names"]) if doc.get("feature_names")
-                       else None),
-        norm=norm,
-        centroid_pairs=pairs,
-        anomalous_cluster=int(doc.get("anomalous_cluster", 1)),
-    )
+    if doc.get("k") != 2:
+        raise InputError(f"{path}: k must be 2, got {doc.get('k')!r}")
+    try:
+        norm = None
+        if doc.get("norm") is not None:
+            norm = NormalizationParams(doc["norm"]["mins"], doc["norm"]["maxs"])
+        pairs = None
+        if doc.get("centroid_pairs") is not None:
+            from ..centroid import CentroidPair
+            pairs = [CentroidPair(**p) for p in doc["centroid_pairs"]]
+        return ClusterModel(
+            algorithm=doc["algorithm"],
+            mu_k=_np(doc["mu_k"]),
+            sigma_k=_np(doc["sigma_k"]),
+            **{key: _np(doc.get(key), np.int64 if key == "train_assignments"
+                        else np.float64) for key in _ARRAYS[2:]},
+            sse_history=list(doc.get("sse_history") or []),
+            loglik_history=list(doc.get("loglik_history") or []),
+            feature_names=(tuple(doc["feature_names"]) if doc.get("feature_names")
+                           else None),
+            norm=norm,
+            centroid_pairs=pairs,
+            anomalous_cluster=int(doc.get("anomalous_cluster", 1)),
+        )
+    except KeyError as exc:
+        raise InputError(f"{path}: missing key {exc}") from None
+    except (AmsDetectError, TypeError, ValueError) as exc:
+        raise InputError(f"{path}: malformed model file ({exc})") from None

@@ -1,9 +1,9 @@
-"""Spectral clustering on a Gaussian-kernel similarity graph.
+"""Spectral 2-way clustering on a Gaussian-kernel similarity graph.
 
 Pipeline: pairwise similarity w_ij = exp(-||xi-xj||^2 / (2 sigma^2)) with a
-zero diagonal, symmetric normalized Laplacian L = I - D^-1/2 W D^-1/2, the k
+zero diagonal, symmetric normalized Laplacian L = I - D^-1/2 W D^-1/2, the 2
 eigenvectors of the smallest eigenvalues (numpy's symmetric eigensolver), row
-normalization, then k-means in the embedded space.  Out-of-sample points take
+normalization, then 2-means in the embedded space.  Out-of-sample points take
 the cluster of their nearest training row in the original feature space.
 """
 
@@ -13,22 +13,20 @@ import numpy as np
 
 from ..errors import ConfigurationError, FitError
 from .kmeans import kmeans_pp_init, lloyd
-from .model import ClusterModel, as_matrix, canonical_permutation, member_stats
+from .model import ClusterModel, _sqdist, as_matrix, canonical_labels
 
 __all__ = ["fit_spectral", "spectral_embedding"]
 
 
-def spectral_embedding(rows, sigma: float, k: int
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and the raw (not row-normalized) k-dim embedding."""
+def spectral_embedding(rows, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and the raw (not row-normalized) 2-dim embedding."""
     mat = as_matrix(rows)
     if sigma <= 0.0:
         raise ConfigurationError("sigma must be > 0", config_key="sigma")
     n = mat.shape[0]
     if n < 3:
         raise FitError("spectral clustering needs at least 3 rows")
-    d2 = ((mat[:, None, :] - mat[None, :, :]) ** 2).sum(axis=2)
-    w = np.exp(-d2 / (2.0 * sigma * sigma))
+    w = np.exp(-_sqdist(mat, mat) / (2.0 * sigma * sigma))
     np.fill_diagonal(w, 0.0)
     deg = w.sum(axis=1)
     if np.any(deg <= 1e-300):
@@ -38,28 +36,23 @@ def spectral_embedding(rows, sigma: float, k: int
     np.fill_diagonal(lap, 1.0 + lap.diagonal())
     lap = 0.5 * (lap + lap.T)  # enforce exact symmetry for eigh
     eigvals, eigvecs = np.linalg.eigh(lap)
-    return eigvals, eigvecs[:, :k]
+    return eigvals, eigvecs[:, :2]
 
 
-def fit_spectral(rows, sigma: float = 0.15, k: int = 2,
+def fit_spectral(rows, sigma: float = 0.15,
                  seed: int | None = 0) -> ClusterModel:
-    """Embed, row-normalize, and k-means the embedding.
+    """Embed, row-normalize, and 2-means the embedding.
 
     :raises FitError: fewer than 3 rows, an isolated similarity row, or an
         empty final cluster
     """
     mat = as_matrix(rows)
-    if k < 2:
-        raise ConfigurationError("k must be >= 2", config_key="k")
-    _, u = spectral_embedding(mat, sigma, k)
+    _, u = spectral_embedding(mat, sigma)
     norms = np.linalg.norm(u, axis=1, keepdims=True)
     embedding = np.divide(u, norms, out=np.zeros_like(u), where=norms > 0.0)
-    rng = np.random.default_rng(seed)
-    seeds = kmeans_pp_init(embedding, k, rng)
+    seeds = kmeans_pp_init(embedding, np.random.default_rng(seed))
     _, labels, _ = lloyd(embedding, seeds)
-    perm = canonical_permutation(mat, labels, k)
-    labels = perm[labels]
-    mu, sigma_k = member_stats(mat, labels, k)
-    return ClusterModel(algorithm="spectral", k=k, mu_k=mu, sigma_k=sigma_k,
+    labels, _, mu, sigma_k = canonical_labels(mat, labels)
+    return ClusterModel(algorithm="spectral", mu_k=mu, sigma_k=sigma_k,
                         train_rows=mat.copy(), train_assignments=labels,
                         embedding=embedding)

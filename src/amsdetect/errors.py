@@ -31,7 +31,7 @@ class WindowError(AmsDetectError):
 
 
 class FitError(AmsDetectError):
-    """A clustering fit cannot proceed or did not produce k clusters."""
+    """A clustering fit cannot proceed or did not produce two clusters."""
 
 
 class StatsError(AmsDetectError):

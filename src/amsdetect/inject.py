@@ -49,10 +49,6 @@ class InjectionLocation(Enum):
     PLL_B = "PllB"
     TRIG_C = "TrigC"
 
-    @property
-    def target_signal(self) -> str:
-        return {"InputA": "input", "PllB": "pll_intensity", "TrigC": "trig"}[self.value]
-
 
 @dataclass(frozen=True)
 class PointRandom:

@@ -80,7 +80,7 @@ def test_c2_iteration_invariants(verdict, blobs_2d):
              and np.array_equal(both.ls, whole.ls)
              and np.array_equal(both.ss, whole.ss))
 
-    eigvals, vecs = spectral_embedding(mat, sigma=0.3, k=2)
+    eigvals, vecs = spectral_embedding(mat, sigma=0.3)
     spec_ok = (abs(eigvals[0]) <= 1e-8
                and bool(np.all(np.diff(eigvals) >= -1e-12))
                and np.allclose(vecs.T @ vecs, np.eye(2), atol=1e-8))

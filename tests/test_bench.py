@@ -60,6 +60,18 @@ def test_config_validation():
                          anomalous_stages=(3,))
     with pytest.raises(ConfigurationError):
         ExperimentConfig(experiment="IA", n_samples_per_class=5)
+    for bad in [dict(experiment="PPA", observed_signals=("trig", "trig")),
+                dict(experiment="IA", n_samples_per_class="x"),
+                dict(experiment="IA", window_k="5"),
+                dict(experiment="IA", observed_signals=5),
+                dict(experiment="KStage", kstage_gains=["a", "b", "c"]),
+                dict(experiment="IA", seed=1.5),
+                dict(experiment="IA", seed=True),
+                dict(experiment="IA", centroid_select=1),
+                dict(experiment="IA", vref_params={"bogus": 1}),
+                dict(experiment="IA", vref_params={"noise_std": "x"})]:
+        with pytest.raises(ConfigurationError):
+            ExperimentConfig.from_dict(bad)
 
 
 def test_config_dict_round_trip():

@@ -148,15 +148,6 @@ def test_refine_model_keeps_separation(blobs_2d):
     assert len(refined.centroid_pairs) == 2
 
 
-def test_refine_model_requires_two_clusters():
-    rng = np.random.default_rng(0)
-    mat = np.concatenate([rng.normal(c, 0.03, (30, 1))
-                          for c in (0.1, 0.5, 0.9)])
-    base = fit_kmeans(mat, k=3, seed=0)
-    with pytest.raises(InputError):
-        refine_model(base, mat)
-
-
 def test_multi_handles_anti_correlated_dimension():
     # canonical order fixes dim 0 only; dim 1 runs the other way and must
     # be re-oriented locally instead of tripping the canonical-order check

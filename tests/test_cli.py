@@ -10,6 +10,8 @@ import pytest
 
 from amsdetect.cli import main
 from amsdetect.cluster import load_model
+from amsdetect.features import extract_features
+from amsdetect.waveforms import waveform_from_csv
 
 
 def test_help_exits_zero():
@@ -148,6 +150,16 @@ def test_experiment_command(tmp_path, capsys):
     assert len(report) == 13                       # header + 12 combinations
 
 
+def test_bad_suite_entry_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "suite.json"
+    cfg.write_text(json.dumps({"experiments": [
+        {"experiment": "IA", "n_samples_per_class": 10},
+        {"experiment": "PA", "vref_params": {"bogus": 1}},
+    ]}))
+    assert main(["suite", "--config", str(cfg)]) == 2
+    assert "vref_params" in capsys.readouterr().err
+
+
 def test_experiment_needs_a_name(capsys):
     assert main(["experiment", "--algorithm", "gmm"]) == 2
     assert "--experiment" in capsys.readouterr().err
@@ -174,3 +186,81 @@ def test_suite_and_report_commands(tmp_path, capsys):
     assert rc == 0
     pretty = capsys.readouterr().out
     assert "experiment" in pretty and "accuracy_pct" in pretty
+
+
+def test_whole_signal_featurize_writes_extract_features(tmp_path):
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--n-samples", "300", "--noise-std", "0.01",
+                 "--seed", "4", "--out", str(sim)]) == 0
+    taps = [sim / f"{name}.csv" for name in ("input", "trig", "output")]
+    data = tmp_path / "data.csv"
+    assert main(["featurize", "--in", *map(str, taps), "--label", "1",
+                 "--out", str(data)]) == 0
+    lines = data.read_text().splitlines()
+    assert lines[0] == "sample_id,label,window_index,mean,variance,slope"
+    assert len(lines) == 1 + len(taps)
+    for path, line in zip(sorted(taps), lines[1:]):
+        want = extract_features(waveform_from_csv(path))
+        assert line == f"{path.stem},1,0," + ",".join(f"{v:.12e}" for v in want)
+
+
+def _drop(key):
+    def edit(doc):
+        del doc[key]
+        return doc
+    return edit
+
+
+def _set(key, value):
+    def edit(doc):
+        doc[key] = value
+        return doc
+    return edit
+
+
+def _spectral(train_rows, train_assignments):
+    def edit(doc):
+        doc.update(algorithm="spectral", train_rows=train_rows,
+                   train_assignments=train_assignments)
+        return doc
+    return edit
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda doc: [doc], "not an amsdetect-model file"),
+    (_drop("mu_k"), "missing key 'mu_k'"),
+    (_drop("algorithm"), "missing key 'algorithm'"),
+    (_set("mu_k", "x"), "could not convert"),
+    (_set("sigma_k", [["a"], ["b"]]), "could not convert"),
+    (_set("norm", {"mins": [0.1]}), "missing key 'maxs'"),
+    (_set("norm", [0.1, 0.9]), "list indices"),
+    (_set("centroids", None), "needs centroids of shape (2, 1)"),
+    (_set("centroids", [[0.1, 0.2, 0.3], [0.7, 0.8, 0.9]]),
+     "needs centroids of shape (2, 1)"),
+    (_set("algorithm", "gmm"), "needs weights of shape (2,)"),
+    (_set("algorithm", "dbscan"), "unknown algorithm"),
+    (_spectral([[0.1], [0.9]], [0, 1, 1]),
+     "needs train_assignments of shape (2,)"),
+    (_spectral([[0.1], [0.9]], [0, 5]), "cluster ids 0 and 1"),
+    (_set("k", 3), "k must be 2"),
+    (_set("anomalous_cluster", 5), "anomalous_cluster must be 0 or 1"),
+    (_set("feature_names", 5), "not iterable"),
+])
+@pytest.mark.parametrize("command", ["detect", "select-centroids"])
+def test_bad_model_file_exits_two(tmp_path, capsys, command, edit, message):
+    """Malformed model files end in exit 2 with the reason, not a traceback."""
+    data = tmp_path / "data.csv"
+    data.write_text("sample_id,label,window_index,mean\n" + "".join(
+        f"s{i},{i // 5},0,{0.1 * i + 0.05 * (i // 5)}\n" for i in range(10)))
+    model = tmp_path / "model.json"
+    assert main(["fit", "--in", str(data), "--algorithm", "kmeans",
+                 "--out", str(model)]) == 0
+    model.write_text(json.dumps(edit(json.loads(model.read_text()))))
+    capsys.readouterr()
+    args = (["--samples-per-window", "10", "--sample-period", "1e-6"]
+            if command == "detect" else [])
+    rc = main([command, "--model", str(model), "--in", str(data), *args,
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "model.json" in err and message in err

@@ -1,13 +1,16 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amsdetect import (ConfigurationError, FitError, InputError, VAR_FLOOR,
-                       as_matrix, assign, assign_many, cluster_stats,
-                       fit_birch, fit_gmm, fit_kmeans, fit_spectral,
-                       gmm_responsibilities, load_model, save_model)
-from amsdetect.cluster import CFEntry, canonical_permutation, lloyd
+                       as_matrix, assign_many, cluster_stats, fit_birch,
+                       fit_gmm, fit_kmeans, fit_spectral,
+                       gmm_log_responsibilities, load_model, save_model)
+from amsdetect.cluster import CFEntry, canonical_labels, lloyd
 from amsdetect.cluster.spectral import spectral_embedding
 from oracles import em_step, exhaustive_two_means
 
@@ -59,12 +62,10 @@ def test_kmeans_deterministic(blobs_2d):
 
 
 def test_kmeans_errors():
-    with pytest.raises(ConfigurationError):
-        fit_kmeans(np.zeros((5, 1)), k=1)
     with pytest.raises(FitError):
-        fit_kmeans(np.array([[1.0]]), k=2)
+        fit_kmeans(np.array([[1.0]]))
     with pytest.raises(FitError):
-        fit_kmeans(np.ones((6, 2)), k=2)      # one distinct point
+        fit_kmeans(np.ones((6, 2)))           # one distinct point
     with pytest.raises(ConfigurationError):
         fit_kmeans(np.arange(6.0)[:, None], init="farthest")
     with pytest.raises(ConfigurationError):
@@ -114,14 +115,16 @@ def test_gmm_variance_floor():
 def test_gmm_responsibilities_sum_to_one(blobs_2d):
     mat, _ = blobs_2d
     model = fit_gmm(mat, seed=0)
-    resp = gmm_responsibilities(model, mat)
+    log_resp, _ = gmm_log_responsibilities(model.weights, model.means,
+                                           model.variances, mat)
+    resp = np.exp(log_resp)
     assert resp.shape == (len(mat), 2)
     assert np.allclose(resp.sum(axis=1), 1.0)
 
 
 def test_gmm_needs_enough_rows():
     with pytest.raises(FitError):
-        fit_gmm(np.arange(3.0)[:, None], k=2)
+        fit_gmm(np.arange(3.0)[:, None])
 
 
 # ----------------------------------------------------------------- birch
@@ -193,7 +196,7 @@ def test_birch_validation():
 
 def test_spectral_embedding_properties(blobs_2d):
     mat, _ = blobs_2d
-    eigvals, emb = spectral_embedding(mat[:50], sigma=0.3, k=2)
+    eigvals, emb = spectral_embedding(mat[:50], sigma=0.3)
     assert eigvals[0] == pytest.approx(0.0, abs=1e-8)
     assert np.all(np.diff(eigvals) >= -1e-12)
     gram = emb.T @ emb
@@ -241,14 +244,25 @@ def test_assign_nearest_centroid_tie_prefers_lower_id(blobs_1d):
     mat, _ = blobs_1d
     model = fit_kmeans(mat, seed=0)
     mid = (model.centroids[0] + model.centroids[1]) / 2.0
-    assert assign(model, mid) == 0
+    assert np.array_equal(assign_many(model, mid[None, :]), [0])
 
 
-def test_canonical_permutation_orders_by_first_dim():
-    mat = np.array([[10.0], [10.1], [0.0], [0.1]])
+def test_canonical_labels_orders_by_first_dim():
+    mat = np.array([[10.0, 1.0], [10.2, 3.0], [0.0, 5.0], [0.2, 7.0]])
     labels = np.array([0, 0, 1, 1])          # cluster 0 currently higher
-    perm = canonical_permutation(mat, labels, 2)
-    assert np.array_equal(perm, [1, 0])
+    new, order, mu_k, sigma_k = canonical_labels(mat, labels)
+    assert np.array_equal(order, [1, 0])
+    assert np.array_equal(new, [1, 1, 0, 0])
+    assert np.allclose(mu_k, [[0.1, 6.0], [10.1, 2.0]])
+    assert np.allclose(sigma_k, [[0.1, 1.0], [0.1, 1.0]])
+    same, order, _, _ = canonical_labels(mat, 1 - labels)
+    assert np.array_equal(order, [0, 1]) and np.array_equal(same, 1 - labels)
+    tied = mat.copy()
+    tied[:, 0] = [0.0, 1.0, 1.0, 0.0]       # equal dim-0 means keep their ids
+    same, order, _, _ = canonical_labels(tied, labels)
+    assert np.array_equal(order, [0, 1]) and np.array_equal(same, labels)
+    with pytest.raises(FitError):
+        canonical_labels(mat, np.zeros(4, dtype=np.int64))
 
 
 def test_cluster_stats_are_canonical(blobs_2d):
@@ -257,6 +271,20 @@ def test_cluster_stats_are_canonical(blobs_2d):
     mu_k, sigma_k = cluster_stats(model, mat)
     assert mu_k[0, 0] < mu_k[1, 0]
     assert np.all(sigma_k >= 0)
+    km = fit_kmeans(mat, seed=0)
+    swapped = dataclasses.replace(km, centroids=km.centroids[::-1].copy())
+    for got, want in zip(cluster_stats(swapped, mat), cluster_stats(km, mat)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("fit", [lambda m: fit_kmeans(m, seed=0), fit_birch,
+                                 lambda m: fit_spectral(m, sigma=0.3, seed=0)])
+def test_relabelled_state_assigns_like_the_fit(blobs_2d, fit):
+    """High blob first, so the fit's own cluster 0 is relabelled 1."""
+    mat = blobs_2d[0][::-1]
+    model = fit(mat)
+    assert model.mu_k[0, 0] < model.mu_k[1, 0]
+    assert np.array_equal(assign_many(model, mat), model.train_assignments)
 
 
 def test_model_round_trip_is_exact(tmp_path, blobs_2d):
@@ -288,6 +316,20 @@ def test_model_file_version_guard(tmp_path, blobs_1d):
         load_model(path)
     path.write_text(doc.replace('"version": 1', '"version": 99'))
     with pytest.raises(InputError):
+        load_model(path)
+
+
+def test_load_model_rejects_more_than_two_clusters(tmp_path, blobs_1d):
+    mat, _ = blobs_1d
+    path = tmp_path / "m.json"
+    save_model(fit_kmeans(mat, seed=0), path)
+    doc = json.loads(path.read_text())
+    assert doc["k"] == 2
+    doc["k"] = 3
+    doc["mu_k"].append(doc["mu_k"][0])
+    doc["sigma_k"].append(doc["sigma_k"][0])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InputError, match="k must be 2"):
         load_model(path)
 
 
