@@ -240,6 +240,10 @@ class ExperimentConfig:
         if self.sigma_scope not in ("global", "cluster"):
             raise ConfigurationError("sigma_scope must be 'global' or 'cluster'",
                                      config_key="sigma_scope")
+        if not 0.0 < self.spectral_sigma < np.inf:
+            raise ConfigurationError("spectral_sigma must be finite and > 0, "
+                                     f"got {self.spectral_sigma!r}",
+                                     config_key="spectral_sigma")
         if self.n_samples_per_class < 10:
             raise ConfigurationError("n_samples_per_class must be >= 10",
                                      config_key="n_samples_per_class")

@@ -140,13 +140,44 @@ def canonical_labels(mat: np.ndarray, labels: np.ndarray
     return labels, np.array([0, 1]), mu, sigma
 
 
-def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between the rows of a and b, shape (na, nb)."""
+# Elements of one (rows, nb, d) difference temporary: about 2 MB of float64.
+_BLOCK_ELEMS = 1 << 18
+
+
+def _row_blocks(a: np.ndarray, b: np.ndarray) -> list[slice]:
+    """Row slices of a whose (rows, nb, d) difference holds <= _BLOCK_ELEMS."""
+    step = max(1, _BLOCK_ELEMS // b.size)
+    return [slice(s, s + step) for s in range(0, len(a), step)]
+
+
+def _sqdist_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
 
 
+def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of a and b, shape (na, nb).
+
+    The difference-and-square broadcast runs over row blocks of a, so the
+    (na, nb, d) tensor (288 MB at na = nb = 2,000, d = 9) is never held
+    whole.  Each element is the same length-d sum over the same values in
+    every block, so the result is bit-identical to the one-shot broadcast.
+    The Gram expansion |a|^2 + |b|^2 - 2ab would need no tensor at all, but
+    it rounds differently, and the spectral embedding it feeds is saved in
+    model files and pinned by goldens.
+    """
+    out = np.empty((len(a), len(b)))
+    for rows in _row_blocks(a, b):
+        out[rows] = _sqdist_rows(a[rows], b)
+    return out
+
+
 def _nearest(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    return np.argmin(_sqdist(points, centroids), axis=1)  # ties: lower id
+    """Row index into centroids of each point's nearest one (ties: lower id).
+
+    Takes the argmin per row block, so no (na, nb) distance matrix is held.
+    """
+    return np.concatenate([np.argmin(_sqdist_rows(points[rows], centroids), axis=1)
+                           for rows in _row_blocks(points, centroids)])
 
 
 def assign_many(model: ClusterModel, rows) -> np.ndarray:
@@ -207,8 +238,15 @@ def save_model(model: ClusterModel, path) -> None:
         fh.write("\n")
 
 
-def _np(x, dtype=np.float64):
-    return None if x is None else np.asarray(x, dtype=dtype)
+def _np(x):
+    return None if x is None else np.asarray(x, dtype=np.float64)
+
+
+def _cluster_id(v, key: str) -> int:
+    """A cluster id as read from JSON; floats and booleans are refused."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise InputError(f"{key} must hold integer cluster ids, got {v!r}")
+    return v
 
 
 def load_model(path) -> ClusterModel:
@@ -237,19 +275,23 @@ def load_model(path) -> ClusterModel:
         if doc.get("centroid_pairs") is not None:
             from ..centroid import CentroidPair
             pairs = [CentroidPair(**p) for p in doc["centroid_pairs"]]
+        ids = doc.get("train_assignments")
         return ClusterModel(
             algorithm=doc["algorithm"],
             mu_k=_np(doc["mu_k"]),
             sigma_k=_np(doc["sigma_k"]),
-            **{key: _np(doc.get(key), np.int64 if key == "train_assignments"
-                        else np.float64) for key in _ARRAYS[2:]},
+            **{key: _np(doc.get(key)) for key in _ARRAYS[2:]
+               if key != "train_assignments"},
+            train_assignments=(None if ids is None else np.array(
+                [_cluster_id(v, "train_assignments") for v in ids], dtype=np.int64)),
             sse_history=list(doc.get("sse_history") or []),
             loglik_history=list(doc.get("loglik_history") or []),
             feature_names=(tuple(doc["feature_names"]) if doc.get("feature_names")
                            else None),
             norm=norm,
             centroid_pairs=pairs,
-            anomalous_cluster=int(doc.get("anomalous_cluster", 1)),
+            anomalous_cluster=_cluster_id(doc.get("anomalous_cluster", 1),
+                                          "anomalous_cluster"),
         )
     except KeyError as exc:
         raise InputError(f"{path}: missing key {exc}") from None

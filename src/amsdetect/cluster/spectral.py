@@ -5,6 +5,15 @@ zero diagonal, symmetric normalized Laplacian L = I - D^-1/2 W D^-1/2, the 2
 eigenvectors of the smallest eigenvalues (numpy's symmetric eigensolver), row
 normalization, then 2-means in the embedded space.  Out-of-sample points take
 the cluster of their nearest training row in the original feature space.
+
+Memory: the affinity and the Laplacian are built in the one (n, n) buffer
+that the row-blocked ``_sqdist`` returns, so no (n, n, d) tensor and no
+second (n, n) matrix exist before ``eigh``; eigh's own copy, workspace and
+eigenvectors then set the peak.  Every element still sees the same IEEE
+operations as the out-of-place form (multiply and add commute exactly).
+Neither the Gram expansion of the distances nor an iterative eigensolver
+(Lanczos, power iteration) is used: both change the bits of the embedding,
+which model files store.
 """
 
 from __future__ import annotations
@@ -21,20 +30,26 @@ __all__ = ["fit_spectral", "spectral_embedding"]
 def spectral_embedding(rows, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and the raw (not row-normalized) 2-dim embedding."""
     mat = as_matrix(rows)
-    if sigma <= 0.0:
-        raise ConfigurationError("sigma must be > 0", config_key="sigma")
+    if not 0.0 < sigma < np.inf:
+        raise ConfigurationError(f"sigma must be finite and > 0, got {sigma!r}",
+                                 config_key="sigma")
     n = mat.shape[0]
     if n < 3:
         raise FitError("spectral clustering needs at least 3 rows")
-    w = np.exp(-_sqdist(mat, mat) / (2.0 * sigma * sigma))
-    np.fill_diagonal(w, 0.0)
-    deg = w.sum(axis=1)
+    lap = _sqdist(mat, mat)  # becomes W, then L, in place
+    np.negative(lap, out=lap)
+    lap /= 2.0 * sigma * sigma
+    np.exp(lap, out=lap)
+    np.fill_diagonal(lap, 0.0)
+    deg = lap.sum(axis=1)
     if np.any(deg <= 1e-300):
         raise FitError("similarity graph has an isolated row; increase sigma")
     inv_sqrt = 1.0 / np.sqrt(deg)
-    lap = -inv_sqrt[:, None] * w * inv_sqrt[None, :]
+    lap *= -inv_sqrt[:, None]
+    lap *= inv_sqrt[None, :]
     np.fill_diagonal(lap, 1.0 + lap.diagonal())
-    lap = 0.5 * (lap + lap.T)  # enforce exact symmetry for eigh
+    lap += lap.T  # enforce exact symmetry for eigh
+    lap *= 0.5
     eigvals, eigvecs = np.linalg.eigh(lap)
     return eigvals, eigvecs[:, :2]
 

@@ -4,8 +4,9 @@ Everything here is deliberately written in plain Python (loops, the
 ``statistics`` module, ``math``) so that agreement with the vectorized
 package code is meaningful.  The exceptions keep the original numpy
 arithmetic the package must reproduce bit for bit: the per-window feature
-loop, and the time recursions at the end (the simulator's original loops
-over numpy scalars).  Keep this module free of amsdetect imports.
+loop, the one-shot pairwise-distance broadcast and out-of-place spectral
+Laplacian, and the time recursions at the end (the simulator's original
+loops over numpy scalars).  Keep this module free of amsdetect imports.
 """
 
 from __future__ import annotations
@@ -177,6 +178,27 @@ def per_window_features(x, k, selection):
                 di = idx - idx.mean()
                 out[i, j] = float(np.dot(di, w - w.mean()) / np.dot(di, di))
     return out
+
+
+def sqdist_broadcast(a, b):
+    """Squared distances between the rows of a and b by one (na, nb, d) broadcast."""
+    return ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+
+
+def spectral_embedding_reference(mat, sigma):
+    """Eigenvalues and 2-dim embedding of the normalized Laplacian, out of place.
+
+    Every step allocates a fresh (n, n) array: the plain form whose bits the
+    in-place construction in the package must reproduce.
+    """
+    w = np.exp(-sqdist_broadcast(mat, mat) / (2.0 * sigma * sigma))
+    np.fill_diagonal(w, 0.0)
+    inv_sqrt = 1.0 / np.sqrt(w.sum(axis=1))
+    lap = -inv_sqrt[:, None] * w * inv_sqrt[None, :]
+    np.fill_diagonal(lap, 1.0 + lap.diagonal())
+    lap = 0.5 * (lap + lap.T)
+    eigvals, eigvecs = np.linalg.eigh(lap)
+    return eigvals, eigvecs[:, :2]
 
 
 def static_transfer_reference(model, vin, temp):

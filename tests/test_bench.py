@@ -69,7 +69,10 @@ def test_config_validation():
                 dict(experiment="IA", seed=True),
                 dict(experiment="IA", centroid_select=1),
                 dict(experiment="IA", vref_params={"bogus": 1}),
-                dict(experiment="IA", vref_params={"noise_std": "x"})]:
+                dict(experiment="IA", vref_params={"noise_std": "x"}),
+                dict(experiment="IA", spectral_sigma=float("nan")),
+                dict(experiment="IA", spectral_sigma=float("inf")),
+                dict(experiment="IA", spectral_sigma=0.0)]:
         with pytest.raises(ConfigurationError):
             ExperimentConfig.from_dict(bad)
 
@@ -298,6 +301,12 @@ def test_load_config_and_suite(tmp_path):
     broken.write_text("{nope")
     with pytest.raises(ConfigurationError):
         load_config(broken)
+    nan_sigma = tmp_path / "nan_sigma.json"    # json reads a bare NaN
+    nan_sigma.write_text('{"experiment": "IA", "algorithm": "spectral", '
+                         '"spectral_sigma": NaN}')
+    with pytest.raises(ConfigurationError) as err:
+        load_config(nan_sigma)
+    assert err.value.config_key == "spectral_sigma"
 
 
 def test_component_experiments_run_on_both_circuits():

@@ -47,6 +47,14 @@ def test_bad_parameter_exits_two(tmp_path, capsys):
                "--out", str(tmp_path / "y")])
     assert rc == 2
     assert "n_samples" in capsys.readouterr().err
+    data = tmp_path / "data.csv"
+    data.write_text("sample_id,label,window_index,mean\n" + "".join(
+        f"s{i},{i // 5},0,{0.1 * i + 0.05 * (i // 5)}\n" for i in range(10)))
+    for sigma in ("nan", "inf", "-inf", "0"):
+        rc = main(["fit", "--in", str(data), "--algorithm", "spectral",
+                   f"--spectral-sigma={sigma}", "--out", str(tmp_path / "m.json")])
+        assert rc == 2
+        assert "sigma must be finite and > 0" in capsys.readouterr().err
 
 
 WAVE = "t,value\n0.0,1.0\n1.0e-8,2.0\n2.0e-8,3.0\n"
@@ -242,8 +250,16 @@ def _spectral(train_rows, train_assignments):
     (_spectral([[0.1], [0.9]], [0, 1, 1]),
      "needs train_assignments of shape (2,)"),
     (_spectral([[0.1], [0.9]], [0, 5]), "cluster ids 0 and 1"),
+    (_spectral([[0.1], [0.9]], [0.7, 1.7]),
+     "train_assignments must hold integer cluster ids, got 0.7"),
+    (_spectral([[0.1], [0.9]], [0, True]),
+     "train_assignments must hold integer cluster ids, got True"),
     (_set("k", 3), "k must be 2"),
     (_set("anomalous_cluster", 5), "anomalous_cluster must be 0 or 1"),
+    (_set("anomalous_cluster", 1.7),
+     "anomalous_cluster must hold integer cluster ids, got 1.7"),
+    (_set("anomalous_cluster", True),
+     "anomalous_cluster must hold integer cluster ids, got True"),
     (_set("feature_names", 5), "not iterable"),
 ])
 @pytest.mark.parametrize("command", ["detect", "select-centroids"])

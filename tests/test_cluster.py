@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from amsdetect import (ConfigurationError, FitError, InputError, VAR_FLOOR,
                        fit_gmm, fit_kmeans, fit_spectral,
                        gmm_log_responsibilities, load_model, save_model)
 from amsdetect.cluster import CFEntry, canonical_labels, lloyd
+from amsdetect.cluster.model import _BLOCK_ELEMS, _nearest, _sqdist
 from amsdetect.cluster.spectral import spectral_embedding
-from oracles import em_step, exhaustive_two_means
+from oracles import (em_step, exhaustive_two_means, spectral_embedding_reference,
+                     sqdist_broadcast)
 
 
 def _accuracy(labels, assignments):
@@ -344,3 +347,77 @@ def test_all_four_algorithms_separate_blobs(blobs_2d):
     for name, model in fits.items():
         acc = _accuracy(labels, assign_many(model, mat))
         assert acc == 1.0, f"{name} failed separation"
+
+
+# --------------------------------------------------- row-blocked kernels
+
+def _kernel_inputs(nb, d, which, tied, seed):
+    """(a, b) with a's row count on or next to a multiple of the row block."""
+    block = max(1, _BLOCK_ELEMS // (nb * d))
+    na = (1, max(1, block - 1), block, block + 1, 3 * block + 5)[which]
+    rng = np.random.default_rng(seed)
+    if tied:  # a small grid and repeated centroid rows make exact ties common
+        pool = rng.integers(0, 3, (max(1, nb // 2), d)).astype(np.float64)
+        return (rng.integers(0, 3, (na, d)).astype(np.float64),
+                pool[rng.integers(0, len(pool), nb)])
+    return rng.normal(0.0, 1.0, (na, d)), rng.normal(0.0, 1.0, (nb, d))
+
+
+@given(st.integers(1, 2500), st.integers(1, 30), st.integers(0, 4),
+       st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_blocked_kernels_match_one_shot_broadcast(nb, d, which, tied, seed):
+    """Byte-equal to the one-shot (na, nb, d) broadcast across block edges."""
+    a, b = _kernel_inputs(nb, d, which, tied, seed)
+    want = sqdist_broadcast(a, b)
+    assert _sqdist(a, b).tobytes() == want.tobytes()
+    got = _nearest(a, b)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, np.argmin(want, axis=1))  # ties: first minimum
+
+
+@given(st.integers(3, 400), st.integers(1, 30), st.floats(0.3, 3.0),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_in_place_laplacian_matches_reference(n, d, scale, seed):
+    """Eigenvalues and embedding byte-equal to the out-of-place Laplacian."""
+    mat = np.random.default_rng(seed).normal(0.0, 1.0, (n, d))
+    sigma = scale * np.sqrt(d)
+    got = spectral_embedding(mat, sigma)
+    want = spectral_embedding_reference(mat, sigma)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+def _traced_peak(fn, *args):
+    """Peak bytes traced while fn runs; numpy reports its buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class _EighReached(Exception):
+    pass
+
+
+def test_kernels_hold_no_pairwise_tensor(monkeypatch):
+    """At n = 1,000, d = 9 no kernel holds the (n, n, d) tensor of 9·(8n²) bytes."""
+    n = 1000
+    mat = np.random.default_rng(0).normal(0.0, 1.0, (n, 9))
+    nn = 8 * n * n
+    assert _traced_peak(_sqdist, mat, mat) <= 1.5 * nn
+    assert _traced_peak(_nearest, mat, mat) <= 0.5 * nn
+
+    peak = []
+
+    def eigh_stub(lap):  # stop at eigh: its own workspace is out of scope
+        peak.append(tracemalloc.get_traced_memory()[1])
+        raise _EighReached
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh_stub)
+    with pytest.raises(_EighReached):
+        _traced_peak(spectral_embedding, mat, 0.3)
+    assert peak[0] <= 3 * nn
