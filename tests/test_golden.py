@@ -5,7 +5,11 @@ results for every run alike; these digests, committed from a known-good
 tree, can.  Each config drives a different simulation path: the input, PLL
 and output legs of the reference chain, windowed features, the component
 opamp with a gain fault, the open-collapse transient, a temperature
-excursion and the k-stage chain.
+excursion and the k-stage chain.  The rest reach the corners of the
+batched simulator: a k-stage chain whose Open fault lands on either stage
+(collapse and slew columns in one stage), both DC sweeps, the bare
+``opamp`` circuit, a noiseless input and a windowed chain with overridden
+reference parameters.
 
 Each config has two digests: its per-combination report CSV and the raw
 float64 bytes of every (instance, signal) feature block the simulation
@@ -44,6 +48,13 @@ CONFIGS = {
     "Open": dict(experiment="Open", algorithm="kmeans"),
     "ParFault": dict(experiment="ParFault"),
     "KStage": dict(experiment="KStage", kstage_k=2),
+    "KStageOpen": dict(experiment="KStage", kstage_k=2, kstage_fault="Open"),
+    "OmNfetInputSweep": dict(experiment="OmNfet", analysis="dc_input_sweep"),
+    "OmPfetTempSweep": dict(experiment="OmPfet", analysis="dc_temp_sweep"),
+    "OmBothOpamp": dict(experiment="OmBoth", circuit="opamp"),
+    "IANoiseless": dict(experiment="IA", noise_std=0.0),
+    "ITPAVref": dict(experiment="ITPA", window_k=3,
+                     vref_params={"output_tau": 2.0e-6, "trig_gain": 0.6}),
 }
 
 
