@@ -5,9 +5,13 @@ one algorithm and one featurization.  ``generate_features`` simulates its
 balanced instances (n clean, then n anomalous) into one raw feature array
 of shape (instances, windows, signals, features); labels and sample ids
 follow from the instance index and ride along for scoring only -- fitting
-never sees them.  ``evaluate`` slices that array once per signal/feature
-combination, normalizes, fits and scores the slice, and ``run_suite`` maps
-a list of configs to a combined report, continuing past per-entry failures.
+never sees them.  Simulation is batched per config: the time recursions
+step all 2n instances at once on one time-major buffer, and everything
+else runs in chunks of ``_CHUNK`` instances; each instance still gets the
+bytes it would get simulated alone.  ``evaluate`` slices that array once
+per signal/feature combination, normalizes, fits and scores the slice, and
+``run_suite`` maps a list of configs to a combined report, continuing past
+per-entry failures.
 ``generate_dataset`` is the row adapter: the same array as one
 ``FeatureRow`` per (instance, window).
 
@@ -28,15 +32,15 @@ from .cluster import (ClusterModel, as_matrix, assign_many, fit_birch, fit_gmm,
                       fit_kmeans, fit_spectral)
 from .earlydetect import detect_windowed, latency_report
 from .errors import AmsDetectError, ConfigurationError, FitError
-from .features import (FEATURE_NAMES, FeatureRow, NormalizationParams,
-                       windowed_features)
+from .features import FEATURE_NAMES, FeatureRow, NormalizationParams, _windowed_rows
 from .inject import (AnomalySpec, ComponentFault, InjectionLocation,
                      PointPeriodic, PointRandom, _walk_chain,
                      apply_component_fault)
 from .waveforms import (OpampModel, SweepSpec, VrefConfig, Waveform,
-                        build_kstage, default_vref_component_model,
-                        simulate_kstage, simulate_opamp, sine_stimulus,
-                        vref_input_block)
+                        _check_finite, _input_rows, _lowpass_steps,
+                        _output_drive, _simulate_columns, build_kstage,
+                        default_vref_component_model, sine_stimulus,
+                        stage_model)
 # Unused here; perfbench/test_perfbench.py checks its tracer at this binding.
 from .waveforms import simulate_vref  # noqa: F401
 
@@ -244,6 +248,14 @@ class ExperimentConfig:
             raise ConfigurationError("spectral_sigma must be finite and > 0, "
                                      f"got {self.spectral_sigma!r}",
                                      config_key="spectral_sigma")
+        if not 0.0 < self.birch_threshold < np.inf:
+            raise ConfigurationError("birch_threshold must be finite and > 0, "
+                                     f"got {self.birch_threshold!r}",
+                                     config_key="birch_threshold")
+        if self.birch_branching < 2:
+            raise ConfigurationError("birch_branching must be >= 2, "
+                                     f"got {self.birch_branching!r}",
+                                     config_key="birch_branching")
         if self.n_samples_per_class < 10:
             raise ConfigurationError("n_samples_per_class must be >= 10",
                                      config_key="n_samples_per_class")
@@ -324,15 +336,6 @@ def _block_specs(config: ExperimentConfig, label: int, idx: int) -> list[Anomaly
     return specs
 
 
-def _block_signals(config: ExperimentConfig, label: int, idx: int) -> dict[str, Waveform]:
-    vcfg = VrefConfig(**{"noise_std": config.noise_std, **config.vref_params})
-    inp = vref_input_block(vcfg, config.n_samples,
-                           config.duration / config.n_samples,
-                           _child_seed(config.seed, label, idx, 0))
-    return _walk_chain(vcfg, inp, _block_specs(config, label, idx),
-                       with_output="output" in config.observed_signals)[0]
-
-
 def _jittered(base: OpampModel, rng: np.random.Generator,
               config: ExperimentConfig) -> OpampModel:
     gain = base.open_loop_gain * max(0.05, 1.0 + rng.normal(0.0, config.jitter_gain))
@@ -351,51 +354,124 @@ def _stimulus(config: ExperimentConfig) -> Waveform:
                          config.stim_amplitude, config.stim_frequency)
 
 
-def _component_signals(config: ExperimentConfig, label: int, idx: int) -> dict[str, Waveform]:
-    rng = np.random.default_rng(_child_seed(config.seed, label, idx, 0))
-    base = (default_vref_component_model() if config.circuit == "vref_components"
-            else OpampModel())
-    model = _jittered(base, rng, config)
-    if label == 1:
-        model = apply_component_fault(model, _component_fault(config))
-    if config.analysis == "transient":
-        out = simulate_opamp(model, "transient", _stimulus(config))
-    elif config.analysis == "dc_input_sweep":
-        start = 0.0 if config.sweep_start is None else config.sweep_start
-        stop = 0.2 if config.sweep_stop is None else config.sweep_stop
-        out = simulate_opamp(model, "dc_input_sweep",
-                             SweepSpec(start, stop, config.sweep_points,
-                                       config.sweep_bias))
-    else:
-        start = -40.0 if config.sweep_start is None else config.sweep_start
-        stop = 125.0 if config.sweep_stop is None else config.sweep_stop
-        out = simulate_opamp(model, "dc_temp_sweep",
-                             SweepSpec(start, stop, config.sweep_points,
-                                       config.sweep_bias))
-    return {"output": out.copy_with(
-        out.samples + rng.normal(0.0, config.measurement_noise, len(out)))}
-
-
 _KSTAGE_BASE = OpampModel(open_loop_gain=30.0, rail_low=-2.5, rail_high=2.5,
                           offset=0.01, slew_rate=5.0e7)
 
 
-def _kstage_signals(config: ExperimentConfig, label: int, idx: int) -> dict[str, Waveform]:
-    rng = np.random.default_rng(_child_seed(config.seed, label, idx, 0))
+# Instances per chunk of per-instance work (noise draws, injection, the PLL
+# and trig blocks, measurement noise, features), so each temporary is a few
+# (_CHUNK, n_samples) arrays; only the time recursions run all instances at
+# once, on one time-major (n_samples, 2n) buffer.
+_CHUNK = 8
+
+
+def _chunks(total: int) -> list[slice]:
+    return [slice(i, min(i + _CHUNK, total)) for i in range(0, total, _CHUNK)]
+
+
+def _block_features(config: ExperimentConfig, feats: np.ndarray) -> tuple[int, float]:
+    """Simulate every instance's reference chain and featurize it into ``feats``.
+
+    :returns: (samples per signal, sample period)
+    """
+    vcfg = VrefConfig(**{"noise_std": config.noise_std, **config.vref_params})
+    n, k = config.n_samples_per_class, config.window_k or 1
+    dt = config.duration / config.n_samples
+    observed = config.observed_signals
+    drive = np.empty((config.n_samples, 2 * n)) if "output" in observed else None
+    for c in _chunks(2 * n):
+        ids = [divmod(i, n) for i in range(c.start, c.stop)]
+        signals = _walk_chain(
+            vcfg, _input_rows(vcfg, config.n_samples, dt,
+                              [_child_seed(config.seed, label, idx, 0) for label, idx in ids]),
+            dt, [_block_specs(config, label, idx) for label, idx in ids],
+            with_output=False)[0]
+        for j, s in enumerate(observed):
+            if s != "output":
+                feats[c, :, j] = _windowed_rows(signals[s], k, config.features)
+        if drive is not None:
+            _output_drive(signals["trig"].T, vcfg, out=drive[:, c])
+        del signals   # free this chunk's signals before the next chunk's exist
+    if drive is not None:
+        _lowpass_steps(drive, dt / vcfg.output_tau)
+        j = observed.index("output")
+        for c in _chunks(2 * n):
+            rows = np.ascontiguousarray(drive[:, c].T)
+            _check_finite(rows)
+            feats[c, :, j] = _windowed_rows(rows, k, config.features)
+    return config.n_samples, dt
+
+
+def _instance_chain(config: ExperimentConfig, rng: np.random.Generator,
+                    label: int) -> list[OpampModel]:
+    """One instance's per-stage opamp models; draws its jitter from ``rng``.
+
+    A k-stage instance that is anomalous also draws its faulted stage,
+    unless ``anomalous_stages`` fixes it.
+    """
+    if config.circuit != "kstage":
+        base = (default_vref_component_model() if config.circuit == "vref_components"
+                else OpampModel())
+        model = _jittered(base, rng, config)
+        if label == 1:
+            model = apply_component_fault(model, _component_fault(config))
+        return [model]
     base = _jittered(_KSTAGE_BASE, rng, config)
-    gains = config.kstage_gains or (2.0,) * config.kstage_k
+    gains = list(config.kstage_gains or (2.0,) * config.kstage_k)
     if label == 1:
         stages = (config.anomalous_stages if config.anomalous_stages is not None
                   else (int(rng.integers(config.kstage_k)),))
         fault = ComponentFault.from_name(
             config.kstage_fault,
             config.fault_temperature if config.kstage_fault == "Parametric" else None)
-        amp = build_kstage(base, config.kstage_k, list(gains), stages, fault)
+        amp = build_kstage(base, config.kstage_k, gains, stages, fault)
     else:
-        amp = build_kstage(base, config.kstage_k, list(gains))
-    out = simulate_kstage(amp, _stimulus(config))
-    return {"output": out.copy_with(
-        out.samples + rng.normal(0.0, config.measurement_noise, len(out)))}
+        amp = build_kstage(base, config.kstage_k, gains)
+    return [stage_model(st) for st in amp.stages]
+
+
+def _sweep(config: ExperimentConfig) -> SweepSpec:
+    if config.analysis == "dc_input_sweep":
+        start = 0.0 if config.sweep_start is None else config.sweep_start
+        stop = 0.2 if config.sweep_stop is None else config.sweep_stop
+    else:
+        start = -40.0 if config.sweep_start is None else config.sweep_start
+        stop = 125.0 if config.sweep_stop is None else config.sweep_stop
+    return SweepSpec(start, stop, config.sweep_points, config.sweep_bias)
+
+
+def _opamp_features(config: ExperimentConfig, feats: np.ndarray) -> tuple[int, float]:
+    """Simulate every instance's opamp or k-stage chain and featurize its output.
+
+    Each instance's random stream is parked (its bit-generator state, not
+    a Generator of ~8 kB) between its model draws and its measurement
+    noise, so its draws come in the order of simulating it alone: jitter,
+    the faulted k-stage stage, then noise.  A k-stage chain always runs
+    transient.
+
+    :returns: (samples or sweep points per signal, sample period)
+    """
+    n, k = config.n_samples_per_class, config.window_k or 1
+    chains, streams = [], []
+    for i in range(2 * n):
+        rng = np.random.default_rng(_child_seed(config.seed, *divmod(i, n), 0))
+        chains.append(_instance_chain(config, rng, i // n))
+        streams.append(rng.bit_generator.state)
+    if config.circuit == "kstage" or config.analysis == "transient":
+        stimulus = _stimulus(config)
+        out = _simulate_columns(chains, "transient", stimulus)
+        dt = stimulus.sample_period
+    else:
+        out = _simulate_columns(chains, config.analysis, _sweep(config))
+        dt = 1.0
+    for c in _chunks(2 * n):
+        rows = np.ascontiguousarray(out[:, c].T)
+        for row, stream in zip(rows, streams[c]):
+            rng.bit_generator.state = stream
+            row += rng.normal(0.0, config.measurement_noise, row.size)
+            _check_finite(row)
+        feats[c, :, 0] = _windowed_rows(rows, k, config.features)
+    return out.shape[0], dt
 
 
 def generate_features(config: ExperimentConfig) -> tuple[np.ndarray, int, float]:
@@ -406,18 +482,11 @@ def generate_features(config: ExperimentConfig) -> tuple[np.ndarray, int, float]
         ``observed_signals`` order and features in ``features`` order; the
         two scalars come from the simulated waveforms
     """
-    simulate = {"vref_blocks": _block_signals,
-                "vref_components": _component_signals,
-                "opamp": _component_signals,
-                "kstage": _kstage_signals}[config.circuit]
     n, k = config.n_samples_per_class, config.window_k or 1
     feats = np.empty((2 * n, k, len(config.observed_signals), len(config.features)))
-    for i in range(2 * n):
-        by_name = simulate(config, *divmod(i, n))
-        for j, s in enumerate(config.observed_signals):
-            feats[i, :, j] = windowed_features(by_name[s], k, config.features)
-    w = by_name[config.observed_signals[0]]
-    return feats, len(w) // k, w.sample_period
+    simulate = _block_features if config.circuit == "vref_blocks" else _opamp_features
+    length, dt = simulate(config, feats)
+    return feats, length // k, dt
 
 
 def generate_dataset(config: ExperimentConfig) -> list[FeatureRow]:

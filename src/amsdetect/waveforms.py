@@ -16,11 +16,22 @@ Implementation notes:
   drift term, and slew-rate limiting in transient mode.  Multi-stage amplifier
   chains model each closed-loop stage with the finite-gain correction
   g_eff = G*A/(A+G) so open-loop-gain faults remain visible through feedback.
-* The time recursions (output-stage Euler step, slew limiter, open-output
-  collapse) run sample by sample on Python floats taken from ``tolist()``:
-  the same IEEE double operations in the same order as on numpy scalars, so
-  the results are bit-identical, without numpy's per-scalar dispatch.
-  Closed forms (a geometric series, an ``lfilter``-style recursion) are
+* The elementwise blocks (input, PLL, trig, the static opamp transfer) work
+  on ``(rows, n_samples)`` arrays, one instance per row, so a caller can
+  simulate a few instances at once.  The time recursions (output-stage
+  Euler step, slew limiter, open-output collapse) each have one kernel that
+  steps a time-major ``(n_samples, width)`` buffer in place, one instance
+  per column: ``_lowpass_steps``, ``_slew_steps`` and ``_collapse_steps``.
+  At width > 1 a kernel steps whole numpy rows with ``out=`` ufuncs; at
+  width 1 (the public single-instance functions) it loops over Python
+  floats from ``tolist()``, since a 1-wide numpy step costs about 15 times
+  more per sample.  Both are the same IEEE double operations in the same
+  order as the scalar loop, so every column is bit-identical to simulating
+  that instance alone.
+* A column of a time-major buffer is strided.  Reductions over strided
+  samples may sum in another order, so features are taken only from
+  C-contiguous rows (``np.ascontiguousarray(buf[:, cols].T)``).
+* Closed forms (a geometric series, an ``lfilter``-style recursion) are
   off-limits: they round differently and change the output bytes.
 """
 
@@ -28,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -57,6 +69,14 @@ __all__ = [
 ]
 
 
+def _check_finite(samples: np.ndarray) -> None:
+    # min and max propagate NaN and expose +-inf without a mask of the
+    # samples; on a time-major buffer that mask alone raised suite-full's
+    # peak RSS by about 1 MB
+    if not (np.isfinite(samples.min()) and np.isfinite(samples.max())):
+        raise InputError("waveform samples must be finite")
+
+
 @dataclass
 class Waveform:
     """A uniformly sampled real-valued signal.
@@ -75,8 +95,7 @@ class Waveform:
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1 or self.samples.size == 0:
             raise InputError("waveform samples must be a non-empty 1-D array")
-        if not np.all(np.isfinite(self.samples)):
-            raise InputError("waveform samples must be finite")
+        _check_finite(self.samples)
         if not (isinstance(self.sample_period, (int, float)) and self.sample_period > 0):
             raise InputError("sample_period must be > 0")
         self.sample_period = float(self.sample_period)
@@ -189,14 +208,41 @@ def _nominal_carrier(n_samples: int, sample_period: float, config: VrefConfig) -
     return config.input_amplitude * raw / peak
 
 
+def _input_rows(config: VrefConfig, n_samples: int, sample_period: float,
+                seeds) -> np.ndarray:
+    """Input-source samples, one row per noise seed: (len(seeds), n_samples)."""
+    base = _nominal_carrier(n_samples, sample_period, config)
+    if config.noise_std <= 0:
+        return np.tile(base, (len(seeds), 1))
+    rows = np.stack([np.random.default_rng(s).normal(0.0, config.noise_std, n_samples)
+                     for s in seeds])
+    rows += base
+    return rows
+
+
 def vref_input_block(config: VrefConfig, n_samples: int, sample_period: float,
                      seed: int | None = 0) -> Waveform:
     """Input source: calibrated sinusoid plus optional Gaussian noise."""
-    base = _nominal_carrier(n_samples, sample_period, config)
-    if config.noise_std > 0:
-        rng = np.random.default_rng(seed)
-        base = base + rng.normal(0.0, config.noise_std, n_samples)
-    return Waveform(base, sample_period, "input")
+    return Waveform(_input_rows(config, n_samples, sample_period, [seed])[0],
+                    sample_period, "input")
+
+
+def _pll_rows(x: np.ndarray, sample_period: float, config: VrefConfig
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """PLL frequency trace and intensity of each row of input samples."""
+    n = x.shape[-1]
+    t = np.arange(n) * sample_period
+    lock = 1.0 - np.exp(-t / config.pll_lock_tau)
+    # in place, with each IEEE sum and product's operands swapped at most:
+    # f = multiplier * f_in * lock + deviation_gain * (x - carrier)
+    f_inst = np.subtract(x, _nominal_carrier(n, sample_period, config))
+    np.multiply(f_inst, config.pll_deviation_gain, out=f_inst)
+    np.add(f_inst, config.pll_multiplier * config.input_frequency * lock, out=f_inst)
+    # phase = 2 * pi * cumsum(f) * dt, and the intensity is its sine
+    phase = np.cumsum(f_inst, axis=-1)
+    np.multiply(phase, 2.0 * math.pi, out=phase)
+    np.multiply(phase, sample_period, out=phase)
+    return f_inst, np.sin(phase, out=phase)
 
 
 def vref_pll_block(inp: Waveform, config: VrefConfig) -> tuple[Waveform, Waveform]:
@@ -209,22 +255,132 @@ def vref_pll_block(inp: Waveform, config: VrefConfig) -> tuple[Waveform, Wavefor
     frequency trace is constant after lock and the intensity is a
     unit-amplitude sinusoid.
     """
-    n = len(inp)
     dt = inp.sample_period
-    t = inp.times
-    lock = 1.0 - np.exp(-t / config.pll_lock_tau)
-    deviation = inp.samples - _nominal_carrier(n, dt, config)
-    f_inst = (config.pll_multiplier * config.input_frequency * lock
-              + config.pll_deviation_gain * deviation)
-    phase = 2.0 * math.pi * np.cumsum(f_inst) * dt
+    f_inst, intensity = _pll_rows(inp.samples, dt, config)
     return (Waveform(f_inst, dt, "pll_frequency"),
-            Waveform(np.sin(phase), dt, "pll_intensity"))
+            Waveform(intensity, dt, "pll_intensity"))
+
+
+def _trig_rows(intensity: np.ndarray, config: VrefConfig) -> np.ndarray:
+    """sin(trig_gain * pi * intensity), in one new array."""
+    out = np.multiply(intensity, config.trig_gain * math.pi)
+    return np.sin(out, out=out)
 
 
 def vref_trig_block(intensity: Waveform, config: VrefConfig) -> Waveform:
     """Trig shaper: sin() of the phase encoded by the PLL intensity samples."""
-    phase = config.trig_gain * math.pi * intensity.samples
-    return Waveform(np.sin(phase), intensity.sample_period, "trig")
+    return Waveform(_trig_rows(intensity.samples, config),
+                    intensity.sample_period, "trig")
+
+
+def _output_drive(trig: np.ndarray, config: VrefConfig,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """The output stage's drive, level + gain * trig, for each trig sample."""
+    out = np.multiply(trig, config.output_gain, out=out)
+    return np.add(out, config.output_level, out=out)
+
+
+def _one(p) -> float:
+    """A width-1 buffer's parameter, given as a scalar or a 1-vector."""
+    return float(np.ravel(p)[0])
+
+
+def _float_errors():
+    """Overflow and NaN stay silent in the row loops, as in Python float
+    arithmetic; the finite check on the result reports them."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
+def _lowpass_steps(buf: np.ndarray, alpha) -> None:
+    """Forward-Euler low-pass from 0 V over a time-major buffer, in place.
+
+    ``buf`` holds the drive, shape (n_samples, width); ``alpha`` (dt / tau)
+    is a scalar or one value per column.  Row t becomes
+    y_t = y_{t-1} + alpha * (drive_t - y_{t-1}) with y_{-1} = 0.
+    """
+    n, width = buf.shape
+    if width == 1:
+        a = _one(alpha)
+        out = []
+        y = 0.0
+        for d in buf[:, 0].tolist():
+            y = y + a * (d - y)
+            out.append(y)
+        buf[:, 0] = out
+        return
+    prev = np.zeros(width)
+    tmp = np.empty(width)
+    with _float_errors():
+        for row in buf:
+            np.subtract(row, prev, out=tmp)
+            np.multiply(tmp, alpha, out=tmp)
+            np.add(prev, tmp, out=row)
+            prev = row
+
+
+def _slew_steps(buf: np.ndarray, max_step) -> None:
+    """Slew-rate limiter over a time-major buffer of targets, in place.
+
+    Row 0 is kept; each later row moves from the previous output toward
+    its target by at most ``max_step`` (> 0; a scalar or one value per
+    column).
+    """
+    n, width = buf.shape
+    if width == 1:
+        ms = _one(max_step)
+        target = buf[:, 0].tolist()
+        y = target[0]
+        out = [y]
+        for t in target[1:]:
+            d = t - y
+            if d > ms:
+                d = ms
+            elif d < -ms:
+                d = -ms
+            y = y + d
+            out.append(y)
+        buf[:, 0] = out
+        return
+    lo = -np.asarray(max_step, dtype=np.float64)
+    tmp = np.empty(width)
+    prev = buf[0]
+    with _float_errors():
+        for row in buf[1:]:
+            np.subtract(row, prev, out=tmp)
+            np.maximum(tmp, lo, out=tmp)
+            np.minimum(tmp, max_step, out=tmp)
+            np.add(prev, tmp, out=row)
+            prev = row
+
+
+_COLLAPSE_ALPHA = 1.0 / 10.0   # an open output drifts with tau = 10 sample periods
+
+
+def _collapse_steps(buf: np.ndarray, level) -> None:
+    """Open-output collapse over a time-major buffer, in place.
+
+    The input no longer drives the output: starting from row 0 (the first
+    static target), each row steps y = y + alpha * (level - y) onto
+    ``level`` (the high rail; a scalar or one value per column).
+    """
+    n, width = buf.shape
+    if width == 1:
+        lev = _one(level)
+        out = []
+        y = float(buf[0, 0])
+        for _ in range(n):
+            y = y + _COLLAPSE_ALPHA * (lev - y)
+            out.append(y)
+        buf[:, 0] = out
+        return
+    tmp = np.empty(width)
+    prev = buf[0].copy()
+    with _float_errors():
+        for row in buf:
+            np.subtract(level, prev, out=tmp)
+            np.multiply(tmp, _COLLAPSE_ALPHA, out=tmp)
+            np.add(prev, tmp, out=row)
+            prev = row
 
 
 def vref_output_block(trig: Waveform, config: VrefConfig) -> Waveform:
@@ -234,14 +390,9 @@ def vref_output_block(trig: Waveform, config: VrefConfig) -> Waveform:
     0 V power-up state.
     """
     dt = trig.sample_period
-    alpha = dt / config.output_tau
-    drive = config.output_level + config.output_gain * trig.samples
-    out = []
-    y = 0.0
-    for d in drive.tolist():
-        y = y + alpha * (d - y)
-        out.append(y)
-    return Waveform(np.array(out), dt, "output")
+    buf = _output_drive(trig.samples, config)[:, None]
+    _lowpass_steps(buf, dt / config.output_tau)
+    return Waveform(buf[:, 0], dt, "output")
 
 
 def simulate_vref(config: VrefConfig, n_samples: int = 1500,
@@ -258,9 +409,11 @@ def simulate_vref(config: VrefConfig, n_samples: int = 1500,
     if duration <= 0:
         raise ConfigurationError("duration must be > 0", config_key="duration")
     from .inject import _walk_chain  # late import: inject depends on this module
-    inp = vref_input_block(config, n_samples, duration / n_samples, seed)
-    signals, _ = _walk_chain(config, inp, [])
-    return VrefBlockSignals(**signals, config=config)
+    dt = duration / n_samples
+    signals, _ = _walk_chain(config, _input_rows(config, n_samples, dt, [seed]),
+                             dt, [[]])
+    return VrefBlockSignals(**{name: Waveform(x[0], dt, name)
+                               for name, x in signals.items()}, config=config)
 
 
 @dataclass
@@ -330,11 +483,80 @@ class SweepSpec:
         return np.linspace(self.start, self.stop, self.n_points)
 
 
-def _static_transfer(model: OpampModel, vin: np.ndarray,
-                     temp: "float | np.ndarray") -> np.ndarray:
-    out = (model.open_loop_gain * (vin - model.offset)
-           + model.temp_coeff * (temp - model.nominal_temp))
-    return np.clip(out, model.rail_low, model.rail_high)
+_COLUMN_FIELDS = ("open_loop_gain", "offset", "temp_coeff", "nominal_temp",
+                  "temperature", "rail_low", "rail_high", "slew_rate",
+                  "open_collapse")
+
+
+def _columns(models) -> SimpleNamespace:
+    """One vector per OpampModel field, one entry per model (buffer column)."""
+    return SimpleNamespace(**{f: np.array([getattr(m, f) for m in models])
+                              for f in _COLUMN_FIELDS})
+
+
+def _static_transfer(cols: SimpleNamespace, buf: np.ndarray, temp) -> None:
+    """buf <- clip(gain * (buf - offset) + temp_coeff * (temp - nominal_temp), rails).
+
+    In place; ``cols`` comes from ``_columns`` and its vectors broadcast
+    along the last axis, one model per column.  The product is taken as
+    (buf - offset) * gain: IEEE multiplication commutes, so each element
+    has the bits of one model's gain * (vin - offset).
+    """
+    np.subtract(buf, cols.offset, out=buf)
+    np.multiply(buf, cols.open_loop_gain, out=buf)
+    np.add(buf, cols.temp_coeff * (temp - cols.nominal_temp), out=buf)
+    np.clip(buf, cols.rail_low, cols.rail_high, out=buf)
+
+
+def _opamp_transient(buf: np.ndarray, models, sample_period: float) -> None:
+    """Transient response of one model per column of a time-major input buffer.
+
+    In place: the static transfer gives each column's targets, then the
+    slew limiter steps the intact columns and the open-output collapse the
+    broken ones, each set through its own loop.
+    """
+    cols = _columns(models)
+    _static_transfer(cols, buf, cols.temperature)
+    runs = ((~cols.open_collapse, _slew_steps, cols.slew_rate * sample_period),
+            (cols.open_collapse, _collapse_steps, cols.rail_high))
+    for mask, steps, param in runs:
+        idx = np.flatnonzero(mask)
+        if idx.size == 0:
+            continue
+        if idx[-1] - idx[0] + 1 == idx.size:    # one run of columns: step a view
+            steps(buf[:, idx[0]:idx[-1] + 1], param[idx])
+        else:
+            sub = buf[:, idx]
+            steps(sub, param[idx])
+            buf[:, idx] = sub
+
+
+def _simulate_columns(chains, mode: str, stimulus: "Waveform | SweepSpec") -> np.ndarray:
+    """Run one analysis on one opamp chain per column; time-major output.
+
+    ``chains`` holds one list of per-stage models per column; every stage
+    feeds the next.  Sweeps use each chain's only stage.  Each stage's
+    output must be finite, as each stage's Waveform must be.
+    :returns: (samples or sweep points, len(chains)) array
+    """
+    if mode == "transient":
+        buf = np.empty((len(stimulus), len(chains)))
+        buf[...] = stimulus.samples[:, None]
+        for stage in zip(*chains):
+            _opamp_transient(buf, stage, stimulus.sample_period)
+            _check_finite(buf)
+        return buf
+    cols = _columns([stages[0] for stages in chains])
+    buf = np.empty((stimulus.n_points, len(chains)))
+    if mode == "dc_input_sweep":
+        buf[...] = stimulus.values[:, None]
+        _static_transfer(cols, buf, cols.temperature)
+    else:
+        buf[...] = stimulus.bias
+        _static_transfer(cols, buf, stimulus.values[:, None])
+    buf[:, cols.open_collapse] = cols.rail_high[cols.open_collapse]
+    _check_finite(buf)
+    return buf
 
 
 def sine_stimulus(n_samples: int, duration: float, dc: float, amplitude: float,
@@ -365,47 +587,15 @@ def simulate_opamp(model: OpampModel, mode: str,
         if not isinstance(stimulus, Waveform):
             raise InputError("transient analysis needs a Waveform stimulus")
         dt = stimulus.sample_period
-        if model.open_collapse:
-            # Broken output stage: input no longer drives the output; it
-            # drifts onto the high rail with tau = 10 sample periods.
-            alpha = 1.0 / 10.0
-            out = []
-            y = float(_static_transfer(model, stimulus.samples[:1], model.temperature)[0])
-            for _ in range(len(stimulus)):
-                y = y + alpha * (model.rail_high - y)
-                out.append(y)
-            return Waveform(np.array(out), dt, "output")
-        target = _static_transfer(model, stimulus.samples, model.temperature).tolist()
-        max_step = model.slew_rate * dt
-        y = target[0]
-        out = [y]
-        for t in target[1:]:
-            d = t - y
-            if d > max_step:
-                d = max_step
-            elif d < -max_step:
-                d = -max_step
-            y = y + d
-            out.append(y)
-        return Waveform(np.array(out), dt, "output")
-    if mode == "dc_input_sweep":
+    elif mode in ("dc_input_sweep", "dc_temp_sweep"):
         if not isinstance(stimulus, SweepSpec):
-            raise InputError("dc_input_sweep needs a SweepSpec stimulus")
-        if model.open_collapse:
-            out = np.full(stimulus.n_points, model.rail_high)
-        else:
-            out = _static_transfer(model, stimulus.values, model.temperature)
-        return Waveform(out, 1.0, "dc_input_sweep")
-    if mode == "dc_temp_sweep":
-        if not isinstance(stimulus, SweepSpec):
-            raise InputError("dc_temp_sweep needs a SweepSpec stimulus")
-        if model.open_collapse:
-            out = np.full(stimulus.n_points, model.rail_high)
-        else:
-            out = _static_transfer(model, np.full(stimulus.n_points, stimulus.bias),
-                                   stimulus.values)
-        return Waveform(out, 1.0, "dc_temp_sweep")
-    raise ConfigurationError(f"unknown analysis mode {mode!r}", config_key="analysis")
+            raise InputError(f"{mode} needs a SweepSpec stimulus")
+        dt = 1.0
+    else:
+        raise ConfigurationError(f"unknown analysis mode {mode!r}",
+                                 config_key="analysis")
+    out = _simulate_columns([[model]], mode, stimulus)[:, 0]
+    return Waveform(out, dt, "output" if mode == "transient" else mode)
 
 
 @dataclass
@@ -480,10 +670,9 @@ def build_kstage(base: OpampModel, k: int, gains: list[float],
 
 def simulate_kstage(amp: KStageAmplifier, stimulus: Waveform) -> Waveform:
     """Transient-simulate the stage chain; each stage feeds the next."""
-    signal = stimulus
-    for st in amp.stages:
-        signal = simulate_opamp(stage_model(st), "transient", signal)
-    return signal.copy_with(signal.samples, "output")
+    out = _simulate_columns([[stage_model(st) for st in amp.stages]],
+                            "transient", stimulus)[:, 0]
+    return stimulus.copy_with(out, "output")
 
 
 def default_vref_component_model() -> OpampModel:

@@ -5,16 +5,27 @@ Everything here is deliberately written in plain Python (loops, the
 package code is meaningful.  The exceptions keep the original numpy
 arithmetic the package must reproduce bit for bit: the per-window feature
 loop, the one-shot pairwise-distance broadcast and out-of-place spectral
-Laplacian, and the time recursions at the end (the simulator's original
-loops over numpy scalars).  Keep this module free of amsdetect imports.
+Laplacian, and the time recursions (the simulator's original loops over
+numpy scalars).  Only the per-instance builders at the end import
+amsdetect: they rebuild ``generate_features`` one instance at a time
+through the package's single-instance functions, whose width-1 loops the
+recursion references above pin.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
+from dataclasses import replace
 
 import numpy as np
+
+from amsdetect.bench import FAULT_EXPERIMENTS, _block_specs, _child_seed
+from amsdetect.features import windowed_features
+from amsdetect.inject import ComponentFault, apply_component_fault, inject_multipoint
+from amsdetect.waveforms import (OpampModel, SweepSpec, VrefConfig, build_kstage,
+                                 default_vref_component_model, simulate_kstage,
+                                 simulate_opamp, simulate_vref, sine_stimulus)
 
 
 def exhaustive_two_means(points):
@@ -208,40 +219,135 @@ def static_transfer_reference(model, vin, temp):
     return np.clip(out, model.rail_low, model.rail_high)
 
 
-def opamp_transient_reference(model, samples, dt):
-    """Transient opamp output: slew-limited transfer, or the open collapse.
-
-    Steps through numpy arrays element by element, as the simulator did
-    before its loops moved to Python floats.
-    """
-    samples = np.asarray(samples, dtype=np.float64)
-    temp = model.nominal_temp if model.eval_temp is None else model.eval_temp
-    if model.open_collapse:
-        alpha = 1.0 / 10.0
-        out = np.empty(len(samples))
-        y = float(static_transfer_reference(model, samples[:1], temp)[0])
-        for i in range(len(samples)):
-            y = y + alpha * (model.rail_high - y)
-            out[i] = y
-        return out
-    target = static_transfer_reference(model, samples, temp)
-    max_step = model.slew_rate * dt
-    out = np.empty(len(samples))
-    y = target[0]
-    out[0] = y
-    for i in range(1, len(samples)):
-        y = y + float(np.clip(target[i] - y, -max_step, max_step))
-        out[i] = y
-    return out
-
-
-def output_stage_reference(trig, dt, config):
-    """Forward-Euler low-pass of the reference's output stage from 0 V."""
-    alpha = dt / config.output_tau
-    drive = config.output_level + config.output_gain * np.asarray(trig)
+def lowpass_reference(drive, alpha):
+    """Forward-Euler low-pass from 0 V: y = y + alpha * (drive - y)."""
     out = np.empty(len(drive))
     y = 0.0
     for i in range(len(drive)):
         y = y + alpha * (drive[i] - y)
         out[i] = y
     return out
+
+
+def slew_reference(target, max_step):
+    """Slew limiter: from target[0], move at most max_step toward each target."""
+    out = np.empty(len(target))
+    y = target[0]
+    out[0] = y
+    for i in range(1, len(target)):
+        y = y + float(np.clip(target[i] - y, -max_step, max_step))
+        out[i] = y
+    return out
+
+
+def collapse_reference(first, level, n):
+    """Open-output collapse: n steps of y = y + (level - y) / 10 from ``first``."""
+    alpha = 1.0 / 10.0
+    out = np.empty(n)
+    y = float(first)
+    for i in range(n):
+        y = y + alpha * (level - y)
+        out[i] = y
+    return out
+
+
+def opamp_transient_reference(model, samples, dt):
+    """Transient opamp output: slew-limited transfer, or the open collapse."""
+    samples = np.asarray(samples, dtype=np.float64)
+    temp = model.nominal_temp if model.eval_temp is None else model.eval_temp
+    target = static_transfer_reference(model, samples, temp)
+    if model.open_collapse:
+        return collapse_reference(target[0], model.rail_high, len(samples))
+    return slew_reference(target, model.slew_rate * dt)
+
+
+def output_stage_reference(trig, dt, config):
+    """Forward-Euler low-pass of the reference's output stage from 0 V."""
+    drive = config.output_level + config.output_gain * np.asarray(trig)
+    return lowpass_reference(drive, dt / config.output_tau)
+
+
+def _jittered(base, rng, config):
+    gain = base.open_loop_gain * max(0.05, 1.0 + rng.normal(0.0, config.jitter_gain))
+    offset = base.offset + rng.normal(0.0, config.jitter_offset)
+    return replace(base, open_loop_gain=gain, offset=offset)
+
+
+def _stimulus(config):
+    return sine_stimulus(config.n_samples, config.duration, config.stim_dc,
+                         config.stim_amplitude, config.stim_frequency)
+
+
+def _noisy(out, rng, config):
+    return {"output": out.copy_with(
+        out.samples + rng.normal(0.0, config.measurement_noise, len(out)))}
+
+
+def block_signals_reference(config, label, idx):
+    """One reference-chain instance: simulate_vref, then inject_multipoint."""
+    vcfg = VrefConfig(**{"noise_std": config.noise_std, **config.vref_params})
+    signals = simulate_vref(vcfg, config.n_samples, config.duration,
+                            _child_seed(config.seed, label, idx, 0))
+    specs = _block_specs(config, label, idx)
+    if specs:
+        signals, _ = inject_multipoint(signals, specs)
+    return signals.as_dict()
+
+
+def component_signals_reference(config, label, idx):
+    """One jittered (and, if anomalous, faulted) opamp run by simulate_opamp."""
+    rng = np.random.default_rng(_child_seed(config.seed, label, idx, 0))
+    base = (default_vref_component_model() if config.circuit == "vref_components"
+            else OpampModel())
+    model = _jittered(base, rng, config)
+    if label == 1:
+        name = FAULT_EXPERIMENTS[config.experiment]
+        temp = config.fault_temperature if name == "Parametric" else None
+        model = apply_component_fault(model, ComponentFault.from_name(name, temp))
+    if config.analysis == "transient":
+        return _noisy(simulate_opamp(model, "transient", _stimulus(config)), rng, config)
+    if config.analysis == "dc_input_sweep":
+        start = 0.0 if config.sweep_start is None else config.sweep_start
+        stop = 0.2 if config.sweep_stop is None else config.sweep_stop
+    else:
+        start = -40.0 if config.sweep_start is None else config.sweep_start
+        stop = 125.0 if config.sweep_stop is None else config.sweep_stop
+    out = simulate_opamp(model, config.analysis,
+                         SweepSpec(start, stop, config.sweep_points, config.sweep_bias))
+    return _noisy(out, rng, config)
+
+
+def kstage_signals_reference(config, label, idx):
+    """One jittered k-stage chain, its fault on drawn or fixed stages."""
+    rng = np.random.default_rng(_child_seed(config.seed, label, idx, 0))
+    base = _jittered(OpampModel(open_loop_gain=30.0, rail_low=-2.5, rail_high=2.5,
+                                offset=0.01, slew_rate=5.0e7), rng, config)
+    gains = list(config.kstage_gains or (2.0,) * config.kstage_k)
+    if label == 1:
+        stages = (config.anomalous_stages if config.anomalous_stages is not None
+                  else (int(rng.integers(config.kstage_k)),))
+        temp = config.fault_temperature if config.kstage_fault == "Parametric" else None
+        amp = build_kstage(base, config.kstage_k, gains, stages,
+                           ComponentFault.from_name(config.kstage_fault, temp))
+    else:
+        amp = build_kstage(base, config.kstage_k, gains)
+    return _noisy(simulate_kstage(amp, _stimulus(config)), rng, config)
+
+
+def features_reference(config):
+    """``generate_features`` built one instance at a time.
+
+    :returns: (feats, samples_per_window, sample_period)
+    """
+    build = {"vref_blocks": block_signals_reference,
+             "vref_components": component_signals_reference,
+             "opamp": component_signals_reference,
+             "kstage": kstage_signals_reference}[config.circuit]
+    n, k = config.n_samples_per_class, config.window_k or 1
+    feats = np.empty((2 * n, k, len(config.observed_signals), len(config.features)))
+    for i in range(2 * n):
+        by_name = build(config, *divmod(i, n))
+        for j, s in enumerate(config.observed_signals):
+            feats[i, :, j] = windowed_features(by_name[s], k, config.features)
+    w = by_name[config.observed_signals[0]]
+    return feats, len(w) // k, w.sample_period

@@ -1,11 +1,15 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amsdetect import (ALL_EXPERIMENTS, BLOCK_EXPERIMENTS, ConfigurationError,
-                       ExperimentConfig, FAULT_EXPERIMENTS, SUITE_CSV_HEADER,
-                       WindowError, default_observed_signals, evaluate,
+                       ExperimentConfig, FAULT_EXPERIMENTS, InputError,
+                       SUITE_CSV_HEADER, WindowError, default_observed_signals,
+                       evaluate,
                        generate_dataset, generate_features, load_config,
                        load_suite, permutation_accuracy, run_suite,
                        suite_to_csv)
@@ -14,6 +18,7 @@ from amsdetect.bench import SIGNAL_ORDER, _block_specs, _child_seed
 from amsdetect.features import extract_features
 from amsdetect.inject import inject_multipoint
 from amsdetect.waveforms import VrefConfig, simulate_vref
+from oracles import features_reference
 
 
 def test_experiment_registry_is_complete():
@@ -75,6 +80,13 @@ def test_config_validation():
                 dict(experiment="IA", spectral_sigma=0.0)]:
         with pytest.raises(ConfigurationError):
             ExperimentConfig.from_dict(bad)
+    for key, value in [("birch_threshold", float("nan")),
+                       ("birch_threshold", float("inf")),
+                       ("birch_threshold", 0.0), ("birch_threshold", -1.0),
+                       ("birch_branching", 1), ("birch_branching", -3)]:
+        with pytest.raises(ConfigurationError) as err:
+            ExperimentConfig(experiment="IA", algorithm="birch", **{key: value})
+        assert err.value.config_key == key
 
 
 def test_config_dict_round_trip():
@@ -323,3 +335,91 @@ def test_open_fault_sweep_analysis():
                            algorithm="kmeans", n_samples_per_class=10, seed=2)
     report = evaluate(cfg)
     assert report.best.accuracy_pct == 100.0
+
+
+def _batch_case(data, experiment):
+    """Config knobs that steer the batched simulator down different branches."""
+    kw = dict(experiment=experiment, seed=data.draw(st.integers(0, 2**16)),
+              n_samples_per_class=data.draw(st.integers(10, 13)),
+              n_samples=data.draw(st.sampled_from([60, 96, 150])),
+              window_k=data.draw(st.sampled_from([None, 1, 2, 3])),
+              algorithm="kmeans")
+    if experiment in BLOCK_EXPERIMENTS:
+        kw["noise_std"] = data.draw(st.sampled_from([0.0, 0.02]))
+        kw["observed_signals"] = data.draw(st.lists(
+            st.sampled_from(SIGNAL_ORDER), min_size=1, max_size=5, unique=True))
+        if data.draw(st.booleans()):
+            kw["vref_params"] = {"output_tau": data.draw(st.floats(2e-7, 5e-6))}
+    elif experiment in FAULT_EXPERIMENTS:
+        kw["circuit"] = data.draw(st.sampled_from(["vref_components", "opamp"]))
+        analyses = ["transient", "dc_input_sweep"]
+        if experiment != "ParFault":
+            analyses.append("dc_temp_sweep")
+        kw["analysis"] = data.draw(st.sampled_from(analyses))
+        kw["sweep_points"] = data.draw(st.sampled_from([12, 30]))
+        kw["stim_amplitude"] = data.draw(st.floats(0.01, 0.5))
+    else:
+        k = data.draw(st.integers(1, 3))
+        kw.update(kstage_k=k,
+                  kstage_fault=data.draw(st.sampled_from(sorted(FAULT_EXPERIMENTS.values()))),
+                  anomalous_stages=data.draw(st.none() | st.lists(
+                      st.integers(0, k - 1), min_size=1, max_size=k, unique=True)),
+                  stim_amplitude=data.draw(st.floats(0.01, 0.2)))
+    return ExperimentConfig(**kw)
+
+
+@pytest.mark.parametrize("experiment", ALL_EXPERIMENTS)
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_generate_features_matches_per_instance_reference(experiment, data):
+    """The batched simulator gives every instance the bytes it gets alone."""
+    cfg = _batch_case(data, experiment)
+    feats, samples_per_window, sample_period = generate_features(cfg)
+    ref, ref_spw, ref_dt = features_reference(cfg)
+    assert feats.tobytes() == ref.tobytes()
+    assert (samples_per_window, sample_period) == (ref_spw, ref_dt)
+
+
+_NON_FINITE = [dict(experiment="TA", vref_params={"output_tau": 1e-300}),
+               dict(experiment="Open", measurement_noise=float("inf")),
+               dict(experiment="KStage", kstage_k=2, measurement_noise=float("inf"))]
+
+
+@pytest.mark.parametrize("kw", _NON_FINITE)
+def test_non_finite_simulation_raises_the_waveform_error(kw):
+    cfg = _fast_config(**kw)
+    with pytest.raises(InputError, match="^waveform samples must be finite$"):
+        generate_features(cfg)
+    with pytest.raises(InputError, match="^waveform samples must be finite$"):
+        features_reference(cfg)
+
+
+def test_suite_records_a_non_finite_simulation_against_its_entry():
+    result = run_suite([_fast_config(**kw) for kw in _NON_FINITE] + [_fast_config()])
+    assert [e.error for e in result.entries] == ["waveform samples must be finite"] * 3 + [None]
+    assert result.entries[3].report is not None
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_generation_memory_is_one_time_major_buffer_plus_small_chunks(monkeypatch):
+    """Only the output stage's (n_samples, 2n) buffer spans every instance.
+
+    Measured on this config: 1.55 MB chunked, of which 0.96 MB is that
+    buffer; 6.3 MB when every signal is held for all instances at once,
+    which is what the second half checks the bound would catch.
+    """
+    cfg = ExperimentConfig(experiment="IPTPA", observed_signals=SIGNAL_ORDER,
+                           n_samples_per_class=40, n_samples=1500)
+    bound = 2 * cfg.n_samples * 2 * cfg.n_samples_per_class * 8
+    generate_features(cfg)                     # warm caches outside the trace
+    assert _traced_peak(lambda: generate_features(cfg)) < bound
+    monkeypatch.setattr(bench, "_CHUNK", 2 * cfg.n_samples_per_class)
+    assert _traced_peak(lambda: generate_features(cfg)) > bound

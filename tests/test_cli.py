@@ -160,12 +160,18 @@ def test_experiment_command(tmp_path, capsys):
 
 def test_bad_suite_entry_exits_two(tmp_path, capsys):
     cfg = tmp_path / "suite.json"
-    cfg.write_text(json.dumps({"experiments": [
-        {"experiment": "IA", "n_samples_per_class": 10},
-        {"experiment": "PA", "vref_params": {"bogus": 1}},
-    ]}))
-    assert main(["suite", "--config", str(cfg)]) == 2
-    assert "vref_params" in capsys.readouterr().err
+    for bad, key in [
+            ({"experiment": "PA", "vref_params": {"bogus": 1}}, "vref_params"),
+            ({"experiment": "IA", "algorithm": "birch",
+              "birch_threshold": float("nan")}, "birch_threshold"),
+            ({"experiment": "IA", "algorithm": "birch", "birch_threshold": -1.0},
+             "birch_threshold"),
+            ({"experiment": "IA", "algorithm": "birch", "birch_branching": 1},
+             "birch_branching")]:
+        cfg.write_text(json.dumps({"experiments": [
+            {"experiment": "IA", "n_samples_per_class": 10}, bad]}))
+        assert main(["suite", "--config", str(cfg)]) == 2
+        assert key in capsys.readouterr().err
 
 
 def test_experiment_needs_a_name(capsys):

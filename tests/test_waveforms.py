@@ -11,10 +11,12 @@ from amsdetect import (ConfigurationError, InputError, OpampModel, SweepSpec,
                        default_vref_component_model, simulate_kstage,
                        simulate_opamp, simulate_vref, waveform_from_csv,
                        waveform_to_csv)
-from amsdetect.waveforms import (AmplifierStage, stage_model, vref_output_block,
-                                 vref_pll_block, vref_trig_block)
-from oracles import (opamp_transient_reference, output_stage_reference,
-                     static_transfer_reference)
+from amsdetect.waveforms import (AmplifierStage, _collapse_steps, _lowpass_steps,
+                                 _opamp_transient, _slew_steps, stage_model,
+                                 vref_output_block, vref_pll_block, vref_trig_block)
+from oracles import (collapse_reference, lowpass_reference,
+                     opamp_transient_reference, output_stage_reference,
+                     slew_reference, static_transfer_reference)
 
 _samples = st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=200)
 
@@ -291,3 +293,83 @@ def test_waveform_csv_rejects_foreign_header(tmp_path):
     path.write_text("time,volts\n0,1\n1,2\n")
     with pytest.raises(InputError):
         waveform_from_csv(path)
+
+
+# ------------------------------------------------- time-major step kernels
+# Each kernel steps a (n_samples, width) buffer in place, one instance per
+# column; width 1 takes the Python-float loop, wider buffers numpy rows.
+
+_widths = st.sampled_from([1, 2, 7, 8, 9, 80])
+
+
+def _per_column(data, width, values):
+    """A scalar or one drawn value per column."""
+    if data.draw(st.booleans(), label="scalar"):
+        return data.draw(values, label="param"), False
+    return np.array(data.draw(st.lists(values, min_size=width, max_size=width),
+                              label="params")), True
+
+
+def _buffer(seed, n, width, scale):
+    return np.random.default_rng(seed).uniform(-scale, scale, (n, width))
+
+
+@settings(max_examples=60, deadline=None)
+@given(width=_widths, n=st.integers(1, 50), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_lowpass_kernel_matches_scalar_loop_per_column(width, n, seed, data):
+    drive = _buffer(seed, n, width, 5.0)
+    alpha, vec = _per_column(data, width, st.floats(1e-4, 1.9))
+    buf = drive.copy()
+    _lowpass_steps(buf, alpha)
+    for j in range(width):
+        ref = lowpass_reference(drive[:, j], alpha[j] if vec else alpha)
+        assert buf[:, j].tobytes() == ref.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(width=_widths, n=st.integers(1, 50), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_slew_kernel_matches_scalar_loop_per_column(width, n, seed, data):
+    target = _buffer(seed, n, width, 3.0)
+    max_step, vec = _per_column(data, width, st.floats(1e-3, 8.0))
+    buf = target.copy()
+    _slew_steps(buf, max_step)
+    for j in range(width):
+        ref = slew_reference(target[:, j], max_step[j] if vec else max_step)
+        assert buf[:, j].tobytes() == ref.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(width=_widths, n=st.integers(1, 50), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_collapse_kernel_matches_scalar_loop_per_column(width, n, seed, data):
+    start = _buffer(seed, n, width, 3.0)
+    level, vec = _per_column(data, width, st.floats(-5.0, 5.0))
+    buf = start.copy()
+    _collapse_steps(buf, level)
+    for j in range(width):
+        ref = collapse_reference(start[0, j], level[j] if vec else level, n)
+        assert buf[:, j].tobytes() == ref.tobytes()
+
+
+_models = st.builds(
+    OpampModel, open_loop_gain=st.floats(0.1, 1e3), offset=st.floats(-1.0, 1.0),
+    rail_low=st.floats(-5.0, -0.1), rail_high=st.floats(0.1, 5.0),
+    slew_rate=st.floats(3.0, 12.0).map(lambda e: 10.0 ** e),
+    eval_temp=st.none() | st.floats(-60.0, 200.0), open_collapse=st.booleans())
+
+
+@settings(max_examples=40, deadline=None)
+@given(width=_widths, n=st.integers(1, 50), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_transient_columns_match_one_model_at_a_time(width, n, seed, data):
+    """Mixed collapse and slew columns, each with its own model parameters."""
+    models = data.draw(st.lists(_models, min_size=width, max_size=width))
+    event(f"collapse columns: {sum(m.open_collapse for m in models)}/{width}")
+    stim = _buffer(seed, n, width, 0.2)
+    buf = stim.copy()
+    _opamp_transient(buf, models, 1e-8)
+    for j, m in enumerate(models):
+        ref = opamp_transient_reference(m, stim[:, j], 1e-8)
+        assert buf[:, j].tobytes() == ref.tobytes()
