@@ -6,7 +6,7 @@ package code is meaningful.  The exceptions keep the original numpy
 arithmetic the package must reproduce bit for bit: the per-window feature
 loop, the one-shot pairwise-distance broadcast and out-of-place spectral
 Laplacian, and the time recursions (the simulator's original loops over
-numpy scalars).  Only the per-instance builders at the end import
+numpy scalars).  Only the per-instance builders at the end use
 amsdetect: they rebuild ``generate_features`` one instance at a time
 through the package's single-instance functions, whose width-1 loops the
 recursion references above pin.
