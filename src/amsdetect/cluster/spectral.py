@@ -14,9 +14,20 @@ operations as the out-of-place form (multiply and add commute exactly).
 Neither the Gram expansion of the distances nor an iterative eigensolver
 (Lanczos, power iteration) is used: both change the bits of the embedding,
 which model files store.
+
+Once glibc has freed one (n, n) buffer of up to 32 MiB, its dynamic mmap
+threshold rises and later ones come from the heap.  Whether the hole one
+fit leaves is reused by the next, or split by small allocations first,
+depends on everything allocated before, so the process's peak RSS could
+differ by one whole (n, n) buffer between runs that differ only in seed or
+environment.  Before building a buffer of ``_TRIM_BYTES`` or more, free
+heap pages are handed back with ``malloc_trim(0)`` (skipped where libc
+has no such call), so the peak is what the fit holds live.
 """
 
 from __future__ import annotations
+
+import ctypes
 
 import numpy as np
 
@@ -25,6 +36,13 @@ from .kmeans import kmeans_pp_init, lloyd
 from .model import ClusterModel, _sqdist, as_matrix, canonical_labels
 
 __all__ = ["fit_spectral", "spectral_embedding"]
+
+_TRIM_BYTES = 1 << 22  # (n, n) buffers from n = 725 rows
+try:
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+    _malloc_trim.argtypes, _malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
+except (OSError, TypeError, AttributeError):  # not glibc
+    _malloc_trim = None
 
 
 def spectral_embedding(rows, sigma: float) -> tuple[np.ndarray, np.ndarray]:
@@ -36,6 +54,8 @@ def spectral_embedding(rows, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     n = mat.shape[0]
     if n < 3:
         raise FitError("spectral clustering needs at least 3 rows")
+    if _malloc_trim is not None and n * n * 8 >= _TRIM_BYTES:
+        _malloc_trim(0)
     lap = _sqdist(mat, mat)  # becomes W, then L, in place
     np.negative(lap, out=lap)
     lap /= 2.0 * sigma * sigma

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import platform
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,7 @@ from amsdetect import (ConfigurationError, FitError, InputError, VAR_FLOOR,
                        as_matrix, assign_many, cluster_stats, fit_birch,
                        fit_gmm, fit_kmeans, fit_spectral,
                        gmm_log_responsibilities, load_model, save_model)
-from amsdetect.cluster import CFEntry, canonical_labels, lloyd
+from amsdetect.cluster import CFEntry, canonical_labels, lloyd, spectral
 from amsdetect.cluster.model import _BLOCK_ELEMS, _nearest, _sqdist
 from amsdetect.cluster.spectral import spectral_embedding
 from oracles import (em_step, exhaustive_two_means, spectral_embedding_reference,
@@ -222,6 +223,23 @@ def test_spectral_out_of_sample_uses_nearest_row(blobs_2d):
     assert got[0] != got[1]
     assert got[0] == model.train_assignments[
         np.argmin(((mat - probe[0]) ** 2).sum(axis=1))]
+
+
+def test_spectral_trims_heap_before_large_buffers(blobs_2d, monkeypatch):
+    mat, _ = blobs_2d
+    if platform.libc_ver()[0] == "glibc":
+        assert spectral._malloc_trim is not None
+    monkeypatch.setattr(spectral, "_malloc_trim", None)
+    want = spectral_embedding(mat[:40], sigma=0.3)
+    calls = []
+    monkeypatch.setattr(spectral, "_malloc_trim", calls.append)
+    monkeypatch.setattr(spectral, "_TRIM_BYTES", 8 * 40 * 40)
+    spectral_embedding(mat[:39], sigma=0.3)
+    assert calls == []
+    got = spectral_embedding(mat[:40], sigma=0.3)
+    assert calls == [0]
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_spectral_validation():
