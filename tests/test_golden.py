@@ -20,6 +20,9 @@ A second file pins whole suites: the dataset CSV that ``generate_dataset``
 gives for each ``suite-smoke`` entry, and the ``suite-full`` summary CSV
 with every per-entry report.
 
+A third pins every file a small command-line pipeline writes: the waveform,
+injection-record, dataset, model and detection formats, byte for byte.
+
 Regenerate only when outputs change on purpose:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -35,10 +38,12 @@ from amsdetect import (ExperimentConfig, dataset_to_csv, evaluate,
                        generate_dataset, generate_features, load_suite,
                        run_suite, suite_to_csv)
 from amsdetect.bench import _sample_id, report_to_csv
+from amsdetect.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "sim_paths.sha256"
 SUITE_GOLDEN = ROOT / "tests" / "golden" / "suites.sha256"
+CLI_GOLDEN = ROOT / "tests" / "golden" / "cli_files.sha256"
 
 CONFIGS = {
     "IA": dict(experiment="IA", algorithm="kmeans"),
@@ -123,6 +128,40 @@ def _full_suite_digests(tmp_dir: pathlib.Path) -> dict[str, str]:
     return out
 
 
+def _cli_digests(tmp_dir: pathlib.Path) -> dict[str, str]:
+    """Run simulate -> inject -> featurize -> fit -> select-centroids ->
+    detect and digest every file the commands write, keyed by its path."""
+    def run(*argv):
+        assert main([str(a) for a in argv]) == 0, argv
+
+    sim, amp, sweep = tmp_dir / "sim", tmp_dir / "opamp", tmp_dir / "sweep"
+    rnd, per = tmp_dir / "inject-random", tmp_dir / "inject-periodic"
+    data, det = tmp_dir / "data.csv", tmp_dir / "det.csv"
+    model, refined = tmp_dir / "model.json", tmp_dir / "refined.json"
+    run("simulate", "--n-samples", 300, "--noise-std", 0.01, "--seed", 3,
+        "--out", sim)
+    run("simulate", "--circuit", "opamp", "--fault", "OmPfet",
+        "--n-samples", 300, "--out", amp)
+    run("simulate", "--circuit", "opamp", "--analysis", "dc_temp_sweep",
+        "--sweep-points", 40, "--out", sweep)
+    run("inject", "--in", sim / "input.csv", "--mode", "random",
+        "--rate-pct", 2, "--seed", 9, "--out", rnd)
+    run("inject", "--in", sim / "trig.csv", "--mode", "periodic",
+        "--out", per)
+    # featurize names each sample by its file stem
+    (rnd / "injected.csv").rename(rnd / "random.csv")
+    (per / "injected.csv").rename(per / "periodic.csv")
+    run("featurize", "--in", sim / "input.csv", sim / "trig.csv",
+        rnd / "random.csv", per / "periodic.csv", "--windows", 5,
+        "--out", data)
+    run("fit", "--in", data, "--algorithm", "gmm", "--out", model)
+    run("select-centroids", "--model", model, "--in", data, "--out", refined)
+    run("detect", "--model", model, "--in", data, "--samples-per-window", 60,
+        "--sample-period", repr(20e-6 / 300), "--out", det)
+    return {f"cli/{p.relative_to(tmp_dir).as_posix()}": _file_digest(p)
+            for p in sorted(tmp_dir.rglob("*")) if p.is_file()}
+
+
 def test_itpa_golden_observes_the_output_stage():
     assert "output" in _config("ITPA").observed_signals
 
@@ -149,6 +188,10 @@ def test_full_suite_matches_golden_digests(tmp_path):
         if k.startswith("full/")}
 
 
+def test_cli_files_match_golden_digests(tmp_path, capsys):
+    assert _cli_digests(tmp_path) == _read_golden(CLI_GOLDEN)
+
+
 def _write(path: pathlib.Path, digests: dict[str, str]) -> None:
     path.parent.mkdir(exist_ok=True)
     path.write_text("".join(f"{d}  {key}\n" for key, d in digests.items()))
@@ -161,3 +204,5 @@ if __name__ == "__main__":
         _write(GOLDEN, _digests(tmp))
         _write(SUITE_GOLDEN, {**_smoke_dataset_digests(tmp),
                               **_full_suite_digests(tmp)})
+        (tmp / "cli").mkdir()
+        _write(CLI_GOLDEN, _cli_digests(tmp / "cli"))
