@@ -31,7 +31,7 @@ from .centroid import refine_model
 from .cluster import (ClusterModel, as_matrix, assign_many, fit_birch, fit_gmm,
                       fit_kmeans, fit_spectral)
 from .earlydetect import detect_windowed, latency_report
-from .errors import AmsDetectError, ConfigurationError, FitError
+from .errors import AmsDetectError, ConfigurationError, FitError, _read_text
 from .features import FEATURE_NAMES, FeatureRow, NormalizationParams, _windowed_rows
 from .inject import (AnomalySpec, ComponentFault, InjectionLocation,
                      PointPeriodic, PointRandom, _walk_chain,
@@ -256,6 +256,12 @@ class ExperimentConfig:
             raise ConfigurationError("birch_branching must be >= 2, "
                                      f"got {self.birch_branching!r}",
                                      config_key="birch_branching")
+        for key in ("measurement_noise", "jitter_gain", "jitter_offset"):
+            # numpy's normal() refuses any scale with its sign bit set
+            if np.signbit(getattr(self, key)):
+                raise ConfigurationError(f"{key} must not be negative (-0.0 "
+                                         f"included), got {getattr(self, key)!r}",
+                                         config_key=key)
         if self.n_samples_per_class < 10:
             raise ConfigurationError("n_samples_per_class must be >= 10",
                                      config_key="n_samples_per_class")
@@ -703,11 +709,10 @@ def run_suite(configs: list[ExperimentConfig]) -> SuiteResult:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"{path}: invalid JSON ({exc})")
+    try:
+        data = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"{path}: invalid JSON ({exc})")
     if not isinstance(data, dict):
         raise ConfigurationError(f"{path}: expected a JSON object")
     return ExperimentConfig.from_dict(data)
@@ -719,11 +724,10 @@ def load_suite(path) -> list[ExperimentConfig]:
     A bare JSON list of config objects is also accepted.  Per-entry keys
     override the shared defaults.
     """
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"{path}: invalid JSON ({exc})")
+    try:
+        data = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"{path}: invalid JSON ({exc})")
     if isinstance(data, list):
         defaults, entries = {}, data
     elif isinstance(data, dict):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import os
 import sys
 
@@ -24,7 +25,7 @@ from .bench import (ExperimentConfig, evaluate, fit_model, load_config,
 from .centroid import refine_model
 from .cluster import as_matrix, load_model, save_model
 from .earlydetect import detect_windowed, detections_to_csv, latency_report
-from .errors import AmsDetectError, InputError
+from .errors import AmsDetectError, InputError, _read_text
 from .features import (FEATURE_NAMES, FeatureRow, dataset_from_csv,
                        dataset_to_csv, normalize_dataset, windowed_features)
 from .inject import (ComponentFault, apply_component_fault,
@@ -281,9 +282,7 @@ def _cmd_suite(args) -> int:
 # ------------------------------------------------------------------ report
 
 def _cmd_report(args) -> int:
-    with open(args.infile) as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
+    rows = list(csv.DictReader(io.StringIO(_read_text(args.infile))))
     if not rows:
         raise InputError(f"{args.infile}: empty summary")
     cols = list(rows[0].keys())

@@ -15,7 +15,7 @@ import json
 
 import numpy as np
 
-from ..errors import AmsDetectError, FitError, InputError, StatsError
+from ..errors import AmsDetectError, FitError, InputError, StatsError, _read_text
 from ..features import FeatureRow, NormalizationParams
 
 __all__ = [
@@ -255,11 +255,10 @@ def load_model(path) -> ClusterModel:
     :raises InputError: not a model file of this version, or an entry that
         is missing, not numeric, or of the wrong shape for the algorithm
     """
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: not a model file ({exc})")
+    try:
+        doc = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: not a model file ({exc})")
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise InputError(f"{path}: not an {MODEL_FORMAT} file")
     if doc.get("version") != MODEL_VERSION:

@@ -2,7 +2,8 @@
 
 Every error raised by library code derives from AmsDetectError so the CLI can
 map any library failure to a runtime exit code while argparse usage problems
-keep their own path.
+keep their own path.  Every file reader reads through ``_read_text``, so
+bytes that do not decode end in an InputError that names the file.
 """
 
 
@@ -44,3 +45,16 @@ class RefitError(AmsDetectError):
 
 class DegenerateDataError(AmsDetectError):
     """Centroid selection geometry is degenerate for the given stats."""
+
+
+def _read_text(path) -> str:
+    """The whole text of ``path``, newlines translated to ``\\n``.
+
+    :raises InputError: the bytes do not decode in the locale's encoding
+    """
+    with open(path) as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not {exc.encoding} text ({exc.reason} "
+                             f"at byte {exc.start})") from None

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, WindowError
+from .errors import InputError, WindowError, _read_text
 from .waveforms import Waveform
 
 __all__ = [
@@ -186,33 +186,34 @@ def dataset_to_csv(rows: list[FeatureRow], feature_names, path) -> None:
         raise InputError(f"{len(feature_names)} feature names for {dim} columns")
     header = "sample_id,label,window_index," + ",".join(feature_names)
     ordered = sorted(rows, key=lambda r: (r.sample_id, r.window_index))
+    cells = []
+    for r in ordered:
+        cells += (r.sample_id, r.label, r.window_index, *r.values.tolist())
+    row = "%s,%s,%s" + ",%.12e" * dim + "\n"
     with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for r in ordered:
-            vals = ",".join(f"{v:.12e}" for v in r.values)
-            fh.write(f"{r.sample_id},{r.label},{r.window_index},{vals}\n")
+        fh.write(header + "\n" + (row * len(ordered)) % tuple(cells))
 
 
 def dataset_from_csv(path) -> tuple[list[str], list[FeatureRow]]:
     """Read a dataset CSV back: (feature column names, rows)."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if header[:3] != ["sample_id", "label", "window_index"]:
-            raise InputError(f"{path}: unexpected dataset header")
-        names = header[3:]
-        rows = []
-        try:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split(",")
-                if len(parts) != len(header):
-                    raise ValueError(f"{len(parts)} fields, header has {len(header)}")
-                rows.append(FeatureRow(parts[0], int(parts[1]), int(parts[2]),
-                                       np.array([float(p) for p in parts[3:]])))
-        except ValueError as exc:
-            raise InputError(f"{path}: bad row {line!r} ({exc})") from None
+    first, _, body = _read_text(path).partition("\n")
+    header = first.strip().split(",")
+    if header[:3] != ["sample_id", "label", "window_index"]:
+        raise InputError(f"{path}: unexpected dataset header")
+    names = header[3:]
+    rows = []
+    try:
+        for line in body.split("\n"):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != len(header):
+                raise ValueError(f"{len(parts)} fields, header has {len(header)}")
+            rows.append(FeatureRow(parts[0], int(parts[1]), int(parts[2]),
+                                   np.array([float(p) for p in parts[3:]])))
+    except ValueError as exc:
+        raise InputError(f"{path}: bad row {line!r} ({exc})") from None
     if not rows:
         raise InputError(f"{path}: no data rows")
     return names, rows

@@ -373,7 +373,9 @@ def apply_component_fault(model: OpampModel, fault: ComponentFault) -> OpampMode
 
 def record_to_csv(record: InjectionRecord, path) -> None:
     """Write the audit CSV: ``index,original,injected``."""
+    rows = zip(record.positions.tolist(), record.original.tolist(),
+               record.injected.tolist())
+    cells = tuple(c for row in rows for c in row)
     with open(path, "w") as fh:
-        fh.write("index,original,injected\n")
-        for i, o, v in zip(record.positions, record.original, record.injected):
-            fh.write(f"{i},{o:.12e},{v:.12e}\n")
+        fh.write("index,original,injected\n"
+                 + ("%s,%.12e,%.12e\n" * len(record.positions)) % cells)

@@ -39,11 +39,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
+from itertools import repeat
 from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError
+from .errors import ConfigurationError, InputError, _read_text
 
 __all__ = [
     "Waveform",
@@ -682,30 +684,74 @@ def default_vref_component_model() -> OpampModel:
                       nominal_temp=25.0)
 
 
+@lru_cache(maxsize=1)
+def _time_cells(n: int, sample_period: float) -> tuple[str, ...]:
+    # the taps of one simulation share one time axis, so a memo of one
+    # axis formats it once for all of them
+    return tuple("%.12e" % (i * sample_period) for i in range(n))
+
+
 def waveform_to_csv(w: Waveform, path) -> None:
-    """Write ``t,value`` rows; times carry 13 significant digits."""
+    """Write a ``t,value`` header, then one ``t_i,x_i`` row per sample.
+
+    Both columns are ``%.12e``: 13 significant digits, which do not
+    round-trip every float64, so reading a file back can move a sample by
+    up to half a unit in its 13th digit.  ``t_i = i * sample_period``.
+    The rows are formatted in one call and written in one write.
+    """
+    n = len(w)
+    cells = [None] * (2 * n)
+    cells[0::2] = _time_cells(n, w.sample_period)
+    cells[1::2] = w.samples.tolist()
     with open(path, "w") as fh:
-        fh.write("t,value\n")
-        for i, v in enumerate(w.samples):
-            fh.write(f"{i * w.sample_period:.12e},{v:.12e}\n")
+        fh.write("t,value\n" + ("%s,%.12e\n" * n) % tuple(cells))
+
+
+def _parse_lines(path, lines: list[str]) -> tuple[list[float], list[float]]:
+    # one line at a time, so an error can quote the first bad line
+    t, v = [], []
+    for line in lines:
+        try:
+            a, b = line.split(",")
+            t.append(float(a))
+            v.append(float(b))
+        except ValueError:
+            raise InputError(f"{path}: expected 't,value' numbers, got {line!r}") from None
+    return t, v
 
 
 def waveform_from_csv(path, name: str = "") -> Waveform:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "t,value":
-            raise InputError(f"{path}: expected header 't,value', got {header!r}")
-        t, v = [], []
-        try:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                a, b = line.split(",")
-                t.append(float(a))
-                v.append(float(b))
-        except ValueError:
-            raise InputError(f"{path}: expected 't,value' numbers, got {line!r}") from None
+    """Read a waveform CSV such as :func:`waveform_to_csv` writes.
+
+    The grammar: a first line ``t,value``, then one ``<time>,<value>`` line
+    per sample.  Every line is stripped of surrounding whitespace, and blank
+    lines are skipped; ``\\r\\n`` or ``\\r`` line ends and a missing final
+    newline are accepted.  A cell is any text Python's ``float()`` takes
+    (``nan``, ``1_0`` and ``inf`` included; the waveform then rejects
+    non-finite values).  The sample period is ``t_1 - t_0``.
+
+    :raises InputError: the file does not decode as text; the header is
+        not ``t,value``; a non-blank line is not two comma-separated numbers
+        (the message quotes the first such line); there are fewer than 2
+        samples; the time axis does not increase, or strays from
+        ``t_0 + i * (t_1 - t_0)`` by more than ``1e-6 * (|t_i| + dt)``;
+        a value is not finite
+    """
+    header, _, body = _read_text(path).partition("\n")
+    header = header.strip()
+    if header != "t,value":
+        raise InputError(f"{path}: expected header 't,value', got {header!r}")
+    lines = [line for line in map(str.strip, body.split("\n")) if line]
+    try:
+        # parse every cell at once; a line without exactly one comma would
+        # pair values with the wrong times, so it takes the per-line path,
+        # as do an empty body and a cell float() refuses
+        if set(map(str.count, lines, repeat(","))) != {1}:
+            raise ValueError
+        cells = list(map(float, ",".join(lines).split(",")))
+        t, v = cells[0::2], cells[1::2]
+    except ValueError:
+        t, v = _parse_lines(path, lines)
     if len(v) < 2:
         raise InputError(f"{path}: need at least 2 samples")
     dt = t[1] - t[0]

@@ -6,10 +6,12 @@ package code is meaningful.  The exceptions keep the original numpy
 arithmetic the package must reproduce bit for bit: the per-window feature
 loop, the one-shot pairwise-distance broadcast and out-of-place spectral
 Laplacian, and the time recursions (the simulator's original loops over
-numpy scalars).  Only the per-instance builders at the end use
-amsdetect: they rebuild ``generate_features`` one instance at a time
-through the package's single-instance functions, whose width-1 loops the
-recursion references above pin.
+numpy scalars).  Only the per-instance builders and the CSV references
+at the end use amsdetect.  The builders rebuild ``generate_features`` one
+instance at a time through the package's single-instance functions, whose
+width-1 loops the recursion references above pin.  The CSV references are
+the one-row-at-a-time waveform writer and reader whose bytes, results and
+error messages the bulk versions must reproduce.
 """
 
 from __future__ import annotations
@@ -21,11 +23,13 @@ from dataclasses import replace
 import numpy as np
 
 from amsdetect.bench import FAULT_EXPERIMENTS, _block_specs, _child_seed
+from amsdetect.errors import InputError
 from amsdetect.features import windowed_features
 from amsdetect.inject import ComponentFault, apply_component_fault, inject_multipoint
-from amsdetect.waveforms import (OpampModel, SweepSpec, VrefConfig, build_kstage,
-                                 default_vref_component_model, simulate_kstage,
-                                 simulate_opamp, simulate_vref, sine_stimulus)
+from amsdetect.waveforms import (OpampModel, SweepSpec, VrefConfig, Waveform,
+                                 build_kstage, default_vref_component_model,
+                                 simulate_kstage, simulate_opamp, simulate_vref,
+                                 sine_stimulus)
 
 
 def exhaustive_two_means(points):
@@ -351,3 +355,40 @@ def features_reference(config):
             feats[i, :, j] = windowed_features(by_name[s], k, config.features)
     w = by_name[config.observed_signals[0]]
     return feats, len(w) // k, w.sample_period
+
+
+def waveform_to_csv_reference(w, path):
+    """One f-string and one write per sample."""
+    with open(path, "w") as fh:
+        fh.write("t,value\n")
+        for i, v in enumerate(w.samples):
+            fh.write(f"{i * w.sample_period:.12e},{v:.12e}\n")
+
+
+def waveform_from_csv_reference(path, name=""):
+    """Strip, split and ``float()`` one line at a time."""
+    with open(path) as fh:
+        header = fh.readline().strip()
+        if header != "t,value":
+            raise InputError(f"{path}: expected header 't,value', got {header!r}")
+        t, v = [], []
+        try:
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                a, b = line.split(",")
+                t.append(float(a))
+                v.append(float(b))
+        except ValueError:
+            raise InputError(f"{path}: expected 't,value' numbers, got {line!r}") from None
+    if len(v) < 2:
+        raise InputError(f"{path}: need at least 2 samples")
+    dt = t[1] - t[0]
+    if dt <= 0:
+        raise InputError(f"{path}: non-increasing time axis")
+    times = np.array(t)
+    if np.any(np.abs(times - times[0] - np.arange(times.size) * dt)
+              > 1e-6 * (np.abs(times) + dt)):
+        raise InputError(f"{path}: time axis is not uniformly spaced")
+    return Waveform(np.array(v), dt, name)

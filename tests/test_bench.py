@@ -87,6 +87,12 @@ def test_config_validation():
         with pytest.raises(ConfigurationError) as err:
             ExperimentConfig(experiment="IA", algorithm="birch", **{key: value})
         assert err.value.config_key == key
+    # numpy's normal() refuses these scales: exit 2, not its ValueError
+    for key in ("measurement_noise", "jitter_gain", "jitter_offset"):
+        for value in (-0.1, -0.0, float("-inf")):
+            with pytest.raises(ConfigurationError) as err:
+                ExperimentConfig(experiment="OmBoth", **{key: value})
+            assert err.value.config_key == key
 
 
 def test_config_dict_round_trip():

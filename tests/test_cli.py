@@ -80,6 +80,39 @@ def test_bad_csv_exits_two(tmp_path, capsys, command, text, message):
     assert "in.csv" in err and message in err
 
 
+# a valid first line, then bytes that are not UTF-8
+NOT_TEXT = b"t,value\n0.0,1.0\n" + bytes(range(128, 256))
+
+
+@pytest.mark.parametrize("argv", [
+    ["inject", "--in", "{bad}", "--mode", "random", "--out", "{tmp}/out"],
+    ["featurize", "--in", "{bad}", "--out", "{tmp}/d.csv"],
+    ["fit", "--in", "{bad}", "--out", "{tmp}/m.json"],
+    ["select-centroids", "--model", "{bad}", "--in", "{data}",
+     "--out", "{tmp}/r.json"],
+    ["detect", "--model", "{bad}", "--in", "{data}",
+     "--samples-per-window", "1", "--sample-period", "1e-6"],
+    ["detect", "--model", "{model}", "--in", "{bad}",
+     "--samples-per-window", "1", "--sample-period", "1e-6"],
+    ["report", "--in", "{bad}"],
+    ["suite", "--config", "{bad}"],
+    ["experiment", "--config", "{bad}"],
+])
+def test_non_utf8_input_exits_two(tmp_path, capsys, argv):
+    """A file that does not decode ends in exit 2 naming it, not a traceback."""
+    bad, data, model = tmp_path / "bad.bin", tmp_path / "data.csv", tmp_path / "model.json"
+    bad.write_bytes(NOT_TEXT)
+    data.write_text(DATA)
+    assert main(["fit", "--in", str(data), "--algorithm", "kmeans",
+                 "--out", str(model)]) == 0
+    capsys.readouterr()
+    rc = main([a.format(bad=bad, data=data, model=model, tmp=tmp_path)
+               for a in argv])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "bad.bin: not utf-8 text" in err
+
+
 def test_full_pipeline(tmp_path, capsys):
     sim = tmp_path / "sim"
     inj = tmp_path / "inj"
@@ -167,7 +200,11 @@ def test_bad_suite_entry_exits_two(tmp_path, capsys):
             ({"experiment": "IA", "algorithm": "birch", "birch_threshold": -1.0},
              "birch_threshold"),
             ({"experiment": "IA", "algorithm": "birch", "birch_branching": 1},
-             "birch_branching")]:
+             "birch_branching"),
+            ({"experiment": "OmBoth", "measurement_noise": -0.1},
+             "measurement_noise"),
+            ({"experiment": "OmBoth", "jitter_gain": -1.0}, "jitter_gain"),
+            ({"experiment": "KStage", "jitter_offset": -0.0}, "jitter_offset")]:
         cfg.write_text(json.dumps({"experiments": [
             {"experiment": "IA", "n_samples_per_class": 10}, bad]}))
         assert main(["suite", "--config", str(cfg)]) == 2

@@ -188,7 +188,7 @@ def test_full_suite_matches_golden_digests(tmp_path):
         if k.startswith("full/")}
 
 
-def test_cli_files_match_golden_digests(tmp_path, capsys):
+def test_cli_files_match_golden_digests(tmp_path):
     assert _cli_digests(tmp_path) == _read_golden(CLI_GOLDEN)
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from amsdetect import (ConfigurationError, InputError, OpampModel, SweepSpec,
                        VrefConfig, Waveform, build_kstage,
@@ -16,7 +17,8 @@ from amsdetect.waveforms import (AmplifierStage, _collapse_steps, _lowpass_steps
                                  vref_output_block, vref_pll_block, vref_trig_block)
 from oracles import (collapse_reference, lowpass_reference,
                      opamp_transient_reference, output_stage_reference,
-                     slew_reference, static_transfer_reference)
+                     slew_reference, static_transfer_reference,
+                     waveform_from_csv_reference, waveform_to_csv_reference)
 
 _samples = st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=200)
 
@@ -293,6 +295,86 @@ def test_waveform_csv_rejects_foreign_header(tmp_path):
     path.write_text("time,volts\n0,1\n1,2\n")
     with pytest.raises(InputError):
         waveform_from_csv(path)
+
+
+_EXTREMES = np.array([-0.0, 0.0, 5e-324, -2.2250738585072014e-308,
+                      1e308, -1e308, 1.7976931348623157e308, 1.0 / 3.0])
+
+
+@given(arrays(np.float64, st.integers(1, 200),
+              elements=st.floats(allow_nan=False, allow_infinity=False)),
+       st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+@example(_EXTREMES, 2.5e-9)
+@example(_EXTREMES, 5e-324)
+@example(_EXTREMES, 1e308)
+@settings(max_examples=200, deadline=None)
+def test_writer_bytes_match_the_per_sample_reference(samples, period):
+    # the reversed copy shares the time axis, so it reuses the memoised column
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = pathlib.Path(tmp) / "got.csv", pathlib.Path(tmp) / "want.csv"
+        for w in (Waveform(samples, period), Waveform(samples[::-1], period)):
+            waveform_to_csv(w, got)
+            waveform_to_csv_reference(w, want)
+            assert got.read_bytes() == want.read_bytes()
+
+
+_NUMBERS = st.floats(allow_nan=False, allow_infinity=False).map("{:.12e}".format)
+# numbers five times in six, so a fair share of files is accepted
+_VALUE_CELLS = st.one_of(
+    _NUMBERS, _NUMBERS, _NUMBERS, _NUMBERS, _NUMBERS,
+    st.sampled_from(["-0.0", "nan", "1_0", "inf", "abc", "", "1e-320", "1,5",
+                     "0x10", "\u0661\u0662", "2\x0c", "3\x1c4", "5\u2028"]))
+_ROW_FORMS = {
+    "plain": "{t},{v}",
+    "spaced": "  {t} ,\t{v}  ",
+    "blank-before": " \t\n{t},{v}",
+    "blank": "",
+    "extra-comma": "{t},{v},",
+    "no-comma": "{t}",
+    "bad-time": "t{t},{v}",
+    "late-time": "1{t},{v}",
+}
+
+
+@st.composite
+def _mangled_csv(draw):
+    """A waveform CSV with blank lines, stray whitespace and separators,
+    CRLF or CR line ends, extra or missing commas and odd cells."""
+    dt = draw(st.sampled_from([1e-8, 0.5, 3.0]))
+    newline = st.sampled_from(["\n", "\r\n", "\r"])
+    header = draw(st.sampled_from(["t,value"] * 12 + [" t,value\t", "t,values", "",
+                                                     "t;value"]))
+    text = header + draw(newline)
+    forms = st.sampled_from(["plain"] * 30 + list(_ROW_FORMS))
+    rows = draw(st.lists(st.tuples(_VALUE_CELLS, forms, newline), max_size=8))
+    for i, (value, form, end) in enumerate(rows):
+        text += _ROW_FORMS[form].format(t=f"{i * dt:.12e}", v=value) + end
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+def _read_outcome(read, path):
+    try:
+        w = read(path, "x")
+    except InputError as exc:
+        return "InputError", str(exc)
+    return w.samples.tobytes(), w.sample_period.hex(), w.name
+
+
+@given(_mangled_csv())
+@example("t,value\r\n0.0,1.0\r\n1.0,2.0")
+@example("t,value\n\n0.0,1.0\n   \n1.0,nan\n")
+@example("t,value\n")
+@example("t,value")
+@example("t,value\n0.0,1_0\n1.0,2,0\n")
+@settings(max_examples=300, deadline=None)
+def test_reader_matches_the_per_line_reference(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "w.csv"
+        path.write_bytes(text.encode())
+        got = _read_outcome(waveform_from_csv, path)
+        want = _read_outcome(waveform_from_csv_reference, path)
+    event("rejected" if got[0] == "InputError" else "accepted")
+    assert got == want
 
 
 # ------------------------------------------------- time-major step kernels
