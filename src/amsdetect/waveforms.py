@@ -39,8 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
-from itertools import repeat
 from types import SimpleNamespace
 
 import numpy as np
@@ -684,11 +682,9 @@ def default_vref_component_model() -> OpampModel:
                       nominal_temp=25.0)
 
 
-@lru_cache(maxsize=1)
-def _time_cells(n: int, sample_period: float) -> tuple[str, ...]:
-    # the taps of one simulation share one time axis, so a memo of one
-    # axis formats it once for all of them
-    return tuple("%.12e" % (i * sample_period) for i in range(n))
+# Rows per format call in waveform_to_csv: a block's cells, format string
+# and text take about 0.6 MB whatever the length of the waveform.
+_CSV_ROWS = 4096
 
 
 def waveform_to_csv(w: Waveform, path) -> None:
@@ -697,27 +693,17 @@ def waveform_to_csv(w: Waveform, path) -> None:
     Both columns are ``%.12e``: 13 significant digits, which do not
     round-trip every float64, so reading a file back can move a sample by
     up to half a unit in its 13th digit.  ``t_i = i * sample_period``.
-    The rows are formatted in one call and written in one write.
+    Each block of ``_CSV_ROWS`` rows is formatted in one call.
     """
-    n = len(w)
-    cells = [None] * (2 * n)
-    cells[0::2] = _time_cells(n, w.sample_period)
-    cells[1::2] = w.samples.tolist()
+    n, dt = len(w), w.sample_period
     with open(path, "w") as fh:
-        fh.write("t,value\n" + ("%s,%.12e\n" * n) % tuple(cells))
-
-
-def _parse_lines(path, lines: list[str]) -> tuple[list[float], list[float]]:
-    # one line at a time, so an error can quote the first bad line
-    t, v = [], []
-    for line in lines:
-        try:
-            a, b = line.split(",")
-            t.append(float(a))
-            v.append(float(b))
-        except ValueError:
-            raise InputError(f"{path}: expected 't,value' numbers, got {line!r}") from None
-    return t, v
+        fh.write("t,value\n")
+        for start in range(0, n, _CSV_ROWS):
+            stop = min(start + _CSV_ROWS, n)
+            cells = [None] * (2 * (stop - start))
+            cells[0::2] = [i * dt for i in range(start, stop)]
+            cells[1::2] = w.samples[start:stop].tolist()
+            fh.write(("%.12e,%.12e\n" * (stop - start)) % tuple(cells))
 
 
 def waveform_from_csv(path, name: str = "") -> Waveform:
@@ -741,17 +727,17 @@ def waveform_from_csv(path, name: str = "") -> Waveform:
     header = header.strip()
     if header != "t,value":
         raise InputError(f"{path}: expected header 't,value', got {header!r}")
-    lines = [line for line in map(str.strip, body.split("\n")) if line]
+    t, v = [], []
     try:
-        # parse every cell at once; a line without exactly one comma would
-        # pair values with the wrong times, so it takes the per-line path,
-        # as do an empty body and a cell float() refuses
-        if set(map(str.count, lines, repeat(","))) != {1}:
-            raise ValueError
-        cells = list(map(float, ",".join(lines).split(",")))
-        t, v = cells[0::2], cells[1::2]
+        for line in body.split("\n"):
+            line = line.strip()
+            if not line:
+                continue
+            a, b = line.split(",")
+            t.append(float(a))
+            v.append(float(b))
     except ValueError:
-        t, v = _parse_lines(path, lines)
+        raise InputError(f"{path}: expected 't,value' numbers, got {line!r}") from None
     if len(v) < 2:
         raise InputError(f"{path}: need at least 2 samples")
     dt = t[1] - t[0]

@@ -1,5 +1,6 @@
 import pathlib
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,9 +13,10 @@ from amsdetect import (ConfigurationError, InputError, OpampModel, SweepSpec,
                        default_vref_component_model, simulate_kstage,
                        simulate_opamp, simulate_vref, waveform_from_csv,
                        waveform_to_csv)
-from amsdetect.waveforms import (AmplifierStage, _collapse_steps, _lowpass_steps,
-                                 _opamp_transient, _slew_steps, stage_model,
-                                 vref_output_block, vref_pll_block, vref_trig_block)
+from amsdetect.waveforms import (_CSV_ROWS, AmplifierStage, _collapse_steps,
+                                 _lowpass_steps, _opamp_transient, _slew_steps,
+                                 stage_model, vref_output_block, vref_pll_block,
+                                 vref_trig_block)
 from oracles import (collapse_reference, lowpass_reference,
                      opamp_transient_reference, output_stage_reference,
                      slew_reference, static_transfer_reference,
@@ -309,13 +311,36 @@ _EXTREMES = np.array([-0.0, 0.0, 5e-324, -2.2250738585072014e-308,
 @example(_EXTREMES, 1e308)
 @settings(max_examples=200, deadline=None)
 def test_writer_bytes_match_the_per_sample_reference(samples, period):
-    # the reversed copy shares the time axis, so it reuses the memoised column
     with tempfile.TemporaryDirectory() as tmp:
         got, want = pathlib.Path(tmp) / "got.csv", pathlib.Path(tmp) / "want.csv"
-        for w in (Waveform(samples, period), Waveform(samples[::-1], period)):
-            waveform_to_csv(w, got)
-            waveform_to_csv_reference(w, want)
-            assert got.read_bytes() == want.read_bytes()
+        waveform_to_csv(Waveform(samples, period), got)
+        waveform_to_csv_reference(Waveform(samples, period), want)
+        assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("n", [_CSV_ROWS - 1, _CSV_ROWS, _CSV_ROWS + 1,
+                               2 * _CSV_ROWS + 3])
+def test_writer_blocks_join_seamlessly(tmp_path, n):
+    w = Waveform(np.random.default_rng(n).normal(0.0, 1.0, n), 1e-7)
+    waveform_to_csv(w, tmp_path / "got.csv")
+    waveform_to_csv_reference(w, tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_writer_memory_does_not_grow_with_length(tmp_path):
+    """At 200,000 samples the writer holds one block of rows, not the file.
+
+    Formatting the whole file at once held about 140 bytes per sample
+    (28 MB here); one block of rows takes about 0.6 MB.
+    """
+    w = Waveform(np.random.default_rng(0).normal(0.0, 1.0, 200_000), 1e-7)
+    tracemalloc.start()
+    try:
+        waveform_to_csv(w, tmp_path / "w.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 _NUMBERS = st.floats(allow_nan=False, allow_infinity=False).map("{:.12e}".format)
