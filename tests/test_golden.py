@@ -9,7 +9,8 @@ excursion and the k-stage chain.  The rest reach the corners of the
 batched simulator: a k-stage chain whose Open fault lands on either stage
 (collapse and slew columns in one stage), both DC sweeps, the bare
 ``opamp`` circuit, a noiseless input and a windowed chain with overridden
-reference parameters.
+reference parameters.  The last is the benchmark's early-detection workload
+at full size: 200 instances of 20 windows on three taps.
 
 Each config has two digests: its per-combination report CSV and the raw
 float64 bytes of every (instance, signal) feature block the simulation
@@ -60,12 +61,16 @@ CONFIGS = {
     "IANoiseless": dict(experiment="IA", noise_std=0.0),
     "ITPAVref": dict(experiment="ITPA", window_k=3,
                      vref_params={"output_tau": 2.0e-6, "trig_gain": 0.6}),
+    # the perfbench windowed_detect workload at seed 0, full size
+    "WindowedDetect": dict(experiment="PPA", algorithm="gmm", window_k=20,
+                           n_samples_per_class=100, n_samples=1500,
+                           observed_signals=("pll_intensity", "trig", "output")),
 }
 
 
 def _config(name: str) -> ExperimentConfig:
-    return ExperimentConfig(**CONFIGS[name], n_samples_per_class=10,
-                            n_samples=300)
+    return ExperimentConfig(**{"n_samples_per_class": 10, "n_samples": 300,
+                               **CONFIGS[name]})
 
 
 def _report_digest(name: str, tmp_dir: pathlib.Path) -> str:
