@@ -31,7 +31,7 @@ from .cluster import (MODEL_FORMAT, MODEL_VERSION, VAR_FLOOR, CFEntry,
 from .centroid import (CentroidPair, refine_model, refit_with_centroids_nd,
                        select_centroids, select_centroids_multi)
 from .earlydetect import (DetectionResult, detect_windowed,
-                          detections_to_csv, latency_report)
+                          detections_to_csv, latency_report, scan_windows)
 from .bench import (ALGORITHMS, ALL_EXPERIMENTS, BLOCK_EXPERIMENTS,
                     FAULT_EXPERIMENTS, SUITE_CSV_HEADER, EvaluationReport,
                     ExperimentConfig, ResultRow, SuiteEntry, SuiteResult,

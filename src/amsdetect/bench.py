@@ -30,7 +30,7 @@ import numpy as np
 from .centroid import refine_model
 from .cluster import (ClusterModel, as_matrix, assign_many, fit_birch, fit_gmm,
                       fit_kmeans, fit_spectral)
-from .earlydetect import detect_windowed, latency_report
+from .earlydetect import latency_report, scan_windows
 from .errors import AmsDetectError, ConfigurationError, FitError, _read_text
 from .features import FEATURE_NAMES, FeatureRow, NormalizationParams, _windowed_rows
 from .inject import (AnomalySpec, ComponentFault, InjectionLocation,
@@ -621,13 +621,8 @@ def evaluate(config: ExperimentConfig) -> EvaluationReport:
                 per_inst = assignments.reshape(n_inst, n_win)
                 acc, bad, conf = _best_mapping(labels, (per_inst == 1).any(axis=1),
                                                (per_inst == 0).any(axis=1))
-                windows = mat.reshape(n_inst, n_win, -1)
-                rep = latency_report([
-                    detect_windowed(model, windows[i], samples_per_window,
-                                    sample_period, stop_early=True,
-                                    anomalous_cluster=bad,
-                                    sample_id=_sample_id(1, i - n))
-                    for i in range(n, n_inst)])
+                rep = latency_report(scan_windows(
+                    per_inst[n:], samples_per_window, sample_period, bad))
                 rows_out.append(ResultRow(sig_name, feat_name, 100.0 * acc,
                                           *conf,
                                           detect_rate=rep["detect_rate"],

@@ -16,7 +16,8 @@ import numpy as np
 
 from ..errors import ConfigurationError, FitError
 from .kmeans import lloyd
-from .model import ClusterModel, _nearest, _sqdist, as_matrix, canonical_labels
+from .model import (ClusterModel, _nearest, _sqdist, _two_distinct_rows, as_matrix,
+                    canonical_labels)
 
 __all__ = ["CFEntry", "CFNode", "CFTree", "fit_birch"]
 
@@ -168,7 +169,7 @@ def fit_birch(rows, branching: int = 16,
                        "lower radius_threshold")
     cents = np.stack([e.centroid for e in entries])
     counts = np.array([e.n for e in entries], dtype=np.float64)
-    if np.unique(cents, axis=0).shape[0] < 2:
+    if not _two_distinct_rows(cents):
         raise FitError("need at least k=2 distinct subcluster centroids")
     _, i, j = _farthest_pair(cents)
     global_centroids, _, history = lloyd(cents, cents[[i, j]], weights=counts)

@@ -10,7 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigurationError, FitError
-from .model import ClusterModel, _sqdist, as_matrix, canonical_labels
+from .model import (ClusterModel, _sqdist, _two_distinct_rows, as_matrix,
+                    canonical_labels)
 
 __all__ = ["fit_kmeans", "lloyd", "kmeans_pp_init"]
 
@@ -80,7 +81,7 @@ def fit_kmeans(rows, max_iter: int = 100, tol: float = 1e-10,
     mat = as_matrix(rows)
     if mat.shape[0] < 2:
         raise FitError(f"need at least k=2 rows, got {mat.shape[0]}")
-    if np.unique(mat, axis=0).shape[0] < 2:
+    if not _two_distinct_rows(mat):
         raise FitError("need at least k=2 distinct rows")
     if isinstance(init, str):
         if init != "kmeans++":

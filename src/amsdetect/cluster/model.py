@@ -180,6 +180,16 @@ def _nearest(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
                            for rows in _row_blocks(points, centroids)])
 
 
+def _two_distinct_rows(mat: np.ndarray) -> bool:
+    """Whether a (n, d) matrix has at least two distinct rows.
+
+    One pass against the first row, O(n*d) with no sort; on finite input it
+    answers as ``np.unique(mat, axis=0).shape[0] >= 2`` does (-0.0 == 0.0 in
+    both).
+    """
+    return bool((mat[1:] != mat[0]).any())
+
+
 def assign_many(model: ClusterModel, rows) -> np.ndarray:
     """Assign each row to a cluster id under the model's canonical ordering."""
     mat = as_matrix(rows)

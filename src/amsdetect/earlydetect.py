@@ -5,19 +5,24 @@ declared anomalous as soon as any window lands in the anomalous cluster.
 Stopping at the first hit is what buys latency: consuming m of k windows of
 an N-sample signal costs m*(N/k)*sample_period seconds instead of the full
 N*sample_period, a factor k/m speedup.
+
+Scoring a population assigns every window of every signal in one call and
+then scans the (signals, windows) assignment array once (``scan_windows``);
+``detect_windowed`` is the one-signal form of the same two steps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cluster import ClusterModel, assign_many
 from .errors import InputError
 
-__all__ = ["DetectionResult", "detect_windowed", "latency_report",
-           "detections_to_csv"]
+__all__ = ["DetectionResult", "scan_windows", "detect_windowed",
+           "latency_report", "detections_to_csv"]
 
 
 @dataclass
@@ -37,17 +42,59 @@ class DetectionResult:
         return self.first_anomalous_window is not None
 
 
+def scan_windows(assignments, samples_per_window: int, sample_period: float,
+                 anomalous_cluster: int, stop_early: bool = True,
+                 sample_ids=None) -> list[DetectionResult]:
+    """Scan each signal's window assignments in time order.
+
+    :param assignments: (signals, k) cluster ids, one row per signal, its
+        windows in time order
+    :param samples_per_window: N/k samples represented by each window
+    :param sample_period: seconds per sample (a unit step for DC sweeps)
+    :param anomalous_cluster: cluster id treated as anomalous
+    :param stop_early: stop consuming a signal's windows at its first hit
+    :param sample_ids: one id per signal; empty ids when omitted
+    :returns: one result per signal, every field a Python number or list
+    """
+    asg = np.asarray(assignments)
+    if asg.ndim != 2 or asg.shape[1] == 0 or asg.dtype.kind not in "iu":
+        raise InputError("assignments must be a (signals, k) integer array "
+                         "with k >= 1")
+    if samples_per_window < 1:
+        raise InputError("samples_per_window must be >= 1")
+    if not 0 < sample_period < math.inf:
+        raise InputError("sample_period must be finite and > 0")
+    if sample_ids is None:
+        sample_ids = [""] * asg.shape[0]
+    elif len(sample_ids) != asg.shape[0]:
+        raise InputError(f"{len(sample_ids)} sample ids for {asg.shape[0]} signals")
+
+    k = asg.shape[1]
+    hits = asg == anomalous_cluster
+    firsts = np.where(hits.any(axis=1), hits.argmax(axis=1), -1).tolist()
+    results = []
+    for sample_id, row, first in zip(sample_ids, asg.tolist(), firsts):
+        m = first + 1 if stop_early and first >= 0 else k
+        results.append(DetectionResult(
+            sample_id=sample_id,
+            per_window_assignment=row[:m],
+            first_anomalous_window=first if first >= 0 else None,
+            windows_total=k,
+            windows_consumed=m,
+            latency_seconds=m * samples_per_window * sample_period,
+            speedup=k / m,
+        ))
+    return results
+
+
 def detect_windowed(model: ClusterModel, window_features,
                     samples_per_window: int, sample_period: float,
                     stop_early: bool = True, anomalous_cluster: int | None = None,
                     sample_id: str = "") -> DetectionResult:
-    """Scan windows in time order and stop at the first anomalous one.
+    """Assign one signal's windows and scan them (see ``scan_windows``).
 
     :param window_features: (k, d) feature vectors, one per window, in the
         same (normalized) space the model was fitted in
-    :param samples_per_window: N/k samples represented by each window
-    :param sample_period: seconds per sample (a unit step for DC sweeps)
-    :param stop_early: stop consuming windows at the first anomalous hit
     :param anomalous_cluster: cluster id treated as anomalous; defaults to
         the model's bound id
     :returns: result with latency m*(N/k)*sample_period and speedup k/m,
@@ -58,34 +105,11 @@ def detect_windowed(model: ClusterModel, window_features,
         feats = feats[:, None]
     if feats.ndim != 2 or feats.shape[0] == 0:
         raise InputError("window_features must be a non-empty (k, d) array")
-    if samples_per_window < 1:
-        raise InputError("samples_per_window must be >= 1")
-    if sample_period <= 0:
-        raise InputError("sample_period must be > 0")
     bad = anomalous_cluster if anomalous_cluster is not None else model.anomalous_cluster
     if not 0 <= bad < model.k:
         raise InputError(f"anomalous_cluster {bad} out of range for k={model.k}")
-
-    k = feats.shape[0]
-    assignments = assign_many(model, feats)
-    consumed: list[int] = []
-    first: int | None = None
-    for idx in range(k):
-        consumed.append(int(assignments[idx]))
-        if first is None and assignments[idx] == bad:
-            first = idx
-            if stop_early:
-                break
-    m = len(consumed)
-    return DetectionResult(
-        sample_id=sample_id,
-        per_window_assignment=consumed,
-        first_anomalous_window=first,
-        windows_total=k,
-        windows_consumed=m,
-        latency_seconds=m * samples_per_window * sample_period,
-        speedup=k / m,
-    )
+    return scan_windows(assign_many(model, feats)[None, :], samples_per_window,
+                        sample_period, bad, stop_early, [sample_id])[0]
 
 
 def latency_report(results: list[DetectionResult]) -> dict:

@@ -713,15 +713,15 @@ def waveform_from_csv(path, name: str = "") -> Waveform:
     per sample.  Every line is stripped of surrounding whitespace, and blank
     lines are skipped; ``\\r\\n`` or ``\\r`` line ends and a missing final
     newline are accepted.  A cell is any text Python's ``float()`` takes
-    (``nan``, ``1_0`` and ``inf`` included; the waveform then rejects
-    non-finite values).  The sample period is ``t_1 - t_0``.
+    (``nan``, ``1_0`` and ``inf`` included; non-finite times and values are
+    then rejected).  The sample period is ``t_1 - t_0``.
 
     :raises InputError: the file does not decode as text; the header is
         not ``t,value``; a non-blank line is not two comma-separated numbers
         (the message quotes the first such line); there are fewer than 2
-        samples; the time axis does not increase, or strays from
-        ``t_0 + i * (t_1 - t_0)`` by more than ``1e-6 * (|t_i| + dt)``;
-        a value is not finite
+        samples; a time is not finite; the time axis does not increase, or
+        strays from ``t_0 + i * (t_1 - t_0)`` by more than
+        ``1e-6 * (|t_i| + dt)``; a value is not finite
     """
     header, _, body = _read_text(path).partition("\n")
     header = header.strip()
@@ -740,11 +740,13 @@ def waveform_from_csv(path, name: str = "") -> Waveform:
         raise InputError(f"{path}: expected 't,value' numbers, got {line!r}") from None
     if len(v) < 2:
         raise InputError(f"{path}: need at least 2 samples")
+    times = np.array(t)
+    if not np.isfinite(times).all():
+        raise InputError(f"{path}: time axis has a non-finite value")
     dt = t[1] - t[0]
     if dt <= 0:
         raise InputError(f"{path}: non-increasing time axis")
     # waveform_to_csv's 13-digit times sit within ~1e-12 of t0 + i*dt
-    times = np.array(t)
     if np.any(np.abs(times - times[0] - np.arange(times.size) * dt)
               > 1e-6 * (np.abs(times) + dt)):
         raise InputError(f"{path}: time axis is not uniformly spaced")

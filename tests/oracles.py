@@ -384,10 +384,12 @@ def waveform_from_csv_reference(path, name=""):
             raise InputError(f"{path}: expected 't,value' numbers, got {line!r}") from None
     if len(v) < 2:
         raise InputError(f"{path}: need at least 2 samples")
+    times = np.array(t)
+    if not np.isfinite(times).all():
+        raise InputError(f"{path}: time axis has a non-finite value")
     dt = t[1] - t[0]
     if dt <= 0:
         raise InputError(f"{path}: non-increasing time axis")
-    times = np.array(t)
     if np.any(np.abs(times - times[0] - np.arange(times.size) * dt)
               > 1e-6 * (np.abs(times) + dt)):
         raise InputError(f"{path}: time axis is not uniformly spaced")

@@ -240,6 +240,26 @@ def test_evaluate_windowed_reports_detection_stats():
     assert best.mean_speedup >= 1.0
 
 
+def test_evaluate_windowed_assigns_once_per_combination(monkeypatch):
+    """Detection scans the fit's own assignments; no instance is assigned
+    a second time."""
+    from amsdetect import earlydetect
+    original, calls = bench.assign_many, []
+
+    def counting(model, rows):
+        calls.append(len(rows))
+        return original(model, rows)
+
+    monkeypatch.setattr(bench, "assign_many", counting)
+    monkeypatch.setattr(earlydetect, "assign_many", counting)
+    cfg = _fast_config(experiment="PPA", algorithm="gmm", window_k=5,
+                       n_samples=300)
+    report = evaluate(cfg)
+    assert not any(r.error for r in report.rows)
+    rows = 2 * cfg.n_samples_per_class * cfg.window_k
+    assert calls == [rows] * len(report.rows)
+
+
 def _scores(report):
     return [(r.signal, r.feature, None if r.error else r.accuracy_pct,
              r.tn, r.fp, r.fn, r.tp, r.error) for r in report.rows]

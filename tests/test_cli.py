@@ -57,6 +57,15 @@ def test_bad_parameter_exits_two(tmp_path, capsys):
                    f"--spectral-sigma={sigma}", "--out", str(tmp_path / "m.json")])
         assert rc == 2
         assert "sigma must be finite and > 0" in capsys.readouterr().err
+    model = tmp_path / "km.json"
+    assert main(["fit", "--in", str(data), "--out", str(model)]) == 0
+    capsys.readouterr()
+    for period in ("nan", "inf", "0"):
+        rc = main(["detect", "--model", str(model), "--in", str(data),
+                   "--samples-per-window", "10", f"--sample-period={period}",
+                   "--out", str(tmp_path / "det.csv")])
+        assert rc == 2
+        assert "sample_period must be finite and > 0" in capsys.readouterr().err
 
 
 WAVE = "t,value\n0.0,1.0\n1.0e-8,2.0\n2.0e-8,3.0\n"

@@ -5,15 +5,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from amsdetect import (ConfigurationError, FitError, InputError, VAR_FLOOR,
                        as_matrix, assign_many, cluster_stats, fit_birch,
                        fit_gmm, fit_kmeans, fit_spectral,
                        gmm_log_responsibilities, load_model, save_model)
 from amsdetect.cluster import CFEntry, canonical_labels, lloyd, spectral
-from amsdetect.cluster.model import _BLOCK_ELEMS, _nearest, _sqdist
+from amsdetect.cluster.model import (_BLOCK_ELEMS, _nearest, _sqdist,
+                                    _two_distinct_rows)
 from amsdetect.cluster.spectral import spectral_embedding
 from oracles import (em_step, exhaustive_two_means, spectral_embedding_reference,
                      sqdist_broadcast)
@@ -74,6 +76,20 @@ def test_kmeans_errors():
         fit_kmeans(np.arange(6.0)[:, None], init="farthest")
     with pytest.raises(ConfigurationError):
         fit_kmeans(np.arange(6.0)[:, None], init=np.zeros((3, 1)))
+
+
+# few distinct values, so duplicate rows and all-equal matrices are common
+_DUP_PRONE = arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 3)),
+                    elements=st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-300]))
+
+
+@given(_DUP_PRONE)
+@example(np.array([[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0]]))
+@example(np.array([[3.0, 1.0]]))
+@example(np.array([[1.0], [1.0], [1.0], [2.0]]))
+@settings(max_examples=300, deadline=None)
+def test_distinct_row_check_agrees_with_unique(mat):
+    assert _two_distinct_rows(mat) == (np.unique(mat, axis=0).shape[0] >= 2)
 
 
 def test_lloyd_revives_empty_cluster():

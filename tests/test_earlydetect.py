@@ -1,8 +1,14 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from amsdetect import (InputError, detect_windowed, detections_to_csv,
-                       fit_kmeans, latency_report)
+                       fit_kmeans, latency_report, scan_windows)
 
 # a 1-D model whose clusters sit at 0.1 (normal) and 0.9 (anomalous)
 _TRAIN = np.array([0.08, 0.1, 0.12, 0.88, 0.9, 0.92])[:, None]
@@ -63,8 +69,9 @@ def test_detect_input_validation():
         detect_windowed(model, np.empty((0, 1)), 300, 1e-8)
     with pytest.raises(InputError):
         detect_windowed(model, np.full((5, 1), 0.1), 0, 1e-8)
-    with pytest.raises(InputError):
-        detect_windowed(model, np.full((5, 1), 0.1), 300, 0.0)
+    for period in (0.0, -1e-8, math.nan, math.inf, -math.inf):
+        with pytest.raises(InputError, match="sample_period"):
+            detect_windowed(model, np.full((5, 1), 0.1), 300, period)
     with pytest.raises(InputError):
         detect_windowed(model, np.full((5, 1), 0.1), 300, 1e-8,
                         anomalous_cluster=7)
@@ -99,3 +106,58 @@ def test_detections_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "sample_id,first_window,m,latency_s,speedup"
     assert lines[1].startswith("sig-7,1,2,")
+
+
+def _fields(result):
+    """Every field with its exact Python type, element types included."""
+    return [(name, type(value), value,
+             [type(x) for x in value] if isinstance(value, list) else None)
+            for name, value in dataclasses.asdict(result).items()]
+
+
+@given(asg=arrays(np.int64, st.tuples(st.integers(0, 6), st.integers(1, 12)),
+                  elements=st.integers(0, 1)),
+       stop_early=st.booleans(), bad=st.integers(0, 1),
+       samples_per_window=st.integers(1, 1000),
+       sample_period=st.floats(1e-12, 1.0))
+@settings(max_examples=200, deadline=None)
+def test_scan_matches_per_signal_detection(asg, stop_early, bad,
+                                           samples_per_window, sample_period):
+    """Scanning a population's assignments gives, signal by signal, what
+    assigning and scanning each signal on its own gives."""
+    model = _model()
+    ids = [f"s{i}" for i in range(asg.shape[0])]
+    got = scan_windows(asg, samples_per_window, sample_period, bad,
+                       stop_early=stop_early, sample_ids=ids)
+    # 0.1 lands in cluster 0 and 0.9 in cluster 1
+    want = [detect_windowed(model, np.where(row == 1, 0.9, 0.1)[:, None],
+                            samples_per_window, sample_period,
+                            stop_early=stop_early, anomalous_cluster=bad,
+                            sample_id=sid)
+            for sid, row in zip(ids, asg)]
+    assert [_fields(r) for r in got] == [_fields(r) for r in want]
+    for r, row in zip(got, asg):
+        hits = np.flatnonzero(row == bad)
+        first = int(hits[0]) if hits.size else None
+        m = first + 1 if stop_early and first is not None else row.size
+        assert r.first_anomalous_window == first
+        assert r.per_window_assignment == row[:m].tolist()
+        assert r.latency_seconds == m * samples_per_window * sample_period
+        assert r.speedup == row.size / m
+
+
+def test_scan_input_validation():
+    asg = np.zeros((3, 4), dtype=np.int64)
+    for bad in (np.zeros(4, dtype=np.int64), np.zeros((3, 0), dtype=np.int64),
+                asg.astype(np.float64)):
+        with pytest.raises(InputError, match="assignments"):
+            scan_windows(bad, 300, 1e-8, 1)
+    with pytest.raises(InputError, match="samples_per_window"):
+        scan_windows(asg, 0, 1e-8, 1)
+    for period in (0.0, math.nan, math.inf):
+        with pytest.raises(InputError, match="sample_period"):
+            scan_windows(asg, 300, period, 1)
+    with pytest.raises(InputError, match="sample ids"):
+        scan_windows(asg, 300, 1e-8, 1, sample_ids=["a", "b"])
+    assert [r.sample_id for r in scan_windows(asg, 300, 1e-8, 1)] == [""] * 3
+    assert scan_windows(asg[:0], 300, 1e-8, 1) == []

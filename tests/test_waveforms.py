@@ -391,6 +391,7 @@ def _read_outcome(read, path):
 @example("t,value\n")
 @example("t,value")
 @example("t,value\n0.0,1_0\n1.0,2,0\n")
+@example("t,value\n0,1\n1,2\nnan,3\n3,4\n")
 @settings(max_examples=300, deadline=None)
 def test_reader_matches_the_per_line_reference(text):
     with tempfile.TemporaryDirectory() as tmp:
@@ -400,6 +401,20 @@ def test_reader_matches_the_per_line_reference(text):
         want = _read_outcome(waveform_from_csv_reference, path)
     event("rejected" if got[0] == "InputError" else "accepted")
     assert got == want
+
+
+@pytest.mark.parametrize("text", [
+    "t,value\n0,1\n1,2\nnan,3\n3,4\n",
+    "t,value\nnan,1\n1,2\n2,3\n",
+    "t,value\n0,1\nnan,2\n2,3\n",
+    "t,value\n0,1\n1,2\n2,3\ninf,4\n",
+    "t,value\n0,1\ninf,2\n",
+])
+def test_reader_rejects_non_finite_times(tmp_path, text):
+    path = tmp_path / "w.csv"
+    path.write_text(text)
+    with pytest.raises(InputError, match="time axis has a non-finite value"):
+        waveform_from_csv(path)
 
 
 # ------------------------------------------------- time-major step kernels
