@@ -16,8 +16,8 @@ import numpy as np
 
 from ..errors import ConfigurationError, FitError
 from .kmeans import lloyd
-from .model import (ClusterModel, _nearest, _sqdist, _two_distinct_rows, as_matrix,
-                    canonical_labels)
+from .model import (ClusterModel, _nearest, _sqdist, _two_distinct_rows,
+                    as_matrix, canonical_labels)
 
 __all__ = ["CFEntry", "CFNode", "CFTree", "fit_birch"]
 
