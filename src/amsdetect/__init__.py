@@ -28,8 +28,7 @@ from .cluster import (MODEL_FORMAT, MODEL_VERSION, VAR_FLOOR, CFEntry,
                       cluster_stats, fit_birch, fit_gmm, fit_kmeans,
                       fit_spectral, gmm_log_responsibilities, kmeans_pp_init,
                       lloyd, load_model, save_model, spectral_embedding)
-from .centroid import (CentroidPair, refine_model, refit_with_centroids_nd,
-                       select_centroids, select_centroids_multi)
+from .centroid import CentroidPair, refine_model, select_centroids
 from .earlydetect import (DetectionResult, detect_windowed,
                           detections_to_csv, latency_report, scan_windows)
 from .bench import (ALGORITHMS, ALL_EXPERIMENTS, BLOCK_EXPERIMENTS,

@@ -33,7 +33,7 @@ from .cluster import (ClusterModel, as_matrix, assign_many, fit_birch, fit_gmm,
 from .earlydetect import latency_report, scan_windows
 from .errors import AmsDetectError, ConfigurationError, FitError, _read_text
 from .features import FEATURE_NAMES, FeatureRow, NormalizationParams, _windowed_rows
-from .inject import (AnomalySpec, ComponentFault, InjectionLocation,
+from .inject import (TEMP_RANGE, AnomalySpec, ComponentFault, InjectionLocation,
                      PointPeriodic, PointRandom, _walk_chain,
                      apply_component_fault)
 from .waveforms import (OpampModel, SweepSpec, VrefConfig, Waveform,
@@ -349,12 +349,6 @@ def _jittered(base: OpampModel, rng: np.random.Generator,
     return replace(base, open_loop_gain=gain, offset=offset)
 
 
-def _component_fault(config: ExperimentConfig) -> ComponentFault:
-    name = FAULT_EXPERIMENTS[config.experiment]
-    temp = config.fault_temperature if name == "Parametric" else None
-    return ComponentFault.from_name(name, temp)
-
-
 def _stimulus(config: ExperimentConfig) -> Waveform:
     return sine_stimulus(config.n_samples, config.duration, config.stim_dc,
                          config.stim_amplitude, config.stim_frequency)
@@ -420,30 +414,28 @@ def _instance_chain(config: ExperimentConfig, rng: np.random.Generator,
                 else OpampModel())
         model = _jittered(base, rng, config)
         if label == 1:
-            model = apply_component_fault(model, _component_fault(config))
+            model = apply_component_fault(model, ComponentFault.from_name(
+                FAULT_EXPERIMENTS[config.experiment], config.fault_temperature))
         return [model]
     base = _jittered(_KSTAGE_BASE, rng, config)
     gains = list(config.kstage_gains or (2.0,) * config.kstage_k)
     if label == 1:
         stages = (config.anomalous_stages if config.anomalous_stages is not None
                   else (int(rng.integers(config.kstage_k)),))
-        fault = ComponentFault.from_name(
-            config.kstage_fault,
-            config.fault_temperature if config.kstage_fault == "Parametric" else None)
+        fault = ComponentFault.from_name(config.kstage_fault, config.fault_temperature)
         amp = build_kstage(base, config.kstage_k, gains, stages, fault)
     else:
         amp = build_kstage(base, config.kstage_k, gains)
     return [stage_model(st) for st in amp.stages]
 
 
-def _sweep(config: ExperimentConfig) -> SweepSpec:
-    if config.analysis == "dc_input_sweep":
-        start = 0.0 if config.sweep_start is None else config.sweep_start
-        stop = 0.2 if config.sweep_stop is None else config.sweep_stop
-    else:
-        start = -40.0 if config.sweep_start is None else config.sweep_start
-        stop = 125.0 if config.sweep_stop is None else config.sweep_stop
-    return SweepSpec(start, stop, config.sweep_points, config.sweep_bias)
+def _sweep(spec) -> SweepSpec:
+    """The DC sweep of an ExperimentConfig or of ``simulate``'s arguments; an
+    unset end defaults to 0-0.2 V (input sweep) or TEMP_RANGE (temperature)."""
+    lo, hi = (0.0, 0.2) if spec.analysis == "dc_input_sweep" else TEMP_RANGE
+    return SweepSpec(lo if spec.sweep_start is None else spec.sweep_start,
+                     hi if spec.sweep_stop is None else spec.sweep_stop,
+                     spec.sweep_points, spec.sweep_bias)
 
 
 def _opamp_features(config: ExperimentConfig, feats: np.ndarray) -> tuple[int, float]:

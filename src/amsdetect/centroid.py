@@ -31,8 +31,6 @@ from .errors import (ConfigurationError, DegenerateDataError, InputError,
 __all__ = [
     "CentroidPair",
     "select_centroids",
-    "select_centroids_multi",
-    "refit_with_centroids_nd",
     "refine_model",
 ]
 
@@ -127,9 +125,9 @@ def select_centroids(feature, mu_k, sigma_k,
     return CentroidPair(low, high, m_l, m_g, low_fallback, high_fallback)
 
 
-def select_centroids_multi(rows, mu_k, sigma_k,
-                           sigma_scope: str = "global") -> list[CentroidPair]:
-    """Per-dimension selection over a (n, d) dataset.
+def _select_pairs(mat: np.ndarray, mu_k: np.ndarray, sigma_k: np.ndarray,
+                  sigma_scope: str) -> list[CentroidPair]:
+    """Per-dimension selection over a (n, d) matrix and (2, d) cluster stats.
 
     Dimensions whose geometry is degenerate fall back to the base cluster
     means (flagged on the pair) instead of aborting the refit.  Canonical
@@ -137,29 +135,21 @@ def select_centroids_multi(rows, mu_k, sigma_k,
     may see the cluster means flipped; each dimension is re-sorted locally
     before selection.
     """
-    mat = as_matrix(rows)
-    mk = np.asarray(mu_k, dtype=np.float64)
-    sk = np.asarray(sigma_k, dtype=np.float64)
-    if mk.shape != (2, mat.shape[1]) or sk.shape != (2, mat.shape[1]):
-        raise InputError(f"mu_k/sigma_k must be (2, {mat.shape[1]})")
     pairs = []
     for j in range(mat.shape[1]):
-        order = np.argsort(mk[:, j], kind="stable")
+        order = np.argsort(mu_k[:, j], kind="stable")
         try:
-            pairs.append(select_centroids(mat[:, j], mk[order, j],
-                                          sk[order, j], sigma_scope))
+            pairs.append(select_centroids(mat[:, j], mu_k[order, j],
+                                          sigma_k[order, j], sigma_scope))
         except DegenerateDataError:
-            pairs.append(CentroidPair(float(min(mk[0, j], mk[1, j])),
-                                      float(max(mk[0, j], mk[1, j])),
+            pairs.append(CentroidPair(float(min(mu_k[0, j], mu_k[1, j])),
+                                      float(max(mu_k[0, j], mu_k[1, j])),
                                       1, 1, True, True))
     return pairs
 
 
-def refit_with_centroids_nd(rows, pairs: list[CentroidPair]) -> ClusterModel:
+def _refit(mat: np.ndarray, pairs: list[CentroidPair]) -> ClusterModel:
     """Nearest-centroid model over the per-dimension (low, high) vectors."""
-    mat = as_matrix(rows)
-    if len(pairs) != mat.shape[1]:
-        raise InputError(f"expected {mat.shape[1]} pairs, got {len(pairs)}")
     centroids = np.array([[p.low for p in pairs], [p.high for p in pairs]])
     if np.all(centroids[0] == centroids[1]):
         raise RefitError("all centroid pairs coincide; nothing to refit")
@@ -173,7 +163,7 @@ def refit_with_centroids_nd(rows, pairs: list[CentroidPair]) -> ClusterModel:
             mu[j] = members.mean(axis=0)
             sigma[j] = members.std(axis=0)
     return ClusterModel(algorithm="centroid", mu_k=mu, sigma_k=sigma,
-                        centroids=centroids, centroid_pairs=list(pairs))
+                        centroids=centroids, centroid_pairs=pairs)
 
 
 def refine_model(model: ClusterModel, rows,
@@ -181,8 +171,7 @@ def refine_model(model: ClusterModel, rows,
     """Full refinement pass: stats of the base model -> selection -> refit."""
     mat = as_matrix(rows)
     mu_k, sigma_k = cluster_stats(model, mat)
-    pairs = select_centroids_multi(mat, mu_k, sigma_k, sigma_scope)
-    refit = refit_with_centroids_nd(mat, pairs)
+    refit = _refit(mat, _select_pairs(mat, mu_k, sigma_k, sigma_scope))
     refit.feature_names = model.feature_names
     refit.norm = model.norm
     refit.anomalous_cluster = model.anomalous_cluster

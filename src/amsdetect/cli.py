@@ -19,9 +19,9 @@ import sys
 
 import numpy as np
 
-from .bench import (ExperimentConfig, evaluate, fit_model, load_config,
-                    load_suite, report_table, report_to_csv, run_suite,
-                    suite_table, suite_to_csv)
+from .bench import (ExperimentConfig, _sweep, evaluate, fit_model,
+                    load_config, load_suite, report_table, report_to_csv,
+                    run_suite, suite_table, suite_to_csv)
 from .centroid import refine_model
 from .cluster import as_matrix, load_model, save_model
 from .earlydetect import detect_windowed, detections_to_csv, latency_report
@@ -31,9 +31,8 @@ from .features import (FEATURE_NAMES, FeatureRow, dataset_from_csv,
 from .inject import (ComponentFault, apply_component_fault,
                      inject_point_periodic, inject_point_random,
                      record_to_csv)
-from .waveforms import (OpampModel, SweepSpec, VrefConfig, simulate_opamp,
-                        simulate_vref, sine_stimulus, waveform_from_csv,
-                        waveform_to_csv)
+from .waveforms import (OpampModel, VrefConfig, simulate_opamp, simulate_vref,
+                        sine_stimulus, waveform_from_csv, waveform_to_csv)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,22 +67,14 @@ def _cmd_simulate(args) -> int:
     # single op-amp style component
     model = OpampModel()
     if args.fault:
-        temp = args.fault_temp if args.fault == "Parametric" else None
-        model = apply_component_fault(model, ComponentFault.from_name(args.fault, temp))
+        model = apply_component_fault(
+            model, ComponentFault.from_name(args.fault, args.fault_temp))
     if args.analysis == "transient":
         stim = sine_stimulus(args.n_samples, args.duration, args.stim_dc,
                              args.stim_amplitude, args.stim_frequency)
         wave = simulate_opamp(model, "transient", stim)
     else:
-        if args.analysis == "dc_input_sweep":
-            start = 0.0 if args.sweep_start is None else args.sweep_start
-            stop = 0.2 if args.sweep_stop is None else args.sweep_stop
-        else:
-            start = -40.0 if args.sweep_start is None else args.sweep_start
-            stop = 125.0 if args.sweep_stop is None else args.sweep_stop
-        wave = simulate_opamp(model, args.analysis,
-                              SweepSpec(start, stop, args.sweep_points,
-                                        args.sweep_bias))
+        wave = simulate_opamp(model, args.analysis, _sweep(args))
     out = _outdir(args.out)
     path = os.path.join(out, "output.csv")
     waveform_to_csv(wave, path)
@@ -145,14 +136,10 @@ def _cmd_fit(args) -> int:
                       spectral_sigma=args.spectral_sigma)
     model.feature_names = list(names)
     model.norm = norm
-    if args.select_centroids:
-        model = refine_model(model, mat, args.sigma_scope)
     save_model(model, args.out)
-    sizes = np.bincount(model.train_assignments, minlength=model.k) \
-        if model.train_assignments is not None else None
+    sizes = np.bincount(model.train_assignments, minlength=model.k)
     print(f"fit {model.algorithm} on {len(rows)} rows x {model.dim} dims")
-    if sizes is not None:
-        print("cluster sizes: " + ", ".join(str(int(s)) for s in sizes))
+    print("cluster sizes: " + ", ".join(str(int(s)) for s in sizes))
     for c in range(model.k):
         mu = ", ".join(f"{v:.4f}" for v in model.mu_k[c])
         print(f"cluster {c} member mean: [{mu}]")
@@ -370,11 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-normalize", action="store_true",
                    help="skip min-max normalization before fitting")
-    p.add_argument("--select-centroids", action="store_true",
-                   help="refine the fit with interval-mean centroid selection")
-    p.add_argument("--sigma-scope", default="global",
-                   choices=["global", "cluster"],
-                   help="spread used for the selection interval bounds")
     p.add_argument("--birch-branching", type=int, default=16)
     p.add_argument("--birch-threshold", type=float, default=0.05,
                    help="leaf entry RMS radius threshold")
@@ -389,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True,
                    help="dataset CSV the model was fit on")
     p.add_argument("--sigma-scope", default="global",
-                   choices=["global", "cluster"])
+                   choices=["global", "cluster"],
+                   help="spread used for the selection interval bounds")
     p.add_argument("--out", required=True, help="refined model JSON path")
     p.set_defaults(func=_cmd_select_centroids)
 

@@ -212,7 +212,7 @@ def dataset_from_csv(path) -> tuple[list[str], list[FeatureRow]]:
                 raise ValueError(f"{len(parts)} fields, header has {len(header)}")
             rows.append(FeatureRow(parts[0], int(parts[1]), int(parts[2]),
                                    np.array([float(p) for p in parts[3:]])))
-    except ValueError as exc:
+    except (ValueError, InputError) as exc:
         raise InputError(f"{path}: bad row {line!r} ({exc})") from None
     if not rows:
         raise InputError(f"{path}: no data rows")

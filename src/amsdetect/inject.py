@@ -70,8 +70,8 @@ class PointRandom:
         if not 0.0 < self.rate_pct < 100.0:
             raise ConfigurationError("rate_pct must be in (0, 100)",
                                      config_key="rate_pct")
-        if self.amp_low <= 0 or self.amp_high < self.amp_low:
-            raise ConfigurationError("need 0 < amp_low <= amp_high",
+        if not 0.0 < self.amp_low <= self.amp_high < math.inf:   # NaN fails too
+            raise ConfigurationError("need finite 0 < amp_low <= amp_high",
                                      config_key="amp_low")
 
 

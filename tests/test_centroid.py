@@ -3,8 +3,8 @@ import pytest
 
 from amsdetect import (CentroidPair, ConfigurationError, DegenerateDataError,
                        InputError, RefitError, assign_many, fit_kmeans,
-                       refine_model, refit_with_centroids_nd, select_centroids,
-                       select_centroids_multi)
+                       refine_model, select_centroids)
+from amsdetect.centroid import _refit, _select_pairs
 from oracles import selection_trace
 
 # Ten-point fixtures covering the four interval geometries.  mu_k/sigma_k
@@ -107,34 +107,26 @@ def test_multi_runs_per_dimension_with_fallback():
     mat = np.stack([dim0, dim1], axis=1)
     mu_k = np.array([[0.2, 0.07], [0.8, 0.11]])
     sigma_k = np.array([[0.05, 0.02], [0.05, 0.01]])
-    pairs = select_centroids_multi(mat, mu_k, sigma_k)
+    pairs = _select_pairs(mat, mu_k, sigma_k, "global")
     assert len(pairs) == 2
     assert not pairs[0].low_fallback          # F1 geometry fires
     # dim 1 is degenerate -> silent fallback to the supplied means
     assert pairs[1].low_fallback and pairs[1].high_fallback
     assert (pairs[1].low, pairs[1].high) == (0.07, 0.11)
-    with pytest.raises(InputError):
-        select_centroids_multi(mat, mu_k[:, :1], sigma_k[:, :1])
 
 
 def test_refit_assigns_nearest_centroid():
     rows = np.array([0.0, 0.3, 0.45, 0.55, 0.7, 1.0])[:, None]
-    model = refit_with_centroids_nd(rows, [CentroidPair(0.4, 0.6)])
+    model = _refit(rows, [CentroidPair(0.4, 0.6)])
     assert model.algorithm == "centroid"
     assert np.array_equal(assign_many(model, rows), [0, 0, 0, 1, 1, 1])
     with pytest.raises(RefitError):
-        refit_with_centroids_nd(rows, [CentroidPair(0.5, 0.5)])
-    with pytest.raises(InputError):
-        refit_with_centroids_nd(np.zeros((4, 2)), [CentroidPair(0.4, 0.6)])
+        _refit(rows, [CentroidPair(0.5, 0.5)])
 
 
 def test_refit_nd_validation():
-    rows = np.zeros((4, 2))
-    with pytest.raises(InputError):
-        refit_with_centroids_nd(rows, [CentroidPair(0.0, 1.0)])
     with pytest.raises(RefitError):
-        refit_with_centroids_nd(rows, [CentroidPair(0.5, 0.5),
-                                       CentroidPair(0.2, 0.2)])
+        _refit(np.zeros((4, 2)), [CentroidPair(0.5, 0.5), CentroidPair(0.2, 0.2)])
 
 
 def test_refine_model_keeps_separation(blobs_2d):
@@ -157,7 +149,7 @@ def test_multi_handles_anti_correlated_dimension():
     mat = np.concatenate([lo, hi])
     mu_k = np.stack([lo.mean(axis=0), hi.mean(axis=0)])
     sigma_k = np.stack([lo.std(axis=0), hi.std(axis=0)])
-    pairs = select_centroids_multi(mat, mu_k, sigma_k)
+    pairs = _select_pairs(mat, mu_k, sigma_k, "global")
     assert len(pairs) == 2
     for p in pairs:
         assert p.low <= p.high

@@ -10,9 +10,11 @@ import locale
 
 import pytest
 
-from amsdetect.cli import main
-from amsdetect.cluster import load_model
-from amsdetect.features import extract_features
+from amsdetect.centroid import refine_model
+from amsdetect.cli import build_parser, main
+from amsdetect.cluster import as_matrix, load_model
+from amsdetect.earlydetect import detect_windowed, detections_to_csv
+from amsdetect.features import dataset_from_csv, extract_features
 from amsdetect.waveforms import waveform_from_csv
 
 
@@ -45,6 +47,11 @@ def test_bad_parameter_exits_two(tmp_path, capsys):
                "--rate-pct", "1000", "--out", str(tmp_path / "x")])
     assert rc == 2
     assert "rate" in capsys.readouterr().err
+    for amp in ("--amp-low=nan", "--amp-high=nan", "--amp-high=inf"):
+        rc = main(["inject", "--in", str(sim / "input.csv"), "--mode", "random",
+                   amp, "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "finite 0 < amp_low <= amp_high" in capsys.readouterr().err
     rc = main(["simulate", "--circuit", "opamp", "--n-samples", "0",
                "--out", str(tmp_path / "y")])
     assert rc == 2
@@ -78,6 +85,8 @@ DATA = "sample_id,label,window_index,mean\na,0,0,0.5\nb,1,0,0.7\n"
     ("inject", WAVE.replace("2.0e-8", "5.0e-8"), "not uniformly spaced"),
     ("fit", DATA.replace("b,1,0,0.7", "b,1,0"), "fields"),
     ("fit", DATA.replace("b,1,", "b,x,"), "invalid literal"),
+    ("fit", DATA.replace("b,1,", "b,2,"), "'b,2,0,0.7' (label must be 0 or 1)"),
+    ("fit", DATA.replace("b,1,0,", "b,1,-1,"), "window_index must be >= 0"),
 ])
 def test_bad_csv_exits_two(tmp_path, capsys, command, text, message):
     """Malformed waveform and dataset CSVs end in exit 2, not a traceback."""
@@ -181,6 +190,38 @@ def test_full_pipeline(tmp_path, capsys):
     assert "detected" in out
     assert det.read_text().splitlines()[0] == \
         "sample_id,first_window,m,latency_s,speedup"
+
+    # --no-normalize saves no norm, so select-centroids and detect read the
+    # raw values; the variance column alone already lies in [0, 1]
+    raw_data, raw = tmp_path / "raw.csv", tmp_path / "raw.json"
+    assert main(["featurize", "--in", str(sim / "input.csv"),
+                 str(inj / "injected.csv"), "--windows", "5",
+                 "--features", "variance", "--out", str(raw_data)]) == 0
+    assert main(["fit", "--in", str(raw_data), "--algorithm", "kmeans",
+                 "--no-normalize", "--out", str(raw)]) == 0
+    assert json.loads(raw.read_text())["norm"] is None
+    m = load_model(raw)
+    _, rows = dataset_from_csv(raw_data)
+    mat = as_matrix(rows)
+    assert main(["select-centroids", "--model", str(raw), "--in", str(raw_data),
+                 "--out", str(refined)]) == 0
+    assert load_model(refined).centroid_pairs == \
+        refine_model(m, mat).centroid_pairs
+    # --no-early-stop consumes all 5 windows of every sample
+    assert main(["detect", "--model", str(raw), "--in", str(raw_data),
+                 "--samples-per-window", "60", "--sample-period", "1e-7",
+                 "--no-early-stop", "--out", str(det)]) == 0
+    ids = list(dict.fromkeys(r.sample_id for r in rows))
+    want = [detect_windowed(m, mat[5 * i:5 * i + 5], 60, 1e-7,
+                            stop_early=False, sample_id=sid)
+            for i, sid in enumerate(ids)]
+    hit = want[0]        # the injected sample; an early stop reads 3 windows
+    assert (hit.first_anomalous_window, hit.windows_consumed, hit.speedup) == (2, 5, 1.0)
+    detections_to_csv(want, tmp_path / "want.csv")
+    assert det.read_bytes() == (tmp_path / "want.csv").read_bytes()
+    for line in det.read_text().splitlines()[1:]:
+        _, _, consumed, _, speedup = line.split(",")
+        assert (consumed, speedup) == ("5", "1.0")
 
 
 def test_simulate_opamp_fault_sweep(tmp_path):
@@ -336,3 +377,54 @@ def test_bad_model_file_exits_two(tmp_path, capsys, command, edit, message):
     assert rc == 2
     err = capsys.readouterr().err
     assert "model.json" in err and message in err
+
+
+def _float_flags():
+    """(subcommand, flag) for every ``type=float`` option of the parser."""
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    return [(name, opt.option_strings[0]) for name, p in sub.choices.items()
+            for opt in p._actions if opt.type is float]
+
+
+# Small valid commands per subcommand; each float flag runs on all of its
+# subcommand's bases so that flags read only in one mode are reached too.
+BASES = {
+    "simulate": [["--n-samples", "100"],
+                 ["--circuit", "opamp", "--n-samples", "100",
+                  "--fault", "Parametric"],
+                 ["--circuit", "opamp", "--analysis", "dc_input_sweep",
+                  "--sweep-points", "10"],
+                 ["--circuit", "opamp", "--analysis", "dc_temp_sweep",
+                  "--sweep-points", "10"]],
+    "inject": [["--in", "{wave}", "--mode", "random"],
+               ["--in", "{wave}", "--mode", "periodic"]],
+    "fit": [["--in", "{data}", "--algorithm", "birch"],
+            ["--in", "{data}", "--algorithm", "spectral"]],
+    "detect": [["--model", "{model}", "--in", "{data}",
+                "--samples-per-window", "10", "--sample-period", "1e-6"]],
+}
+
+
+@pytest.fixture(scope="module")
+def sweep_inputs(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("sweep")
+    assert main(["simulate", "--n-samples", "100", "--out", str(tmp)]) == 0
+    data = tmp / "data.csv"
+    data.write_text("sample_id,label,window_index,mean\n" + "".join(
+        f"s{i},{i // 5},0,{0.1 * i + 0.05 * (i // 5)}\n" for i in range(10)))
+    model = tmp / "model.json"
+    assert main(["fit", "--in", str(data), "--out", str(model)]) == 0
+    return {"wave": tmp / "input.csv", "data": data, "model": model}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # numpy on nan/inf math
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command,flag", _float_flags())
+def test_non_finite_float_flags_never_traceback(tmp_path, sweep_inputs,
+                                                command, flag, value):
+    """Every float option given nan or +-inf exits 0 or 2, never raises."""
+    out = tmp_path / ("out.json" if command == "fit" else "out")
+    for base in BASES[command]:
+        argv = [command, *(a.format(**sweep_inputs) for a in base),
+                f"{flag}={value}", "--out", str(out)]
+        assert main(argv) in (0, 2), argv

@@ -61,6 +61,10 @@ def test_random_injection_errors():
         inject_point_random(w, 0.0, 2.0, 5.0)
     with pytest.raises(ConfigurationError):
         inject_point_random(w, 0.5, 5.0, 2.0)
+    nan, inf = float("nan"), float("inf")
+    for low, high in ((nan, 5.0), (2.0, nan), (2.0, inf), (inf, inf), (-inf, 5.0)):
+        with pytest.raises(ConfigurationError, match="finite 0 < amp_low"):
+            PointRandom(0.5, low, high)
     with pytest.raises(InjectionError):
         inject_point_random(w, 99.9, 2.0, 5.0)      # count == n
     flat = Waveform(np.zeros(100), 1e-8)
