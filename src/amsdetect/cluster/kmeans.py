@@ -3,6 +3,23 @@
 The inner loop (`lloyd`) is shared by the other algorithms: BIRCH reuses it
 with per-point weights for its global phase and spectral clustering runs it
 on the embedded rows.
+
+Distances to the one or two centroids are taken component-major by
+``model._centroid_sqdist`` on the (d, n) transpose of the data, so each
+numpy call runs over n elements rather than once per row over d of them.
+The results are bit-identical to the row-major form they replace:
+
+- each squared distance is the same squares summed in
+  ``np.add.reduce``'s pairwise order (``_lane_sum``);
+- ``np.argmin(d2, axis=1)`` over two centroids is ``d2[1] < d2[0]``, which
+  keeps ties on centroid 0;
+- the SSE needs no second pass: ``((mat - centroids[labels]) ** 2).sum(axis=1)``
+  is, element for element, the distance just computed to the assigned
+  centroid, ``np.minimum`` of the two, and 0.0 for a point revived as a
+  centroid of its own;
+- the weighted centroid update is the expression ``np.average`` evaluates,
+  ``(m * w[:, None]).sum(axis=0) / w.sum()``; of its checks only the one a
+  cluster can fail is kept (weights summing to zero, now a FitError).
 """
 
 from __future__ import annotations
@@ -10,15 +27,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigurationError, FitError
-from .model import (ClusterModel, _sqdist, _two_distinct_rows, as_matrix,
+from .model import (ClusterModel, _centroid_sqdist, _two_distinct_rows, as_matrix,
                     canonical_labels)
 
 __all__ = ["fit_kmeans", "lloyd", "kmeans_pp_init"]
-
-
-def _sse(mat, centroids, labels, weights):
-    d2 = ((mat - centroids[labels]) ** 2).sum(axis=1)
-    return float(np.dot(weights, d2))
 
 
 def kmeans_pp_init(mat: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -28,7 +40,7 @@ def kmeans_pp_init(mat: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """
     n = mat.shape[0]
     first = int(rng.integers(n))
-    d2 = _sqdist(mat, mat[[first]])[:, 0]
+    d2 = _centroid_sqdist(mat.T, mat[[first]])[0]
     total = d2.sum()
     if total <= 0.0:
         raise FitError("cannot seed k centroids: fewer than k distinct points")
@@ -46,25 +58,32 @@ def lloyd(mat: np.ndarray, centroids: np.ndarray, max_iter: int = 100,
     n = mat.shape[0]
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
     centroids = centroids.astype(np.float64).copy()
+    points_t = np.ascontiguousarray(mat.T)
     labels = None
     history: list[float] = []
     for _ in range(max_iter):
-        d2 = _sqdist(mat, centroids)
-        new_labels = np.argmin(d2, axis=1)
+        d2 = _centroid_sqdist(points_t, centroids)
+        new_labels = (d2[1] < d2[0]).astype(np.intp)
+        dist = np.minimum(d2[0], d2[1])    # each point's distance to its centroid
         # revive any emptied cluster with the worst-fitting point
         for j in (0, 1):
             if not np.any(new_labels == j):
-                worst = int(np.argmax(w * d2[np.arange(n), new_labels]))
+                worst = int(np.argmax(w * d2[new_labels, np.arange(n)]))
                 new_labels[worst] = j
                 centroids[j] = mat[worst]
-        history.append(_sse(mat, centroids, new_labels, w))
+                dist[worst] = 0.0
+        history.append(float(np.dot(w, dist)))
         if labels is not None and np.array_equal(labels, new_labels):
             labels = new_labels
             break
         labels = new_labels
         for j in (0, 1):
             members = labels == j
-            centroids[j] = np.average(mat[members], axis=0, weights=w[members])
+            wj = w[members]
+            total = wj.sum()
+            if total == 0.0:
+                raise FitError(f"the weights of cluster {j} sum to zero")
+            centroids[j] = (mat[members] * wj[:, None]).sum(axis=0) / total
         if len(history) >= 2 and history[-2] - history[-1] < tol:
             break
     return centroids, labels, history

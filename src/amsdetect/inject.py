@@ -314,6 +314,10 @@ class ComponentFault:
             if self.temperature is None:
                 raise ConfigurationError("Parametric fault needs a temperature",
                                          config_key="fault_temperature")
+            if not math.isfinite(self.temperature):
+                raise ConfigurationError(
+                    f"Parametric temperature must be finite, got {self.temperature!r}",
+                    config_key="fault_temperature")
             if TEMP_RANGE[0] <= self.temperature <= TEMP_RANGE[1]:
                 raise ConfigurationError(
                     f"Parametric temperature {self.temperature} C is inside the "

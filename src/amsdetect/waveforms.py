@@ -477,6 +477,11 @@ class SweepSpec:
         if self.n_points < 2:
             raise ConfigurationError("sweep needs at least 2 points",
                                      config_key="n_points")
+        for key in ("start", "stop", "bias"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigurationError(
+                    f"sweep {key} must be finite, got {getattr(self, key)!r}",
+                    config_key=key)
 
     @property
     def values(self) -> np.ndarray:

@@ -5,8 +5,10 @@ Everything here is deliberately written in plain Python (loops, the
 package code is meaningful.  The exceptions keep the original numpy
 arithmetic the package must reproduce bit for bit: the per-window feature
 loop, the one-shot pairwise-distance broadcast and out-of-place spectral
-Laplacian, and the time recursions (the simulator's original loops over
-numpy scalars).  Only the per-instance builders and the CSV references
+Laplacian, the row-major Lloyd and EM steps (reductions over the short
+cluster and feature axes, ``np.argmin``/``np.argmax`` and ``np.average``),
+and the time recursions (the simulator's original loops over numpy
+scalars).  Only the per-instance builders and the CSV references
 at the end use amsdetect.  The builders rebuild ``generate_features`` one
 instance at a time through the package's single-instance functions, whose
 width-1 loops the recursion references above pin.  The CSV references are
@@ -23,7 +25,8 @@ from dataclasses import replace
 import numpy as np
 
 from amsdetect.bench import FAULT_EXPERIMENTS, _block_specs, _child_seed
-from amsdetect.errors import InputError
+from amsdetect.cluster import canonical_labels
+from amsdetect.errors import FitError, InputError
 from amsdetect.features import windowed_features
 from amsdetect.inject import ComponentFault, apply_component_fault, inject_multipoint
 from amsdetect.waveforms import (OpampModel, SweepSpec, VrefConfig, Waveform,
@@ -214,6 +217,124 @@ def spectral_embedding_reference(mat, sigma):
     lap = 0.5 * (lap + lap.T)
     eigvals, eigvecs = np.linalg.eigh(lap)
     return eigvals, eigvecs[:, :2]
+
+
+def nearest_reference(points, centroids):
+    """Index of each point's nearest centroid by argmin (ties: the first)."""
+    return np.argmin(sqdist_broadcast(points, centroids), axis=1)
+
+
+def kmeans_pp_init_reference(mat, rng):
+    """k-means++ seeding for two centroids with the row-major distance."""
+    n = mat.shape[0]
+    first = int(rng.integers(n))
+    d2 = sqdist_broadcast(mat, mat[[first]])[:, 0]
+    total = d2.sum()
+    if total <= 0.0:
+        raise FitError("cannot seed k centroids: fewer than k distinct points")
+    return mat[[first, int(rng.choice(n, p=d2 / total))]]
+
+
+def lloyd_reference(mat, centroids, max_iter=100, tol=1e-10, weights=None):
+    """Row-major Lloyd 2-means: argmin assignment, SSE pass, np.average update."""
+    n = mat.shape[0]
+    w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
+    centroids = centroids.astype(np.float64).copy()
+    labels = None
+    history = []
+    for _ in range(max_iter):
+        d2 = sqdist_broadcast(mat, centroids)
+        new_labels = np.argmin(d2, axis=1)
+        for j in (0, 1):
+            if not np.any(new_labels == j):
+                worst = int(np.argmax(w * d2[np.arange(n), new_labels]))
+                new_labels[worst] = j
+                centroids[j] = mat[worst]
+        sse = ((mat - centroids[new_labels]) ** 2).sum(axis=1)
+        history.append(float(np.dot(w, sse)))
+        if labels is not None and np.array_equal(labels, new_labels):
+            labels = new_labels
+            break
+        labels = new_labels
+        for j in (0, 1):
+            members = labels == j
+            centroids[j] = np.average(mat[members], axis=0, weights=w[members])
+        if len(history) >= 2 and history[-2] - history[-1] < tol:
+            break
+    return centroids, labels, history
+
+
+def fit_kmeans_reference(mat, seed=0, init=None):
+    """(centroids, labels, sse_history) of fit_kmeans, canonically ordered."""
+    start = (kmeans_pp_init_reference(mat, np.random.default_rng(seed))
+             if init is None else init)
+    centroids, labels, history = lloyd_reference(mat, start)
+    labels, order, _, _ = canonical_labels(mat, labels)
+    return centroids[order], labels, history
+
+
+def gmm_e_step_reference(weights, means, variances, mat):
+    """Row-major E step: log responsibilities (n, 2) and the log-likelihood."""
+    w = np.asarray(weights, dtype=np.float64)
+    mu = np.asarray(means, dtype=np.float64)
+    var = np.asarray(variances, dtype=np.float64)
+    log_pdf = -0.5 * (np.log(2.0 * math.pi * var)[None, :, :]
+                      + (mat[:, None, :] - mu[None, :, :]) ** 2 / var[None, :, :]
+                      ).sum(axis=2)
+    log_joint = np.log(w)[None, :] + log_pdf
+    m = log_joint.max(axis=1, keepdims=True)
+    log_norm = m + np.log(np.exp(log_joint - m).sum(axis=1, keepdims=True))
+    return log_joint - log_norm, float(log_norm.sum())
+
+
+def gmm_m_step_reference(log_resp, mat, var_floor=1e-8):
+    """Row-major M step: (weights, means, variances) from log responsibilities."""
+    n = mat.shape[0]
+    resp = np.exp(log_resp)
+    nj = resp.sum(axis=0)
+    if np.any(nj <= 0.0):
+        raise FitError("a mixture component lost all responsibility")
+    mu = (resp.T @ mat) / nj[:, None]
+    var = np.empty_like(mu)
+    for j in (0, 1):
+        var[j] = np.maximum(
+            (resp[:, j][:, None] * (mat - mu[j]) ** 2).sum(axis=0) / nj[j],
+            var_floor)
+    return nj / n, mu, var
+
+
+def fit_gmm_reference(mat, max_iter=200, tol=1e-9, seed=0, init_means=None,
+                      init_variances=None, init_weights=None, var_floor=1e-8):
+    """fit_gmm's EM on the row-major steps and the reference k-means.
+
+    :returns: (weights, means, variances, loglik_history, labels), canonical
+    """
+    n, d = mat.shape
+    if init_means is not None:
+        mu = np.asarray(init_means, dtype=np.float64).reshape(2, d).copy()
+        var = (np.full((2, d), 1.0) if init_variances is None
+               else np.asarray(init_variances, dtype=np.float64).reshape(2, d).copy())
+        w = (np.full(2, 0.5) if init_weights is None
+             else np.asarray(init_weights, dtype=np.float64).copy())
+    else:
+        mu = fit_kmeans_reference(mat, seed)[0]
+        hard = nearest_reference(mat, mu)
+        var = np.empty((2, d))
+        w = np.empty(2)
+        for j in (0, 1):
+            members = mat[hard == j]
+            var[j] = np.maximum(members.var(axis=0), var_floor)
+            w[j] = members.shape[0] / n
+    var = np.maximum(var, var_floor)
+    history = []
+    for _ in range(max_iter):
+        log_resp, loglik = gmm_e_step_reference(w, mu, var, mat)
+        history.append(loglik)
+        if len(history) >= 2 and history[-1] - history[-2] < tol:
+            break
+        w, mu, var = gmm_m_step_reference(log_resp, mat, var_floor)
+    labels, order, _, _ = canonical_labels(mat, np.argmax(log_resp, axis=1))
+    return w[order], mu[order], var[order], history, labels
 
 
 def static_transfer_reference(model, vin, temp):

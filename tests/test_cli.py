@@ -75,6 +75,30 @@ def test_bad_parameter_exits_two(tmp_path, capsys):
         assert "sample_period must be finite and > 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--fault", "Parametric", "--fault-temp", "inf"],
+     "Parametric temperature must be finite, got inf (config key: fault_temperature)"),
+    (["--fault", "Parametric", "--fault-temp=-inf"],
+     "Parametric temperature must be finite, got -inf"),
+    (["--fault", "Parametric", "--fault-temp", "nan"],
+     "Parametric temperature must be finite, got nan"),
+    (["--analysis", "dc_temp_sweep", "--sweep-bias", "inf"],
+     "sweep bias must be finite, got inf (config key: bias)"),
+    (["--analysis", "dc_input_sweep", "--sweep-start=-inf"],
+     "sweep start must be finite, got -inf (config key: start)"),
+    (["--analysis", "dc_input_sweep", "--sweep-stop", "nan"],
+     "sweep stop must be finite, got nan (config key: stop)"),
+])
+def test_non_finite_fault_and_sweep_values_exit_two(tmp_path, capsys, argv, message):
+    """Refused before simulation: no rail-clipped waveform is written."""
+    out = tmp_path / "sim"
+    rc = main(["simulate", "--circuit", "opamp", "--n-samples", "50", *argv,
+               "--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 WAVE = "t,value\n0.0,1.0\n1.0e-8,2.0\n2.0e-8,3.0\n"
 DATA = "sample_id,label,window_index,mean\na,0,0,0.5\nb,1,0,0.7\n"
 

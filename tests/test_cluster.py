@@ -13,11 +13,14 @@ from amsdetect import (ConfigurationError, FitError, InputError, VAR_FLOOR,
                        as_matrix, assign_many, cluster_stats, fit_birch,
                        fit_gmm, fit_kmeans, fit_spectral,
                        gmm_log_responsibilities, load_model, save_model)
-from amsdetect.cluster import CFEntry, canonical_labels, lloyd, spectral
-from amsdetect.cluster.model import (_BLOCK_ELEMS, _nearest, _sqdist,
+from amsdetect.cluster import (CFEntry, ClusterModel, canonical_labels, lloyd,
+                               spectral)
+from amsdetect.cluster.model import (_BLOCK_ELEMS, _lane_sum, _nearest, _sqdist,
                                     _two_distinct_rows)
 from amsdetect.cluster.spectral import spectral_embedding
-from oracles import (em_step, exhaustive_two_means, spectral_embedding_reference,
+from oracles import (em_step, exhaustive_two_means, fit_gmm_reference,
+                     fit_kmeans_reference, gmm_e_step_reference, lloyd_reference,
+                     nearest_reference, spectral_embedding_reference,
                      sqdist_broadcast)
 
 
@@ -98,6 +101,12 @@ def test_lloyd_revives_empty_cluster():
     cents, labels, hist = lloyd(mat, start)
     assert len(set(labels.tolist())) == 2
     assert np.all(np.diff(hist) <= 1e-9)
+
+
+def test_lloyd_refuses_a_cluster_of_zero_weight():
+    mat = np.array([[0.0], [1.0], [5.0], [6.0]])
+    with pytest.raises(FitError, match="cluster 0 sum to zero"):
+        lloyd(mat, mat[[0, 3]], weights=np.array([0.0, 0.0, 1.0, 1.0]))
 
 
 # ------------------------------------------------------------------- gmm
@@ -455,3 +464,178 @@ def test_kernels_hold_no_pairwise_tensor(monkeypatch):
     with pytest.raises(_EighReached):
         _traced_peak(spectral_embedding, mat, 0.3)
     assert peak[0] <= 3 * nn
+
+
+# ------------------------------------------- component-major Lloyd and EM
+
+def _same(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape \
+        and got.tobytes() == want.tobytes()
+
+
+def _matrix(n, d, kind, seed):
+    """An (n, d) matrix: two blobs, wide-range normals, or a 0..2 grid.
+
+    The grid repeats rows and puts points exactly halfway between others,
+    so duplicate rows and tied distances are common.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "grid":
+        return rng.integers(0, 3, (n, d)).astype(np.float64)
+    if kind == "blobs":
+        return rng.normal(0.0, 0.1, (n, d)) + (np.arange(n) % 2)[:, None]
+    return rng.normal(0.0, 1.0, (n, d)) * 10.0 ** rng.integers(-3, 4, d)
+
+
+_KINDS = st.sampled_from(["grid", "blobs", "wide"])
+
+
+@given(st.integers(1, 300), st.integers(1, 3),
+       st.sampled_from(["wide", "zeros", "mixed"]), st.integers(0, 2**32 - 1))
+@example(d=1, m=2, kind="zeros", seed=0)
+@example(d=7, m=1, kind="wide", seed=1)
+@example(d=8, m=2, kind="wide", seed=2)
+@example(d=9, m=3, kind="mixed", seed=3)
+@example(d=128, m=1, kind="zeros", seed=4)
+@example(d=129, m=2, kind="wide", seed=5)
+@example(d=300, m=1, kind="wide", seed=6)
+@settings(max_examples=200, deadline=None)
+def test_lane_sum_matches_add_reduce(d, m, kind, seed):
+    """Lanes summed as np.add.reduce sums each contiguous length-d row.
+
+    Magnitudes spread over 16 decades make any other association order
+    show in the bits; all -0.0 lanes sum to +0.0 as numpy's do.
+    """
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(0.0, 1.0, (m, d)) * 10.0 ** rng.integers(-8, 9, (m, d))
+    if kind == "zeros":
+        rows = np.full((m, d), -0.0)
+    elif kind == "mixed":
+        rows[:, ::3] = -0.0
+    assert _same(_lane_sum(rows.T), np.add.reduce(rows, axis=1))
+
+
+def _gmm_init(mat, seed, explicit):
+    if not explicit:
+        return {"seed": seed}
+    rng = np.random.default_rng(seed)
+    d = mat.shape[1]
+    return {"init_means": mat[rng.choice(len(mat), 2, replace=False)],
+            "init_variances": None if seed % 3 == 0 else rng.uniform(0.01, 2.0, (2, d)),
+            "init_weights": None if seed % 2 == 0 else [0.3, 0.7]}
+
+
+@given(st.integers(4, 60), st.integers(1, 13), _KINDS, st.integers(0, 2**16),
+       st.booleans())
+@example(n=4, d=1, kind="blobs", seed=0, explicit=False)
+@example(n=4, d=1, kind="blobs", seed=0, explicit=True)
+@example(n=30, d=7, kind="wide", seed=1, explicit=False)
+@example(n=30, d=8, kind="blobs", seed=2, explicit=True)
+@example(n=30, d=9, kind="wide", seed=3, explicit=False)
+@example(n=12, d=128, kind="blobs", seed=4, explicit=False)
+@example(n=12, d=129, kind="blobs", seed=5, explicit=True)
+@example(n=40, d=2, kind="grid", seed=6, explicit=False)     # duplicate rows
+@example(n=8, d=3, kind="grid", seed=7, explicit=True)
+@settings(max_examples=120, deadline=None)
+def test_fit_gmm_matches_row_major_reference(n, d, kind, seed, explicit):
+    """Weights, means, variances, history and labels equal to the bit."""
+    mat = _matrix(n, d, kind, seed)
+    init = _gmm_init(mat, seed, explicit)
+    try:
+        want = fit_gmm_reference(mat, **init)
+    except FitError:
+        with pytest.raises(FitError):
+            fit_gmm(mat, **init)
+        return
+    model = fit_gmm(mat, **init)
+    got = (model.weights, model.means, model.variances, model.loglik_history,
+           model.train_assignments)
+    for g, w in zip(got, want):
+        assert _same(g, w)
+
+
+def _gmm_params(d, kind, seed):
+    """(weights, means, variances); the grid kind often repeats a component."""
+    rng = np.random.default_rng(seed)
+    if kind == "grid":
+        return (np.full(2, 0.5), rng.integers(0, 2, (1, d)).repeat(2, axis=0) * 1.0,
+                rng.choice([0.5, 1.0], (2, d)))
+    w = rng.uniform(0.1, 1.0)
+    return (np.array([w, 1.0 - w]) if w < 1.0 else np.full(2, 0.5),
+            rng.normal(0.0, 1.0, (2, d)), rng.uniform(1e-8, 2.0, (2, d)))
+
+
+@given(st.integers(1, 200), st.integers(1, 13), _KINDS, st.integers(0, 2**16))
+@example(n=1, d=1, kind="grid", seed=0)
+@example(n=4, d=8, kind="wide", seed=1)
+@example(n=50, d=129, kind="blobs", seed=2)
+@settings(max_examples=100, deadline=None)
+def test_gmm_log_responsibilities_match_reference(n, d, kind, seed):
+    mat = _matrix(n, d, kind, seed)
+    params = _gmm_params(d, kind, seed)
+    got = gmm_log_responsibilities(*params, mat)
+    want = gmm_e_step_reference(*params, mat)
+    assert _same(got[0], want[0]) and got[1] == want[1]
+
+
+def _centroid_model(algorithm, params):
+    w, mu, var = params
+    d = mu.shape[1]
+    state = ({"weights": w, "means": mu, "variances": var} if algorithm == "gmm"
+             else {"centroids": mu})
+    return ClusterModel(algorithm=algorithm, mu_k=np.zeros((2, d)),
+                        sigma_k=np.zeros((2, d)), **state)
+
+
+@pytest.mark.parametrize("algorithm", ["gmm", "kmeans", "birch", "centroid"])
+@given(n=st.integers(1, 200), d=st.integers(1, 13), kind=_KINDS,
+       seed=st.integers(0, 2**16))
+@example(n=4, d=1, kind="grid", seed=0)
+@example(n=9, d=9, kind="grid", seed=3)
+@example(n=20, d=129, kind="wide", seed=4)
+@settings(max_examples=60, deadline=None)
+def test_assign_many_matches_row_major_reference(algorithm, n, d, kind, seed):
+    """Hard labels as argmin distance / argmax responsibility (ties: 0)."""
+    mat = _matrix(n, d, kind, seed)
+    params = _gmm_params(d, kind, seed)
+    model = _centroid_model(algorithm, params)
+    want = (np.argmax(gmm_e_step_reference(*params, mat)[0], axis=1)
+            if algorithm == "gmm" else nearest_reference(mat, params[1]))
+    assert _same(assign_many(model, mat), want)
+
+
+def test_two_component_ties_go_to_cluster_zero():
+    mat = np.array([[1.0, 1.0], [0.0, 2.0], [3.0, -1.0]])
+    cents = np.array([[0.0, 0.0], [2.0, 2.0]])        # every row is equidistant
+    assert _same(_nearest(mat, cents), np.zeros(3, dtype=np.intp))
+    same = (np.full(2, 0.5), np.ones((2, 2)), np.ones((2, 2)))
+    model = _centroid_model("gmm", same)
+    assert _same(assign_many(model, mat), np.zeros(3, dtype=np.intp))
+
+
+@given(st.integers(2, 80), st.integers(1, 13), _KINDS, st.integers(0, 2**16))
+@example(n=4, d=1, kind="blobs", seed=0)
+@example(n=30, d=8, kind="wide", seed=1)
+@example(n=30, d=9, kind="blobs", seed=2)
+@example(n=12, d=128, kind="wide", seed=3)
+@example(n=12, d=129, kind="blobs", seed=4)
+@example(n=40, d=3, kind="grid", seed=5)          # duplicate rows, ties
+@settings(max_examples=120, deadline=None)
+def test_fit_kmeans_matches_row_major_reference(n, d, kind, seed):
+    """fit_kmeans, and lloyd with BIRCH-style weights, equal to the bit."""
+    mat = _matrix(n, d, kind, seed)
+    try:
+        want = fit_kmeans_reference(mat, seed)
+    except FitError:
+        with pytest.raises(FitError):
+            fit_kmeans(mat, seed=seed)
+        return
+    model = fit_kmeans(mat, seed=seed)
+    assert _same(model.centroids, want[0])
+    assert _same(model.train_assignments, want[1])
+    assert model.sse_history == want[2]
+    weights = np.random.default_rng(seed).integers(1, 9, n).astype(np.float64)
+    for g, w in zip(lloyd(mat, mat[[0, -1]], weights=weights),
+                    lloyd_reference(mat, mat[[0, -1]], weights=weights)):
+        assert _same(g, w)

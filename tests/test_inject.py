@@ -7,6 +7,7 @@ from amsdetect import (AnomalySpec, ComponentFault, ConfigurationError,
                        Waveform, apply_anomaly_spec, apply_component_fault,
                        inject_multipoint, inject_point_periodic,
                        inject_point_random, record_to_csv, simulate_vref)
+from amsdetect.cli import main
 from amsdetect.inject import _count_half_up
 
 
@@ -192,6 +193,18 @@ def test_parametric_fault_requires_out_of_range_temp():
     ComponentFault(FaultKind.PARAMETRIC, -55.0)     # below range is fine
     with pytest.raises(ConfigurationError):
         ComponentFault(FaultKind.SHORT, 150.0)      # non-parametric: no temp
+
+
+@pytest.mark.parametrize("temp", [np.inf, -np.inf, np.nan])
+def test_parametric_fault_refuses_non_finite_temp(tmp_path, temp):
+    with pytest.raises(ConfigurationError, match="must be finite") as exc:
+        ComponentFault(FaultKind.PARAMETRIC, temp)
+    assert exc.value.config_key == "fault_temperature"
+    out = tmp_path / "sim"
+    assert main(["simulate", "--circuit", "opamp", "--n-samples", "50",
+                 "--fault", "Parametric", f"--fault-temp={temp}",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_fault_from_name():
