@@ -8,10 +8,16 @@ follow from the instance index and ride along for scoring only -- fitting
 never sees them.  Simulation is batched per config: the time recursions
 step all 2n instances at once on one time-major buffer, and everything
 else runs in chunks of ``_CHUNK`` instances; each instance still gets the
-bytes it would get simulated alone.  ``evaluate`` slices that array once
-per signal/feature combination, normalizes, fits and scores the slice, and
-``run_suite`` maps a list of configs to a combined report, continuing past
-per-entry failures.
+bytes it would get simulated alone.
+
+Evaluation runs in three stages: prepare (simulate, and list the
+signal/feature combinations), fit (one dispatcher over every combination;
+each is sliced from the array and min-max normalized when needed) and
+score.  ``run_suite`` prepares every entry, fits all of their combinations
+in one dispatcher call -- GMM fits of one matrix shape run as lanes of one
+lockstep EM, across entries -- then scores each entry, continuing past
+per-entry failures; ``evaluate`` is the one-entry case of that path, so an
+entry's report has the same bytes in a suite and alone.
 ``generate_dataset`` is the row adapter: the same array as one
 ``FeatureRow`` per (instance, window).
 
@@ -30,6 +36,7 @@ import numpy as np
 from .centroid import refine_model
 from .cluster import (ClusterModel, as_matrix, assign_many, fit_birch, fit_gmm,
                       fit_kmeans, fit_spectral)
+from .cluster.gmm import _fit_gmm_lanes
 from .earlydetect import latency_report, scan_windows
 from .errors import AmsDetectError, ConfigurationError, FitError, _read_text
 from .features import FEATURE_NAMES, FeatureRow, NormalizationParams, _windowed_rows
@@ -568,19 +575,37 @@ def fit_model(algorithm: str, mat: np.ndarray, *, seed: int, birch_branching: in
     return fit_spectral(mat, spectral_sigma, seed=seed)
 
 
-def evaluate(config: ExperimentConfig) -> EvaluationReport:
-    """Fit and score each signal/feature combination of one experiment.
+@dataclass
+class _Prepared:
+    """One config after simulation: its raw features and combinations.
 
-    Combinations cover every observed signal per feature, each signal's
-    aggregated feature tuple, and (for multi-signal configs) cross-signal
-    tuples of each feature and of the full aggregate.  A combination's
-    observation is its features concatenated signal-major, feature-minor.
-    Windowed configs score instances: one is anomalous iff any window is.
+    A combination's matrix is rebuilt from ``feats`` each time it is needed
+    (fit, then score), with the same bytes each time, so no more than one
+    shape group's matrices are held at once.
     """
+
+    config: ExperimentConfig
+    feats: np.ndarray
+    samples_per_window: int
+    sample_period: float
+    combos: list[tuple[tuple[str, ...], tuple[str, ...]]]
+
+    def shape(self, combo) -> tuple[int, int]:
+        signals, names = combo
+        return (self.feats.shape[0] * self.feats.shape[1], len(signals) * len(names))
+
+    def matrix(self, combo) -> np.ndarray:
+        """The combination's rows, signal-major, feature-minor, min-max normalized."""
+        signals, names = combo
+        sig_idx = [self.config.observed_signals.index(s) for s in signals]
+        feat_idx = [self.config.features.index(f) for f in names]
+        raw = self.feats[:, :, sig_idx][..., feat_idx].reshape(self.shape(combo))
+        return as_matrix(NormalizationParams(raw.min(0), raw.max(0)).apply(raw))
+
+
+def _prepare(config: ExperimentConfig) -> _Prepared:
+    """Simulate a config and list the signal/feature combinations it is scored on."""
     feats, samples_per_window, sample_period = generate_features(config)
-    n_inst, n_win = feats.shape[:2]
-    n = n_inst // 2
-    labels = np.repeat([0, 1], n)
     combos: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
     for s in config.observed_signals:
         for f in config.features:
@@ -592,20 +617,65 @@ def evaluate(config: ExperimentConfig) -> EvaluationReport:
             combos.append((config.observed_signals, (f,)))
         if len(config.features) >= 2:
             combos.append((config.observed_signals, config.features))
+    return _Prepared(config, feats, samples_per_window, sample_period, combos)
 
+
+def _fit_jobs(jobs: list[tuple[_Prepared, tuple]]) -> list:
+    """Fit each (entry, combination) job; a job that fails yields its message.
+
+    GMM jobs of one matrix shape run as lanes of one lockstep EM
+    (``cluster.gmm``), across combinations and entries alike; each lane
+    gets the bytes ``fit_model`` would give it.  Every other algorithm goes
+    through ``fit_model``.  Matrices are built per job, or per shape group
+    for GMM, and dropped after the fit.
+    """
+    out: list = [None] * len(jobs)
+    gmm_lanes: dict[tuple[int, int], list[int]] = {}
+    for i, (prep, combo) in enumerate(jobs):
+        cfg = prep.config
+        if cfg.algorithm == "gmm":
+            gmm_lanes.setdefault(prep.shape(combo), []).append(i)
+            continue
+        try:
+            out[i] = fit_model(cfg.algorithm, prep.matrix(combo), seed=cfg.seed,
+                               birch_branching=cfg.birch_branching,
+                               birch_threshold=cfg.birch_threshold,
+                               spectral_sigma=cfg.spectral_sigma)
+        except AmsDetectError as exc:
+            out[i] = str(exc)
+    for idx in gmm_lanes.values():
+        lanes, mats = [], []
+        for i in idx:
+            try:
+                mats.append(jobs[i][0].matrix(jobs[i][1]))
+                lanes.append(i)
+            except AmsDetectError as exc:
+                out[i] = str(exc)
+        if lanes:
+            seeds = [{"seed": jobs[i][0].config.seed} for i in lanes]
+            for i, fit in zip(lanes, _fit_gmm_lanes(mats, seeds)):
+                out[i] = str(fit) if isinstance(fit, FitError) else fit
+    return out
+
+
+def _score(prep: _Prepared, fits: list) -> EvaluationReport:
+    """Refine (when asked), assign and score each combination's fit.
+
+    :raises FitError: every combination failed
+    """
+    config = prep.config
+    n_inst, n_win = prep.feats.shape[:2]
+    n = n_inst // 2
+    labels = np.repeat([0, 1], n)
     rows_out: list[ResultRow] = []
-    for signals, names in combos:
+    for (signals, names), model in zip(prep.combos, fits):
         sig_name = "+".join(signals)
         feat_name = names[0] if len(names) == 1 else "agg"
-        sig_idx = [config.observed_signals.index(s) for s in signals]
-        feat_idx = [config.features.index(f) for f in names]
-        raw = feats[:, :, sig_idx][..., feat_idx].reshape(n_inst * n_win, -1)
+        if isinstance(model, str):
+            rows_out.append(ResultRow(sig_name, feat_name, float("nan"), error=model))
+            continue
         try:
-            mat = as_matrix(NormalizationParams(raw.min(0), raw.max(0)).apply(raw))
-            model = fit_model(config.algorithm, mat, seed=config.seed,
-                              birch_branching=config.birch_branching,
-                              birch_threshold=config.birch_threshold,
-                              spectral_sigma=config.spectral_sigma)
+            mat = prep.matrix((signals, names))
             if config.centroid_select:
                 model = refine_model(model, mat, config.sigma_scope)
             assignments = assign_many(model, mat)
@@ -614,7 +684,7 @@ def evaluate(config: ExperimentConfig) -> EvaluationReport:
                 acc, bad, conf = _best_mapping(labels, (per_inst == 1).any(axis=1),
                                                (per_inst == 0).any(axis=1))
                 rep = latency_report(scan_windows(
-                    per_inst[n:], samples_per_window, sample_period, bad))
+                    per_inst[n:], prep.samples_per_window, prep.sample_period, bad))
                 rows_out.append(ResultRow(sig_name, feat_name, 100.0 * acc,
                                           *conf,
                                           detect_rate=rep["detect_rate"],
@@ -629,6 +699,19 @@ def evaluate(config: ExperimentConfig) -> EvaluationReport:
     report = EvaluationReport(config, n_inst * n_win, rows_out)
     report.best  # raises FitError when every combination failed
     return report
+
+
+def evaluate(config: ExperimentConfig) -> EvaluationReport:
+    """Fit and score each signal/feature combination of one experiment.
+
+    Combinations cover every observed signal per feature, each signal's
+    aggregated feature tuple, and (for multi-signal configs) cross-signal
+    tuples of each feature and of the full aggregate.  A combination's
+    observation is its features concatenated signal-major, feature-minor.
+    Windowed configs score instances: one is anomalous iff any window is.
+    """
+    prep = _prepare(config)
+    return _score(prep, _fit_jobs([(prep, combo) for combo in prep.combos]))
 
 
 def report_to_csv(report: EvaluationReport, path) -> None:
@@ -682,17 +765,36 @@ class SuiteResult:
 
 
 def run_suite(configs: list[ExperimentConfig]) -> SuiteResult:
-    """Evaluate each config; failures are recorded per entry, never fatal."""
+    """Evaluate each config; failures are recorded per entry, never fatal.
+
+    Every entry is simulated first, then all of their combinations are
+    fitted in one ``_fit_jobs`` call, so same-shape GMM fits of different
+    entries share lockstep batches, then each entry is scored; an entry's
+    report is the one ``evaluate`` gives it.  What is held across entries
+    is their raw feature arrays, never their waveforms.
+    """
     if not configs:
         raise ConfigurationError("suite contains no experiments",
                                  config_key="experiments")
-    entries = []
+    prepared: list = []
     for cfg in configs:
         try:
-            entries.append(SuiteEntry(cfg, evaluate(cfg), None))
+            prepared.append(_prepare(cfg))
         except AmsDetectError as exc:
-            entries.append(SuiteEntry(cfg, None, str(exc)))
-    return SuiteResult(entries)
+            prepared.append(str(exc))
+    entries = [p for p in prepared if isinstance(p, _Prepared)]
+    fits = iter(_fit_jobs([(p, combo) for p in entries for combo in p.combos]))
+    out = []
+    for cfg, p in zip(configs, prepared):
+        if isinstance(p, str):
+            out.append(SuiteEntry(cfg, None, p))
+            continue
+        entry_fits = [next(fits) for _ in p.combos]
+        try:
+            out.append(SuiteEntry(cfg, _score(p, entry_fits), None))
+        except AmsDetectError as exc:
+            out.append(SuiteEntry(cfg, None, str(exc)))
+    return SuiteResult(out)
 
 
 def load_config(path) -> ExperimentConfig:

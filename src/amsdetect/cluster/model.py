@@ -332,6 +332,14 @@ def _cluster_id(v, key: str) -> int:
     return v
 
 
+def _list(doc: dict, key: str) -> list | None:
+    """A JSON list entry, or None when absent; anything else is refused."""
+    v = doc.get(key)
+    if v is not None and not isinstance(v, list):
+        raise InputError(f"{key} must be a list, got {v!r}")
+    return v
+
+
 def load_model(path) -> ClusterModel:
     """Read a model file written by save_model.
 
@@ -353,11 +361,11 @@ def load_model(path) -> ClusterModel:
         norm = None
         if doc.get("norm") is not None:
             norm = NormalizationParams(doc["norm"]["mins"], doc["norm"]["maxs"])
-        pairs = None
-        if doc.get("centroid_pairs") is not None:
+        pairs = _list(doc, "centroid_pairs")
+        if pairs is not None:
             from ..centroid import CentroidPair
-            pairs = [CentroidPair(**p) for p in doc["centroid_pairs"]]
-        ids = doc.get("train_assignments")
+            pairs = [CentroidPair(**p) for p in pairs]
+        ids = _list(doc, "train_assignments")
         return ClusterModel(
             algorithm=doc["algorithm"],
             mu_k=_np(doc["mu_k"]),
@@ -366,8 +374,8 @@ def load_model(path) -> ClusterModel:
                if key != "train_assignments"},
             train_assignments=(None if ids is None else np.array(
                 [_cluster_id(v, "train_assignments") for v in ids], dtype=np.int64)),
-            sse_history=list(doc.get("sse_history") or []),
-            loglik_history=list(doc.get("loglik_history") or []),
+            sse_history=_list(doc, "sse_history") or [],
+            loglik_history=_list(doc, "loglik_history") or [],
             feature_names=(tuple(doc["feature_names"]) if doc.get("feature_names")
                            else None),
             norm=norm,

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import platform
 import tracemalloc
@@ -15,6 +16,7 @@ from amsdetect import (ConfigurationError, FitError, InputError, VAR_FLOOR,
                        gmm_log_responsibilities, load_model, save_model)
 from amsdetect.cluster import (CFEntry, ClusterModel, canonical_labels, lloyd,
                                spectral)
+from amsdetect.cluster.gmm import _fit_gmm_lanes
 from amsdetect.cluster.model import (_BLOCK_ELEMS, _lane_sum, _nearest, _sqdist,
                                     _two_distinct_rows)
 from amsdetect.cluster.spectral import spectral_embedding
@@ -553,6 +555,75 @@ def test_fit_gmm_matches_row_major_reference(n, d, kind, seed, explicit):
            model.train_assignments)
     for g, w in zip(got, want):
         assert _same(g, w)
+
+
+def _failing_lane(mat, how):
+    """A lane that raises FitError: all rows equal, or a lost component.
+
+    The second component starts 1e9 away with variance 1e-4, so every
+    responsibility for it underflows to 0.0 in the first E step.
+    """
+    n, d = mat.shape
+    if how == "duplicate":
+        return np.full((n, d), 0.25), {"seed": 0}
+    return mat, {"init_means": [mat.mean(axis=0), np.full(d, 1e9)],
+                 "init_variances": [np.ones(d), np.full(d, 1e-4)],
+                 "init_weights": None}
+
+
+@given(st.integers(4, 40), st.integers(1, 4), _KINDS,
+       st.lists(st.tuples(st.integers(0, 2**16), st.booleans()),
+                min_size=1, max_size=12),
+       st.integers(1, 12), st.sampled_from([None, "duplicate", "lost"]))
+@example(n=40, d=1, kind="wide", lanes=[(s, s % 3 == 0) for s in range(12)],
+         max_iter=6, bad="lost")
+@example(n=30, d=3, kind="blobs", lanes=[(s, s % 2 == 0) for s in range(9)],
+         max_iter=3, bad="duplicate")
+@example(n=8, d=2, kind="grid", lanes=[(s, False) for s in range(5)],
+         max_iter=12, bad=None)
+@settings(max_examples=60, deadline=None)
+def test_gmm_lanes_match_reference_lane_by_lane(n, d, kind, lanes, max_iter, bad):
+    """Same-shape lanes fitted in lockstep equal the row-major reference.
+
+    Small caps make some lanes stop at max_iter (final M step taken) while
+    others converge; a failing lane yields the FitError its one-lane fit
+    raises and leaves every other lane's bytes unchanged.
+    """
+    mats, inits = [], []
+    for seed, explicit in lanes:
+        mats.append(_matrix(n, d, kind, seed))
+        inits.append(_gmm_init(mats[-1], seed, explicit))
+    if bad is not None:
+        i = lanes[0][0] % len(mats)
+        mats[i], inits[i] = _failing_lane(mats[i], bad)
+    copies = [m.copy() for m in mats]
+    got = _fit_gmm_lanes(mats, inits, max_iter=max_iter)
+    assert all(_same(m, c) for m, c in zip(mats, copies))
+    for mat, init, fit in zip(mats, inits, got):
+        try:
+            want = fit_gmm_reference(mat, max_iter=max_iter, **init)
+        except FitError:
+            with pytest.raises(FitError) as lone:
+                fit_gmm(mat, max_iter=max_iter, **init)
+            assert isinstance(fit, FitError) and str(fit) == str(lone.value)
+            continue
+        have = (fit.weights, fit.means, fit.variances, fit.loglik_history,
+                fit.train_assignments)
+        for g, w in zip(have, want):
+            assert _same(g, w)
+
+
+def test_gmm_lane_errors_hold_no_frames():
+    """A failed lane's FitError has no traceback to keep its batch alive."""
+    mats = [np.full((8, 1), 0.25), _matrix(8, 1, "blobs", 0)]
+    gc.collect()
+    gc.disable()
+    try:
+        fits = _fit_gmm_lanes(mats, [{"seed": 0}] * 2)
+        assert isinstance(fits[0], FitError) and fits[0].__traceback__ is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _gmm_params(d, kind, seed):
