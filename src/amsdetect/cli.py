@@ -281,14 +281,11 @@ def _cmd_report(args) -> int:
 
 
 # ------------------------------------------------------------------ parser
+# One function per subcommand adds its parser; ``main`` builds only the one
+# that it runs.
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="amsdetect",
-                     description="Unsupervised anomaly detection harness for "
-                                 "mixed-signal behavioral models.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", parents=[], help="simulate a circuit",
+def _simulate_parser(sub) -> None:
+    p = sub.add_parser("simulate", help="simulate a circuit",
                        description="Simulate the block chain or a single "
                                    "component and write waveform CSVs.")
     p.add_argument("--circuit", default="vref_blocks",
@@ -320,6 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_simulate)
 
+
+def _inject_parser(sub) -> None:
     p = sub.add_parser("inject", help="inject point anomalies into a waveform")
     p.add_argument("--in", dest="infile", required=True, help="waveform CSV")
     p.add_argument("--mode", required=True, choices=["random", "periodic"])
@@ -337,6 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_inject)
 
+
+def _featurize_parser(sub) -> None:
     p = sub.add_parser("featurize", help="extract features from waveforms")
     p.add_argument("--in", dest="infiles", required=True, nargs="+",
                    help="waveform CSVs; one sample each")
@@ -350,6 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="dataset CSV path")
     p.set_defaults(func=_cmd_featurize)
 
+
+def _fit_parser(sub) -> None:
     p = sub.add_parser("fit", help="fit a 2-cluster model to a dataset")
     p.add_argument("--in", dest="infile", required=True, help="dataset CSV")
     p.add_argument("--algorithm", default="gmm",
@@ -365,6 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="model JSON path")
     p.set_defaults(func=_cmd_fit)
 
+
+def _select_centroids_parser(sub) -> None:
     p = sub.add_parser("select-centroids",
                        help="refine a saved model's centroids")
     p.add_argument("--model", required=True, help="model JSON")
@@ -376,6 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="refined model JSON path")
     p.set_defaults(func=_cmd_select_centroids)
 
+
+def _detect_parser(sub) -> None:
     p = sub.add_parser("detect", help="windowed early detection")
     p.add_argument("--model", required=True, help="model JSON")
     p.add_argument("--in", dest="infile", required=True,
@@ -388,6 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="detections CSV path")
     p.set_defaults(func=_cmd_detect)
 
+
+def _experiment_parser(sub) -> None:
     p = sub.add_parser("experiment", help="run one named experiment")
     p.add_argument("--config", default=None, help="experiment config JSON")
     p.add_argument("--experiment", default=None,
@@ -404,21 +413,52 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output directory")
     p.set_defaults(func=_cmd_experiment)
 
+
+def _suite_parser(sub) -> None:
     p = sub.add_parser("suite", help="run a suite of experiments")
     p.add_argument("--config", required=True, help="suite JSON")
     p.add_argument("--out", default=None, help="output directory")
     p.set_defaults(func=_cmd_suite)
 
+
+def _report_parser(sub) -> None:
     p = sub.add_parser("report", help="pretty-print a summary CSV")
     p.add_argument("--in", dest="infile", required=True)
     p.set_defaults(func=_cmd_report)
 
+
+_SUBCOMMANDS = {
+    "simulate": _simulate_parser, "inject": _inject_parser,
+    "featurize": _featurize_parser, "fit": _fit_parser,
+    "select-centroids": _select_centroids_parser, "detect": _detect_parser,
+    "experiment": _experiment_parser, "suite": _suite_parser,
+    "report": _report_parser}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The full parser, or one with only ``command``'s subparser; the usage
+    line still names every subcommand, so usage errors read the same."""
+    parser = _Parser(prog="amsdetect",
+                     description="Unsupervised anomaly detection harness for "
+                                 "mixed-signal behavioral models.")
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{%s}" % ",".join(_SUBCOMMANDS))
+    for name, add in _SUBCOMMANDS.items():
+        if command in (None, name):
+            add(sub)
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse with only the subcommand ``argv[0]`` names; help, an unknown
+    command or no arguments get the full tree."""
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    return build_parser(command).parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except AmsDetectError as exc:

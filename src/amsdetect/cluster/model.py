@@ -376,8 +376,7 @@ def load_model(path) -> ClusterModel:
                 [_cluster_id(v, "train_assignments") for v in ids], dtype=np.int64)),
             sse_history=_list(doc, "sse_history") or [],
             loglik_history=_list(doc, "loglik_history") or [],
-            feature_names=(tuple(doc["feature_names"]) if doc.get("feature_names")
-                           else None),
+            feature_names=tuple(_list(doc, "feature_names") or ()) or None,
             norm=norm,
             centroid_pairs=pairs,
             anomalous_cluster=_cluster_id(doc.get("anomalous_cluster", 1),

@@ -37,6 +37,7 @@ Implementation notes:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
@@ -96,8 +97,9 @@ class Waveform:
         if self.samples.ndim != 1 or self.samples.size == 0:
             raise InputError("waveform samples must be a non-empty 1-D array")
         _check_finite(self.samples)
-        if not (isinstance(self.sample_period, (int, float)) and self.sample_period > 0):
-            raise InputError("sample_period must be > 0")
+        if not (isinstance(self.sample_period, (int, float))
+                and 0 < self.sample_period < math.inf):
+            raise InputError("sample_period must be finite and > 0")
         self.sample_period = float(self.sample_period)
 
     def __len__(self) -> int:
@@ -692,23 +694,45 @@ def default_vref_component_model() -> OpampModel:
 _CSV_ROWS = 4096
 
 
+@functools.lru_cache(maxsize=4)
+def _row_template(start: int, stop: int, dt: float) -> str:
+    """Rows ``start..stop-1``: the formatted time, then a ``%.12e`` value slot."""
+    return "".join([f"{i * dt:.12e},%.12e\n" for i in range(start, stop)])
+
+
 def waveform_to_csv(w: Waveform, path) -> None:
     """Write a ``t,value`` header, then one ``t_i,x_i`` row per sample.
 
     Both columns are ``%.12e``: 13 significant digits, which do not
     round-trip every float64, so reading a file back can move a sample by
     up to half a unit in its 13th digit.  ``t_i = i * sample_period``.
-    Each block of ``_CSV_ROWS`` rows is formatted in one call.
+    Each block of ``_CSV_ROWS`` rows is one ``%`` call on a memoized
+    template of its time column, which the taps of one simulation share.
     """
     n, dt = len(w), w.sample_period
     with open(path, "w") as fh:
         fh.write("t,value\n")
         for start in range(0, n, _CSV_ROWS):
             stop = min(start + _CSV_ROWS, n)
-            cells = [None] * (2 * (stop - start))
-            cells[0::2] = [i * dt for i in range(start, stop)]
-            cells[1::2] = w.samples[start:stop].tolist()
-            fh.write(("%.12e,%.12e\n" * (stop - start)) % tuple(cells))
+            fh.write(_row_template(start, stop, dt)
+                     % tuple(w.samples[start:stop].tolist()))
+
+
+# every byte but "," and "\n", which UTF-8 uses for no other character
+_NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b",\n")))
+
+
+def _bulk_columns(body: str) -> tuple[list, list] | None:
+    """Both columns of a body whose every line is ``<cell>,<cell>``, or None."""
+    text = body.rstrip("\n")   # trailing blank lines are skipped anyway
+    seps = text.encode().translate(None, _NOT_SEPARATORS)
+    if seps != b",\n" * (len(seps) // 2) + b",":
+        return None
+    cells = text.replace("\n", ",").split(",")
+    try:
+        return list(map(float, cells[0::2])), list(map(float, cells[1::2]))
+    except ValueError:
+        return None
 
 
 def waveform_from_csv(path, name: str = "") -> Waveform:
@@ -719,7 +743,9 @@ def waveform_from_csv(path, name: str = "") -> Waveform:
     lines are skipped; ``\\r\\n`` or ``\\r`` line ends and a missing final
     newline are accepted.  A cell is any text Python's ``float()`` takes
     (``nan``, ``1_0`` and ``inf`` included; non-finite times and values are
-    then rejected).  The sample period is ``t_1 - t_0``.
+    then rejected).  The sample period is ``t_1 - t_0``.  A body whose
+    separators run exactly ``,\\n,\\n...`` is converted in bulk; any other
+    goes through a line-by-line loop, which names the first bad line.
 
     :raises InputError: the file does not decode as text; the header is
         not ``t,value``; a non-blank line is not two comma-separated numbers
@@ -732,17 +758,18 @@ def waveform_from_csv(path, name: str = "") -> Waveform:
     header = header.strip()
     if header != "t,value":
         raise InputError(f"{path}: expected header 't,value', got {header!r}")
-    t, v = [], []
-    try:
-        for line in body.split("\n"):
-            line = line.strip()
-            if not line:
-                continue
-            a, b = line.split(",")
-            t.append(float(a))
-            v.append(float(b))
-    except ValueError:
-        raise InputError(f"{path}: expected 't,value' numbers, got {line!r}") from None
+    t, v = _bulk_columns(body) or ([], [])
+    if not v:   # blank lines, a stray comma or a bad cell: go line by line
+        try:
+            for line in body.split("\n"):
+                line = line.strip()
+                if not line:
+                    continue
+                a, b = line.split(",")
+                t.append(float(a))
+                v.append(float(b))
+        except ValueError:
+            raise InputError(f"{path}: expected 't,value' numbers, got {line!r}") from None
     if len(v) < 2:
         raise InputError(f"{path}: need at least 2 samples")
     times = np.array(t)

@@ -11,7 +11,7 @@ import locale
 import pytest
 
 from amsdetect.centroid import refine_model
-from amsdetect.cli import build_parser, main
+from amsdetect.cli import _parse, build_parser, main
 from amsdetect.cluster import as_matrix, load_model
 from amsdetect.earlydetect import detect_windowed, detections_to_csv
 from amsdetect.features import dataset_from_csv, extract_features
@@ -381,7 +381,8 @@ def _spectral(train_rows, train_assignments):
      "anomalous_cluster must hold integer cluster ids, got 1.7"),
     (_set("anomalous_cluster", True),
      "anomalous_cluster must hold integer cluster ids, got True"),
-    (_set("feature_names", 5), "not iterable"),
+    (_set("feature_names", 5), "feature_names must be a list, got 5"),
+    (_set("feature_names", "mean"), "feature_names must be a list, got 'mean'"),
 ])
 @pytest.mark.parametrize("command", ["detect", "select-centroids"])
 def test_bad_model_file_exits_two(tmp_path, capsys, command, edit, message):
@@ -452,3 +453,78 @@ def test_non_finite_float_flags_never_traceback(tmp_path, sweep_inputs,
         argv = [command, *(a.format(**sweep_inputs) for a in base),
                 f"{flag}={value}", "--out", str(out)]
         assert main(argv) in (0, 2), argv
+
+
+# ------------------------------------------------- lazy subcommand parser
+
+_SUBPARSERS = next(a for a in build_parser()._actions
+                   if a.dest == "command").choices
+
+
+def _outcome(parse, argv, capsys):
+    """(exit code or parsed Namespace, stdout, stderr) of ``parse(argv)``."""
+    try:
+        result = parse(argv)
+    except SystemExit as exc:
+        result = exc.code
+    out = capsys.readouterr()
+    return result, out.out, out.err
+
+
+def _required_argv(p):
+    """Values for every required option of subparser ``p``."""
+    argv = []
+    for a in p._actions:
+        if a.required:
+            argv += [a.option_strings[0], str(a.choices[0]) if a.choices else "1"]
+    return argv
+
+
+def _usage_argvs(command):
+    """Argument lists that end in help or a usage error for ``command``."""
+    p = _SUBPARSERS[command]
+    argvs = [[command, "--help"], [command, "-h", "--bogus"],
+             [command, "--bogus"], [command, "extra", *_required_argv(p)]]
+    if _required_argv(p):
+        argvs.append([command])
+    for a in p._actions:
+        if a.choices:
+            argvs.append([command, a.option_strings[0], "zzz"])
+        if a.type in (int, float):
+            argvs.append([command, *_required_argv(p), a.option_strings[0], "abc"])
+    return argvs
+
+
+@pytest.mark.parametrize("command", list(_SUBPARSERS))
+def test_lazy_parser_prints_what_the_full_tree_prints(tmp_path, monkeypatch,
+                                                      capsys, command):
+    """main builds one subparser, yet every usage error and help text, and
+    its exit code, is that of a parse with the full tree."""
+    monkeypatch.chdir(tmp_path)
+    full = build_parser()
+    for argv in _usage_argvs(command):
+        want = _outcome(full.parse_args, argv, capsys)
+        assert want[0] in (0, 1), argv
+        assert _outcome(main, argv, capsys) == want, argv
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["frobnicate"], [],
+                                  ["--bogus"], ["sim"]])
+def test_top_level_help_and_errors_use_the_full_tree(capsys, argv):
+    want = _outcome(build_parser().parse_args, argv, capsys)
+    got = _outcome(main, argv, capsys)
+    assert got == want and got[0] in (0, 1)
+    text = got[1] + got[2]
+    assert all(name in text for name in _SUBPARSERS)
+    if argv == ["frobnicate"]:
+        assert "invalid choice: 'frobnicate'" in got[2]
+
+
+def test_lazy_parser_parses_valid_argv_like_the_full_tree(sweep_inputs, tmp_path):
+    argvs = [[command, *(a.format(**sweep_inputs) for a in base),
+              "--out", str(tmp_path / "out")]
+             for command, bases in BASES.items() for base in bases]
+    argvs += [[command, *_required_argv(p)] for command, p in _SUBPARSERS.items()]
+    for argv in argvs:
+        got, want = _parse(argv), build_parser().parse_args(argv)
+        assert got == want and got.func is want.func, argv

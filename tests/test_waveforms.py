@@ -1,3 +1,5 @@
+import itertools
+import math
 import pathlib
 import tempfile
 import tracemalloc
@@ -14,7 +16,8 @@ from amsdetect import (ConfigurationError, InputError, OpampModel, SweepSpec,
                        simulate_opamp, simulate_vref, waveform_from_csv,
                        waveform_to_csv)
 from amsdetect.waveforms import (_CSV_ROWS, AmplifierStage, _collapse_steps,
-                                 _lowpass_steps, _opamp_transient, _slew_steps,
+                                 _lowpass_steps, _opamp_transient,
+                                 _row_template, _slew_steps,
                                  stage_model, vref_output_block, vref_pll_block,
                                  vref_trig_block)
 from oracles import (collapse_reference, lowpass_reference,
@@ -34,6 +37,18 @@ def test_waveform_rejects_bad_inputs():
         Waveform(np.array([[1.0], [2.0]]), 1e-8)
     with pytest.raises(InputError):
         Waveform(np.array([1.0, 2.0]), 0.0)
+    with pytest.raises(InputError):
+        Waveform(np.array([1.0, 2.0]), math.inf)
+    with pytest.raises(InputError):
+        Waveform(np.array([1.0, 2.0]), math.nan)
+
+
+@pytest.mark.parametrize("period", [math.inf, -math.inf, math.nan, 0.0, -1e-9])
+def test_sample_period_must_be_finite_and_positive(period):
+    """A non-finite period would write a ``nan``/``inf`` time column that
+    the reader then refuses, so the constructor refuses it first."""
+    with pytest.raises(InputError, match="sample_period must be finite and > 0"):
+        Waveform(np.zeros(3), period)
 
 
 def test_waveform_times_and_duration():
@@ -325,6 +340,34 @@ def test_writer_blocks_join_seamlessly(tmp_path, n):
     waveform_to_csv(w, tmp_path / "got.csv")
     waveform_to_csv_reference(w, tmp_path / "want.csv")
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_writer_memo_keeps_interleaved_axes_apart(tmp_path):
+    """Writes that alternate lengths and periods, so that the time-column
+    memo both evicts and hits, each match the per-sample reference."""
+    lengths = [_CSV_ROWS - 1, _CSV_ROWS + 1, 2 * _CSV_ROWS + 3, 7, _CSV_ROWS]
+    periods = [1e-7, 2.5e-9, 1.0 / 3.0]
+    combos = list(zip(itertools.islice(itertools.cycle(lengths), 15),
+                      itertools.islice(itertools.cycle(periods), 15)))
+    rng = np.random.default_rng(12)
+    hits = _row_template.cache_info().hits
+    for n, period in combos + combos[::-1] + combos[:3]:
+        w = Waveform(rng.normal(0.0, 1.0, n), period)
+        waveform_to_csv(w, tmp_path / "got.csv")
+        waveform_to_csv_reference(w, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        info = _row_template.cache_info()
+        assert info.currsize <= info.maxsize <= 4
+    assert _row_template.cache_info().hits > hits
+
+
+def test_taps_of_one_simulation_share_one_time_column(tmp_path):
+    sig = simulate_vref(VrefConfig(), 1500, 20e-6)
+    _row_template.cache_clear()
+    for name, wave in sig.as_dict().items():
+        waveform_to_csv(wave, tmp_path / f"{name}.csv")
+    info = _row_template.cache_info()
+    assert (info.misses, info.hits) == (1, len(sig.as_dict()) - 1)
 
 
 def test_writer_memory_does_not_grow_with_length(tmp_path):
