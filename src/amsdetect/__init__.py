@@ -13,13 +13,13 @@ from .errors import (AmsDetectError, ConfigurationError, DegenerateDataError,
 from .waveforms import (AmplifierStage, KStageAmplifier, OpampModel,
                         SweepSpec, VrefBlockSignals, VrefConfig, Waveform,
                         build_kstage, default_vref_component_model,
-                        simulate_kstage, simulate_opamp, simulate_vref,
-                        waveform_from_csv, waveform_to_csv)
+                        simulate_opamp, simulate_vref, waveform_from_csv,
+                        waveform_to_csv)
 from .inject import (TEMP_RANGE, AnomalySpec, ComponentFault, FaultKind,
                      InjectionLocation, InjectionRecord, PointPeriodic,
                      PointRandom, apply_anomaly_spec, apply_component_fault,
-                     inject_multipoint, inject_point_periodic,
-                     inject_point_random, record_to_csv)
+                     inject_point_periodic, inject_point_random,
+                     record_to_csv)
 from .features import (FEATURE_NAMES, FeatureRow, NormalizationParams,
                        dataset_from_csv, dataset_to_csv, extract_features,
                        labels_array, normalize_dataset, windowed_features)

@@ -392,7 +392,7 @@ def _block_features(config: ExperimentConfig, feats: np.ndarray) -> tuple[int, f
             vcfg, _input_rows(vcfg, config.n_samples, dt,
                               [_child_seed(config.seed, label, idx, 0) for label, idx in ids]),
             dt, [_block_specs(config, label, idx) for label, idx in ids],
-            with_output=False)[0]
+            with_output=False)
         for j, s in enumerate(observed):
             if s != "output":
                 feats[c, :, j] = _windowed_rows(signals[s], k, config.features)
@@ -822,13 +822,19 @@ def load_suite(path) -> list[ExperimentConfig]:
     elif isinstance(data, dict):
         defaults = data.get("defaults", {})
         entries = data.get("experiments")
-        if entries is None:
+        if not isinstance(defaults, dict):
+            raise ConfigurationError(f"{path}: suite 'defaults' must be an object",
+                                     config_key="defaults")
+        if not isinstance(entries, list):
             raise ConfigurationError(f"{path}: suite needs an 'experiments' list",
                                      config_key="experiments")
     else:
         raise ConfigurationError(f"{path}: expected a JSON object or list")
     if not entries:
         raise ConfigurationError(f"{path}: suite contains no experiments",
+                                 config_key="experiments")
+    if not all(isinstance(entry, dict) for entry in entries):
+        raise ConfigurationError(f"{path}: every suite entry must be an object",
                                  config_key="experiments")
     return [ExperimentConfig.from_dict({**defaults, **entry}) for entry in entries]
 

@@ -181,6 +181,9 @@ def _cmd_detect(args) -> int:
     results = []
     for sample_id, srows in by_sample.items():
         srows.sort(key=lambda r: r.window_index)
+        if [r.window_index for r in srows] != list(range(len(srows))):
+            raise InputError(f"{args.infile}: sample {sample_id!r} needs window "
+                             f"indices 0..{len(srows) - 1}, each once")
         mat = np.stack([r.values for r in srows])
         if model.norm is not None:
             mat = model.norm.apply(mat)

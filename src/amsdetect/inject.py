@@ -9,8 +9,9 @@ Two families are supported:
 * component faults expressed as transformations of a behavioral opamp model
   (output-stage degradation, parametric temperature excursion, open/short).
 
-Multipoint injection perturbs chosen blocks of a reference-chain simulation
-and re-runs every downstream block so the anomalies propagate.
+Block-level injection walks the reference chain once and stamps each
+block's anomalies on its output before the next block runs, so every
+anomaly propagates through the blocks downstream of it.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigurationError, InjectionError, InputError
-from .waveforms import (OpampModel, VrefBlockSignals, VrefConfig, Waveform,
-                        _check_finite, _lowpass_steps, _output_drive,
-                        _pll_rows, _trig_rows)
+from .waveforms import (OpampModel, VrefConfig, Waveform, _check_finite,
+                        _lowpass_steps, _output_drive, _pll_rows, _trig_rows)
 # Unused here; perfbench/test_perfbench.py checks its tracer at this binding.
 from .waveforms import vref_output_block  # noqa: F401
 
@@ -38,7 +38,6 @@ __all__ = [
     "ComponentFault",
     "inject_point_random",
     "inject_point_periodic",
-    "inject_multipoint",
     "apply_anomaly_spec",
     "apply_component_fault",
     "record_to_csv",
@@ -202,92 +201,44 @@ def apply_anomaly_spec(w: Waveform, spec: AnomalySpec) -> tuple[Waveform, Inject
 
 
 def _walk_chain(cfg: VrefConfig, inp: np.ndarray, sample_period: float,
-                specs: list[list[AnomalySpec]],
-                upstream: dict[str, np.ndarray] | None = None,
-                with_output: bool = True
-                ) -> tuple[dict[str, np.ndarray | None], list[InjectionRecord]]:
+                specs: list[list[AnomalySpec]], with_output: bool = True
+                ) -> dict[str, np.ndarray | None]:
     """One walk down the chain for a chunk of instances: input -> PLL -> trig -> output.
 
     ``inp`` holds one instance's input samples per row; ``specs`` holds one
     list of specs per row.  The specs located at a block are stamped, in
-    order, on a copy of that block's output signal before the next block
-    runs.  While no spec has been stamped yet, each block's signals are
-    taken from ``upstream`` (blocks are pure, so re-running them would
-    reproduce those signals) and returned as the same arrays; without
-    ``upstream`` every block runs.  Every signal must be finite, as every
-    Waveform must be.  The output stage runs only when ``with_output`` is
-    true; otherwise ``output`` is None.
+    order and in place, on that block's output signal before the next block
+    runs, so thresholds and amplitudes are relative to the signal as it
+    stands at that block.  Every signal must be finite, as every Waveform
+    must be.  The output stage runs only when ``with_output`` is true;
+    otherwise ``output`` is None.
 
-    :returns: (signal name -> (rows, n_samples) array, records in block
-        order, row order within a block)
+    :returns: signal name -> (rows, n_samples) array
     """
-    records: list[InjectionRecord] = []
-
-    def located(loc: InjectionLocation) -> bool:
-        return any(sp.location is loc for row_specs in specs for sp in row_specs)
-
-    def stamp(x: np.ndarray, loc: InjectionLocation) -> np.ndarray:
-        if not located(loc):
-            return x
-        x = x.copy()
+    def stamp(x: np.ndarray, loc: InjectionLocation) -> None:
         for row, row_specs in zip(x, specs):
             for sp in row_specs:
                 if sp.location is loc:
-                    w, rec = apply_anomaly_spec(Waveform(row, sample_period), sp)
+                    w, _ = apply_anomaly_spec(Waveform(row, sample_period), sp)
                     row[:] = w.samples
-                    records.append(rec)
-        return x
 
     _check_finite(inp)
-    inp = stamp(inp, InjectionLocation.INPUT_A)
-    rerun = upstream is None or located(InjectionLocation.INPUT_A)
-    if rerun:
-        f_trace, intensity = _pll_rows(inp, sample_period, cfg)
-        _check_finite(f_trace)
-        _check_finite(intensity)
-    else:
-        f_trace, intensity = upstream["pll_frequency"], upstream["pll_intensity"]
-    intensity = stamp(intensity, InjectionLocation.PLL_B)
-    rerun = rerun or located(InjectionLocation.PLL_B)
-    if rerun:
-        trig = _trig_rows(intensity, cfg)
-        _check_finite(trig)
-    else:
-        trig = upstream["trig"]
-    trig = stamp(trig, InjectionLocation.TRIG_C)
-    rerun = rerun or located(InjectionLocation.TRIG_C)
+    stamp(inp, InjectionLocation.INPUT_A)
+    f_trace, intensity = _pll_rows(inp, sample_period, cfg)
+    _check_finite(f_trace)
+    _check_finite(intensity)
+    stamp(intensity, InjectionLocation.PLL_B)
+    trig = _trig_rows(intensity, cfg)
+    _check_finite(trig)
+    stamp(trig, InjectionLocation.TRIG_C)
     out = None
-    if with_output and not rerun:
-        out = upstream["output"]
-    elif with_output:
+    if with_output:
         buf = np.ascontiguousarray(_output_drive(trig, cfg).T)
         _lowpass_steps(buf, sample_period / cfg.output_tau)
         out = buf.T
         _check_finite(out)
     return {"input": inp, "pll_frequency": f_trace, "pll_intensity": intensity,
-            "trig": trig, "output": out}, records
-
-
-def inject_multipoint(signals: VrefBlockSignals, specs: list[AnomalySpec]
-                      ) -> tuple[VrefBlockSignals, list[InjectionRecord]]:
-    """Inject anomalies at one or more blocks and propagate downstream.
-
-    Specs are applied in block order (input, then PLL, then trig); after each
-    perturbed block, every block downstream of it is re-simulated from the
-    perturbed signal.  Injection thresholds and amplitudes are relative to the
-    signal as it stands at that block just before the local injection.
-    """
-    if not specs:
-        raise InjectionError("inject_multipoint needs at least one spec")
-    dt = signals.input.sample_period
-    waves = signals.as_dict()
-    upstream = {name: w.samples[None] for name, w in waves.items()}
-    out, records = _walk_chain(signals.config, upstream["input"], dt, [specs],
-                               upstream)
-    return VrefBlockSignals(**{name: waves[name] if x is upstream[name]
-                               else Waveform(x[0], dt, name)
-                               for name, x in out.items()},
-                            config=signals.config), records
+            "trig": trig, "output": out}
 
 
 class FaultKind(Enum):

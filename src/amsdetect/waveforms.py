@@ -6,8 +6,9 @@ Implementation notes:
   simulation.  The voltage-reference chain is four blocks wired in series --
   input source -> PLL -> trig-function shaper -> low-pass output stage -- and
   each block is a pure function of its predecessor's samples plus its own
-  parameters.  That purity is load-bearing: anomaly injection re-runs the
-  downstream blocks on a perturbed signal to propagate faults.
+  parameters.  Block-level anomaly injection stamps a block's output before
+  the next block runs, so the anomaly propagates downstream
+  (``inject._walk_chain``).
 * The input sinusoid is peak-calibrated: the raw sample grid rarely hits the
   analytic peak of sin(), so the samples are rescaled to make max(|input|)
   equal the configured amplitude exactly (injection magnitudes are expressed
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -58,11 +59,7 @@ __all__ = [
     "simulate_opamp",
     "sine_stimulus",
     "build_kstage",
-    "simulate_kstage",
     "stage_model",
-    "vref_input_block",
-    "vref_pll_block",
-    "vref_trig_block",
     "vref_output_block",
     "default_vref_component_model",
     "waveform_to_csv",
@@ -101,6 +98,8 @@ class Waveform:
                 and 0 < self.sample_period < math.inf):
             raise InputError("sample_period must be finite and > 0")
         self.sample_period = float(self.sample_period)
+        if (self.samples.size - 1) * self.sample_period == math.inf:
+            raise InputError("time axis overflows: (n - 1) * sample_period is inf")
 
     def __len__(self) -> int:
         return int(self.samples.size)
@@ -168,18 +167,13 @@ class VrefConfig:
 
 @dataclass
 class VrefBlockSignals:
-    """The five aligned waveforms produced by one reference-chain simulation.
-
-    ``config`` records the generating parameters so downstream blocks can be
-    re-simulated after in-place signal perturbation.
-    """
+    """The five aligned waveforms produced by one reference-chain simulation."""
 
     input: Waveform
     pll_frequency: Waveform
     pll_intensity: Waveform
     trig: Waveform
     output: Waveform
-    config: VrefConfig = field(default_factory=VrefConfig)
 
     def __post_init__(self):
         n = len(self.input)
@@ -222,16 +216,14 @@ def _input_rows(config: VrefConfig, n_samples: int, sample_period: float,
     return rows
 
 
-def vref_input_block(config: VrefConfig, n_samples: int, sample_period: float,
-                     seed: int | None = 0) -> Waveform:
-    """Input source: calibrated sinusoid plus optional Gaussian noise."""
-    return Waveform(_input_rows(config, n_samples, sample_period, [seed])[0],
-                    sample_period, "input")
-
-
 def _pll_rows(x: np.ndarray, sample_period: float, config: VrefConfig
               ) -> tuple[np.ndarray, np.ndarray]:
-    """PLL frequency trace and intensity of each row of input samples."""
+    """PLL frequency trace and intensity of each row of input samples.
+
+    Modeled at lock: a first-order transient ramps the VCO to multiplier*f_in,
+    and the input's deviation from the nominal carrier pushes the frequency
+    through pll_deviation_gain (zero on a clean noiseless input).
+    """
     n = x.shape[-1]
     t = np.arange(n) * sample_period
     lock = 1.0 - np.exp(-t / config.pll_lock_tau)
@@ -247,32 +239,10 @@ def _pll_rows(x: np.ndarray, sample_period: float, config: VrefConfig
     return f_inst, np.sin(phase, out=phase)
 
 
-def vref_pll_block(inp: Waveform, config: VrefConfig) -> tuple[Waveform, Waveform]:
-    """PLL block: returns (frequency trace, intensity waveform).
-
-    The loop is modeled at lock: a first-order transient ramps the VCO to
-    multiplier*f_in, and deviation of the observed input from the nominal
-    carrier pushes the instantaneous frequency through pll_deviation_gain.
-    On a clean noiseless input the deviation is identically zero, so the
-    frequency trace is constant after lock and the intensity is a
-    unit-amplitude sinusoid.
-    """
-    dt = inp.sample_period
-    f_inst, intensity = _pll_rows(inp.samples, dt, config)
-    return (Waveform(f_inst, dt, "pll_frequency"),
-            Waveform(intensity, dt, "pll_intensity"))
-
-
 def _trig_rows(intensity: np.ndarray, config: VrefConfig) -> np.ndarray:
     """sin(trig_gain * pi * intensity), in one new array."""
     out = np.multiply(intensity, config.trig_gain * math.pi)
     return np.sin(out, out=out)
-
-
-def vref_trig_block(intensity: Waveform, config: VrefConfig) -> Waveform:
-    """Trig shaper: sin() of the phase encoded by the PLL intensity samples."""
-    return Waveform(_trig_rows(intensity.samples, config),
-                    intensity.sample_period, "trig")
 
 
 def _output_drive(trig: np.ndarray, config: VrefConfig,
@@ -412,10 +382,10 @@ def simulate_vref(config: VrefConfig, n_samples: int = 1500,
         raise ConfigurationError("duration must be > 0", config_key="duration")
     from .inject import _walk_chain  # late import: inject depends on this module
     dt = duration / n_samples
-    signals, _ = _walk_chain(config, _input_rows(config, n_samples, dt, [seed]),
-                             dt, [[]])
+    signals = _walk_chain(config, _input_rows(config, n_samples, dt, [seed]),
+                          dt, [[]])
     return VrefBlockSignals(**{name: Waveform(x[0], dt, name)
-                               for name, x in signals.items()}, config=config)
+                               for name, x in signals.items()})
 
 
 @dataclass
@@ -673,13 +643,6 @@ def build_kstage(base: OpampModel, k: int, gains: list[float],
     stages = [AmplifierStage(faulted if i in anomalous else base, float(g))
               for i, g in enumerate(gains)]
     return KStageAmplifier(stages, anomalous)
-
-
-def simulate_kstage(amp: KStageAmplifier, stimulus: Waveform) -> Waveform:
-    """Transient-simulate the stage chain; each stage feeds the next."""
-    out = _simulate_columns([[stage_model(st) for st in amp.stages]],
-                            "transient", stimulus)[:, 0]
-    return stimulus.copy_with(out, "output")
 
 
 def default_vref_component_model() -> OpampModel:

@@ -10,10 +10,13 @@ cluster and feature axes, ``np.argmin``/``np.argmax`` and ``np.average``),
 and the time recursions (the simulator's original loops over numpy
 scalars).  Only the per-instance builders and the CSV references
 at the end use amsdetect.  The builders rebuild ``generate_features`` one
-instance at a time through the package's single-instance functions, whose
-width-1 loops the recursion references above pin.  The CSV references are
-the one-row-at-a-time waveform writer and reader whose bytes, results and
-error messages the bulk versions must reproduce.
+instance at a time: the reference chain block by block from the
+package's elementwise PLL and trig blocks, its single-waveform injection
+and the output-stage reference above; a k-stage chain from the transient
+reference above, stage by stage; a single opamp through
+``simulate_opamp``, whose width-1 loops those references pin.  The CSV
+references are the one-row-at-a-time waveform writer and reader whose
+bytes, results and error messages the bulk versions must reproduce.
 """
 
 from __future__ import annotations
@@ -28,11 +31,12 @@ from amsdetect.bench import FAULT_EXPERIMENTS, _block_specs, _child_seed
 from amsdetect.cluster import canonical_labels
 from amsdetect.errors import FitError, InputError
 from amsdetect.features import windowed_features
-from amsdetect.inject import ComponentFault, apply_component_fault, inject_multipoint
+from amsdetect.inject import (ComponentFault, InjectionLocation,
+                              apply_anomaly_spec, apply_component_fault)
 from amsdetect.waveforms import (OpampModel, SweepSpec, VrefConfig, Waveform,
-                                 build_kstage, default_vref_component_model,
-                                 simulate_kstage, simulate_opamp, simulate_vref,
-                                 sine_stimulus)
+                                 _input_rows, _pll_rows, _trig_rows, build_kstage,
+                                 default_vref_component_model, simulate_opamp,
+                                 sine_stimulus, stage_model)
 
 
 def exhaustive_two_means(points):
@@ -392,6 +396,42 @@ def output_stage_reference(trig, dt, config):
     return lowpass_reference(drive, dt / config.output_tau)
 
 
+def kstage_reference(amp, stimulus):
+    """Transient output of a k-stage amplifier: each stage feeds the next."""
+    samples = stimulus.samples
+    for stage in amp.stages:
+        samples = opamp_transient_reference(stage_model(stage), samples,
+                                            stimulus.sample_period)
+    return samples
+
+
+def multipoint_reference(config, inp, specs):
+    """One instance of the reference chain walked block by block.
+
+    ``inp`` is the input Waveform.  Each block runs on its predecessor's
+    signal as it stands after the specs located there were applied, in list
+    order; so a spec's threshold and amplitude are relative to the signal at
+    its block, upstream anomalies included.
+
+    :returns: signal name -> Waveform
+    """
+    def inject(w, loc):
+        for spec in specs:
+            if spec.location is loc:
+                w = apply_anomaly_spec(w, spec)[0]
+        return w
+
+    dt = inp.sample_period
+    inp = inject(inp, InjectionLocation.INPUT_A)
+    freq, intensity = _pll_rows(inp.samples, dt, config)
+    intensity = inject(Waveform(intensity, dt), InjectionLocation.PLL_B)
+    trig = inject(Waveform(_trig_rows(intensity.samples, config), dt),
+                  InjectionLocation.TRIG_C)
+    return {"input": inp, "pll_frequency": Waveform(freq, dt),
+            "pll_intensity": intensity, "trig": trig,
+            "output": Waveform(output_stage_reference(trig.samples, dt, config), dt)}
+
+
 def _jittered(base, rng, config):
     gain = base.open_loop_gain * max(0.05, 1.0 + rng.normal(0.0, config.jitter_gain))
     offset = base.offset + rng.normal(0.0, config.jitter_offset)
@@ -409,14 +449,12 @@ def _noisy(out, rng, config):
 
 
 def block_signals_reference(config, label, idx):
-    """One reference-chain instance: simulate_vref, then inject_multipoint."""
+    """One reference-chain instance, its experiment's specs walked down the chain."""
     vcfg = VrefConfig(**{"noise_std": config.noise_std, **config.vref_params})
-    signals = simulate_vref(vcfg, config.n_samples, config.duration,
-                            _child_seed(config.seed, label, idx, 0))
-    specs = _block_specs(config, label, idx)
-    if specs:
-        signals, _ = inject_multipoint(signals, specs)
-    return signals.as_dict()
+    dt = config.duration / config.n_samples
+    seed = _child_seed(config.seed, label, idx, 0)
+    inp = Waveform(_input_rows(vcfg, config.n_samples, dt, [seed])[0], dt)
+    return multipoint_reference(vcfg, inp, _block_specs(config, label, idx))
 
 
 def component_signals_reference(config, label, idx):
@@ -456,7 +494,8 @@ def kstage_signals_reference(config, label, idx):
                            ComponentFault.from_name(config.kstage_fault, temp))
     else:
         amp = build_kstage(base, config.kstage_k, gains)
-    return _noisy(simulate_kstage(amp, _stimulus(config)), rng, config)
+    stim = _stimulus(config)
+    return _noisy(stim.copy_with(kstage_reference(amp, stim), "output"), rng, config)
 
 
 def features_reference(config):

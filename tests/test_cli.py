@@ -287,6 +287,36 @@ def test_bad_suite_entry_exits_two(tmp_path, capsys):
             {"experiment": "IA", "n_samples_per_class": 10}, bad]}))
         assert main(["suite", "--config", str(cfg)]) == 2
         assert key in capsys.readouterr().err
+    # defaults that are not an object, entries that are not a list of objects
+    for doc, key in [
+            ({"defaults": [1], "experiments": [{"experiment": "IA"}]}, "defaults"),
+            ({"experiments": [1]}, "experiments"),
+            ({"experiments": [{"experiment": "IA"}, "PA"]}, "experiments"),
+            ({"experiments": {"experiment": "IA"}}, "experiments"),
+            ({"experiments": "IA"}, "experiments"),
+            ([[{"experiment": "IA"}]], "experiments")]:
+        cfg.write_text(json.dumps(doc))
+        assert main(["suite", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("amsdetect: error: ") and key in err, doc
+
+
+@pytest.mark.parametrize("windows", [[0, 5], [0, 0], [1, 2], [0, 1, 1]])
+def test_detect_refuses_windows_other_than_0_to_k_minus_1(tmp_path, capsys, windows):
+    """A sample's windows are scanned in time order, so a gap or a repeat
+    would renumber them; detect refuses the sample instead."""
+    train, model = tmp_path / "train.csv", tmp_path / "km.json"
+    train.write_text("sample_id,label,window_index,mean\n" + "".join(
+        f"s{i},{i // 5},0,{0.1 * i + 0.05 * (i // 5)}\n" for i in range(10)))
+    assert main(["fit", "--in", str(train), "--out", str(model)]) == 0
+    data = tmp_path / "data.csv"
+    data.write_text("sample_id,label,window_index,mean\nok,0,0,0.1\n" + "".join(
+        f"bad,1,{w},0.9\n" for w in windows))
+    capsys.readouterr()
+    assert main(["detect", "--model", str(model), "--in", str(data),
+                 "--samples-per-window", "10", "--sample-period", "1e-7"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("amsdetect: error: ") and "sample 'bad'" in err
 
 
 def test_experiment_needs_a_name(capsys):

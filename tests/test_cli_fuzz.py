@@ -146,9 +146,8 @@ def test_fuzzed_config_documents_exit_two(tmp_path, capsys, cut, top, command):
                 json.dumps({"experiments": [{"seed": 1}]})):
         path.write_text(doc)
         _exits_two(capsys, [command, "--config", str(path)])
-    if command == "experiment" or not isinstance(top, list):
-        path.write_text(json.dumps(top))
-        _exits_two(capsys, [command, "--config", str(path)])
+    path.write_text(json.dumps(top))
+    _exits_two(capsys, [command, "--config", str(path)])
 
 
 # ------------------------------------------------------------ dataset CSV

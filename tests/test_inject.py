@@ -5,10 +5,11 @@ from amsdetect import (AnomalySpec, ComponentFault, ConfigurationError,
                        FaultKind, InjectionError, InjectionLocation,
                        OpampModel, PointPeriodic, PointRandom, VrefConfig,
                        Waveform, apply_anomaly_spec, apply_component_fault,
-                       inject_multipoint, inject_point_periodic,
-                       inject_point_random, record_to_csv, simulate_vref)
+                       inject_point_periodic, inject_point_random,
+                       record_to_csv, simulate_vref)
 from amsdetect.cli import main
-from amsdetect.inject import _count_half_up
+from amsdetect.inject import _count_half_up, _walk_chain
+from oracles import multipoint_reference
 
 
 def _sine(n=1500, amp=1.0):
@@ -95,44 +96,52 @@ def test_periodic_injection_errors():
         PointPeriodic(threshold_frac=0.9, delta_frac=0.0)
 
 
-def test_multipoint_propagates_downstream():
+def _walk(specs, n=1500):
+    """(clean signals, signals walked with ``specs``), the walk checked
+    byte for byte against the block-by-block reference."""
     cfg = VrefConfig()
-    clean = simulate_vref(cfg, 1500, 20e-6)
+    clean = simulate_vref(cfg, n, 20e-6)
+    out = _walk_chain(cfg, clean.input.samples[None].copy(),
+                      clean.input.sample_period, [specs])
+    ref = multipoint_reference(cfg, clean.input, specs)
+    for name, x in out.items():
+        assert x.shape == (1, n)
+        assert x[0].tobytes() == ref[name].samples.tobytes(), name
+    return clean.as_dict(), {name: x[0] for name, x in out.items()}
+
+
+def test_multipoint_propagates_downstream():
     spec = AnomalySpec(PointPeriodic(0.9, 1.0), InjectionLocation.PLL_B)
-    injected, records = inject_multipoint(clean, [spec])
-    assert len(records) == 1
-    assert records[0].location is InjectionLocation.PLL_B
-    # input and frequency reused, intensity perturbed, trig and output
-    # re-simulated
-    assert injected.input is clean.input
-    assert injected.pll_frequency is clean.pll_frequency
-    assert not np.array_equal(injected.pll_intensity.samples,
-                              clean.pll_intensity.samples)
-    assert not np.array_equal(injected.trig.samples, clean.trig.samples)
-    assert not np.array_equal(injected.output.samples, clean.output.samples)
+    clean, injected = _walk([spec])
+    # input and frequency untouched; intensity perturbed, trig and output
+    # simulated from it
+    for name in ("input", "pll_frequency"):
+        assert np.array_equal(injected[name], clean[name].samples)
+    for name in ("pll_intensity", "trig", "output"):
+        assert not np.array_equal(injected[name], clean[name].samples)
 
 
 def test_multipoint_applies_in_block_order():
-    cfg = VrefConfig()
-    clean = simulate_vref(cfg, 1500, 20e-6)
     specs = [
         AnomalySpec(PointPeriodic(0.95, 0.5), InjectionLocation.TRIG_C),
         AnomalySpec(PointRandom(0.5, 2.0, 5.0), InjectionLocation.INPUT_A, seed=4),
     ]
-    injected, records = inject_multipoint(clean, specs)
-    assert [r.location for r in records] == [InjectionLocation.INPUT_A,
-                                             InjectionLocation.TRIG_C]
-    # the trig leg operated on the already re-simulated (input-perturbed) trig
-    resim, _ = inject_multipoint(clean, [specs[1]])
-    trig_before_c = resim.trig
-    pos = records[1].positions
-    assert np.allclose(records[1].original, trig_before_c.samples[pos])
+    _, injected = _walk(specs)
+    # the trig leg operated on the trig simulated from the perturbed input
+    _, input_only = _walk([specs[1]])
+    trig = Waveform(input_only["trig"], 20e-6 / 1500)
+    assert np.array_equal(injected["trig"],
+                          inject_point_periodic(trig, 0.95, 0.5)[0].samples)
 
 
-def test_multipoint_needs_specs():
-    clean = simulate_vref(VrefConfig(), 300, 20e-6)
-    with pytest.raises(InjectionError):
-        inject_multipoint(clean, [])
+def test_multipoint_applies_one_block_in_list_order():
+    specs = [AnomalySpec(PointPeriodic(0.9, 1.0), InjectionLocation.PLL_B),
+             AnomalySpec(PointRandom(1.0, 2.0, 3.0), InjectionLocation.PLL_B, seed=2)]
+    _, injected = _walk(specs)
+    _, first_only = _walk(specs[:1])
+    want = inject_point_random(Waveform(first_only["pll_intensity"], 20e-6 / 1500),
+                               1.0, 2.0, 3.0, seed=2)[0]
+    assert np.array_equal(injected["pll_intensity"], want.samples)
 
 
 def test_apply_anomaly_spec_tags_location():

@@ -6,21 +6,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import event, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from amsdetect import (ConfigurationError, InputError, OpampModel, SweepSpec,
                        VrefConfig, Waveform, build_kstage,
-                       default_vref_component_model, simulate_kstage,
-                       simulate_opamp, simulate_vref, waveform_from_csv,
-                       waveform_to_csv)
+                       default_vref_component_model, simulate_opamp,
+                       simulate_vref, waveform_from_csv, waveform_to_csv)
 from amsdetect.waveforms import (_CSV_ROWS, AmplifierStage, _collapse_steps,
-                                 _lowpass_steps, _opamp_transient,
-                                 _row_template, _slew_steps,
-                                 stage_model, vref_output_block, vref_pll_block,
-                                 vref_trig_block)
-from oracles import (collapse_reference, lowpass_reference,
+                                 _lowpass_steps, _opamp_transient, _pll_rows,
+                                 _row_template, _simulate_columns, _slew_steps,
+                                 _trig_rows, stage_model, vref_output_block)
+from oracles import (collapse_reference, kstage_reference, lowpass_reference,
                      opamp_transient_reference, output_stage_reference,
                      slew_reference, static_transfer_reference,
                      waveform_from_csv_reference, waveform_to_csv_reference)
@@ -49,6 +47,22 @@ def test_sample_period_must_be_finite_and_positive(period):
     the reader then refuses, so the constructor refuses it first."""
     with pytest.raises(InputError, match="sample_period must be finite and > 0"):
         Waveform(np.zeros(3), period)
+
+
+# 7 times this is the largest finite float64: the largest period whose
+# 8-sample time axis stays finite
+_LARGEST_8_SAMPLE_PERIOD = 2.568133049803308e307
+
+
+def test_time_axis_must_stay_finite():
+    """A time axis that overflows would write an ``inf`` time row that the
+    reader then refuses, so the constructor refuses it first."""
+    for n, period in [(3, 1e308),
+                      (8, np.nextafter(_LARGEST_8_SAMPLE_PERIOD, math.inf))]:
+        with pytest.raises(InputError, match="time axis overflows"):
+            Waveform(np.zeros(n), period)
+    assert Waveform(np.zeros(8), _LARGEST_8_SAMPLE_PERIOD).times[-1] < math.inf
+    assert len(Waveform(np.zeros(1), 1e308)) == 1
 
 
 def test_waveform_times_and_duration():
@@ -109,11 +123,11 @@ def test_blocks_are_pure_functions():
     """Re-running a block on the same predecessor reproduces its output."""
     cfg = VrefConfig(noise_std=0.01)
     sig = simulate_vref(cfg, 600, 20e-6, seed=5)
-    f2, i2 = vref_pll_block(sig.input, cfg)
-    assert np.array_equal(f2.samples, sig.pll_frequency.samples)
-    assert np.array_equal(i2.samples, sig.pll_intensity.samples)
-    t2 = vref_trig_block(sig.pll_intensity, cfg)
-    assert np.array_equal(t2.samples, sig.trig.samples)
+    f2, i2 = _pll_rows(sig.input.samples, sig.input.sample_period, cfg)
+    assert np.array_equal(f2, sig.pll_frequency.samples)
+    assert np.array_equal(i2, sig.pll_intensity.samples)
+    t2 = _trig_rows(sig.pll_intensity.samples, cfg)
+    assert np.array_equal(t2, sig.trig.samples)
     o2 = vref_output_block(sig.trig, cfg)
     assert np.array_equal(o2.samples, sig.output.samples)
 
@@ -240,14 +254,20 @@ def test_stage_model_finite_gain_correction():
     assert eff.open_loop_gain == pytest.approx(2.0 * 30.0 / 32.0)
 
 
+def _kstage_column(amp, stim):
+    """The k-stage transient as the experiments run it: one chain, one column."""
+    return _simulate_columns([[stage_model(st) for st in amp.stages]],
+                             "transient", stim)[:, 0]
+
+
 def test_single_stage_equals_direct_simulation():
     base = OpampModel(open_loop_gain=30.0, offset=0.01)
     amp = build_kstage(base, 1, [2.0])
     t = np.arange(200) * 1e-8
     stim = Waveform(0.1 * np.sin(2e6 * np.pi * t), 1e-8)
-    via_chain = simulate_kstage(amp, stim)
     direct = simulate_opamp(stage_model(amp.stages[0]), "transient", stim)
-    assert np.array_equal(via_chain.samples, direct.samples)
+    assert _kstage_column(amp, stim).tobytes() == direct.samples.tobytes()
+    assert kstage_reference(amp, stim).tobytes() == direct.samples.tobytes()
 
 
 def test_kstage_gain_compounds():
@@ -255,8 +275,9 @@ def test_kstage_gain_compounds():
     stim = Waveform(np.full(50, 0.01), 1e-8)
     for k in (1, 2, 3):
         amp = build_kstage(base, k, [2.0] * k)
-        out = simulate_kstage(amp, stim)
-        assert out.samples[-1] == pytest.approx(0.01 * 2.0 ** k, rel=1e-4)
+        out = _kstage_column(amp, stim)
+        assert out.tobytes() == kstage_reference(amp, stim).tobytes()
+        assert out[-1] == pytest.approx(0.01 * 2.0 ** k, rel=1e-4)
 
 
 def test_kstage_fault_applies_to_chosen_stage():
@@ -323,9 +344,10 @@ _EXTREMES = np.array([-0.0, 0.0, 5e-324, -2.2250738585072014e-308,
        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
 @example(_EXTREMES, 2.5e-9)
 @example(_EXTREMES, 5e-324)
-@example(_EXTREMES, 1e308)
+@example(_EXTREMES, _LARGEST_8_SAMPLE_PERIOD)
 @settings(max_examples=200, deadline=None)
 def test_writer_bytes_match_the_per_sample_reference(samples, period):
+    assume((samples.size - 1) * period < math.inf)   # a Waveform refuses the rest
     with tempfile.TemporaryDirectory() as tmp:
         got, want = pathlib.Path(tmp) / "got.csv", pathlib.Path(tmp) / "want.csv"
         waveform_to_csv(Waveform(samples, period), got)
