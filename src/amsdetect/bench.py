@@ -29,6 +29,7 @@ datasets and reports.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -145,6 +146,9 @@ def _type_ok(value, kind: str) -> bool:
                 and all(_type_ok(v, item) for v in value))
     if isinstance(value, bool):
         return kind == "bool"
+    if kind == "float" and isinstance(value, int):
+        # a JSON integer beyond the float range overflows where it is used
+        return abs(value) <= sys.float_info.max
     return isinstance(value, {"int": int, "float": (int, float), "str": str,
                               "bool": bool, "dict": dict}[kind])
 

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
@@ -95,7 +96,7 @@ class Waveform:
             raise InputError("waveform samples must be a non-empty 1-D array")
         _check_finite(self.samples)
         if not (isinstance(self.sample_period, (int, float))
-                and 0 < self.sample_period < math.inf):
+                and 0 < self.sample_period <= sys.float_info.max):
             raise InputError("sample_period must be finite and > 0")
         self.sample_period = float(self.sample_period)
         if (self.samples.size - 1) * self.sample_period == math.inf:
@@ -652,15 +653,100 @@ def default_vref_component_model() -> OpampModel:
                       nominal_temp=25.0)
 
 
-# Rows per format call in waveform_to_csv: a block's cells, format string
-# and text take about 0.6 MB whatever the length of the waveform.
+# Rows per block in waveform_to_csv: formatting a block takes about 1 MB
+# whatever the length of the waveform, and the time-column memo holds at
+# most four blocks of 160 kB.
 _CSV_ROWS = 4096
+
+# _e12_fields lays '%.12e' of a value out in 20 bytes, as words of a
+# uint32/uint16 view: [pad, sign or pad, lead digit, "."], six digit pairs,
+# ["e", exponent sign, exponent digits].  No formatted number holds _PAD.
+_PAD = b"\0"
+_E_LO, _E_HI = -10, 34      # exponents whose scale 10**(12 - e) is an exact double
+_EXPONENTS = range(_E_LO, _E_HI + 2)    # one more for the carry into 10**(e + 1)
+_SCALE_UP = np.array([float(10 ** max(12 - e, 0)) for e in _EXPONENTS])
+_SCALE_DOWN = np.array([float(10 ** max(e - 12, 0)) for e in _EXPONENTS])
+_HEADS = np.frombuffer(b"".join(_PAD + b"%c%d." % (sign, d)
+                                for sign in _PAD + b"-" for d in range(10)), np.uint32)
+_PAIRS = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), np.uint16)
+_TAILS = np.frombuffer(b"".join(b"e%+03d" % e for e in _EXPONENTS), np.uint32)
+_PLACES = np.array([1e12, 1e10, 1e8, 1e6, 1e4, 1e2, 1.0])[:, None]
+
+
+def _e12_fields(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``'%.12e' % x`` of each finite value, as rows of ``_PAD``-padded bytes.
+
+    :returns: a (len(v), 20) uint8 array and a mask of the values whose
+        rows hold placeholder digits instead: those whose scaled mantissa
+        lands on a half or outside [1e12, 1e13), which takes in zero and
+        every |x| outside about 1e-10 to 1e35.  :func:`waveform_to_csv`
+        says why the other rows equal ``%``.
+    """
+    a = np.abs(v)
+    with np.errstate(divide="ignore"):
+        e = np.log10(a)
+    np.floor(e, out=e)
+    np.clip(e, _E_LO, _E_HI, out=e)   # a wrong or clipped e puts s out of range
+    idx = e.astype(np.intp)
+    idx -= _E_LO
+    # s = a * 10**(12 - e), a single rounding of the exact scaled value
+    s = a * _SCALE_UP[idx]
+    s /= _SCALE_DOWN[idx]
+    m = np.floor(s)
+    frac = s - m
+    ok = frac != 0.5
+    ok &= s >= 1e12
+    ok &= s < 1e13
+    m += frac > 0.5
+    carry = m == 1e13
+    m[carry] = 1e12
+    idx += carry
+    m *= ok
+    # floor(m / 10**k) is exact for m < 1e13: row 0 is the lead digit,
+    # rows 1-6 the digit pairs
+    q = m / _PLACES
+    np.floor(q, out=q)
+    q[1:] -= 100.0 * q[:-1]
+    digits = q.astype(np.intp)
+    digits[0] += 10 * (v < 0)
+    fields = np.empty((v.size, 20), np.uint8)
+    fields.view(np.uint32)[:, 0] = _HEADS[digits[0]]
+    fields.view(np.uint16)[:, 2:8] = _PAIRS[digits[1:]].T
+    fields.view(np.uint32)[:, 4] = _TAILS[idx]
+    return fields, ~ok
 
 
 @functools.lru_cache(maxsize=4)
-def _row_template(start: int, stop: int, dt: float) -> str:
-    """Rows ``start..stop-1``: the formatted time, then a ``%.12e`` value slot."""
-    return "".join([f"{i * dt:.12e},%.12e\n" for i in range(start, stop)])
+def _time_rows(start: int, stop: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``start..stop-1`` of a CSV body with an empty value slot.
+
+    :returns: (rows, 39) uint8: the 18-byte time ``t_i = i * dt``, ``,``,
+        19 value bytes, ``\\n``; and the mask of rows whose time
+        :func:`_e12_fields` left unformatted.  Both are read-only.
+    """
+    fields, slow = _e12_fields(np.arange(start, stop) * dt)
+    rows = np.empty((stop - start, 39), np.uint8)
+    rows[:, :18] = fields[:, 2:]     # a time is >= 0: no sign
+    rows[:, 18] = ord(",")
+    rows[:, 38] = ord("\n")
+    rows.flags.writeable = slow.flags.writeable = False
+    return rows, slow
+
+
+def _csv_block(start: int, dt: float, values: np.ndarray) -> bytes:
+    """The CSV rows of samples ``start..start+len(values)-1``."""
+    template, slow_t = _time_rows(start, start + values.size, dt)
+    fields, slow_v = _e12_fields(values)
+    rows = template.copy()
+    rows[:, 19:38] = fields[:, 1:]
+    text = memoryview(rows.reshape(-1))
+    parts, at = [], 0
+    for i in np.flatnonzero(slow_t | slow_v).tolist():
+        parts += [text[at * 39:i * 39],
+                  b"%.12e,%.12e\n" % ((start + i) * dt, values[i])]
+        at = i + 1
+    parts.append(text[at * 39:])
+    return b"".join(parts).replace(_PAD, b"")
 
 
 def waveform_to_csv(w: Waveform, path) -> None:
@@ -669,16 +755,30 @@ def waveform_to_csv(w: Waveform, path) -> None:
     Both columns are ``%.12e``: 13 significant digits, which do not
     round-trip every float64, so reading a file back can move a sample by
     up to half a unit in its 13th digit.  ``t_i = i * sample_period``.
-    Each block of ``_CSV_ROWS`` rows is one ``%`` call on a memoized
-    template of its time column, which the taps of one simulation share.
+
+    The numbers are formatted as arrays, one block of ``_CSV_ROWS`` rows at
+    a time, with the bytes of ``%``, which rounds correctly, ties to even.
+    With e = floor(log10|x|), the 13-digit mantissa is the exact
+    S = |x| * 10**(12 - e) rounded to an integer.  The power of ten is an
+    exact double (|12 - e| <= 22), so the computed s is S after one
+    correctly rounded product or quotient: within half an ulp, at most
+    s * 2**-53, of S.  That rounding is monotone, and 10**12, 10**13 and
+    every n + 1/2 below 10**13 are doubles, so S lies on the same side of
+    each of them that s is not equal to.  Hence when s is not on a half and
+    10**12 <= s < 10**13, round(s) is the mantissa ``%`` prints; a round(s)
+    of 10**13 carries to 10**12 with exponent e + 1.  (An s of exactly
+    10**12 may come from an S just below it, whose mantissa at exponent
+    e - 1 rounds up and carries to the same text.)  Every other row is
+    formatted by ``%`` itself: an s on a half, where S may lie on either
+    side, and |x| outside about 1e-10 to 1e35, zero and three-digit
+    exponents included.  A block's time column is memoized by its rows and
+    sample period, which the taps of one simulation share.
     """
     n, dt = len(w), w.sample_period
-    with open(path, "w") as fh:
-        fh.write("t,value\n")
+    with open(path, "wb") as fh:
+        fh.write(b"t,value\n")
         for start in range(0, n, _CSV_ROWS):
-            stop = min(start + _CSV_ROWS, n)
-            fh.write(_row_template(start, stop, dt)
-                     % tuple(w.samples[start:stop].tolist()))
+            fh.write(_csv_block(start, dt, w.samples[start:start + _CSV_ROWS]))
 
 
 # every byte but "," and "\n", which UTF-8 uses for no other character

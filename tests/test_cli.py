@@ -301,6 +301,24 @@ def test_bad_suite_entry_exits_two(tmp_path, capsys):
         assert err.startswith("amsdetect: error: ") and key in err, doc
 
 
+_HUGE = 10 ** 400   # a JSON integer beyond the float range
+
+
+@pytest.mark.parametrize("entry, key", [
+    ({"experiment": "IA", "duration": _HUGE}, "duration"),
+    ({"experiment": "IA", "noise_std": _HUGE}, "noise_std"),
+    ({"experiment": "OmBoth", "jitter_gain": _HUGE}, "jitter_gain"),
+    ({"experiment": "IA", "vref_params": {"input_amplitude": _HUGE}}, "vref_params"),
+])
+def test_oversized_integer_config_values_exit_two(tmp_path, capsys, entry, key):
+    """Refused by the config check, not by an OverflowError where the value
+    is first used."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_samples_per_class": 10, **entry}))
+    assert main(["experiment", "--config", str(cfg)]) == 2
+    assert f"(config key: {key})" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("windows", [[0, 5], [0, 0], [1, 2], [0, 1, 1]])
 def test_detect_refuses_windows_other_than_0_to_k_minus_1(tmp_path, capsys, windows):
     """A sample's windows are scanned in time order, so a gap or a repeat

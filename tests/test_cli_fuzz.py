@@ -9,13 +9,14 @@ with its traceback.
 
 import json
 import string
+import sys
 from dataclasses import fields
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from amsdetect import ExperimentConfig
+from amsdetect import ExperimentConfig, VrefConfig
 from amsdetect.cli import main
 
 FUZZ = settings(max_examples=60, deadline=None,
@@ -115,9 +116,27 @@ def _unknown_name(draw):
     return {key: [name] if key in ("features", "observed_signals") else name}
 
 
+FLOAT_KEYS = sorted(k for k, kind in FIELDS.items() if kind.startswith("float"))
+VREF_KEYS = sorted(f.name for f in fields(VrefConfig))
+BEYOND_FLOAT = (st.integers(int(sys.float_info.max) + 1, 10**400)
+                | st.integers(-10**400, -int(sys.float_info.max) - 1))
+
+
+@st.composite
+def _oversized_integer(draw):
+    """A float key, or a vref_params entry, given an integer beyond the
+    float range, which JSON writes without loss."""
+    key = draw(st.sampled_from([*FLOAT_KEYS, "vref_params"]))
+    value = draw(BEYOND_FLOAT)
+    if key == "vref_params":
+        return {key: {draw(st.sampled_from(VREF_KEYS)): value}}
+    return {key: value}
+
+
 BAD_CONFIG_EDITS = st.one_of(
     _wrong_type(),
     _unknown_name(),
+    _oversized_integer(),
     st.sampled_from(sorted(OUT_OF_RANGE)).flatmap(
         lambda key: OUT_OF_RANGE[key].map(lambda v: {key: v})),
     st.dictionaries(TOKEN.filter(lambda k: k not in FIELDS), ANY_JSON,
@@ -128,7 +147,8 @@ BAD_CONFIG_EDITS = st.one_of(
 @FUZZ
 @given(edit=BAD_CONFIG_EDITS)
 def test_fuzzed_config_values_exit_two(tmp_path, capsys, edit):
-    """One key of a refused type, out of range, naming nothing, or unknown."""
+    """One key of a refused type, out of range (an integer beyond the float
+    range included), naming nothing, or unknown."""
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**BASE_CONFIG, **edit}))
     _exits_two(capsys, ["experiment", "--config", str(path)])

@@ -15,9 +15,10 @@ from amsdetect import (ConfigurationError, InputError, OpampModel, SweepSpec,
                        default_vref_component_model, simulate_opamp,
                        simulate_vref, waveform_from_csv, waveform_to_csv)
 from amsdetect.waveforms import (_CSV_ROWS, AmplifierStage, _collapse_steps,
-                                 _lowpass_steps, _opamp_transient, _pll_rows,
-                                 _row_template, _simulate_columns, _slew_steps,
-                                 _trig_rows, stage_model, vref_output_block)
+                                 _e12_fields, _lowpass_steps, _opamp_transient,
+                                 _pll_rows, _simulate_columns, _slew_steps,
+                                 _time_rows, _trig_rows, stage_model,
+                                 vref_output_block)
 from oracles import (collapse_reference, kstage_reference, lowpass_reference,
                      opamp_transient_reference, output_stage_reference,
                      slew_reference, static_transfer_reference,
@@ -41,7 +42,8 @@ def test_waveform_rejects_bad_inputs():
         Waveform(np.array([1.0, 2.0]), math.nan)
 
 
-@pytest.mark.parametrize("period", [math.inf, -math.inf, math.nan, 0.0, -1e-9])
+@pytest.mark.parametrize("period", [math.inf, -math.inf, math.nan, 0.0, -1e-9,
+                                    10 ** 400])
 def test_sample_period_must_be_finite_and_positive(period):
     """A non-finite period would write a ``nan``/``inf`` time column that
     the reader then refuses, so the constructor refuses it first."""
@@ -355,6 +357,74 @@ def test_writer_bytes_match_the_per_sample_reference(samples, period):
         assert got.read_bytes() == want.read_bytes()
 
 
+def _ulps_away(x: float, steps: int) -> float:
+    for _ in range(abs(steps)):
+        x = float(np.nextafter(x, math.copysign(math.inf, steps)))
+    return x
+
+
+@st.composite
+def _near_rounding_edges(draw):
+    """A value a few ulps from a place where ``%.12e`` changes its output:
+    a decimal half in the 13th digit, the carry into the next power of ten,
+    or a power of ten (1e-10 and 1e35 bound the array formatter's range)."""
+    e = draw(st.integers(-14, 40) | st.integers(-323, 308))
+    kind = draw(st.sampled_from(["half", "dyadic half", "carry", "power"]))
+    if kind == "half":        # the double nearest a 14-digit decimal ending in 5
+        x = float(f"{draw(st.integers(10**12, 10**13 - 1))}5e{e - 13}")
+    elif kind == "dyadic half":   # j / 2**m is exact, and j * 5**m has 14 digits
+        m = draw(st.integers(1, 19))
+        j = draw(st.integers(-(-10**13 // 5**m), (10**14 - 1) // 5**m))
+        x = (j | 1) / 2**m
+    elif kind == "carry":
+        x = float(draw(st.sampled_from(["9.9999999999995", "9.99999999999951",
+                                        "9.9999999999999", "9.999999999999999"]))
+                  + f"e{e}")
+    else:
+        x = float(f"1e{e}")
+    x = _ulps_away(x, draw(st.integers(-2, 2)))
+    assume(math.isfinite(x))
+    event(kind)
+    return x if draw(st.booleans()) else -x
+
+
+_FORMAT_EDGES = st.one_of(
+    _near_rounding_edges(),
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),  # subnormals
+    st.floats(1e100, 1.7976931348623157e308) | st.floats(5e-324, 1e-99),
+    st.floats(-1.7976931348623157e308, -1e100),     # three-digit exponents
+)
+
+
+@given(st.lists(_FORMAT_EDGES, min_size=1, max_size=40),
+       _FORMAT_EDGES.map(abs).filter(lambda p: p > 0))
+@settings(max_examples=300, deadline=None)
+def test_array_formatter_matches_the_reference_at_its_edges(values, period):
+    """Uniform floats rarely land where the fast path must hand a value to
+    ``%``; these values sit there, in both columns."""
+    assume((len(values) - 1) * period < math.inf)
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = pathlib.Path(tmp) / "got.csv", pathlib.Path(tmp) / "want.csv"
+        waveform_to_csv(Waveform(np.array(values), period), got)
+        waveform_to_csv_reference(Waveform(np.array(values), period), want)
+        assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("x, fast", [
+    (1.5, True), (-0.1, True), (1e-10, True), (9.9e34, True),
+    (9.99999999999996, True),       # carries into 1.000000000000e+01
+    (2.0 ** -20, False),            # 9.5367431640625e-07: an exact half
+    (1.0000000000005, False),       # its scaled value rounds onto the half
+    (0.0, False), (-0.0, False), (5e-324, False),
+    (9.9e-11, False), (1e35, False), (-1e100, False)])
+def test_array_formatter_takes_only_what_it_can_prove(x, fast):
+    fields, slow = _e12_fields(np.array([x]))
+    assert bool(slow[0]) is not fast
+    if fast:
+        assert fields.tobytes().replace(b"\0", b"") == b"%.12e" % x
+
+
 @pytest.mark.parametrize("n", [_CSV_ROWS - 1, _CSV_ROWS, _CSV_ROWS + 1,
                                2 * _CSV_ROWS + 3])
 def test_writer_blocks_join_seamlessly(tmp_path, n):
@@ -372,23 +442,23 @@ def test_writer_memo_keeps_interleaved_axes_apart(tmp_path):
     combos = list(zip(itertools.islice(itertools.cycle(lengths), 15),
                       itertools.islice(itertools.cycle(periods), 15)))
     rng = np.random.default_rng(12)
-    hits = _row_template.cache_info().hits
+    hits = _time_rows.cache_info().hits
     for n, period in combos + combos[::-1] + combos[:3]:
         w = Waveform(rng.normal(0.0, 1.0, n), period)
         waveform_to_csv(w, tmp_path / "got.csv")
         waveform_to_csv_reference(w, tmp_path / "want.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
-        info = _row_template.cache_info()
+        info = _time_rows.cache_info()
         assert info.currsize <= info.maxsize <= 4
-    assert _row_template.cache_info().hits > hits
+    assert _time_rows.cache_info().hits > hits
 
 
 def test_taps_of_one_simulation_share_one_time_column(tmp_path):
     sig = simulate_vref(VrefConfig(), 1500, 20e-6)
-    _row_template.cache_clear()
+    _time_rows.cache_clear()
     for name, wave in sig.as_dict().items():
         waveform_to_csv(wave, tmp_path / f"{name}.csv")
-    info = _row_template.cache_info()
+    info = _time_rows.cache_info()
     assert (info.misses, info.hits) == (1, len(sig.as_dict()) - 1)
 
 
@@ -396,7 +466,7 @@ def test_writer_memory_does_not_grow_with_length(tmp_path):
     """At 200,000 samples the writer holds one block of rows, not the file.
 
     Formatting the whole file at once held about 140 bytes per sample
-    (28 MB here); one block of rows takes about 0.6 MB.
+    (28 MB here); a block and the time-column memo took 1.5 MB.
     """
     w = Waveform(np.random.default_rng(0).normal(0.0, 1.0, 200_000), 1e-7)
     tracemalloc.start()
