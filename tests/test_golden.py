@@ -24,6 +24,15 @@ with every per-entry report.
 A third pins every file a small command-line pipeline writes: the waveform,
 injection-record, dataset, model and detection formats, byte for byte.
 
+A fourth pins the model files of the two fits with the most hand-built
+arithmetic, BIRCH's clustering-feature tree and spectral's in-place
+Laplacian and row-blocked distances, and of their centroid refinement.  The
+data has the benchmark's fit-sweep shape: windowed IPPA on the input,
+pll_intensity and trig taps, normalized, with seeded class-balanced subsets
+of whole instances at 200 and 800 rows (2,000 would spend seconds in
+``eigh``).  Spectral's model also assigns all 2,000 rows, which takes each
+one's nearest training row at a nonzero distance.
+
 Regenerate only when outputs change on purpose:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -35,9 +44,13 @@ import tempfile
 
 import pytest
 
-from amsdetect import (ExperimentConfig, dataset_to_csv, evaluate,
-                       generate_dataset, generate_features, load_suite,
-                       run_suite, suite_to_csv)
+import numpy as np
+
+from amsdetect import (ExperimentConfig, as_matrix, assign_many,
+                       dataset_to_csv, evaluate, fit_birch, fit_spectral,
+                       generate_dataset, generate_features, labels_array,
+                       load_suite, normalize_dataset, refine_model, run_suite,
+                       save_model, suite_to_csv)
 from amsdetect.bench import _sample_id, report_to_csv
 from amsdetect.cli import main
 
@@ -45,6 +58,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "sim_paths.sha256"
 SUITE_GOLDEN = ROOT / "tests" / "golden" / "suites.sha256"
 CLI_GOLDEN = ROOT / "tests" / "golden" / "cli_files.sha256"
+FIT_GOLDEN = ROOT / "tests" / "golden" / "cluster_fits.sha256"
 
 CONFIGS = {
     "IA": dict(experiment="IA", algorithm="kmeans"),
@@ -167,6 +181,43 @@ def _cli_digests(tmp_dir: pathlib.Path) -> dict[str, str]:
             for p in sorted(tmp_dir.rglob("*")) if p.is_file()}
 
 
+def _fit_sweep_subsets(seed: int = 7, windows: int = 10, per_class: int = 100):
+    """The normalized windowed IPPA matrix and its 200- and 800-row subsets."""
+    cfg = ExperimentConfig(experiment="IPPA", window_k=windows,
+                           n_samples_per_class=per_class, seed=seed,
+                           observed_signals=("input", "pll_intensity", "trig"))
+    rows, _ = normalize_dataset(generate_dataset(cfg))
+    mat = as_matrix(rows)
+    assert np.array_equal(labels_array(rows)[::windows * per_class], [0, 1])
+    rng = np.random.default_rng(seed)
+    subsets = {}
+    for n in (200, 800):
+        take = n // windows // 2
+        inst = np.concatenate([c * per_class + np.sort(
+            rng.choice(per_class, take, replace=False)) for c in (0, 1)])
+        subsets[n] = mat[(inst[:, None] * windows + np.arange(windows)).ravel()]
+    return mat, subsets
+
+
+def _cluster_fit_digests(tmp_dir: pathlib.Path) -> dict[str, str]:
+    """save_model bytes of each fit and its refinement, keyed by cell."""
+    mat, subsets = _fit_sweep_subsets()
+    out = {}
+    for n, sub in subsets.items():
+        for name, model in (("birch", fit_birch(sub)),
+                            ("spectral", fit_spectral(sub, 0.3, seed=7))):
+            for key, m in ((f"{name}.n{n}", model),
+                           (f"{name}.n{n}.refined", refine_model(model, sub))):
+                path = tmp_dir / f"{key}.json"
+                save_model(m, path)
+                out[key] = _file_digest(path)
+            if name == "spectral" and n == 200:
+                ids = assign_many(model, mat)
+                out["spectral.n200.assign_all"] = hashlib.sha256(
+                    ids.astype(np.int64).tobytes()).hexdigest()
+    return out
+
+
 def test_itpa_golden_observes_the_output_stage():
     assert "output" in _config("ITPA").observed_signals
 
@@ -197,6 +248,10 @@ def test_cli_files_match_golden_digests(tmp_path):
     assert _cli_digests(tmp_path) == _read_golden(CLI_GOLDEN)
 
 
+def test_cluster_fits_match_golden_digests(tmp_path):
+    assert _cluster_fit_digests(tmp_path) == _read_golden(FIT_GOLDEN)
+
+
 def _write(path: pathlib.Path, digests: dict[str, str]) -> None:
     path.parent.mkdir(exist_ok=True)
     path.write_text("".join(f"{d}  {key}\n" for key, d in digests.items()))
@@ -211,3 +266,5 @@ if __name__ == "__main__":
                               **_full_suite_digests(tmp)})
         (tmp / "cli").mkdir()
         _write(CLI_GOLDEN, _cli_digests(tmp / "cli"))
+        (tmp / "fits").mkdir()
+        _write(FIT_GOLDEN, _cluster_fit_digests(tmp / "fits"))
