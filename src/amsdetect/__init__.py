@@ -23,8 +23,8 @@ from .inject import (TEMP_RANGE, AnomalySpec, ComponentFault, FaultKind,
 from .features import (FEATURE_NAMES, FeatureRow, NormalizationParams,
                        dataset_from_csv, dataset_to_csv, extract_features,
                        labels_array, normalize_dataset, windowed_features)
-from .cluster import (MODEL_FORMAT, MODEL_VERSION, VAR_FLOOR, CFEntry,
-                      ClusterModel, as_matrix, assign_many, canonical_labels,
+from .cluster import (MODEL_FORMAT, MODEL_VERSION, VAR_FLOOR, ClusterModel,
+                      as_matrix, assign_many, canonical_labels,
                       cluster_stats, fit_birch, fit_gmm, fit_kmeans,
                       fit_spectral, gmm_log_responsibilities, kmeans_pp_init,
                       lloyd, load_model, save_model, spectral_embedding)

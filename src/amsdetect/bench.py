@@ -146,9 +146,9 @@ def _type_ok(value, kind: str) -> bool:
                 and all(_type_ok(v, item) for v in value))
     if isinstance(value, bool):
         return kind == "bool"
-    if kind == "float" and isinstance(value, int):
-        # a JSON integer beyond the float range overflows where it is used
-        return abs(value) <= sys.float_info.max
+    if kind in ("int", "float") and isinstance(value, int):
+        # past the float range, or sys.maxsize for numpy sizes, it fails in use
+        return abs(value) <= (sys.maxsize if kind == "int" else sys.float_info.max)
     return isinstance(value, {"int": int, "float": (int, float), "str": str,
                               "bool": bool, "dict": dict}[kind])
 

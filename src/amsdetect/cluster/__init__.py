@@ -4,7 +4,7 @@ The paper splits observations into two groups, normal and anomalous, so
 every fitter returns exactly two clusters in canonical order.
 """
 
-from .birch import CFEntry, CFNode, CFTree, fit_birch
+from .birch import fit_birch
 from .gmm import VAR_FLOOR, fit_gmm, gmm_log_responsibilities
 from .kmeans import fit_kmeans, kmeans_pp_init, lloyd
 from .model import (MODEL_FORMAT, MODEL_VERSION, ClusterModel, as_matrix,
@@ -16,9 +16,6 @@ __all__ = [
     "MODEL_FORMAT",
     "MODEL_VERSION",
     "VAR_FLOOR",
-    "CFEntry",
-    "CFNode",
-    "CFTree",
     "ClusterModel",
     "as_matrix",
     "assign_many",

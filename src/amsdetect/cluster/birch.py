@@ -8,9 +8,15 @@ and nodes that outgrow the branching factor split around their farthest pair
 of entries.  The global phase runs weighted 2-means over the leaf-entry
 centroids (weights = entry counts), seeded with their farthest pair, so the
 whole fit consumes no randomness.
+
+A node keeps its entries as array rows, so the closest entry takes a few
+numpy calls per node, and each row sees an entry object's operations in the
+same order: the fit is bit-identical to a tree of one object per entry.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -19,54 +25,58 @@ from .kmeans import lloyd
 from .model import (ClusterModel, _nearest, _sqdist, _two_distinct_rows,
                     as_matrix, canonical_labels)
 
-__all__ = ["CFEntry", "CFNode", "CFTree", "fit_birch"]
+__all__ = ["fit_birch"]
 
 
-class CFEntry:
-    """Clustering feature of one subcluster: (N, LS, SS) and an optional child."""
+class _Node:
+    """CF entries i < m as rows: counts n[i], linear sums ls[i], square
+    sums ss[i]; a non-leaf node keeps entry i's subtree in children[i]."""
 
-    __slots__ = ("n", "ls", "ss", "child")
+    __slots__ = ("m", "n", "ls", "ss", "children")
 
-    def __init__(self, n: int, ls: np.ndarray, ss: np.ndarray, child=None):
-        self.n = int(n)
-        self.ls = np.asarray(ls, dtype=np.float64)
-        self.ss = np.asarray(ss, dtype=np.float64)
-        self.child = child
+    def __init__(self, cap: int, d: int, leaf: bool):
+        self.m = 0
+        self.n = np.zeros(cap, dtype=np.int64)
+        self.ls = np.empty((cap, d))
+        self.ss = np.empty((cap, d))
+        self.children = None if leaf else []
 
-    @classmethod
-    def from_point(cls, x: np.ndarray) -> "CFEntry":
-        return cls(1, x.copy(), x * x)
+    def insert(self, k: int, n, ls, ss, child=None) -> None:
+        """A new entry at row k; rows from k on move one down."""
+        for arr in (self.n, self.ls, self.ss):
+            arr[k + 1:self.m + 1] = arr[k:self.m]
+        self.n[k], self.ls[k], self.ss[k] = n, ls, ss
+        self.m += 1
+        if child is not None:
+            self.children.insert(k, child)
 
-    @classmethod
-    def merged(cls, a: "CFEntry", b: "CFEntry") -> "CFEntry":
-        return cls(a.n + b.n, a.ls + b.ls, a.ss + b.ss)
+    def add_point(self, i: int, x: np.ndarray, xx: np.ndarray) -> None:
+        """Absorb point x (with square xx) into entry i."""
+        self.n[i] += 1
+        self.ls[i] += x
+        self.ss[i] += xx
 
-    def add_point(self, x: np.ndarray) -> None:
-        self.n += 1
-        self.ls = self.ls + x
-        self.ss = self.ss + x * x
+    def centroids(self) -> np.ndarray:
+        return self.ls[:self.m] / self.n[:self.m, None]
 
-    def absorb(self, other: "CFEntry") -> None:
-        self.n += other.n
-        self.ls = self.ls + other.ls
-        self.ss = self.ss + other.ss
+    def closest(self, x: np.ndarray) -> int:
+        """The entry whose centroid is nearest x (ties: the first)."""
+        d2 = self.centroids() - x
+        return int(np.add.reduce(np.square(d2, out=d2), axis=1).argmin())
 
-    @property
-    def centroid(self) -> np.ndarray:
-        return self.ls / self.n
-
-    @property
-    def radius(self) -> float:
-        c = self.ls / self.n
-        return float(np.sqrt(max(0.0, self.ss.sum() / self.n - float(c @ c))))
+    def total(self) -> tuple:
+        """The node's own CF (N, LS, SS): its entries summed in row order."""
+        ls, ss = np.zeros((2, self.ls.shape[1]))
+        for i in range(self.m):
+            ls += self.ls[i]
+            ss += self.ss[i]
+        return int(self.n[:self.m].sum()), ls, ss
 
 
-class CFNode:
-    __slots__ = ("is_leaf", "entries")
-
-    def __init__(self, is_leaf: bool, entries=None):
-        self.is_leaf = is_leaf
-        self.entries: list[CFEntry] = entries if entries is not None else []
+def _radius(n, ls: np.ndarray, ss: np.ndarray) -> float:
+    """RMS distance to the centroid of a CF with contiguous 1-D sums."""
+    c = ls / n
+    return math.sqrt(max(0.0, np.add.reduce(ss) / n - float(c @ c)))
 
 
 def _farthest_pair(cents: np.ndarray) -> tuple[np.ndarray, int, int]:
@@ -76,72 +86,69 @@ def _farthest_pair(cents: np.ndarray) -> tuple[np.ndarray, int, int]:
     return d2, int(i), int(j)
 
 
-def _closest(entries: list[CFEntry], x: np.ndarray) -> int:
-    cents = np.stack([e.centroid for e in entries])
-    return int(np.argmin(((cents - x) ** 2).sum(axis=1)))
-
-
-class CFTree:
-    def __init__(self, branching: int, threshold: float):
-        self.branching = branching
-        self.threshold = threshold
-        self.root = CFNode(is_leaf=True)
+class _Tree:
+    def __init__(self, branching: int, threshold: float, n: int, d: int):
+        self.branching, self.threshold = branching, threshold
+        self.cap = min(branching, n) + 1         # no node holds more than n entries
+        self.root = _Node(self.cap, d, leaf=True)
 
     def insert(self, x: np.ndarray) -> None:
-        split = self._insert(self.root, x)
+        split = self._insert(self.root, x, x * x)
         if split is not None:
-            self.root = CFNode(is_leaf=False, entries=list(split))
+            self.root = _Node(self.cap, len(x), leaf=False)
+            for half in split:
+                self.root.insert(self.root.m, *half)
 
-    def _insert(self, node: CFNode, x: np.ndarray):
-        if node.is_leaf:
-            if node.entries:
-                i = _closest(node.entries, x)
-                trial = CFEntry.merged(node.entries[i], CFEntry.from_point(x))
-                if trial.radius <= self.threshold:
-                    node.entries[i].add_point(x)
+    def _insert(self, node: _Node, x: np.ndarray, xx: np.ndarray):
+        if node.children is None:
+            if node.m:
+                i = node.closest(x)
+                if _radius(node.n[i] + 1, node.ls[i] + x,
+                           node.ss[i] + xx) <= self.threshold:
+                    node.add_point(i, x, xx)
                     return None
-            node.entries.append(CFEntry.from_point(x))
+            node.insert(node.m, 1, x, xx)
         else:
-            i = _closest(node.entries, x)
-            entry = node.entries[i]
-            split = self._insert(entry.child, x)
+            i = node.closest(x)
+            split = self._insert(node.children[i], x, xx)
             if split is None:
-                entry.add_point(x)
-            else:
-                node.entries[i:i + 1] = list(split)
-        if len(node.entries) > self.branching:
+                node.add_point(i, x, xx)
+            else:                        # entry i becomes the two halves
+                node.n[i], node.ls[i], node.ss[i], node.children[i] = split[0]
+                node.insert(i + 1, *split[1])
+        if node.m > self.branching:
             return self._split(node)
         return None
 
-    def _split(self, node: CFNode) -> tuple[CFEntry, CFEntry]:
-        d2, i, j = _farthest_pair(np.stack([e.centroid for e in node.entries]))
-        group_a, group_b = [], []
-        for idx, e in enumerate(node.entries):
-            (group_a if d2[idx, i] <= d2[idx, j] else group_b).append(e)
-        node_a = CFNode(node.is_leaf, group_a)
-        node_b = CFNode(node.is_leaf, group_b)
-        return self._summarize(node_a), self._summarize(node_b)
+    def _split(self, node: _Node) -> list[tuple]:
+        """The node's entries in two new nodes, grouped by the nearer of its
+        farthest pair; each half as (N, LS, SS, node)."""
+        d2, i, j = _farthest_pair(node.centroids())
+        near_i = d2[:, i] <= d2[:, j]
+        halves = []
+        for group in (np.flatnonzero(near_i), np.flatnonzero(~near_i)):
+            half = _Node(self.cap, node.ls.shape[1], node.children is None)
+            for k in group:
+                half.insert(half.m, node.n[k], node.ls[k], node.ss[k],
+                            None if node.children is None else node.children[k])
+            halves.append((*half.total(), half))
+        return halves
 
-    @staticmethod
-    def _summarize(node: CFNode) -> CFEntry:
-        total = CFEntry(0, np.zeros_like(node.entries[0].ls),
-                        np.zeros_like(node.entries[0].ss), child=node)
-        for e in node.entries:
-            total.absorb(e)
-        return total
 
-    def leaf_entries(self) -> list[CFEntry]:
-        out: list[CFEntry] = []
+def _leaf_rows(node: _Node) -> list[tuple]:
+    """(n, ls, ss) of the leaf entries under node, a leaf at a time, left to right."""
+    if node.children is None:
+        return [(node.n[:node.m], node.ls[:node.m], node.ss[:node.m])]
+    return [rows for child in node.children for rows in _leaf_rows(child)]
 
-        def walk(node: CFNode):
-            if node.is_leaf:
-                out.extend(node.entries)
-            else:
-                for e in node.entries:
-                    walk(e.child)
 
-        walk(self.root)
-        return out
+def _leaf_features(mat: np.ndarray, branching: int, threshold: float
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Leaf-order (n, ls, ss) arrays of the CF tree that mat's rows build in turn."""
+    tree = _Tree(branching, threshold, *mat.shape)
+    for x in mat:
+        tree.insert(x)
+    return tuple(map(np.concatenate, zip(*_leaf_rows(tree.root))))
 
 
 def fit_birch(rows, branching: int = 16,
@@ -160,19 +167,16 @@ def fit_birch(rows, branching: int = 16,
     if mat.shape[0] < 2:
         raise FitError(f"need at least k=2 rows, got {mat.shape[0]}")
 
-    tree = CFTree(branching, radius_threshold)
-    for x in mat:
-        tree.insert(x)
-    entries = tree.leaf_entries()
-    if len(entries) < 2:
-        raise FitError(f"only {len(entries)} leaf subclusters for k=2; "
+    n, ls, _ = _leaf_features(mat, branching, radius_threshold)
+    if len(n) < 2:
+        raise FitError(f"only {len(n)} leaf subclusters for k=2; "
                        "lower radius_threshold")
-    cents = np.stack([e.centroid for e in entries])
-    counts = np.array([e.n for e in entries], dtype=np.float64)
+    cents = ls / n[:, None]
     if not _two_distinct_rows(cents):
         raise FitError("need at least k=2 distinct subcluster centroids")
     _, i, j = _farthest_pair(cents)
-    global_centroids, _, history = lloyd(cents, cents[[i, j]], weights=counts)
+    global_centroids, _, history = lloyd(cents, cents[[i, j]],
+                                         weights=n.astype(np.float64))
     labels, order, mu, sigma = canonical_labels(mat, _nearest(mat, global_centroids))
     return ClusterModel(algorithm="birch", mu_k=mu, sigma_k=sigma,
                         centroids=global_centroids[order], train_assignments=labels,

@@ -102,8 +102,7 @@ def _log_resp(w, mu, var, points_t, work) -> tuple[np.ndarray, np.ndarray]:
     np.square(work, out=work)
     work /= var[..., None]
     work += np.log(2.0 * math.pi * var)[..., None]
-    log_joint = _lane_sum(work.swapaxes(0, 1))
-    log_joint *= -0.5
+    log_joint = _lane_sum(work.swapaxes(0, 1)) * -0.5
     log_joint += np.log(w)[..., None]
     m = np.maximum(log_joint[0], log_joint[1])
     e = log_joint - m

@@ -5,8 +5,8 @@ with per-point weights for its global phase and spectral clustering runs it
 on the embedded rows.
 
 Distances to the one or two centroids are taken component-major by
-``model._centroid_sqdist`` on the (d, n) transpose of the data, so each
-numpy call runs over n elements rather than once per row over d of them.
+``model._sqdist`` against the (d, n) transpose of the data, so each numpy
+call runs over n elements rather than once per row over d of them.
 The results are bit-identical to the row-major form they replace:
 
 - each squared distance is the same squares summed in
@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigurationError, FitError
-from .model import (ClusterModel, _centroid_sqdist, _two_distinct_rows, as_matrix,
+from .model import (ClusterModel, _sqdist, _two_distinct_rows, as_matrix,
                     canonical_labels)
 
 __all__ = ["fit_kmeans", "lloyd", "kmeans_pp_init"]
@@ -40,7 +40,7 @@ def kmeans_pp_init(mat: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """
     n = mat.shape[0]
     first = int(rng.integers(n))
-    d2 = _centroid_sqdist(mat.T, mat[[first]])[0]
+    d2 = _sqdist(mat[[first]], mat)[0]
     total = d2.sum()
     if total <= 0.0:
         raise FitError("cannot seed k centroids: fewer than k distinct points")
@@ -58,11 +58,11 @@ def lloyd(mat: np.ndarray, centroids: np.ndarray, max_iter: int = 100,
     n = mat.shape[0]
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
     centroids = centroids.astype(np.float64).copy()
-    points_t = np.ascontiguousarray(mat.T)
+    points = np.ascontiguousarray(mat.T).T  # rows whose transpose _sqdist reads whole
     labels = None
     history: list[float] = []
     for _ in range(max_iter):
-        d2 = _centroid_sqdist(points_t, centroids)
+        d2 = _sqdist(centroids, points)
         new_labels = (d2[1] < d2[0]).astype(np.intp)
         dist = np.minimum(d2[0], d2[1])    # each point's distance to its centroid
         # revive any emptied cluster with the worst-fitting point

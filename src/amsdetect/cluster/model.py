@@ -140,119 +140,107 @@ def canonical_labels(mat: np.ndarray, labels: np.ndarray
     return labels, np.array([0, 1]), mu, sigma
 
 
-# Elements of one (rows, nb, d) difference temporary: about 2 MB of float64.
-_BLOCK_ELEMS = 1 << 18
+# Elements of the (d, rows, nb) work array of one row block: 1 MB of float64.
+_WORK_ELEMS = 1 << 17
 
 
-def _row_blocks(a: np.ndarray, b: np.ndarray) -> list[slice]:
-    """Row slices of a whose (rows, nb, d) difference holds <= _BLOCK_ELEMS."""
-    step = max(1, _BLOCK_ELEMS // b.size)
-    return [slice(s, s + step) for s in range(0, len(a), step)]
+def _sqdist_blocks(a: np.ndarray, b_t: np.ndarray):
+    """Squared distances from the rows of a to the columns of b_t, by row block.
 
+    Yields ``(rows, d2)``: a slice of a's rows and their (r, nb) squared
+    distances, a view of the one (d, r, nb) work array that the next block
+    overwrites.  Differences and squares fill it component-major and
+    ``_lane_sum`` adds it over d in place, so each numpy call runs over r·nb
+    elements rather than once per (row, column) pair over d of them.  Every
+    element is the same squares summed in ``np.add.reduce``'s order, so the
+    result is bit-identical to the (na, nb, d) broadcast
+    ``((a[:, None] - b[None]) ** 2).sum(axis=2)`` it never holds, with a and
+    b in either role (x - y is -(y - x) exactly).  The Gram expansion would
+    need no work array, but it rounds differently, and the spectral
+    embedding it feeds is saved in model files and pinned by goldens.
 
-def _sqdist_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+    2-vCPU x86-64, numpy 2.4, best of 7: the (2,000, 2,000) matrix takes
+    89 ms at d = 9 and 26 ms at d = 3 (row-major sum: 215 and 175 ms); the
+    nearest of 4,000 rows to two centroids 156 and 56 µs (a (k, d, n) work
+    array summed through a strided view: 243 and 65 µs).
+    """
+    (na, d), nb = a.shape, b_t.shape[1]
+    b_t = np.ascontiguousarray(b_t)[:, None, :]
+    step = max(1, _WORK_ELEMS // (d * nb))
+    work = np.empty((d, min(step, na), nb))
+    for s in range(0, na, step):
+        rows = slice(s, min(s + step, na))
+        w = work[:, :rows.stop - s]
+        np.subtract(a[rows].T[:, :, None], b_t, out=w)
+        np.square(w, out=w)
+        yield rows, _lane_sum(w)
 
 
 def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between the rows of a and b, shape (na, nb).
-
-    The difference-and-square broadcast runs over row blocks of a, so the
-    (na, nb, d) tensor (288 MB at na = nb = 2,000, d = 9) is never held
-    whole.  Each element is the same length-d sum over the same values in
-    every block, so the result is bit-identical to the one-shot broadcast.
-    The Gram expansion |a|^2 + |b|^2 - 2ab would need no tensor at all, but
-    it rounds differently, and the spectral embedding it feeds is saved in
-    model files and pinned by goldens.
-
-    This row-major kernel sums each length-d row with one ``np.add.reduce``
-    inner-loop call per (row, column) pair.  Spectral's (n, n) distances and
-    its nearest-training-row assignment keep it: the component-major form
-    (``_centroid_sqdist``) holds an (nb, d, na) work array, d times the
-    result, and took 460 against 210 ms at n = 2,000, d = 9 (2-vCPU x86-64,
-    numpy 2.4).  Against one or two centroids it is the other way round:
-    nearest of 4,000 rows (d = 3) takes 50 against 410 µs.
-    """
+    """Squared Euclidean distances between the rows of a and b, shape (na, nb)."""
     out = np.empty((len(a), len(b)))
-    for rows in _row_blocks(a, b):
-        out[rows] = _sqdist_rows(a[rows], b)
+    for rows, d2 in _sqdist_blocks(a, b.T):
+        out[rows] = d2
     return out
 
 
 def _lane_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum over the first axis in ``np.add.reduce``'s order, bit for bit.
+    """Sum over the first axis in ``np.add.reduce``'s order, bit for bit, in place.
 
-    ``terms`` is (d, ...): d lanes of equal shape.  The result equals
-    ``np.add.reduce`` of each length-d fibre taken as a contiguous vector,
-    which is how numpy sums the last axis of a C-ordered array: from its
-    identity 0.0, then numpy's pairwise summation -- one sequential pass
-    below 8 terms, eight interleaved accumulators combined as
-    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) plus a sequential tail from 8 to
-    128 terms, and above 128 a split at half the length rounded down to a
-    multiple of 8, each half summed the same way.  Here every step is one
-    whole-lane numpy operation, where ``a.sum(axis=-1)`` on an (n, d) array
-    calls numpy's inner loop once per row with only d elements in it.
-    Starting from 0.0 matters only for signed zeros: numpy sums d copies of
-    -0.0 to +0.0.
+    ``terms`` is (d, ...): d lanes of equal shape, which the sum overwrites;
+    it is returned as a view of ``terms[0]``.  It equals ``np.add.reduce``
+    of each length-d fibre taken as a contiguous vector, which is how numpy
+    sums the last axis of a C-ordered array: numpy's pairwise summation --
+    one sequential pass below 8 terms, eight interleaved accumulators
+    combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) plus a sequential tail
+    from 8 to 128 terms, and above 128 a split at half the length rounded
+    down to a multiple of 8, each half summed the same way -- then numpy's
+    identity 0.0 added last.  Here every step is one whole-lane numpy
+    operation, where ``a.sum(axis=-1)`` on an (n, d) array calls numpy's
+    inner loop once per row with only d elements in it.  The 0.0 matters
+    only for signed zeros: numpy sums d copies of -0.0 to +0.0.
     """
-    d = len(terms)
-    if d < 8:
-        out = terms[0] + 0.0
-        for t in terms[1:]:
-            out += t
-        return out
     out = _pairwise(terms)
     out += 0.0
     return out
 
 
 def _pairwise(terms: np.ndarray) -> np.ndarray:
-    """numpy's pairwise_sum over the first axis of terms, for 8 terms or more."""
+    """numpy's pairwise_sum over the first axis of terms, accumulated into terms[0]."""
     d = len(terms)
+    if d < 8:
+        for t in terms[1:]:
+            terms[0] += t
+        return terms[0]
     if d > 128:
         half = d // 2 - d // 2 % 8
         out = _pairwise(terms[:half])
         out += _pairwise(terms[half:])
         return out
-    acc = terms[:8].copy()
+    acc = terms[:8]
     for i in range(8, d - d % 8, 8):
         acc += terms[i:i + 8]
-    pairs = acc[0::2] + acc[1::2]              # r0+r1, r2+r3, r4+r5, r6+r7
-    quads = pairs[0::2] + pairs[1::2]
-    out = quads[0] + quads[1]
+    acc[0::2] += acc[1::2]                     # r0+r1, r2+r3, r4+r5, r6+r7
+    acc[0::4] += acc[2::4]
+    acc[0] += acc[4]
     for t in terms[d - d % 8:]:
-        out += t
-    return out
-
-
-def _centroid_sqdist(points_t: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Squared distances, component-major: (k, n) from (d, n) points and (k, d).
-
-    Bit-identical to ``_sqdist(points, centroids).T``: each element is the
-    same squares of the same differences, summed by ``_lane_sum`` in the
-    order ``np.add.reduce`` sums a row.  For k = 1 or 2 this replaces
-    n·k inner-loop calls of d elements each with d calls of n·k elements.
-    """
-    k, (d, n) = len(centroids), points_t.shape
-    work = np.empty((k, d, n))
-    np.subtract(points_t, centroids[:, :, None], out=work)
-    np.square(work, out=work)
-    return _lane_sum(work.swapaxes(0, 1))
+        acc[0] += t
+    return acc[0]
 
 
 def _nearest(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Row index into centroids of each point's nearest one (ties: lower id).
 
-    Against two centroids the distances are taken component-major and the
-    argmin becomes one comparison, ``d2[1] < d2[0]``, which keeps ties on
-    centroid 0.  Against more (spectral's training rows) the argmin is taken
-    per row block of ``_sqdist``, so no (na, nb) distance matrix is held.
+    Against two centroids the distances are taken as one (2, n) block and
+    the argmin becomes one comparison, ``d2[1] < d2[0]``, which keeps ties
+    on centroid 0.  Against more (spectral's training rows) the argmin is
+    taken per row block of points, so no (na, nb) distance matrix is held.
     """
     if len(centroids) == 2:
-        d2 = _centroid_sqdist(points.T, centroids)
+        d2 = _sqdist(centroids, points)
         return (d2[1] < d2[0]).astype(np.intp)
-    return np.concatenate([np.argmin(_sqdist_rows(points[rows], centroids), axis=1)
-                           for rows in _row_blocks(points, centroids)])
+    return np.concatenate([np.argmin(d2, axis=1)
+                           for _, d2 in _sqdist_blocks(points, centroids.T)])
 
 
 def _two_distinct_rows(mat: np.ndarray) -> bool:

@@ -6,10 +6,10 @@ eigenvectors of the smallest eigenvalues (numpy's symmetric eigensolver), row
 normalization, then 2-means in the embedded space.  Out-of-sample points take
 the cluster of their nearest training row in the original feature space.
 
-Memory: the affinity and the Laplacian are built in the one (n, n) buffer
-that the row-blocked ``_sqdist`` returns, so no (n, n, d) tensor and no
-second (n, n) matrix exist before ``eigh``; eigh's own copy, workspace and
-eigenvectors then set the peak.  Every element still sees the same IEEE
+Memory: row blocks of ``_sqdist_blocks`` become affinities in cache and land
+in the one (n, n) buffer, which becomes the Laplacian in place, so no (n, n,
+d) tensor and no second or transposed (n, n) matrix exist before ``eigh``;
+eigh's own copy, workspace and eigenvectors then set the peak.  Every element still sees the same IEEE
 operations as the out-of-place form (multiply and add commute exactly).
 Neither the Gram expansion of the distances nor an iterative eigensolver
 (Lanczos, power iteration) is used: both change the bits of the embedding,
@@ -33,11 +33,12 @@ import numpy as np
 
 from ..errors import ConfigurationError, FitError
 from .kmeans import kmeans_pp_init, lloyd
-from .model import ClusterModel, _sqdist, as_matrix, canonical_labels
+from .model import ClusterModel, _sqdist_blocks, as_matrix, canonical_labels
 
 __all__ = ["fit_spectral", "spectral_embedding"]
 
 _TRIM_BYTES = 1 << 22  # (n, n) buffers from n = 725 rows
+_TILE = 128             # side of one symmetrization tile
 try:
     _malloc_trim = ctypes.CDLL(None).malloc_trim
     _malloc_trim.argtypes, _malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
@@ -56,10 +57,11 @@ def spectral_embedding(rows, sigma: float) -> tuple[np.ndarray, np.ndarray]:
         raise FitError("spectral clustering needs at least 3 rows")
     if _malloc_trim is not None and n * n * 8 >= _TRIM_BYTES:
         _malloc_trim(0)
-    lap = _sqdist(mat, mat)  # becomes W, then L, in place
-    np.negative(lap, out=lap)
-    lap /= 2.0 * sigma * sigma
-    np.exp(lap, out=lap)
+    lap = np.empty((n, n))  # becomes W, then L, in place
+    for rows, d2 in _sqdist_blocks(mat, mat.T):
+        np.negative(d2, out=d2)
+        d2 /= 2.0 * sigma * sigma
+        np.exp(d2, out=lap[rows])
     np.fill_diagonal(lap, 0.0)
     deg = lap.sum(axis=1)
     if np.any(deg <= 1e-300):
@@ -68,8 +70,15 @@ def spectral_embedding(rows, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     lap *= -inv_sqrt[:, None]
     lap *= inv_sqrt[None, :]
     np.fill_diagonal(lap, 1.0 + lap.diagonal())
-    lap += lap.T  # enforce exact symmetry for eigh
-    lap *= 0.5
+    # exact symmetry for eigh, tile by tile: addition commutes, so both tiles get
+    # the bits of lap += lap.T; lap *= 0.5, with no transposed (n, n) temporary
+    for i in range(0, n, _TILE):
+        for j in range(i, n, _TILE):
+            ti, tj = slice(i, i + _TILE), slice(j, j + _TILE)
+            avg = lap[ti, tj] + lap[tj, ti].T
+            avg *= 0.5
+            lap[ti, tj], lap[tj, ti] = avg, avg.T
+    del d2, avg  # d2 holds the 1 MB work array alive; eigh sets the peak
     eigvals, eigvecs = np.linalg.eigh(lap)
     return eigvals, eigvecs[:, :2]
 

@@ -5,7 +5,8 @@ Everything here is deliberately written in plain Python (loops, the
 package code is meaningful.  The exceptions keep the original numpy
 arithmetic the package must reproduce bit for bit: the per-window feature
 loop, the one-shot pairwise-distance broadcast and out-of-place spectral
-Laplacian, the row-major Lloyd and EM steps (reductions over the short
+Laplacian, the one-object-per-entry BIRCH tree, the row-major Lloyd and EM
+steps (reductions over the short
 cluster and feature axes, ``np.argmin``/``np.argmax`` and ``np.average``),
 and the time recursions (the simulator's original loops over numpy
 scalars).  Only the per-instance builders and the CSV references
@@ -275,6 +276,152 @@ def fit_kmeans_reference(mat, seed=0, init=None):
     centroids, labels, history = lloyd_reference(mat, start)
     labels, order, _, _ = canonical_labels(mat, labels)
     return centroids[order], labels, history
+
+
+class _CFEntry:
+    """Clustering feature of one subcluster: (N, LS, SS) and an optional child."""
+
+    __slots__ = ("n", "ls", "ss", "child")
+
+    def __init__(self, n, ls, ss, child=None):
+        self.n = int(n)
+        self.ls = np.asarray(ls, dtype=np.float64)
+        self.ss = np.asarray(ss, dtype=np.float64)
+        self.child = child
+
+    @classmethod
+    def from_point(cls, x):
+        return cls(1, x.copy(), x * x)
+
+    @classmethod
+    def merged(cls, a, b):
+        return cls(a.n + b.n, a.ls + b.ls, a.ss + b.ss)
+
+    def add_point(self, x):
+        self.n += 1
+        self.ls = self.ls + x
+        self.ss = self.ss + x * x
+
+    def absorb(self, other):
+        self.n += other.n
+        self.ls = self.ls + other.ls
+        self.ss = self.ss + other.ss
+
+    @property
+    def centroid(self):
+        return self.ls / self.n
+
+    @property
+    def radius(self):
+        c = self.ls / self.n
+        return float(np.sqrt(max(0.0, self.ss.sum() / self.n - float(c @ c))))
+
+
+class _CFNode:
+    __slots__ = ("is_leaf", "entries")
+
+    def __init__(self, is_leaf, entries=None):
+        self.is_leaf = is_leaf
+        self.entries = entries if entries is not None else []
+
+
+def _farthest_pair_reference(cents):
+    d2 = sqdist_broadcast(cents, cents)
+    i, j = np.unravel_index(int(np.argmax(d2)), d2.shape)
+    return d2, int(i), int(j)
+
+
+def _closest_reference(entries, x):
+    cents = np.stack([e.centroid for e in entries])
+    return int(np.argmin(((cents - x) ** 2).sum(axis=1)))
+
+
+class _CFTree:
+    def __init__(self, branching, threshold):
+        self.branching = branching
+        self.threshold = threshold
+        self.root = _CFNode(is_leaf=True)
+
+    def insert(self, x):
+        split = self._insert(self.root, x)
+        if split is not None:
+            self.root = _CFNode(is_leaf=False, entries=list(split))
+
+    def _insert(self, node, x):
+        if node.is_leaf:
+            if node.entries:
+                i = _closest_reference(node.entries, x)
+                trial = _CFEntry.merged(node.entries[i], _CFEntry.from_point(x))
+                if trial.radius <= self.threshold:
+                    node.entries[i].add_point(x)
+                    return None
+            node.entries.append(_CFEntry.from_point(x))
+        else:
+            i = _closest_reference(node.entries, x)
+            entry = node.entries[i]
+            split = self._insert(entry.child, x)
+            if split is None:
+                entry.add_point(x)
+            else:
+                node.entries[i:i + 1] = list(split)
+        if len(node.entries) > self.branching:
+            return self._split(node)
+        return None
+
+    def _split(self, node):
+        d2, i, j = _farthest_pair_reference(np.stack([e.centroid for e in node.entries]))
+        group_a, group_b = [], []
+        for idx, e in enumerate(node.entries):
+            (group_a if d2[idx, i] <= d2[idx, j] else group_b).append(e)
+        return (self._summarize(_CFNode(node.is_leaf, group_a)),
+                self._summarize(_CFNode(node.is_leaf, group_b)))
+
+    @staticmethod
+    def _summarize(node):
+        total = _CFEntry(0, np.zeros_like(node.entries[0].ls),
+                         np.zeros_like(node.entries[0].ss), child=node)
+        for e in node.entries:
+            total.absorb(e)
+        return total
+
+
+
+def birch_tree_reference(mat, branching=16, threshold=0.05):
+    """The root of a CF tree of one object per entry, built from mat's rows.
+
+    Each entry is an object whose sums are rebuilt out of place on every
+    update: the tree whose bits the package's array-backed nodes reproduce.
+    A node has ``is_leaf`` and ``entries``; an entry has ``n``, ``ls``,
+    ``ss`` and, above the leaves, its subtree in ``child``.
+    """
+    tree = _CFTree(branching, threshold)
+    for x in mat:
+        tree.insert(x)
+    return tree.root
+
+
+def birch_leaves_reference(root):
+    """(N, LS, SS) of the leaf entries under root, in leaf order."""
+    if root.is_leaf:
+        return [(e.n, e.ls, e.ss) for e in root.entries]
+    return [cf for e in root.entries for cf in birch_leaves_reference(e.child)]
+
+
+def fit_birch_reference(mat, branching=16, threshold=0.05):
+    """(mu_k, sigma_k, centroids, labels, sse_history) of fit_birch."""
+    entries = birch_leaves_reference(birch_tree_reference(mat, branching, threshold))
+    if len(entries) < 2:
+        raise FitError(f"only {len(entries)} leaf subclusters for k=2; "
+                       "lower radius_threshold")
+    cents = np.stack([ls / n for n, ls, _ in entries])
+    counts = np.array([n for n, _, _ in entries], dtype=np.float64)
+    if np.unique(cents, axis=0).shape[0] < 2:
+        raise FitError("need at least k=2 distinct subcluster centroids")
+    _, i, j = _farthest_pair_reference(cents)
+    centroids, _, history = lloyd_reference(cents, cents[[i, j]], weights=counts)
+    labels, order, mu, sigma = canonical_labels(
+        mat, nearest_reference(mat, centroids))
+    return mu, sigma, centroids[order], labels, history
 
 
 def gmm_e_step_reference(weights, means, variances, mat):

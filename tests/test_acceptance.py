@@ -16,7 +16,7 @@ from amsdetect import (ExperimentConfig, VrefConfig, assign_many,
                        inject_point_random, permutation_accuracy,
                        refine_model, run_suite, select_centroids,
                        simulate_vref, suite_to_csv)
-from amsdetect.cluster import CFEntry
+from amsdetect.cluster.birch import _Node
 from amsdetect.cluster.spectral import spectral_embedding
 from amsdetect.features import dataset_to_csv
 from oracles import exhaustive_two_means, selection_trace
@@ -66,19 +66,19 @@ def test_c2_iteration_invariants(verdict, blobs_2d):
 
     rng = np.random.default_rng(5)
     pts = rng.integers(-50, 50, size=(40, 3)).astype(np.float64)
-    whole = CFEntry.from_point(pts[0])
-    left = CFEntry.from_point(pts[0])
-    right = CFEntry.from_point(pts[20])
-    for p in pts[1:]:
-        whole.add_point(p)
-    for p in pts[1:20]:
-        left.add_point(p)
-    for p in pts[21:]:
-        right.add_point(p)
-    both = CFEntry.merged(left, right)
-    cf_ok = (both.n == whole.n
-             and np.array_equal(both.ls, whole.ls)
-             and np.array_equal(both.ss, whole.ss))
+    node = _Node(3, 3, leaf=True)               # whole, left, right
+    for k in (0, 0, 20):
+        node.insert(node.m, 1, pts[k], pts[k] * pts[k])
+    for entry, points in ((0, pts[1:]), (1, pts[1:20]), (2, pts[21:])):
+        for p in points:
+            node.add_point(entry, p, p * p)
+    halves = _Node(2, 3, leaf=True)
+    for k in (1, 2):
+        halves.insert(halves.m, node.n[k], node.ls[k], node.ss[k])
+    n, ls, ss = halves.total()
+    cf_ok = (n == node.n[0]
+             and np.array_equal(ls, node.ls[0])
+             and np.array_equal(ss, node.ss[0]))
 
     eigvals, vecs = spectral_embedding(mat, sigma=0.3)
     spec_ok = (abs(eigvals[0]) <= 1e-8

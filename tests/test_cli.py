@@ -301,7 +301,7 @@ def test_bad_suite_entry_exits_two(tmp_path, capsys):
         assert err.startswith("amsdetect: error: ") and key in err, doc
 
 
-_HUGE = 10 ** 400   # a JSON integer beyond the float range
+_HUGE = 10 ** 400   # a JSON integer beyond the float and index ranges
 
 
 @pytest.mark.parametrize("entry, key", [
@@ -309,6 +309,12 @@ _HUGE = 10 ** 400   # a JSON integer beyond the float range
     ({"experiment": "IA", "noise_std": _HUGE}, "noise_std"),
     ({"experiment": "OmBoth", "jitter_gain": _HUGE}, "jitter_gain"),
     ({"experiment": "IA", "vref_params": {"input_amplitude": _HUGE}}, "vref_params"),
+    ({"experiment": "PPA", "window_k": _HUGE}, "window_k"),
+    ({"experiment": "IA", "n_samples": _HUGE}, "n_samples"),
+    ({"experiment": "IA", "n_samples_per_class": _HUGE}, "n_samples_per_class"),
+    ({"experiment": "OmBoth", "analysis": "dc_input_sweep", "sweep_points": _HUGE},
+     "sweep_points"),
+    ({"experiment": "KStage", "kstage_k": _HUGE}, "kstage_k"),
 ])
 def test_oversized_integer_config_values_exit_two(tmp_path, capsys, entry, key):
     """Refused by the config check, not by an OverflowError where the value

@@ -122,12 +122,18 @@ BEYOND_FLOAT = (st.integers(int(sys.float_info.max) + 1, 10**400)
                 | st.integers(-10**400, -int(sys.float_info.max) - 1))
 
 
+INT_KEYS = sorted(k for k, kind in FIELDS.items() if kind.startswith("int"))
+BEYOND_INDEX = (st.integers(sys.maxsize + 1, 10**400)
+                | st.integers(-10**400, -sys.maxsize - 1))
+
+
 @st.composite
 def _oversized_integer(draw):
     """A float key, or a vref_params entry, given an integer beyond the
-    float range, which JSON writes without loss."""
-    key = draw(st.sampled_from([*FLOAT_KEYS, "vref_params"]))
-    value = draw(BEYOND_FLOAT)
+    float range, or an integer key one beyond the index range (sys.maxsize);
+    JSON writes either without loss."""
+    key = draw(st.sampled_from([*FLOAT_KEYS, *INT_KEYS, "vref_params"]))
+    value = draw(BEYOND_INDEX if key in INT_KEYS else BEYOND_FLOAT)
     if key == "vref_params":
         return {key: {draw(st.sampled_from(VREF_KEYS)): value}}
     return {key: value}
@@ -148,7 +154,7 @@ BAD_CONFIG_EDITS = st.one_of(
 @given(edit=BAD_CONFIG_EDITS)
 def test_fuzzed_config_values_exit_two(tmp_path, capsys, edit):
     """One key of a refused type, out of range (an integer beyond the float
-    range included), naming nothing, or unknown."""
+    or index range included), naming nothing, or unknown."""
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**BASE_CONFIG, **edit}))
     _exits_two(capsys, ["experiment", "--config", str(path)])

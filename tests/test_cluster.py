@@ -14,16 +14,17 @@ from amsdetect import (ConfigurationError, FitError, InputError, VAR_FLOOR,
                        as_matrix, assign_many, cluster_stats, fit_birch,
                        fit_gmm, fit_kmeans, fit_spectral,
                        gmm_log_responsibilities, load_model, save_model)
-from amsdetect.cluster import (CFEntry, ClusterModel, canonical_labels, lloyd,
-                               spectral)
+from amsdetect.cluster import ClusterModel, canonical_labels, lloyd, spectral
+from amsdetect.cluster.birch import _leaf_features, _Node, _radius, _Tree
 from amsdetect.cluster.gmm import _fit_gmm_lanes
-from amsdetect.cluster.model import (_BLOCK_ELEMS, _lane_sum, _nearest, _sqdist,
+from amsdetect.cluster.model import (_WORK_ELEMS, _lane_sum, _nearest, _sqdist,
                                     _two_distinct_rows)
 from amsdetect.cluster.spectral import spectral_embedding
-from oracles import (em_step, exhaustive_two_means, fit_gmm_reference,
-                     fit_kmeans_reference, gmm_e_step_reference, lloyd_reference,
-                     nearest_reference, spectral_embedding_reference,
-                     sqdist_broadcast)
+from oracles import (birch_leaves_reference, birch_tree_reference, em_step,
+                     exhaustive_two_means,
+                     fit_birch_reference, fit_gmm_reference, fit_kmeans_reference,
+                     gmm_e_step_reference, lloyd_reference, nearest_reference,
+                     spectral_embedding_reference, sqdist_broadcast)
 
 
 def _accuracy(labels, assignments):
@@ -165,32 +166,39 @@ int_points = st.lists(
     min_size=2, max_size=24)
 
 
+def _cf_rows(pts, starts):
+    """A leaf node with one CF entry per start index, each from that point."""
+    node = _Node(len(starts), pts.shape[1], leaf=True)
+    for k in starts:
+        node.insert(node.m, 1, pts[k], pts[k] * pts[k])
+    return node
+
+
 @given(int_points, st.integers(1, 23))
 @settings(max_examples=80, deadline=None)
 def test_cf_additivity_is_exact(pts, cut):
     """CF(A u B) == CF(A) + CF(B) exactly on integer-representable points."""
     cut = min(cut, len(pts) - 1)
     arr = np.asarray(pts, dtype=np.float64)
-    whole = CFEntry.from_point(arr[0])
-    for p in arr[1:]:
-        whole.add_point(p)
-    left = CFEntry.from_point(arr[0])
-    for p in arr[1:cut]:
-        left.add_point(p)
-    right = CFEntry.from_point(arr[cut])
-    for p in arr[cut + 1:]:
-        right.add_point(p)
-    merged = CFEntry.merged(left, right)
-    assert merged.n == whole.n == len(pts)
-    assert np.array_equal(merged.ls, whole.ls)
-    assert np.array_equal(merged.ss, whole.ss)
+    node = _cf_rows(arr, [0, 0, cut])          # whole, left, right
+    for entry, points in ((0, arr[1:]), (1, arr[1:cut]), (2, arr[cut + 1:])):
+        for p in points:
+            node.add_point(entry, p, p * p)
+    halves = _Node(2, arr.shape[1], leaf=True)
+    for k in (1, 2):
+        halves.insert(halves.m, node.n[k], node.ls[k], node.ss[k])
+    n, ls, ss = halves.total()
+    assert n == node.n[0] == len(pts)
+    assert np.array_equal(ls, node.ls[0])
+    assert np.array_equal(ss, node.ss[0])
 
 
 def test_cf_radius_hand_value():
-    e = CFEntry.from_point(np.array([0.0, 0.0]))
-    e.add_point(np.array([2.0, 0.0]))
-    assert np.array_equal(e.centroid, [1.0, 0.0])
-    assert e.radius == pytest.approx(1.0)
+    node = _cf_rows(np.array([[0.0, 0.0]]), [0])
+    x = np.array([2.0, 0.0])
+    node.add_point(0, x, x * x)
+    assert np.array_equal(node.centroids(), [[1.0, 0.0]])
+    assert _radius(node.n[0], node.ls[0], node.ss[0]) == pytest.approx(1.0)
 
 
 def test_birch_clusters_blobs(blobs_2d):
@@ -397,8 +405,12 @@ def test_all_four_algorithms_separate_blobs(blobs_2d):
 # --------------------------------------------------- row-blocked kernels
 
 def _kernel_inputs(nb, d, which, tied, seed):
-    """(a, b) with a's row count on or next to a multiple of the row block."""
-    block = max(1, _BLOCK_ELEMS // (nb * d))
+    """(a, b) with a's row count on or next to a multiple of the row block.
+
+    A block holds as many rows of a as keep its (d, rows, nb) work array
+    within _WORK_ELEMS.
+    """
+    block = max(1, _WORK_ELEMS // (nb * d))
     na = (1, max(1, block - 1), block, block + 1, 3 * block + 5)[which]
     rng = np.random.default_rng(seed)
     if tied:  # a small grid and repeated centroid rows make exact ties common
@@ -410,6 +422,9 @@ def _kernel_inputs(nb, d, which, tied, seed):
 
 @given(st.integers(1, 2500), st.integers(1, 30), st.integers(0, 4),
        st.booleans(), st.integers(0, 2**32 - 1))
+@example(nb=2, d=130, which=3, tied=False, seed=0)      # split pairwise sum
+@example(nb=40, d=300, which=2, tied=True, seed=1)
+@example(nb=1000, d=131, which=4, tied=False, seed=2)   # one row per block
 @settings(max_examples=80, deadline=None)
 def test_blocked_kernels_match_one_shot_broadcast(nb, d, which, tied, seed):
     """Byte-equal to the one-shot (na, nb, d) broadcast across block edges."""
@@ -421,11 +436,22 @@ def test_blocked_kernels_match_one_shot_broadcast(nb, d, which, tied, seed):
     assert np.array_equal(got, np.argmin(want, axis=1))  # ties: first minimum
 
 
-@given(st.integers(3, 400), st.integers(1, 30), st.floats(0.3, 3.0),
-       st.integers(0, 2**32 - 1))
+_TILE = spectral._TILE
+_TILE_EDGES = [_TILE - 1, _TILE, _TILE + 1, 2 * _TILE, 2 * _TILE + 1, 3 * _TILE - 1]
+
+
+@given(st.one_of(st.integers(3, 400), st.sampled_from(_TILE_EDGES)),
+       st.integers(1, 30), st.floats(0.3, 3.0), st.integers(0, 2**32 - 1))
+@example(n=_TILE, d=9, scale=1.0, seed=0)
+@example(n=_TILE + 1, d=3, scale=0.5, seed=1)
+@example(n=2 * _TILE + 1, d=9, scale=1.0, seed=2)
 @settings(max_examples=30, deadline=None)
 def test_in_place_laplacian_matches_reference(n, d, scale, seed):
-    """Eigenvalues and embedding byte-equal to the out-of-place Laplacian."""
+    """Eigenvalues and embedding byte-equal to the out-of-place Laplacian.
+
+    Row counts on and next to multiples of the symmetrization tile put the
+    last tile row and column at every width from 1 to a full tile.
+    """
     mat = np.random.default_rng(seed).normal(0.0, 1.0, (n, d))
     sigma = scale * np.sqrt(d)
     got = spectral_embedding(mat, sigma)
@@ -515,7 +541,8 @@ def test_lane_sum_matches_add_reduce(d, m, kind, seed):
         rows = np.full((m, d), -0.0)
     elif kind == "mixed":
         rows[:, ::3] = -0.0
-    assert _same(_lane_sum(rows.T), np.add.reduce(rows, axis=1))
+    want = np.add.reduce(rows, axis=1)
+    assert _same(_lane_sum(rows.T), want)   # sums in place, over rows itself
 
 
 def _gmm_init(mat, seed, explicit):
@@ -710,3 +737,57 @@ def test_fit_kmeans_matches_row_major_reference(n, d, kind, seed):
     for g, w in zip(lloyd(mat, mat[[0, -1]], weights=weights),
                     lloyd_reference(mat, mat[[0, -1]], weights=weights)):
         assert _same(g, w)
+
+
+# ------------------------------------------------- array-backed BIRCH tree
+
+def _same_tree(node, ref):
+    """Every node's (N, LS, SS) rows, and the shape below it, equal the
+    reference tree's entries, to the bit."""
+    assert (node.children is None) == ref.is_leaf
+    assert node.n[:node.m].tolist() == [e.n for e in ref.entries]
+    assert _same(node.ls[:node.m], np.stack([e.ls for e in ref.entries]))
+    assert _same(node.ss[:node.m], np.stack([e.ss for e in ref.entries]))
+    for child, e in zip(node.children or (), ref.entries):
+        _same_tree(child, e.child)
+
+
+@given(st.integers(2, 600), st.integers(1, 12), _KINDS, st.integers(2, 16),
+       st.sampled_from([1e-4, 0.01, 0.05, 0.3, 2.0]), st.integers(0, 2**16))
+@example(n=600, d=9, kind="blobs", branching=16, threshold=0.05, seed=0)
+@example(n=300, d=1, kind="wide", branching=2, threshold=1e-4, seed=1)
+@example(n=200, d=12, kind="grid", branching=3, threshold=0.01, seed=2)
+@example(n=120, d=2, kind="grid", branching=2, threshold=2.0, seed=3)
+@example(n=50, d=5, kind="wide", branching=16, threshold=2.0, seed=4)
+@settings(max_examples=25, deadline=None)
+def test_birch_matches_object_tree_reference(n, d, kind, branching, threshold, seed):
+    """Every node's CF rows, the leaf (N, LS, SS) in leaf order and the
+    fitted model equal to the bit.
+
+    Small thresholds open an entry per distinct row, so small branching
+    factors split leaves and inner nodes over and over; the grid repeats
+    rows, which the tree absorbs at radius 0.
+    """
+    mat = _matrix(n, d, kind, seed)
+    root = birch_tree_reference(mat, branching, threshold)
+    tree = _Tree(branching, threshold, n, d)
+    for x in mat:
+        tree.insert(x)
+    _same_tree(tree.root, root)
+    want = birch_leaves_reference(root)
+    counts, ls, ss = _leaf_features(mat, branching, threshold)
+    assert counts.tolist() == [e[0] for e in want]
+    assert _same(ls, np.stack([e[1] for e in want]))
+    assert _same(ss, np.stack([e[2] for e in want]))
+    try:
+        ref = fit_birch_reference(mat, branching, threshold)
+    except FitError as exc:
+        with pytest.raises(FitError) as lone:
+            fit_birch(mat, branching, threshold)
+        assert str(lone.value) == str(exc)
+        return
+    model = fit_birch(mat, branching, threshold)
+    got = (model.mu_k, model.sigma_k, model.centroids, model.train_assignments)
+    for g, w in zip(got, ref[:4]):
+        assert _same(g, w)
+    assert model.sse_history == ref[4]
