@@ -10,8 +10,7 @@ reproducible experiment harness (``bench``, ``cli``).
 from .errors import (AmsDetectError, ConfigurationError, DegenerateDataError,
                      FitError, InjectionError, InputError, RefitError,
                      StatsError, WindowError)
-from .waveforms import (AmplifierStage, KStageAmplifier, OpampModel,
-                        SweepSpec, VrefBlockSignals, VrefConfig, Waveform,
+from .waveforms import (OpampModel, SweepSpec, VrefConfig, Waveform,
                         build_kstage, default_vref_component_model,
                         simulate_opamp, simulate_vref, waveform_from_csv,
                         waveform_to_csv)
@@ -20,14 +19,14 @@ from .inject import (TEMP_RANGE, AnomalySpec, ComponentFault, FaultKind,
                      PointRandom, apply_anomaly_spec, apply_component_fault,
                      inject_point_periodic, inject_point_random,
                      record_to_csv)
-from .features import (FEATURE_NAMES, FeatureRow, NormalizationParams,
-                       dataset_from_csv, dataset_to_csv, extract_features,
-                       labels_array, normalize_dataset, windowed_features)
+from .features import (FEATURE_NAMES, Dataset, NormalizationParams,
+                       dataset_from_csv, dataset_to_csv, labels_array,
+                       normalize_dataset, windowed_features)
 from .cluster import (MODEL_FORMAT, MODEL_VERSION, VAR_FLOOR, ClusterModel,
                       as_matrix, assign_many, canonical_labels,
                       cluster_stats, fit_birch, fit_gmm, fit_kmeans,
-                      fit_spectral, gmm_log_responsibilities, kmeans_pp_init,
-                      lloyd, load_model, save_model, spectral_embedding)
+                      fit_spectral, kmeans_pp_init, lloyd, load_model,
+                      save_model, spectral_embedding)
 from .centroid import CentroidPair, refine_model, select_centroids
 from .earlydetect import (DetectionResult, detect_windowed,
                           detections_to_csv, latency_report, scan_windows)

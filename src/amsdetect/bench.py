@@ -18,8 +18,8 @@ in one dispatcher call -- GMM fits of one matrix shape run as lanes of one
 lockstep EM, across entries -- then scores each entry, continuing past
 per-entry failures; ``evaluate`` is the one-entry case of that path, so an
 entry's report has the same bytes in a suite and alone.
-``generate_dataset`` is the row adapter: the same array as one
-``FeatureRow`` per (instance, window).
+``generate_dataset`` is the same array as a ``Dataset``, one row per
+(instance, window).
 
 Reproducibility contract: everything derives from ``config.seed`` through
 per-sample child seeds, so a (config, seed) pair yields byte-identical
@@ -40,15 +40,14 @@ from .cluster import (ClusterModel, as_matrix, assign_many, fit_birch, fit_gmm,
 from .cluster.gmm import _fit_gmm_lanes
 from .earlydetect import latency_report, scan_windows
 from .errors import AmsDetectError, ConfigurationError, FitError, _read_text
-from .features import FEATURE_NAMES, FeatureRow, NormalizationParams, _windowed_rows
+from .features import FEATURE_NAMES, Dataset, NormalizationParams, _windowed_rows
 from .inject import (TEMP_RANGE, AnomalySpec, ComponentFault, InjectionLocation,
                      PointPeriodic, PointRandom, _walk_chain,
                      apply_component_fault)
 from .waveforms import (OpampModel, SweepSpec, VrefConfig, Waveform,
                         _check_finite, _input_rows, _lowpass_steps,
                         _output_drive, _simulate_columns, build_kstage,
-                        default_vref_component_model, sine_stimulus,
-                        stage_model)
+                        default_vref_component_model, sine_stimulus)
 # Unused here; perfbench/test_perfbench.py checks its tracer at this binding.
 from .waveforms import simulate_vref  # noqa: F401
 
@@ -429,15 +428,13 @@ def _instance_chain(config: ExperimentConfig, rng: np.random.Generator,
                 FAULT_EXPERIMENTS[config.experiment], config.fault_temperature))
         return [model]
     base = _jittered(_KSTAGE_BASE, rng, config)
-    gains = list(config.kstage_gains or (2.0,) * config.kstage_k)
+    gains = config.kstage_gains or (2.0,) * config.kstage_k
     if label == 1:
         stages = (config.anomalous_stages if config.anomalous_stages is not None
                   else (int(rng.integers(config.kstage_k)),))
         fault = ComponentFault.from_name(config.kstage_fault, config.fault_temperature)
-        amp = build_kstage(base, config.kstage_k, gains, stages, fault)
-    else:
-        amp = build_kstage(base, config.kstage_k, gains)
-    return [stage_model(st) for st in amp.stages]
+        return build_kstage(base, gains, stages, fault)
+    return build_kstage(base, gains)
 
 
 def _sweep(spec) -> SweepSpec:
@@ -498,12 +495,13 @@ def generate_features(config: ExperimentConfig) -> tuple[np.ndarray, int, float]
     return feats, length // k, dt
 
 
-def generate_dataset(config: ExperimentConfig) -> list[FeatureRow]:
-    """The config's full dataset as rows: every observed signal x selected feature."""
+def generate_dataset(config: ExperimentConfig) -> Dataset:
+    """The config's full dataset, one row per (instance, window); its columns
+    are every observed signal x selected feature."""
     feats = generate_features(config)[0]
     n = config.n_samples_per_class
-    return [FeatureRow(_sample_id(*divmod(i, n)), i // n, w, feats[i, w])
-            for i in range(2 * n) for w in range(feats.shape[1])]
+    return Dataset.from_windows([_sample_id(*divmod(i, n)) for i in range(2 * n)],
+                                np.arange(2 * n) // n, feats)
 
 
 def _best_mapping(labels: np.ndarray, pred_if_1: np.ndarray, pred_if_0: np.ndarray

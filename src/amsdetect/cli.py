@@ -5,8 +5,8 @@ Subcommands mirror the pipeline stages: ``simulate`` -> ``inject`` ->
 bundled ``experiment`` / ``suite`` runners and a ``report`` pretty-printer.
 
 Exit codes: 0 success, 1 usage error, 2 runtime error (bad config values,
-degenerate data, unreadable files).  All outputs go under the path given by
-``--out``; nothing else on disk is touched.
+degenerate data, unreadable files, running out of memory).  All outputs go
+under the path given by ``--out``; nothing else on disk is touched.
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ from .bench import (ExperimentConfig, _sweep, evaluate, fit_model,
                     load_config, load_suite, report_table, report_to_csv,
                     run_suite, suite_table, suite_to_csv)
 from .centroid import refine_model
-from .cluster import as_matrix, load_model, save_model
-from .earlydetect import detect_windowed, detections_to_csv, latency_report
+from .cluster import as_matrix, assign_many, load_model, save_model
+from .earlydetect import detections_to_csv, latency_report, scan_windows
 from .errors import AmsDetectError, InputError, _read_text
-from .features import (FEATURE_NAMES, FeatureRow, dataset_from_csv,
-                       dataset_to_csv, normalize_dataset, windowed_features)
+from .features import (FEATURE_NAMES, Dataset, NormalizationParams,
+                       dataset_from_csv, dataset_to_csv, windowed_features)
 from .inject import (ComponentFault, apply_component_fault,
                      inject_point_periodic, inject_point_random,
                      record_to_csv)
@@ -57,9 +57,9 @@ def _write(path: str, what: str) -> None:
 def _cmd_simulate(args) -> int:
     if args.circuit == "vref_blocks":
         cfg = VrefConfig(noise_std=args.noise_std)
-        sig = simulate_vref(cfg, args.n_samples, args.duration, args.seed)
+        taps = simulate_vref(cfg, args.n_samples, args.duration, args.seed)
         out = _outdir(args.out)
-        for name, wave in sig.as_dict().items():
+        for name, wave in taps.items():
             path = os.path.join(out, f"{name}.csv")
             waveform_to_csv(wave, path)
             _write(path, f"signal {name}")
@@ -108,28 +108,26 @@ def _cmd_inject(args) -> int:
 
 def _cmd_featurize(args) -> int:
     features = tuple(args.features.split(","))
-    rows = []
+    ids, feats = [], []
     for path in args.infiles:
-        wave = waveform_from_csv(path)
-        sample_id = os.path.splitext(os.path.basename(path))[0]
-        mat = windowed_features(wave, args.windows or 1, features)
-        for w in range(mat.shape[0]):
-            rows.append(FeatureRow(sample_id, args.label, w, mat[w]))
-    dataset_to_csv(rows, features, args.out)
-    _write(args.out, f"dataset ({len(rows)} rows)")
+        ids.append(os.path.splitext(os.path.basename(path))[0])
+        feats.append(windowed_features(waveform_from_csv(path), args.windows or 1,
+                                       features))
+    ds = Dataset.from_windows(ids, [args.label] * len(ids), feats)
+    dataset_to_csv(ds, features, args.out)
+    _write(args.out, f"dataset ({len(ds)} rows)")
     return 0
 
 
 # --------------------------------------------------------------------- fit
 
 def _cmd_fit(args) -> int:
-    names, rows = dataset_from_csv(args.infile)
-    if args.no_normalize:
-        norm = None
-        fit_rows = rows
-    else:
-        fit_rows, norm = normalize_dataset(rows)
-    mat = as_matrix(fit_rows)
+    names, ds = dataset_from_csv(args.infile)
+    mat, norm = ds.values, None
+    if not args.no_normalize:
+        norm = NormalizationParams(mat.min(axis=0), mat.max(axis=0))
+        mat = norm.apply(mat)
+    mat = as_matrix(mat)
     model = fit_model(args.algorithm, mat, seed=args.seed,
                       birch_branching=args.birch_branching,
                       birch_threshold=args.birch_threshold,
@@ -138,7 +136,7 @@ def _cmd_fit(args) -> int:
     model.norm = norm
     save_model(model, args.out)
     sizes = np.bincount(model.train_assignments, minlength=model.k)
-    print(f"fit {model.algorithm} on {len(rows)} rows x {model.dim} dims")
+    print(f"fit {model.algorithm} on {len(ds)} rows x {model.dim} dims")
     print("cluster sizes: " + ", ".join(str(int(s)) for s in sizes))
     for c in range(model.k):
         mu = ", ".join(f"{v:.4f}" for v in model.mu_k[c])
@@ -151,8 +149,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_select_centroids(args) -> int:
     model = load_model(args.model)
-    _, rows = dataset_from_csv(args.infile)
-    mat = as_matrix(rows)
+    mat = as_matrix(dataset_from_csv(args.infile)[1])
     if model.norm is not None:
         mat = model.norm.apply(mat)
     refined = refine_model(model, mat, args.sigma_scope)
@@ -174,22 +171,29 @@ def _cmd_select_centroids(args) -> int:
 
 def _cmd_detect(args) -> int:
     model = load_model(args.model)
-    _, rows = dataset_from_csv(args.infile)
-    by_sample: dict[str, list[FeatureRow]] = {}
-    for r in rows:
-        by_sample.setdefault(r.sample_id, []).append(r)
-    results = []
-    for sample_id, srows in by_sample.items():
-        srows.sort(key=lambda r: r.window_index)
-        if [r.window_index for r in srows] != list(range(len(srows))):
-            raise InputError(f"{args.infile}: sample {sample_id!r} needs window "
-                             f"indices 0..{len(srows) - 1}, each once")
-        mat = np.stack([r.values for r in srows])
-        if model.norm is not None:
-            mat = model.norm.apply(mat)
-        results.append(detect_windowed(
-            model, mat, args.samples_per_window, args.sample_period,
-            stop_early=not args.no_early_stop, sample_id=sample_id))
+    _, ds = dataset_from_csv(args.infile)
+    # samples in order of first appearance, each one's rows in window order
+    code: dict[str, int] = {}
+    sample = np.array([code.setdefault(s, len(code)) for s in ds.sample_ids])
+    order = np.lexsort((ds.windows, sample))
+    counts = np.bincount(sample)
+    starts = np.cumsum(counts) - counts
+    ids = list(code)
+    wrong = ds.windows[order] != np.arange(len(ds)) - np.repeat(starts, counts)
+    if wrong.any():
+        bad = sample[order[wrong.argmax()]]
+        raise InputError(f"{args.infile}: sample {ids[bad]!r} needs window "
+                         f"indices 0..{counts[bad] - 1}, each once")
+    mat = ds.values[order]
+    asg = assign_many(model, mat if model.norm is None else model.norm.apply(mat))
+    results = [None] * len(ids)
+    for k in sorted(set(counts.tolist())):   # one scan per window count
+        which = np.flatnonzero(counts == k)
+        for s, r in zip(which, scan_windows(
+                asg[starts[which, None] + np.arange(k)], args.samples_per_window,
+                args.sample_period, model.anomalous_cluster,
+                stop_early=not args.no_early_stop, sample_ids=[ids[s] for s in which])):
+            results[s] = r
     rep = latency_report(results)
     if args.out:
         detections_to_csv(results, args.out)
@@ -471,6 +475,10 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"amsdetect: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"amsdetect: error: out of memory{f' ({exc})' if str(exc) else ''}",
+              file=sys.stderr)
         return 2
 
 

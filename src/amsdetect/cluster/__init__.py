@@ -5,7 +5,7 @@ every fitter returns exactly two clusters in canonical order.
 """
 
 from .birch import fit_birch
-from .gmm import VAR_FLOOR, fit_gmm, gmm_log_responsibilities
+from .gmm import VAR_FLOOR, fit_gmm
 from .kmeans import fit_kmeans, kmeans_pp_init, lloyd
 from .model import (MODEL_FORMAT, MODEL_VERSION, ClusterModel, as_matrix,
                     assign_many, canonical_labels, cluster_stats, load_model,
@@ -25,7 +25,6 @@ __all__ = [
     "fit_gmm",
     "fit_kmeans",
     "fit_spectral",
-    "gmm_log_responsibilities",
     "kmeans_pp_init",
     "lloyd",
     "load_model",

@@ -61,7 +61,7 @@ from ..errors import FitError
 from .kmeans import fit_kmeans
 from .model import ClusterModel, _lane_sum, _nearest, as_matrix, canonical_labels
 
-__all__ = ["fit_gmm", "gmm_log_responsibilities", "VAR_FLOOR"]
+__all__ = ["fit_gmm", "VAR_FLOOR"]
 
 VAR_FLOOR = 1e-8
 
@@ -119,13 +119,6 @@ def _log_resp_rows(weights, means, variances, mat):
     n, d = mat.shape
     w, mu, var = (np.asarray(a, dtype=np.float64) for a in (weights, means, variances))
     return _log_resp(w, mu, var, mat.T, np.empty((2, d, n)))
-
-
-def gmm_log_responsibilities(weights, means, variances, mat
-                             ) -> tuple[np.ndarray, float]:
-    """Log responsibilities (n, 2) and total log-likelihood of the data."""
-    lr, log_norm = _log_resp_rows(weights, means, variances, mat)
-    return lr.T, float(log_norm.sum())
 
 
 def _hard_labels(weights, means, variances, mat) -> np.ndarray:

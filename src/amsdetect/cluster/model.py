@@ -16,7 +16,7 @@ import json
 import numpy as np
 
 from ..errors import AmsDetectError, FitError, InputError, StatsError, _read_text
-from ..features import FeatureRow, NormalizationParams
+from ..features import NormalizationParams
 
 __all__ = [
     "ClusterModel",
@@ -36,13 +36,9 @@ MODEL_VERSION = 1
 
 
 def as_matrix(rows) -> np.ndarray:
-    """Accept a (n, d) array, a 1-D array, or a list of FeatureRow."""
-    if isinstance(rows, np.ndarray):
-        mat = rows.astype(np.float64, copy=False)
-    elif rows and isinstance(rows[0], FeatureRow):
-        mat = np.stack([r.values for r in rows])
-    else:
-        mat = np.asarray(rows, dtype=np.float64)
+    """Accept a (n, d) array, a 1-D array (one column), or anything numpy
+    converts to one, such as a ``Dataset`` (its ``values``)."""
+    mat = np.asarray(rows, dtype=np.float64)
     if mat.ndim == 1:
         mat = mat[:, None]
     if mat.ndim != 2 or mat.size == 0:

@@ -94,22 +94,19 @@ def detect_windowed(model: ClusterModel, window_features,
     """Assign one signal's windows and scan them (see ``scan_windows``).
 
     :param window_features: (k, d) feature vectors, one per window, in the
-        same (normalized) space the model was fitted in
+        same (normalized) space the model was fitted in; a 1-D array is one
+        feature per window
     :param anomalous_cluster: cluster id treated as anomalous; defaults to
         the model's bound id
     :returns: result with latency m*(N/k)*sample_period and speedup k/m,
         where m is the number of windows actually consumed
     """
-    feats = np.asarray(window_features, dtype=np.float64)
-    if feats.ndim == 1:
-        feats = feats[:, None]
-    if feats.ndim != 2 or feats.shape[0] == 0:
-        raise InputError("window_features must be a non-empty (k, d) array")
     bad = anomalous_cluster if anomalous_cluster is not None else model.anomalous_cluster
     if not 0 <= bad < model.k:
         raise InputError(f"anomalous_cluster {bad} out of range for k={model.k}")
-    return scan_windows(assign_many(model, feats)[None, :], samples_per_window,
-                        sample_period, bad, stop_early, [sample_id])[0]
+    return scan_windows(assign_many(model, window_features)[None, :],
+                        samples_per_window, sample_period, bad, stop_early,
+                        [sample_id])[0]
 
 
 def latency_report(results: list[DetectionResult]) -> dict:

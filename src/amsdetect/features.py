@@ -1,15 +1,17 @@
-"""Feature extraction, windowing and normalization.
+"""Feature extraction, windowing, normalization and the dataset type.
 
 Features are deliberately cheap time-domain statistics (the point of the
 harness is early detection, not rich featurization): arithmetic mean,
 population variance, and the least-squares slope of value against sample
 index.  A windowed extraction splits a signal into k equal spans and treats
-every window as an independent sample downstream.
+every window as an independent sample downstream: one row of a ``Dataset``,
+whose columns are the sample ids, labels, window indices and the (rows, d)
+feature matrix the clustering reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,9 +20,8 @@ from .waveforms import Waveform
 
 __all__ = [
     "FEATURE_NAMES",
-    "FeatureRow",
+    "Dataset",
     "NormalizationParams",
-    "extract_features",
     "windowed_features",
     "normalize_dataset",
     "labels_array",
@@ -55,34 +56,6 @@ def _check_selection(selection) -> tuple[str, ...]:
     return sel
 
 
-def _feature_rows(x: np.ndarray, sel: tuple[str, ...]) -> np.ndarray:
-    """Selected features of each row of a (k, w) array; returns (k, len(sel))."""
-    k, width = x.shape
-    means = x.mean(axis=1)
-    out = np.empty((k, len(sel)))
-    for j, name in enumerate(sel):
-        if name == "mean":
-            out[:, j] = means
-        elif name == "variance":
-            out[:, j] = x.var(axis=1)
-        else:
-            # least-squares slope of value against sample index (per-sample
-            # units); one dot per row keeps each window's bytes as if alone
-            if width < 2:
-                raise InputError("slope needs at least 2 samples")
-            idx = np.arange(width, dtype=np.float64)
-            di = idx - idx.mean()
-            den = np.dot(di, di)
-            out[:, j] = [np.dot(di, row - m) / den for row, m in zip(x, means)]
-    return out
-
-
-def extract_features(signal, selection=FEATURE_NAMES) -> np.ndarray:
-    """Compute the selected features of one signal, in the given order."""
-    x = _as_samples(signal)
-    return _feature_rows(x[None, :], _check_selection(selection))[0]
-
-
 def _windowed_rows(x: np.ndarray, k: int, selection) -> np.ndarray:
     """``windowed_features`` of each row of a C-contiguous (rows, n) array.
 
@@ -94,7 +67,25 @@ def _windowed_rows(x: np.ndarray, k: int, selection) -> np.ndarray:
     if n % k != 0:
         raise WindowError(f"{n} samples do not divide into {k} equal windows")
     sel = _check_selection(selection)
-    return _feature_rows(x.reshape(rows * k, -1), sel).reshape(rows, k, len(sel))
+    x = x.reshape(rows * k, -1)
+    width = x.shape[1]
+    means = x.mean(axis=1)
+    out = np.empty((rows * k, len(sel)))
+    for j, name in enumerate(sel):
+        if name == "mean":
+            out[:, j] = means
+        elif name == "variance":
+            out[:, j] = x.var(axis=1)
+        else:
+            # least-squares slope of value against sample index (per-sample
+            # units); one dot per window keeps its bytes as if alone
+            if width < 2:
+                raise InputError("slope needs at least 2 samples")
+            idx = np.arange(width, dtype=np.float64)
+            di = idx - idx.mean()
+            den = np.dot(di, di)
+            out[:, j] = [np.dot(di, row - m) / den for row, m in zip(x, means)]
+    return out.reshape(rows, k, len(sel))
 
 
 def windowed_features(signal, k: int, selection=FEATURE_NAMES) -> np.ndarray:
@@ -105,21 +96,56 @@ def windowed_features(signal, k: int, selection=FEATURE_NAMES) -> np.ndarray:
     return _windowed_rows(_as_samples(signal)[None, :], k, selection)[0]
 
 
-@dataclass
-class FeatureRow:
-    """One observation: the features of one window of one signal instance."""
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """Observations as columns: row i is window ``windows[i]`` of sample
+    ``sample_ids[i]``, with features ``values[i]``.
 
-    sample_id: str
-    label: int                 # 0 = normal, 1 = anomalous (scoring only)
-    window_index: int
+    ``sample_ids`` is a tuple of ``str`` (numpy's ``U`` dtype drops trailing
+    NULs); ``labels`` (0 normal, 1 anomalous; scoring only) and ``windows``
+    are int64, ``values`` is (rows, d) float64, all read-only copies.
+    ``len`` is the row count and ``np.asarray`` gives ``values``.
+    """
+
+    sample_ids: tuple[str, ...]
+    labels: np.ndarray
+    windows: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64).ravel()
-        if self.label not in (0, 1):
+        ids = tuple(self.sample_ids)
+        labels, windows = (np.asarray(c) for c in (self.labels, self.windows))
+        if any(c.size and c.dtype.kind not in "iu" for c in (labels, windows)):
+            raise InputError("labels and window indices must be integers")
+        labels, windows = labels.astype(np.int64), windows.astype(np.int64)
+        values = np.array(self.values, dtype=np.float64)
+        if not (labels.ndim == windows.ndim == 1 and values.ndim == 2
+                and len(ids) == len(labels) == len(windows) == len(values) > 0):
+            raise InputError("a dataset needs one or more rows: equal-length "
+                             "1-D columns and a (rows, d) values matrix")
+        if not np.isin(labels, (0, 1)).all():
             raise InputError("label must be 0 or 1")
-        if self.window_index < 0:
+        if (windows < 0).any():
             raise InputError("window_index must be >= 0")
+        for col in (labels, windows, values):
+            col.setflags(write=False)
+        vars(self).update(sample_ids=ids, labels=labels, windows=windows, values=values)
+
+    @classmethod
+    def from_windows(cls, sample_ids, labels, feats) -> Dataset:
+        """Rows of (samples, k, ...) window features, sample-major: window w
+        of sample i is row i*k + w, its features flattened in C order."""
+        feats = np.asarray(feats, dtype=np.float64)
+        n, k = feats.shape[:2]
+        return cls(tuple(s for s in sample_ids for _ in range(k)),
+                   np.repeat(labels, k), np.tile(np.arange(k), n),
+                   feats.reshape(n * k, -1))
+
+    def __len__(self) -> int:
+        return len(self.sample_ids)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.values, dtype=dtype, copy=copy)
 
 
 @dataclass
@@ -151,56 +177,49 @@ class NormalizationParams:
         return out
 
 
-def labels_array(rows: list[FeatureRow]) -> np.ndarray:
-    return np.array([r.label for r in rows], dtype=np.int64)
+def labels_array(ds: Dataset) -> np.ndarray:
+    """The dataset's label column."""
+    return ds.labels
 
 
-def normalize_dataset(rows: list[FeatureRow]
-                      ) -> tuple[list[FeatureRow], NormalizationParams]:
+def normalize_dataset(ds: Dataset) -> tuple[Dataset, NormalizationParams]:
     """Min-max normalize every dimension to [0, 1] over the whole dataset."""
-    if not rows:
-        raise InputError("empty dataset")
-    mat = np.stack([r.values for r in rows])
-    params = NormalizationParams(mat.min(axis=0), mat.max(axis=0))
-    out = [FeatureRow(r.sample_id, r.label, r.window_index, v)
-           for r, v in zip(rows, params.apply(mat))]
-    return out, params
+    params = NormalizationParams(ds.values.min(axis=0), ds.values.max(axis=0))
+    return replace(ds, values=params.apply(ds.values)), params
 
 
-def dataset_to_csv(rows: list[FeatureRow], feature_names, path) -> None:
+def dataset_to_csv(ds: Dataset, feature_names, path) -> None:
     """Write ``sample_id,label,window_index,<feature columns>``.
 
-    Rows are ordered by (sample_id, window_index).  ``feature_names`` label
-    the value columns; pass None for anonymous ``f1..fD`` headers.
+    Rows are ordered as ``sorted`` orders their (sample_id, window_index).
+    ``feature_names`` label the value columns; pass None for anonymous
+    ``f1..fD`` headers.
     """
-    if not rows:
-        raise InputError("empty dataset")
-    dim = rows[0].values.size
-    for r in rows:
-        if r.values.size != dim:
-            raise InputError("rows have inconsistent dimensionality")
+    dim = ds.values.shape[1]
     if feature_names is None:
         feature_names = [f"f{j + 1}" for j in range(dim)]
-    feature_names = list(feature_names)
     if len(feature_names) != dim:
         raise InputError(f"{len(feature_names)} feature names for {dim} columns")
     header = "sample_id,label,window_index," + ",".join(feature_names)
-    ordered = sorted(rows, key=lambda r: (r.sample_id, r.window_index))
+    ids, labels, windows = ds.sample_ids, ds.labels.tolist(), ds.windows.tolist()
+    order = sorted(range(len(ds)), key=lambda i: (ids[i], windows[i]))
     cells = []
-    for r in ordered:
-        cells += (r.sample_id, r.label, r.window_index, *r.values.tolist())
+    for i, values in zip(order, ds.values[order].tolist()):
+        cells += (ids[i], labels[i], windows[i], *values)
     row = "%s,%s,%s" + ",%.12e" * dim + "\n"
     with open(path, "w") as fh:
-        fh.write(header + "\n" + (row * len(ordered)) % tuple(cells))
+        fh.write(header + "\n" + (row * len(order)) % tuple(cells))
 
 
-def dataset_from_csv(path) -> tuple[list[str], list[FeatureRow]]:
-    """Read a dataset CSV back: (feature column names, rows)."""
+def dataset_from_csv(path) -> tuple[list[str], Dataset]:
+    """Read a dataset CSV back, rows in file order: (feature column names, dataset).
+
+    :raises InputError: a bad header, or the first bad row, quoted
+    """
     first, _, body = _read_text(path).partition("\n")
     header = first.strip().split(",")
     if header[:3] != ["sample_id", "label", "window_index"]:
         raise InputError(f"{path}: unexpected dataset header")
-    names = header[3:]
     rows = []
     try:
         for line in body.split("\n"):
@@ -210,10 +229,16 @@ def dataset_from_csv(path) -> tuple[list[str], list[FeatureRow]]:
             parts = line.split(",")
             if len(parts) != len(header):
                 raise ValueError(f"{len(parts)} fields, header has {len(header)}")
-            rows.append(FeatureRow(parts[0], int(parts[1]), int(parts[2]),
-                                   np.array([float(p) for p in parts[3:]])))
-    except (ValueError, InputError) as exc:
+            # a window index beyond int64 raises OverflowError
+            label, window = int(parts[1]), np.int64(parts[2])
+            values = [float(p) for p in parts[3:]]
+            if label not in (0, 1):
+                raise ValueError("label must be 0 or 1")
+            if window < 0:
+                raise ValueError("window_index must be >= 0")
+            rows.append((parts[0], label, window, values))
+    except (ValueError, OverflowError) as exc:
         raise InputError(f"{path}: bad row {line!r} ({exc})") from None
     if not rows:
         raise InputError(f"{path}: no data rows")
-    return names, rows
+    return header[3:], Dataset(*zip(*rows))

@@ -51,16 +51,12 @@ from .errors import ConfigurationError, InputError, _read_text
 __all__ = [
     "Waveform",
     "VrefConfig",
-    "VrefBlockSignals",
     "OpampModel",
     "SweepSpec",
-    "AmplifierStage",
-    "KStageAmplifier",
     "simulate_vref",
     "simulate_opamp",
     "sine_stimulus",
     "build_kstage",
-    "stage_model",
     "vref_output_block",
     "default_vref_component_model",
     "waveform_to_csv",
@@ -164,33 +160,6 @@ class VrefConfig:
         for key in ("pll_lock_tau", "output_tau"):
             if getattr(self, key) <= 0:
                 raise ConfigurationError(f"{key} must be > 0", config_key=key)
-
-
-@dataclass
-class VrefBlockSignals:
-    """The five aligned waveforms produced by one reference-chain simulation."""
-
-    input: Waveform
-    pll_frequency: Waveform
-    pll_intensity: Waveform
-    trig: Waveform
-    output: Waveform
-
-    def __post_init__(self):
-        n = len(self.input)
-        dt = self.input.sample_period
-        for w in (self.pll_frequency, self.pll_intensity, self.trig, self.output):
-            if len(w) != n or w.sample_period != dt:
-                raise InputError("block signals must share length and sample period")
-
-    def as_dict(self) -> dict[str, Waveform]:
-        return {
-            "input": self.input,
-            "pll_frequency": self.pll_frequency,
-            "pll_intensity": self.pll_intensity,
-            "trig": self.trig,
-            "output": self.output,
-        }
 
 
 def _nominal_carrier(n_samples: int, sample_period: float, config: VrefConfig) -> np.ndarray:
@@ -369,8 +338,9 @@ def vref_output_block(trig: Waveform, config: VrefConfig) -> Waveform:
 
 
 def simulate_vref(config: VrefConfig, n_samples: int = 1500,
-                  duration: float = 20.0e-6, seed: int | None = 0) -> VrefBlockSignals:
-    """Simulate the full reference chain.
+                  duration: float = 20.0e-6, seed: int | None = 0) -> dict[str, Waveform]:
+    """Simulate the full reference chain: its five taps by name, in chain
+    order (input, pll_frequency, pll_intensity, trig, output).
 
     :param n_samples: samples per signal (default 1500)
     :param duration: simulated span in seconds (default 20 us, so the default
@@ -385,8 +355,7 @@ def simulate_vref(config: VrefConfig, n_samples: int = 1500,
     dt = duration / n_samples
     signals = _walk_chain(config, _input_rows(config, n_samples, dt, [seed]),
                           dt, [[]])
-    return VrefBlockSignals(**{name: Waveform(x[0], dt, name)
-                               for name, x in signals.items()})
+    return {name: Waveform(x[0], dt, name) for name, x in signals.items()}
 
 
 @dataclass
@@ -576,74 +545,38 @@ def simulate_opamp(model: OpampModel, mode: str,
     return Waveform(out, dt, "output" if mode == "transient" else mode)
 
 
-@dataclass
-class AmplifierStage:
-    opamp: OpampModel
-    closed_loop_gain: float
+def build_kstage(base: OpampModel, gains, anomalous_stages=(),
+                 fault=None) -> list[OpampModel]:
+    """The effective opamp of each stage of a closed-loop amplifier chain.
 
-    def __post_init__(self):
-        if self.closed_loop_gain < 1.0:
-            raise ConfigurationError("closed_loop_gain must be >= 1",
-                                     config_key="gains")
-
-
-@dataclass
-class KStageAmplifier:
-    """A chain of closed-loop amplifier stages, some possibly fault-injected."""
-
-    stages: list[AmplifierStage]
-    anomalous_stages: frozenset[int] = frozenset()
-
-    def __post_init__(self):
-        if len(self.stages) < 1:
-            raise ConfigurationError("amplifier needs at least one stage",
-                                     config_key="k")
-        bad = [i for i in self.anomalous_stages if not 0 <= i < len(self.stages)]
-        if bad:
-            raise ConfigurationError(
-                f"anomalous stage indices out of range: {sorted(bad)}",
-                config_key="anomalous_stages")
-        self.anomalous_stages = frozenset(self.anomalous_stages)
-
-    @property
-    def k(self) -> int:
-        return len(self.stages)
-
-
-def stage_model(stage: AmplifierStage) -> OpampModel:
-    """Effective opamp for one closed-loop stage.
-
+    There are k = len(gains) stages, built from one base opamp model.
     Finite-gain correction: a stage asking for closed-loop gain G out of an
     opamp with open-loop gain A delivers G*A/(A+G).
-    """
-    a = stage.opamp.open_loop_gain
-    g = stage.closed_loop_gain
-    return replace(stage.opamp, open_loop_gain=g * a / (a + g))
 
-
-def build_kstage(base: OpampModel, k: int, gains: list[float],
-                 anomalous_stages=(), fault=None) -> KStageAmplifier:
-    """Assemble a k-stage amplifier from one base opamp model.
-
-    :param gains: per-stage closed-loop gains, length k
+    :param gains: per-stage closed-loop gains, each >= 1
     :param anomalous_stages: stage indices that receive the fault-transformed
         base model
     :param fault: a ComponentFault applied to the anomalous stages, or None
     """
-    if k < 1:
-        raise ConfigurationError("k must be >= 1", config_key="k")
-    if len(gains) != k:
-        raise ConfigurationError(f"expected {k} gains, got {len(gains)}",
-                                 config_key="gains")
-    anomalous = frozenset(anomalous_stages)
+    if not gains:
+        raise ConfigurationError("amplifier needs at least one stage", config_key="k")
+    anomalous, faulted = frozenset(anomalous_stages), base
     if fault is not None and anomalous:
         from .inject import apply_component_fault  # late import: inject depends on this module
         faulted = apply_component_fault(base, fault)
-    else:
-        faulted = base
-    stages = [AmplifierStage(faulted if i in anomalous else base, float(g))
-              for i, g in enumerate(gains)]
-    return KStageAmplifier(stages, anomalous)
+    stages = []
+    for i, g in enumerate(map(float, gains)):
+        if g < 1.0:
+            raise ConfigurationError("closed_loop_gain must be >= 1",
+                                     config_key="gains")
+        opamp = faulted if i in anomalous else base
+        a = opamp.open_loop_gain
+        stages.append(replace(opamp, open_loop_gain=g * a / (a + g)))
+    bad = sorted(i for i in anomalous if not 0 <= i < len(stages))
+    if bad:
+        raise ConfigurationError(f"anomalous stage indices out of range: {bad}",
+                                 config_key="anomalous_stages")
+    return stages
 
 
 def default_vref_component_model() -> OpampModel:

@@ -35,9 +35,9 @@ from amsdetect.features import windowed_features
 from amsdetect.inject import (ComponentFault, InjectionLocation,
                               apply_anomaly_spec, apply_component_fault)
 from amsdetect.waveforms import (OpampModel, SweepSpec, VrefConfig, Waveform,
-                                 _input_rows, _pll_rows, _trig_rows, build_kstage,
+                                 _input_rows, _pll_rows, _trig_rows,
                                  default_vref_component_model, simulate_opamp,
-                                 sine_stimulus, stage_model)
+                                 sine_stimulus)
 
 
 def exhaustive_two_means(points):
@@ -543,12 +543,20 @@ def output_stage_reference(trig, dt, config):
     return lowpass_reference(drive, dt / config.output_tau)
 
 
-def kstage_reference(amp, stimulus):
-    """Transient output of a k-stage amplifier: each stage feeds the next."""
+def kstage_reference(base, gains, stimulus, anomalous_stages=(), fault=None):
+    """Transient output of a k-stage amplifier: each stage feeds the next.
+
+    Stage i runs ``base``, with ``fault`` applied when i is anomalous, and
+    closes its loop at gain G = gains[i]: out of open-loop gain A it
+    delivers G*A/(A+G).
+    """
     samples = stimulus.samples
-    for stage in amp.stages:
-        samples = opamp_transient_reference(stage_model(stage), samples,
-                                            stimulus.sample_period)
+    for i, g in enumerate(gains):
+        opamp = apply_component_fault(base, fault) if i in anomalous_stages else base
+        a = opamp.open_loop_gain
+        samples = opamp_transient_reference(
+            replace(opamp, open_loop_gain=g * a / (a + g)), samples,
+            stimulus.sample_period)
     return samples
 
 
@@ -637,12 +645,12 @@ def kstage_signals_reference(config, label, idx):
         stages = (config.anomalous_stages if config.anomalous_stages is not None
                   else (int(rng.integers(config.kstage_k)),))
         temp = config.fault_temperature if config.kstage_fault == "Parametric" else None
-        amp = build_kstage(base, config.kstage_k, gains, stages,
-                           ComponentFault.from_name(config.kstage_fault, temp))
+        fault = ComponentFault.from_name(config.kstage_fault, temp)
     else:
-        amp = build_kstage(base, config.kstage_k, gains)
+        stages, fault = (), None
     stim = _stimulus(config)
-    return _noisy(stim.copy_with(kstage_reference(amp, stim), "output"), rng, config)
+    out = kstage_reference(base, gains, stim, stages, fault)
+    return _noisy(stim.copy_with(out, "output"), rng, config)
 
 
 def features_reference(config):

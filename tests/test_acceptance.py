@@ -170,7 +170,7 @@ def test_c6_early_detection_latency_arithmetic(verdict):
 
 
 def test_c7_random_injection_contract(verdict):
-    sig = simulate_vref(VrefConfig(), n_samples=1500, seed=2).input
+    sig = simulate_vref(VrefConfig(), n_samples=1500, seed=2)["input"]
     injected, record = inject_point_random(sig, 0.5, 2.0, 5.0, seed=11)
     peak = np.abs(sig.samples).max()
     pos = np.asarray(record.positions)

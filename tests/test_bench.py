@@ -17,7 +17,7 @@ from amsdetect import (ALL_EXPERIMENTS, BLOCK_EXPERIMENTS, AmsDetectError,
                        suite_to_csv)
 from amsdetect import bench
 from amsdetect.bench import SIGNAL_ORDER, _child_seed
-from amsdetect.features import extract_features
+from amsdetect.features import windowed_features
 from oracles import block_signals_reference, features_reference
 
 
@@ -129,12 +129,13 @@ def test_bundles_are_balanced_and_named():
     assert feats.dtype == np.float64
     assert samples_per_window == 60
     assert sample_period == pytest.approx(20e-6 / 300)
-    rows = generate_dataset(cfg)
-    assert len(rows) == 100
-    assert rows[0].sample_id == "clean-000"
-    assert rows[50].sample_id == "anom-000"
-    assert [r.label for r in rows] == [0] * 50 + [1] * 50
-    assert [r.window_index for r in rows[:5]] == [0, 1, 2, 3, 4]
+    ds = generate_dataset(cfg)
+    assert len(ds) == 100
+    assert ds.sample_ids[0] == ds.sample_ids[4] == "clean-000"
+    assert ds.sample_ids[50] == "anom-000"
+    assert ds.labels.tolist() == [0] * 50 + [1] * 50
+    assert ds.windows.tolist() == [0, 1, 2, 3, 4] * 20
+    assert ds.values.tobytes() == feats.reshape(100, 6).tobytes()
 
 
 def test_dataset_generation_is_deterministic():
@@ -142,12 +143,10 @@ def test_dataset_generation_is_deterministic():
     a = generate_dataset(cfg)
     b = generate_dataset(cfg)
     assert len(a) == len(b) == 20
-    for ra, rb in zip(a, b):
-        assert ra.sample_id == rb.sample_id
-        assert np.array_equal(ra.values, rb.values)
+    assert a.sample_ids == b.sample_ids
+    assert a.values.tobytes() == b.values.tobytes()
     c = generate_dataset(_fast_config(seed=6))
-    assert not all(np.array_equal(ra.values, rc.values)
-                   for ra, rc in zip(a, c))
+    assert not np.array_equal(a.values, c.values)
 
 
 def test_combinations_concatenate_signals_in_order(monkeypatch):
@@ -167,7 +166,7 @@ def test_combinations_concatenate_signals_in_order(monkeypatch):
         cfg = _fast_config(window_k=5, algorithm=algorithm)
         seen.clear()
         report = evaluate(cfg)
-        data = np.stack([r.values for r in generate_dataset(cfg)])
+        data = generate_dataset(cfg).values
         n_feat = len(cfg.features)
         assert len(seen) == len(report.rows) == 12
         for mat, row in zip(seen, report.rows):
@@ -198,7 +197,7 @@ def test_block_bundles_match_simulate_then_inject(experiment, observed):
     for i in range(feats.shape[0]):
         by_name = block_signals_reference(cfg, *divmod(i, cfg.n_samples_per_class))
         for j, s in enumerate(cfg.observed_signals):
-            ref = extract_features(by_name[s], cfg.features)[None, :]
+            ref = windowed_features(by_name[s], 1, cfg.features)
             assert feats[i, :, j].tobytes() == ref.tobytes()
 
 

@@ -1,21 +1,31 @@
 """End-to-end checks of the command-line pipeline.
 
 Everything goes through ``cli.main`` with an explicit argv, so these tests
-exercise the same code path as the console script without spawning processes.
+exercise the same code path as the console script; only the out-of-memory
+test spawns a process, to cap its address space alone.
 """
 
 import codecs
 import json
 import locale
+import os
+import pathlib
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import amsdetect
 from amsdetect.centroid import refine_model
 from amsdetect.cli import _parse, build_parser, main
 from amsdetect.cluster import as_matrix, load_model
 from amsdetect.earlydetect import detect_windowed, detections_to_csv
-from amsdetect.features import dataset_from_csv, extract_features
+from amsdetect.features import (Dataset, dataset_from_csv, dataset_to_csv,
+                                windowed_features)
 from amsdetect.waveforms import waveform_from_csv
+
+UTF8 = codecs.lookup(locale.getpreferredencoding(False)).name == "utf-8"
 
 
 def test_help_exits_zero():
@@ -128,8 +138,8 @@ def test_bad_csv_exits_two(tmp_path, capsys, command, text, message):
 NOT_TEXT = b"t,value\n0.0,1.0\n" + bytes(range(128, 256))
 
 
-@pytest.mark.skipif(codecs.lookup(locale.getpreferredencoding(False)).name != "utf-8",
-                    reason="outside UTF-8 these bytes may decode, or fail under another name")
+@pytest.mark.skipif(not UTF8, reason="outside UTF-8 these bytes may decode, "
+                                     "or fail under another name")
 @pytest.mark.parametrize("argv", [
     ["inject", "--in", "{bad}", "--mode", "random", "--out", "{tmp}/out"],
     ["featurize", "--in", "{bad}", "--out", "{tmp}/d.csv"],
@@ -225,8 +235,8 @@ def test_full_pipeline(tmp_path, capsys):
                  "--no-normalize", "--out", str(raw)]) == 0
     assert json.loads(raw.read_text())["norm"] is None
     m = load_model(raw)
-    _, rows = dataset_from_csv(raw_data)
-    mat = as_matrix(rows)
+    _, ds = dataset_from_csv(raw_data)
+    mat = as_matrix(ds)
     assert main(["select-centroids", "--model", str(raw), "--in", str(raw_data),
                  "--out", str(refined)]) == 0
     assert load_model(refined).centroid_pairs == \
@@ -235,7 +245,7 @@ def test_full_pipeline(tmp_path, capsys):
     assert main(["detect", "--model", str(raw), "--in", str(raw_data),
                  "--samples-per-window", "60", "--sample-period", "1e-7",
                  "--no-early-stop", "--out", str(det)]) == 0
-    ids = list(dict.fromkeys(r.sample_id for r in rows))
+    ids = list(dict.fromkeys(ds.sample_ids))
     want = [detect_windowed(m, mat[5 * i:5 * i + 5], 60, 1e-7,
                             stop_early=False, sample_id=sid)
             for i, sid in enumerate(ids)]
@@ -343,6 +353,91 @@ def test_detect_refuses_windows_other_than_0_to_k_minus_1(tmp_path, capsys, wind
     assert err.startswith("amsdetect: error: ") and "sample 'bad'" in err
 
 
+@pytest.mark.skipif(not UTF8, reason="the sample ids are not ASCII")
+@pytest.mark.parametrize("early_stop", [True, False])
+def test_detect_regroups_shuffled_samples_like_detect_windowed(tmp_path, capsys,
+                                                               early_stop):
+    """detect reads a file's rows in any order: each sample (in order of
+    first appearance) is scored on its own windows in window order, with
+    however many windows it has, as ``detect_windowed`` scores it alone."""
+    rng = np.random.default_rng(11)
+    names = ["s1", "ünï-é", "trail\x00", "日本", "", "b\x00\x00", "a", "a\x00"]
+    counts = [3, 1, 5, 3, 2, 5, 4, 2]
+    ids = [s for s, k in zip(names, counts) for _ in range(k)]
+    ds = Dataset(ids, [int(s < "b") for s in ids],
+                 [w for k in counts for w in range(k)],
+                 rng.normal(0.0, 1.0, (len(ids), 2)))
+    data = tmp_path / "data.csv"
+    dataset_to_csv(ds, ["mean", "slope"], data)
+    _, back = dataset_from_csv(data)
+    order = sorted(range(len(ds)), key=lambda i: (ids[i], ds.windows[i]))
+    assert back.sample_ids == tuple(ids[i] for i in order)
+    assert back.windows.tolist() == ds.windows[order].tolist()
+    assert back.labels.tolist() == ds.labels[order].tolist()
+    assert back.values.tolist() == [[float(f"{v:.12e}") for v in row]
+                                    for row in ds.values[order].tolist()]
+
+    head, *lines = data.read_text().splitlines()
+    shuffled = tmp_path / "shuffled.csv"
+    shuffled.write_text("\n".join([head, *rng.permutation(lines)]) + "\n")
+    model, det = tmp_path / "model.json", tmp_path / "det.csv"
+    assert main(["fit", "--in", str(shuffled), "--algorithm", "kmeans",
+                 "--out", str(model)]) == 0
+    capsys.readouterr()
+    assert main(["detect", "--model", str(model), "--in", str(shuffled),
+                 "--samples-per-window", "7", "--sample-period", "1e-6",
+                 "--out", str(det), *([] if early_stop else ["--no-early-stop"])]) == 0
+    out = capsys.readouterr().out.splitlines()
+
+    m = load_model(model)
+    _, rows = dataset_from_csv(shuffled)
+    first_seen = list(dict.fromkeys(rows.sample_ids))
+    assert first_seen != sorted(first_seen)
+    want = []
+    for sid in first_seen:
+        idx = sorted((w, i) for i, (s, w) in enumerate(
+            zip(rows.sample_ids, rows.windows.tolist())) if s == sid)
+        mat = m.norm.apply(rows.values[[i for _, i in idx]])
+        want.append(detect_windowed(m, mat, 7, 1e-6, stop_early=early_stop,
+                                    sample_id=sid))
+    assert {r.windows_total for r in want} == set(counts)
+    assert any(r.anomalous for r in want) and not all(r.anomalous for r in want)
+    detections_to_csv(want, tmp_path / "want.csv")
+    assert det.read_bytes() == (tmp_path / "want.csv").read_bytes()
+    lines = [f"{r.sample_id or '<signal>'}: " + (
+        "clean" if r.first_anomalous_window is None else
+        f"window {r.first_anomalous_window} (latency {r.latency_seconds:.3e} s, "
+        f"speedup {r.speedup:.2f}x)") for r in want]
+    assert out[1:-1] == lines
+
+
+# keys an out-of-memory size needs next to it
+EXTRA = {"kstage_k": {"experiment": "KStage"},
+         "sweep_points": {"experiment": "OmBoth", "analysis": "dc_input_sweep"}}
+
+
+@pytest.mark.parametrize("key", ["kstage_k", "n_samples", "n_samples_per_class",
+                                 "window_k", "sweep_points"])
+def test_out_of_memory_exits_two(tmp_path, key):
+    """A size that passes validation but cannot be allocated ends in exit 2
+    with one error line, in a process whose address space is capped at 3 GiB."""
+    pytest.importorskip("resource")
+    doc = {"experiment": "IA", **EXTRA.get(key, {}), key: 10**11}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+            "from amsdetect.cli import main\n"
+            "sys.exit(main(['experiment', '--config', sys.argv[1]]))\n")
+    src = str(pathlib.Path(amsdetect.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", code, str(path)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("amsdetect: error: out of memory")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_experiment_needs_a_name(capsys):
     assert main(["experiment", "--algorithm", "gmm"]) == 2
     assert "--experiment" in capsys.readouterr().err
@@ -383,7 +478,7 @@ def test_whole_signal_featurize_writes_extract_features(tmp_path):
     assert lines[0] == "sample_id,label,window_index,mean,variance,slope"
     assert len(lines) == 1 + len(taps)
     for path, line in zip(sorted(taps), lines[1:]):
-        want = extract_features(waveform_from_csv(path))
+        want = windowed_features(waveform_from_csv(path), 1)[0]
         assert line == f"{path.stem},1,0," + ",".join(f"{v:.12e}" for v in want)
 
 

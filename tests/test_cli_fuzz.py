@@ -1,10 +1,11 @@
-"""Hypothesis fuzzing of the files the CLI reads: config JSON, dataset CSV
-and model JSON.
+"""Hypothesis fuzzing of the files the CLI reads: config JSON, dataset CSV,
+model JSON and waveform CSV.
 
-Every generated file is malformed by construction.  Each run goes through
-``cli.main`` and must return exit code 2 with an ``amsdetect: error:``
-line on stderr; any other exception escapes ``main`` and fails the test
-with its traceback.
+Every generated config, dataset or model file is malformed by construction.
+Each run goes through ``cli.main`` and must return exit code 2 with an
+``amsdetect: error:`` line on stderr; any other exception escapes ``main``
+and fails the test with its traceback.  Waveform CSVs are drawn well formed
+or not, so their runs may also exit 0.
 """
 
 import json
@@ -306,3 +307,65 @@ def test_fuzzed_model_json_exits_two(tmp_path, capsys, fitted, edit, cut, comman
         path.write_text(bad)
         _exits_two(capsys, [command, "--model", str(path), "--in", str(data),
                             *args, "--out", str(tmp_path / "out")])
+
+
+# ------------------------------------------------------------ waveform CSV
+
+EDGE = st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300, 1.7e308, -1.7e308])
+CELL = st.one_of((st.floats(-1e6, 1e6) | EDGE).map(repr),
+                 st.sampled_from(["nan", "inf", "-inf", "1_0", ""]), TOKEN)
+
+
+@st.composite
+def _waveform_csv(draw) -> str:
+    """A waveform CSV: uniform times and finite values, then up to two edits.
+
+    An edit swaps the header, cuts the file to one sample or none, drops or
+    adds a cell, moves one time, puts any cell (a token, an extreme, nan,
+    inf) in place of a number, or adds a blank line; lines may end in
+    ``\\r\\n``.
+    """
+    n = draw(st.integers(2, 40))
+    t0 = draw(st.sampled_from([0.0, 1e-6]) | st.floats(-1.0, 1.0))
+    dt = draw(st.floats(1e-9, 1e3) | st.sampled_from([5e-324, 1e-300, 1e300]))
+    values = draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n))
+    lines = [[repr(t0 + i * dt), repr(v)] for i, v in enumerate(values)]
+    header = "t,value"
+    for _ in range(draw(st.integers(0, 2))):
+        edit = draw(st.sampled_from(["header", "cut", "cells", "time", "cell",
+                                     "blank"]))
+        if edit == "header":
+            header = draw(TOKEN)
+        elif edit == "cut":
+            del lines[draw(st.integers(0, 1)):]
+        elif lines and edit == "cells":
+            row = draw(st.sampled_from(lines))
+            row[:] = row[:1] if draw(st.booleans()) else [*row, draw(CELL)]
+        elif lines and edit == "time":
+            row = draw(st.sampled_from(lines))
+            row[0] = repr(float(row[0]) + draw(st.floats(-1e3, 1e3)))
+        elif lines and edit == "cell":
+            draw(st.sampled_from(lines))[draw(st.integers(0, 1))] = draw(CELL)
+        elif edit == "blank":
+            lines.insert(draw(st.integers(0, len(lines))), [""])
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join([header, *(",".join(r) for r in lines)]) + end
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # numpy on extreme data
+@FUZZ
+@given(text=_waveform_csv(), command=st.sampled_from([
+    ["inject", "--mode", "random"],
+    ["inject", "--mode", "periodic"],
+    ["featurize"],
+    ["featurize", "--windows", "2", "--features", "variance,slope"],
+    ["featurize", "--windows", "5"]]))
+def test_fuzzed_waveform_csv_never_tracebacks(tmp_path, capsys, text, command):
+    """Inject and featurize either succeed or exit 2 naming the problem."""
+    path = tmp_path / "wave.csv"
+    path.write_bytes(text.encode())
+    out = tmp_path / ("inj" if command[0] == "inject" else "data.csv")
+    rc = main([command[0], "--in", str(path), *command[1:], "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc in (0, 2), err
+    assert rc == 0 or err.startswith("amsdetect: error: "), err

@@ -13,10 +13,10 @@ from hypothesis.extra.numpy import arrays
 from amsdetect import (ConfigurationError, FitError, InputError, VAR_FLOOR,
                        as_matrix, assign_many, cluster_stats, fit_birch,
                        fit_gmm, fit_kmeans, fit_spectral,
-                       gmm_log_responsibilities, load_model, save_model)
+                       load_model, save_model)
 from amsdetect.cluster import ClusterModel, canonical_labels, lloyd, spectral
 from amsdetect.cluster.birch import _leaf_features, _Node, _radius, _Tree
-from amsdetect.cluster.gmm import _fit_gmm_lanes
+from amsdetect.cluster.gmm import _fit_gmm_lanes, _log_resp_rows
 from amsdetect.cluster.model import (_WORK_ELEMS, _lane_sum, _nearest, _sqdist,
                                     _two_distinct_rows)
 from amsdetect.cluster.spectral import spectral_embedding
@@ -147,11 +147,10 @@ def test_gmm_variance_floor():
 def test_gmm_responsibilities_sum_to_one(blobs_2d):
     mat, _ = blobs_2d
     model = fit_gmm(mat, seed=0)
-    log_resp, _ = gmm_log_responsibilities(model.weights, model.means,
-                                           model.variances, mat)
+    log_resp, _ = _log_resp_rows(model.weights, model.means, model.variances, mat)
     resp = np.exp(log_resp)
-    assert resp.shape == (len(mat), 2)
-    assert np.allclose(resp.sum(axis=1), 1.0)
+    assert resp.shape == (2, len(mat))
+    assert np.allclose(resp.sum(axis=0), 1.0)
 
 
 def test_gmm_needs_enough_rows():
@@ -672,9 +671,9 @@ def _gmm_params(d, kind, seed):
 def test_gmm_log_responsibilities_match_reference(n, d, kind, seed):
     mat = _matrix(n, d, kind, seed)
     params = _gmm_params(d, kind, seed)
-    got = gmm_log_responsibilities(*params, mat)
+    log_resp, log_norm = _log_resp_rows(*params, mat)
     want = gmm_e_step_reference(*params, mat)
-    assert _same(got[0], want[0]) and got[1] == want[1]
+    assert _same(log_resp.T, want[0]) and float(log_norm.sum()) == want[1]
 
 
 def _centroid_model(algorithm, params):

@@ -186,9 +186,9 @@ def _fit_sweep_subsets(seed: int = 7, windows: int = 10, per_class: int = 100):
     cfg = ExperimentConfig(experiment="IPPA", window_k=windows,
                            n_samples_per_class=per_class, seed=seed,
                            observed_signals=("input", "pll_intensity", "trig"))
-    rows, _ = normalize_dataset(generate_dataset(cfg))
-    mat = as_matrix(rows)
-    assert np.array_equal(labels_array(rows)[::windows * per_class], [0, 1])
+    ds, _ = normalize_dataset(generate_dataset(cfg))
+    mat = as_matrix(ds)
+    assert np.array_equal(labels_array(ds)[::windows * per_class], [0, 1])
     rng = np.random.default_rng(seed)
     subsets = {}
     for n in (200, 800):

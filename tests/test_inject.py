@@ -101,13 +101,13 @@ def _walk(specs, n=1500):
     byte for byte against the block-by-block reference."""
     cfg = VrefConfig()
     clean = simulate_vref(cfg, n, 20e-6)
-    out = _walk_chain(cfg, clean.input.samples[None].copy(),
-                      clean.input.sample_period, [specs])
-    ref = multipoint_reference(cfg, clean.input, specs)
+    out = _walk_chain(cfg, clean["input"].samples[None].copy(),
+                      clean["input"].sample_period, [specs])
+    ref = multipoint_reference(cfg, clean["input"], specs)
     for name, x in out.items():
         assert x.shape == (1, n)
         assert x[0].tobytes() == ref[name].samples.tobytes(), name
-    return clean.as_dict(), {name: x[0] for name, x in out.items()}
+    return clean, {name: x[0] for name, x in out.items()}
 
 
 def test_multipoint_propagates_downstream():

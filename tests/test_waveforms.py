@@ -14,11 +14,10 @@ from amsdetect import (ConfigurationError, InputError, OpampModel, SweepSpec,
                        VrefConfig, Waveform, build_kstage,
                        default_vref_component_model, simulate_opamp,
                        simulate_vref, waveform_from_csv, waveform_to_csv)
-from amsdetect.waveforms import (_CSV_ROWS, AmplifierStage, _collapse_steps,
-                                 _e12_fields, _lowpass_steps, _opamp_transient,
-                                 _pll_rows, _simulate_columns, _slew_steps,
-                                 _time_rows, _trig_rows, stage_model,
-                                 vref_output_block)
+from amsdetect.waveforms import (_CSV_ROWS, _collapse_steps, _e12_fields,
+                                 _lowpass_steps, _opamp_transient, _pll_rows,
+                                 _simulate_columns, _slew_steps, _time_rows,
+                                 _trig_rows, vref_output_block)
 from oracles import (collapse_reference, kstage_reference, lowpass_reference,
                      opamp_transient_reference, output_stage_reference,
                      slew_reference, static_transfer_reference,
@@ -76,11 +75,11 @@ def test_waveform_times_and_duration():
 
 def test_input_block_peak_calibrated():
     sig = simulate_vref(VrefConfig(), 1500, 20e-6)
-    peak = np.max(np.abs(sig.input.samples))
+    peak = np.max(np.abs(sig["input"].samples))
     assert peak == pytest.approx(1.0, abs=1e-12)
     # 1 MHz over 20 us -> 20 full periods; the final crossing sits exactly
     # at t = 20 us, one step past the last sample (1499 * dt)
-    crossings = np.sum(np.diff(np.signbit(sig.input.samples)) != 0)
+    crossings = np.sum(np.diff(np.signbit(sig["input"].samples)) != 0)
     assert crossings == 39
 
 
@@ -88,18 +87,18 @@ def test_clean_pll_frequency_is_lock_curve():
     """Without noise the deviation term vanishes: f = mult * f_in * lock."""
     cfg = VrefConfig()
     sig = simulate_vref(cfg, 1500, 20e-6)
-    t = sig.input.times
+    t = sig["input"].times
     expected = cfg.pll_multiplier * cfg.input_frequency * (
         1.0 - np.exp(-t / cfg.pll_lock_tau))
-    assert np.allclose(sig.pll_frequency.samples, expected, rtol=1e-12)
+    assert np.allclose(sig["pll_frequency"].samples, expected, rtol=1e-12)
     # locked by the end of the span (tau = 1 us << 20 us)
-    assert sig.pll_frequency.samples[-1] == pytest.approx(4.0e6, rel=1e-4)
+    assert sig["pll_frequency"].samples[-1] == pytest.approx(4.0e6, rel=1e-4)
 
 
 def test_noise_perturbs_pll_frequency():
     clean = simulate_vref(VrefConfig(), 300, 20e-6)
     noisy = simulate_vref(VrefConfig(noise_std=0.05), 300, 20e-6, seed=3)
-    dev = noisy.pll_frequency.samples - clean.pll_frequency.samples
+    dev = noisy["pll_frequency"].samples - clean["pll_frequency"].samples
     # deviation gain couples input noise straight into the frequency trace
     assert np.std(dev) > 1e3
 
@@ -107,31 +106,32 @@ def test_noise_perturbs_pll_frequency():
 def test_output_settles_to_level():
     cfg = VrefConfig()
     sig = simulate_vref(cfg, 1500, 20e-6)
-    tail = sig.output.samples[-200:]
+    tail = sig["output"].samples[-200:]
     assert abs(tail.mean() - cfg.output_level) < 0.05
-    assert sig.output.samples[0] < 0.1   # powers up from 0 V
+    assert sig["output"].samples[0] < 0.1   # powers up from 0 V
 
 
 def test_simulation_deterministic():
     a = simulate_vref(VrefConfig(noise_std=0.02), 400, 20e-6, seed=11)
     b = simulate_vref(VrefConfig(noise_std=0.02), 400, 20e-6, seed=11)
-    for name in a.as_dict():
-        assert np.array_equal(a.as_dict()[name].samples, b.as_dict()[name].samples)
+    assert list(a) == ["input", "pll_frequency", "pll_intensity", "trig", "output"]
+    for name in a:
+        assert np.array_equal(a[name].samples, b[name].samples)
     c = simulate_vref(VrefConfig(noise_std=0.02), 400, 20e-6, seed=12)
-    assert not np.array_equal(a.input.samples, c.input.samples)
+    assert not np.array_equal(a["input"].samples, c["input"].samples)
 
 
 def test_blocks_are_pure_functions():
     """Re-running a block on the same predecessor reproduces its output."""
     cfg = VrefConfig(noise_std=0.01)
     sig = simulate_vref(cfg, 600, 20e-6, seed=5)
-    f2, i2 = _pll_rows(sig.input.samples, sig.input.sample_period, cfg)
-    assert np.array_equal(f2, sig.pll_frequency.samples)
-    assert np.array_equal(i2, sig.pll_intensity.samples)
-    t2 = _trig_rows(sig.pll_intensity.samples, cfg)
-    assert np.array_equal(t2, sig.trig.samples)
-    o2 = vref_output_block(sig.trig, cfg)
-    assert np.array_equal(o2.samples, sig.output.samples)
+    f2, i2 = _pll_rows(sig["input"].samples, sig["input"].sample_period, cfg)
+    assert np.array_equal(f2, sig["pll_frequency"].samples)
+    assert np.array_equal(i2, sig["pll_intensity"].samples)
+    t2 = _trig_rows(sig["pll_intensity"].samples, cfg)
+    assert np.array_equal(t2, sig["trig"].samples)
+    o2 = vref_output_block(sig["trig"], cfg)
+    assert np.array_equal(o2.samples, sig["output"].samples)
 
 
 @settings(max_examples=60, deadline=None)
@@ -252,33 +252,32 @@ def test_default_component_sits_at_reference_level():
 
 def test_stage_model_finite_gain_correction():
     base = OpampModel(open_loop_gain=30.0)
-    eff = stage_model(AmplifierStage(base, 2.0))
+    eff, = build_kstage(base, [2.0])
     assert eff.open_loop_gain == pytest.approx(2.0 * 30.0 / 32.0)
+    assert eff == OpampModel(open_loop_gain=eff.open_loop_gain)
 
 
-def _kstage_column(amp, stim):
+def _kstage_column(stages, stim):
     """The k-stage transient as the experiments run it: one chain, one column."""
-    return _simulate_columns([[stage_model(st) for st in amp.stages]],
-                             "transient", stim)[:, 0]
+    return _simulate_columns([stages], "transient", stim)[:, 0]
 
 
 def test_single_stage_equals_direct_simulation():
     base = OpampModel(open_loop_gain=30.0, offset=0.01)
-    amp = build_kstage(base, 1, [2.0])
+    stages = build_kstage(base, [2.0])
     t = np.arange(200) * 1e-8
     stim = Waveform(0.1 * np.sin(2e6 * np.pi * t), 1e-8)
-    direct = simulate_opamp(stage_model(amp.stages[0]), "transient", stim)
-    assert _kstage_column(amp, stim).tobytes() == direct.samples.tobytes()
-    assert kstage_reference(amp, stim).tobytes() == direct.samples.tobytes()
+    direct = simulate_opamp(stages[0], "transient", stim)
+    assert _kstage_column(stages, stim).tobytes() == direct.samples.tobytes()
+    assert kstage_reference(base, [2.0], stim).tobytes() == direct.samples.tobytes()
 
 
 def test_kstage_gain_compounds():
     base = OpampModel(open_loop_gain=1e6, offset=0.0)
     stim = Waveform(np.full(50, 0.01), 1e-8)
     for k in (1, 2, 3):
-        amp = build_kstage(base, k, [2.0] * k)
-        out = _kstage_column(amp, stim)
-        assert out.tobytes() == kstage_reference(amp, stim).tobytes()
+        out = _kstage_column(build_kstage(base, [2.0] * k), stim)
+        assert out.tobytes() == kstage_reference(base, [2.0] * k, stim).tobytes()
         assert out[-1] == pytest.approx(0.01 * 2.0 ** k, rel=1e-4)
 
 
@@ -286,22 +285,24 @@ def test_kstage_fault_applies_to_chosen_stage():
     from amsdetect import ComponentFault
     base = OpampModel(open_loop_gain=30.0)
     fault = ComponentFault.from_name("Short")
-    amp = build_kstage(base, 3, [2.0, 2.0, 2.0], anomalous_stages=(1,),
-                       fault=fault)
-    assert amp.stages[0].opamp.applied_fault is None
-    assert amp.stages[1].opamp.applied_fault == "Short"
-    assert amp.stages[1].opamp.open_loop_gain == pytest.approx(7.5)
-    assert amp.stages[2].opamp.applied_fault is None
+    stages = build_kstage(base, [2.0, 2.0, 2.0], anomalous_stages=(1,),
+                          fault=fault)
+    assert [s.applied_fault for s in stages] == [None, "Short", None]
+    assert stages[1].open_loop_gain == pytest.approx(2.0 * 7.5 / 9.5)
+    assert stages[0] == stages[2] != stages[1]
+    stim = Waveform(np.linspace(-0.2, 0.2, 80), 1e-8)
+    assert _kstage_column(stages, stim).tobytes() == kstage_reference(
+        base, [2.0] * 3, stim, (1,), fault).tobytes()
 
 
 def test_build_kstage_validation():
     base = OpampModel()
     with pytest.raises(ConfigurationError):
-        build_kstage(base, 0, [])
+        build_kstage(base, [])
     with pytest.raises(ConfigurationError):
-        build_kstage(base, 2, [2.0])
+        build_kstage(base, [2.0, 0.5])
     with pytest.raises(ConfigurationError):
-        build_kstage(base, 2, [2.0, 0.5])
+        build_kstage(base, [2.0, 2.0], anomalous_stages=(2,))
 
 
 # ------------------------------------------------------------------- csv
@@ -456,10 +457,10 @@ def test_writer_memo_keeps_interleaved_axes_apart(tmp_path):
 def test_taps_of_one_simulation_share_one_time_column(tmp_path):
     sig = simulate_vref(VrefConfig(), 1500, 20e-6)
     _time_rows.cache_clear()
-    for name, wave in sig.as_dict().items():
+    for name, wave in sig.items():
         waveform_to_csv(wave, tmp_path / f"{name}.csv")
     info = _time_rows.cache_info()
-    assert (info.misses, info.hits) == (1, len(sig.as_dict()) - 1)
+    assert (info.misses, info.hits) == (1, len(sig) - 1)
 
 
 def test_writer_memory_does_not_grow_with_length(tmp_path):
