@@ -16,9 +16,8 @@ from .waveforms import (OpampModel, SweepSpec, VrefConfig, Waveform,
                         waveform_to_csv)
 from .inject import (TEMP_RANGE, AnomalySpec, ComponentFault, FaultKind,
                      InjectionLocation, InjectionRecord, PointPeriodic,
-                     PointRandom, apply_anomaly_spec, apply_component_fault,
-                     inject_point_periodic, inject_point_random,
-                     record_to_csv)
+                     PointRandom, apply_component_fault, inject_point_periodic,
+                     inject_point_random, record_to_csv)
 from .features import (FEATURE_NAMES, Dataset, NormalizationParams,
                        dataset_from_csv, dataset_to_csv, labels_array,
                        normalize_dataset, windowed_features)

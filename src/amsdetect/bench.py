@@ -394,8 +394,7 @@ def _block_features(config: ExperimentConfig, feats: np.ndarray) -> tuple[int, f
         signals = _walk_chain(
             vcfg, _input_rows(vcfg, config.n_samples, dt,
                               [_child_seed(config.seed, label, idx, 0) for label, idx in ids]),
-            dt, [_block_specs(config, label, idx) for label, idx in ids],
-            with_output=False)
+            dt, [_block_specs(config, label, idx) for label, idx in ids])
         for j, s in enumerate(observed):
             if s != "output":
                 feats[c, :, j] = _windowed_rows(signals[s], k, config.features)

@@ -111,8 +111,11 @@ def _cmd_featurize(args) -> int:
     ids, feats = [], []
     for path in args.infiles:
         ids.append(os.path.splitext(os.path.basename(path))[0])
-        feats.append(windowed_features(waveform_from_csv(path), args.windows or 1,
-                                       features))
+        wave = waveform_from_csv(path)
+        try:
+            feats.append(windowed_features(wave, args.windows or 1, features))
+        except InputError as exc:
+            raise InputError(f"{path}: {exc}") from None
     ds = Dataset.from_windows(ids, [args.label] * len(ids), feats)
     dataset_to_csv(ds, features, args.out)
     _write(args.out, f"dataset ({len(ds)} rows)")

@@ -69,22 +69,24 @@ def _windowed_rows(x: np.ndarray, k: int, selection) -> np.ndarray:
     sel = _check_selection(selection)
     x = x.reshape(rows * k, -1)
     width = x.shape[1]
-    means = x.mean(axis=1)
     out = np.empty((rows * k, len(sel)))
-    for j, name in enumerate(sel):
-        if name == "mean":
-            out[:, j] = means
-        elif name == "variance":
-            out[:, j] = x.var(axis=1)
-        else:
-            # least-squares slope of value against sample index (per-sample
-            # units); one dot per window keeps its bytes as if alone
-            if width < 2:
-                raise InputError("slope needs at least 2 samples")
-            idx = np.arange(width, dtype=np.float64)
-            di = idx - idx.mean()
-            den = np.dot(di, di)
-            out[:, j] = [np.dot(di, row - m) / den for row, m in zip(x, means)]
+    # a feature of finite samples may still overflow; it comes out non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = x.mean(axis=1)
+        for j, name in enumerate(sel):
+            if name == "mean":
+                out[:, j] = means
+            elif name == "variance":
+                out[:, j] = x.var(axis=1)
+            else:
+                # least-squares slope of value against sample index (per-sample
+                # units); one dot per window keeps its bytes as if alone
+                if width < 2:
+                    raise InputError("slope needs at least 2 samples")
+                idx = np.arange(width, dtype=np.float64)
+                di = idx - idx.mean()
+                den = np.dot(di, di)
+                out[:, j] = [np.dot(di, row - m) / den for row, m in zip(x, means)]
     return out.reshape(rows, k, len(sel))
 
 
@@ -92,8 +94,14 @@ def windowed_features(signal, k: int, selection=FEATURE_NAMES) -> np.ndarray:
     """Split into k equal windows and featurize each; returns shape (k, d).
 
     The sample count must divide evenly by k.
+
+    :raises InputError: a feature overflows float64 (finite samples can
+        still have an infinite variance)
     """
-    return _windowed_rows(_as_samples(signal)[None, :], k, selection)[0]
+    out = _windowed_rows(_as_samples(signal)[None, :], k, selection)[0]
+    if not np.isfinite(out).all():
+        raise InputError("a window feature overflows float64")
+    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InjectionError, InputError
 from .waveforms import (OpampModel, VrefConfig, Waveform, _check_finite,
-                        _lowpass_steps, _output_drive, _pll_rows, _trig_rows)
+                        _pll_rows, _trig_rows)
 # Unused here; perfbench/test_perfbench.py checks its tracer at this binding.
 from .waveforms import vref_output_block  # noqa: F401
 
@@ -38,7 +38,6 @@ __all__ = [
     "ComponentFault",
     "inject_point_random",
     "inject_point_periodic",
-    "apply_anomaly_spec",
     "apply_component_fault",
     "record_to_csv",
 ]
@@ -80,7 +79,7 @@ class PointPeriodic:
 
     :param threshold_frac: fraction of max(signal) that triggers injection,
         in (0, 1]
-    :param delta_frac: added value as a fraction of max(signal), > 0
+    :param delta_frac: added value as a fraction of max(signal), finite and > 0
     """
 
     threshold_frac: float = 0.9
@@ -90,8 +89,8 @@ class PointPeriodic:
         if not 0.0 < self.threshold_frac <= 1.0:
             raise ConfigurationError("threshold_frac must be in (0, 1]",
                                      config_key="threshold_frac")
-        if self.delta_frac <= 0:
-            raise ConfigurationError("delta_frac must be > 0",
+        if not 0.0 < self.delta_frac < math.inf:   # NaN fails too
+            raise ConfigurationError("delta_frac must be finite and > 0",
                                      config_key="delta_frac")
 
 
@@ -108,11 +107,9 @@ class AnomalySpec:
 class InjectionRecord:
     """Audit trail of one injection pass over one signal."""
 
-    location: InjectionLocation | None
     positions: np.ndarray          # strictly increasing sample indices
     original: np.ndarray           # pre-injection values at those positions
     injected: np.ndarray           # post-injection values at those positions
-    description: str = ""
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=np.int64)
@@ -129,6 +126,53 @@ def _count_half_up(rate_pct: float, n: int) -> int:
     return max(1, math.floor(rate_pct / 100.0 * n + 0.5))
 
 
+def _stamp(row: np.ndarray, positions: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Write ``values`` at ``positions`` of ``row``; a finite row stays finite."""
+    if not (np.isfinite(values.min()) and np.isfinite(values.max())):
+        raise InjectionError("injected values overflow float64")
+    row[positions] = values
+    return positions
+
+
+def _stamp_random(row: np.ndarray, rate_pct: float, amp_low: float,
+                  amp_high: float, seed: int | None) -> np.ndarray:
+    """``inject_point_random``'s anomalies, stamped on the finite ``row`` in place.
+
+    :returns: the stamped positions
+    """
+    n = len(row)
+    count = _count_half_up(rate_pct, n)
+    if count >= n:
+        raise InjectionError(f"rate {rate_pct}% asks for {count} anomalies "
+                             f"in a {n}-sample signal")
+    peak = float(np.max(np.abs(row)))
+    if peak <= 0.0:
+        raise InjectionError("cannot scale anomalies on an all-zero signal")
+    rng = np.random.default_rng(seed)
+    positions = np.sort(rng.choice(n, size=count, replace=False))
+    mult = rng.uniform(amp_low, amp_high, count)
+    with np.errstate(over="ignore"):
+        values = np.where(row[positions] < 0.0, -1.0, 1.0) * mult * peak
+    return _stamp(row, positions, values)
+
+
+def _stamp_periodic(row: np.ndarray, threshold_frac: float,
+                    delta_frac: float) -> np.ndarray:
+    """``inject_point_periodic``'s anomalies, stamped on the finite ``row`` in place.
+
+    :returns: the stamped positions
+    """
+    peak = float(np.max(row))
+    if peak <= 0.0:
+        raise InjectionError("periodic injection needs a positive signal peak")
+    positions = np.flatnonzero(row >= threshold_frac * peak)
+    if positions.size == 0:
+        raise InjectionError("no sample reaches the injection threshold")
+    with np.errstate(over="ignore"):
+        values = row[positions] + delta_frac * peak
+    return _stamp(row, positions, values)
+
+
 def inject_point_random(w: Waveform, rate_pct: float, amp_low: float,
                         amp_high: float, seed: int | None = 0
                         ) -> tuple[Waveform, InjectionRecord]:
@@ -138,27 +182,10 @@ def inject_point_random(w: Waveform, rate_pct: float, amp_low: float,
     one; positions are drawn uniformly without replacement; each injected value
     is sign(w[i]) * u * max(|w|) with u ~ U[amp_low, amp_high].
     """
-    params = PointRandom(rate_pct, amp_low, amp_high)  # validates ranges
-    n = len(w)
-    count = _count_half_up(params.rate_pct, n)
-    if count >= n:
-        raise InjectionError(f"rate {rate_pct}% asks for {count} anomalies "
-                             f"in a {n}-sample signal")
-    peak = float(np.max(np.abs(w.samples)))
-    if peak <= 0.0:
-        raise InjectionError("cannot scale anomalies on an all-zero signal")
-    rng = np.random.default_rng(seed)
-    positions = np.sort(rng.choice(n, size=count, replace=False))
-    mult = rng.uniform(params.amp_low, params.amp_high, count)
-    signs = np.where(w.samples[positions] < 0.0, -1.0, 1.0)
-    values = signs * mult * peak
+    PointRandom(rate_pct, amp_low, amp_high)  # validates ranges
     out = w.samples.copy()
-    original = out[positions].copy()
-    out[positions] = values
-    rec = InjectionRecord(None, positions, original, values,
-                          f"random rate={params.rate_pct}% "
-                          f"amp=[{params.amp_low},{params.amp_high}]x seed={seed}")
-    return w.copy_with(out), rec
+    positions = _stamp_random(out, rate_pct, amp_low, amp_high, seed)
+    return w.copy_with(out), InjectionRecord(positions, w.samples[positions], out[positions])
 
 
 def inject_point_periodic(w: Waveform, threshold_frac: float,
@@ -170,57 +197,41 @@ def inject_point_periodic(w: Waveform, threshold_frac: float,
     """
     if not 0.0 < threshold_frac <= 1.0:
         raise InjectionError("threshold_frac must be in (0, 1]")
-    if delta_frac < 0.0:
-        raise InjectionError("delta_frac must be >= 0")
-    peak = float(np.max(w.samples))
-    if peak <= 0.0:
-        raise InjectionError("periodic injection needs a positive signal peak")
-    positions = np.flatnonzero(w.samples >= threshold_frac * peak)
-    if positions.size == 0:
-        raise InjectionError("no sample reaches the injection threshold")
+    if not 0.0 <= delta_frac < math.inf:
+        raise InjectionError("delta_frac must be finite and >= 0")
     out = w.samples.copy()
-    original = out[positions].copy()
-    out[positions] = original + delta_frac * peak
-    rec = InjectionRecord(None, positions, original, out[positions].copy(),
-                          f"periodic threshold={threshold_frac} delta={delta_frac}")
-    return w.copy_with(out), rec
-
-
-def apply_anomaly_spec(w: Waveform, spec: AnomalySpec) -> tuple[Waveform, InjectionRecord]:
-    """Apply one AnomalySpec to a bare waveform (no propagation)."""
-    if isinstance(spec.kind, PointRandom):
-        out, rec = inject_point_random(w, spec.kind.rate_pct, spec.kind.amp_low,
-                                       spec.kind.amp_high, spec.seed)
-    elif isinstance(spec.kind, PointPeriodic):
-        out, rec = inject_point_periodic(w, spec.kind.threshold_frac,
-                                         spec.kind.delta_frac)
-    else:
-        raise InputError(f"unknown anomaly kind {type(spec.kind).__name__}")
-    rec.location = spec.location
-    return out, rec
+    positions = _stamp_periodic(out, threshold_frac, delta_frac)
+    return w.copy_with(out), InjectionRecord(positions, w.samples[positions], out[positions])
 
 
 def _walk_chain(cfg: VrefConfig, inp: np.ndarray, sample_period: float,
-                specs: list[list[AnomalySpec]], with_output: bool = True
-                ) -> dict[str, np.ndarray | None]:
-    """One walk down the chain for a chunk of instances: input -> PLL -> trig -> output.
+                specs: list[list[AnomalySpec]]) -> dict[str, np.ndarray]:
+    """One walk down the chain for a chunk of instances: input -> PLL -> trig.
 
     ``inp`` holds one instance's input samples per row; ``specs`` holds one
     list of specs per row.  The specs located at a block are stamped, in
     order and in place, on that block's output signal before the next block
     runs, so thresholds and amplitudes are relative to the signal as it
     stands at that block.  Every signal must be finite, as every Waveform
-    must be.  The output stage runs only when ``with_output`` is true;
-    otherwise ``output`` is None.
+    must be.  The output stage is left to the caller (``vref_output_block``
+    or a batched low-pass over many chunks).
 
-    :returns: signal name -> (rows, n_samples) array
+    :returns: signal name -> (rows, n_samples) array, for the four taps
+        before the output stage
     """
     def stamp(x: np.ndarray, loc: InjectionLocation) -> None:
         for row, row_specs in zip(x, specs):
             for sp in row_specs:
-                if sp.location is loc:
-                    w, _ = apply_anomaly_spec(Waveform(row, sample_period), sp)
-                    row[:] = w.samples
+                if sp.location is not loc:
+                    continue
+                kind = sp.kind
+                if isinstance(kind, PointRandom):
+                    _stamp_random(row, kind.rate_pct, kind.amp_low,
+                                  kind.amp_high, sp.seed)
+                elif isinstance(kind, PointPeriodic):
+                    _stamp_periodic(row, kind.threshold_frac, kind.delta_frac)
+                else:
+                    raise InputError(f"unknown anomaly kind {type(kind).__name__}")
 
     _check_finite(inp)
     stamp(inp, InjectionLocation.INPUT_A)
@@ -231,14 +242,8 @@ def _walk_chain(cfg: VrefConfig, inp: np.ndarray, sample_period: float,
     trig = _trig_rows(intensity, cfg)
     _check_finite(trig)
     stamp(trig, InjectionLocation.TRIG_C)
-    out = None
-    if with_output:
-        buf = np.ascontiguousarray(_output_drive(trig, cfg).T)
-        _lowpass_steps(buf, sample_period / cfg.output_tau)
-        out = buf.T
-        _check_finite(out)
     return {"input": inp, "pll_frequency": f_trace, "pll_intensity": intensity,
-            "trig": trig, "output": out}
+            "trig": trig}
 
 
 class FaultKind(Enum):

@@ -20,9 +20,10 @@ Implementation notes:
 * The elementwise blocks (input, PLL, trig, the static opamp transfer) work
   on ``(rows, n_samples)`` arrays, one instance per row, so a caller can
   simulate a few instances at once.  The time recursions (output-stage
-  Euler step, slew limiter, open-output collapse) each have one kernel that
-  steps a time-major ``(n_samples, width)`` buffer in place, one instance
-  per column: ``_lowpass_steps``, ``_slew_steps`` and ``_collapse_steps``.
+  Euler step, slew limiter) each have one kernel that steps a time-major
+  ``(n_samples, width)`` buffer in place, one instance per column:
+  ``_lowpass_steps`` and ``_slew_steps``.  An open opamp output's collapse
+  onto its high rail is the low-pass kernel with a constant drive.
   At width > 1 a kernel steps whole numpy rows with ``out=`` ufuncs; at
   width 1 (the public single-instance functions) it loops over Python
   floats from ``tolist()``, since a 1-wide numpy step costs about 15 times
@@ -233,24 +234,25 @@ def _float_errors():
     return np.errstate(over="ignore", invalid="ignore")
 
 
-def _lowpass_steps(buf: np.ndarray, alpha) -> None:
-    """Forward-Euler low-pass from 0 V over a time-major buffer, in place.
+def _lowpass_steps(buf: np.ndarray, alpha, start=None) -> None:
+    """Forward-Euler low-pass over a time-major buffer, in place.
 
     ``buf`` holds the drive, shape (n_samples, width); ``alpha`` (dt / tau)
     is a scalar or one value per column.  Row t becomes
-    y_t = y_{t-1} + alpha * (drive_t - y_{t-1}) with y_{-1} = 0.
+    y_t = y_{t-1} + alpha * (drive_t - y_{t-1}), where y_{-1} is ``start``
+    (one value per column) or 0 V.
     """
     n, width = buf.shape
     if width == 1:
         a = _one(alpha)
         out = []
-        y = 0.0
+        y = 0.0 if start is None else _one(start)
         for d in buf[:, 0].tolist():
             y = y + a * (d - y)
             out.append(y)
         buf[:, 0] = out
         return
-    prev = np.zeros(width)
+    prev = np.zeros(width) if start is None else start
     tmp = np.empty(width)
     with _float_errors():
         for row in buf:
@@ -295,36 +297,6 @@ def _slew_steps(buf: np.ndarray, max_step) -> None:
             prev = row
 
 
-_COLLAPSE_ALPHA = 1.0 / 10.0   # an open output drifts with tau = 10 sample periods
-
-
-def _collapse_steps(buf: np.ndarray, level) -> None:
-    """Open-output collapse over a time-major buffer, in place.
-
-    The input no longer drives the output: starting from row 0 (the first
-    static target), each row steps y = y + alpha * (level - y) onto
-    ``level`` (the high rail; a scalar or one value per column).
-    """
-    n, width = buf.shape
-    if width == 1:
-        lev = _one(level)
-        out = []
-        y = float(buf[0, 0])
-        for _ in range(n):
-            y = y + _COLLAPSE_ALPHA * (lev - y)
-            out.append(y)
-        buf[:, 0] = out
-        return
-    tmp = np.empty(width)
-    prev = buf[0].copy()
-    with _float_errors():
-        for row in buf:
-            np.subtract(level, prev, out=tmp)
-            np.multiply(tmp, _COLLAPSE_ALPHA, out=tmp)
-            np.add(prev, tmp, out=row)
-            prev = row
-
-
 def vref_output_block(trig: Waveform, config: VrefConfig) -> Waveform:
     """Output stage: first-order low-pass settling to the nominal level.
 
@@ -353,9 +325,10 @@ def simulate_vref(config: VrefConfig, n_samples: int = 1500,
         raise ConfigurationError("duration must be > 0", config_key="duration")
     from .inject import _walk_chain  # late import: inject depends on this module
     dt = duration / n_samples
-    signals = _walk_chain(config, _input_rows(config, n_samples, dt, [seed]),
-                          dt, [[]])
-    return {name: Waveform(x[0], dt, name) for name, x in signals.items()}
+    signals = {name: Waveform(x[0], dt, name) for name, x in _walk_chain(
+        config, _input_rows(config, n_samples, dt, [seed]), dt, [[]]).items()}
+    signals["output"] = vref_output_block(signals["trig"], config)
+    return signals
 
 
 @dataclass
@@ -455,26 +428,32 @@ def _static_transfer(cols: SimpleNamespace, buf: np.ndarray, temp) -> None:
     np.clip(buf, cols.rail_low, cols.rail_high, out=buf)
 
 
+_COLLAPSE_ALPHA = 1.0 / 10.0   # an open output drifts with tau = 10 sample periods
+
+
 def _opamp_transient(buf: np.ndarray, models, sample_period: float) -> None:
     """Transient response of one model per column of a time-major input buffer.
 
     In place: the static transfer gives each column's targets, then the
-    slew limiter steps the intact columns and the open-output collapse the
-    broken ones, each set through its own loop.
+    slew limiter steps the intact columns.  A broken (open) output no
+    longer follows its input: it is the low-pass toward the high rail,
+    starting from its first target, with alpha ``_COLLAPSE_ALPHA``.
     """
     cols = _columns(models)
     _static_transfer(cols, buf, cols.temperature)
-    runs = ((~cols.open_collapse, _slew_steps, cols.slew_rate * sample_period),
-            (cols.open_collapse, _collapse_steps, cols.rail_high))
-    for mask, steps, param in runs:
-        idx = np.flatnonzero(mask)
+    for broken in (False, True):
+        idx = np.flatnonzero(cols.open_collapse == broken)
         if idx.size == 0:
             continue
-        if idx[-1] - idx[0] + 1 == idx.size:    # one run of columns: step a view
-            steps(buf[:, idx[0]:idx[-1] + 1], param[idx])
+        one_run = idx[-1] - idx[0] + 1 == idx.size    # then step a view
+        sub = buf[:, idx[0]:idx[-1] + 1] if one_run else buf[:, idx]
+        if broken:
+            start = sub[0].copy()
+            sub[:] = cols.rail_high[idx]
+            _lowpass_steps(sub, _COLLAPSE_ALPHA, start)
         else:
-            sub = buf[:, idx]
-            steps(sub, param[idx])
+            _slew_steps(sub, (cols.slew_rate * sample_period)[idx])
+        if not one_run:
             buf[:, idx] = sub
 
 

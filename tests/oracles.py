@@ -12,8 +12,8 @@ and the time recursions (the simulator's original loops over numpy
 scalars).  Only the per-instance builders and the CSV references
 at the end use amsdetect.  The builders rebuild ``generate_features`` one
 instance at a time: the reference chain block by block from the
-package's elementwise PLL and trig blocks, its single-waveform injection
-and the output-stage reference above; a k-stage chain from the transient
+package's elementwise PLL and trig blocks and the point-injection and
+output-stage references above; a k-stage chain from the transient
 reference above, stage by stage; a single opamp through
 ``simulate_opamp``, whose width-1 loops those references pin.  The CSV
 references are the one-row-at-a-time waveform writer and reader whose
@@ -32,8 +32,8 @@ from amsdetect.bench import FAULT_EXPERIMENTS, _block_specs, _child_seed
 from amsdetect.cluster import canonical_labels
 from amsdetect.errors import FitError, InputError
 from amsdetect.features import windowed_features
-from amsdetect.inject import (ComponentFault, InjectionLocation,
-                              apply_anomaly_spec, apply_component_fault)
+from amsdetect.inject import (ComponentFault, InjectionLocation, PointRandom,
+                              apply_component_fault)
 from amsdetect.waveforms import (OpampModel, SweepSpec, VrefConfig, Waveform,
                                  _input_rows, _pll_rows, _trig_rows,
                                  default_vref_component_model, simulate_opamp,
@@ -560,6 +560,41 @@ def kstage_reference(base, gains, stimulus, anomalous_stages=(), fault=None):
     return samples
 
 
+def point_random_reference(samples, rate_pct, amp_low, amp_high, seed):
+    """Random point anomalies: round-half-up(rate_pct/100 * N) of them, at
+    least one, at positions drawn without replacement (then sorted), each
+    sign(x[i]) * u * max(|x|) with u ~ U[amp_low, amp_high] drawn after the
+    positions; a zero sample counts as positive.
+
+    :returns: (injected samples, positions)
+    """
+    x = [float(v) for v in samples]
+    n = len(x)
+    count = max(1, math.floor(rate_pct / 100.0 * n + 0.5))
+    peak = max(abs(v) for v in x)
+    rng = np.random.default_rng(seed)
+    positions = sorted(rng.choice(n, size=count, replace=False).tolist())
+    out = list(x)
+    for i, u in zip(positions, rng.uniform(amp_low, amp_high, count).tolist()):
+        out[i] = (-1.0 if x[i] < 0.0 else 1.0) * u * peak
+    return np.array(out), positions
+
+
+def point_periodic_reference(samples, threshold_frac, delta_frac):
+    """Periodic point anomalies: every sample at or above
+    threshold_frac * max(x) is raised by delta_frac * max(x).
+
+    :returns: (injected samples, positions)
+    """
+    x = [float(v) for v in samples]
+    peak = max(x)
+    positions = [i for i, v in enumerate(x) if v >= threshold_frac * peak]
+    out = list(x)
+    for i in positions:
+        out[i] = x[i] + delta_frac * peak
+    return np.array(out), positions
+
+
 def multipoint_reference(config, inp, specs):
     """One instance of the reference chain walked block by block.
 
@@ -570,18 +605,22 @@ def multipoint_reference(config, inp, specs):
 
     :returns: signal name -> Waveform
     """
-    def inject(w, loc):
-        for spec in specs:
-            if spec.location is loc:
-                w = apply_anomaly_spec(w, spec)[0]
-        return w
+    def inject(x, loc):
+        for spec in (s for s in specs if s.location is loc):
+            kind = spec.kind
+            if isinstance(kind, PointRandom):
+                x = point_random_reference(x, kind.rate_pct, kind.amp_low,
+                                           kind.amp_high, spec.seed)[0]
+            else:
+                x = point_periodic_reference(x, kind.threshold_frac,
+                                             kind.delta_frac)[0]
+        return Waveform(x, dt)
 
     dt = inp.sample_period
-    inp = inject(inp, InjectionLocation.INPUT_A)
+    inp = inject(inp.samples, InjectionLocation.INPUT_A)
     freq, intensity = _pll_rows(inp.samples, dt, config)
-    intensity = inject(Waveform(intensity, dt), InjectionLocation.PLL_B)
-    trig = inject(Waveform(_trig_rows(intensity.samples, config), dt),
-                  InjectionLocation.TRIG_C)
+    intensity = inject(intensity, InjectionLocation.PLL_B)
+    trig = inject(_trig_rows(intensity.samples, config), InjectionLocation.TRIG_C)
     return {"input": inp, "pll_frequency": Waveform(freq, dt),
             "pll_intensity": intensity, "trig": trig,
             "output": Waveform(output_stage_reference(trig.samples, dt, config), dt)}

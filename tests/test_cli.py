@@ -134,6 +134,35 @@ def test_bad_csv_exits_two(tmp_path, capsys, command, text, message):
     assert "in.csv" in err and message in err
 
 
+def _wave_csv(path, samples):
+    path.write_text("t,value\n" + "".join(f"{i * 1e-8!r},{v!r}\n"
+                                          for i, v in enumerate(samples)))
+    return path
+
+
+@pytest.mark.parametrize("mode", ["random", "periodic"])
+def test_injection_overflow_exits_two_with_one_line(tmp_path, capsys, mode):
+    """A finite waveform whose stamped anomalies overflow is refused as such."""
+    wave = _wave_csv(tmp_path / "big3.csv", [1e308, -1e308, 5e307, 1.0])
+    rc = main(["inject", "--in", str(wave), "--mode", mode,
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["amsdetect: error: injected values overflow float64"]
+    assert not (tmp_path / "out" / "injected.csv").exists()
+
+
+def test_featurize_overflow_exits_two_naming_the_file(tmp_path, capsys):
+    """Finite samples whose variance overflows end in exit 2, not an inf row."""
+    wave = _wave_csv(tmp_path / "big.csv", [1e300, -1e300, 5e299, 1.0])
+    out = tmp_path / "d.csv"
+    rc = main(["featurize", "--in", str(wave), "--windows", "2", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"amsdetect: error: {wave}: a window feature overflows float64"]
+    assert not out.exists()
+
+
 # a valid first line, then bytes that are not UTF-8 (but are Latin-1)
 NOT_TEXT = b"t,value\n0.0,1.0\n" + bytes(range(128, 256))
 

@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amsdetect import (AnomalySpec, ComponentFault, ConfigurationError,
-                       FaultKind, InjectionError, InjectionLocation,
-                       OpampModel, PointPeriodic, PointRandom, VrefConfig,
-                       Waveform, apply_anomaly_spec, apply_component_fault,
-                       inject_point_periodic, inject_point_random,
-                       record_to_csv, simulate_vref)
+                       ExperimentConfig, FaultKind, InjectionError,
+                       InjectionLocation, OpampModel, PointPeriodic,
+                       PointRandom, VrefConfig, Waveform, apply_component_fault,
+                       generate_features, inject_point_periodic,
+                       inject_point_random, record_to_csv, simulate_vref)
+from amsdetect import inject
 from amsdetect.cli import main
 from amsdetect.inject import _count_half_up, _walk_chain
-from oracles import multipoint_reference
+from amsdetect.waveforms import vref_output_block
+from oracles import (multipoint_reference, point_periodic_reference,
+                     point_random_reference)
 
 
 def _sine(n=1500, amp=1.0):
@@ -74,6 +79,37 @@ def test_random_injection_errors():
         inject_point_random(flat, 0.5, 2.0, 5.0)
 
 
+# a positive peak for both kinds; a rate of at most 30% leaves a clean sample
+_signals = st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=200).filter(
+    lambda x: max(x) > 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=_signals, rate=st.floats(0.01, 30.0), low=st.floats(0.1, 5.0),
+       span=st.floats(0.0, 5.0), seed=st.integers(0, 2**32 - 1))
+def test_random_injection_matches_reference(x, rate, low, span, seed):
+    w = Waveform(np.array(x), 1e-8)
+    out, rec = inject_point_random(w, rate, low, low + span, seed)
+    want, positions = point_random_reference(x, rate, low, low + span, seed)
+    assert out.samples.tobytes() == want.tobytes()
+    assert rec.positions.tolist() == positions
+    assert rec.original.tobytes() == np.array(x)[positions].tobytes()
+    assert rec.injected.tobytes() == want[positions].tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=_signals, threshold=st.just(1.0) | st.floats(0.01, 1.0),
+       delta=st.floats(0.0, 5.0))
+def test_periodic_injection_matches_reference(x, threshold, delta):
+    w = Waveform(np.array(x), 1e-8)
+    out, rec = inject_point_periodic(w, threshold, delta)
+    want, positions = point_periodic_reference(x, threshold, delta)
+    assert out.samples.tobytes() == want.tobytes()
+    assert rec.positions.tolist() == positions
+    assert rec.original.tobytes() == np.array(x)[positions].tobytes()
+    assert rec.injected.tobytes() == want[positions].tobytes()
+
+
 def test_periodic_injection_hits_threshold_samples():
     w = _sine()
     out, rec = inject_point_periodic(w, 0.9, 1.0)
@@ -94,6 +130,14 @@ def test_periodic_injection_errors():
         inject_point_periodic(_sine(), 1.5, 1.0)
     with pytest.raises(ConfigurationError):
         PointPeriodic(threshold_frac=0.9, delta_frac=0.0)
+    for delta in (np.nan, np.inf):
+        with pytest.raises(ConfigurationError, match="finite and > 0"):
+            PointPeriodic(threshold_frac=0.9, delta_frac=delta)
+        with pytest.raises(InjectionError, match="finite and >= 0"):
+            inject_point_periodic(_sine(), 0.9, delta)
+    # an identity pass that still records the would-be positions
+    out, rec = inject_point_periodic(_sine(), 0.9, 0.0)
+    assert np.array_equal(out.samples, _sine().samples) and len(rec.positions)
 
 
 def _walk(specs, n=1500):
@@ -101,9 +145,11 @@ def _walk(specs, n=1500):
     byte for byte against the block-by-block reference."""
     cfg = VrefConfig()
     clean = simulate_vref(cfg, n, 20e-6)
-    out = _walk_chain(cfg, clean["input"].samples[None].copy(),
-                      clean["input"].sample_period, [specs])
+    dt = clean["input"].sample_period
+    out = _walk_chain(cfg, clean["input"].samples[None].copy(), dt, [specs])
+    out["output"] = vref_output_block(Waveform(out["trig"][0], dt), cfg).samples[None]
     ref = multipoint_reference(cfg, clean["input"], specs)
+    assert out.keys() == ref.keys()
     for name, x in out.items():
         assert x.shape == (1, n)
         assert x[0].tobytes() == ref[name].samples.tobytes(), name
@@ -144,12 +190,17 @@ def test_multipoint_applies_one_block_in_list_order():
     assert np.array_equal(injected["pll_intensity"], want.samples)
 
 
-def test_apply_anomaly_spec_tags_location():
-    w = _sine()
-    out, rec = apply_anomaly_spec(
-        w, AnomalySpec(PointRandom(), InjectionLocation.INPUT_A, seed=1))
-    assert rec.location is InjectionLocation.INPUT_A
-    assert not np.array_equal(out.samples, w.samples)
+def test_chain_stamps_rows_without_waveforms_or_records(monkeypatch):
+    """The chain stamps its rows in place: no Waveform or InjectionRecord."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the chain built a per-row object")
+
+    cfg = ExperimentConfig(experiment="IPTRA", n_samples_per_class=10,
+                           n_samples=150, seed=3)
+    want = generate_features(cfg)[0]
+    monkeypatch.setattr(inject, "Waveform", refuse)
+    monkeypatch.setattr(inject, "InjectionRecord", refuse)
+    assert generate_features(cfg)[0].tobytes() == want.tobytes()
 
 
 def test_record_csv_format(tmp_path):

@@ -14,7 +14,7 @@ from amsdetect import (ConfigurationError, InputError, OpampModel, SweepSpec,
                        VrefConfig, Waveform, build_kstage,
                        default_vref_component_model, simulate_opamp,
                        simulate_vref, waveform_from_csv, waveform_to_csv)
-from amsdetect.waveforms import (_CSV_ROWS, _collapse_steps, _e12_fields,
+from amsdetect.waveforms import (_COLLAPSE_ALPHA, _CSV_ROWS, _e12_fields,
                                  _lowpass_steps, _opamp_transient, _pll_rows,
                                  _simulate_columns, _slew_steps, _time_rows,
                                  _trig_rows, vref_output_block)
@@ -602,10 +602,12 @@ def test_slew_kernel_matches_scalar_loop_per_column(width, n, seed, data):
 @given(width=_widths, n=st.integers(1, 50), seed=st.integers(0, 2**32 - 1),
        data=st.data())
 def test_collapse_kernel_matches_scalar_loop_per_column(width, n, seed, data):
+    """An open output: the low-pass toward a constant level from row 0."""
     start = _buffer(seed, n, width, 3.0)
     level, vec = _per_column(data, width, st.floats(-5.0, 5.0))
-    buf = start.copy()
-    _collapse_steps(buf, level)
+    buf = np.empty((n, width))
+    buf[:] = level
+    _lowpass_steps(buf, _COLLAPSE_ALPHA, start[0].copy())
     for j in range(width):
         ref = collapse_reference(start[0, j], level[j] if vec else level, n)
         assert buf[:, j].tobytes() == ref.tobytes()
