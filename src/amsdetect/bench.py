@@ -5,19 +5,25 @@ one algorithm and one featurization.  ``generate_features`` simulates its
 balanced instances (n clean, then n anomalous) into one raw feature array
 of shape (instances, windows, signals, features); labels and sample ids
 follow from the instance index and ride along for scoring only -- fitting
-never sees them.  Simulation is batched per config: the time recursions
-step all 2n instances at once on one time-major buffer, and everything
-else runs in chunks of ``_CHUNK`` instances; each instance still gets the
-bytes it would get simulated alone.
+never sees them.  Simulation is batched by population: the instances of
+one class whose bytes the same inputs fix (circuit, seed, stimulus,
+resolved injection legs or fault; ``_sim_key``) are simulated once, for
+the largest n among the configs that share them, and each config
+featurizes its own with its own windows, features and signals.  The time
+recursions step many instances at once on one time-major lane buffer, no
+wider than one of those configs would get alone, and everything else runs
+in chunks of ``_CHUNK`` instances; each instance still gets the bytes it
+would get simulated alone.  ``generate_features`` is the one-config case.
 
 Evaluation runs in three stages: prepare (simulate, and list the
 signal/feature combinations), fit (one dispatcher over every combination;
 each is sliced from the array and min-max normalized when needed) and
-score.  ``run_suite`` prepares every entry, fits all of their combinations
-in one dispatcher call -- GMM fits of one matrix shape run as lanes of one
-lockstep EM, across entries -- then scores each entry, continuing past
-per-entry failures; ``evaluate`` is the one-entry case of that path, so an
-entry's report has the same bytes in a suite and alone.
+score.  ``run_suite`` prepares every entry in one walk over their
+populations, fits all of their combinations in one dispatcher call -- GMM
+fits of one matrix shape run as lanes of one lockstep EM, across entries --
+then scores each entry, continuing past per-entry failures; ``evaluate`` is
+the one-entry case of that path, so an entry's report has the same bytes
+in a suite and alone.
 ``generate_dataset`` is the same array as a ``Dataset``, one row per
 (instance, window).
 
@@ -30,6 +36,7 @@ from __future__ import annotations
 
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -370,8 +377,8 @@ _KSTAGE_BASE = OpampModel(open_loop_gain=30.0, rail_low=-2.5, rail_high=2.5,
 
 # Instances per chunk of per-instance work (noise draws, injection, the PLL
 # and trig blocks, measurement noise, features), so each temporary is a few
-# (_CHUNK, n_samples) arrays; only the time recursions run all instances at
-# once, on one time-major (n_samples, 2n) buffer.
+# (_CHUNK, n_samples) arrays; only the time recursions run many instances at
+# once, on one time-major lane buffer.
 _CHUNK = 8
 
 
@@ -379,36 +386,70 @@ def _chunks(total: int) -> list[slice]:
     return [slice(i, min(i + _CHUNK, total)) for i in range(0, total, _CHUNK)]
 
 
-def _block_features(config: ExperimentConfig, feats: np.ndarray) -> tuple[int, float]:
-    """Simulate every instance's reference chain and featurize it into ``feats``.
+def _analysis(config: ExperimentConfig) -> str:
+    """The analysis a config's circuit runs: the reference chain and a
+    k-stage chain always run transient."""
+    return config.analysis if config.circuit in ("vref_components", "opamp") else "transient"
 
-    :returns: (samples per signal, sample period)
+
+def _sim_key(config: ExperimentConfig, label: int) -> tuple[str, str]:
+    """Name what fixes the bytes of a config's instances of one class.
+
+    :returns: (lanes, population).  Instances whose time recursions can
+        step together share ``lanes``: the reference chain's low-pass needs
+        one sample count, an opamp chain one stimulus or sweep and one stage
+        count.  Configs whose instances of class ``label`` are byte-identical
+        share ``population``; it leaves out what only featurizing, fitting
+        and scoring read, and names injection legs and faults as resolved,
+        not by experiment.  Values enter by ``repr``, so 0.0 and -0.0 (or 1
+        and 1.0) never share.
     """
-    vcfg = VrefConfig(**{"noise_std": config.noise_std, **config.vref_params})
-    n, k = config.n_samples_per_class, config.window_k or 1
-    dt = config.duration / config.n_samples
-    observed = config.observed_signals
-    drive = np.empty((config.n_samples, 2 * n)) if "output" in observed else None
-    for c in _chunks(2 * n):
-        ids = [divmod(i, n) for i in range(c.start, c.stop)]
-        signals = _walk_chain(
-            vcfg, _input_rows(vcfg, config.n_samples, dt,
-                              [_child_seed(config.seed, label, idx, 0) for label, idx in ids]),
-            dt, [_block_specs(config, label, idx) for label, idx in ids])
-        for j, s in enumerate(observed):
-            if s != "output":
-                feats[c, :, j] = _windowed_rows(signals[s], k, config.features)
-        if drive is not None:
-            _output_drive(signals["trig"].T, vcfg, out=drive[:, c])
-        del signals   # free this chunk's signals before the next chunk's exist
-    if drive is not None:
-        _lowpass_steps(drive, dt / vcfg.output_tau)
-        j = observed.index("output")
-        for c in _chunks(2 * n):
-            rows = np.ascontiguousarray(drive[:, c].T)
-            _check_finite(rows)
-            feats[c, :, j] = _windowed_rows(rows, k, config.features)
-    return config.n_samples, dt
+    if config.circuit == "vref_blocks":
+        lanes: tuple = ("vref_blocks", config.n_samples)
+        legs = [(loc, (config.rate_pct, config.amp_low, config.amp_high) if mode == "random"
+                 else (config.threshold_frac, config.delta_frac))
+                for loc, mode in BLOCK_EXPERIMENTS[config.experiment]] if label else []
+        vref = sorted({"noise_std": config.noise_std, **config.vref_params}.items())
+        rest: tuple = (config.duration, vref, legs)
+    else:
+        kstage = config.circuit == "kstage"
+        if _analysis(config) == "transient":
+            stimulus = ("transient", config.n_samples, config.duration, config.stim_dc,
+                        config.stim_amplitude, config.stim_frequency)
+        else:
+            stimulus = (config.analysis, config.sweep_start, config.sweep_stop,
+                        config.sweep_points, config.sweep_bias)
+        lanes = (stimulus, config.kstage_k if kstage else 1)
+        fault = config.kstage_fault if kstage else FAULT_EXPERIMENTS[config.experiment]
+        faulted = (fault, config.fault_temperature if fault == "Parametric" else None,
+                   config.anomalous_stages if kstage else None) if label else None
+        rest = (config.circuit, config.jitter_gain, config.jitter_offset,
+                config.measurement_noise, config.kstage_gains if kstage else None, faulted)
+    return repr(lanes), repr((lanes, config.seed, label, rest))
+
+
+def _timebase(config: ExperimentConfig) -> tuple[int, float]:
+    """(samples per window, sample period) of a config's simulated signals;
+    a DC sweep's points are one unit step apart."""
+    k = config.window_k or 1
+    if _analysis(config) != "transient":
+        return config.sweep_points // k, 1.0
+    return config.n_samples // k, config.duration / config.n_samples
+
+
+@dataclass
+class _Population:
+    """The instances of one class that configs with one ``_sim_key`` share.
+
+    They are simulated once, from the first consumer's config, for the
+    largest ``n_samples_per_class`` among the consumers still live;
+    instance ``idx`` is row ``label * n + idx`` of the features of each
+    consumer with ``n > idx``.
+    """
+
+    config: ExperimentConfig
+    label: int
+    consumers: list[int] = field(default_factory=list)
 
 
 def _instance_chain(config: ExperimentConfig, rng: np.random.Generator,
@@ -445,38 +486,201 @@ def _sweep(spec) -> SweepSpec:
                      spec.sweep_points, spec.sweep_bias)
 
 
-def _opamp_features(config: ExperimentConfig, feats: np.ndarray) -> tuple[int, float]:
-    """Simulate every instance's opamp or k-stage chain and featurize its output.
+class _Walk:
+    """The raw features of several configs, each population simulated once.
 
-    Each instance's random stream is parked (its bit-generator state, not
-    a Generator of ~8 kB) between its model draws and its measurement
-    noise, so its draws come in the order of simulating it alone: jitter,
-    the faulted k-stage stage, then noise.  A k-stage chain always runs
-    transient.
-
-    :returns: (samples or sweep points per signal, sample period)
+    Populations that share lanes (``_sim_key``) are walked together.  Their
+    time recursions step on one time-major lane buffer, at most 2 x the
+    largest ``n_samples_per_class`` among their consumers wide -- the widest
+    buffer one of those configs gets alone -- and everything else runs in
+    ``_CHUNK``-instance slices; no waveform outlives its slice or its lane.
+    With ``keep_going`` false the first error raises, so a one-config walk
+    is ``generate_features``; otherwise an error adds the configs it touches
+    to ``failed`` and the walk goes on without them.
     """
-    n, k = config.n_samples_per_class, config.window_k or 1
-    chains, streams = [], []
-    for i in range(2 * n):
-        rng = np.random.default_rng(_child_seed(config.seed, *divmod(i, n), 0))
-        chains.append(_instance_chain(config, rng, i // n))
-        streams.append(rng.bit_generator.state)
-    if config.circuit == "kstage" or config.analysis == "transient":
-        stimulus = _stimulus(config)
-        out = _simulate_columns(chains, "transient", stimulus)
-        dt = stimulus.sample_period
-    else:
-        out = _simulate_columns(chains, config.analysis, _sweep(config))
-        dt = 1.0
-    for c in _chunks(2 * n):
-        rows = np.ascontiguousarray(out[:, c].T)
-        for row, stream in zip(rows, streams[c]):
-            rng.bit_generator.state = stream
-            row += rng.normal(0.0, config.measurement_noise, row.size)
-            _check_finite(row)
-        feats[c, :, 0] = _windowed_rows(rows, k, config.features)
-    return out.shape[0], dt
+
+    def __init__(self, configs: list[ExperimentConfig], keep_going: bool):
+        self.configs = configs
+        self.keep_going = keep_going
+        self.failed: set[int] = set()
+        self.feats = [np.empty((2 * c.n_samples_per_class, c.window_k or 1,
+                                len(c.observed_signals), len(c.features))) for c in configs]
+        self.lanes: dict[str, list[_Population]] = {}
+        pops: dict[str, _Population] = {}
+        for e, cfg in enumerate(configs):
+            for label in (0, 1):
+                lanes, key = _sim_key(cfg, label)
+                if key not in pops:
+                    pops[key] = _Population(cfg, label)
+                    self.lanes.setdefault(lanes, []).append(pops[key])
+                pops[key].consumers.append(e)
+
+    def run(self) -> None:
+        for pops in self.lanes.values():
+            cap = 2 * max(self.configs[e].n_samples_per_class
+                          for p in pops for e in p.consumers)
+            if pops[0].config.circuit == "vref_blocks":
+                self._walk_blocks(pops, cap)
+            else:
+                self._walk_opamps(pops, cap)
+
+    @contextmanager
+    def _guard(self, entries):
+        """An AmsDetectError inside fails ``entries``, or raises when the
+        walk stops at the first error."""
+        try:
+            yield
+        except AmsDetectError:
+            if not self.keep_going:
+                raise
+            self.failed.update(entries)
+
+    def _n(self, pop: _Population, observed: str | None = None) -> int:
+        """Instances a population needs: the largest n among its live
+        consumers (those observing ``observed``, if given); 0 for none."""
+        return max((self.configs[e].n_samples_per_class for e in pop.consumers
+                    if e not in self.failed
+                    and (observed is None or observed in self.configs[e].observed_signals)),
+                   default=0)
+
+    def _fills(self, spans: list[tuple[_Population, int]], width: int):
+        """Lane fills of at most ``width`` columns: lists of (population,
+        first instance, count) covering each population's first n
+        instances; a population whose consumers all failed stops."""
+        fill, used = [], 0
+        for pop, n in spans:
+            first = 0
+            while first < n and self._n(pop):
+                count = min(width - used, n - first)
+                fill.append((pop, first, count))
+                used, first = used + count, first + count
+                if used == width:
+                    yield fill
+                    fill, used = [], 0
+        if fill:
+            yield fill
+
+    def _featurize(self, pop: _Population, first: int, taps: dict) -> None:
+        """Each live consumer's features of instances ``first``.. from the
+        taps it observes (name -> C-contiguous (instances, samples) rows)."""
+        for e in pop.consumers:
+            cfg = self.configs[e]
+            n = cfg.n_samples_per_class
+            if e in self.failed or first >= n:
+                continue
+            row = pop.label * n + first
+            with self._guard([e]):
+                for j, s in enumerate(cfg.observed_signals):
+                    if s in taps:
+                        x = taps[s][:n - first]
+                        self.feats[e][row:row + len(x), :, j] = _windowed_rows(
+                            x, cfg.window_k or 1, cfg.features)
+
+    def _featurize_output(self, lane: np.ndarray, fill: list, streams=None) -> None:
+        """Each live population's output features from its columns of a
+        stepped lane, chunk by chunk.  With ``streams`` (one parked random
+        state per column), each row first gets its instance's measurement
+        noise."""
+        rng, col = np.random.default_rng(0), 0
+        for pop, first, count in fill:
+            if self._n(pop):
+                with self._guard(pop.consumers):
+                    for c in _chunks(count):
+                        rows = np.ascontiguousarray(lane[:, col + c.start:col + c.stop].T)
+                        if streams is None:
+                            _check_finite(rows)
+                        else:
+                            for row, stream in zip(rows, streams[col + c.start:col + c.stop]):
+                                rng.bit_generator.state = stream
+                                row += rng.normal(0.0, pop.config.measurement_noise, row.size)
+                                _check_finite(row)
+                        self._featurize(pop, first + c.start, {"output": rows})
+            col += count
+
+    def _walk_blocks(self, pops: list[_Population], cap: int) -> None:
+        """Walk reference chains.  Instances observed at the output go
+        through low-pass lanes, one alpha per column; the rest then walk
+        without a lane."""
+        spans = [(p, self._n(p, "output")) for p in pops]
+        width = min(cap, sum(n for _, n in spans))
+        if width:
+            drive, alpha = np.empty((pops[0].config.n_samples, width)), np.zeros(width)
+            for fill in self._fills(spans, width):
+                col = 0
+                for pop, first, count in fill:
+                    if self._n(pop):
+                        with self._guard(pop.consumers):
+                            vcfg, dt = self._walk_rows(pop, first, first + count,
+                                                       drive[:, col:col + count])
+                            alpha[col:col + count] = dt / vcfg.output_tau
+                    col += count
+                _lowpass_steps(drive[:, :col], alpha[:col])
+                self._featurize_output(drive, fill)
+            del drive   # free the lane before the rest walk
+        for pop, first in spans:
+            if self._n(pop) > first:
+                with self._guard(pop.consumers):
+                    self._walk_rows(pop, first, self._n(pop), None)
+
+    def _walk_rows(self, pop: _Population, start: int, stop: int,
+                   drive: np.ndarray | None) -> tuple[VrefConfig, float]:
+        """Walk instances start..stop of a block population down the chain,
+        chunk by chunk: consumers featurize the four taps before the output
+        stage, and ``drive`` (time-major) gets the output stage's drive.
+
+        :returns: (the chain's VrefConfig, sample period)
+        """
+        cfg = pop.config
+        vcfg = VrefConfig(**{"noise_std": cfg.noise_std, **cfg.vref_params})
+        dt = cfg.duration / cfg.n_samples
+        for c in _chunks(stop - start):
+            ids = range(start + c.start, start + c.stop)
+            taps = _walk_chain(
+                vcfg, _input_rows(vcfg, cfg.n_samples, dt,
+                                  [_child_seed(cfg.seed, pop.label, i, 0) for i in ids]),
+                dt, [_block_specs(cfg, pop.label, i) for i in ids])
+            self._featurize(pop, ids.start, taps)
+            if drive is not None:
+                _output_drive(taps["trig"].T, vcfg, out=drive[:, c])
+            del taps   # free this chunk's signals before the next chunk's exist
+        return vcfg, dt
+
+    def _walk_opamps(self, pops: list[_Population], cap: int) -> None:
+        """Simulate opamp or k-stage chains in lanes of one stimulus, then
+        add each instance's measurement noise and featurize, chunk by chunk.
+
+        Each instance's random stream is parked (its bit-generator state,
+        not a Generator of ~8 kB) between its model draws and its
+        measurement noise, so its draws come in the order of simulating it
+        alone: jitter, the faulted k-stage stage, then noise.
+        """
+        cfg = pops[0].config
+        mode = _analysis(cfg)
+        spans = [(p, self._n(p)) for p in pops]
+        stimulus = None
+        for fill in self._fills(spans, min(cap, sum(n for _, n in spans))):
+            ready, chains, streams = [], [], []
+            for pop, first, count in fill:
+                with self._guard(pop.consumers):
+                    built = []
+                    for i in range(first, first + count):
+                        rng = np.random.default_rng(
+                            _child_seed(pop.config.seed, pop.label, i, 0))
+                        built.append((_instance_chain(pop.config, rng, pop.label),
+                                      rng.bit_generator.state))
+                    ready.append((pop, first, count))
+                    chains += [chain for chain, _ in built]
+                    streams += [stream for _, stream in built]
+            if not ready:
+                continue
+            if stimulus is None:
+                with self._guard([e for p in pops for e in p.consumers]):
+                    stimulus = _stimulus(cfg) if mode == "transient" else _sweep(cfg)
+                if stimulus is None:
+                    return
+            with self._guard([e for p, _, _ in ready for e in p.consumers]):
+                self._featurize_output(_simulate_columns(chains, mode, stimulus),
+                                       ready, streams)
 
 
 def generate_features(config: ExperimentConfig) -> tuple[np.ndarray, int, float]:
@@ -487,11 +691,9 @@ def generate_features(config: ExperimentConfig) -> tuple[np.ndarray, int, float]
         ``observed_signals`` order and features in ``features`` order; the
         two scalars come from the simulated waveforms
     """
-    n, k = config.n_samples_per_class, config.window_k or 1
-    feats = np.empty((2 * n, k, len(config.observed_signals), len(config.features)))
-    simulate = _block_features if config.circuit == "vref_blocks" else _opamp_features
-    length, dt = simulate(config, feats)
-    return feats, length // k, dt
+    walk = _Walk([config], keep_going=False)
+    walk.run()
+    return (walk.feats[0], *_timebase(config))
 
 
 def generate_dataset(config: ExperimentConfig) -> Dataset:
@@ -604,9 +806,11 @@ class _Prepared:
         return as_matrix(NormalizationParams(raw.min(0), raw.max(0)).apply(raw))
 
 
-def _prepare(config: ExperimentConfig) -> _Prepared:
-    """Simulate a config and list the signal/feature combinations it is scored on."""
-    feats, samples_per_window, sample_period = generate_features(config)
+def _prepare(config: ExperimentConfig, feats: np.ndarray | None = None) -> _Prepared:
+    """A config's raw features, simulated alone unless given, and the
+    signal/feature combinations it is scored on."""
+    if feats is None:
+        feats = generate_features(config)[0]
     combos: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
     for s in config.observed_signals:
         for f in config.features:
@@ -618,7 +822,7 @@ def _prepare(config: ExperimentConfig) -> _Prepared:
             combos.append((config.observed_signals, (f,)))
         if len(config.features) >= 2:
             combos.append((config.observed_signals, config.features))
-    return _Prepared(config, feats, samples_per_window, sample_period, combos)
+    return _Prepared(config, feats, *_timebase(config), combos)
 
 
 def _fit_jobs(jobs: list[tuple[_Prepared, tuple]]) -> list:
@@ -768,21 +972,29 @@ class SuiteResult:
 def run_suite(configs: list[ExperimentConfig]) -> SuiteResult:
     """Evaluate each config; failures are recorded per entry, never fatal.
 
-    Every entry is simulated first, then all of their combinations are
+    Every entry is simulated first, in one ``_Walk``: each population
+    (``_sim_key``) is simulated once, for the largest n among the entries
+    that share it, and each entry featurizes its own instances with its own
+    windows, features and signals.  Then all of their combinations are
     fitted in one ``_fit_jobs`` call, so same-shape GMM fits of different
-    entries share lockstep batches, then each entry is scored; an entry's
-    report is the one ``evaluate`` gives it.  What is held across entries
-    is their raw feature arrays, never their waveforms.
+    entries share lockstep batches, and each entry is scored.  An entry the
+    walk could not finish is prepared again alone, so it fails (or not)
+    with the error ``evaluate`` raises; every report is the one
+    ``evaluate`` gives.  What is held across entries is their raw feature
+    arrays, never their waveforms.
     """
     if not configs:
         raise ConfigurationError("suite contains no experiments",
                                  config_key="experiments")
+    walk = _Walk(configs, keep_going=True)
+    walk.run()
     prepared: list = []
-    for cfg in configs:
+    for e, cfg in enumerate(configs):
         try:
-            prepared.append(_prepare(cfg))
+            prepared.append(_prepare(cfg, None if e in walk.failed else walk.feats[e]))
         except AmsDetectError as exc:
             prepared.append(str(exc))
+    del walk
     entries = [p for p in prepared if isinstance(p, _Prepared)]
     fits = iter(_fit_jobs([(p, combo) for p in entries for combo in p.combos]))
     out = []

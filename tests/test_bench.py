@@ -1,6 +1,10 @@
 import gc
 import json
+import math
+import pathlib
+import tempfile
 import tracemalloc
+from functools import cache
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from amsdetect import (ALL_EXPERIMENTS, BLOCK_EXPERIMENTS, AmsDetectError,
 from amsdetect import bench
 from amsdetect.bench import SIGNAL_ORDER, _child_seed
 from amsdetect.features import windowed_features
+from amsdetect.inject import InjectionLocation, PointPeriodic
 from oracles import block_signals_reference, features_reference
 
 
@@ -112,6 +117,9 @@ def test_child_seed_is_stable_and_spread():
     seeds = {_child_seed(0, label, idx, 0)
              for label in (0, 1) for idx in range(50)}
     assert len(seeds) == 100
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def _fast_config(**kw):
@@ -440,7 +448,8 @@ def _entry_bytes(cfg, tmp_path, name):
 
 
 def test_run_suite_equals_evaluate_per_config(tmp_path):
-    """Fitting across entries changes no byte of any entry's report."""
+    """Sharing populations and fitting across entries changes no byte of
+    any entry's report, and a failing entry fails with its alone error."""
     configs = ([_fast_config(**kw) for kw in _NON_FINITE] + [
         _fast_config(algorithm="gmm", window_k=5),
         _fast_config(algorithm="gmm", centroid_select=True),
@@ -450,11 +459,26 @@ def test_run_suite_equals_evaluate_per_config(tmp_path):
         _fast_config(algorithm="birch"),
         _fast_config(algorithm="spectral", window_k=5),
         _fast_config(algorithm="gmm", window_k=7),     # fails: 300 % 7 != 0
+        # one ITPA population (and the clean one above) at n = 30 and 40,
+        # with and without windows and the output, and failing at the output
+        _fast_config(experiment="ITPA", n_samples_per_class=30),
+        _fast_config(experiment="ITPA", n_samples_per_class=40, window_k=5,
+                     observed_signals=("trig",)),
+        _fast_config(experiment="ITPA", window_k=7, observed_signals=("output",)),
+        _fast_config(experiment="IA", n_samples_per_class=40,
+                     observed_signals=("pll_frequency", "output")),
+        # one clean opamp population for three faults, one failing
+        _fast_config(experiment="Open", n_samples_per_class=30),
+        _fast_config(experiment="Short", n_samples_per_class=40, window_k=3),
+        _fast_config(experiment="OmBoth", window_k=7),
     ])
     result = run_suite(configs)
     alone = [_entry_bytes(c, tmp_path, f"alone-{i}.csv")
              for i, c in enumerate(configs)]
     assert [e.error for e in result.entries] == [err for _, err in alone]
+    assert [err for _, err in alone][-7:] == [
+        None, None, "300 samples do not divide into 7 equal windows", None, None, None,
+        "300 samples do not divide into 7 equal windows"]
     for i, (entry, (want, _)) in enumerate(zip(result.entries, alone)):
         if want is None:
             assert entry.report is None
@@ -466,6 +490,98 @@ def test_run_suite_equals_evaluate_per_config(tmp_path):
         bench.SuiteEntry(c, None if err else evaluate(c), err)
         for c, (_, err) in zip(configs, alone)]), tmp_path / "alone.csv")
     assert (tmp_path / "suite.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+
+
+_SMOKE = load_suite(ROOT / "configs" / "suite-smoke.json")
+
+
+def _report_bytes(report) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "report.csv"
+        bench.report_to_csv(report, path)
+        return path.read_bytes()
+
+
+@cache
+def _smoke_alone(i: int) -> bytes:
+    return _report_bytes(evaluate(_SMOKE[i]))
+
+
+@settings(max_examples=8, deadline=None)
+@given(picks=st.lists(st.integers(0, len(_SMOKE) - 1), min_size=1, max_size=5))
+def test_suite_reports_do_not_depend_on_the_other_entries(picks):
+    """Any subset of suite-smoke's entries, in any order and repeated, gives
+    each entry the report bytes it gets alone."""
+    result = run_suite([_SMOKE[i] for i in picks])
+    assert [_report_bytes(e.report) for e in result.entries] == [
+        _smoke_alone(i) for i in picks]
+
+
+_NEAR_MISSES = [
+    ("IA", "seed", 6), ("IA", "n_samples", 240), ("IA", "duration", 1.0e-5),
+    ("IA", "noise_std", 0.03), ("TA", "vref_params", {"output_tau": 2.0e-6}),
+    ("IA", "rate_pct", 1.0), ("IA", "amp_low", 1.5), ("IA", "amp_high", 6.0),
+    ("PA", "threshold_frac", 0.8), ("PA", "delta_frac", 0.5), ("PA", "experiment", "PRA"),
+    ("Short", "measurement_noise", 0.02), ("Short", "jitter_gain", 0.05),
+    ("Short", "jitter_offset", 0.01), ("Short", "stim_dc", 0.01),
+    ("Short", "stim_amplitude", 0.05), ("Short", "stim_frequency", 2.0e6),
+    ("Short", "circuit", "opamp"), ("Short", "experiment", "OmNfet"),
+    ("Open", "analysis", "dc_input_sweep"), ("ParFault", "fault_temperature", 160.0),
+    ("KStage", "kstage_gains", (2.0, 3.0)), ("KStage", "anomalous_stages", (1,)),
+    ("KStage", "kstage_fault", "Short"), ("KStage", "kstage_k", 3),
+]
+
+
+@pytest.mark.parametrize("experiment, key, value", _NEAR_MISSES)
+def test_walk_shares_nothing_across_a_simulation_input(experiment, key, value):
+    """Two entries that differ in one input of their simulation each get the
+    features they get alone, so neither borrowed the other's population."""
+    base = dict(experiment=experiment, kstage_k=2) if experiment == "KStage" else dict(
+        experiment=experiment)
+    configs = [_fast_config(**base), _fast_config(**{**base, key: value})]
+    walk = bench._Walk(configs, keep_going=False)
+    walk.run()
+    for cfg, feats in zip(configs, walk.feats):
+        assert feats.tobytes() == generate_features(cfg)[0].tobytes()
+
+
+def test_suite_simulates_each_population_once(monkeypatch):
+    """Entries that share a population simulate it once, for the largest n
+    among them; each time recursion runs ceil(columns / cap) lanes per
+    group, cap being 2 x the group's largest n per class."""
+    walked, lowpass, simulated = [], [], []
+    walk_chain, lowpass_steps, simulate_columns = (
+        bench._walk_chain, bench._lowpass_steps, bench._simulate_columns)
+
+    def walk_spy(cfg, inp, dt, specs):
+        walked.extend(tuple((sp.location, type(sp.kind)) for sp in row) for row in specs)
+        return walk_chain(cfg, inp, dt, specs)
+
+    def lowpass_spy(buf, alpha, start=None):
+        lowpass.append(buf.shape[1])
+        return lowpass_steps(buf, alpha, start)
+
+    def simulate_spy(chains, mode, stimulus):
+        simulated.append([chain[0].applied_fault for chain in chains])
+        return simulate_columns(chains, mode, stimulus)
+
+    monkeypatch.setattr(bench, "_walk_chain", walk_spy)
+    monkeypatch.setattr(bench, "_lowpass_steps", lowpass_spy)
+    monkeypatch.setattr(bench, "_simulate_columns", simulate_spy)
+    configs = [_fast_config(experiment=e, n_samples_per_class=30 if e == "IPTPA" else 40)
+               for e in ("IA", "PA", "PPA", "TA", "IPTPA", "OmBoth", "Open", "Short")]
+    result = run_suite(configs)
+    assert [e.error for e in result.entries] == [None] * len(configs)
+
+    assert walked.count(()) == 40                      # one clean walk, at n = 40
+    assert walked.count(((InjectionLocation.PLL_B, PointPeriodic),)) == 40   # PA = PPA
+    assert len(walked) == 40 + 40 + 40 + 40 + 30       # clean, IA, PA/PPA, TA, IPTPA
+    # output lanes: clean (TA's 40 >= IPTPA's 30), TA and IPTPA anomalous
+    assert lowpass == [80, 110 - 80] and len(lowpass) == math.ceil(110 / 80)
+    # opamp lanes: one clean population for the three faults
+    faults = [f for lane in simulated for f in lane]
+    assert faults.count(None) == 40 and len(faults) == 40 + 3 * 40
+    assert [len(lane) for lane in simulated] == [80, 80]
 
 
 def test_suite_leaves_nothing_for_the_cycle_collector():
@@ -513,15 +629,16 @@ def test_generation_memory_is_one_time_major_buffer_plus_small_chunks(monkeypatc
 
 
 def test_suite_memory_holds_features_across_entries_not_waveforms(monkeypatch):
-    """A suite's peak is one entry's generation or the fits, plus features.
+    """A suite's peak is one population walk or the fits, plus features.
 
-    Entries are simulated one after another and fitted together, so at any
-    moment the suite holds either one entry's generation or one fit's
-    buffers, plus the raw features of the entries simulated so far.
-    Measured on these two entries: peak 1.59 MB against a bound of
-    1.65 MB (generation 1.59 MB, fits 0.95 MB, features 0.06 MB).  Keeping
-    each entry's 0.96 MB time-major buffer until the fits, as the second
-    half does, crosses it.
+    Populations are walked one lane group at a time, on a lane buffer no
+    wider than the widest one an entry of the group gets alone, and fitted
+    together, so at any moment the suite holds either about one entry's
+    generation or one fit's buffers, plus the raw features of every entry.
+    Measured on these two entries: peak 1.57 MB against a bound of
+    1.62 MB (generation 1.56 MB, fits 0.95 MB, features 0.06 MB).  Keeping
+    the lane's 0.96 MB time-major buffer until the fits, as the second half
+    does, crosses it.
     """
     configs = [ExperimentConfig(experiment=e, observed_signals=SIGNAL_ORDER,
                                 n_samples_per_class=40, n_samples=1500, window_k=k)
@@ -534,11 +651,29 @@ def test_suite_memory_holds_features_across_entries_not_waveforms(monkeypatch):
         _traced_peak(lambda: bench._fit_jobs(jobs)))
     assert _traced_peak(lambda: run_suite(configs)) < bound
 
-    kept, generate = [], bench.generate_features
+    kept, lowpass_steps = [], bench._lowpass_steps
 
-    def keep_waveforms(cfg):
-        kept.append(np.ones((cfg.n_samples, 2 * cfg.n_samples_per_class)))
-        return generate(cfg)
+    def keep_waveforms(buf, alpha, start=None):
+        lowpass_steps(buf, alpha, start)
+        kept.append(buf)
 
-    monkeypatch.setattr(bench, "generate_features", keep_waveforms)
+    monkeypatch.setattr(bench, "_lowpass_steps", keep_waveforms)
     assert _traced_peak(lambda: run_suite(configs)) > bound
+
+
+def test_suite_full_peak_is_no_more_than_one_entry_at_a_time():
+    """The paper's suite, walked by population, peaks no higher than the
+    same suite simulated one entry at a time and then fitted and scored.
+
+    Both peaks are set by the KStage entry's generation, plus features:
+    1.672 MB shared against 1.685 MB one entry at a time, when measured.
+    """
+    configs = load_suite(ROOT / "configs" / "suite-full.json")
+
+    def one_entry_at_a_time():
+        prepared = [bench._prepare(c) for c in configs]
+        fits = iter(bench._fit_jobs([(p, combo) for p in prepared for combo in p.combos]))
+        return [bench._score(p, [next(fits) for _ in p.combos]) for p in prepared]
+
+    run_suite(configs)                         # warm caches outside the trace
+    assert _traced_peak(lambda: run_suite(configs)) <= _traced_peak(one_entry_at_a_time)
