@@ -48,13 +48,13 @@ from .cluster.gmm import _fit_gmm_lanes
 from .earlydetect import latency_report, scan_windows
 from .errors import AmsDetectError, ConfigurationError, FitError, _read_text
 from .features import FEATURE_NAMES, Dataset, NormalizationParams, _windowed_rows
-from .inject import (TEMP_RANGE, AnomalySpec, ComponentFault, InjectionLocation,
-                     PointPeriodic, PointRandom, _walk_chain,
+from .inject import (TEMP_RANGE, ComponentFault, PointPeriodic, PointRandom,
                      apply_component_fault)
 from .waveforms import (OpampModel, SweepSpec, VrefConfig, Waveform,
                         _check_finite, _input_rows, _lowpass_steps,
-                        _output_drive, _simulate_columns, build_kstage,
-                        default_vref_component_model, sine_stimulus)
+                        _output_drive, _simulate_columns, _walk_chain,
+                        build_kstage, default_vref_component_model,
+                        sine_stimulus)
 # Unused here; perfbench/test_perfbench.py checks its tracer at this binding.
 from .waveforms import simulate_vref  # noqa: F401
 
@@ -314,6 +314,18 @@ class ExperimentConfig:
         if self.kstage_fault not in FAULT_EXPERIMENTS.values():
             raise ConfigurationError(f"unknown kstage_fault {self.kstage_fault!r}",
                                      config_key="kstage_fault")
+        # numpy holds no array of more than sys.maxsize bytes: the (2n, k,
+        # signals, features) raw features, or one signal or sweep row
+        feature_bytes = (8 * 2 * self.n_samples_per_class * len(self.observed_signals)
+                         * len(self.features))
+        row = "n_samples" if _analysis(self) == "transient" else "sweep_points"
+        for key, size in (("n_samples_per_class", feature_bytes),
+                          ("window_k", feature_bytes * (self.window_k or 1)),
+                          (row, 8 * getattr(self, row))):
+            if size > sys.maxsize:
+                raise ConfigurationError(
+                    f"{key} {getattr(self, key)} implies an array of {size} "
+                    f"bytes; numpy holds at most {sys.maxsize}", config_key=key)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -344,19 +356,25 @@ def _sample_id(label: int, idx: int) -> str:
     return f"{'anom' if label else 'clean'}-{idx:03d}"
 
 
-def _block_specs(config: ExperimentConfig, label: int, idx: int) -> list[AnomalySpec]:
-    """The experiment's injection legs for one instance; none when clean."""
+def _legs(config: ExperimentConfig, label: int) -> tuple:
+    """The injection legs of a block config's instances of class ``label``,
+    in the experiment's order: (block, kind, args), where ``kind(*args)``
+    validates them; none when clean.  Instance idx
+    seeds leg j with ``_child_seed(seed, label, idx, 1 + j)``."""
     if label == 0:
-        return []
-    specs = []
-    for leg, (loc, mode) in enumerate(BLOCK_EXPERIMENTS[config.experiment]):
-        if mode == "random":
-            kind = PointRandom(config.rate_pct, config.amp_low, config.amp_high)
-        else:
-            kind = PointPeriodic(config.threshold_frac, config.delta_frac)
-        specs.append(AnomalySpec(kind, InjectionLocation(loc),
-                                 _child_seed(config.seed, label, idx, 1 + leg)))
-    return specs
+        return ()
+    return tuple((block, PointRandom, (config.rate_pct, config.amp_low, config.amp_high))
+                 if mode == "random" else
+                 (block, PointPeriodic, (config.threshold_frac, config.delta_frac))
+                 for block, mode in BLOCK_EXPERIMENTS[config.experiment])
+
+
+def _fault_args(config: ExperimentConfig) -> tuple[str, float | None]:
+    """``ComponentFault.from_name``'s arguments for an anomalous instance of
+    a fault or k-stage config."""
+    name = (config.kstage_fault if config.circuit == "kstage"
+            else FAULT_EXPERIMENTS[config.experiment])
+    return name, config.fault_temperature if name == "Parametric" else None
 
 
 def _jittered(base: OpampModel, rng: np.random.Generator,
@@ -406,11 +424,8 @@ def _sim_key(config: ExperimentConfig, label: int) -> tuple[str, str]:
     """
     if config.circuit == "vref_blocks":
         lanes: tuple = ("vref_blocks", config.n_samples)
-        legs = [(loc, (config.rate_pct, config.amp_low, config.amp_high) if mode == "random"
-                 else (config.threshold_frac, config.delta_frac))
-                for loc, mode in BLOCK_EXPERIMENTS[config.experiment]] if label else []
         vref = sorted({"noise_std": config.noise_std, **config.vref_params}.items())
-        rest: tuple = (config.duration, vref, legs)
+        rest: tuple = (config.duration, vref, _legs(config, label))
     else:
         kstage = config.circuit == "kstage"
         if _analysis(config) == "transient":
@@ -420,8 +435,7 @@ def _sim_key(config: ExperimentConfig, label: int) -> tuple[str, str]:
             stimulus = (config.analysis, config.sweep_start, config.sweep_stop,
                         config.sweep_points, config.sweep_bias)
         lanes = (stimulus, config.kstage_k if kstage else 1)
-        fault = config.kstage_fault if kstage else FAULT_EXPERIMENTS[config.experiment]
-        faulted = (fault, config.fault_temperature if fault == "Parametric" else None,
+        faulted = (*_fault_args(config),
                    config.anomalous_stages if kstage else None) if label else None
         rest = (config.circuit, config.jitter_gain, config.jitter_offset,
                 config.measurement_noise, config.kstage_gains if kstage else None, faulted)
@@ -453,28 +467,24 @@ class _Population:
 
 
 def _instance_chain(config: ExperimentConfig, rng: np.random.Generator,
-                    label: int) -> list[OpampModel]:
+                    fault: ComponentFault | None) -> list[OpampModel]:
     """One instance's per-stage opamp models; draws its jitter from ``rng``.
 
-    A k-stage instance that is anomalous also draws its faulted stage,
-    unless ``anomalous_stages`` fixes it.
+    An anomalous instance (``fault`` given) of a k-stage chain also draws
+    its faulted stage, unless ``anomalous_stages`` fixes it.
     """
     if config.circuit != "kstage":
         base = (default_vref_component_model() if config.circuit == "vref_components"
                 else OpampModel())
         model = _jittered(base, rng, config)
-        if label == 1:
-            model = apply_component_fault(model, ComponentFault.from_name(
-                FAULT_EXPERIMENTS[config.experiment], config.fault_temperature))
-        return [model]
+        return [model if fault is None else apply_component_fault(model, fault)]
     base = _jittered(_KSTAGE_BASE, rng, config)
     gains = config.kstage_gains or (2.0,) * config.kstage_k
-    if label == 1:
-        stages = (config.anomalous_stages if config.anomalous_stages is not None
-                  else (int(rng.integers(config.kstage_k)),))
-        fault = ComponentFault.from_name(config.kstage_fault, config.fault_temperature)
-        return build_kstage(base, gains, stages, fault)
-    return build_kstage(base, gains)
+    if fault is None:
+        return build_kstage(base, gains)
+    stages = (config.anomalous_stages if config.anomalous_stages is not None
+              else (int(rng.integers(config.kstage_k)),))
+    return build_kstage(base, gains, stages, apply_component_fault(base, fault))
 
 
 def _sweep(spec) -> SweepSpec:
@@ -632,13 +642,15 @@ class _Walk:
         """
         cfg = pop.config
         vcfg = VrefConfig(**{"noise_std": cfg.noise_std, **cfg.vref_params})
+        legs = tuple((block, kind(*args)) for block, kind, args in _legs(cfg, pop.label))
         dt = cfg.duration / cfg.n_samples
         for c in _chunks(stop - start):
             ids = range(start + c.start, start + c.stop)
             taps = _walk_chain(
                 vcfg, _input_rows(vcfg, cfg.n_samples, dt,
                                   [_child_seed(cfg.seed, pop.label, i, 0) for i in ids]),
-                dt, [_block_specs(cfg, pop.label, i) for i in ids])
+                dt, legs, [[_child_seed(cfg.seed, pop.label, i, 1 + j)
+                            for j in range(len(legs))] for i in ids])
             self._featurize(pop, ids.start, taps)
             if drive is not None:
                 _output_drive(taps["trig"].T, vcfg, out=drive[:, c])
@@ -662,11 +674,13 @@ class _Walk:
             ready, chains, streams = [], [], []
             for pop, first, count in fill:
                 with self._guard(pop.consumers):
+                    fault = (ComponentFault.from_name(*_fault_args(pop.config))
+                             if pop.label else None)
                     built = []
                     for i in range(first, first + count):
                         rng = np.random.default_rng(
                             _child_seed(pop.config.seed, pop.label, i, 0))
-                        built.append((_instance_chain(pop.config, rng, pop.label),
+                        built.append((_instance_chain(pop.config, rng, fault),
                                       rng.bit_generator.state))
                     ready.append((pop, first, count))
                     chains += [chain for chain, _ in built]

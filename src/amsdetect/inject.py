@@ -9,9 +9,10 @@ Two families are supported:
 * component faults expressed as transformations of a behavioral opamp model
   (output-stage degradation, parametric temperature excursion, open/short).
 
-Block-level injection walks the reference chain once and stamps each
-block's anomalies on its output before the next block runs, so every
-anomaly propagates through the blocks downstream of it.
+``PointRandom`` and ``PointPeriodic`` stamp a row in place; the reference
+chain's walk (``waveforms._walk_chain``) stamps each block's legs on its
+output before the next block runs, so every anomaly propagates through the
+blocks downstream of it.
 """
 
 from __future__ import annotations
@@ -23,16 +24,13 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigurationError, InjectionError, InputError
-from .waveforms import (OpampModel, VrefConfig, Waveform, _check_finite,
-                        _pll_rows, _trig_rows)
+from .waveforms import OpampModel, Waveform
 # Unused here; perfbench/test_perfbench.py checks its tracer at this binding.
 from .waveforms import vref_output_block  # noqa: F401
 
 __all__ = [
-    "InjectionLocation",
     "PointRandom",
     "PointPeriodic",
-    "AnomalySpec",
     "InjectionRecord",
     "FaultKind",
     "ComponentFault",
@@ -41,14 +39,6 @@ __all__ = [
     "apply_component_fault",
     "record_to_csv",
 ]
-
-
-class InjectionLocation(Enum):
-    """Block whose output signal receives the injection."""
-
-    INPUT_A = "InputA"
-    PLL_B = "PllB"
-    TRIG_C = "TrigC"
 
 
 @dataclass(frozen=True)
@@ -72,6 +62,10 @@ class PointRandom:
             raise ConfigurationError("need finite 0 < amp_low <= amp_high",
                                      config_key="amp_low")
 
+    def stamp(self, row: np.ndarray, seed: int | None) -> np.ndarray:
+        """Stamp these anomalies on the finite ``row`` in place; returns the positions."""
+        return _stamp_random(row, self.rate_pct, self.amp_low, self.amp_high, seed)
+
 
 @dataclass(frozen=True)
 class PointPeriodic:
@@ -93,14 +87,10 @@ class PointPeriodic:
             raise ConfigurationError("delta_frac must be finite and > 0",
                                      config_key="delta_frac")
 
-
-@dataclass(frozen=True)
-class AnomalySpec:
-    """One injection: what kind, at which block, with which seed."""
-
-    kind: "PointRandom | PointPeriodic"
-    location: InjectionLocation
-    seed: int = 0
+    def stamp(self, row: np.ndarray, seed: int | None) -> np.ndarray:
+        """Stamp these anomalies on the finite ``row`` in place; returns the
+        positions.  No RNG is drawn, so ``seed`` is ignored."""
+        return _stamp_periodic(row, self.threshold_frac, self.delta_frac)
 
 
 @dataclass
@@ -182,9 +172,8 @@ def inject_point_random(w: Waveform, rate_pct: float, amp_low: float,
     one; positions are drawn uniformly without replacement; each injected value
     is sign(w[i]) * u * max(|w|) with u ~ U[amp_low, amp_high].
     """
-    PointRandom(rate_pct, amp_low, amp_high)  # validates ranges
     out = w.samples.copy()
-    positions = _stamp_random(out, rate_pct, amp_low, amp_high, seed)
+    positions = PointRandom(rate_pct, amp_low, amp_high).stamp(out, seed)
     return w.copy_with(out), InjectionRecord(positions, w.samples[positions], out[positions])
 
 
@@ -202,48 +191,6 @@ def inject_point_periodic(w: Waveform, threshold_frac: float,
     out = w.samples.copy()
     positions = _stamp_periodic(out, threshold_frac, delta_frac)
     return w.copy_with(out), InjectionRecord(positions, w.samples[positions], out[positions])
-
-
-def _walk_chain(cfg: VrefConfig, inp: np.ndarray, sample_period: float,
-                specs: list[list[AnomalySpec]]) -> dict[str, np.ndarray]:
-    """One walk down the chain for a chunk of instances: input -> PLL -> trig.
-
-    ``inp`` holds one instance's input samples per row; ``specs`` holds one
-    list of specs per row.  The specs located at a block are stamped, in
-    order and in place, on that block's output signal before the next block
-    runs, so thresholds and amplitudes are relative to the signal as it
-    stands at that block.  Every signal must be finite, as every Waveform
-    must be.  The output stage is left to the caller (``vref_output_block``
-    or a batched low-pass over many chunks).
-
-    :returns: signal name -> (rows, n_samples) array, for the four taps
-        before the output stage
-    """
-    def stamp(x: np.ndarray, loc: InjectionLocation) -> None:
-        for row, row_specs in zip(x, specs):
-            for sp in row_specs:
-                if sp.location is not loc:
-                    continue
-                kind = sp.kind
-                if isinstance(kind, PointRandom):
-                    _stamp_random(row, kind.rate_pct, kind.amp_low,
-                                  kind.amp_high, sp.seed)
-                elif isinstance(kind, PointPeriodic):
-                    _stamp_periodic(row, kind.threshold_frac, kind.delta_frac)
-                else:
-                    raise InputError(f"unknown anomaly kind {type(kind).__name__}")
-
-    _check_finite(inp)
-    stamp(inp, InjectionLocation.INPUT_A)
-    f_trace, intensity = _pll_rows(inp, sample_period, cfg)
-    _check_finite(f_trace)
-    _check_finite(intensity)
-    stamp(intensity, InjectionLocation.PLL_B)
-    trig = _trig_rows(intensity, cfg)
-    _check_finite(trig)
-    stamp(trig, InjectionLocation.TRIG_C)
-    return {"input": inp, "pll_frequency": f_trace, "pll_intensity": intensity,
-            "trig": trig}
 
 
 class FaultKind(Enum):

@@ -8,7 +8,7 @@ Implementation notes:
   each block is a pure function of its predecessor's samples plus its own
   parameters.  Block-level anomaly injection stamps a block's output before
   the next block runs, so the anomaly propagates downstream
-  (``inject._walk_chain``).
+  (``_walk_chain``).
 * The input sinusoid is peak-calibrated: the raw sample grid rarely hits the
   analytic peak of sin(), so the samples are rescaled to make max(|input|)
   equal the configured amplitude exactly (injection magnitudes are expressed
@@ -297,6 +297,42 @@ def _slew_steps(buf: np.ndarray, max_step) -> None:
             prev = row
 
 
+def _walk_chain(cfg: VrefConfig, inp: np.ndarray, sample_period: float,
+                legs: tuple, seeds) -> dict[str, np.ndarray]:
+    """One walk down the chain for a chunk of instances: input -> PLL -> trig.
+
+    ``inp`` holds one instance's input samples per row.  ``legs`` is the
+    (block, kind) tuple every row shares, block one of "InputA", "PllB" and
+    "TrigC", and ``seeds`` holds one seed per row and leg.  Row by row, the
+    legs at a block stamp that block's output in order and in place, through
+    ``kind.stamp(row, seed)``, before the next block runs, so thresholds and
+    amplitudes are relative to the signal as it stands at that block.  Every
+    signal must be finite, as every Waveform must be.  The output stage is
+    left to the caller (``vref_output_block`` or a batched low-pass over
+    many chunks).
+
+    :returns: signal name -> (rows, n_samples) array, for the four taps
+        before the output stage
+    """
+    def stamp(x: np.ndarray, block: str) -> None:
+        for row, row_seeds in zip(x, seeds):
+            for (at, kind), seed in zip(legs, row_seeds):
+                if at == block:
+                    kind.stamp(row, seed)
+
+    _check_finite(inp)
+    stamp(inp, "InputA")
+    f_trace, intensity = _pll_rows(inp, sample_period, cfg)
+    _check_finite(f_trace)
+    _check_finite(intensity)
+    stamp(intensity, "PllB")
+    trig = _trig_rows(intensity, cfg)
+    _check_finite(trig)
+    stamp(trig, "TrigC")
+    return {"input": inp, "pll_frequency": f_trace, "pll_intensity": intensity,
+            "trig": trig}
+
+
 def vref_output_block(trig: Waveform, config: VrefConfig) -> Waveform:
     """Output stage: first-order low-pass settling to the nominal level.
 
@@ -323,10 +359,9 @@ def simulate_vref(config: VrefConfig, n_samples: int = 1500,
         raise ConfigurationError("n_samples must be >= 2", config_key="n_samples")
     if duration <= 0:
         raise ConfigurationError("duration must be > 0", config_key="duration")
-    from .inject import _walk_chain  # late import: inject depends on this module
     dt = duration / n_samples
     signals = {name: Waveform(x[0], dt, name) for name, x in _walk_chain(
-        config, _input_rows(config, n_samples, dt, [seed]), dt, [[]]).items()}
+        config, _input_rows(config, n_samples, dt, [seed]), dt, (), [()]).items()}
     signals["output"] = vref_output_block(signals["trig"], config)
     return signals
 
@@ -525,7 +560,7 @@ def simulate_opamp(model: OpampModel, mode: str,
 
 
 def build_kstage(base: OpampModel, gains, anomalous_stages=(),
-                 fault=None) -> list[OpampModel]:
+                 faulted: OpampModel | None = None) -> list[OpampModel]:
     """The effective opamp of each stage of a closed-loop amplifier chain.
 
     There are k = len(gains) stages, built from one base opamp model.
@@ -533,16 +568,13 @@ def build_kstage(base: OpampModel, gains, anomalous_stages=(),
     opamp with open-loop gain A delivers G*A/(A+G).
 
     :param gains: per-stage closed-loop gains, each >= 1
-    :param anomalous_stages: stage indices that receive the fault-transformed
-        base model
-    :param fault: a ComponentFault applied to the anomalous stages, or None
+    :param anomalous_stages: stage indices that run ``faulted`` instead
+    :param faulted: the fault-transformed base model
+        (``inject.apply_component_fault``); None runs ``base`` everywhere
     """
     if not gains:
         raise ConfigurationError("amplifier needs at least one stage", config_key="k")
-    anomalous, faulted = frozenset(anomalous_stages), base
-    if fault is not None and anomalous:
-        from .inject import apply_component_fault  # late import: inject depends on this module
-        faulted = apply_component_fault(base, fault)
+    anomalous, faulted = frozenset(anomalous_stages), faulted or base
     stages = []
     for i, g in enumerate(map(float, gains)):
         if g < 1.0:

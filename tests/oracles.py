@@ -28,11 +28,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from amsdetect.bench import FAULT_EXPERIMENTS, _block_specs, _child_seed
+from amsdetect.bench import BLOCK_EXPERIMENTS, FAULT_EXPERIMENTS, _child_seed
 from amsdetect.cluster import canonical_labels
 from amsdetect.errors import FitError, InputError
 from amsdetect.features import windowed_features
-from amsdetect.inject import (ComponentFault, InjectionLocation, PointRandom,
+from amsdetect.inject import (ComponentFault, PointPeriodic, PointRandom,
                               apply_component_fault)
 from amsdetect.waveforms import (OpampModel, SweepSpec, VrefConfig, Waveform,
                                  _input_rows, _pll_rows, _trig_rows,
@@ -595,32 +595,34 @@ def point_periodic_reference(samples, threshold_frac, delta_frac):
     return np.array(out), positions
 
 
-def multipoint_reference(config, inp, specs):
+def multipoint_reference(config, inp, legs, seeds):
     """One instance of the reference chain walked block by block.
 
-    ``inp`` is the input Waveform.  Each block runs on its predecessor's
-    signal as it stands after the specs located there were applied, in list
-    order; so a spec's threshold and amplitude are relative to the signal at
-    its block, upstream anomalies included.
+    ``inp`` is the input Waveform; ``legs`` holds (block, PointRandom or
+    PointPeriodic) pairs and ``seeds`` one seed per leg.  Each block runs on
+    its predecessor's signal as it stands after the legs at that block were
+    applied, in list order; so a leg's threshold and amplitude are relative
+    to the signal at its block, upstream anomalies included.
 
     :returns: signal name -> Waveform
     """
-    def inject(x, loc):
-        for spec in (s for s in specs if s.location is loc):
-            kind = spec.kind
+    def inject(x, block):
+        for (at, kind), seed in zip(legs, seeds):
+            if at != block:
+                continue
             if isinstance(kind, PointRandom):
                 x = point_random_reference(x, kind.rate_pct, kind.amp_low,
-                                           kind.amp_high, spec.seed)[0]
+                                           kind.amp_high, seed)[0]
             else:
                 x = point_periodic_reference(x, kind.threshold_frac,
                                              kind.delta_frac)[0]
         return Waveform(x, dt)
 
     dt = inp.sample_period
-    inp = inject(inp.samples, InjectionLocation.INPUT_A)
+    inp = inject(inp.samples, "InputA")
     freq, intensity = _pll_rows(inp.samples, dt, config)
-    intensity = inject(intensity, InjectionLocation.PLL_B)
-    trig = inject(_trig_rows(intensity.samples, config), InjectionLocation.TRIG_C)
+    intensity = inject(intensity, "PllB")
+    trig = inject(_trig_rows(intensity.samples, config), "TrigC")
     return {"input": inp, "pll_frequency": Waveform(freq, dt),
             "pll_intensity": intensity, "trig": trig,
             "output": Waveform(output_stage_reference(trig.samples, dt, config), dt)}
@@ -643,12 +645,18 @@ def _noisy(out, rng, config):
 
 
 def block_signals_reference(config, label, idx):
-    """One reference-chain instance, its experiment's specs walked down the chain."""
+    """One reference-chain instance, its experiment's legs walked down the
+    chain: none when clean; otherwise leg j, with seed
+    ``_child_seed(seed, label, idx, 1 + j)``, of BLOCK_EXPERIMENTS."""
     vcfg = VrefConfig(**{"noise_std": config.noise_std, **config.vref_params})
     dt = config.duration / config.n_samples
     seed = _child_seed(config.seed, label, idx, 0)
     inp = Waveform(_input_rows(vcfg, config.n_samples, dt, [seed])[0], dt)
-    return multipoint_reference(vcfg, inp, _block_specs(config, label, idx))
+    legs = [(block, PointRandom(config.rate_pct, config.amp_low, config.amp_high)
+             if mode == "random" else PointPeriodic(config.threshold_frac, config.delta_frac))
+            for block, mode in BLOCK_EXPERIMENTS[config.experiment]] if label else []
+    seeds = [_child_seed(config.seed, label, idx, 1 + j) for j in range(len(legs))]
+    return multipoint_reference(vcfg, inp, legs, seeds)
 
 
 def component_signals_reference(config, label, idx):

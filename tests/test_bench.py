@@ -22,7 +22,7 @@ from amsdetect import (ALL_EXPERIMENTS, BLOCK_EXPERIMENTS, AmsDetectError,
 from amsdetect import bench
 from amsdetect.bench import SIGNAL_ORDER, _child_seed
 from amsdetect.features import windowed_features
-from amsdetect.inject import InjectionLocation, PointPeriodic
+from amsdetect.inject import PointPeriodic
 from oracles import block_signals_reference, features_reference
 
 
@@ -553,9 +553,9 @@ def test_suite_simulates_each_population_once(monkeypatch):
     walk_chain, lowpass_steps, simulate_columns = (
         bench._walk_chain, bench._lowpass_steps, bench._simulate_columns)
 
-    def walk_spy(cfg, inp, dt, specs):
-        walked.extend(tuple((sp.location, type(sp.kind)) for sp in row) for row in specs)
-        return walk_chain(cfg, inp, dt, specs)
+    def walk_spy(cfg, inp, dt, legs, seeds):
+        walked.extend([tuple((block, type(kind)) for block, kind in legs)] * len(inp))
+        return walk_chain(cfg, inp, dt, legs, seeds)
 
     def lowpass_spy(buf, alpha, start=None):
         lowpass.append(buf.shape[1])
@@ -574,7 +574,7 @@ def test_suite_simulates_each_population_once(monkeypatch):
     assert [e.error for e in result.entries] == [None] * len(configs)
 
     assert walked.count(()) == 40                      # one clean walk, at n = 40
-    assert walked.count(((InjectionLocation.PLL_B, PointPeriodic),)) == 40   # PA = PPA
+    assert walked.count((("PllB", PointPeriodic),)) == 40   # PA = PPA
     assert len(walked) == 40 + 40 + 40 + 40 + 30       # clean, IA, PA/PPA, TA, IPTPA
     # output lanes: clean (TA's 40 >= IPTPA's 30), TA and IPTPA anomalous
     assert lowpass == [80, 110 - 80] and len(lowpass) == math.ceil(110 / 80)

@@ -445,13 +445,11 @@ EXTRA = {"kstage_k": {"experiment": "KStage"},
          "sweep_points": {"experiment": "OmBoth", "analysis": "dc_input_sweep"}}
 
 
-@pytest.mark.parametrize("key", ["kstage_k", "n_samples", "n_samples_per_class",
-                                 "window_k", "sweep_points"])
-def test_out_of_memory_exits_two(tmp_path, key):
-    """A size that passes validation but cannot be allocated ends in exit 2
-    with one error line, in a process whose address space is capped at 3 GiB."""
+def _experiment_in_3_gib(tmp_path, key, size):
+    """``experiment --config`` with ``key`` set to ``size``, run in a
+    process whose address space is capped at 3 GiB."""
     pytest.importorskip("resource")
-    doc = {"experiment": "IA", **EXTRA.get(key, {}), key: 10**11}
+    doc = {"experiment": "IA", **EXTRA.get(key, {}), key: size}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     code = ("import resource, sys\n"
@@ -459,11 +457,31 @@ def test_out_of_memory_exits_two(tmp_path, key):
             "from amsdetect.cli import main\n"
             "sys.exit(main(['experiment', '--config', sys.argv[1]]))\n")
     src = str(pathlib.Path(amsdetect.__file__).parents[1])
-    proc = subprocess.run([sys.executable, "-c", code, str(path)],
+    return subprocess.run([sys.executable, "-c", code, str(path)],
                           capture_output=True, text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": src})
+
+
+@pytest.mark.parametrize("key", ["kstage_k", "n_samples", "n_samples_per_class",
+                                 "window_k", "sweep_points"])
+def test_out_of_memory_exits_two(tmp_path, key):
+    """A size that passes validation but cannot be allocated ends in exit 2
+    with one error line."""
+    proc = _experiment_in_3_gib(tmp_path, key, 10**11)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("amsdetect: error: out of memory")
+    assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("key", ["n_samples", "n_samples_per_class", "window_k",
+                                 "sweep_points"])
+def test_size_numpy_cannot_hold_exits_two(tmp_path, key):
+    """A size whose array would exceed sys.maxsize bytes is refused by the
+    config, naming the key, before numpy is asked for it."""
+    proc = _experiment_in_3_gib(tmp_path, key, 2**62)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("amsdetect: error: ")
+    assert proc.stderr.endswith(f"(config key: {key})\n")
     assert proc.stderr.count("\n") == 1
 
 

@@ -62,3 +62,20 @@ def test_traced_bindings_stay():
     assert inject.vref_output_block is waveforms.vref_output_block
     assert earlydetect.assign_many is cluster.assign_many
     assert callable(cli.main)
+
+
+def test_waveforms_imports_nothing_from_inject():
+    """``inject`` builds on ``waveforms``, never the other way round: no
+    import of ``inject`` in ``waveforms``, at module level or in a function."""
+    found = []
+    for node in ast.walk(ast.parse(pathlib.Path(waveforms.__file__).read_text(
+            encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            paths = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            paths = [a.name for a in node.names]
+        else:
+            continue
+        if any("inject" in path.split(".") for path in paths):
+            found.append(node.lineno)
+    assert found == []

@@ -3,16 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amsdetect import (AnomalySpec, ComponentFault, ConfigurationError,
-                       ExperimentConfig, FaultKind, InjectionError,
-                       InjectionLocation, OpampModel, PointPeriodic,
+from amsdetect import (ComponentFault, ConfigurationError, ExperimentConfig,
+                       FaultKind, InjectionError, OpampModel, PointPeriodic,
                        PointRandom, VrefConfig, Waveform, apply_component_fault,
                        generate_features, inject_point_periodic,
                        inject_point_random, record_to_csv, simulate_vref)
-from amsdetect import inject
+from amsdetect import inject, waveforms
 from amsdetect.cli import main
-from amsdetect.inject import _count_half_up, _walk_chain
-from amsdetect.waveforms import vref_output_block
+from amsdetect.inject import _count_half_up
+from amsdetect.waveforms import _walk_chain, vref_output_block
 from oracles import (multipoint_reference, point_periodic_reference,
                      point_random_reference)
 
@@ -140,15 +139,15 @@ def test_periodic_injection_errors():
     assert np.array_equal(out.samples, _sine().samples) and len(rec.positions)
 
 
-def _walk(specs, n=1500):
-    """(clean signals, signals walked with ``specs``), the walk checked
-    byte for byte against the block-by-block reference."""
+def _walk(legs, seeds, n=1500):
+    """(clean signals, signals walked with ``legs`` and their ``seeds``),
+    the walk checked byte for byte against the block-by-block reference."""
     cfg = VrefConfig()
     clean = simulate_vref(cfg, n, 20e-6)
     dt = clean["input"].sample_period
-    out = _walk_chain(cfg, clean["input"].samples[None].copy(), dt, [specs])
+    out = _walk_chain(cfg, clean["input"].samples[None].copy(), dt, legs, [seeds])
     out["output"] = vref_output_block(Waveform(out["trig"][0], dt), cfg).samples[None]
-    ref = multipoint_reference(cfg, clean["input"], specs)
+    ref = multipoint_reference(cfg, clean["input"], legs, seeds)
     assert out.keys() == ref.keys()
     for name, x in out.items():
         assert x.shape == (1, n)
@@ -157,8 +156,7 @@ def _walk(specs, n=1500):
 
 
 def test_multipoint_propagates_downstream():
-    spec = AnomalySpec(PointPeriodic(0.9, 1.0), InjectionLocation.PLL_B)
-    clean, injected = _walk([spec])
+    clean, injected = _walk((("PllB", PointPeriodic(0.9, 1.0)),), (0,))
     # input and frequency untouched; intensity perturbed, trig and output
     # simulated from it
     for name in ("input", "pll_frequency"):
@@ -168,23 +166,19 @@ def test_multipoint_propagates_downstream():
 
 
 def test_multipoint_applies_in_block_order():
-    specs = [
-        AnomalySpec(PointPeriodic(0.95, 0.5), InjectionLocation.TRIG_C),
-        AnomalySpec(PointRandom(0.5, 2.0, 5.0), InjectionLocation.INPUT_A, seed=4),
-    ]
-    _, injected = _walk(specs)
+    legs = (("TrigC", PointPeriodic(0.95, 0.5)), ("InputA", PointRandom(0.5, 2.0, 5.0)))
+    _, injected = _walk(legs, (0, 4))
     # the trig leg operated on the trig simulated from the perturbed input
-    _, input_only = _walk([specs[1]])
+    _, input_only = _walk(legs[1:], (4,))
     trig = Waveform(input_only["trig"], 20e-6 / 1500)
     assert np.array_equal(injected["trig"],
                           inject_point_periodic(trig, 0.95, 0.5)[0].samples)
 
 
 def test_multipoint_applies_one_block_in_list_order():
-    specs = [AnomalySpec(PointPeriodic(0.9, 1.0), InjectionLocation.PLL_B),
-             AnomalySpec(PointRandom(1.0, 2.0, 3.0), InjectionLocation.PLL_B, seed=2)]
-    _, injected = _walk(specs)
-    _, first_only = _walk(specs[:1])
+    legs = (("PllB", PointPeriodic(0.9, 1.0)), ("PllB", PointRandom(1.0, 2.0, 3.0)))
+    _, injected = _walk(legs, (0, 2))
+    _, first_only = _walk(legs[:1], (0,))
     want = inject_point_random(Waveform(first_only["pll_intensity"], 20e-6 / 1500),
                                1.0, 2.0, 3.0, seed=2)[0]
     assert np.array_equal(injected["pll_intensity"], want.samples)
@@ -198,7 +192,7 @@ def test_chain_stamps_rows_without_waveforms_or_records(monkeypatch):
     cfg = ExperimentConfig(experiment="IPTRA", n_samples_per_class=10,
                            n_samples=150, seed=3)
     want = generate_features(cfg)[0]
-    monkeypatch.setattr(inject, "Waveform", refuse)
+    monkeypatch.setattr(waveforms, "Waveform", refuse)
     monkeypatch.setattr(inject, "InjectionRecord", refuse)
     assert generate_features(cfg)[0].tobytes() == want.tobytes()
 

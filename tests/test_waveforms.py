@@ -282,11 +282,11 @@ def test_kstage_gain_compounds():
 
 
 def test_kstage_fault_applies_to_chosen_stage():
-    from amsdetect import ComponentFault
+    from amsdetect import ComponentFault, apply_component_fault
     base = OpampModel(open_loop_gain=30.0)
     fault = ComponentFault.from_name("Short")
     stages = build_kstage(base, [2.0, 2.0, 2.0], anomalous_stages=(1,),
-                          fault=fault)
+                          faulted=apply_component_fault(base, fault))
     assert [s.applied_fault for s in stages] == [None, "Short", None]
     assert stages[1].open_loop_gain == pytest.approx(2.0 * 7.5 / 9.5)
     assert stages[0] == stages[2] != stages[1]
@@ -296,13 +296,15 @@ def test_kstage_fault_applies_to_chosen_stage():
 
 
 def test_build_kstage_validation():
+    from amsdetect import ComponentFault, apply_component_fault
     base = OpampModel()
     with pytest.raises(ConfigurationError):
         build_kstage(base, [])
     with pytest.raises(ConfigurationError):
         build_kstage(base, [2.0, 0.5])
     with pytest.raises(ConfigurationError):
-        build_kstage(base, [2.0, 2.0], anomalous_stages=(2,))
+        build_kstage(base, [2.0, 2.0], anomalous_stages=(2,),
+                     faulted=apply_component_fault(base, ComponentFault.from_name("Open")))
 
 
 # ------------------------------------------------------------------- csv
