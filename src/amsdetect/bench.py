@@ -38,6 +38,7 @@ import json
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -314,18 +315,11 @@ class ExperimentConfig:
         if self.kstage_fault not in FAULT_EXPERIMENTS.values():
             raise ConfigurationError(f"unknown kstage_fault {self.kstage_fault!r}",
                                      config_key="kstage_fault")
-        # numpy holds no array of more than sys.maxsize bytes: the (2n, k,
-        # signals, features) raw features, or one signal or sweep row
+        # the (2n, k, signals, features) raw features
         feature_bytes = (8 * 2 * self.n_samples_per_class * len(self.observed_signals)
                          * len(self.features))
-        row = "n_samples" if _analysis(self) == "transient" else "sweep_points"
-        for key, size in (("n_samples_per_class", feature_bytes),
-                          ("window_k", feature_bytes * (self.window_k or 1)),
-                          (row, 8 * getattr(self, row))):
-            if size > sys.maxsize:
-                raise ConfigurationError(
-                    f"{key} {getattr(self, key)} implies an array of {size} "
-                    f"bytes; numpy holds at most {sys.maxsize}", config_key=key)
+        _check_sizes(self, ("n_samples_per_class", feature_bytes),
+                     ("window_k", feature_bytes * (self.window_k or 1)))
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -345,6 +339,18 @@ class ExperimentConfig:
             if isinstance(val, tuple):
                 out[key] = list(val)
         return out
+
+
+def _check_sizes(spec, *sizes: tuple[str, int]) -> None:
+    """Refuse ``spec`` (an ExperimentConfig or ``simulate``'s arguments)
+    when an array of it would exceed sys.maxsize bytes, which numpy cannot
+    hold: one of the (key, bytes) ``sizes``, or one signal or sweep row."""
+    row = "n_samples" if _analysis(spec) == "transient" else "sweep_points"
+    for key, size in (*sizes, (row, 8 * getattr(spec, row))):
+        if size > sys.maxsize:
+            raise ConfigurationError(
+                f"{key} {getattr(spec, key)} implies an array of {size} "
+                f"bytes; numpy holds at most {sys.maxsize}", config_key=key)
 
 
 def _child_seed(*parts: int) -> int:
@@ -404,9 +410,9 @@ def _chunks(total: int) -> list[slice]:
     return [slice(i, min(i + _CHUNK, total)) for i in range(0, total, _CHUNK)]
 
 
-def _analysis(config: ExperimentConfig) -> str:
-    """The analysis a config's circuit runs: the reference chain and a
-    k-stage chain always run transient."""
+def _analysis(config) -> str:
+    """The analysis a config's (or ``simulate``'s) circuit runs: the
+    reference chain and a k-stage chain always run transient."""
     return config.analysis if config.circuit in ("vref_components", "opamp") else "transient"
 
 
@@ -453,17 +459,19 @@ def _timebase(config: ExperimentConfig) -> tuple[int, float]:
 
 @dataclass
 class _Population:
-    """The instances of one class that configs with one ``_sim_key`` share.
-
-    They are simulated once, from the first consumer's config, for the
-    largest ``n_samples_per_class`` among the consumers still live;
-    instance ``idx`` is row ``label * n + idx`` of the features of each
-    consumer with ``n > idx``.
+    """The instances of one class that configs with one ``_sim_key`` share,
+    simulated once from the first consumer's config: the most instances a
+    consumer needs (``n``), the first ``n_output`` -- the most a consumer
+    observing the output needs -- through the output stage.  Instance
+    ``idx`` is row ``label * m + idx`` of the features of each consumer of
+    m > idx instances per class.
     """
 
     config: ExperimentConfig
     label: int
     consumers: list[int] = field(default_factory=list)
+    n: int = 0
+    n_output: int = 0
 
 
 def _instance_chain(config: ExperimentConfig, rng: np.random.Generator,
@@ -506,7 +514,7 @@ class _Walk:
     ``_CHUNK``-instance slices; no waveform outlives its slice or its lane.
     With ``keep_going`` false the first error raises, so a one-config walk
     is ``generate_features``; otherwise an error adds the configs it touches
-    to ``failed`` and the walk goes on without them.
+    to ``failed``, which get no more features, and the walk goes on.
     """
 
     def __init__(self, configs: list[ExperimentConfig], keep_going: bool):
@@ -523,16 +531,19 @@ class _Walk:
                 if key not in pops:
                     pops[key] = _Population(cfg, label)
                     self.lanes.setdefault(lanes, []).append(pops[key])
-                pops[key].consumers.append(e)
+                pop, n = pops[key], cfg.n_samples_per_class
+                pop.consumers.append(e)
+                pop.n = max(pop.n, n)
+                if "output" in cfg.observed_signals:
+                    pop.n_output = max(pop.n_output, n)
 
     def run(self) -> None:
         for pops in self.lanes.values():
-            cap = 2 * max(self.configs[e].n_samples_per_class
-                          for p in pops for e in p.consumers)
+            width = min(2 * max(p.n for p in pops), sum(p.n_output for p in pops))
             if pops[0].config.circuit == "vref_blocks":
-                self._walk_blocks(pops, cap)
+                self._walk_blocks(pops, width)
             else:
-                self._walk_opamps(pops, cap)
+                self._walk_opamps(pops, width)
 
     @contextmanager
     def _guard(self, entries):
@@ -545,34 +556,31 @@ class _Walk:
                 raise
             self.failed.update(entries)
 
-    def _n(self, pop: _Population, observed: str | None = None) -> int:
-        """Instances a population needs: the largest n among its live
-        consumers (those observing ``observed``, if given); 0 for none."""
-        return max((self.configs[e].n_samples_per_class for e in pop.consumers
-                    if e not in self.failed
-                    and (observed is None or observed in self.configs[e].observed_signals)),
-                   default=0)
-
-    def _fills(self, spans: list[tuple[_Population, int]], width: int):
-        """Lane fills of at most ``width`` columns: lists of (population,
-        first instance, count) covering each population's first n
-        instances; a population whose consumers all failed stops."""
-        fill, used = [], 0
-        for pop, n in spans:
-            first = 0
-            while first < n and self._n(pop):
-                count = min(width - used, n - first)
-                fill.append((pop, first, count))
-                used, first = used + count, first + count
-                if used == width:
-                    yield fill
-                    fill, used = [], 0
-        if fill:
-            yield fill
+    def _step_lanes(self, pops: list[_Population], width: int, load, step) -> None:
+        """Step the populations' first ``n_output`` instances, laid end to
+        end, ``width`` columns a lane.  ``load(pop, first, count, col)`` puts
+        instances first.. of ``pop`` in columns col..; a population that
+        fails leaves its columns to the next.  ``step(ready, cols)`` steps
+        the ``cols`` loaded columns, ``ready`` listing the (population, first
+        instance, count) in them, in column order."""
+        starts = list(accumulate((p.n_output for p in pops), initial=0))
+        for lo in range(0, starts[-1], width or 1):     # width is 0 with no instances
+            ready, col = [], 0
+            for pop, start in zip(pops, starts):
+                first = max(lo - start, 0)
+                count = min(lo + width - start, pop.n_output) - first
+                if count > 0:
+                    with self._guard(pop.consumers):
+                        load(pop, first, count, col)
+                        ready.append((pop, first, count))
+                        col += count
+            if ready:
+                with self._guard([e for p, _, _ in ready for e in p.consumers]):
+                    step(ready, col)
 
     def _featurize(self, pop: _Population, first: int, taps: dict) -> None:
-        """Each live consumer's features of instances ``first``.. from the
-        taps it observes (name -> C-contiguous (instances, samples) rows)."""
+        """Each consumer's features of instances ``first``.. from the taps
+        it observes (name -> C-contiguous (instances, samples) rows)."""
         for e in pop.consumers:
             cfg = self.configs[e]
             n = cfg.n_samples_per_class
@@ -586,51 +594,45 @@ class _Walk:
                         self.feats[e][row:row + len(x), :, j] = _windowed_rows(
                             x, cfg.window_k or 1, cfg.features)
 
-    def _featurize_output(self, lane: np.ndarray, fill: list, streams=None) -> None:
-        """Each live population's output features from its columns of a
-        stepped lane, chunk by chunk.  With ``streams`` (one parked random
-        state per column), each row first gets its instance's measurement
-        noise."""
+    def _featurize_output(self, lane: np.ndarray, ready: list, streams=None) -> None:
+        """Each population's output features from its columns of a stepped
+        lane, chunk by chunk.  With ``streams`` (one parked random state per
+        column), each row first gets its instance's measurement noise."""
         rng, col = np.random.default_rng(0), 0
-        for pop, first, count in fill:
-            if self._n(pop):
-                with self._guard(pop.consumers):
-                    for c in _chunks(count):
-                        rows = np.ascontiguousarray(lane[:, col + c.start:col + c.stop].T)
-                        if streams is None:
-                            _check_finite(rows)
-                        else:
-                            for row, stream in zip(rows, streams[col + c.start:col + c.stop]):
-                                rng.bit_generator.state = stream
-                                row += rng.normal(0.0, pop.config.measurement_noise, row.size)
-                                _check_finite(row)
-                        self._featurize(pop, first + c.start, {"output": rows})
+        for pop, first, count in ready:
+            with self._guard(pop.consumers):
+                for c in _chunks(count):
+                    rows = np.ascontiguousarray(lane[:, col + c.start:col + c.stop].T)
+                    if streams is None:
+                        _check_finite(rows)
+                    else:
+                        for row, stream in zip(rows, streams[col + c.start:col + c.stop]):
+                            rng.bit_generator.state = stream
+                            row += rng.normal(0.0, pop.config.measurement_noise, row.size)
+                            _check_finite(row)
+                    self._featurize(pop, first + c.start, {"output": rows})
             col += count
 
-    def _walk_blocks(self, pops: list[_Population], cap: int) -> None:
+    def _walk_blocks(self, pops: list[_Population], width: int) -> None:
         """Walk reference chains.  Instances observed at the output go
         through low-pass lanes, one alpha per column; the rest then walk
         without a lane."""
-        spans = [(p, self._n(p, "output")) for p in pops]
-        width = min(cap, sum(n for _, n in spans))
-        if width:
-            drive, alpha = np.empty((pops[0].config.n_samples, width)), np.zeros(width)
-            for fill in self._fills(spans, width):
-                col = 0
-                for pop, first, count in fill:
-                    if self._n(pop):
-                        with self._guard(pop.consumers):
-                            vcfg, dt = self._walk_rows(pop, first, first + count,
-                                                       drive[:, col:col + count])
-                            alpha[col:col + count] = dt / vcfg.output_tau
-                    col += count
-                _lowpass_steps(drive[:, :col], alpha[:col])
-                self._featurize_output(drive, fill)
-            del drive   # free the lane before the rest walk
-        for pop, first in spans:
-            if self._n(pop) > first:
+        drive, alpha = np.empty((pops[0].config.n_samples, width)), np.zeros(width)
+
+        def load(pop, first, count, col):
+            vcfg, dt = self._walk_rows(pop, first, first + count, drive[:, col:col + count])
+            alpha[col:col + count] = dt / vcfg.output_tau
+
+        def step(ready, cols):
+            _lowpass_steps(drive[:, :cols], alpha[:cols])
+            self._featurize_output(drive, ready)
+
+        self._step_lanes(pops, width, load, step)
+        del drive   # free the lane before the rest walk
+        for pop in pops:
+            if pop.n > pop.n_output:
                 with self._guard(pop.consumers):
-                    self._walk_rows(pop, first, self._n(pop), None)
+                    self._walk_rows(pop, pop.n_output, pop.n, None)
 
     def _walk_rows(self, pop: _Population, start: int, stop: int,
                    drive: np.ndarray | None) -> tuple[VrefConfig, float]:
@@ -657,7 +659,7 @@ class _Walk:
             del taps   # free this chunk's signals before the next chunk's exist
         return vcfg, dt
 
-    def _walk_opamps(self, pops: list[_Population], cap: int) -> None:
+    def _walk_opamps(self, pops: list[_Population], width: int) -> None:
         """Simulate opamp or k-stage chains in lanes of one stimulus, then
         add each instance's measurement noise and featurize, chunk by chunk.
 
@@ -668,33 +670,23 @@ class _Walk:
         """
         cfg = pops[0].config
         mode = _analysis(cfg)
-        spans = [(p, self._n(p)) for p in pops]
-        stimulus = None
-        for fill in self._fills(spans, min(cap, sum(n for _, n in spans))):
-            ready, chains, streams = [], [], []
-            for pop, first, count in fill:
-                with self._guard(pop.consumers):
-                    fault = (ComponentFault.from_name(*_fault_args(pop.config))
-                             if pop.label else None)
-                    built = []
-                    for i in range(first, first + count):
-                        rng = np.random.default_rng(
-                            _child_seed(pop.config.seed, pop.label, i, 0))
-                        built.append((_instance_chain(pop.config, rng, fault),
-                                      rng.bit_generator.state))
-                    ready.append((pop, first, count))
-                    chains += [chain for chain, _ in built]
-                    streams += [stream for _, stream in built]
-            if not ready:
-                continue
-            if stimulus is None:
-                with self._guard([e for p in pops for e in p.consumers]):
-                    stimulus = _stimulus(cfg) if mode == "transient" else _sweep(cfg)
-                if stimulus is None:
-                    return
-            with self._guard([e for p, _, _ in ready for e in p.consumers]):
-                self._featurize_output(_simulate_columns(chains, mode, stimulus),
-                                       ready, streams)
+        chains, streams = [None] * width, [None] * width
+        stimulus = []   # built at the first step, after the first chains, as alone
+
+        def load(pop, first, count, col):
+            fault = ComponentFault.from_name(*_fault_args(pop.config)) if pop.label else None
+            for j, i in enumerate(range(first, first + count), col):
+                rng = np.random.default_rng(_child_seed(pop.config.seed, pop.label, i, 0))
+                chains[j] = _instance_chain(pop.config, rng, fault)
+                streams[j] = rng.bit_generator.state
+
+        def step(ready, cols):
+            if not stimulus:
+                stimulus.append(_stimulus(cfg) if mode == "transient" else _sweep(cfg))
+            self._featurize_output(_simulate_columns(chains[:cols], mode, stimulus[0]),
+                                   ready, streams[:cols])
+
+        self._step_lanes(pops, width, load, step)
 
 
 def generate_features(config: ExperimentConfig) -> tuple[np.ndarray, int, float]:
@@ -871,7 +863,7 @@ def _fit_jobs(jobs: list[tuple[_Prepared, tuple]]) -> list:
             except AmsDetectError as exc:
                 out[i] = str(exc)
         if lanes:
-            seeds = [{"seed": jobs[i][0].config.seed} for i in lanes]
+            seeds = [jobs[i][0].config.seed for i in lanes]
             for i, fit in zip(lanes, _fit_gmm_lanes(mats, seeds)):
                 out[i] = str(fit) if isinstance(fit, FitError) else fit
     return out

@@ -19,9 +19,9 @@ import sys
 
 import numpy as np
 
-from .bench import (ExperimentConfig, _sweep, evaluate, fit_model,
-                    load_config, load_suite, report_table, report_to_csv,
-                    run_suite, suite_table, suite_to_csv)
+from .bench import (ExperimentConfig, _check_sizes, _sweep, evaluate,
+                    fit_model, load_config, load_suite, report_table,
+                    report_to_csv, run_suite, suite_table, suite_to_csv)
 from .centroid import refine_model
 from .cluster import as_matrix, assign_many, load_model, save_model
 from .earlydetect import detections_to_csv, latency_report, scan_windows
@@ -55,6 +55,7 @@ def _write(path: str, what: str) -> None:
 # ---------------------------------------------------------------- simulate
 
 def _cmd_simulate(args) -> int:
+    _check_sizes(args)
     if args.circuit == "vref_blocks":
         cfg = VrefConfig(noise_std=args.noise_std)
         taps = simulate_vref(cfg, args.n_samples, args.duration, args.seed)

@@ -1,10 +1,9 @@
 """Two-component diagonal-covariance Gaussian mixture fitted by EM.
 
-Initialization comes from a k-means fit with the same seed unless explicit
-starting parameters are given (the explicit path exists so a single EM step
-can be checked against an independent oracle).  The E step runs in log space;
-variances are floored at 1e-8 to keep components from collapsing onto
-coincident points.  Hard assignments are argmax responsibility.
+Initialization comes from a k-means fit with the same seed.  The E step
+runs in log space; variances are floored at 1e-8 to keep components from
+collapsing onto coincident points.  Hard assignments are argmax
+responsibility.
 
 One EM loop fits B same-shape data sets ("lanes") at once, in lockstep;
 ``fit_gmm`` is its one-lane call.  A suite fits many small (n, d) matrices,
@@ -12,7 +11,7 @@ and per-call numpy overhead, not arithmetic, sets their cost, so stacking
 the lanes shares every numpy call among them.  The lockstep contract:
 
 - every lane stops on its own: when its log-likelihood gains less than
-  ``tol``, or when its own M step loses a component (a FitError for that
+  ``_TOL``, or when its own M step loses a component (a FitError for that
   lane alone); the active lanes are then packed to the front of the
   buffers, which are allocated once per batch and sliced to the active
   count, so later steps run on the survivors only;
@@ -64,6 +63,7 @@ from .model import ClusterModel, _lane_sum, _nearest, as_matrix, canonical_label
 __all__ = ["fit_gmm", "VAR_FLOOR"]
 
 VAR_FLOOR = 1e-8
+_TOL = 1e-9       # EM stops once the log-likelihood gains less than this
 
 # Bytes of one batch's (2, d, B, n) work array; see _lane_cap.
 _WORK_BYTES = 1 << 18
@@ -127,26 +127,18 @@ def _hard_labels(weights, means, variances, mat) -> np.ndarray:
     return (lr[1] > lr[0]).astype(np.intp)
 
 
-def _start(mat, seed=0, init_means=None, init_variances=None, init_weights=None):
-    """Starting (weights, means, variances): explicit, or from a k-means fit."""
+def _start(mat, seed):
+    """Starting (weights, means, variances) from a k-means fit."""
     n, d = mat.shape
-    if init_means is not None:
-        mu = np.asarray(init_means, dtype=np.float64).reshape(2, d).copy()
-        var = (np.full((2, d), 1.0) if init_variances is None
-               else np.asarray(init_variances, dtype=np.float64).reshape(2, d).copy())
-        w = (np.full(2, 0.5) if init_weights is None
-             else np.asarray(init_weights, dtype=np.float64).copy())
-    else:
-        km = fit_kmeans(mat, seed=seed)
-        hard = _nearest(mat, km.centroids)
-        mu = km.centroids.copy()
-        var = np.empty((2, d))
-        w = np.empty(2)
-        for j in (0, 1):
-            members = mat[hard == j]
-            var[j] = np.maximum(members.var(axis=0), VAR_FLOOR)
-            w[j] = members.shape[0] / n
-    return w, mu, np.maximum(var, VAR_FLOOR)
+    km = fit_kmeans(mat, seed=seed)
+    hard = _nearest(mat, km.centroids)
+    var = np.empty((2, d))
+    w = np.empty(2)
+    for j in (0, 1):
+        members = mat[hard == j]
+        var[j] = np.maximum(members.var(axis=0), VAR_FLOOR)
+        w[j] = members.shape[0] / n
+    return w, km.centroids, var
 
 
 def _lane(s, w, mu, var, log_resp) -> tuple:
@@ -154,7 +146,7 @@ def _lane(s, w, mu, var, log_resp) -> tuple:
     return w[:, s], mu[:, :, s], var[:, :, s], log_resp[1, s] > log_resp[0, s]
 
 
-def _em(x, w, mu, var, max_iter, tol) -> list:
+def _em(x, w, mu, var, max_iter) -> list:
     """EM on B lanes in lockstep, each to its own stop.
 
     ``x`` is the (B, n, d) data; with B > 1 it is scratch the loop packs.
@@ -190,7 +182,7 @@ def _em(x, w, mu, var, max_iter, tol) -> list:
         ll = log_norm.sum(axis=-1).tolist()
         for j, h in zip(lanes, ll):
             histories[j].append(h)
-        done = [h - p < tol for h, p in zip(ll, prev)]
+        done = [h - p < _TOL for h, p in zip(ll, prev)]
         if True in done:
             for s, stop in enumerate(done):
                 if stop:
@@ -245,25 +237,23 @@ def _model(mat, w, mu, var, history, labels) -> ClusterModel:
                         train_assignments=labels, loglik_history=history)
 
 
-def _fit_gmm_lanes(mats, inits, max_iter: int = 200, tol: float = 1e-9
-                   ) -> list[ClusterModel | FitError]:
-    """``fit_gmm(mat, max_iter, tol, **init)`` for each pair, EM in lockstep.
+def _fit_gmm_lanes(mats, seeds, max_iter: int = 200) -> list[ClusterModel | FitError]:
+    """``fit_gmm(mat, max_iter, seed)`` for each pair, EM in lockstep.
 
-    ``mats`` are validated (n, d) matrices of one shape and ``inits`` the
-    matching dicts of ``fit_gmm``'s start arguments (``seed`` or the
-    ``init_*`` arrays).  Batches of more than one lane fit C-ordered copies;
-    a lone lane fits its matrix itself.  A lane that fails yields its
-    FitError, without traceback, in place of a model and leaves the other
-    lanes unchanged.
+    ``mats`` are validated (n, d) matrices of one shape and ``seeds`` the
+    matching k-means seeds of their starts.  Batches of more than one lane
+    fit C-ordered copies; a lone lane fits its matrix itself.  A lane that
+    fails yields its FitError, without traceback, in place of a model and
+    leaves the other lanes unchanged.
     """
     n, d = mats[0].shape
     if n < 4:
         return [FitError("need at least 4 rows to fit 2 components") for _ in mats]
     out: list = [None] * len(mats)
     starts = []
-    for i, (mat, init) in enumerate(zip(mats, inits)):
+    for i, (mat, seed) in enumerate(zip(mats, seeds)):
         try:
-            starts.append((i, _start(mat, **init)))
+            starts.append((i, _start(mat, seed)))
         except FitError as exc:
             out[i] = exc.with_traceback(None)    # its frames would hold `out`
     cap = _lane_cap(n, d)
@@ -274,7 +264,7 @@ def _fit_gmm_lanes(mats, inits, max_iter: int = 200, tol: float = 1e-9
         else:
             x = np.stack([mats[i] for i in idx])
             params = [np.stack(a, axis=-1) for a in zip(*params)]
-        for i, fit in zip(idx, _em(x, *params, max_iter, tol)):
+        for i, fit in zip(idx, _em(x, *params, max_iter)):
             try:
                 out[i] = fit if isinstance(fit, FitError) else _model(mats[i], *fit)
             except FitError as exc:
@@ -282,19 +272,15 @@ def _fit_gmm_lanes(mats, inits, max_iter: int = 200, tol: float = 1e-9
     return out
 
 
-def fit_gmm(rows, max_iter: int = 200, tol: float = 1e-9,
-            seed: int | None = 0, init_means=None, init_variances=None,
-            init_weights=None) -> ClusterModel:
-    """Fit by EM; the recorded log-likelihood history is non-decreasing.
+def fit_gmm(rows, max_iter: int = 200, seed: int | None = 0) -> ClusterModel:
+    """Fit by EM from a k-means start seeded by ``seed``; the recorded
+    log-likelihood history is non-decreasing.
 
     :raises FitError: degenerate data (fewer than 2 distinct rows via the
         k-means init) or an empty hard cluster at convergence
     """
     mat = as_matrix(rows)
-    init = ({"seed": seed} if init_means is None else
-            {"init_means": init_means, "init_variances": init_variances,
-             "init_weights": init_weights})
-    fit = _fit_gmm_lanes([mat], [init], max_iter, tol)[0]
+    fit = _fit_gmm_lanes([mat], [seed], max_iter)[0]
     if isinstance(fit, FitError):
         raise fit
     return fit

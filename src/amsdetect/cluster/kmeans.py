@@ -26,11 +26,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigurationError, FitError
+from ..errors import FitError
 from .model import (ClusterModel, _sqdist, _two_distinct_rows, as_matrix,
                     canonical_labels)
 
 __all__ = ["fit_kmeans", "lloyd", "kmeans_pp_init"]
+
+_TOL = 1e-10    # Lloyd stops once an iteration lowers the SSE by less than this
 
 
 def kmeans_pp_init(mat: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -48,9 +50,11 @@ def kmeans_pp_init(mat: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def lloyd(mat: np.ndarray, centroids: np.ndarray, max_iter: int = 100,
-          tol: float = 1e-10, weights: np.ndarray | None = None
+          weights: np.ndarray | None = None
           ) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """Iterate 2-means assignment/update until labels stabilize or SSE stalls.
+    """Iterate 2-means assignment/update from the (2, d) ``centroids``, rows
+    weighted by ``weights`` (unweighted by default), until labels
+    stabilize, the SSE drops by less than ``_TOL``, or ``max_iter``.
 
     Returns (centroids, labels, sse_history); the history is recorded after
     every assignment step and is non-increasing.
@@ -84,17 +88,15 @@ def lloyd(mat: np.ndarray, centroids: np.ndarray, max_iter: int = 100,
             if total == 0.0:
                 raise FitError(f"the weights of cluster {j} sum to zero")
             centroids[j] = (mat[members] * wj[:, None]).sum(axis=0) / total
-        if len(history) >= 2 and history[-2] - history[-1] < tol:
+        if len(history) >= 2 and history[-2] - history[-1] < _TOL:
             break
     return centroids, labels, history
 
 
-def fit_kmeans(rows, max_iter: int = 100, tol: float = 1e-10,
-               seed: int | None = 0, init="kmeans++") -> ClusterModel:
-    """Fit 2-means and return a canonical ClusterModel.
+def fit_kmeans(rows, max_iter: int = 100, seed: int | None = 0) -> ClusterModel:
+    """Fit 2-means from a k-means++ start seeded by ``seed`` and return a
+    canonical ClusterModel.
 
-    :param init: "kmeans++" (seeded by ``seed``) or an explicit (2, d) array
-        of starting centroids
     :raises FitError: fewer than 2 distinct rows, or an empty final cluster
     """
     mat = as_matrix(rows)
@@ -102,19 +104,8 @@ def fit_kmeans(rows, max_iter: int = 100, tol: float = 1e-10,
         raise FitError(f"need at least k=2 rows, got {mat.shape[0]}")
     if not _two_distinct_rows(mat):
         raise FitError("need at least k=2 distinct rows")
-    if isinstance(init, str):
-        if init != "kmeans++":
-            raise ConfigurationError(f"unknown init {init!r}", config_key="init")
-        start = kmeans_pp_init(mat, np.random.default_rng(seed))
-    else:
-        start = np.asarray(init, dtype=np.float64)
-        if start.ndim == 1:
-            start = start[:, None]
-        if start.shape != (2, mat.shape[1]):
-            raise ConfigurationError(
-                f"initial centroids must be (2, {mat.shape[1]})",
-                config_key="init")
-    centroids, labels, history = lloyd(mat, start, max_iter, tol)
+    start = kmeans_pp_init(mat, np.random.default_rng(seed))
+    centroids, labels, history = lloyd(mat, start, max_iter)
     labels, order, mu, sigma = canonical_labels(mat, labels)
     return ClusterModel(algorithm="kmeans", mu_k=mu, sigma_k=sigma,
                         centroids=centroids[order], train_assignments=labels,

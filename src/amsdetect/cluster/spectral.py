@@ -9,8 +9,9 @@ the cluster of their nearest training row in the original feature space.
 Memory: row blocks of ``_sqdist_blocks`` become affinities in cache and land
 in the one (n, n) buffer, which becomes the Laplacian in place, so no (n, n,
 d) tensor and no second or transposed (n, n) matrix exist before ``eigh``;
-eigh's own copy, workspace and eigenvectors then set the peak.  Every element still sees the same IEEE
-operations as the out-of-place form (multiply and add commute exactly).
+eigh's own copy, workspace and eigenvectors then set the peak.  Every
+element still sees the same IEEE operations as the out-of-place form
+(multiply and add commute exactly).
 Neither the Gram expansion of the distances nor an iterative eigensolver
 (Lanczos, power iteration) is used: both change the bits of the embedding,
 which model files store.
@@ -83,9 +84,9 @@ def spectral_embedding(rows, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     return eigvals, eigvecs[:, :2]
 
 
-def fit_spectral(rows, sigma: float = 0.15,
-                 seed: int | None = 0) -> ClusterModel:
-    """Embed, row-normalize, and 2-means the embedding.
+def fit_spectral(rows, sigma: float, seed: int | None = 0) -> ClusterModel:
+    """Embed with kernel width ``sigma``, row-normalize, and 2-means the
+    embedding from a k-means++ start seeded by ``seed``.
 
     :raises FitError: fewer than 3 rows, an isolated similarity row, or an
         empty final cluster

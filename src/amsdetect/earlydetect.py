@@ -89,9 +89,9 @@ def scan_windows(assignments, samples_per_window: int, sample_period: float,
 
 def detect_windowed(model: ClusterModel, window_features,
                     samples_per_window: int, sample_period: float,
-                    stop_early: bool = True, anomalous_cluster: int | None = None,
-                    sample_id: str = "") -> DetectionResult:
-    """Assign one signal's windows and scan them (see ``scan_windows``).
+                    anomalous_cluster: int | None = None) -> DetectionResult:
+    """Assign one signal's windows and scan them, stopping at the first hit
+    (see ``scan_windows``); the result's ``sample_id`` is empty.
 
     :param window_features: (k, d) feature vectors, one per window, in the
         same (normalized) space the model was fitted in; a 1-D array is one
@@ -105,8 +105,7 @@ def detect_windowed(model: ClusterModel, window_features,
     if not 0 <= bad < model.k:
         raise InputError(f"anomalous_cluster {bad} out of range for k={model.k}")
     return scan_windows(assign_many(model, window_features)[None, :],
-                        samples_per_window, sample_period, bad, stop_early,
-                        [sample_id])[0]
+                        samples_per_window, sample_period, bad)[0]
 
 
 def latency_report(results: list[DetectionResult]) -> dict:

@@ -32,17 +32,6 @@ __all__ = [
 FEATURE_NAMES = ("mean", "variance", "slope")
 
 
-def _as_samples(signal) -> np.ndarray:
-    if isinstance(signal, Waveform):
-        return signal.samples
-    arr = np.asarray(signal, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise InputError("feature input must be a non-empty 1-D array")
-    if not np.all(np.isfinite(arr)):
-        raise InputError("feature input must be finite")
-    return arr
-
-
 def _check_selection(selection) -> tuple[str, ...]:
     sel = tuple(selection)
     if not sel:
@@ -90,15 +79,15 @@ def _windowed_rows(x: np.ndarray, k: int, selection) -> np.ndarray:
     return out.reshape(rows, k, len(sel))
 
 
-def windowed_features(signal, k: int, selection=FEATURE_NAMES) -> np.ndarray:
-    """Split into k equal windows and featurize each; returns shape (k, d).
+def windowed_features(signal: Waveform, k: int, selection=FEATURE_NAMES) -> np.ndarray:
+    """Featurize each of a waveform's k equal windows; returns shape (k, d).
 
     The sample count must divide evenly by k.
 
     :raises InputError: a feature overflows float64 (finite samples can
         still have an infinite variance)
     """
-    out = _windowed_rows(_as_samples(signal)[None, :], k, selection)[0]
+    out = _windowed_rows(signal.samples[None, :], k, selection)[0]
     if not np.isfinite(out).all():
         raise InputError("a window feature overflows float64")
     return out

@@ -237,13 +237,14 @@ class ComponentFault:
         return self.kind.value
 
     @classmethod
-    def from_name(cls, name: str, temperature: float | None = None) -> "ComponentFault":
+    def from_name(cls, name: str, temperature: float | None) -> "ComponentFault":
+        """The fault named ``name``; only Parametric keeps ``temperature``."""
         try:
             kind = FaultKind(name)
         except ValueError:
             raise ConfigurationError(f"unknown fault {name!r}", config_key="experiment")
         if kind is FaultKind.PARAMETRIC:
-            return cls(kind, 150.0 if temperature is None else temperature)
+            return cls(kind, temperature)
         return cls(kind)
 
 

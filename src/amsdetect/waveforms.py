@@ -111,10 +111,9 @@ class Waveform:
     def duration(self) -> float:
         return self.samples.size * self.sample_period
 
-    def copy_with(self, samples: np.ndarray, name: str | None = None) -> "Waveform":
-        return Waveform(np.array(samples, dtype=np.float64),
-                        self.sample_period,
-                        self.name if name is None else name)
+    def copy_with(self, samples: np.ndarray) -> "Waveform":
+        """A waveform of new samples with this one's period and name."""
+        return Waveform(np.array(samples, dtype=np.float64), self.sample_period, self.name)
 
 
 @dataclass(frozen=True)
@@ -742,7 +741,7 @@ def _bulk_columns(body: str) -> tuple[list, list] | None:
         return None
 
 
-def waveform_from_csv(path, name: str = "") -> Waveform:
+def waveform_from_csv(path) -> Waveform:
     """Read a waveform CSV such as :func:`waveform_to_csv` writes.
 
     The grammar: a first line ``t,value``, then one ``<time>,<value>`` line
@@ -789,4 +788,4 @@ def waveform_from_csv(path, name: str = "") -> Waveform:
     if np.any(np.abs(times - times[0] - np.arange(times.size) * dt)
               > 1e-6 * (np.abs(times) + dt)):
         raise InputError(f"{path}: time axis is not uniformly spaced")
-    return Waveform(np.array(v), dt, name)
+    return Waveform(np.array(v), dt)

@@ -697,7 +697,7 @@ def kstage_signals_reference(config, label, idx):
         stages, fault = (), None
     stim = _stimulus(config)
     out = kstage_reference(base, gains, stim, stages, fault)
-    return _noisy(stim.copy_with(out, "output"), rng, config)
+    return _noisy(stim.copy_with(out), rng, config)
 
 
 def features_reference(config):
@@ -727,7 +727,7 @@ def waveform_to_csv_reference(w, path):
             fh.write(f"{i * w.sample_period:.12e},{v:.12e}\n")
 
 
-def waveform_from_csv_reference(path, name=""):
+def waveform_from_csv_reference(path):
     """Strip, split and ``float()`` one line at a time."""
     with open(path) as fh:
         header = fh.readline().strip()
@@ -755,4 +755,4 @@ def waveform_from_csv_reference(path, name=""):
     if np.any(np.abs(times - times[0] - np.arange(times.size) * dt)
               > 1e-6 * (np.abs(times) + dt)):
         raise InputError(f"{path}: time axis is not uniformly spaced")
-    return Waveform(np.array(v), dt, name)
+    return Waveform(np.array(v), dt)

@@ -19,8 +19,8 @@ import pytest
 import amsdetect
 from amsdetect.centroid import refine_model
 from amsdetect.cli import _parse, build_parser, main
-from amsdetect.cluster import as_matrix, load_model
-from amsdetect.earlydetect import detect_windowed, detections_to_csv
+from amsdetect.cluster import as_matrix, assign_many, load_model
+from amsdetect.earlydetect import detections_to_csv, scan_windows
 from amsdetect.features import (Dataset, dataset_from_csv, dataset_to_csv,
                                 windowed_features)
 from amsdetect.waveforms import waveform_from_csv
@@ -275,8 +275,8 @@ def test_full_pipeline(tmp_path, capsys):
                  "--samples-per-window", "60", "--sample-period", "1e-7",
                  "--no-early-stop", "--out", str(det)]) == 0
     ids = list(dict.fromkeys(ds.sample_ids))
-    want = [detect_windowed(m, mat[5 * i:5 * i + 5], 60, 1e-7,
-                            stop_early=False, sample_id=sid)
+    want = [scan_windows(assign_many(m, mat[5 * i:5 * i + 5])[None], 60, 1e-7,
+                         m.anomalous_cluster, stop_early=False, sample_ids=[sid])[0]
             for i, sid in enumerate(ids)]
     hit = want[0]        # the injected sample; an early stop reads 3 windows
     assert (hit.first_anomalous_window, hit.windows_consumed, hit.speedup) == (2, 5, 1.0)
@@ -427,8 +427,8 @@ def test_detect_regroups_shuffled_samples_like_detect_windowed(tmp_path, capsys,
         idx = sorted((w, i) for i, (s, w) in enumerate(
             zip(rows.sample_ids, rows.windows.tolist())) if s == sid)
         mat = m.norm.apply(rows.values[[i for _, i in idx]])
-        want.append(detect_windowed(m, mat, 7, 1e-6, stop_early=early_stop,
-                                    sample_id=sid))
+        want.append(scan_windows(assign_many(m, mat)[None], 7, 1e-6, m.anomalous_cluster,
+                                 stop_early=early_stop, sample_ids=[sid])[0])
     assert {r.windows_total for r in want} == set(counts)
     assert any(r.anomalous for r in want) and not all(r.anomalous for r in want)
     detections_to_csv(want, tmp_path / "want.csv")
@@ -445,21 +445,27 @@ EXTRA = {"kstage_k": {"experiment": "KStage"},
          "sweep_points": {"experiment": "OmBoth", "analysis": "dc_input_sweep"}}
 
 
-def _experiment_in_3_gib(tmp_path, key, size):
-    """``experiment --config`` with ``key`` set to ``size``, run in a
-    process whose address space is capped at 3 GiB."""
+def _main_in_3_gib(*argv):
+    """``amsdetect`` with ``argv``, run in a process whose address space is
+    capped at 3 GiB."""
     pytest.importorskip("resource")
-    doc = {"experiment": "IA", **EXTRA.get(key, {}), key: size}
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(doc))
     code = ("import resource, sys\n"
             "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
             "from amsdetect.cli import main\n"
-            "sys.exit(main(['experiment', '--config', sys.argv[1]]))\n")
+            "sys.exit(main(sys.argv[1:]))\n")
     src = str(pathlib.Path(amsdetect.__file__).parents[1])
-    return subprocess.run([sys.executable, "-c", code, str(path)],
+    return subprocess.run([sys.executable, "-c", code, *argv],
                           capture_output=True, text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": src})
+
+
+def _experiment_in_3_gib(tmp_path, key, size):
+    """``experiment --config`` with ``key`` set to ``size``, run in a
+    process whose address space is capped at 3 GiB."""
+    doc = {"experiment": "IA", **EXTRA.get(key, {}), key: size}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    return _main_in_3_gib("experiment", "--config", str(path))
 
 
 @pytest.mark.parametrize("key", ["kstage_k", "n_samples", "n_samples_per_class",
@@ -483,6 +489,22 @@ def test_size_numpy_cannot_hold_exits_two(tmp_path, key):
     assert proc.stderr.startswith("amsdetect: error: ")
     assert proc.stderr.endswith(f"(config key: {key})\n")
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("key, argv", [
+    ("n_samples", ["--n-samples", str(2**62)]),
+    ("sweep_points", ["--circuit", "opamp", "--analysis", "dc_input_sweep",
+                      "--sweep-points", str(2**62)])])
+def test_simulate_size_numpy_cannot_hold_exits_two(tmp_path, key, argv):
+    """``simulate`` refuses a signal or sweep row of more than sys.maxsize
+    bytes as a config does, naming the size, and writes nothing."""
+    out = tmp_path / "sim"
+    proc = _main_in_3_gib("simulate", *argv, "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"amsdetect: error: {key} {2**62} implies")
+    assert proc.stderr.endswith(f"(config key: {key})\n")
+    assert proc.stderr.count("\n") == 1
+    assert not out.exists()
 
 
 def test_experiment_needs_a_name(capsys):

@@ -16,7 +16,7 @@ from amsdetect import (ConfigurationError, FitError, InputError, VAR_FLOOR,
                        load_model, save_model)
 from amsdetect.cluster import ClusterModel, canonical_labels, lloyd, spectral
 from amsdetect.cluster.birch import _leaf_features, _Node, _radius, _Tree
-from amsdetect.cluster.gmm import _fit_gmm_lanes, _log_resp_rows
+from amsdetect.cluster.gmm import _em, _fit_gmm_lanes, _log_resp_rows, _model
 from amsdetect.cluster.model import (_WORK_ELEMS, _lane_sum, _nearest, _sqdist,
                                     _two_distinct_rows)
 from amsdetect.cluster.spectral import spectral_embedding
@@ -38,9 +38,9 @@ def test_kmeans_matches_exhaustive_optimum(tiny_sets):
     for pts in tiny_sets:
         arr = np.asarray(pts)[:, None]
         best_sse, best_labels = exhaustive_two_means(pts)
-        model = fit_kmeans(arr, init=np.array([[min(pts)], [max(pts)]]))
-        assert model.sse_history[-1] == pytest.approx(best_sse, rel=1e-12)
-        got = assign_many(model, arr)
+        _, labels, history = lloyd(arr, np.array([[min(pts)], [max(pts)]]))
+        assert history[-1] == pytest.approx(best_sse, rel=1e-12)
+        got = canonical_labels(arr, labels)[0]
         assert np.array_equal(got, best_labels)
 
 
@@ -78,10 +78,6 @@ def test_kmeans_errors():
         fit_kmeans(np.array([[1.0]]))
     with pytest.raises(FitError):
         fit_kmeans(np.ones((6, 2)))           # one distinct point
-    with pytest.raises(ConfigurationError):
-        fit_kmeans(np.arange(6.0)[:, None], init="farthest")
-    with pytest.raises(ConfigurationError):
-        fit_kmeans(np.arange(6.0)[:, None], init=np.zeros((3, 1)))
 
 
 # few distinct values, so duplicate rows and all-equal matrices are common
@@ -121,12 +117,12 @@ def test_gmm_single_em_step_matches_reference():
     init_w = [0.5, 0.5]
     ll, new_w, new_mu, new_var = em_step(pts, init_w, init_mu, init_var,
                                          var_floor=VAR_FLOOR)
-    model = fit_gmm(np.asarray(pts)[:, None], max_iter=1, init_means=init_mu,
-                    init_variances=init_var, init_weights=init_w)
-    assert model.loglik_history[0] == pytest.approx(ll, rel=1e-12)
-    assert np.allclose(model.weights, new_w, rtol=1e-12)
-    assert np.allclose(model.means, np.asarray(new_mu), rtol=1e-12)
-    assert np.allclose(model.variances, np.asarray(new_var), rtol=1e-12)
+    start = (np.asarray(a)[..., None] for a in (init_w, init_mu, init_var))
+    w, mu, var, history, _ = _em(np.asarray(pts)[None, :, None], *start, max_iter=1)[0]
+    assert history[0] == pytest.approx(ll, rel=1e-12)
+    assert np.allclose(w, new_w, rtol=1e-12)
+    assert np.allclose(mu, np.asarray(new_mu), rtol=1e-12)
+    assert np.allclose(var, np.asarray(new_var), rtol=1e-12)
 
 
 def test_gmm_loglik_history_non_decreasing(blobs_2d):
@@ -545,13 +541,51 @@ def test_lane_sum_matches_add_reduce(d, m, kind, seed):
 
 
 def _gmm_init(mat, seed, explicit):
+    """A lane's start: its k-means seed, or explicit ``init_*`` arrays as
+    ``fit_gmm_reference`` takes them."""
     if not explicit:
-        return {"seed": seed}
+        return seed
     rng = np.random.default_rng(seed)
     d = mat.shape[1]
     return {"init_means": mat[rng.choice(len(mat), 2, replace=False)],
             "init_variances": None if seed % 3 == 0 else rng.uniform(0.01, 2.0, (2, d)),
             "init_weights": None if seed % 2 == 0 else [0.3, 0.7]}
+
+
+def _em_lanes(mats, inits, max_iter=200):
+    """Fits from explicit starts, one lockstep ``_em`` over the stacked
+    lanes; a failed lane yields its FitError, as in ``_fit_gmm_lanes``."""
+    starts = []
+    for mat, init in zip(mats, inits):
+        d = mat.shape[1]
+        var, w = init["init_variances"], init["init_weights"]
+        starts.append((np.full(2, 0.5) if w is None else np.asarray(w, dtype=np.float64),
+                       np.asarray(init["init_means"], dtype=np.float64).reshape(2, d),
+                       np.maximum(np.ones((2, d)) if var is None else
+                                  np.asarray(var, dtype=np.float64).reshape(2, d), VAR_FLOOR)))
+    params = [np.stack(a, axis=-1) for a in zip(*starts)]
+    out = []
+    for mat, fit in zip(mats, _em(np.stack(mats), *params, max_iter)):
+        try:
+            out.append(fit if isinstance(fit, FitError) else _model(mat, *fit))
+        except FitError as exc:
+            out.append(exc)
+    return out
+
+
+def _lone_fit(mat, init, max_iter=200):
+    """One lane's model, or the FitError its lone fit raises."""
+    if isinstance(init, dict):
+        return _em_lanes([mat], [init], max_iter)[0]
+    try:
+        return fit_gmm(mat, max_iter=max_iter, seed=init)
+    except FitError as exc:
+        return exc
+
+
+def _reference(mat, init, max_iter=200):
+    return fit_gmm_reference(mat, max_iter=max_iter,
+                             **(init if isinstance(init, dict) else {"seed": init}))
 
 
 @given(st.integers(4, 60), st.integers(1, 13), _KINDS, st.integers(0, 2**16),
@@ -567,16 +601,16 @@ def _gmm_init(mat, seed, explicit):
 @example(n=8, d=3, kind="grid", seed=7, explicit=True)
 @settings(max_examples=120, deadline=None)
 def test_fit_gmm_matches_row_major_reference(n, d, kind, seed, explicit):
-    """Weights, means, variances, history and labels equal to the bit."""
+    """Weights, means, variances, history and labels equal to the bit; a
+    seeded start goes through ``fit_gmm``, an explicit one through ``_em``."""
     mat = _matrix(n, d, kind, seed)
     init = _gmm_init(mat, seed, explicit)
+    model = _lone_fit(mat, init)
     try:
-        want = fit_gmm_reference(mat, **init)
+        want = _reference(mat, init)
     except FitError:
-        with pytest.raises(FitError):
-            fit_gmm(mat, **init)
+        assert isinstance(model, FitError)
         return
-    model = fit_gmm(mat, **init)
     got = (model.weights, model.means, model.variances, model.loglik_history,
            model.train_assignments)
     for g, w in zip(got, want):
@@ -591,7 +625,7 @@ def _failing_lane(mat, how):
     """
     n, d = mat.shape
     if how == "duplicate":
-        return np.full((n, d), 0.25), {"seed": 0}
+        return np.full((n, d), 0.25), 0
     return mat, {"init_means": [mat.mean(axis=0), np.full(d, 1e9)],
                  "init_variances": [np.ones(d), np.full(d, 1e-4)],
                  "init_weights": None}
@@ -611,9 +645,10 @@ def _failing_lane(mat, how):
 def test_gmm_lanes_match_reference_lane_by_lane(n, d, kind, lanes, max_iter, bad):
     """Same-shape lanes fitted in lockstep equal the row-major reference.
 
-    Small caps make some lanes stop at max_iter (final M step taken) while
-    others converge; a failing lane yields the FitError its one-lane fit
-    raises and leaves every other lane's bytes unchanged.
+    Seeded lanes go through ``_fit_gmm_lanes``, explicit starts through one
+    stacked ``_em``.  Small caps make some lanes stop at max_iter (final M
+    step taken) while others converge; a failing lane yields the FitError
+    its one-lane fit gives and leaves every other lane's bytes unchanged.
     """
     mats, inits = [], []
     for seed, explicit in lanes:
@@ -623,15 +658,23 @@ def test_gmm_lanes_match_reference_lane_by_lane(n, d, kind, lanes, max_iter, bad
         i = lanes[0][0] % len(mats)
         mats[i], inits[i] = _failing_lane(mats[i], bad)
     copies = [m.copy() for m in mats]
-    got = _fit_gmm_lanes(mats, inits, max_iter=max_iter)
+    got = [None] * len(mats)
+    for explicit in (False, True):
+        idx = [i for i, init in enumerate(inits) if isinstance(init, dict) == explicit]
+        if not idx:
+            continue
+        fit = _em_lanes if explicit else _fit_gmm_lanes
+        for i, f in zip(idx, fit([mats[i] for i in idx], [inits[i] for i in idx],
+                                 max_iter=max_iter)):
+            got[i] = f
     assert all(_same(m, c) for m, c in zip(mats, copies))
     for mat, init, fit in zip(mats, inits, got):
         try:
-            want = fit_gmm_reference(mat, max_iter=max_iter, **init)
+            want = _reference(mat, init, max_iter)
         except FitError:
-            with pytest.raises(FitError) as lone:
-                fit_gmm(mat, max_iter=max_iter, **init)
-            assert isinstance(fit, FitError) and str(fit) == str(lone.value)
+            lone = _lone_fit(mat, init, max_iter)
+            assert isinstance(lone, FitError)
+            assert isinstance(fit, FitError) and str(fit) == str(lone)
             continue
         have = (fit.weights, fit.means, fit.variances, fit.loglik_history,
                 fit.train_assignments)
@@ -645,7 +688,7 @@ def test_gmm_lane_errors_hold_no_frames():
     gc.collect()
     gc.disable()
     try:
-        fits = _fit_gmm_lanes(mats, [{"seed": 0}] * 2)
+        fits = _fit_gmm_lanes(mats, [0, 0])
         assert isinstance(fits[0], FitError) and fits[0].__traceback__ is None
         assert gc.collect() == 0
     finally:

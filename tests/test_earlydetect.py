@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from amsdetect import (InputError, detect_windowed, detections_to_csv,
-                       fit_kmeans, latency_report, scan_windows)
+from amsdetect import (InputError, assign_many, detect_windowed,
+                       detections_to_csv, fit_kmeans, latency_report,
+                       scan_windows)
 
 # a 1-D model whose clusters sit at 0.1 (normal) and 0.9 (anomalous)
 _TRAIN = np.array([0.08, 0.1, 0.12, 0.88, 0.9, 0.92])[:, None]
@@ -44,8 +45,10 @@ def test_early_stop_equivalence():
     feats = np.full((6, 1), 0.1)
     feats[2] = 0.9
     feats[4] = 0.9
-    eager = detect_windowed(_model(), feats, 100, 1e-8, stop_early=True)
-    lazy = detect_windowed(_model(), feats, 100, 1e-8, stop_early=False)
+    model = _model()
+    eager = detect_windowed(model, feats, 100, 1e-8)
+    lazy = scan_windows(assign_many(model, feats)[None], 100, 1e-8,
+                        model.anomalous_cluster, stop_early=False)[0]
     assert eager.first_anomalous_window == lazy.first_anomalous_window == 2
     assert eager.windows_consumed == 3
     assert lazy.windows_consumed == 6
@@ -82,8 +85,8 @@ def test_latency_report_aggregates():
     hot = np.full((5, 1), 0.1)
     hot[0] = 0.9
     cold = np.full((5, 1), 0.1)
-    r1 = detect_windowed(model, hot, 300, 1e-8, sample_id="hot")
-    r2 = detect_windowed(model, cold, 300, 1e-8, sample_id="cold")
+    r1, r2 = scan_windows(np.stack([assign_many(model, hot), assign_many(model, cold)]),
+                          300, 1e-8, model.anomalous_cluster, sample_ids=["hot", "cold"])
     rep = latency_report([r1, r2])
     assert rep["n_signals"] == 2
     assert rep["n_detected"] == 1
@@ -100,7 +103,8 @@ def test_detections_csv(tmp_path):
     model = _model()
     hot = np.full((4, 1), 0.1)
     hot[1] = 0.9
-    res = detect_windowed(model, hot, 250, 1e-8, sample_id="sig-7")
+    res = scan_windows(assign_many(model, hot)[None], 250, 1e-8,
+                       model.anomalous_cluster, sample_ids=["sig-7"])[0]
     path = tmp_path / "det.csv"
     detections_to_csv([res], path)
     lines = path.read_text().splitlines()
@@ -130,10 +134,9 @@ def test_scan_matches_per_signal_detection(asg, stop_early, bad,
     got = scan_windows(asg, samples_per_window, sample_period, bad,
                        stop_early=stop_early, sample_ids=ids)
     # 0.1 lands in cluster 0 and 0.9 in cluster 1
-    want = [detect_windowed(model, np.where(row == 1, 0.9, 0.1)[:, None],
-                            samples_per_window, sample_period,
-                            stop_early=stop_early, anomalous_cluster=bad,
-                            sample_id=sid)
+    want = [scan_windows(assign_many(model, np.where(row == 1, 0.9, 0.1)[:, None])[None],
+                         samples_per_window, sample_period, bad,
+                         stop_early=stop_early, sample_ids=[sid])[0]
             for sid, row in zip(ids, asg)]
     assert [_fields(r) for r in got] == [_fields(r) for r in want]
     for r, row in zip(got, asg):

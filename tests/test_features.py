@@ -13,7 +13,7 @@ from oracles import per_window_features, straight_line_fit
 
 def test_feature_values_on_known_signal():
     x = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-    feats = windowed_features(x, 1)[0]
+    feats = windowed_features(Waveform(x, 1.0), 1)[0]
     assert feats[0] == pytest.approx(3.0)
     assert feats[1] == pytest.approx(2.0)     # population variance
     assert feats[2] == pytest.approx(1.0)     # unit slope per sample
@@ -22,21 +22,21 @@ def test_feature_values_on_known_signal():
 def test_slope_matches_reference_fit():
     rng = np.random.default_rng(0)
     x = 0.3 * np.arange(40) + rng.normal(0, 0.5, 40)
-    got = windowed_features(x, 1, ("slope",))[0][0]
+    got = windowed_features(Waveform(x, 1.0), 1, ("slope",))[0][0]
     assert got == pytest.approx(straight_line_fit(list(x)), rel=1e-12)
 
 
 def test_selection_order_and_errors():
     x = np.arange(10.0)
-    sel = windowed_features(x, 1, ("slope", "mean"))[0]
+    sel = windowed_features(Waveform(x, 1.0), 1, ("slope", "mean"))[0]
     assert sel[0] == pytest.approx(1.0)
     assert sel[1] == pytest.approx(4.5)
     with pytest.raises(InputError):
-        windowed_features(x, 1, ())
+        windowed_features(Waveform(x, 1.0), 1, ())
     with pytest.raises(InputError):
-        windowed_features(x, 1, ("mean", "mean"))
+        windowed_features(Waveform(x, 1.0), 1, ("mean", "mean"))
     with pytest.raises(InputError):
-        windowed_features(x, 1, ("median",))
+        windowed_features(Waveform(x, 1.0), 1, ("median",))
 
 
 def test_accepts_waveform_input():
@@ -51,8 +51,8 @@ finite_arrays = arrays(np.float64, st.integers(8, 64),
 @given(finite_arrays, st.floats(-50.0, 50.0))
 @settings(max_examples=60, deadline=None)
 def test_shift_moves_only_the_mean(x, c):
-    base = windowed_features(x, 1)[0]
-    shifted = windowed_features(x + c, 1)[0]
+    base = windowed_features(Waveform(x, 1.0), 1)[0]
+    shifted = windowed_features(Waveform(x + c, 1.0), 1)[0]
     assert shifted[0] == pytest.approx(base[0] + c, abs=1e-9)
     assert shifted[1] == pytest.approx(base[1], abs=1e-7)
     assert shifted[2] == pytest.approx(base[2], abs=1e-9)
@@ -61,8 +61,8 @@ def test_shift_moves_only_the_mean(x, c):
 @given(finite_arrays, st.floats(0.1, 10.0))
 @settings(max_examples=60, deadline=None)
 def test_scaling_laws(x, a):
-    base = windowed_features(x, 1)[0]
-    scaled = windowed_features(a * x, 1)[0]
+    base = windowed_features(Waveform(x, 1.0), 1)[0]
+    scaled = windowed_features(Waveform(a * x, 1.0), 1)[0]
     assert scaled[0] == pytest.approx(a * base[0], rel=1e-9, abs=1e-9)
     assert scaled[1] == pytest.approx(a * a * base[1], rel=1e-9, abs=1e-9)
     assert scaled[2] == pytest.approx(a * base[2], rel=1e-9, abs=1e-9)
@@ -70,19 +70,19 @@ def test_scaling_laws(x, a):
 
 def test_windowed_features_match_manual_slices():
     x = np.concatenate([np.full(50, 1.0), np.full(50, 3.0)])
-    mat = windowed_features(x, 2)
+    mat = windowed_features(Waveform(x, 1.0), 2)
     assert mat.shape == (2, 3)
-    assert np.allclose(mat[0], windowed_features(x[:50], 1)[0])
-    assert np.allclose(mat[1], windowed_features(x[50:], 1)[0])
+    assert np.allclose(mat[0], windowed_features(Waveform(x[:50], 1.0), 1)[0])
+    assert np.allclose(mat[1], windowed_features(Waveform(x[50:], 1.0), 1)[0])
 
 
 def test_windowing_requires_even_split():
     x = np.arange(100.0)
     with pytest.raises(WindowError):
-        windowed_features(x, 3)
+        windowed_features(Waveform(x, 1.0), 3)
     with pytest.raises(WindowError):
-        windowed_features(x, 0)
-    assert windowed_features(x, 1).shape == (1, 3)
+        windowed_features(Waveform(x, 1.0), 0)
+    assert windowed_features(Waveform(x, 1.0), 1).shape == (1, 3)
 
 
 @given(st.sampled_from([1, 2, 3, 5, 10, 20]), st.integers(2, 400),
@@ -95,9 +95,9 @@ def test_windowed_features_match_per_window_reference(k, width, seed, log_scale,
     rng = np.random.default_rng(seed)
     x = rng.normal(rng.normal(0, 10), 10.0 ** log_scale, k * width)
     sel = tuple(order[:n_sel])
-    got = windowed_features(x, k, sel)
+    got = windowed_features(Waveform(x, 1.0), k, sel)
     assert got.tobytes() == per_window_features(x, k, sel).tobytes()
-    assert windowed_features(x, 1, sel)[0].tobytes() == \
+    assert windowed_features(Waveform(x, 1.0), 1, sel)[0].tobytes() == \
         per_window_features(x, 1, sel)[0].tobytes()
 
 

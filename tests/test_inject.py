@@ -262,8 +262,12 @@ def test_parametric_fault_refuses_non_finite_temp(tmp_path, temp):
 
 
 def test_fault_from_name():
-    f = ComponentFault.from_name("Parametric")
+    f = ComponentFault.from_name("Parametric", 150.0)
     assert f.temperature == 150.0
-    assert ComponentFault.from_name("Open").kind is FaultKind.OPEN
+    assert ComponentFault.from_name("Open", None).kind is FaultKind.OPEN
+    assert ComponentFault.from_name("Open", 150.0).temperature is None
+    with pytest.raises(ConfigurationError) as exc:
+        ComponentFault.from_name("Parametric", None)
+    assert exc.value.config_key == "fault_temperature"
     with pytest.raises(ConfigurationError):
-        ComponentFault.from_name("Rust")
+        ComponentFault.from_name("Rust", None)

@@ -284,7 +284,7 @@ def test_kstage_gain_compounds():
 def test_kstage_fault_applies_to_chosen_stage():
     from amsdetect import ComponentFault, apply_component_fault
     base = OpampModel(open_loop_gain=30.0)
-    fault = ComponentFault.from_name("Short")
+    fault = ComponentFault.from_name("Short", None)
     stages = build_kstage(base, [2.0, 2.0, 2.0], anomalous_stages=(1,),
                           faulted=apply_component_fault(base, fault))
     assert [s.applied_fault for s in stages] == [None, "Short", None]
@@ -304,7 +304,7 @@ def test_build_kstage_validation():
         build_kstage(base, [2.0, 0.5])
     with pytest.raises(ConfigurationError):
         build_kstage(base, [2.0, 2.0], anomalous_stages=(2,),
-                     faulted=apply_component_fault(base, ComponentFault.from_name("Open")))
+                     faulted=apply_component_fault(base, ComponentFault.from_name("Open", None)))
 
 
 # ------------------------------------------------------------------- csv
@@ -313,7 +313,7 @@ def test_waveform_csv_round_trip(tmp_path):
     w = Waveform(np.sin(np.arange(64) * 0.3), 2.5e-9, "demo")
     path = tmp_path / "w.csv"
     waveform_to_csv(w, path)
-    back = waveform_from_csv(path, "demo")
+    back = waveform_from_csv(path)
     assert np.allclose(back.samples, w.samples, rtol=1e-11, atol=1e-14)
     assert back.sample_period == pytest.approx(w.sample_period, rel=1e-11)
     header = path.read_text().splitlines()[0]
@@ -517,7 +517,7 @@ def _mangled_csv(draw):
 
 def _read_outcome(read, path):
     try:
-        w = read(path, "x")
+        w = read(path)
     except InputError as exc:
         return "InputError", str(exc)
     return w.samples.tobytes(), w.sample_period.hex(), w.name
