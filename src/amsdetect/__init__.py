@@ -14,9 +14,9 @@ from .waveforms import (OpampModel, SweepSpec, VrefConfig, Waveform,
                         build_kstage, default_vref_component_model,
                         simulate_opamp, simulate_vref, waveform_from_csv,
                         waveform_to_csv)
-from .inject import (TEMP_RANGE, ComponentFault, FaultKind, InjectionRecord,
-                     PointPeriodic, PointRandom, apply_component_fault,
-                     inject_point_periodic, inject_point_random, record_to_csv)
+from .inject import (FAULT_NAMES, TEMP_RANGE, InjectionRecord, PointPeriodic,
+                     PointRandom, apply_component_fault, inject_point_periodic,
+                     inject_point_random, record_to_csv)
 from .features import (FEATURE_NAMES, Dataset, NormalizationParams,
                        dataset_from_csv, dataset_to_csv, labels_array,
                        normalize_dataset, windowed_features)

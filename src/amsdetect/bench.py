@@ -42,16 +42,16 @@ from itertools import accumulate
 
 import numpy as np
 
-from .centroid import refine_model
+from .centroid import _SIGMA_SCOPES, refine_model
 from .cluster import (ClusterModel, as_matrix, assign_many, fit_birch, fit_gmm,
                       fit_kmeans, fit_spectral)
 from .cluster.gmm import _fit_gmm_lanes
 from .earlydetect import latency_report, scan_windows
 from .errors import AmsDetectError, ConfigurationError, FitError, _read_text
 from .features import FEATURE_NAMES, Dataset, NormalizationParams, _windowed_rows
-from .inject import (TEMP_RANGE, ComponentFault, PointPeriodic, PointRandom,
+from .inject import (FAULT_NAMES, TEMP_RANGE, PointPeriodic, PointRandom,
                      apply_component_fault)
-from .waveforms import (OpampModel, SweepSpec, VrefConfig, Waveform,
+from .waveforms import (_ANALYSES, OpampModel, SweepSpec, VrefConfig, Waveform,
                         _check_finite, _input_rows, _lowpass_steps,
                         _output_drive, _simulate_columns, _walk_chain,
                         build_kstage, default_vref_component_model,
@@ -104,7 +104,7 @@ BLOCK_EXPERIMENTS: dict[str, tuple[tuple[str, str], ...]] = {
     "IPTRA": (("InputA", "random"), ("PllB", "random"), ("TrigC", "random")),
 }
 
-# Component-fault experiments -> fault name understood by ComponentFault.
+# Component-fault experiments -> their fault's name in FAULT_NAMES.
 FAULT_EXPERIMENTS: dict[str, str] = {
     "OmBoth": "OmBoth",
     "OmPfet": "OmPfet",
@@ -259,7 +259,7 @@ class ExperimentConfig:
                                      "distinct names", config_key="observed_signals")
         if self.window_k is not None and self.window_k < 1:
             raise ConfigurationError("window_k must be >= 1", config_key="window_k")
-        if self.sigma_scope not in ("global", "cluster"):
+        if self.sigma_scope not in _SIGMA_SCOPES:
             raise ConfigurationError("sigma_scope must be 'global' or 'cluster'",
                                      config_key="sigma_scope")
         if not 0.0 < self.spectral_sigma < np.inf:
@@ -289,7 +289,7 @@ class ExperimentConfig:
             raise ConfigurationError("n_samples must be >= 2", config_key="n_samples")
         if self.duration <= 0:
             raise ConfigurationError("duration must be > 0", config_key="duration")
-        if self.analysis not in ("transient", "dc_input_sweep", "dc_temp_sweep"):
+        if self.analysis not in _ANALYSES:
             raise ConfigurationError(f"unknown analysis {self.analysis!r}",
                                      config_key="analysis")
         if (self.experiment == "ParFault" and self.analysis == "dc_temp_sweep"):
@@ -312,7 +312,7 @@ class ExperimentConfig:
             if any(not 0 <= s < self.kstage_k for s in self.anomalous_stages):
                 raise ConfigurationError("anomalous_stages out of range",
                                          config_key="anomalous_stages")
-        if self.kstage_fault not in FAULT_EXPERIMENTS.values():
+        if self.kstage_fault not in FAULT_NAMES:
             raise ConfigurationError(f"unknown kstage_fault {self.kstage_fault!r}",
                                      config_key="kstage_fault")
         # the (2n, k, signals, features) raw features
@@ -376,8 +376,8 @@ def _legs(config: ExperimentConfig, label: int) -> tuple:
 
 
 def _fault_args(config: ExperimentConfig) -> tuple[str, float | None]:
-    """``ComponentFault.from_name``'s arguments for an anomalous instance of
-    a fault or k-stage config."""
+    """``apply_component_fault``'s (name, temperature) for an anomalous
+    instance of a fault or k-stage config."""
     name = (config.kstage_fault if config.circuit == "kstage"
             else FAULT_EXPERIMENTS[config.experiment])
     return name, config.fault_temperature if name == "Parametric" else None
@@ -475,24 +475,24 @@ class _Population:
 
 
 def _instance_chain(config: ExperimentConfig, rng: np.random.Generator,
-                    fault: ComponentFault | None) -> list[OpampModel]:
+                    fault: tuple[str, float | None] | None) -> list[OpampModel]:
     """One instance's per-stage opamp models; draws its jitter from ``rng``.
 
-    An anomalous instance (``fault`` given) of a k-stage chain also draws
-    its faulted stage, unless ``anomalous_stages`` fixes it.
+    An anomalous instance (``fault`` is ``_fault_args(config)``) of a k-stage
+    chain also draws its faulted stage, unless ``anomalous_stages`` fixes it.
     """
     if config.circuit != "kstage":
         base = (default_vref_component_model() if config.circuit == "vref_components"
                 else OpampModel())
         model = _jittered(base, rng, config)
-        return [model if fault is None else apply_component_fault(model, fault)]
+        return [model if fault is None else apply_component_fault(model, *fault)]
     base = _jittered(_KSTAGE_BASE, rng, config)
     gains = config.kstage_gains or (2.0,) * config.kstage_k
     if fault is None:
         return build_kstage(base, gains)
     stages = (config.anomalous_stages if config.anomalous_stages is not None
               else (int(rng.integers(config.kstage_k)),))
-    return build_kstage(base, gains, stages, apply_component_fault(base, fault))
+    return build_kstage(base, gains, stages, apply_component_fault(base, *fault))
 
 
 def _sweep(spec) -> SweepSpec:
@@ -674,7 +674,7 @@ class _Walk:
         stimulus = []   # built at the first step, after the first chains, as alone
 
         def load(pop, first, count, col):
-            fault = ComponentFault.from_name(*_fault_args(pop.config)) if pop.label else None
+            fault = _fault_args(pop.config) if pop.label else None
             for j, i in enumerate(range(first, first + count), col):
                 rng = np.random.default_rng(_child_seed(pop.config.seed, pop.label, i, 0))
                 chains[j] = _instance_chain(pop.config, rng, fault)

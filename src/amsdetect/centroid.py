@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 _STEPS = (1, 2, 3, 4)
+_SIGMA_SCOPES = ("global", "cluster")
 
 
 @dataclass
@@ -84,7 +85,7 @@ def select_centroids(feature, mu_k, sigma_k,
     :raises DegenerateDataError: both cluster means strictly on one side of
         the global mean
     """
-    if sigma_scope not in ("global", "cluster"):
+    if sigma_scope not in _SIGMA_SCOPES:
         raise ConfigurationError("sigma_scope must be 'global' or 'cluster'",
                                  config_key="sigma_scope")
     x, mk, sk = _validate_inputs(feature, mu_k, sigma_k)

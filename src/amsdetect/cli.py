@@ -19,20 +19,21 @@ import sys
 
 import numpy as np
 
-from .bench import (ExperimentConfig, _check_sizes, _sweep, evaluate,
-                    fit_model, load_config, load_suite, report_table,
+from .bench import (ALGORITHMS, ExperimentConfig, _check_sizes, _sweep,
+                    evaluate, fit_model, load_config, load_suite, report_table,
                     report_to_csv, run_suite, suite_table, suite_to_csv)
-from .centroid import refine_model
+from .centroid import _SIGMA_SCOPES, refine_model
 from .cluster import as_matrix, assign_many, load_model, save_model
 from .earlydetect import detections_to_csv, latency_report, scan_windows
 from .errors import AmsDetectError, InputError, _read_text
 from .features import (FEATURE_NAMES, Dataset, NormalizationParams,
                        dataset_from_csv, dataset_to_csv, windowed_features)
-from .inject import (ComponentFault, apply_component_fault,
+from .inject import (FAULT_NAMES, apply_component_fault,
                      inject_point_periodic, inject_point_random,
                      record_to_csv)
-from .waveforms import (OpampModel, VrefConfig, simulate_opamp, simulate_vref,
-                        sine_stimulus, waveform_from_csv, waveform_to_csv)
+from .waveforms import (_ANALYSES, OpampModel, VrefConfig, simulate_opamp,
+                        simulate_vref, sine_stimulus, waveform_from_csv,
+                        waveform_to_csv)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,8 +69,7 @@ def _cmd_simulate(args) -> int:
     # single op-amp style component
     model = OpampModel()
     if args.fault:
-        model = apply_component_fault(
-            model, ComponentFault.from_name(args.fault, args.fault_temp))
+        model = apply_component_fault(model, args.fault, args.fault_temp)
     if args.analysis == "transient":
         stim = sine_stimulus(args.n_samples, args.duration, args.stim_dc,
                              args.stim_amplitude, args.stim_frequency)
@@ -308,12 +308,9 @@ def _simulate_parser(sub) -> None:
     p.add_argument("--noise-std", type=float, default=0.0,
                    help="additive input noise, volts RMS (default 0)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--analysis", default="transient",
-                   choices=["transient", "dc_input_sweep", "dc_temp_sweep"],
+    p.add_argument("--analysis", default="transient", choices=_ANALYSES,
                    help="op-amp analysis mode (ignored for vref_blocks)")
-    p.add_argument("--fault", default=None,
-                   choices=[None, "OmBoth", "OmPfet", "OmNfet", "Parametric",
-                            "Open", "Short"],
+    p.add_argument("--fault", default=None, choices=FAULT_NAMES,
                    help="apply a component fault before simulating")
     p.add_argument("--fault-temp", type=float, default=150.0,
                    help="evaluation temperature for Parametric, deg C")
@@ -366,8 +363,7 @@ def _featurize_parser(sub) -> None:
 def _fit_parser(sub) -> None:
     p = sub.add_parser("fit", help="fit a 2-cluster model to a dataset")
     p.add_argument("--in", dest="infile", required=True, help="dataset CSV")
-    p.add_argument("--algorithm", default="gmm",
-                   choices=["kmeans", "gmm", "birch", "spectral"])
+    p.add_argument("--algorithm", default="gmm", choices=ALGORITHMS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-normalize", action="store_true",
                    help="skip min-max normalization before fitting")
@@ -386,8 +382,7 @@ def _select_centroids_parser(sub) -> None:
     p.add_argument("--model", required=True, help="model JSON")
     p.add_argument("--in", dest="infile", required=True,
                    help="dataset CSV the model was fit on")
-    p.add_argument("--sigma-scope", default="global",
-                   choices=["global", "cluster"],
+    p.add_argument("--sigma-scope", default="global", choices=_SIGMA_SCOPES,
                    help="spread used for the selection interval bounds")
     p.add_argument("--out", required=True, help="refined model JSON path")
     p.set_defaults(func=_cmd_select_centroids)
@@ -412,8 +407,7 @@ def _experiment_parser(sub) -> None:
     p.add_argument("--config", default=None, help="experiment config JSON")
     p.add_argument("--experiment", default=None,
                    help="experiment name (overrides config)")
-    p.add_argument("--algorithm", default=None,
-                   choices=["kmeans", "gmm", "birch", "spectral"])
+    p.add_argument("--algorithm", default=None, choices=ALGORITHMS)
     p.add_argument("--windows", type=int, default=None,
                    help="window count (0 disables windowing)")
     p.add_argument("--centroid-select", action="store_true")

@@ -6,7 +6,8 @@ Two families are supported:
   positions (amplitude expressed as a multiple of the clean signal's maximum
   absolute value, sign-preserving) or periodically at every sample whose value
   reaches a threshold fraction of the clean positive peak;
-* component faults expressed as transformations of a behavioral opamp model
+* component faults, each a name in ``FAULT_NAMES`` that
+  ``apply_component_fault`` turns into a transformed behavioral opamp model
   (output-stage degradation, parametric temperature excursion, open/short).
 
 ``PointRandom`` and ``PointPeriodic`` stamp a row in place; the reference
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 
 import numpy as np
 
@@ -32,8 +32,7 @@ __all__ = [
     "PointRandom",
     "PointPeriodic",
     "InjectionRecord",
-    "FaultKind",
-    "ComponentFault",
+    "FAULT_NAMES",
     "inject_point_random",
     "inject_point_periodic",
     "apply_component_fault",
@@ -193,90 +192,51 @@ def inject_point_periodic(w: Waveform, threshold_frac: float,
     return w.copy_with(out), InjectionRecord(positions, w.samples[positions], out[positions])
 
 
-class FaultKind(Enum):
-    OM_BOTH = "OmBoth"
-    OM_PFET = "OmPfet"
-    OM_NFET = "OmNfet"
-    PARAMETRIC = "Parametric"
-    OPEN = "Open"
-    SHORT = "Short"
-
+FAULT_NAMES = ("OmBoth", "OmPfet", "OmNfet", "Parametric", "Open", "Short")
 
 TEMP_RANGE = (-40.0, 125.0)  # qualified operating range, degrees Celsius
 
 
-@dataclass(frozen=True)
-class ComponentFault:
-    """A component-level fault; Parametric carries its excursion temperature."""
+def apply_component_fault(model: OpampModel, name: str,
+                          temperature: float | None) -> OpampModel:
+    """Return ``model`` transformed by the component fault ``name``.
 
-    kind: FaultKind
-    temperature: float | None = None
-
-    def __post_init__(self):
-        if self.kind is FaultKind.PARAMETRIC:
-            if self.temperature is None:
-                raise ConfigurationError("Parametric fault needs a temperature",
-                                         config_key="fault_temperature")
-            if not math.isfinite(self.temperature):
-                raise ConfigurationError(
-                    f"Parametric temperature must be finite, got {self.temperature!r}",
-                    config_key="fault_temperature")
-            if TEMP_RANGE[0] <= self.temperature <= TEMP_RANGE[1]:
-                raise ConfigurationError(
-                    f"Parametric temperature {self.temperature} C is inside the "
-                    f"qualified range [{TEMP_RANGE[0]}, {TEMP_RANGE[1]}] C",
-                    config_key="fault_temperature")
-        elif self.temperature is not None:
-            raise ConfigurationError(f"{self.kind.value} fault takes no temperature",
-                                     config_key="fault_temperature")
-
-    @property
-    def key(self) -> str:
-        if self.kind is FaultKind.PARAMETRIC:
-            return f"{self.kind.value}@{self.temperature!r}"
-        return self.kind.value
-
-    @classmethod
-    def from_name(cls, name: str, temperature: float | None) -> "ComponentFault":
-        """The fault named ``name``; only Parametric keeps ``temperature``."""
-        try:
-            kind = FaultKind(name)
-        except ValueError:
-            raise ConfigurationError(f"unknown fault {name!r}", config_key="experiment")
-        if kind is FaultKind.PARAMETRIC:
-            return cls(kind, temperature)
-        return cls(kind)
-
-
-def apply_component_fault(model: OpampModel, fault: ComponentFault) -> OpampModel:
-    """Return the fault-transformed model; re-applying the same fault is a no-op.
-
-    Output-stage degradations scale the open-loop gain and shift the input
-    offset by a fraction of the rail span; Parametric moves the evaluation
-    temperature outside the qualified range; Open re-wires the transient
-    response into a slow collapse onto the high rail; Short collapses the gain.
+    Output-stage degradations (OmPfet, OmNfet, OmBoth) scale the open-loop
+    gain and shift the input offset by a fraction of the rail span;
+    Parametric evaluates the model at ``temperature``, which must be finite
+    and outside ``TEMP_RANGE`` (every other fault ignores it); Open re-wires
+    the transient response into a slow collapse onto the high rail; Short
+    collapses the gain.
     """
-    if model.applied_fault == fault.key:
-        return model
     span = model.rail_span
-    if fault.kind is FaultKind.OM_PFET:
-        out = replace(model, open_loop_gain=model.open_loop_gain * 0.4,
-                      offset=model.offset + 0.05 * span)
-    elif fault.kind is FaultKind.OM_NFET:
-        out = replace(model, open_loop_gain=model.open_loop_gain * 0.6,
-                      offset=model.offset - 0.05 * span)
-    elif fault.kind is FaultKind.OM_BOTH:
-        out = replace(model, open_loop_gain=model.open_loop_gain * 0.4 * 0.6,
-                      offset=model.offset + 0.05 * span - 0.05 * span)
-    elif fault.kind is FaultKind.PARAMETRIC:
-        out = replace(model, eval_temp=fault.temperature)
-    elif fault.kind is FaultKind.OPEN:
-        out = replace(model, open_collapse=True)
-    elif fault.kind is FaultKind.SHORT:
-        out = replace(model, open_loop_gain=model.open_loop_gain * 0.25)
-    else:  # pragma: no cover - enum is closed
-        raise ConfigurationError(f"unknown fault kind {fault.kind}")
-    return replace(out, applied_fault=fault.key)
+    if name == "OmPfet":
+        return replace(model, open_loop_gain=model.open_loop_gain * 0.4,
+                       offset=model.offset + 0.05 * span)
+    if name == "OmNfet":
+        return replace(model, open_loop_gain=model.open_loop_gain * 0.6,
+                       offset=model.offset - 0.05 * span)
+    if name == "OmBoth":
+        return replace(model, open_loop_gain=model.open_loop_gain * 0.4 * 0.6,
+                       offset=model.offset + 0.05 * span - 0.05 * span)
+    if name == "Parametric":
+        if temperature is None:
+            raise ConfigurationError("Parametric fault needs a temperature",
+                                     config_key="fault_temperature")
+        if not math.isfinite(temperature):
+            raise ConfigurationError(
+                f"Parametric temperature must be finite, got {temperature!r}",
+                config_key="fault_temperature")
+        if TEMP_RANGE[0] <= temperature <= TEMP_RANGE[1]:
+            raise ConfigurationError(
+                f"Parametric temperature {temperature} C is inside the "
+                f"qualified range [{TEMP_RANGE[0]}, {TEMP_RANGE[1]}] C",
+                config_key="fault_temperature")
+        return replace(model, eval_temp=temperature)
+    if name == "Open":
+        return replace(model, open_collapse=True)
+    if name == "Short":
+        return replace(model, open_loop_gain=model.open_loop_gain * 0.25)
+    raise ConfigurationError(f"unknown fault {name!r}", config_key="experiment")
 
 
 def record_to_csv(record: InjectionRecord, path) -> None:

@@ -64,6 +64,8 @@ __all__ = [
     "waveform_from_csv",
 ]
 
+_ANALYSES = ("transient", "dc_input_sweep", "dc_temp_sweep")   # simulate_opamp's modes
+
 
 def _check_finite(samples: np.ndarray) -> None:
     # min and max propagate NaN and expose +-inf without a mask of the
@@ -164,14 +166,15 @@ class VrefConfig:
 
 def _nominal_carrier(n_samples: int, sample_period: float, config: VrefConfig) -> np.ndarray:
     """Peak-calibrated clean input sinusoid shared by the source and the PLL."""
-    t = np.arange(n_samples) * sample_period
-    raw = np.sin(2.0 * math.pi * config.input_frequency * t)
-    peak = float(np.max(np.abs(raw)))
-    if peak <= 0.0:
-        raise ConfigurationError(
-            "input_frequency aliases to an all-zero sample grid",
-            config_key="input_frequency")
-    return config.input_amplitude * raw / peak
+    with _float_errors():
+        t = np.arange(n_samples) * sample_period
+        raw = np.sin(2.0 * math.pi * config.input_frequency * t)
+        peak = float(np.max(np.abs(raw)))
+        if peak <= 0.0:
+            raise ConfigurationError(
+                "input_frequency aliases to an all-zero sample grid",
+                config_key="input_frequency")
+        return config.input_amplitude * raw / peak
 
 
 def _input_rows(config: VrefConfig, n_samples: int, sample_period: float,
@@ -218,8 +221,9 @@ def _trig_rows(intensity: np.ndarray, config: VrefConfig) -> np.ndarray:
 def _output_drive(trig: np.ndarray, config: VrefConfig,
                   out: np.ndarray | None = None) -> np.ndarray:
     """The output stage's drive, level + gain * trig, for each trig sample."""
-    out = np.multiply(trig, config.output_gain, out=out)
-    return np.add(out, config.output_level, out=out)
+    with _float_errors():
+        out = np.multiply(trig, config.output_gain, out=out)
+        return np.add(out, config.output_level, out=out)
 
 
 def _one(p) -> float:
@@ -228,8 +232,8 @@ def _one(p) -> float:
 
 
 def _float_errors():
-    """Overflow and NaN stay silent in the row loops, as in Python float
-    arithmetic; the finite check on the result reports them."""
+    """Overflow and NaN stay silent, as in Python float arithmetic; the
+    finite check on the result reports them."""
     return np.errstate(over="ignore", invalid="ignore")
 
 
@@ -321,11 +325,13 @@ def _walk_chain(cfg: VrefConfig, inp: np.ndarray, sample_period: float,
 
     _check_finite(inp)
     stamp(inp, "InputA")
-    f_trace, intensity = _pll_rows(inp, sample_period, cfg)
+    with _float_errors():
+        f_trace, intensity = _pll_rows(inp, sample_period, cfg)
     _check_finite(f_trace)
     _check_finite(intensity)
     stamp(intensity, "PllB")
-    trig = _trig_rows(intensity, cfg)
+    with _float_errors():
+        trig = _trig_rows(intensity, cfg)
     _check_finite(trig)
     stamp(trig, "TrigC")
     return {"input": inp, "pll_frequency": f_trace, "pll_intensity": intensity,
@@ -373,11 +379,10 @@ class OpampModel:
                                   + temp_coeff * (T - nominal_temp), rails).
 
     ``eval_temp`` is the temperature the model is evaluated at (defaults to
-    nominal), ``open_collapse`` switches the transient response to a slow
-    first-order collapse onto the high rail, and ``applied_fault`` tags a
-    model already transformed by a component fault so repeated application
-    is a no-op.  All three exist so faults are expressible as transformed
-    models rather than simulator flags.
+    nominal) and ``open_collapse`` switches the transient response to a
+    slow first-order collapse onto the high rail.  Both exist so faults are
+    expressible as transformed models (``inject.apply_component_fault``)
+    rather than simulator flags.
     """
 
     open_loop_gain: float = 20.0
@@ -389,7 +394,6 @@ class OpampModel:
     nominal_temp: float = 25.0
     eval_temp: float | None = None
     open_collapse: bool = False
-    applied_fault: str | None = None
 
     def __post_init__(self):
         if self.open_loop_gain <= 0:
@@ -434,7 +438,8 @@ class SweepSpec:
 
     @property
     def values(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.n_points)
+        with _float_errors():
+            return np.linspace(self.start, self.stop, self.n_points)
 
 
 _COLUMN_FIELDS = ("open_loop_gain", "offset", "temp_coeff", "nominal_temp",
@@ -456,10 +461,11 @@ def _static_transfer(cols: SimpleNamespace, buf: np.ndarray, temp) -> None:
     (buf - offset) * gain: IEEE multiplication commutes, so each element
     has the bits of one model's gain * (vin - offset).
     """
-    np.subtract(buf, cols.offset, out=buf)
-    np.multiply(buf, cols.open_loop_gain, out=buf)
-    np.add(buf, cols.temp_coeff * (temp - cols.nominal_temp), out=buf)
-    np.clip(buf, cols.rail_low, cols.rail_high, out=buf)
+    with _float_errors():
+        np.subtract(buf, cols.offset, out=buf)
+        np.multiply(buf, cols.open_loop_gain, out=buf)
+        np.add(buf, cols.temp_coeff * (temp - cols.nominal_temp), out=buf)
+        np.clip(buf, cols.rail_low, cols.rail_high, out=buf)
 
 
 _COLLAPSE_ALPHA = 1.0 / 10.0   # an open output drifts with tau = 10 sample periods
@@ -528,9 +534,10 @@ def sine_stimulus(n_samples: int, duration: float, dc: float, amplitude: float,
     if n_samples < 1:
         raise ConfigurationError("n_samples must be >= 1", config_key="n_samples")
     dt = duration / n_samples
-    t = np.arange(n_samples) * dt
-    return Waveform(dc + amplitude * np.sin(2.0 * np.pi * frequency * t),
-                    dt, "stimulus")
+    with _float_errors():
+        t = np.arange(n_samples) * dt
+        samples = dc + amplitude * np.sin(2.0 * np.pi * frequency * t)
+    return Waveform(samples, dt, "stimulus")
 
 
 def simulate_opamp(model: OpampModel, mode: str,
@@ -547,7 +554,7 @@ def simulate_opamp(model: OpampModel, mode: str,
         if not isinstance(stimulus, Waveform):
             raise InputError("transient analysis needs a Waveform stimulus")
         dt = stimulus.sample_period
-    elif mode in ("dc_input_sweep", "dc_temp_sweep"):
+    elif mode in _ANALYSES:
         if not isinstance(stimulus, SweepSpec):
             raise InputError(f"{mode} needs a SweepSpec stimulus")
         dt = 1.0

@@ -32,8 +32,7 @@ from amsdetect.bench import BLOCK_EXPERIMENTS, FAULT_EXPERIMENTS, _child_seed
 from amsdetect.cluster import canonical_labels
 from amsdetect.errors import FitError, InputError
 from amsdetect.features import windowed_features
-from amsdetect.inject import (ComponentFault, PointPeriodic, PointRandom,
-                              apply_component_fault)
+from amsdetect.inject import PointPeriodic, PointRandom, apply_component_fault
 from amsdetect.waveforms import (OpampModel, SweepSpec, VrefConfig, Waveform,
                                  _input_rows, _pll_rows, _trig_rows,
                                  default_vref_component_model, simulate_opamp,
@@ -546,13 +545,14 @@ def output_stage_reference(trig, dt, config):
 def kstage_reference(base, gains, stimulus, anomalous_stages=(), fault=None):
     """Transient output of a k-stage amplifier: each stage feeds the next.
 
-    Stage i runs ``base``, with ``fault`` applied when i is anomalous, and
+    Stage i runs ``base``, with ``fault`` (a (name, temperature) pair)
+    applied when i is anomalous, and
     closes its loop at gain G = gains[i]: out of open-loop gain A it
     delivers G*A/(A+G).
     """
     samples = stimulus.samples
     for i, g in enumerate(gains):
-        opamp = apply_component_fault(base, fault) if i in anomalous_stages else base
+        opamp = apply_component_fault(base, *fault) if i in anomalous_stages else base
         a = opamp.open_loop_gain
         samples = opamp_transient_reference(
             replace(opamp, open_loop_gain=g * a / (a + g)), samples,
@@ -668,7 +668,7 @@ def component_signals_reference(config, label, idx):
     if label == 1:
         name = FAULT_EXPERIMENTS[config.experiment]
         temp = config.fault_temperature if name == "Parametric" else None
-        model = apply_component_fault(model, ComponentFault.from_name(name, temp))
+        model = apply_component_fault(model, name, temp)
     if config.analysis == "transient":
         return _noisy(simulate_opamp(model, "transient", _stimulus(config)), rng, config)
     if config.analysis == "dc_input_sweep":
@@ -692,7 +692,7 @@ def kstage_signals_reference(config, label, idx):
         stages = (config.anomalous_stages if config.anomalous_stages is not None
                   else (int(rng.integers(config.kstage_k)),))
         temp = config.fault_temperature if config.kstage_fault == "Parametric" else None
-        fault = ComponentFault.from_name(config.kstage_fault, temp)
+        fault = (config.kstage_fault, temp)
     else:
         stages, fault = (), None
     stim = _stimulus(config)

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from amsdetect import (ALL_EXPERIMENTS, BLOCK_EXPERIMENTS, AmsDetectError,
                        ConfigurationError,
-                       ExperimentConfig, FAULT_EXPERIMENTS, InputError,
+                       ExperimentConfig, FAULT_EXPERIMENTS, FAULT_NAMES,
+                       InputError,
                        SUITE_CSV_HEADER, WindowError, default_observed_signals,
                        evaluate,
                        generate_dataset, generate_features, load_config,
@@ -33,6 +34,7 @@ def test_experiment_registry_is_complete():
                                           ("PllB", "periodic"),
                                           ("TrigC", "periodic"))
     assert FAULT_EXPERIMENTS["ParFault"] == "Parametric"
+    assert set(FAULT_EXPERIMENTS.values()) <= set(FAULT_NAMES)
     assert "KStage" in ALL_EXPERIMENTS
 
 
@@ -396,7 +398,7 @@ def _batch_case(data, experiment):
     else:
         k = data.draw(st.integers(1, 3))
         kw.update(kstage_k=k,
-                  kstage_fault=data.draw(st.sampled_from(sorted(FAULT_EXPERIMENTS.values()))),
+                  kstage_fault=data.draw(st.sampled_from(sorted(FAULT_NAMES))),
                   anomalous_stages=data.draw(st.none() | st.lists(
                       st.integers(0, k - 1), min_size=1, max_size=k, unique=True)),
                   stim_amplitude=data.draw(st.floats(0.01, 0.2)))
@@ -429,6 +431,17 @@ def test_non_finite_simulation_raises_the_waveform_error(kw):
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(InputError, match="^waveform samples must be finite$"):
         features_reference(cfg)
+
+
+@pytest.mark.parametrize("kw", [
+    dict(experiment="IA", noise_std=1e305),
+    dict(experiment="TA", vref_params={"output_gain": 1e308, "output_level": 1e308})])
+def test_overflow_in_the_chain_is_the_waveform_error(kw):
+    """A PLL trace or an output-stage drive that overflows ends in the
+    finite check, not in a numpy RuntimeWarning (an error under this
+    suite's warning filter)."""
+    with pytest.raises(InputError, match="^waveform samples must be finite$"):
+        generate_features(_fast_config(**kw))
 
 
 def test_suite_records_a_non_finite_simulation_against_its_entry():
@@ -550,8 +563,9 @@ def test_suite_simulates_each_population_once(monkeypatch):
     among them; each time recursion runs ceil(columns / cap) lanes per
     group, cap being 2 x the group's largest n per class."""
     walked, lowpass, simulated = [], [], []
-    walk_chain, lowpass_steps, simulate_columns = (
-        bench._walk_chain, bench._lowpass_steps, bench._simulate_columns)
+    walk_chain, lowpass_steps, simulate_columns, apply_fault = (
+        bench._walk_chain, bench._lowpass_steps, bench._simulate_columns,
+        bench.apply_component_fault)
 
     def walk_spy(cfg, inp, dt, legs, seeds):
         walked.extend([tuple((block, type(kind)) for block, kind in legs)] * len(inp))
@@ -561,13 +575,19 @@ def test_suite_simulates_each_population_once(monkeypatch):
         lowpass.append(buf.shape[1])
         return lowpass_steps(buf, alpha, start)
 
+    def fault_spy(model, name, temperature):
+        faulted = apply_fault(model, name, temperature)
+        faulted.fault_tag = name
+        return faulted
+
     def simulate_spy(chains, mode, stimulus):
-        simulated.append([chain[0].applied_fault for chain in chains])
+        simulated.append([getattr(chain[0], "fault_tag", None) for chain in chains])
         return simulate_columns(chains, mode, stimulus)
 
     monkeypatch.setattr(bench, "_walk_chain", walk_spy)
     monkeypatch.setattr(bench, "_lowpass_steps", lowpass_spy)
     monkeypatch.setattr(bench, "_simulate_columns", simulate_spy)
+    monkeypatch.setattr(bench, "apply_component_fault", fault_spy)
     configs = [_fast_config(experiment=e, n_samples_per_class=30 if e == "IPTPA" else 40)
                for e in ("IA", "PA", "PPA", "TA", "IPTPA", "OmBoth", "Open", "Short")]
     result = run_suite(configs)

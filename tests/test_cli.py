@@ -23,6 +23,7 @@ from amsdetect.cluster import as_matrix, assign_many, load_model
 from amsdetect.earlydetect import detections_to_csv, scan_windows
 from amsdetect.features import (Dataset, dataset_from_csv, dataset_to_csv,
                                 windowed_features)
+from amsdetect.inject import FAULT_NAMES
 from amsdetect.waveforms import waveform_from_csv
 
 UTF8 = codecs.lookup(locale.getpreferredencoding(False)).name == "utf-8"
@@ -287,9 +288,10 @@ def test_full_pipeline(tmp_path, capsys):
         assert (consumed, speedup) == ("5", "1.0")
 
 
-def test_simulate_opamp_fault_sweep(tmp_path):
+@pytest.mark.parametrize("fault", FAULT_NAMES)
+def test_simulate_opamp_fault_sweep(tmp_path, fault):
     out = tmp_path / "sweep"
-    rc = main(["simulate", "--circuit", "opamp", "--fault", "Short",
+    rc = main(["simulate", "--circuit", "opamp", "--fault", fault,
                "--analysis", "dc_input_sweep", "--sweep-points", "50",
                "--out", str(out)])
     assert rc == 0
@@ -489,6 +491,23 @@ def test_size_numpy_cannot_hold_exits_two(tmp_path, key):
     assert proc.stderr.startswith("amsdetect: error: ")
     assert proc.stderr.endswith(f"(config key: {key})\n")
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--circuit", "opamp", "--stim-amplitude", "1e308"], 0),
+    (["--circuit", "opamp", "--stim-frequency", "inf"], 2),
+    (["--circuit", "opamp", "--analysis", "dc_input_sweep",
+      "--sweep-start=-1e308", "--sweep-stop=1e308"], 2),
+    (["--noise-std", "1e305"], 2),
+    (["--duration", "inf"], 2)])
+def test_simulate_overflow_prints_no_numpy_warning(tmp_path, argv, code):
+    """Overflow inside a simulation is silent: the output clips it (exit 0)
+    or the finite check reports it in one error line (exit 2)."""
+    proc = _main_in_3_gib("simulate", *argv, "--out", str(tmp_path / "sim"))
+    assert proc.returncode == code, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    if code:
+        assert proc.stderr == "amsdetect: error: waveform samples must be finite\n"
 
 
 @pytest.mark.parametrize("key, argv", [

@@ -323,7 +323,8 @@ def _waveform_csv(draw) -> str:
     An edit swaps the header, cuts the file to one sample or none, drops or
     adds a cell, moves one time, puts any cell (a token, an extreme, nan,
     inf) in place of a number, or adds a blank line; lines may end in
-    ``\\r\\n``.
+    ``\\r\\n``.  A time moves only where it parses, and a cell is replaced
+    only in a row that has both.
     """
     n = draw(st.integers(2, 40))
     t0 = draw(st.sampled_from([0.0, 1e-6]) | st.floats(-1.0, 1.0))
@@ -341,11 +342,11 @@ def _waveform_csv(draw) -> str:
         elif lines and edit == "cells":
             row = draw(st.sampled_from(lines))
             row[:] = row[:1] if draw(st.booleans()) else [*row, draw(CELL)]
-        elif lines and edit == "time":
-            row = draw(st.sampled_from(lines))
+        elif edit == "time" and (timed := [r for r in lines if _parses(float, r[0])]):
+            row = draw(st.sampled_from(timed))
             row[0] = repr(float(row[0]) + draw(st.floats(-1e3, 1e3)))
-        elif lines and edit == "cell":
-            draw(st.sampled_from(lines))[draw(st.integers(0, 1))] = draw(CELL)
+        elif edit == "cell" and (full := [r for r in lines if len(r) > 1]):
+            draw(st.sampled_from(full))[draw(st.integers(0, 1))] = draw(CELL)
         elif edit == "blank":
             lines.insert(draw(st.integers(0, len(lines))), [""])
     end = draw(st.sampled_from(["\n", "\r\n"]))

@@ -31,7 +31,9 @@ data has the benchmark's fit-sweep shape: windowed IPPA on the input,
 pll_intensity and trig taps, normalized, with seeded class-balanced subsets
 of whole instances at 200 and 800 rows (2,000 would spend seconds in
 ``eigh``).  Spectral's model also assigns all 2,000 rows, which takes each
-one's nearest training row at a nonzero distance.
+one's nearest training row at a nonzero distance.  ``eigh``'s last bits
+depend on how many threads OpenBLAS runs, so these fits run in a child
+process pinned to one thread, the count CI sets.
 
 Regenerate only when outputs change on purpose:
 
@@ -39,13 +41,18 @@ Regenerate only when outputs change on purpose:
 """
 
 import hashlib
+import json
+import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 
 import pytest
 
 import numpy as np
 
+import amsdetect
 from amsdetect import (ExperimentConfig, as_matrix, assign_many,
                        dataset_to_csv, evaluate, fit_birch, fit_spectral,
                        generate_dataset, generate_features, labels_array,
@@ -218,6 +225,22 @@ def _cluster_fit_digests(tmp_dir: pathlib.Path) -> dict[str, str]:
     return out
 
 
+def _one_thread_cluster_fit_digests() -> dict[str, str]:
+    """``_cluster_fit_digests`` in a child process with one BLAS thread."""
+    code = ("import json, pathlib, sys, tempfile\n"
+            "from test_golden import _cluster_fit_digests\n"
+            "with tempfile.TemporaryDirectory() as tmp:\n"
+            "    json.dump(_cluster_fit_digests(pathlib.Path(tmp)), sys.stdout)\n")
+    path = os.pathsep.join([str(pathlib.Path(amsdetect.__file__).parents[1]),
+                            str(pathlib.Path(__file__).parent)])
+    env = {**os.environ, "PYTHONPATH": path, "OMP_NUM_THREADS": "1",
+           "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=600, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 def test_itpa_golden_observes_the_output_stage():
     assert "output" in _config("ITPA").observed_signals
 
@@ -248,8 +271,8 @@ def test_cli_files_match_golden_digests(tmp_path):
     assert _cli_digests(tmp_path) == _read_golden(CLI_GOLDEN)
 
 
-def test_cluster_fits_match_golden_digests(tmp_path):
-    assert _cluster_fit_digests(tmp_path) == _read_golden(FIT_GOLDEN)
+def test_cluster_fits_match_golden_digests():
+    assert _one_thread_cluster_fit_digests() == _read_golden(FIT_GOLDEN)
 
 
 def _write(path: pathlib.Path, digests: dict[str, str]) -> None:
@@ -266,5 +289,4 @@ if __name__ == "__main__":
                               **_full_suite_digests(tmp)})
         (tmp / "cli").mkdir()
         _write(CLI_GOLDEN, _cli_digests(tmp / "cli"))
-        (tmp / "fits").mkdir()
-        _write(FIT_GOLDEN, _cluster_fit_digests(tmp / "fits"))
+        _write(FIT_GOLDEN, _one_thread_cluster_fit_digests())

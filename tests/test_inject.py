@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amsdetect import (ComponentFault, ConfigurationError, ExperimentConfig,
-                       FaultKind, InjectionError, OpampModel, PointPeriodic,
-                       PointRandom, VrefConfig, Waveform, apply_component_fault,
+from amsdetect import (ConfigurationError, ExperimentConfig, InjectionError,
+                       OpampModel, PointPeriodic, PointRandom, VrefConfig,
+                       Waveform, apply_component_fault,
                        generate_features, inject_point_periodic,
                        inject_point_random, record_to_csv, simulate_vref)
 from amsdetect import inject, waveforms
@@ -212,47 +212,40 @@ def test_record_csv_format(tmp_path):
 def test_fault_transforms_match_table():
     m = OpampModel(open_loop_gain=20.0, rail_low=-2.5, rail_high=2.5, offset=0.02)
     span = m.rail_span
-    pfet = apply_component_fault(m, ComponentFault(FaultKind.OM_PFET))
+    pfet = apply_component_fault(m, "OmPfet", None)
     assert pfet.open_loop_gain == pytest.approx(8.0)
     assert pfet.offset == pytest.approx(0.02 + 0.05 * span)
-    nfet = apply_component_fault(m, ComponentFault(FaultKind.OM_NFET))
+    nfet = apply_component_fault(m, "OmNfet", None)
     assert nfet.open_loop_gain == pytest.approx(12.0)
     assert nfet.offset == pytest.approx(0.02 - 0.05 * span)
-    both = apply_component_fault(m, ComponentFault(FaultKind.OM_BOTH))
+    both = apply_component_fault(m, "OmBoth", None)
     assert both.open_loop_gain == pytest.approx(20.0 * 0.24)
     assert both.offset == pytest.approx(0.02)      # offsets cancel
-    short = apply_component_fault(m, ComponentFault(FaultKind.SHORT))
+    short = apply_component_fault(m, "Short", None)
     assert short.open_loop_gain == pytest.approx(5.0)
-    opened = apply_component_fault(m, ComponentFault(FaultKind.OPEN))
+    opened = apply_component_fault(m, "Open", None)
     assert opened.open_collapse
-    par = apply_component_fault(m, ComponentFault(FaultKind.PARAMETRIC, 150.0))
+    par = apply_component_fault(m, "Parametric", 150.0)
     assert par.eval_temp == 150.0
     assert par.temperature == 150.0
 
 
-def test_fault_application_is_idempotent():
-    m = OpampModel()
-    fault = ComponentFault(FaultKind.OM_BOTH)
-    once = apply_component_fault(m, fault)
-    twice = apply_component_fault(once, fault)
-    assert twice == once
-    assert once.applied_fault == "OmBoth"
-
-
 def test_parametric_fault_requires_out_of_range_temp():
+    m = OpampModel()
     with pytest.raises(ConfigurationError):
-        ComponentFault(FaultKind.PARAMETRIC, 25.0)
+        apply_component_fault(m, "Parametric", 25.0)
     with pytest.raises(ConfigurationError):
-        ComponentFault(FaultKind.PARAMETRIC, None)
-    ComponentFault(FaultKind.PARAMETRIC, -55.0)     # below range is fine
-    with pytest.raises(ConfigurationError):
-        ComponentFault(FaultKind.SHORT, 150.0)      # non-parametric: no temp
+        apply_component_fault(m, "Parametric", None)
+    apply_component_fault(m, "Parametric", -55.0)     # below range is fine
+    # non-parametric: the temperature is ignored
+    assert (apply_component_fault(m, "OmBoth", 150.0)
+            == apply_component_fault(m, "OmBoth", None))
 
 
 @pytest.mark.parametrize("temp", [np.inf, -np.inf, np.nan])
 def test_parametric_fault_refuses_non_finite_temp(tmp_path, temp):
     with pytest.raises(ConfigurationError, match="must be finite") as exc:
-        ComponentFault(FaultKind.PARAMETRIC, temp)
+        apply_component_fault(OpampModel(), "Parametric", temp)
     assert exc.value.config_key == "fault_temperature"
     out = tmp_path / "sim"
     assert main(["simulate", "--circuit", "opamp", "--n-samples", "50",
@@ -262,12 +255,13 @@ def test_parametric_fault_refuses_non_finite_temp(tmp_path, temp):
 
 
 def test_fault_from_name():
-    f = ComponentFault.from_name("Parametric", 150.0)
-    assert f.temperature == 150.0
-    assert ComponentFault.from_name("Open", None).kind is FaultKind.OPEN
-    assert ComponentFault.from_name("Open", 150.0).temperature is None
+    m = OpampModel()
+    assert apply_component_fault(m, "Parametric", 150.0).eval_temp == 150.0
+    assert apply_component_fault(m, "Open", None).open_collapse
+    assert apply_component_fault(m, "Open", 150.0).eval_temp is None
     with pytest.raises(ConfigurationError) as exc:
-        ComponentFault.from_name("Parametric", None)
+        apply_component_fault(m, "Parametric", None)
     assert exc.value.config_key == "fault_temperature"
-    with pytest.raises(ConfigurationError):
-        ComponentFault.from_name("Rust", None)
+    with pytest.raises(ConfigurationError, match="unknown fault 'Rust'") as exc:
+        apply_component_fault(m, "Rust", None)
+    assert exc.value.config_key == "experiment"

@@ -282,21 +282,19 @@ def test_kstage_gain_compounds():
 
 
 def test_kstage_fault_applies_to_chosen_stage():
-    from amsdetect import ComponentFault, apply_component_fault
+    from amsdetect import apply_component_fault
     base = OpampModel(open_loop_gain=30.0)
-    fault = ComponentFault.from_name("Short", None)
     stages = build_kstage(base, [2.0, 2.0, 2.0], anomalous_stages=(1,),
-                          faulted=apply_component_fault(base, fault))
-    assert [s.applied_fault for s in stages] == [None, "Short", None]
+                          faulted=apply_component_fault(base, "Short", None))
     assert stages[1].open_loop_gain == pytest.approx(2.0 * 7.5 / 9.5)
     assert stages[0] == stages[2] != stages[1]
     stim = Waveform(np.linspace(-0.2, 0.2, 80), 1e-8)
     assert _kstage_column(stages, stim).tobytes() == kstage_reference(
-        base, [2.0] * 3, stim, (1,), fault).tobytes()
+        base, [2.0] * 3, stim, (1,), ("Short", None)).tobytes()
 
 
 def test_build_kstage_validation():
-    from amsdetect import ComponentFault, apply_component_fault
+    from amsdetect import apply_component_fault
     base = OpampModel()
     with pytest.raises(ConfigurationError):
         build_kstage(base, [])
@@ -304,7 +302,7 @@ def test_build_kstage_validation():
         build_kstage(base, [2.0, 0.5])
     with pytest.raises(ConfigurationError):
         build_kstage(base, [2.0, 2.0], anomalous_stages=(2,),
-                     faulted=apply_component_fault(base, ComponentFault.from_name("Open", None)))
+                     faulted=apply_component_fault(base, "Open", None))
 
 
 # ------------------------------------------------------------------- csv
