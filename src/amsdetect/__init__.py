@@ -15,8 +15,8 @@ from .waveforms import (OpampModel, SweepSpec, VrefConfig, Waveform,
                         simulate_opamp, simulate_vref, waveform_from_csv,
                         waveform_to_csv)
 from .inject import (FAULT_NAMES, TEMP_RANGE, InjectionRecord, PointPeriodic,
-                     PointRandom, apply_component_fault, inject_point_periodic,
-                     inject_point_random, record_to_csv)
+                     PointRandom, apply_component_fault, inject_points,
+                     record_to_csv)
 from .features import (FEATURE_NAMES, Dataset, NormalizationParams,
                        dataset_from_csv, dataset_to_csv, labels_array,
                        normalize_dataset, windowed_features)

@@ -390,9 +390,17 @@ def _jittered(base: OpampModel, rng: np.random.Generator,
     return replace(base, open_loop_gain=gain, offset=offset)
 
 
-def _stimulus(config: ExperimentConfig) -> Waveform:
-    return sine_stimulus(config.n_samples, config.duration, config.stim_dc,
-                         config.stim_amplitude, config.stim_frequency)
+def _stimulus(spec) -> Waveform | SweepSpec:
+    """The opamp stimulus of an ExperimentConfig or of ``simulate``'s
+    arguments: the sine of a transient analysis, else the DC sweep, whose
+    unset end defaults to 0-0.2 V (input sweep) or TEMP_RANGE (temperature)."""
+    if _analysis(spec) == "transient":
+        return sine_stimulus(spec.n_samples, spec.duration, spec.stim_dc,
+                             spec.stim_amplitude, spec.stim_frequency)
+    lo, hi = (0.0, 0.2) if spec.analysis == "dc_input_sweep" else TEMP_RANGE
+    return SweepSpec(lo if spec.sweep_start is None else spec.sweep_start,
+                     hi if spec.sweep_stop is None else spec.sweep_stop,
+                     spec.sweep_points, spec.sweep_bias)
 
 
 _KSTAGE_BASE = OpampModel(open_loop_gain=30.0, rail_low=-2.5, rail_high=2.5,
@@ -493,15 +501,6 @@ def _instance_chain(config: ExperimentConfig, rng: np.random.Generator,
     stages = (config.anomalous_stages if config.anomalous_stages is not None
               else (int(rng.integers(config.kstage_k)),))
     return build_kstage(base, gains, stages, apply_component_fault(base, *fault))
-
-
-def _sweep(spec) -> SweepSpec:
-    """The DC sweep of an ExperimentConfig or of ``simulate``'s arguments; an
-    unset end defaults to 0-0.2 V (input sweep) or TEMP_RANGE (temperature)."""
-    lo, hi = (0.0, 0.2) if spec.analysis == "dc_input_sweep" else TEMP_RANGE
-    return SweepSpec(lo if spec.sweep_start is None else spec.sweep_start,
-                     hi if spec.sweep_stop is None else spec.sweep_stop,
-                     spec.sweep_points, spec.sweep_bias)
 
 
 class _Walk:
@@ -682,7 +681,7 @@ class _Walk:
 
         def step(ready, cols):
             if not stimulus:
-                stimulus.append(_stimulus(cfg) if mode == "transient" else _sweep(cfg))
+                stimulus.append(_stimulus(cfg))
             self._featurize_output(_simulate_columns(chains[:cols], mode, stimulus[0]),
                                    ready, streams[:cols])
 
@@ -889,21 +888,18 @@ def _score(prep: _Prepared, fits: list) -> EvaluationReport:
             mat = prep.matrix((signals, names))
             if config.centroid_select:
                 model = refine_model(model, mat, config.sigma_scope)
-            assignments = assign_many(model, mat)
+            # an instance is anomalous iff one of its windows is (a
+            # whole-signal entry has one window)
+            per_inst = assign_many(model, mat).reshape(n_inst, n_win)
+            acc, bad, conf = _best_mapping(labels, (per_inst == 1).any(axis=1),
+                                           (per_inst == 0).any(axis=1))
+            detect = {}
             if config.window_k:
-                per_inst = assignments.reshape(n_inst, n_win)
-                acc, bad, conf = _best_mapping(labels, (per_inst == 1).any(axis=1),
-                                               (per_inst == 0).any(axis=1))
                 rep = latency_report(scan_windows(
                     per_inst[n:], prep.samples_per_window, prep.sample_period, bad))
-                rows_out.append(ResultRow(sig_name, feat_name, 100.0 * acc,
-                                          *conf,
-                                          detect_rate=rep["detect_rate"],
-                                          mean_speedup=rep["mean_speedup"],
-                                          mean_latency_s=rep["mean_latency_s"]))
-            else:
-                acc, bad, conf = permutation_accuracy(labels, assignments)
-                rows_out.append(ResultRow(sig_name, feat_name, 100.0 * acc, *conf))
+                detect = {k: rep[k] for k in ("detect_rate", "mean_speedup",
+                                              "mean_latency_s")}
+            rows_out.append(ResultRow(sig_name, feat_name, 100.0 * acc, *conf, **detect))
         except AmsDetectError as exc:
             rows_out.append(ResultRow(sig_name, feat_name, float("nan"),
                                       error=str(exc)))

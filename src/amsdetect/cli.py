@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .bench import (ALGORITHMS, ExperimentConfig, _check_sizes, _sweep,
+from .bench import (ALGORITHMS, ExperimentConfig, _check_sizes, _stimulus,
                     evaluate, fit_model, load_config, load_suite, report_table,
                     report_to_csv, run_suite, suite_table, suite_to_csv)
 from .centroid import _SIGMA_SCOPES, refine_model
@@ -28,12 +28,10 @@ from .earlydetect import detections_to_csv, latency_report, scan_windows
 from .errors import AmsDetectError, InputError, _read_text
 from .features import (FEATURE_NAMES, Dataset, NormalizationParams,
                        dataset_from_csv, dataset_to_csv, windowed_features)
-from .inject import (FAULT_NAMES, apply_component_fault,
-                     inject_point_periodic, inject_point_random,
-                     record_to_csv)
+from .inject import (FAULT_NAMES, PointPeriodic, PointRandom,
+                     apply_component_fault, inject_points, record_to_csv)
 from .waveforms import (_ANALYSES, OpampModel, VrefConfig, simulate_opamp,
-                        simulate_vref, sine_stimulus, waveform_from_csv,
-                        waveform_to_csv)
+                        simulate_vref, waveform_from_csv, waveform_to_csv)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,12 +68,7 @@ def _cmd_simulate(args) -> int:
     model = OpampModel()
     if args.fault:
         model = apply_component_fault(model, args.fault, args.fault_temp)
-    if args.analysis == "transient":
-        stim = sine_stimulus(args.n_samples, args.duration, args.stim_dc,
-                             args.stim_amplitude, args.stim_frequency)
-        wave = simulate_opamp(model, "transient", stim)
-    else:
-        wave = simulate_opamp(model, args.analysis, _sweep(args))
+    wave = simulate_opamp(model, args.analysis, _stimulus(args))
     out = _outdir(args.out)
     path = os.path.join(out, "output.csv")
     waveform_to_csv(wave, path)
@@ -87,12 +80,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_inject(args) -> int:
     wave = waveform_from_csv(args.infile)
-    if args.mode == "random":
-        injected, record = inject_point_random(
-            wave, args.rate_pct, args.amp_low, args.amp_high, args.seed)
-    else:
-        injected, record = inject_point_periodic(
-            wave, args.threshold_frac, args.delta_frac)
+    kind = (PointRandom(args.rate_pct, args.amp_low, args.amp_high)
+            if args.mode == "random" else
+            PointPeriodic(args.threshold_frac, args.delta_frac))
+    injected, record = inject_points(wave, kind, args.seed)
     out = _outdir(args.out)
     wpath = os.path.join(out, "injected.csv")
     rpath = os.path.join(out, "record.csv")

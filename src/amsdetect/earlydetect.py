@@ -30,7 +30,6 @@ class DetectionResult:
     """Outcome of scanning one signal window-by-window."""
 
     sample_id: str
-    per_window_assignment: list[int]      # assignments of the consumed windows
     first_anomalous_window: int | None    # 0-based, None if clean
     windows_total: int                    # k
     windows_consumed: int                 # m
@@ -54,7 +53,7 @@ def scan_windows(assignments, samples_per_window: int, sample_period: float,
     :param anomalous_cluster: cluster id treated as anomalous
     :param stop_early: stop consuming a signal's windows at its first hit
     :param sample_ids: one id per signal; empty ids when omitted
-    :returns: one result per signal, every field a Python number or list
+    :returns: one result per signal, every field a Python number
     """
     asg = np.asarray(assignments)
     if asg.ndim != 2 or asg.shape[1] == 0 or asg.dtype.kind not in "iu":
@@ -73,11 +72,10 @@ def scan_windows(assignments, samples_per_window: int, sample_period: float,
     hits = asg == anomalous_cluster
     firsts = np.where(hits.any(axis=1), hits.argmax(axis=1), -1).tolist()
     results = []
-    for sample_id, row, first in zip(sample_ids, asg.tolist(), firsts):
+    for sample_id, first in zip(sample_ids, firsts):
         m = first + 1 if stop_early and first >= 0 else k
         results.append(DetectionResult(
             sample_id=sample_id,
-            per_window_assignment=row[:m],
             first_anomalous_window=first if first >= 0 else None,
             windows_total=k,
             windows_consumed=m,

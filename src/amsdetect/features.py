@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InputError, WindowError, _read_text
-from .waveforms import Waveform
+from .waveforms import Waveform, _float_errors
 
 __all__ = [
     "FEATURE_NAMES",
@@ -167,9 +167,10 @@ class NormalizationParams:
         v = np.asarray(values, dtype=np.float64)
         if v.ndim == 0 or v.shape[-1] != self.mins.size:
             raise InputError(f"expected {self.mins.size} dims, got shape {v.shape}")
-        span = self.maxs - self.mins
-        const = span == 0.0
-        out = (v - self.mins) / np.where(const, 1.0, span)
+        with _float_errors():   # a non-finite result is as_matrix's to report
+            span = self.maxs - self.mins
+            const = span == 0.0
+            out = (v - self.mins) / np.where(const, 1.0, span)
         out[..., const] = 0.5
         return out
 

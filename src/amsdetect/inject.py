@@ -10,10 +10,12 @@ Two families are supported:
   ``apply_component_fault`` turns into a transformed behavioral opamp model
   (output-stage degradation, parametric temperature excursion, open/short).
 
-``PointRandom`` and ``PointPeriodic`` stamp a row in place; the reference
-chain's walk (``waveforms._walk_chain``) stamps each block's legs on its
-output before the next block runs, so every anomaly propagates through the
-blocks downstream of it.
+An injection kind, ``PointRandom`` or ``PointPeriodic``, validates its
+parameters once and stamps a row in place.  ``inject_points`` applies a kind
+to a copy of one waveform and records what it changed; the reference chain's
+walk (``waveforms._walk_chain``) stamps each block's legs on its output
+before the next block runs, so every anomaly propagates through the blocks
+downstream of it.
 """
 
 from __future__ import annotations
@@ -33,8 +35,7 @@ __all__ = [
     "PointPeriodic",
     "InjectionRecord",
     "FAULT_NAMES",
-    "inject_point_random",
-    "inject_point_periodic",
+    "inject_points",
     "apply_component_fault",
     "record_to_csv",
 ]
@@ -43,6 +44,10 @@ __all__ = [
 @dataclass(frozen=True)
 class PointRandom:
     """Randomly placed point anomalies.
+
+    The number of anomalies is round-half-up(rate_pct/100 * N) with a floor
+    of one; positions are drawn uniformly without replacement; each stamped
+    value is sign(signal[i]) * u * max(|signal|) with u ~ U[amp_low, amp_high].
 
     :param rate_pct: percentage of samples to perturb, 0 < rate < 100
     :param amp_low: lower amplitude multiple of max(|signal|)
@@ -63,16 +68,31 @@ class PointRandom:
 
     def stamp(self, row: np.ndarray, seed: int | None) -> np.ndarray:
         """Stamp these anomalies on the finite ``row`` in place; returns the positions."""
-        return _stamp_random(row, self.rate_pct, self.amp_low, self.amp_high, seed)
+        n = len(row)
+        count = _count_half_up(self.rate_pct, n)
+        if count >= n:
+            raise InjectionError(f"rate {self.rate_pct}% asks for {count} anomalies "
+                                 f"in a {n}-sample signal")
+        peak = float(np.max(np.abs(row)))
+        if peak <= 0.0:
+            raise InjectionError("cannot scale anomalies on an all-zero signal")
+        rng = np.random.default_rng(seed)
+        positions = np.sort(rng.choice(n, size=count, replace=False))
+        mult = rng.uniform(self.amp_low, self.amp_high, count)
+        with np.errstate(over="ignore"):
+            values = np.where(row[positions] < 0.0, -1.0, 1.0) * mult * peak
+        return _stamp(row, positions, values)
 
 
 @dataclass(frozen=True)
 class PointPeriodic:
-    """Deterministic anomalies at every sample above a peak-relative threshold.
+    """Deterministic anomalies: every sample at or above threshold_frac *
+    max(signal) is raised by delta_frac * max(signal).
 
     :param threshold_frac: fraction of max(signal) that triggers injection,
         in (0, 1]
-    :param delta_frac: added value as a fraction of max(signal), finite and > 0
+    :param delta_frac: added value as a fraction of max(signal), finite and
+        >= 0; 0 is an identity pass that still records the would-be positions
     """
 
     threshold_frac: float = 0.9
@@ -82,14 +102,22 @@ class PointPeriodic:
         if not 0.0 < self.threshold_frac <= 1.0:
             raise ConfigurationError("threshold_frac must be in (0, 1]",
                                      config_key="threshold_frac")
-        if not 0.0 < self.delta_frac < math.inf:   # NaN fails too
-            raise ConfigurationError("delta_frac must be finite and > 0",
+        if not 0.0 <= self.delta_frac < math.inf:   # NaN fails too
+            raise ConfigurationError("delta_frac must be finite and >= 0",
                                      config_key="delta_frac")
 
     def stamp(self, row: np.ndarray, seed: int | None) -> np.ndarray:
         """Stamp these anomalies on the finite ``row`` in place; returns the
         positions.  No RNG is drawn, so ``seed`` is ignored."""
-        return _stamp_periodic(row, self.threshold_frac, self.delta_frac)
+        peak = float(np.max(row))
+        if peak <= 0.0:
+            raise InjectionError("periodic injection needs a positive signal peak")
+        positions = np.flatnonzero(row >= self.threshold_frac * peak)
+        if positions.size == 0:
+            raise InjectionError("no sample reaches the injection threshold")
+        with np.errstate(over="ignore"):
+            values = row[positions] + self.delta_frac * peak
+        return _stamp(row, positions, values)
 
 
 @dataclass
@@ -123,73 +151,16 @@ def _stamp(row: np.ndarray, positions: np.ndarray, values: np.ndarray) -> np.nda
     return positions
 
 
-def _stamp_random(row: np.ndarray, rate_pct: float, amp_low: float,
-                  amp_high: float, seed: int | None) -> np.ndarray:
-    """``inject_point_random``'s anomalies, stamped on the finite ``row`` in place.
+def inject_points(w: Waveform, kind: PointRandom | PointPeriodic,
+                  seed: int | None) -> tuple[Waveform, InjectionRecord]:
+    """Stamp ``kind``'s anomalies into a copy of ``w``, drawing from ``seed``.
 
-    :returns: the stamped positions
-    """
-    n = len(row)
-    count = _count_half_up(rate_pct, n)
-    if count >= n:
-        raise InjectionError(f"rate {rate_pct}% asks for {count} anomalies "
-                             f"in a {n}-sample signal")
-    peak = float(np.max(np.abs(row)))
-    if peak <= 0.0:
-        raise InjectionError("cannot scale anomalies on an all-zero signal")
-    rng = np.random.default_rng(seed)
-    positions = np.sort(rng.choice(n, size=count, replace=False))
-    mult = rng.uniform(amp_low, amp_high, count)
-    with np.errstate(over="ignore"):
-        values = np.where(row[positions] < 0.0, -1.0, 1.0) * mult * peak
-    return _stamp(row, positions, values)
-
-
-def _stamp_periodic(row: np.ndarray, threshold_frac: float,
-                    delta_frac: float) -> np.ndarray:
-    """``inject_point_periodic``'s anomalies, stamped on the finite ``row`` in place.
-
-    :returns: the stamped positions
-    """
-    peak = float(np.max(row))
-    if peak <= 0.0:
-        raise InjectionError("periodic injection needs a positive signal peak")
-    positions = np.flatnonzero(row >= threshold_frac * peak)
-    if positions.size == 0:
-        raise InjectionError("no sample reaches the injection threshold")
-    with np.errstate(over="ignore"):
-        values = row[positions] + delta_frac * peak
-    return _stamp(row, positions, values)
-
-
-def inject_point_random(w: Waveform, rate_pct: float, amp_low: float,
-                        amp_high: float, seed: int | None = 0
-                        ) -> tuple[Waveform, InjectionRecord]:
-    """Stamp seeded random point anomalies into a copy of ``w``.
-
-    The number of anomalies is round-half-up(rate_pct/100 * N) with a floor of
-    one; positions are drawn uniformly without replacement; each injected value
-    is sign(w[i]) * u * max(|w|) with u ~ U[amp_low, amp_high].
+    :returns: (the injected waveform, the record of what it changed)
     """
     out = w.samples.copy()
-    positions = PointRandom(rate_pct, amp_low, amp_high).stamp(out, seed)
-    return w.copy_with(out), InjectionRecord(positions, w.samples[positions], out[positions])
-
-
-def inject_point_periodic(w: Waveform, threshold_frac: float,
-                          delta_frac: float) -> tuple[Waveform, InjectionRecord]:
-    """Raise every sample at or above threshold_frac * max(w) by delta_frac * max(w).
-
-    Deterministic: no RNG is consumed.  ``delta_frac`` = 0 is allowed here (an
-    identity pass that still records the would-be positions).
-    """
-    if not 0.0 < threshold_frac <= 1.0:
-        raise InjectionError("threshold_frac must be in (0, 1]")
-    if not 0.0 <= delta_frac < math.inf:
-        raise InjectionError("delta_frac must be finite and >= 0")
-    out = w.samples.copy()
-    positions = _stamp_periodic(out, threshold_frac, delta_frac)
-    return w.copy_with(out), InjectionRecord(positions, w.samples[positions], out[positions])
+    positions = kind.stamp(out, seed)
+    return (Waveform(out, w.sample_period),
+            InjectionRecord(positions, w.samples[positions], out[positions]))
 
 
 FAULT_NAMES = ("OmBoth", "OmPfet", "OmNfet", "Parametric", "Open", "Short")

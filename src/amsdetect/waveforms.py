@@ -82,12 +82,10 @@ class Waveform:
     :param samples: sample values; stored as a float64 numpy array
     :param sample_period: spacing between samples, seconds (a unit "step" for
         DC sweeps, which have no time axis)
-    :param name: optional signal name used in reports and CSV file stems
     """
 
     samples: np.ndarray
     sample_period: float
-    name: str = ""
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -103,19 +101,6 @@ class Waveform:
 
     def __len__(self) -> int:
         return int(self.samples.size)
-
-    @property
-    def times(self) -> np.ndarray:
-        """Sample instants t_i = i * sample_period."""
-        return np.arange(self.samples.size) * self.sample_period
-
-    @property
-    def duration(self) -> float:
-        return self.samples.size * self.sample_period
-
-    def copy_with(self, samples: np.ndarray) -> "Waveform":
-        """A waveform of new samples with this one's period and name."""
-        return Waveform(np.array(samples, dtype=np.float64), self.sample_period, self.name)
 
 
 @dataclass(frozen=True)
@@ -347,7 +332,7 @@ def vref_output_block(trig: Waveform, config: VrefConfig) -> Waveform:
     dt = trig.sample_period
     buf = _output_drive(trig.samples, config)[:, None]
     _lowpass_steps(buf, dt / config.output_tau)
-    return Waveform(buf[:, 0], dt, "output")
+    return Waveform(buf[:, 0], dt)
 
 
 def simulate_vref(config: VrefConfig, n_samples: int = 1500,
@@ -365,7 +350,7 @@ def simulate_vref(config: VrefConfig, n_samples: int = 1500,
     if duration <= 0:
         raise ConfigurationError("duration must be > 0", config_key="duration")
     dt = duration / n_samples
-    signals = {name: Waveform(x[0], dt, name) for name, x in _walk_chain(
+    signals = {name: Waveform(x[0], dt) for name, x in _walk_chain(
         config, _input_rows(config, n_samples, dt, [seed]), dt, (), [()]).items()}
     signals["output"] = vref_output_block(signals["trig"], config)
     return signals
@@ -531,13 +516,13 @@ def sine_stimulus(n_samples: int, duration: float, dc: float, amplitude: float,
 
     The sample period is duration / n_samples.
     """
-    if n_samples < 1:
-        raise ConfigurationError("n_samples must be >= 1", config_key="n_samples")
+    if n_samples < 2:
+        raise ConfigurationError("n_samples must be >= 2", config_key="n_samples")
     dt = duration / n_samples
     with _float_errors():
         t = np.arange(n_samples) * dt
         samples = dc + amplitude * np.sin(2.0 * np.pi * frequency * t)
-    return Waveform(samples, dt, "stimulus")
+    return Waveform(samples, dt)
 
 
 def simulate_opamp(model: OpampModel, mode: str,
@@ -562,7 +547,7 @@ def simulate_opamp(model: OpampModel, mode: str,
         raise ConfigurationError(f"unknown analysis mode {mode!r}",
                                  config_key="analysis")
     out = _simulate_columns([[model]], mode, stimulus)[:, 0]
-    return Waveform(out, dt, "output" if mode == "transient" else mode)
+    return Waveform(out, dt)
 
 
 def build_kstage(base: OpampModel, gains, anomalous_stages=(),

@@ -640,8 +640,9 @@ def _stimulus(config):
 
 
 def _noisy(out, rng, config):
-    return {"output": out.copy_with(
-        out.samples + rng.normal(0.0, config.measurement_noise, len(out)))}
+    return {"output": Waveform(
+        out.samples + rng.normal(0.0, config.measurement_noise, len(out)),
+        out.sample_period)}
 
 
 def block_signals_reference(config, label, idx):
@@ -697,7 +698,7 @@ def kstage_signals_reference(config, label, idx):
         stages, fault = (), None
     stim = _stimulus(config)
     out = kstage_reference(base, gains, stim, stages, fault)
-    return _noisy(stim.copy_with(out), rng, config)
+    return _noisy(Waveform(out, stim.sample_period), rng, config)
 
 
 def features_reference(config):

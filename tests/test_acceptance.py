@@ -10,10 +10,10 @@ import time
 import numpy as np
 import pytest
 
-from amsdetect import (ExperimentConfig, VrefConfig, assign_many,
-                       detect_windowed, evaluate, fit_birch, fit_gmm,
-                       fit_kmeans, fit_spectral, generate_dataset,
-                       inject_point_random, permutation_accuracy,
+from amsdetect import (ExperimentConfig, PointRandom, VrefConfig,
+                       assign_many, detect_windowed, evaluate, fit_birch,
+                       fit_gmm, fit_kmeans, fit_spectral, generate_dataset,
+                       inject_points, permutation_accuracy,
                        refine_model, run_suite, select_centroids,
                        simulate_vref, suite_to_csv)
 from amsdetect.cluster import canonical_labels, lloyd
@@ -172,7 +172,7 @@ def test_c6_early_detection_latency_arithmetic(verdict):
 
 def test_c7_random_injection_contract(verdict):
     sig = simulate_vref(VrefConfig(), n_samples=1500, seed=2)["input"]
-    injected, record = inject_point_random(sig, 0.5, 2.0, 5.0, seed=11)
+    injected, record = inject_points(sig, PointRandom(0.5, 2.0, 5.0), 11)
     peak = np.abs(sig.samples).max()
     pos = np.asarray(record.positions)
     mask = np.zeros(len(sig), dtype=bool)

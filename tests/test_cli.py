@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import amsdetect
+from amsdetect.bench import ExperimentConfig, evaluate
 from amsdetect.centroid import refine_model
 from amsdetect.cli import _parse, build_parser, main
 from amsdetect.cluster import as_matrix, assign_many, load_model
@@ -63,10 +64,11 @@ def test_bad_parameter_exits_two(tmp_path, capsys):
                    amp, "--out", str(tmp_path / "x")])
         assert rc == 2
         assert "finite 0 < amp_low <= amp_high" in capsys.readouterr().err
-    rc = main(["simulate", "--circuit", "opamp", "--n-samples", "0",
-               "--out", str(tmp_path / "y")])
-    assert rc == 2
-    assert "n_samples" in capsys.readouterr().err
+    for n in ("0", "1"):
+        rc = main(["simulate", "--circuit", "opamp", "--n-samples", n,
+                   "--out", str(tmp_path / "y")])
+        assert rc == 2
+        assert "n_samples" in capsys.readouterr().err
     data = tmp_path / "data.csv"
     data.write_text("sample_id,label,window_index,mean\n" + "".join(
         f"s{i},{i // 5},0,{0.1 * i + 0.05 * (i // 5)}\n" for i in range(10)))
@@ -508,6 +510,36 @@ def test_simulate_overflow_prints_no_numpy_warning(tmp_path, argv, code):
     assert "RuntimeWarning" not in proc.stderr
     if code:
         assert proc.stderr == "amsdetect: error: waveform samples must be finite\n"
+
+
+# measurement noise this large overflows the output's variance to inf
+_OVERFLOWING_VARIANCE = {"experiment": "OmBoth", "circuit": "opamp",
+                         "n_samples_per_class": 10, "n_samples": 200,
+                         "measurement_noise": 1e200}
+
+
+def test_normalizing_an_infinite_feature_prints_no_numpy_warning(tmp_path):
+    """An infinite feature normalizes to NaN silently, which the matrix
+    check then reports: the experiment fails that combination (exit 0) and
+    ``fit`` refuses the dataset (exit 2)."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_OVERFLOWING_VARIANCE))
+    data = tmp_path / "data.csv"
+    data.write_text("sample_id,label,window_index,mean\n" + "".join(
+        f"s{i},{i // 5},0,{'inf' if i == 3 else 0.1 * i}\n" for i in range(10)))
+    for argv, code in [(["experiment", "--config", str(config)], 0),
+                       (["fit", "--in", str(data), "--out", str(tmp_path / "m.json")], 2)]:
+        proc = _main_in_3_gib(*argv)
+        assert proc.returncode == code, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+
+
+def test_an_infinite_feature_fails_its_combination():
+    """Under this suite's ``error::RuntimeWarning`` filter, too."""
+    report = evaluate(ExperimentConfig.from_dict(_OVERFLOWING_VARIANCE))
+    errors = {r.feature: r.error for r in report.rows}
+    assert errors["variance"] == "dataset contains non-finite values"
+    assert errors["mean"] is None
 
 
 @pytest.mark.parametrize("key, argv", [

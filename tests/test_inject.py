@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from amsdetect import (ConfigurationError, ExperimentConfig, InjectionError,
                        OpampModel, PointPeriodic, PointRandom, VrefConfig,
                        Waveform, apply_component_fault,
-                       generate_features, inject_point_periodic,
-                       inject_point_random, record_to_csv, simulate_vref)
+                       generate_features, inject_points, record_to_csv,
+                       run_suite, simulate_vref, waveform_from_csv)
 from amsdetect import inject, waveforms
 from amsdetect.cli import main
 from amsdetect.inject import _count_half_up
@@ -31,7 +31,7 @@ def test_count_rounds_half_up():
 
 def test_random_injection_contract():
     w = _sine()
-    out, rec = inject_point_random(w, 0.5, 2.0, 5.0, seed=0)
+    out, rec = inject_points(w, PointRandom(0.5, 2.0, 5.0), 0)
     assert len(rec.positions) == 8
     assert np.all(np.diff(rec.positions) > 0)
     peak = np.max(np.abs(w.samples))
@@ -52,11 +52,11 @@ def test_random_injection_contract():
 
 def test_random_injection_seeded_and_distinct():
     w = _sine()
-    a1, r1 = inject_point_random(w, 0.5, 2.0, 5.0, seed=9)
-    a2, r2 = inject_point_random(w, 0.5, 2.0, 5.0, seed=9)
+    a1, r1 = inject_points(w, PointRandom(0.5, 2.0, 5.0), 9)
+    a2, r2 = inject_points(w, PointRandom(0.5, 2.0, 5.0), 9)
     assert np.array_equal(a1.samples, a2.samples)
     assert np.array_equal(r1.positions, r2.positions)
-    seen = {tuple(inject_point_random(w, 0.5, 2.0, 5.0, seed=s)[1].positions)
+    seen = {tuple(inject_points(w, PointRandom(0.5, 2.0, 5.0), s)[1].positions)
             for s in range(100)}
     assert len(seen) >= 95
 
@@ -64,18 +64,18 @@ def test_random_injection_seeded_and_distinct():
 def test_random_injection_errors():
     w = _sine(n=50)
     with pytest.raises(ConfigurationError):
-        inject_point_random(w, 0.0, 2.0, 5.0)
+        inject_points(w, PointRandom(0.0, 2.0, 5.0), 0)
     with pytest.raises(ConfigurationError):
-        inject_point_random(w, 0.5, 5.0, 2.0)
+        inject_points(w, PointRandom(0.5, 5.0, 2.0), 0)
     nan, inf = float("nan"), float("inf")
     for low, high in ((nan, 5.0), (2.0, nan), (2.0, inf), (inf, inf), (-inf, 5.0)):
         with pytest.raises(ConfigurationError, match="finite 0 < amp_low"):
             PointRandom(0.5, low, high)
     with pytest.raises(InjectionError):
-        inject_point_random(w, 99.9, 2.0, 5.0)      # count == n
+        inject_points(w, PointRandom(99.9, 2.0, 5.0), 0)      # count == n
     flat = Waveform(np.zeros(100), 1e-8)
     with pytest.raises(InjectionError):
-        inject_point_random(flat, 0.5, 2.0, 5.0)
+        inject_points(flat, PointRandom(0.5, 2.0, 5.0), 0)
 
 
 # a positive peak for both kinds; a rate of at most 30% leaves a clean sample
@@ -88,7 +88,7 @@ _signals = st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=200).filter(
        span=st.floats(0.0, 5.0), seed=st.integers(0, 2**32 - 1))
 def test_random_injection_matches_reference(x, rate, low, span, seed):
     w = Waveform(np.array(x), 1e-8)
-    out, rec = inject_point_random(w, rate, low, low + span, seed)
+    out, rec = inject_points(w, PointRandom(rate, low, low + span), seed)
     want, positions = point_random_reference(x, rate, low, low + span, seed)
     assert out.samples.tobytes() == want.tobytes()
     assert rec.positions.tolist() == positions
@@ -101,7 +101,7 @@ def test_random_injection_matches_reference(x, rate, low, span, seed):
        delta=st.floats(0.0, 5.0))
 def test_periodic_injection_matches_reference(x, threshold, delta):
     w = Waveform(np.array(x), 1e-8)
-    out, rec = inject_point_periodic(w, threshold, delta)
+    out, rec = inject_points(w, PointPeriodic(threshold, delta), None)
     want, positions = point_periodic_reference(x, threshold, delta)
     assert out.samples.tobytes() == want.tobytes()
     assert rec.positions.tolist() == positions
@@ -111,32 +111,49 @@ def test_periodic_injection_matches_reference(x, threshold, delta):
 
 def test_periodic_injection_hits_threshold_samples():
     w = _sine()
-    out, rec = inject_point_periodic(w, 0.9, 1.0)
+    out, rec = inject_points(w, PointPeriodic(0.9, 1.0), None)
     peak = np.max(w.samples)
     expected = np.flatnonzero(w.samples >= 0.9 * peak)
     assert np.array_equal(rec.positions, expected)
     assert np.allclose(out.samples[rec.positions],
                        w.samples[rec.positions] + peak)
     # no RNG: two calls agree exactly
-    out2, _ = inject_point_periodic(w, 0.9, 1.0)
+    out2, _ = inject_points(w, PointPeriodic(0.9, 1.0), None)
     assert np.array_equal(out.samples, out2.samples)
 
 
 def test_periodic_injection_errors():
     with pytest.raises(InjectionError):
-        inject_point_periodic(Waveform(-np.ones(10), 1.0), 0.9, 1.0)
-    with pytest.raises(InjectionError):
-        inject_point_periodic(_sine(), 1.5, 1.0)
-    with pytest.raises(ConfigurationError):
-        PointPeriodic(threshold_frac=0.9, delta_frac=0.0)
-    for delta in (np.nan, np.inf):
-        with pytest.raises(ConfigurationError, match="finite and > 0"):
+        inject_points(Waveform(-np.ones(10), 1.0), PointPeriodic(0.9, 1.0), None)
+    with pytest.raises(ConfigurationError, match="threshold_frac"):
+        PointPeriodic(1.5, 1.0)
+    for delta in (np.nan, np.inf, -0.5):
+        with pytest.raises(ConfigurationError, match="finite and >= 0"):
             PointPeriodic(threshold_frac=0.9, delta_frac=delta)
-        with pytest.raises(InjectionError, match="finite and >= 0"):
-            inject_point_periodic(_sine(), 0.9, delta)
-    # an identity pass that still records the would-be positions
-    out, rec = inject_point_periodic(_sine(), 0.9, 0.0)
+    # delta 0 is an identity pass that still records the would-be positions
+    out, rec = inject_points(_sine(), PointPeriodic(0.9, 0.0), None)
     assert np.array_equal(out.samples, _sine().samples) and len(rec.positions)
+
+
+def test_periodic_delta_zero_runs_in_cli_and_config(tmp_path, capsys):
+    """``inject`` and a config take the same periodic values: delta 0 is an
+    identity pass in both, and a bad value names its config key."""
+    sim, inj = tmp_path / "sim", tmp_path / "inj"
+    assert main(["simulate", "--n-samples", "200", "--out", str(sim)]) == 0
+    assert main(["inject", "--in", str(sim / "trig.csv"), "--mode", "periodic",
+                 "--delta-frac", "0", "--out", str(inj)]) == 0
+    assert (waveform_from_csv(inj / "injected.csv").samples.tobytes()
+            == waveform_from_csv(sim / "trig.csv").samples.tobytes())
+    assert len((inj / "record.csv").read_text().splitlines()) > 1
+    for flag, key in (("--delta-frac=-0.5", "delta_frac"),
+                      ("--threshold-frac=1.5", "threshold_frac")):
+        capsys.readouterr()
+        assert main(["inject", "--in", str(sim / "trig.csv"), "--mode", "periodic",
+                     flag, "--out", str(inj)]) == 2
+        assert capsys.readouterr().err.endswith(f"(config key: {key})\n")
+    entry = run_suite([ExperimentConfig(experiment="PPA", delta_frac=0.0,
+                                        n_samples_per_class=10, n_samples=300)]).entries[0]
+    assert entry.error is None and entry.report.rows
 
 
 def _walk(legs, seeds, n=1500):
@@ -172,15 +189,15 @@ def test_multipoint_applies_in_block_order():
     _, input_only = _walk(legs[1:], (4,))
     trig = Waveform(input_only["trig"], 20e-6 / 1500)
     assert np.array_equal(injected["trig"],
-                          inject_point_periodic(trig, 0.95, 0.5)[0].samples)
+                          inject_points(trig, PointPeriodic(0.95, 0.5), None)[0].samples)
 
 
 def test_multipoint_applies_one_block_in_list_order():
     legs = (("PllB", PointPeriodic(0.9, 1.0)), ("PllB", PointRandom(1.0, 2.0, 3.0)))
     _, injected = _walk(legs, (0, 2))
     _, first_only = _walk(legs[:1], (0,))
-    want = inject_point_random(Waveform(first_only["pll_intensity"], 20e-6 / 1500),
-                               1.0, 2.0, 3.0, seed=2)[0]
+    want = inject_points(Waveform(first_only["pll_intensity"], 20e-6 / 1500),
+                         PointRandom(1.0, 2.0, 3.0), 2)[0]
     assert np.array_equal(injected["pll_intensity"], want.samples)
 
 
@@ -199,7 +216,7 @@ def test_chain_stamps_rows_without_waveforms_or_records(monkeypatch):
 
 def test_record_csv_format(tmp_path):
     w = _sine()
-    _, rec = inject_point_random(w, 0.5, 2.0, 5.0, seed=2)
+    _, rec = inject_points(w, PointRandom(0.5, 2.0, 5.0), 2)
     path = tmp_path / "rec.csv"
     record_to_csv(rec, path)
     lines = path.read_text().splitlines()

@@ -62,15 +62,13 @@ def test_time_axis_must_stay_finite():
                       (8, np.nextafter(_LARGEST_8_SAMPLE_PERIOD, math.inf))]:
         with pytest.raises(InputError, match="time axis overflows"):
             Waveform(np.zeros(n), period)
-    assert Waveform(np.zeros(8), _LARGEST_8_SAMPLE_PERIOD).times[-1] < math.inf
+    assert 7 * Waveform(np.zeros(8), _LARGEST_8_SAMPLE_PERIOD).sample_period < math.inf
     assert len(Waveform(np.zeros(1), 1e308)) == 1
 
 
-def test_waveform_times_and_duration():
+def test_waveform_len_is_its_sample_count():
     w = Waveform(np.zeros(5), 0.25)
-    assert np.array_equal(w.times, [0.0, 0.25, 0.5, 0.75, 1.0])
-    assert w.duration == 1.25
-    assert len(w) == 5
+    assert len(w) == 5 and w.sample_period == 0.25
 
 
 def test_input_block_peak_calibrated():
@@ -87,7 +85,7 @@ def test_clean_pll_frequency_is_lock_curve():
     """Without noise the deviation term vanishes: f = mult * f_in * lock."""
     cfg = VrefConfig()
     sig = simulate_vref(cfg, 1500, 20e-6)
-    t = sig["input"].times
+    t = np.arange(1500) * sig["input"].sample_period
     expected = cfg.pll_multiplier * cfg.input_frequency * (
         1.0 - np.exp(-t / cfg.pll_lock_tau))
     assert np.allclose(sig["pll_frequency"].samples, expected, rtol=1e-12)
@@ -308,7 +306,7 @@ def test_build_kstage_validation():
 # ------------------------------------------------------------------- csv
 
 def test_waveform_csv_round_trip(tmp_path):
-    w = Waveform(np.sin(np.arange(64) * 0.3), 2.5e-9, "demo")
+    w = Waveform(np.sin(np.arange(64) * 0.3), 2.5e-9)
     path = tmp_path / "w.csv"
     waveform_to_csv(w, path)
     back = waveform_from_csv(path)
@@ -518,7 +516,7 @@ def _read_outcome(read, path):
         w = read(path)
     except InputError as exc:
         return "InputError", str(exc)
-    return w.samples.tobytes(), w.sample_period.hex(), w.name
+    return w.samples.tobytes(), w.sample_period.hex()
 
 
 @given(_mangled_csv())
