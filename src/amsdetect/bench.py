@@ -42,19 +42,22 @@ from itertools import accumulate
 
 import numpy as np
 
-from .centroid import _SIGMA_SCOPES, refine_model
+from .centroid import _check_scope, refine_model
 from .cluster import (ClusterModel, as_matrix, assign_many, fit_birch, fit_gmm,
                       fit_kmeans, fit_spectral)
+from .cluster.birch import _check_params
 from .cluster.gmm import _fit_gmm_lanes
+from .cluster.spectral import _check_sigma
 from .earlydetect import latency_report, scan_windows
 from .errors import AmsDetectError, ConfigurationError, FitError, _read_text
-from .features import FEATURE_NAMES, Dataset, NormalizationParams, _windowed_rows
+from .features import (FEATURE_NAMES, Dataset, NormalizationParams, _check_selection,
+                       _windowed_rows)
 from .inject import (FAULT_NAMES, TEMP_RANGE, PointPeriodic, PointRandom,
                      apply_component_fault)
 from .waveforms import (_ANALYSES, OpampModel, SweepSpec, VrefConfig, Waveform,
                         _check_finite, _input_rows, _lowpass_steps,
-                        _output_drive, _simulate_columns, _walk_chain,
-                        build_kstage, default_vref_component_model,
+                        _output_drive, _sample_period, _simulate_columns,
+                        _walk_chain, build_kstage, default_vref_component_model,
                         sine_stimulus)
 # Unused here; perfbench/test_perfbench.py checks its tracer at this binding.
 from .waveforms import simulate_vref  # noqa: F401
@@ -166,6 +169,14 @@ class ExperimentConfig:
 
     Seeds, sample counts, injection parameters and circuit knobs are exposed
     as flat keys so JSON config files stay trivially greppable.
+
+    A rule on one value belongs to the code that uses it, and construction
+    calls that code's check, so a config key and the CLI flag of the same
+    name share one rule and one message.  The config's own checks are
+    names, types, combinations, the signs of the noise scales, the counts
+    no owner checks up front (``n_samples_per_class``, ``seed``,
+    ``window_k``, ``sweep_points``, ``kstage_k``, ``anomalous_stages``) and
+    array sizes.  Every key is checked whether or not the run uses it.
     """
 
     experiment: str
@@ -235,14 +246,7 @@ class ExperimentConfig:
         if self.algorithm not in ALGORITHMS:
             raise ConfigurationError(f"unknown algorithm {self.algorithm!r}",
                                      config_key="algorithm")
-        self.features = tuple(self.features)
-        for f in self.features:
-            if f not in FEATURE_NAMES:
-                raise ConfigurationError(f"unknown feature {f!r}",
-                                         config_key="features")
-        if len(set(self.features)) != len(self.features) or not self.features:
-            raise ConfigurationError("features must be a non-empty set of "
-                                     "distinct names", config_key="features")
+        self.features = _check_selection(self.features)
         allowed_signals = (SIGNAL_ORDER if self.circuit == "vref_blocks"
                            else ("output",))
         if self.observed_signals is None:
@@ -259,21 +263,9 @@ class ExperimentConfig:
                                      "distinct names", config_key="observed_signals")
         if self.window_k is not None and self.window_k < 1:
             raise ConfigurationError("window_k must be >= 1", config_key="window_k")
-        if self.sigma_scope not in _SIGMA_SCOPES:
-            raise ConfigurationError("sigma_scope must be 'global' or 'cluster'",
-                                     config_key="sigma_scope")
-        if not 0.0 < self.spectral_sigma < np.inf:
-            raise ConfigurationError("spectral_sigma must be finite and > 0, "
-                                     f"got {self.spectral_sigma!r}",
-                                     config_key="spectral_sigma")
-        if not 0.0 < self.birch_threshold < np.inf:
-            raise ConfigurationError("birch_threshold must be finite and > 0, "
-                                     f"got {self.birch_threshold!r}",
-                                     config_key="birch_threshold")
-        if self.birch_branching < 2:
-            raise ConfigurationError("birch_branching must be >= 2, "
-                                     f"got {self.birch_branching!r}",
-                                     config_key="birch_branching")
+        _check_scope(self.sigma_scope)
+        _check_sigma(self.spectral_sigma)
+        _check_params(self.birch_branching, self.birch_threshold)
         for key in ("measurement_noise", "jitter_gain", "jitter_offset"):
             # numpy's normal() refuses any scale with its sign bit set
             if np.signbit(getattr(self, key)):
@@ -285,10 +277,7 @@ class ExperimentConfig:
                                      config_key="n_samples_per_class")
         if self.seed < 0:
             raise ConfigurationError("seed must be >= 0", config_key="seed")
-        if self.n_samples < 2:
-            raise ConfigurationError("n_samples must be >= 2", config_key="n_samples")
-        if self.duration <= 0:
-            raise ConfigurationError("duration must be > 0", config_key="duration")
+        _sample_period(self.n_samples, self.duration)
         if self.analysis not in _ANALYSES:
             raise ConfigurationError(f"unknown analysis {self.analysis!r}",
                                      config_key="analysis")
@@ -462,7 +451,7 @@ def _timebase(config: ExperimentConfig) -> tuple[int, float]:
     k = config.window_k or 1
     if _analysis(config) != "transient":
         return config.sweep_points // k, 1.0
-    return config.n_samples // k, config.duration / config.n_samples
+    return config.n_samples // k, _sample_period(config.n_samples, config.duration)
 
 
 @dataclass
@@ -644,7 +633,7 @@ class _Walk:
         cfg = pop.config
         vcfg = VrefConfig(**{"noise_std": cfg.noise_std, **cfg.vref_params})
         legs = tuple((block, kind(*args)) for block, kind, args in _legs(cfg, pop.label))
-        dt = cfg.duration / cfg.n_samples
+        dt = _sample_period(cfg.n_samples, cfg.duration)
         for c in _chunks(stop - start):
             ids = range(start + c.start, start + c.stop)
             taps = _walk_chain(

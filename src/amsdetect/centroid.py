@@ -38,6 +38,12 @@ _STEPS = (1, 2, 3, 4)
 _SIGMA_SCOPES = ("global", "cluster")
 
 
+def _check_scope(sigma_scope: str) -> None:
+    if sigma_scope not in _SIGMA_SCOPES:
+        raise ConfigurationError("sigma_scope must be 'global' or 'cluster'",
+                                 config_key="sigma_scope")
+
+
 @dataclass
 class CentroidPair:
     """Refined (low, high) centroids and the sigma steps that produced them."""
@@ -85,9 +91,7 @@ def select_centroids(feature, mu_k, sigma_k,
     :raises DegenerateDataError: both cluster means strictly on one side of
         the global mean
     """
-    if sigma_scope not in _SIGMA_SCOPES:
-        raise ConfigurationError("sigma_scope must be 'global' or 'cluster'",
-                                 config_key="sigma_scope")
+    _check_scope(sigma_scope)
     x, mk, sk = _validate_inputs(feature, mu_k, sigma_k)
     mu = float(x.mean())
     sigma = float(x.std())

@@ -151,26 +151,32 @@ def _leaf_features(mat: np.ndarray, branching: int, threshold: float
     return tuple(map(np.concatenate, zip(*_leaf_rows(tree.root))))
 
 
+def _check_params(branching: int, radius_threshold: float) -> None:
+    """The tree's parameters, config keys ``birch_branching`` and ``birch_threshold``."""
+    if branching < 2:
+        raise ConfigurationError(f"birch_branching must be >= 2, got {branching!r}",
+                                 config_key="birch_branching")
+    if not 0.0 < radius_threshold < np.inf:
+        raise ConfigurationError("birch_threshold must be finite and > 0, "
+                                 f"got {radius_threshold!r}", config_key="birch_threshold")
+
+
 def fit_birch(rows, branching: int = 16,
               radius_threshold: float = 0.05) -> ClusterModel:
     """Build the CF tree and cluster the leaf subclusters into 2 groups.
 
-    :raises ConfigurationError: non-positive threshold or branching < 2
+    :raises ConfigurationError: branching < 2, or a threshold not finite and > 0
     :raises FitError: fewer than 2 leaf subclusters (threshold too coarse)
     """
     mat = as_matrix(rows)
-    if branching < 2:
-        raise ConfigurationError("branching must be >= 2", config_key="branching")
-    if not radius_threshold > 0.0:
-        raise ConfigurationError("radius_threshold must be > 0",
-                                 config_key="radius_threshold")
+    _check_params(branching, radius_threshold)
     if mat.shape[0] < 2:
         raise FitError(f"need at least k=2 rows, got {mat.shape[0]}")
 
     n, ls, _ = _leaf_features(mat, branching, radius_threshold)
     if len(n) < 2:
         raise FitError(f"only {len(n)} leaf subclusters for k=2; "
-                       "lower radius_threshold")
+                       "lower birch_threshold")
     cents = ls / n[:, None]
     if not _two_distinct_rows(cents):
         raise FitError("need at least k=2 distinct subcluster centroids")

@@ -47,12 +47,17 @@ except (OSError, TypeError, AttributeError):  # not glibc
     _malloc_trim = None
 
 
+def _check_sigma(sigma: float) -> None:
+    """The kernel width, config key ``spectral_sigma``."""
+    if not 0.0 < sigma < np.inf:
+        raise ConfigurationError(f"spectral_sigma must be finite and > 0, got {sigma!r}",
+                                 config_key="spectral_sigma")
+
+
 def spectral_embedding(rows, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and the raw (not row-normalized) 2-dim embedding."""
     mat = as_matrix(rows)
-    if not 0.0 < sigma < np.inf:
-        raise ConfigurationError(f"sigma must be finite and > 0, got {sigma!r}",
-                                 config_key="sigma")
+    _check_sigma(sigma)
     n = mat.shape[0]
     if n < 3:
         raise FitError("spectral clustering needs at least 3 rows")

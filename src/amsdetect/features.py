@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InputError, WindowError, _read_text
+from .errors import ConfigurationError, InputError, WindowError, _read_text
 from .waveforms import Waveform, _float_errors
 
 __all__ = [
@@ -33,15 +33,15 @@ FEATURE_NAMES = ("mean", "variance", "slope")
 
 
 def _check_selection(selection) -> tuple[str, ...]:
+    """A feature selection (config key ``features``) as a tuple."""
     sel = tuple(selection)
-    if not sel:
-        raise InputError("feature selection must not be empty")
     for name in sel:
         if name not in FEATURE_NAMES:
-            raise InputError(f"unknown feature {name!r}; "
-                             f"choose from {', '.join(FEATURE_NAMES)}")
-    if len(set(sel)) != len(sel):
-        raise InputError("feature selection contains duplicates")
+            raise ConfigurationError(f"unknown feature {name!r}; choose from "
+                                     f"{', '.join(FEATURE_NAMES)}", config_key="features")
+    if len(set(sel)) != len(sel) or not sel:
+        raise ConfigurationError("features must be a non-empty set of distinct names",
+                                 config_key="features")
     return sel
 
 

@@ -24,12 +24,12 @@ Implementation notes:
   ``(n_samples, width)`` buffer in place, one instance per column:
   ``_lowpass_steps`` and ``_slew_steps``.  An open opamp output's collapse
   onto its high rail is the low-pass kernel with a constant drive.
-  At width > 1 a kernel steps whole numpy rows with ``out=`` ufuncs; at
-  width 1 (the public single-instance functions) it loops over Python
-  floats from ``tolist()``, since a 1-wide numpy step costs about 15 times
-  more per sample.  Both are the same IEEE double operations in the same
-  order as the scalar loop, so every column is bit-identical to simulating
-  that instance alone.
+  A kernel steps whole numpy rows with ``out=`` ufuncs, the same IEEE
+  double operations in the same order as a scalar loop, so every column is
+  bit-identical to simulating that instance alone.  Only the low-pass also
+  has a width-1 loop over Python floats from ``tolist()``, since a 1-wide
+  numpy step costs about 15 times more per sample and ``simulate_vref``
+  (the CLI's ``simulate``) steps one output at a time.
 * A column of a time-major buffer is strided.  Reductions over strided
   samples may sum in another order, so features are taken only from
   C-contiguous rows (``np.ascontiguousarray(buf[:, cols].T)``).
@@ -133,20 +133,16 @@ class VrefConfig:
     output_tau: float = 1.0e-6
 
     def __post_init__(self):
-        if self.input_frequency <= 0:
-            raise ConfigurationError("input_frequency must be > 0",
-                                     config_key="input_frequency")
-        if self.input_amplitude <= 0:
-            raise ConfigurationError("input_amplitude must be > 0",
-                                     config_key="input_amplitude")
-        if self.noise_std < 0:
-            raise ConfigurationError("noise_std must be >= 0", config_key="noise_std")
-        if self.pll_multiplier <= 0:
-            raise ConfigurationError("pll_multiplier must be > 0",
-                                     config_key="pll_multiplier")
-        for key in ("pll_lock_tau", "output_tau"):
-            if getattr(self, key) <= 0:
-                raise ConfigurationError(f"{key} must be > 0", config_key=key)
+        # written so that NaN fails; an infinite tau never locks or settles
+        for key in ("input_frequency", "input_amplitude", "pll_multiplier",
+                    "pll_lock_tau", "output_tau"):
+            value = getattr(self, key)
+            if not value > 0:
+                raise ConfigurationError(f"{key} must be > 0, got {value!r}",
+                                         config_key=key)
+        if not self.noise_std >= 0:
+            raise ConfigurationError(f"noise_std must be >= 0, got {self.noise_std!r}",
+                                     config_key="noise_std")
 
 
 def _nominal_carrier(n_samples: int, sample_period: float, config: VrefConfig) -> np.ndarray:
@@ -257,24 +253,8 @@ def _slew_steps(buf: np.ndarray, max_step) -> None:
     its target by at most ``max_step`` (> 0; a scalar or one value per
     column).
     """
-    n, width = buf.shape
-    if width == 1:
-        ms = _one(max_step)
-        target = buf[:, 0].tolist()
-        y = target[0]
-        out = [y]
-        for t in target[1:]:
-            d = t - y
-            if d > ms:
-                d = ms
-            elif d < -ms:
-                d = -ms
-            y = y + d
-            out.append(y)
-        buf[:, 0] = out
-        return
     lo = -np.asarray(max_step, dtype=np.float64)
-    tmp = np.empty(width)
+    tmp = np.empty(buf.shape[1])
     prev = buf[0]
     with _float_errors():
         for row in buf[1:]:
@@ -335,6 +315,17 @@ def vref_output_block(trig: Waveform, config: VrefConfig) -> Waveform:
     return Waveform(buf[:, 0], dt)
 
 
+def _sample_period(n_samples: int, duration: float) -> float:
+    """The sample period of ``n_samples`` samples over ``duration`` seconds."""
+    if n_samples < 2:
+        raise ConfigurationError(f"n_samples must be >= 2, got {n_samples!r}",
+                                 config_key="n_samples")
+    if not 0 < duration < math.inf:
+        raise ConfigurationError(f"duration must be finite and > 0, got {duration!r}",
+                                 config_key="duration")
+    return duration / n_samples
+
+
 def simulate_vref(config: VrefConfig, n_samples: int = 1500,
                   duration: float = 20.0e-6, seed: int | None = 0) -> dict[str, Waveform]:
     """Simulate the full reference chain: its five taps by name, in chain
@@ -345,11 +336,7 @@ def simulate_vref(config: VrefConfig, n_samples: int = 1500,
         sample period is ~13.33 ns)
     :param seed: RNG seed for the input noise source
     """
-    if n_samples < 2:
-        raise ConfigurationError("n_samples must be >= 2", config_key="n_samples")
-    if duration <= 0:
-        raise ConfigurationError("duration must be > 0", config_key="duration")
-    dt = duration / n_samples
+    dt = _sample_period(n_samples, duration)
     signals = {name: Waveform(x[0], dt) for name, x in _walk_chain(
         config, _input_rows(config, n_samples, dt, [seed]), dt, (), [()]).items()}
     signals["output"] = vref_output_block(signals["trig"], config)
@@ -381,14 +368,14 @@ class OpampModel:
     open_collapse: bool = False
 
     def __post_init__(self):
+        # no config key sets these: the walk derives them from jitter,
+        # faults and stage gains
         if self.open_loop_gain <= 0:
-            raise ConfigurationError("open_loop_gain must be > 0",
-                                     config_key="open_loop_gain")
+            raise ConfigurationError("open_loop_gain must be > 0")
         if not self.rail_low < self.rail_high:
-            raise ConfigurationError("rail_low must be < rail_high",
-                                     config_key="rail_low")
+            raise ConfigurationError("rail_low must be < rail_high")
         if self.slew_rate <= 0:
-            raise ConfigurationError("slew_rate must be > 0", config_key="slew_rate")
+            raise ConfigurationError("slew_rate must be > 0")
 
     @property
     def rail_span(self) -> float:
@@ -413,13 +400,13 @@ class SweepSpec:
 
     def __post_init__(self):
         if self.n_points < 2:
-            raise ConfigurationError("sweep needs at least 2 points",
-                                     config_key="n_points")
+            raise ConfigurationError("sweep_points must be >= 2",
+                                     config_key="sweep_points")
         for key in ("start", "stop", "bias"):
             if not math.isfinite(getattr(self, key)):
                 raise ConfigurationError(
                     f"sweep {key} must be finite, got {getattr(self, key)!r}",
-                    config_key=key)
+                    config_key=f"sweep_{key}")
 
     @property
     def values(self) -> np.ndarray:
@@ -516,9 +503,7 @@ def sine_stimulus(n_samples: int, duration: float, dc: float, amplitude: float,
 
     The sample period is duration / n_samples.
     """
-    if n_samples < 2:
-        raise ConfigurationError("n_samples must be >= 2", config_key="n_samples")
-    dt = duration / n_samples
+    dt = _sample_period(n_samples, duration)
     with _float_errors():
         t = np.arange(n_samples) * dt
         samples = dc + amplitude * np.sin(2.0 * np.pi * frequency * t)
@@ -564,13 +549,14 @@ def build_kstage(base: OpampModel, gains, anomalous_stages=(),
         (``inject.apply_component_fault``); None runs ``base`` everywhere
     """
     if not gains:
-        raise ConfigurationError("amplifier needs at least one stage", config_key="k")
+        raise ConfigurationError("amplifier needs at least one stage",
+                                 config_key="kstage_k")
     anomalous, faulted = frozenset(anomalous_stages), faulted or base
     stages = []
     for i, g in enumerate(map(float, gains)):
         if g < 1.0:
             raise ConfigurationError("closed_loop_gain must be >= 1",
-                                     config_key="gains")
+                                     config_key="kstage_gains")
         opamp = faulted if i in anomalous else base
         a = opamp.open_loop_gain
         stages.append(replace(opamp, open_loop_gain=g * a / (a + g)))

@@ -411,7 +411,7 @@ def fit_birch_reference(mat, branching=16, threshold=0.05):
     entries = birch_leaves_reference(birch_tree_reference(mat, branching, threshold))
     if len(entries) < 2:
         raise FitError(f"only {len(entries)} leaf subclusters for k=2; "
-                       "lower radius_threshold")
+                       "lower birch_threshold")
     cents = np.stack([ls / n for n, ls, _ in entries])
     counts = np.array([n for n, _, _ in entries], dtype=np.float64)
     if np.unique(cents, axis=0).shape[0] < 2:

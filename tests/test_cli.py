@@ -96,11 +96,11 @@ def test_bad_parameter_exits_two(tmp_path, capsys):
     (["--fault", "Parametric", "--fault-temp", "nan"],
      "Parametric temperature must be finite, got nan"),
     (["--analysis", "dc_temp_sweep", "--sweep-bias", "inf"],
-     "sweep bias must be finite, got inf (config key: bias)"),
+     "sweep bias must be finite, got inf (config key: sweep_bias)"),
     (["--analysis", "dc_input_sweep", "--sweep-start=-inf"],
-     "sweep start must be finite, got -inf (config key: start)"),
+     "sweep start must be finite, got -inf (config key: sweep_start)"),
     (["--analysis", "dc_input_sweep", "--sweep-stop", "nan"],
-     "sweep stop must be finite, got nan (config key: stop)"),
+     "sweep stop must be finite, got nan (config key: sweep_stop)"),
 ])
 def test_non_finite_fault_and_sweep_values_exit_two(tmp_path, capsys, argv, message):
     """Refused before simulation: no rail-clipped waveform is written."""
@@ -509,7 +509,10 @@ def test_simulate_overflow_prints_no_numpy_warning(tmp_path, argv, code):
     assert proc.returncode == code, proc.stderr
     assert "RuntimeWarning" not in proc.stderr
     if code:
-        assert proc.stderr == "amsdetect: error: waveform samples must be finite\n"
+        # an infinite duration is refused before it reaches a simulation
+        want = ("duration must be finite and > 0, got inf (config key: duration)"
+                if "--duration" in argv else "waveform samples must be finite")
+        assert proc.stderr == f"amsdetect: error: {want}\n"
 
 
 # measurement noise this large overflows the output's variance to inf
@@ -556,6 +559,62 @@ def test_simulate_size_numpy_cannot_hold_exits_two(tmp_path, key, argv):
     assert proc.stderr.endswith(f"(config key: {key})\n")
     assert proc.stderr.count("\n") == 1
     assert not out.exists()
+
+
+_SWEEP = {"experiment": "OmBoth", "analysis": "dc_input_sweep"}
+
+
+@pytest.mark.parametrize("argv, entry", [
+    (["fit", "--algorithm", "birch", "--birch-branching", "1"], {"birch_branching": 1}),
+    (["fit", "--algorithm", "birch", "--birch-threshold", "inf"],
+     {"birch_threshold": float("inf")}),
+    (["fit", "--algorithm", "spectral", "--spectral-sigma", "0"], {"spectral_sigma": 0.0}),
+    (["simulate", "--circuit", "opamp", "--duration", "nan"], {"duration": float("nan")}),
+    (["simulate", "--circuit", "opamp", "--n-samples", "1"], {"n_samples": 1}),
+    (["featurize", "--features", "foo"], {"features": ["foo"]}),
+    (["simulate", "--circuit", "opamp", "--analysis", "dc_input_sweep",
+      "--sweep-start", "inf"], {**_SWEEP, "sweep_start": float("inf")}),
+    (["simulate", "--circuit", "opamp", "--analysis", "dc_input_sweep",
+      "--sweep-points", "1"], {**_SWEEP, "sweep_points": 1}),
+])
+def test_a_flag_and_its_config_key_print_one_error(tmp_path, capsys, argv, entry):
+    """A CLI flag and the config key of the same name share one rule: the
+    same bad value prints the same error line, naming that key."""
+    data, wave = tmp_path / "data.csv", tmp_path / "wave.csv"
+    data.write_text("sample_id,label,window_index,mean\n" + "".join(
+        f"s{i},{i // 5},0,{0.1 * i + 0.05 * (i // 5)}\n" for i in range(10)))
+    wave.write_text(WAVE)
+    infile = {"fit": [str(data)], "featurize": [str(wave)]}.get(argv[0], [])
+    assert main([*argv, *(["--in", *infile] if infile else []),
+                 "--out", str(tmp_path / "out")]) == 2
+    by_flag = capsys.readouterr().err
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": "IA", "n_samples_per_class": 10, **entry}))
+    assert main(["experiment", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == by_flag
+    key = next(k for k in entry if k not in _SWEEP)
+    assert by_flag.startswith("amsdetect: error: ")
+    assert by_flag.endswith(f"(config key: {key})\n")
+
+
+@pytest.mark.parametrize("edit, key", [
+    (["--noise-std", "nan"], "noise_std"),
+    ({"noise_std": float("nan")}, "noise_std"),
+    ({"vref_params": {"input_frequency": float("nan")}}, "input_frequency"),
+    ({"vref_params": {"output_tau": float("nan")}}, "output_tau"),
+])
+def test_nan_chain_parameter_exits_two_naming_it(tmp_path, capsys, edit, key):
+    """A NaN parameter of the reference chain is refused under its key, not
+    reported as a waveform that is not finite."""
+    if isinstance(edit, list):
+        argv = ["simulate", *edit, "--out", str(tmp_path / "sim")]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"experiment": "IA", "n_samples_per_class": 10,
+                                      **edit}))
+        argv = ["experiment", "--config", str(config)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.endswith(f"got nan (config key: {key})\n")
 
 
 def test_experiment_needs_a_name(capsys):

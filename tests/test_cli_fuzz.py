@@ -93,7 +93,8 @@ OUT_OF_RANGE = {
     "n_samples_per_class": st.integers(max_value=9),
     "seed": st.integers(max_value=-1),
     "n_samples": st.integers(max_value=1),
-    "duration": st.floats(max_value=0.0),
+    "duration": st.floats(max_value=0.0) | st.sampled_from(
+        [float("inf"), float("nan")]),
     "sweep_points": st.integers(max_value=1),
     "kstage_k": st.integers(max_value=0),
     "birch_branching": st.integers(max_value=1),

@@ -13,6 +13,7 @@ import inspect
 import pathlib
 import pkgutil
 import types
+from dataclasses import fields
 
 import amsdetect
 from amsdetect import bench, cli, cluster, earlydetect, inject, waveforms
@@ -72,6 +73,24 @@ def test_traced_bindings_stay():
     assert inject.vref_output_block is waveforms.vref_output_block
     assert earlydetect.assign_many is cluster.assign_many
     assert callable(cli.main)
+
+
+def test_every_literal_config_key_names_a_key():
+    """An error's ``config_key`` is a key a user can set: a field of
+    ExperimentConfig, a ``vref_params`` key (a field of VrefConfig), or a
+    suite file's ``defaults`` or ``experiments``.  Keys built at run time
+    are not literals and are not checked here."""
+    known = ({f.name for f in fields(bench.ExperimentConfig)}
+             | {f.name for f in fields(waveforms.VrefConfig)}
+             | {"defaults", "experiments"})
+    unknown = []
+    for path in (ROOT / "src" / "amsdetect").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.keyword) and node.arg == "config_key"
+                    and isinstance(node.value, ast.Constant)
+                    and node.value.value not in known):
+                unknown.append(f"{path.name}:{node.lineno} {node.value.value}")
+    assert unknown == []
 
 
 def test_waveforms_imports_nothing_from_inject():

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from amsdetect import (FEATURE_NAMES, Dataset, InputError, NormalizationParams,
-                       Waveform, WindowError, dataset_from_csv,
+from amsdetect import (FEATURE_NAMES, ConfigurationError, Dataset, InputError,
+                       NormalizationParams, Waveform, WindowError, dataset_from_csv,
                        dataset_to_csv, labels_array, normalize_dataset,
                        windowed_features)
 from oracles import per_window_features, straight_line_fit
@@ -31,11 +31,11 @@ def test_selection_order_and_errors():
     sel = windowed_features(Waveform(x, 1.0), 1, ("slope", "mean"))[0]
     assert sel[0] == pytest.approx(1.0)
     assert sel[1] == pytest.approx(4.5)
-    with pytest.raises(InputError):
+    with pytest.raises(ConfigurationError):
         windowed_features(Waveform(x, 1.0), 1, ())
-    with pytest.raises(InputError):
+    with pytest.raises(ConfigurationError):
         windowed_features(Waveform(x, 1.0), 1, ("mean", "mean"))
-    with pytest.raises(InputError):
+    with pytest.raises(ConfigurationError):
         windowed_features(Waveform(x, 1.0), 1, ("median",))
 
 
