@@ -4,7 +4,7 @@ The pipeline: behavioral simulation (``waveforms``), anomaly/fault injection
 (``inject``), statistical featurization (``features``), four from-scratch
 2-cluster algorithms (``cluster``), interval-mean centroid refinement
 (``centroid``), windowed early detection (``earlydetect``) and a
-reproducible experiment harness (``bench``, ``cli``).
+reproducible experiment harness (``config``, ``walk``, ``bench``, ``cli``).
 """
 
 from .errors import (AmsDetectError, ConfigurationError, DegenerateDataError,
@@ -28,12 +28,12 @@ from .cluster import (MODEL_FORMAT, MODEL_VERSION, VAR_FLOOR, ClusterModel,
 from .centroid import CentroidPair, refine_model, select_centroids
 from .earlydetect import (DetectionResult, detect_windowed,
                           detections_to_csv, latency_report, scan_windows)
-from .bench import (ALGORITHMS, ALL_EXPERIMENTS, BLOCK_EXPERIMENTS,
-                    FAULT_EXPERIMENTS, SUITE_CSV_HEADER, EvaluationReport,
-                    ExperimentConfig, ResultRow, SuiteEntry, SuiteResult,
-                    default_observed_signals, evaluate, fit_model,
-                    generate_dataset, generate_features, load_config,
-                    load_suite, permutation_accuracy, report_table,
+from .config import (ALGORITHMS, ALL_EXPERIMENTS, BLOCK_EXPERIMENTS,
+                     FAULT_EXPERIMENTS, ExperimentConfig,
+                     default_observed_signals, load_suite)
+from .bench import (SUITE_CSV_HEADER, EvaluationReport, ResultRow, SuiteEntry,
+                    SuiteResult, evaluate, fit_model, generate_dataset,
+                    generate_features, permutation_accuracy, report_table,
                     report_to_csv, run_suite, suite_table, suite_to_csv)
 
 __version__ = "0.1.0"

@@ -19,13 +19,14 @@ import sys
 
 import numpy as np
 
-from .bench import (ALGORITHMS, ExperimentConfig, _check_sizes, _stimulus,
-                    evaluate, fit_model, load_config, load_suite, report_table,
-                    report_to_csv, run_suite, suite_table, suite_to_csv)
+from .bench import (evaluate, fit_model, report_table, report_to_csv, run_suite,
+                    suite_table, suite_to_csv)
 from .centroid import _SIGMA_SCOPES, refine_model
 from .cluster import as_matrix, assign_many, load_model, save_model
+from .config import (ALGORITHMS, ExperimentConfig, _check_sizes, _read_json, _stimulus,
+                     load_suite)
 from .earlydetect import detections_to_csv, latency_report, scan_windows
-from .errors import AmsDetectError, InputError, _read_text
+from .errors import AmsDetectError, ConfigurationError, InputError, _read_text
 from .features import (FEATURE_NAMES, Dataset, NormalizationParams,
                        dataset_from_csv, dataset_to_csv, windowed_features)
 from .inject import (FAULT_NAMES, PointPeriodic, PointRandom,
@@ -208,9 +209,9 @@ def _cmd_detect(args) -> int:
 # -------------------------------------------------------------- experiment
 
 def _config_from_args(args) -> ExperimentConfig:
-    data = {}
-    if args.config:
-        data.update(load_config(args.config).to_dict())
+    data = _read_json(args.config) if args.config else {}
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{args.config}: expected a JSON object")
     if args.experiment:
         data["experiment"] = args.experiment
     if args.algorithm:
@@ -228,7 +229,7 @@ def _config_from_args(args) -> ExperimentConfig:
     if args.samples_per_class is not None:
         data["n_samples_per_class"] = args.samples_per_class
     if "experiment" not in data:
-        raise InputError("need --config or --experiment")
+        raise InputError("need --experiment, or a --config file with an 'experiment' key")
     return ExperimentConfig.from_dict(data)
 
 

@@ -1,0 +1,334 @@
+"""The population walk: the raw features of several configs' instances.
+
+Simulation is batched by population: the instances of one class whose
+bytes the same inputs fix (circuit, seed, stimulus, resolved injection
+legs or fault; ``_sim_key``) are simulated once, for the largest n among
+the configs that share them, and each config featurizes its own with its
+own windows, features and signals.  The time recursions step many
+instances at once on one time-major lane buffer, no wider than one of
+those configs would get alone, and everything else runs in chunks of
+``_CHUNK`` instances; each instance still gets the bytes it would get
+simulated alone.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
+from itertools import accumulate
+
+import numpy as np
+
+from .config import (BLOCK_EXPERIMENTS, FAULT_EXPERIMENTS, ExperimentConfig, _analysis,
+                     _stimulus)
+from .errors import AmsDetectError
+from .features import _windowed_rows
+from .inject import PointPeriodic, PointRandom, apply_component_fault
+from .waveforms import (OpampModel, VrefConfig, _check_finite, _input_rows, _lowpass_steps,
+                        _output_drive, _sample_period, _simulate_columns, _walk_chain,
+                        build_kstage, default_vref_component_model)
+
+
+def _child_seed(*parts: int) -> int:
+    """Stable composite seed; collisions across distinct part tuples are moot."""
+    return int(np.random.SeedSequence(list(parts)).generate_state(1, np.uint64)[0])
+
+
+def _legs(config: ExperimentConfig, label: int) -> tuple:
+    """The injection legs of a block config's instances of class ``label``,
+    in the experiment's order: (block, kind, args), where ``kind(*args)``
+    validates them; none when clean.  Instance idx
+    seeds leg j with ``_child_seed(seed, label, idx, 1 + j)``."""
+    if label == 0:
+        return ()
+    return tuple((block, PointRandom, (config.rate_pct, config.amp_low, config.amp_high))
+                 if mode == "random" else
+                 (block, PointPeriodic, (config.threshold_frac, config.delta_frac))
+                 for block, mode in BLOCK_EXPERIMENTS[config.experiment])
+
+
+def _fault_args(config: ExperimentConfig) -> tuple[str, float | None]:
+    """``apply_component_fault``'s (name, temperature) for an anomalous
+    instance of a fault or k-stage config."""
+    name = (config.kstage_fault if config.circuit == "kstage"
+            else FAULT_EXPERIMENTS[config.experiment])
+    return name, config.fault_temperature if name == "Parametric" else None
+
+
+def _jittered(base: OpampModel, rng: np.random.Generator,
+              config: ExperimentConfig) -> OpampModel:
+    gain = base.open_loop_gain * max(0.05, 1.0 + rng.normal(0.0, config.jitter_gain))
+    offset = base.offset + rng.normal(0.0, config.jitter_offset)
+    return replace(base, open_loop_gain=gain, offset=offset)
+
+
+_KSTAGE_BASE = OpampModel(open_loop_gain=30.0, rail_low=-2.5, rail_high=2.5,
+                          offset=0.01, slew_rate=5.0e7)
+
+
+# Instances per chunk of per-instance work (noise draws, injection, the PLL
+# and trig blocks, measurement noise, features), so each temporary is a few
+# (_CHUNK, n_samples) arrays.
+_CHUNK = 8
+
+
+def _chunks(total: int) -> list[slice]:
+    return [slice(i, min(i + _CHUNK, total)) for i in range(0, total, _CHUNK)]
+
+
+def _sim_key(config: ExperimentConfig, label: int) -> tuple[str, str]:
+    """Name what fixes the bytes of a config's instances of one class.
+
+    :returns: (lanes, population).  Instances whose time recursions can
+        step together share ``lanes``: the reference chain's low-pass needs
+        one sample count, an opamp chain one stimulus or sweep and one stage
+        count.  Configs whose instances of class ``label`` are byte-identical
+        share ``population``; it leaves out what only featurizing, fitting
+        and scoring read, and names injection legs and faults as resolved,
+        not by experiment.  Values enter by ``repr``, so 0.0 and -0.0 (or 1
+        and 1.0) never share.
+    """
+    if config.circuit == "vref_blocks":
+        lanes: tuple = ("vref_blocks", config.n_samples)
+        vref = sorted({"noise_std": config.noise_std, **config.vref_params}.items())
+        rest: tuple = (config.duration, vref, _legs(config, label))
+    else:
+        kstage = config.circuit == "kstage"
+        if _analysis(config) == "transient":
+            stimulus = ("transient", config.n_samples, config.duration, config.stim_dc,
+                        config.stim_amplitude, config.stim_frequency)
+        else:
+            stimulus = (config.analysis, config.sweep_start, config.sweep_stop,
+                        config.sweep_points, config.sweep_bias)
+        lanes = (stimulus, config.kstage_k if kstage else 1)
+        faulted = (*_fault_args(config),
+                   config.anomalous_stages if kstage else None) if label else None
+        rest = (config.circuit, config.jitter_gain, config.jitter_offset,
+                config.measurement_noise, config.kstage_gains if kstage else None, faulted)
+    return repr(lanes), repr((lanes, config.seed, label, rest))
+
+
+def _timebase(config: ExperimentConfig) -> tuple[int, float]:
+    """(samples per window, sample period) of a config's simulated signals;
+    a DC sweep's points are one unit step apart."""
+    k = config.window_k or 1
+    if _analysis(config) != "transient":
+        return config.sweep_points // k, 1.0
+    return config.n_samples // k, _sample_period(config.n_samples, config.duration)
+
+
+@dataclass
+class _Population:
+    """The instances of one class that configs with one ``_sim_key`` share,
+    simulated once from the first consumer's config: the most instances a
+    consumer needs (``n``), the first ``n_output`` -- the most a consumer
+    observing the output needs -- through the output stage.  Instance
+    ``idx`` is row ``label * m + idx`` of the features of each consumer of
+    m > idx instances per class.
+    """
+
+    config: ExperimentConfig
+    label: int
+    consumers: list[int] = field(default_factory=list)
+    n: int = 0
+    n_output: int = 0
+
+
+def _instance_chain(config: ExperimentConfig, rng: np.random.Generator,
+                    fault: tuple[str, float | None] | None) -> list[OpampModel]:
+    """One instance's per-stage opamp models; draws its jitter from ``rng``.
+
+    An anomalous instance (``fault`` is ``_fault_args(config)``) of a k-stage
+    chain also draws its faulted stage, unless ``anomalous_stages`` fixes it.
+    """
+    if config.circuit != "kstage":
+        base = (default_vref_component_model() if config.circuit == "vref_components"
+                else OpampModel())
+        model = _jittered(base, rng, config)
+        return [model if fault is None else apply_component_fault(model, *fault)]
+    base = _jittered(_KSTAGE_BASE, rng, config)
+    gains = config.kstage_gains or (2.0,) * config.kstage_k
+    if fault is None:
+        return build_kstage(base, gains)
+    stages = (config.anomalous_stages if config.anomalous_stages is not None
+              else (int(rng.integers(config.kstage_k)),))
+    return build_kstage(base, gains, stages, apply_component_fault(base, *fault))
+
+
+class _Walk:
+    """The raw features of several configs, each population simulated once.
+
+    Populations that share lanes (``_sim_key``) are walked together, on a
+    lane buffer at most 2 x the largest ``n_samples_per_class`` among their
+    consumers wide; no waveform outlives its chunk or its lane.  An error
+    fails the configs it touches, which get no more features, and the walk
+    goes on: ``failed`` holds each one's first error, without its traceback.
+    """
+
+    def __init__(self, configs: list[ExperimentConfig]):
+        self.configs = configs
+        self.failed: dict[int, AmsDetectError] = {}
+        self.feats = [np.empty((2 * c.n_samples_per_class, c.window_k or 1,
+                                len(c.observed_signals), len(c.features))) for c in configs]
+        self.lanes: dict[str, list[_Population]] = {}
+        pops: dict[str, _Population] = {}
+        for e, cfg in enumerate(configs):
+            for label in (0, 1):
+                lanes, key = _sim_key(cfg, label)
+                if key not in pops:
+                    pops[key] = _Population(cfg, label)
+                    self.lanes.setdefault(lanes, []).append(pops[key])
+                pop, n = pops[key], cfg.n_samples_per_class
+                pop.consumers.append(e)
+                pop.n = max(pop.n, n)
+                if "output" in cfg.observed_signals:
+                    pop.n_output = max(pop.n_output, n)
+
+    def run(self) -> None:
+        for pops in self.lanes.values():
+            width = min(2 * max(p.n for p in pops), sum(p.n_output for p in pops))
+            if pops[0].config.circuit == "vref_blocks":
+                self._walk_blocks(pops, width)
+            else:
+                self._walk_opamps(pops, width)
+
+    @contextmanager
+    def _guard(self, entries):
+        """An AmsDetectError inside fails ``entries``."""
+        try:
+            yield
+        except AmsDetectError as exc:
+            for e in entries:
+                self.failed.setdefault(e, exc.with_traceback(None))
+
+    def _step_lanes(self, pops: list[_Population], width: int, load, step) -> None:
+        """Step the populations' first ``n_output`` instances, laid end to
+        end, ``width`` columns a lane.  ``load(pop, first, count, col)`` puts
+        instances first.. of ``pop`` in columns col..; a population that
+        fails leaves its columns to the next.  ``step(ready, cols)`` steps
+        the ``cols`` loaded columns, ``ready`` listing the (population, first
+        instance, count) in them, in column order."""
+        starts = list(accumulate((p.n_output for p in pops), initial=0))
+        for lo in range(0, starts[-1], width or 1):     # width is 0 with no instances
+            ready, col = [], 0
+            for pop, start in zip(pops, starts):
+                first = max(lo - start, 0)
+                count = min(lo + width - start, pop.n_output) - first
+                if count > 0:
+                    with self._guard(pop.consumers):
+                        load(pop, first, count, col)
+                        ready.append((pop, first, count))
+                        col += count
+            if ready:
+                with self._guard([e for p, _, _ in ready for e in p.consumers]):
+                    step(ready, col)
+
+    def _featurize(self, pop: _Population, first: int, taps: dict) -> None:
+        """Each consumer's features of instances ``first``.. from the taps
+        it observes (name -> C-contiguous (instances, samples) rows)."""
+        for e in pop.consumers:
+            cfg = self.configs[e]
+            n = cfg.n_samples_per_class
+            if e in self.failed or first >= n:
+                continue
+            row = pop.label * n + first
+            with self._guard([e]):
+                for j, s in enumerate(cfg.observed_signals):
+                    if s in taps:
+                        x = taps[s][:n - first]
+                        self.feats[e][row:row + len(x), :, j] = _windowed_rows(
+                            x, cfg.window_k or 1, cfg.features)
+
+    def _featurize_output(self, lane: np.ndarray, ready: list, streams=None) -> None:
+        """Each population's output features from its columns of a stepped
+        lane, chunk by chunk.  With ``streams`` (one parked random state per
+        column), each row first gets its instance's measurement noise."""
+        rng, col = np.random.default_rng(0), 0
+        for pop, first, count in ready:
+            with self._guard(pop.consumers):
+                for c in _chunks(count):
+                    rows = np.ascontiguousarray(lane[:, col + c.start:col + c.stop].T)
+                    if streams is None:
+                        _check_finite(rows)
+                    else:
+                        for row, stream in zip(rows, streams[col + c.start:col + c.stop]):
+                            rng.bit_generator.state = stream
+                            row += rng.normal(0.0, pop.config.measurement_noise, row.size)
+                            _check_finite(row)
+                    self._featurize(pop, first + c.start, {"output": rows})
+            col += count
+
+    def _walk_blocks(self, pops: list[_Population], width: int) -> None:
+        """Walk reference chains.  Instances observed at the output go
+        through low-pass lanes, one alpha per column; the rest then walk
+        without a lane."""
+        drive, alpha = np.empty((pops[0].config.n_samples, width)), np.zeros(width)
+
+        def load(pop, first, count, col):
+            vcfg, dt = self._walk_rows(pop, first, first + count, drive[:, col:col + count])
+            alpha[col:col + count] = dt / vcfg.output_tau
+
+        def step(ready, cols):
+            _lowpass_steps(drive[:, :cols], alpha[:cols])
+            self._featurize_output(drive, ready)
+
+        self._step_lanes(pops, width, load, step)
+        del drive   # free the lane before the rest walk
+        for pop in pops:
+            if pop.n > pop.n_output:
+                with self._guard(pop.consumers):
+                    self._walk_rows(pop, pop.n_output, pop.n, None)
+
+    def _walk_rows(self, pop: _Population, start: int, stop: int,
+                   drive: np.ndarray | None) -> tuple[VrefConfig, float]:
+        """Walk instances start..stop of a block population down the chain,
+        chunk by chunk: consumers featurize the four taps before the output
+        stage, and ``drive`` (time-major) gets the output stage's drive.
+
+        :returns: (the chain's VrefConfig, sample period)
+        """
+        cfg = pop.config
+        vcfg = VrefConfig(**{"noise_std": cfg.noise_std, **cfg.vref_params})
+        legs = tuple((block, kind(*args)) for block, kind, args in _legs(cfg, pop.label))
+        dt = _sample_period(cfg.n_samples, cfg.duration)
+        for c in _chunks(stop - start):
+            ids = range(start + c.start, start + c.stop)
+            taps = _walk_chain(
+                vcfg, _input_rows(vcfg, cfg.n_samples, dt,
+                                  [_child_seed(cfg.seed, pop.label, i, 0) for i in ids]),
+                dt, legs, [[_child_seed(cfg.seed, pop.label, i, 1 + j)
+                            for j in range(len(legs))] for i in ids])
+            self._featurize(pop, ids.start, taps)
+            if drive is not None:
+                _output_drive(taps["trig"].T, vcfg, out=drive[:, c])
+            del taps   # free this chunk's signals before the next chunk's exist
+        return vcfg, dt
+
+    def _walk_opamps(self, pops: list[_Population], width: int) -> None:
+        """Simulate opamp or k-stage chains in lanes of one stimulus, then
+        add each instance's measurement noise and featurize, chunk by chunk.
+
+        Each instance's random stream is parked (its bit-generator state,
+        not a Generator of ~8 kB) between its model draws and its
+        measurement noise, so its draws come in the order of simulating it
+        alone: jitter, the faulted k-stage stage, then noise.
+        """
+        cfg = pops[0].config
+        mode = _analysis(cfg)
+        chains, streams = [None] * width, [None] * width
+        stimulus = []   # built at the first step, after the first chains, as alone
+
+        def load(pop, first, count, col):
+            fault = _fault_args(pop.config) if pop.label else None
+            for j, i in enumerate(range(first, first + count), col):
+                rng = np.random.default_rng(_child_seed(pop.config.seed, pop.label, i, 0))
+                chains[j] = _instance_chain(pop.config, rng, fault)
+                streams[j] = rng.bit_generator.state
+
+        def step(ready, cols):
+            if not stimulus:
+                stimulus.append(_stimulus(cfg))
+            self._featurize_output(_simulate_columns(chains[:cols], mode, stimulus[0]),
+                                   ready, streams[:cols])
+
+        self._step_lanes(pops, width, load, step)

@@ -136,10 +136,10 @@ class VrefConfig:
         # written so that NaN fails; an infinite tau never locks or settles
         for key in ("input_frequency", "input_amplitude", "pll_multiplier",
                     "pll_lock_tau", "output_tau"):
-            value = getattr(self, key)
-            if not value > 0:
-                raise ConfigurationError(f"{key} must be > 0, got {value!r}",
-                                         config_key=key)
+            value, tau = getattr(self, key), key.endswith("_tau")
+            if not (value > 0 and (tau or value < math.inf)):
+                raise ConfigurationError(f"{key} must be {'' if tau else 'finite and '}"
+                                         f"> 0, got {value!r}", config_key=key)
         if not self.noise_std >= 0:
             raise ConfigurationError(f"noise_std must be >= 0, got {self.noise_std!r}",
                                      config_key="noise_std")
@@ -323,6 +323,9 @@ def _sample_period(n_samples: int, duration: float) -> float:
     if not 0 < duration < math.inf:
         raise ConfigurationError(f"duration must be finite and > 0, got {duration!r}",
                                  config_key="duration")
+    if duration / n_samples == 0:
+        raise ConfigurationError(f"duration {duration!r} over {n_samples} samples "
+                                 "underflows the sample period to 0", config_key="duration")
     return duration / n_samples
 
 
@@ -386,6 +389,12 @@ class OpampModel:
         return self.nominal_temp if self.eval_temp is None else self.eval_temp
 
 
+def _check_sweep_points(n_points: int) -> None:
+    """A sweep's point count, config key ``sweep_points``."""
+    if n_points < 2:
+        raise ConfigurationError("sweep_points must be >= 2", config_key="sweep_points")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """A DC sweep: n_points values from start to stop (inclusive).
@@ -399,9 +408,7 @@ class SweepSpec:
     bias: float = 0.0
 
     def __post_init__(self):
-        if self.n_points < 2:
-            raise ConfigurationError("sweep_points must be >= 2",
-                                     config_key="sweep_points")
+        _check_sweep_points(self.n_points)
         for key in ("start", "stop", "bias"):
             if not math.isfinite(getattr(self, key)):
                 raise ConfigurationError(
@@ -543,28 +550,33 @@ def build_kstage(base: OpampModel, gains, anomalous_stages=(),
     Finite-gain correction: a stage asking for closed-loop gain G out of an
     opamp with open-loop gain A delivers G*A/(A+G).
 
-    :param gains: per-stage closed-loop gains, each >= 1
+    :param gains: per-stage closed-loop gains, each finite and >= 1
     :param anomalous_stages: stage indices that run ``faulted`` instead
     :param faulted: the fault-transformed base model
         (``inject.apply_component_fault``); None runs ``base`` everywhere
     """
-    if not gains:
-        raise ConfigurationError("amplifier needs at least one stage",
-                                 config_key="kstage_k")
+    gains = [float(g) for g in gains]
+    _check_kstage(len(gains), gains, anomalous_stages)
     anomalous, faulted = frozenset(anomalous_stages), faulted or base
     stages = []
-    for i, g in enumerate(map(float, gains)):
-        if g < 1.0:
-            raise ConfigurationError("closed_loop_gain must be >= 1",
-                                     config_key="kstage_gains")
+    for i, g in enumerate(gains):
         opamp = faulted if i in anomalous else base
         a = opamp.open_loop_gain
         stages.append(replace(opamp, open_loop_gain=g * a / (a + g)))
-    bad = sorted(i for i in anomalous if not 0 <= i < len(stages))
-    if bad:
-        raise ConfigurationError(f"anomalous stage indices out of range: {bad}",
-                                 config_key="anomalous_stages")
     return stages
+
+
+def _check_kstage(k: int, gains, anomalous_stages) -> None:
+    """A k-stage chain's ``kstage_k``, ``kstage_gains`` and ``anomalous_stages``."""
+    if k < 1:
+        raise ConfigurationError("kstage_k must be >= 1", config_key="kstage_k")
+    # written so that NaN fails; an infinite gain makes a NaN stage
+    if gains is not None and (len(gains) != k or not all(1 <= g < math.inf for g in gains)):
+        raise ConfigurationError(f"kstage_gains needs {k} finite entries >= 1, "
+                                 f"got {list(gains)}", config_key="kstage_gains")
+    if not all(0 <= i < k for i in anomalous_stages):
+        raise ConfigurationError(f"anomalous_stages must be in 0..{k - 1}, got "
+                                 f"{list(anomalous_stages)}", config_key="anomalous_stages")
 
 
 def default_vref_component_model() -> OpampModel:

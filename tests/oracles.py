@@ -28,11 +28,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from amsdetect.bench import BLOCK_EXPERIMENTS, FAULT_EXPERIMENTS, _child_seed
+from amsdetect.config import BLOCK_EXPERIMENTS, FAULT_EXPERIMENTS
 from amsdetect.cluster import canonical_labels
 from amsdetect.errors import FitError, InputError
 from amsdetect.features import windowed_features
 from amsdetect.inject import PointPeriodic, PointRandom, apply_component_fault
+from amsdetect.walk import _child_seed
 from amsdetect.waveforms import (OpampModel, SweepSpec, VrefConfig, Waveform,
                                  _input_rows, _pll_rows, _trig_rows,
                                  default_vref_component_model, simulate_opamp,

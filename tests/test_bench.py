@@ -4,6 +4,7 @@ import math
 import pathlib
 import tempfile
 import tracemalloc
+from dataclasses import asdict
 from functools import cache
 
 import numpy as np
@@ -17,11 +18,12 @@ from amsdetect import (ALL_EXPERIMENTS, BLOCK_EXPERIMENTS, AmsDetectError,
                        InputError,
                        SUITE_CSV_HEADER, WindowError, default_observed_signals,
                        evaluate,
-                       generate_dataset, generate_features, load_config,
+                       generate_dataset, generate_features,
                        load_suite, permutation_accuracy, run_suite,
                        suite_to_csv)
-from amsdetect import bench
-from amsdetect.bench import SIGNAL_ORDER, _child_seed
+from amsdetect import bench, walk
+from amsdetect.config import SIGNAL_ORDER, _read_json
+from amsdetect.walk import _child_seed
 from amsdetect.features import windowed_features
 from amsdetect.inject import PointPeriodic
 from oracles import block_signals_reference, features_reference
@@ -70,6 +72,11 @@ def test_config_validation():
     with pytest.raises(ConfigurationError):
         ExperimentConfig(experiment="KStage", kstage_k=2,
                          anomalous_stages=(3,))
+    # refused when the config is built, not when the walk builds the chain
+    for gain in (0.5, float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError) as err:
+            ExperimentConfig(experiment="KStage", kstage_gains=(gain, 2.0, 2.0))
+        assert err.value.config_key == "kstage_gains"
     with pytest.raises(ConfigurationError):
         ExperimentConfig(experiment="IA", n_samples_per_class=5)
     for bad in [dict(experiment="PPA", observed_signals=("trig", "trig")),
@@ -105,8 +112,7 @@ def test_config_validation():
 def test_config_dict_round_trip():
     cfg = ExperimentConfig(experiment="IPPA", algorithm="birch", window_k=5,
                            seed=11, centroid_select=True)
-    back = ExperimentConfig.from_dict(cfg.to_dict())
-    assert back == cfg
+    assert ExperimentConfig.from_dict(asdict(cfg)) == cfg
     with pytest.raises(ConfigurationError) as err:
         ExperimentConfig.from_dict({"experiment": "IA", "windows": 5})
     assert err.value.config_key == "windows"
@@ -186,6 +192,17 @@ def test_combinations_concatenate_signals_in_order(monkeypatch):
             raw = data[:, [j * n_feat + f for j in sig_idx for f in feat_idx]]
             want = (raw - raw.min(0)) / (raw.max(0) - raw.min(0))
             assert mat.tobytes() == want.tobytes()
+
+
+def test_fit_model_refuses_an_unknown_algorithm():
+    mat = np.array([[0.0], [0.1], [0.9], [1.0]])
+    with pytest.raises(ConfigurationError) as err:
+        bench.fit_model("foo", mat, seed=0, birch_branching=16,
+                        birch_threshold=0.05, spectral_sigma=0.3)
+    assert err.value.config_key == "algorithm"
+    with pytest.raises(ConfigurationError) as by_config:
+        ExperimentConfig(experiment="IA", algorithm="foo")
+    assert str(by_config.value) == str(err.value)
 
 
 def test_anomalous_bundles_differ_from_clean():
@@ -323,7 +340,7 @@ def test_load_config_and_suite(tmp_path):
     cfg_path = tmp_path / "one.json"
     cfg_path.write_text(json.dumps(
         {"experiment": "TA", "algorithm": "birch", "seed": 3}))
-    cfg = load_config(cfg_path)
+    cfg = ExperimentConfig.from_dict(_read_json(cfg_path))
     assert cfg.experiment == "TA" and cfg.algorithm == "birch"
 
     suite_path = tmp_path / "suite.json"
@@ -349,12 +366,12 @@ def test_load_config_and_suite(tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text("{nope")
     with pytest.raises(ConfigurationError):
-        load_config(broken)
+        _read_json(broken)
     nan_sigma = tmp_path / "nan_sigma.json"    # json reads a bare NaN
     nan_sigma.write_text('{"experiment": "IA", "algorithm": "spectral", '
                          '"spectral_sigma": NaN}')
     with pytest.raises(ConfigurationError) as err:
-        load_config(nan_sigma)
+        ExperimentConfig.from_dict(_read_json(nan_sigma))
     assert err.value.config_key == "spectral_sigma"
 
 
@@ -552,9 +569,9 @@ def test_walk_shares_nothing_across_a_simulation_input(experiment, key, value):
     base = dict(experiment=experiment, kstage_k=2) if experiment == "KStage" else dict(
         experiment=experiment)
     configs = [_fast_config(**base), _fast_config(**{**base, key: value})]
-    walk = bench._Walk(configs, keep_going=False)
-    walk.run()
-    for cfg, feats in zip(configs, walk.feats):
+    population_walk = walk._Walk(configs)
+    population_walk.run()
+    for cfg, feats in zip(configs, population_walk.feats):
         assert feats.tobytes() == generate_features(cfg)[0].tobytes()
 
 
@@ -564,8 +581,8 @@ def test_suite_simulates_each_population_once(monkeypatch):
     group, cap being 2 x the group's largest n per class."""
     walked, lowpass, simulated = [], [], []
     walk_chain, lowpass_steps, simulate_columns, apply_fault = (
-        bench._walk_chain, bench._lowpass_steps, bench._simulate_columns,
-        bench.apply_component_fault)
+        walk._walk_chain, walk._lowpass_steps, walk._simulate_columns,
+        walk.apply_component_fault)
 
     def walk_spy(cfg, inp, dt, legs, seeds):
         walked.extend([tuple((block, type(kind)) for block, kind in legs)] * len(inp))
@@ -584,10 +601,10 @@ def test_suite_simulates_each_population_once(monkeypatch):
         simulated.append([getattr(chain[0], "fault_tag", None) for chain in chains])
         return simulate_columns(chains, mode, stimulus)
 
-    monkeypatch.setattr(bench, "_walk_chain", walk_spy)
-    monkeypatch.setattr(bench, "_lowpass_steps", lowpass_spy)
-    monkeypatch.setattr(bench, "_simulate_columns", simulate_spy)
-    monkeypatch.setattr(bench, "apply_component_fault", fault_spy)
+    monkeypatch.setattr(walk, "_walk_chain", walk_spy)
+    monkeypatch.setattr(walk, "_lowpass_steps", lowpass_spy)
+    monkeypatch.setattr(walk, "_simulate_columns", simulate_spy)
+    monkeypatch.setattr(walk, "apply_component_fault", fault_spy)
     configs = [_fast_config(experiment=e, n_samples_per_class=30 if e == "IPTPA" else 40)
                for e in ("IA", "PA", "PPA", "TA", "IPTPA", "OmBoth", "Open", "Short")]
     result = run_suite(configs)
@@ -644,7 +661,7 @@ def test_generation_memory_is_one_time_major_buffer_plus_small_chunks(monkeypatc
     bound = 2 * cfg.n_samples * 2 * cfg.n_samples_per_class * 8
     generate_features(cfg)                     # warm caches outside the trace
     assert _traced_peak(lambda: generate_features(cfg)) < bound
-    monkeypatch.setattr(bench, "_CHUNK", 2 * cfg.n_samples_per_class)
+    monkeypatch.setattr(walk, "_CHUNK", 2 * cfg.n_samples_per_class)
     assert _traced_peak(lambda: generate_features(cfg)) > bound
 
 
@@ -671,13 +688,13 @@ def test_suite_memory_holds_features_across_entries_not_waveforms(monkeypatch):
         _traced_peak(lambda: bench._fit_jobs(jobs)))
     assert _traced_peak(lambda: run_suite(configs)) < bound
 
-    kept, lowpass_steps = [], bench._lowpass_steps
+    kept, lowpass_steps = [], walk._lowpass_steps
 
     def keep_waveforms(buf, alpha, start=None):
         lowpass_steps(buf, alpha, start)
         kept.append(buf)
 
-    monkeypatch.setattr(bench, "_lowpass_steps", keep_waveforms)
+    monkeypatch.setattr(walk, "_lowpass_steps", keep_waveforms)
     assert _traced_peak(lambda: run_suite(configs)) > bound
 
 

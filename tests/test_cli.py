@@ -617,6 +617,41 @@ def test_nan_chain_parameter_exits_two_naming_it(tmp_path, capsys, edit, key):
     assert capsys.readouterr().err.endswith(f"got nan (config key: {key})\n")
 
 
+@pytest.mark.parametrize("entry, key", [
+    ({"experiment": "PPA", "duration": 1e-323}, "duration"),
+    ({"experiment": "OmBoth", "circuit": "opamp", "duration": 1e-323}, "duration"),
+    ({"experiment": "IA", "vref_params": {"input_frequency": float("inf")}},
+     "input_frequency"),
+    ({"experiment": "IA", "vref_params": {"pll_multiplier": float("inf")}},
+     "pll_multiplier"),
+])
+def test_chain_value_that_breaks_the_timebase_exits_two_naming_it(tmp_path, capsys,
+                                                                   entry, key):
+    """A sample period that underflows to 0 is refused under ``duration``,
+    and an infinite carrier parameter under its own key, not reported as
+    another key's fault or as a waveform that is not finite."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n_samples_per_class": 10, **entry}))
+    assert main(["experiment", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("amsdetect: error: ") and err.count("\n") == 1
+    assert err.endswith(f"(config key: {key})\n")
+
+
+def test_experiment_flags_override_the_config_file_keys(tmp_path, capsys):
+    """Flags lie over the keys the file holds; defaults the file does not
+    set follow the experiment the flags name."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "configs" / "ppa-windowed-early.json"
+    base = ["experiment", "--config", str(path), "--samples-per-class", "10"]
+    assert main([*base, "--experiment", "OmBoth"]) == 0
+    assert "experiment OmBoth on vref_components" in capsys.readouterr().out
+    out = tmp_path / "ta"
+    assert main([*base, "--experiment", "TA", "--out", str(out)]) == 0
+    assert "experiment TA on vref_blocks" in capsys.readouterr().out
+    rows = (out / "report.csv").read_text().splitlines()[1:]
+    assert {row.split(",")[0] for row in rows} == {"output"}
+
+
 def test_experiment_needs_a_name(capsys):
     assert main(["experiment", "--algorithm", "gmm"]) == 2
     assert "--experiment" in capsys.readouterr().err
