@@ -6,6 +6,7 @@ population walk and ``cli simulate``, which take the same simulation knobs.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass, field, fields
 
@@ -16,9 +17,9 @@ from .cluster.birch import _check_params
 from .cluster.spectral import _check_sigma
 from .errors import ConfigurationError, _read_text
 from .features import FEATURE_NAMES, _check_selection
-from .inject import FAULT_NAMES, TEMP_RANGE
+from .inject import FAULT_NAMES, TEMP_RANGE, PointPeriodic, PointRandom, _check_temperature
 from .waveforms import (_ANALYSES, SweepSpec, VrefConfig, Waveform, _check_kstage,
-                        _check_sweep_points, _sample_period, sine_stimulus)
+                        _check_sine, _sample_period, sine_stimulus)
 
 # Injection legs per named block-level experiment: (location, mode).  The
 # multipoint "periodic" family keeps random placement at the input leg;
@@ -100,10 +101,25 @@ class ExperimentConfig:
     A rule on one value belongs to the code that uses it, and construction
     calls that code's check, so a config key and the CLI flag of the same
     name share one rule and one message.  The config's own checks are
-    names, types, combinations, the signs of the noise scales, the counts
-    no owner checks up front (``n_samples_per_class``, ``seed``,
+    names, types, combinations, finite and non-negative noise scales, the
+    counts no owner checks up front (``n_samples_per_class``, ``seed``,
     ``window_k``) and array sizes.  Every key is checked whether or not the
     run uses it.
+
+    Construction also builds, once, what the walk simulates from; these are
+    plain attributes, not fields, so ``fields()``, ``==`` and
+    ``dataclasses.replace`` see only the JSON keys:
+
+    * ``vref``: the reference chain's ``VrefConfig`` (``noise_std`` and
+      ``vref_params``), whatever the circuit;
+    * ``injections``: a block experiment's ``(block, kind)`` legs, in its
+      order, each kind a ``PointRandom`` or ``PointPeriodic``; ``()`` for
+      other experiments, though both kinds are built and so checked;
+    * ``sweep``: the ``SweepSpec`` of a DC analysis, built for any analysis;
+    * ``fault``: ``apply_component_fault``'s ``(name, temperature)`` for an
+      anomalous instance of an opamp or k-stage chain, the temperature
+      None unless the fault is Parametric; None on the reference chain;
+    * ``sample_period``: ``duration / n_samples``.
     """
 
     experiment: str
@@ -193,16 +209,16 @@ class ExperimentConfig:
         _check_params(self.birch_branching, self.birch_threshold)
         for key in ("measurement_noise", "jitter_gain", "jitter_offset"):
             # numpy's normal() refuses any scale with its sign bit set
-            if np.signbit(getattr(self, key)):
-                raise ConfigurationError(f"{key} must not be negative (-0.0 "
-                                         f"included), got {getattr(self, key)!r}",
-                                         config_key=key)
+            value = getattr(self, key)
+            if np.signbit(value) or not math.isfinite(value):
+                raise ConfigurationError(f"{key} must be finite and not negative "
+                                         f"(-0.0 included), got {value!r}", config_key=key)
         if self.n_samples_per_class < 10:
             raise ConfigurationError("n_samples_per_class must be >= 10",
                                      config_key="n_samples_per_class")
         if self.seed < 0:
             raise ConfigurationError("seed must be >= 0", config_key="seed")
-        _sample_period(self.n_samples, self.duration)
+        self.sample_period = _sample_period(self.n_samples, self.duration)
         if self.analysis not in _ANALYSES:
             raise ConfigurationError(f"unknown analysis {self.analysis!r}",
                                      config_key="analysis")
@@ -210,7 +226,8 @@ class ExperimentConfig:
             raise ConfigurationError(
                 "a Parametric fault is invisible to a temperature sweep; "
                 "use transient or dc_input_sweep", config_key="analysis")
-        _check_sweep_points(self.sweep_points)
+        self.sweep = _sweep(self)
+        _check_sine(self.stim_dc, self.stim_amplitude, self.stim_frequency)
         if self.kstage_gains is not None:
             self.kstage_gains = tuple(float(g) for g in self.kstage_gains)
         if self.anomalous_stages is not None:
@@ -219,6 +236,17 @@ class ExperimentConfig:
         if self.kstage_fault not in FAULT_NAMES:
             raise ConfigurationError(f"unknown kstage_fault {self.kstage_fault!r}",
                                      config_key="kstage_fault")
+        self.vref = VrefConfig(**{"noise_std": self.noise_std, **self.vref_params})
+        kinds = {"random": PointRandom(self.rate_pct, self.amp_low, self.amp_high),
+                 "periodic": PointPeriodic(self.threshold_frac, self.delta_frac)}
+        self.injections = tuple((block, kinds[mode]) for block, mode
+                                in BLOCK_EXPERIMENTS.get(self.experiment, ()))
+        _check_temperature(self.fault_temperature)
+        self.fault = None
+        if self.circuit != "vref_blocks":
+            name = (self.kstage_fault if self.circuit == "kstage"
+                    else FAULT_EXPERIMENTS[self.experiment])
+            self.fault = name, self.fault_temperature if name == "Parametric" else None
         # the (2n, k, signals, features) raw features
         feature_bytes = (8 * 2 * self.n_samples_per_class * len(self.observed_signals)
                          * len(self.features))
@@ -295,11 +323,17 @@ def _check_sizes(spec, *sizes: tuple[str, int]) -> None:
 
 def _stimulus(spec) -> Waveform | SweepSpec:
     """The opamp stimulus of an ExperimentConfig or of ``simulate``'s
-    arguments: the sine of a transient analysis, else the DC sweep, whose
-    unset end defaults to 0-0.2 V (input sweep) or TEMP_RANGE (temperature)."""
+    arguments: the sine of a transient analysis, else the DC sweep."""
     if _analysis(spec) == "transient":
         return sine_stimulus(spec.n_samples, spec.duration, spec.stim_dc,
                              spec.stim_amplitude, spec.stim_frequency)
+    return _sweep(spec)
+
+
+def _sweep(spec) -> SweepSpec:
+    """The DC sweep of an ExperimentConfig or of ``simulate``'s arguments,
+    whose unset end defaults to 0-0.2 V (input sweep) or TEMP_RANGE
+    (temperature sweep, and any other analysis)."""
     lo, hi = (0.0, 0.2) if spec.analysis == "dc_input_sweep" else TEMP_RANGE
     return SweepSpec(lo if spec.sweep_start is None else spec.sweep_start,
                      hi if spec.sweep_stop is None else spec.sweep_stop,

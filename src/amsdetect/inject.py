@@ -62,9 +62,13 @@ class PointRandom:
         if not 0.0 < self.rate_pct < 100.0:
             raise ConfigurationError("rate_pct must be in (0, 100)",
                                      config_key="rate_pct")
-        if not 0.0 < self.amp_low <= self.amp_high < math.inf:   # NaN fails too
-            raise ConfigurationError("need finite 0 < amp_low <= amp_high",
+        if not 0.0 < self.amp_low < math.inf:   # NaN fails too
+            raise ConfigurationError(f"amp_low must be finite and > 0, got {self.amp_low!r}",
                                      config_key="amp_low")
+        if not self.amp_low <= self.amp_high < math.inf:
+            raise ConfigurationError(f"amp_high must be finite and >= amp_low "
+                                     f"({self.amp_low!r}), got {self.amp_high!r}",
+                                     config_key="amp_high")
 
     def stamp(self, row: np.ndarray, seed: int | None) -> np.ndarray:
         """Stamp these anomalies on the finite ``row`` in place; returns the positions."""
@@ -168,6 +172,23 @@ FAULT_NAMES = ("OmBoth", "OmPfet", "OmNfet", "Parametric", "Open", "Short")
 TEMP_RANGE = (-40.0, 125.0)  # qualified operating range, degrees Celsius
 
 
+def _check_temperature(temperature: float | None) -> None:
+    """A Parametric fault's temperature, config key ``fault_temperature``:
+    finite and outside ``TEMP_RANGE``."""
+    if temperature is None:
+        raise ConfigurationError("Parametric fault needs a temperature",
+                                 config_key="fault_temperature")
+    if not math.isfinite(temperature):
+        raise ConfigurationError(
+            f"Parametric temperature must be finite, got {temperature!r}",
+            config_key="fault_temperature")
+    if TEMP_RANGE[0] <= temperature <= TEMP_RANGE[1]:
+        raise ConfigurationError(
+            f"Parametric temperature {temperature} C is inside the "
+            f"qualified range [{TEMP_RANGE[0]}, {TEMP_RANGE[1]}] C",
+            config_key="fault_temperature")
+
+
 def apply_component_fault(model: OpampModel, name: str,
                           temperature: float | None) -> OpampModel:
     """Return ``model`` transformed by the component fault ``name``.
@@ -190,18 +211,7 @@ def apply_component_fault(model: OpampModel, name: str,
         return replace(model, open_loop_gain=model.open_loop_gain * 0.4 * 0.6,
                        offset=model.offset + 0.05 * span - 0.05 * span)
     if name == "Parametric":
-        if temperature is None:
-            raise ConfigurationError("Parametric fault needs a temperature",
-                                     config_key="fault_temperature")
-        if not math.isfinite(temperature):
-            raise ConfigurationError(
-                f"Parametric temperature must be finite, got {temperature!r}",
-                config_key="fault_temperature")
-        if TEMP_RANGE[0] <= temperature <= TEMP_RANGE[1]:
-            raise ConfigurationError(
-                f"Parametric temperature {temperature} C is inside the "
-                f"qualified range [{TEMP_RANGE[0]}, {TEMP_RANGE[1]}] C",
-                config_key="fault_temperature")
+        _check_temperature(temperature)
         return replace(model, eval_temp=temperature)
     if name == "Open":
         return replace(model, open_collapse=True)

@@ -19,40 +19,18 @@ from itertools import accumulate
 
 import numpy as np
 
-from .config import (BLOCK_EXPERIMENTS, FAULT_EXPERIMENTS, ExperimentConfig, _analysis,
-                     _stimulus)
+from .config import ExperimentConfig, _analysis, _stimulus
 from .errors import AmsDetectError
 from .features import _windowed_rows
-from .inject import PointPeriodic, PointRandom, apply_component_fault
-from .waveforms import (OpampModel, VrefConfig, _check_finite, _input_rows, _lowpass_steps,
-                        _output_drive, _sample_period, _simulate_columns, _walk_chain,
-                        build_kstage, default_vref_component_model)
+from .inject import apply_component_fault
+from .waveforms import (OpampModel, _check_finite, _input_rows, _lowpass_steps, _output_drive,
+                        _simulate_columns, _walk_chain, build_kstage,
+                        default_vref_component_model)
 
 
 def _child_seed(*parts: int) -> int:
     """Stable composite seed; collisions across distinct part tuples are moot."""
     return int(np.random.SeedSequence(list(parts)).generate_state(1, np.uint64)[0])
-
-
-def _legs(config: ExperimentConfig, label: int) -> tuple:
-    """The injection legs of a block config's instances of class ``label``,
-    in the experiment's order: (block, kind, args), where ``kind(*args)``
-    validates them; none when clean.  Instance idx
-    seeds leg j with ``_child_seed(seed, label, idx, 1 + j)``."""
-    if label == 0:
-        return ()
-    return tuple((block, PointRandom, (config.rate_pct, config.amp_low, config.amp_high))
-                 if mode == "random" else
-                 (block, PointPeriodic, (config.threshold_frac, config.delta_frac))
-                 for block, mode in BLOCK_EXPERIMENTS[config.experiment])
-
-
-def _fault_args(config: ExperimentConfig) -> tuple[str, float | None]:
-    """``apply_component_fault``'s (name, temperature) for an anomalous
-    instance of a fault or k-stage config."""
-    name = (config.kstage_fault if config.circuit == "kstage"
-            else FAULT_EXPERIMENTS[config.experiment])
-    return name, config.fault_temperature if name == "Parametric" else None
 
 
 def _jittered(base: OpampModel, rng: np.random.Generator,
@@ -90,19 +68,16 @@ def _sim_key(config: ExperimentConfig, label: int) -> tuple[str, str]:
     """
     if config.circuit == "vref_blocks":
         lanes: tuple = ("vref_blocks", config.n_samples)
-        vref = sorted({"noise_std": config.noise_std, **config.vref_params}.items())
-        rest: tuple = (config.duration, vref, _legs(config, label))
+        rest: tuple = (config.duration, config.vref, config.injections if label else ())
     else:
         kstage = config.circuit == "kstage"
         if _analysis(config) == "transient":
             stimulus = ("transient", config.n_samples, config.duration, config.stim_dc,
                         config.stim_amplitude, config.stim_frequency)
         else:
-            stimulus = (config.analysis, config.sweep_start, config.sweep_stop,
-                        config.sweep_points, config.sweep_bias)
+            stimulus = (config.analysis, config.sweep)
         lanes = (stimulus, config.kstage_k if kstage else 1)
-        faulted = (*_fault_args(config),
-                   config.anomalous_stages if kstage else None) if label else None
+        faulted = (config.fault, config.anomalous_stages if kstage else None) if label else None
         rest = (config.circuit, config.jitter_gain, config.jitter_offset,
                 config.measurement_noise, config.kstage_gains if kstage else None, faulted)
     return repr(lanes), repr((lanes, config.seed, label, rest))
@@ -114,7 +89,7 @@ def _timebase(config: ExperimentConfig) -> tuple[int, float]:
     k = config.window_k or 1
     if _analysis(config) != "transient":
         return config.sweep_points // k, 1.0
-    return config.n_samples // k, _sample_period(config.n_samples, config.duration)
+    return config.n_samples // k, config.sample_period
 
 
 @dataclass
@@ -138,7 +113,7 @@ def _instance_chain(config: ExperimentConfig, rng: np.random.Generator,
                     fault: tuple[str, float | None] | None) -> list[OpampModel]:
     """One instance's per-stage opamp models; draws its jitter from ``rng``.
 
-    An anomalous instance (``fault`` is ``_fault_args(config)``) of a k-stage
+    An anomalous instance (``fault`` is ``config.fault``) of a k-stage
     chain also draws its faulted stage, unless ``anomalous_stages`` fixes it.
     """
     if config.circuit != "kstage":
@@ -265,8 +240,8 @@ class _Walk:
         drive, alpha = np.empty((pops[0].config.n_samples, width)), np.zeros(width)
 
         def load(pop, first, count, col):
-            vcfg, dt = self._walk_rows(pop, first, first + count, drive[:, col:col + count])
-            alpha[col:col + count] = dt / vcfg.output_tau
+            self._walk_rows(pop, first, first + count, drive[:, col:col + count])
+            alpha[col:col + count] = pop.config.sample_period / pop.config.vref.output_tau
 
         def step(ready, cols):
             _lowpass_steps(drive[:, :cols], alpha[:cols])
@@ -280,29 +255,23 @@ class _Walk:
                     self._walk_rows(pop, pop.n_output, pop.n, None)
 
     def _walk_rows(self, pop: _Population, start: int, stop: int,
-                   drive: np.ndarray | None) -> tuple[VrefConfig, float]:
+                   drive: np.ndarray | None) -> None:
         """Walk instances start..stop of a block population down the chain,
         chunk by chunk: consumers featurize the four taps before the output
-        stage, and ``drive`` (time-major) gets the output stage's drive.
-
-        :returns: (the chain's VrefConfig, sample period)
-        """
-        cfg = pop.config
-        vcfg = VrefConfig(**{"noise_std": cfg.noise_std, **cfg.vref_params})
-        legs = tuple((block, kind(*args)) for block, kind, args in _legs(cfg, pop.label))
-        dt = _sample_period(cfg.n_samples, cfg.duration)
+        stage, and ``drive`` (time-major) gets the output stage's drive."""
+        cfg, dt = pop.config, pop.config.sample_period
+        legs = cfg.injections if pop.label else ()
         for c in _chunks(stop - start):
             ids = range(start + c.start, start + c.stop)
             taps = _walk_chain(
-                vcfg, _input_rows(vcfg, cfg.n_samples, dt,
-                                  [_child_seed(cfg.seed, pop.label, i, 0) for i in ids]),
+                cfg.vref, _input_rows(cfg.vref, cfg.n_samples, dt,
+                                      [_child_seed(cfg.seed, pop.label, i, 0) for i in ids]),
                 dt, legs, [[_child_seed(cfg.seed, pop.label, i, 1 + j)
                             for j in range(len(legs))] for i in ids])
             self._featurize(pop, ids.start, taps)
             if drive is not None:
-                _output_drive(taps["trig"].T, vcfg, out=drive[:, c])
+                _output_drive(taps["trig"].T, cfg.vref, out=drive[:, c])
             del taps   # free this chunk's signals before the next chunk's exist
-        return vcfg, dt
 
     def _walk_opamps(self, pops: list[_Population], width: int) -> None:
         """Simulate opamp or k-stage chains in lanes of one stimulus, then
@@ -319,7 +288,7 @@ class _Walk:
         stimulus = []   # built at the first step, after the first chains, as alone
 
         def load(pop, first, count, col):
-            fault = _fault_args(pop.config) if pop.label else None
+            fault = pop.config.fault if pop.label else None
             for j, i in enumerate(range(first, first + count), col):
                 rng = np.random.default_rng(_child_seed(pop.config.seed, pop.label, i, 0))
                 chains[j] = _instance_chain(pop.config, rng, fault)
@@ -327,7 +296,7 @@ class _Walk:
 
         def step(ready, cols):
             if not stimulus:
-                stimulus.append(_stimulus(cfg))
+                stimulus.append(_stimulus(cfg) if mode == "transient" else cfg.sweep)
             self._featurize_output(_simulate_columns(chains[:cols], mode, stimulus[0]),
                                    ready, streams[:cols])
 

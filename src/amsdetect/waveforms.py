@@ -67,6 +67,12 @@ __all__ = [
 _ANALYSES = ("transient", "dc_input_sweep", "dc_temp_sweep")   # simulate_opamp's modes
 
 
+def _check_finite_key(key: str, value: float) -> None:
+    """Refuse a non-finite value of the config key ``key``."""
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{key} must be finite, got {value!r}", config_key=key)
+
+
 def _check_finite(samples: np.ndarray) -> None:
     # min and max propagate NaN and expose +-inf without a mask of the
     # samples; on a time-major buffer that mask alone raised suite-full's
@@ -140,9 +146,14 @@ class VrefConfig:
             if not (value > 0 and (tau or value < math.inf)):
                 raise ConfigurationError(f"{key} must be {'' if tau else 'finite and '}"
                                          f"> 0, got {value!r}", config_key=key)
-        if not self.noise_std >= 0:
-            raise ConfigurationError(f"noise_std must be >= 0, got {self.noise_std!r}",
-                                     config_key="noise_std")
+        for key in ("pll_deviation_gain", "trig_gain", "output_level", "output_gain"):
+            _check_finite_key(key, getattr(self, key))
+        if not 0 <= self.noise_std < math.inf:
+            raise ConfigurationError(f"noise_std must be finite and >= 0, got "
+                                     f"{self.noise_std!r}", config_key="noise_std")
+        # a zero gain flattens the trig tap, which periodic injection cannot scale
+        if self.trig_gain == 0:
+            raise ConfigurationError("trig_gain must not be 0", config_key="trig_gain")
 
 
 def _nominal_carrier(n_samples: int, sample_period: float, config: VrefConfig) -> np.ndarray:
@@ -389,12 +400,6 @@ class OpampModel:
         return self.nominal_temp if self.eval_temp is None else self.eval_temp
 
 
-def _check_sweep_points(n_points: int) -> None:
-    """A sweep's point count, config key ``sweep_points``."""
-    if n_points < 2:
-        raise ConfigurationError("sweep_points must be >= 2", config_key="sweep_points")
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """A DC sweep: n_points values from start to stop (inclusive).
@@ -408,7 +413,8 @@ class SweepSpec:
     bias: float = 0.0
 
     def __post_init__(self):
-        _check_sweep_points(self.n_points)
+        if self.n_points < 2:
+            raise ConfigurationError("sweep_points must be >= 2", config_key="sweep_points")
         for key in ("start", "stop", "bias"):
             if not math.isfinite(getattr(self, key)):
                 raise ConfigurationError(
@@ -504,6 +510,14 @@ def _simulate_columns(chains, mode: str, stimulus: "Waveform | SweepSpec") -> np
     return buf
 
 
+def _check_sine(dc: float, amplitude: float, frequency: float) -> None:
+    """A sine stimulus's config keys ``stim_dc``, ``stim_amplitude`` and
+    ``stim_frequency``."""
+    for key, value in (("stim_dc", dc), ("stim_amplitude", amplitude),
+                       ("stim_frequency", frequency)):
+        _check_finite_key(key, value)
+
+
 def sine_stimulus(n_samples: int, duration: float, dc: float, amplitude: float,
                   frequency: float) -> Waveform:
     """Transient stimulus dc + amplitude * sin(2*pi*frequency*t) over n_samples.
@@ -511,6 +525,7 @@ def sine_stimulus(n_samples: int, duration: float, dc: float, amplitude: float,
     The sample period is duration / n_samples.
     """
     dt = _sample_period(n_samples, duration)
+    _check_sine(dc, amplitude, frequency)
     with _float_errors():
         t = np.arange(n_samples) * dt
         samples = dc + amplitude * np.sin(2.0 * np.pi * frequency * t)

@@ -434,9 +434,10 @@ def test_generate_features_matches_per_instance_reference(experiment, data):
     assert (samples_per_window, sample_period) == (ref_spw, ref_dt)
 
 
+# finite values that overflow inside the walk
 _NON_FINITE = [dict(experiment="TA", vref_params={"output_tau": 1e-300}),
-               dict(experiment="Open", measurement_noise=float("inf")),
-               dict(experiment="KStage", kstage_k=2, measurement_noise=float("inf"))]
+               dict(experiment="Open", measurement_noise=1e308),
+               dict(experiment="KStage", kstage_k=2, measurement_noise=1e308)]
 
 
 @pytest.mark.parametrize("kw", _NON_FINITE)

@@ -12,6 +12,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -22,10 +23,11 @@ from amsdetect.centroid import refine_model
 from amsdetect.cli import _parse, build_parser, main
 from amsdetect.cluster import as_matrix, assign_many, load_model
 from amsdetect.earlydetect import detections_to_csv, scan_windows
+from amsdetect.errors import ConfigurationError
 from amsdetect.features import (Dataset, dataset_from_csv, dataset_to_csv,
                                 windowed_features)
 from amsdetect.inject import FAULT_NAMES
-from amsdetect.waveforms import waveform_from_csv
+from amsdetect.waveforms import VrefConfig, waveform_from_csv
 
 UTF8 = codecs.lookup(locale.getpreferredencoding(False)).name == "utf-8"
 
@@ -59,11 +61,12 @@ def test_bad_parameter_exits_two(tmp_path, capsys):
                "--rate-pct", "1000", "--out", str(tmp_path / "x")])
     assert rc == 2
     assert "rate" in capsys.readouterr().err
-    for amp in ("--amp-low=nan", "--amp-high=nan", "--amp-high=inf"):
+    for amp, key in (("--amp-low=nan", "amp_low"), ("--amp-high=nan", "amp_high"),
+                     ("--amp-high=inf", "amp_high")):
         rc = main(["inject", "--in", str(sim / "input.csv"), "--mode", "random",
                    amp, "--out", str(tmp_path / "x")])
         assert rc == 2
-        assert "finite 0 < amp_low <= amp_high" in capsys.readouterr().err
+        assert f"{key} must be finite" in capsys.readouterr().err
     for n in ("0", "1"):
         rc = main(["simulate", "--circuit", "opamp", "--n-samples", n,
                    "--out", str(tmp_path / "y")])
@@ -509,9 +512,11 @@ def test_simulate_overflow_prints_no_numpy_warning(tmp_path, argv, code):
     assert proc.returncode == code, proc.stderr
     assert "RuntimeWarning" not in proc.stderr
     if code:
-        # an infinite duration is refused before it reaches a simulation
+        # an infinite duration or frequency is refused before it reaches a simulation
         want = ("duration must be finite and > 0, got inf (config key: duration)"
-                if "--duration" in argv else "waveform samples must be finite")
+                if "--duration" in argv else
+                "stim_frequency must be finite, got inf (config key: stim_frequency)"
+                if "--stim-frequency" in argv else "waveform samples must be finite")
         assert proc.stderr == f"amsdetect: error: {want}\n"
 
 
@@ -636,6 +641,55 @@ def test_chain_value_that_breaks_the_timebase_exits_two_naming_it(tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith("amsdetect: error: ") and err.count("\n") == 1
     assert err.endswith(f"(config key: {key})\n")
+
+
+_VREF_KEYS = [f.name for f in fields(VrefConfig)]
+_NUMERIC_KEYS = [(f.name, f.type.startswith("int")) for f in fields(ExperimentConfig)
+                 if f.type.split(" ")[0] in ("int", "float")]
+# the run that reads a key; every other key is read by an IPTPA run
+_READER = {**dict.fromkeys(["measurement_noise", "jitter_gain", "jitter_offset", "stim_dc",
+                            "stim_amplitude", "stim_frequency"], {"experiment": "OmBoth"}),
+           **dict.fromkeys(["sweep_start", "sweep_stop", "sweep_points", "sweep_bias"],
+                           {"experiment": "OmBoth", "analysis": "dc_input_sweep"}),
+           "fault_temperature": {"experiment": "ParFault"},
+           "kstage_k": {"experiment": "KStage"},
+           "birch_branching": {"algorithm": "birch"},
+           "birch_threshold": {"algorithm": "birch"},
+           "spectral_sigma": {"algorithm": "spectral"}}
+_SPECIAL = [float("nan"), float("inf"), float("-inf"), -1, 0]
+
+
+@pytest.mark.parametrize("key, value", [
+    (key, value) for key, integer in [*_NUMERIC_KEYS, *((k, False) for k in _VREF_KEYS)]
+    for value in (_SPECIAL[3:] if integer else _SPECIAL)])
+def test_a_special_value_is_refused_at_load_or_runs(tmp_path, capsys, key, value):
+    """Every numeric key, ``vref_params`` entries included, given NaN, +-inf,
+    -1 or 0: building a config refuses it under its key whatever the
+    experiment, or no experiment refuses it; the run that reads it then
+    exits 0, or exits 2 naming it, and only for a value the load refuses."""
+    edit = {"vref_params": {key: value}} if key in _VREF_KEYS else {key: value}
+    if key.startswith("sweep_"):
+        edit["analysis"] = "dc_input_sweep"
+    base = {"experiment": "IPTPA", "n_samples_per_class": 10, "n_samples": 300}
+    refused = []
+    for experiment in ("IPTPA", "OmBoth", "KStage"):
+        try:
+            ExperimentConfig.from_dict({**base, **edit, "experiment": experiment})
+            refused.append(None)
+        except ConfigurationError as exc:
+            refused.append(exc.config_key)
+    assert refused in ([None] * 3, [key] * 3)
+    run = {**base, **_READER.get(key, {}), **edit}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(run))
+    rc = main(["experiment", "--config", str(path), "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc in (0, 2), err
+    if rc:
+        assert err.endswith(f"(config key: {key})\n"), err
+        with pytest.raises(ConfigurationError) as exc:
+            ExperimentConfig.from_dict(run)
+        assert exc.value.config_key == key
 
 
 def test_experiment_flags_override_the_config_file_keys(tmp_path, capsys):

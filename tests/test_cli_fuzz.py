@@ -58,6 +58,8 @@ def _parses(kind, text) -> bool:
 # ------------------------------------------------------------ config JSON
 
 BASE_CONFIG = {"experiment": "IA", "n_samples_per_class": 10, "n_samples": 300}
+NON_FINITE = st.sampled_from([float("inf"), float("-inf"), float("nan")])
+BELOW_ZERO = st.floats(max_value=-5e-324)       # -0.0 excluded
 FIELDS = {f.name: f.type for f in fields(ExperimentConfig)}
 
 
@@ -102,9 +104,19 @@ OUT_OF_RANGE = {
         [float("inf"), float("nan")]),
     "birch_threshold": st.floats(max_value=0.0) | st.sampled_from(
         [float("inf"), float("nan")]),
-    "measurement_noise": st.floats(max_value=-0.0),
-    "jitter_gain": st.floats(max_value=-0.0),
-    "jitter_offset": st.floats(max_value=-0.0),
+    "measurement_noise": st.floats(max_value=-0.0) | NON_FINITE,
+    "jitter_gain": st.floats(max_value=-0.0) | NON_FINITE,
+    "jitter_offset": st.floats(max_value=-0.0) | NON_FINITE,
+    "noise_std": BELOW_ZERO | NON_FINITE,
+    "rate_pct": st.floats(max_value=0.0) | st.floats(min_value=100.0) | NON_FINITE,
+    "amp_low": st.floats(max_value=0.0) | NON_FINITE,
+    "amp_high": st.floats(max_value=2.0, exclude_max=True) | NON_FINITE,   # < amp_low
+    "threshold_frac": (st.floats(max_value=0.0)
+                       | st.floats(min_value=1.0, exclude_min=True) | NON_FINITE),
+    "delta_frac": BELOW_ZERO | NON_FINITE,
+    "fault_temperature": st.floats(-40.0, 125.0) | NON_FINITE,
+    **dict.fromkeys(["stim_dc", "stim_amplitude", "stim_frequency", "sweep_start",
+                     "sweep_stop", "sweep_bias"], NON_FINITE),
 }
 NAMES = {"experiment", "algorithm", "analysis", "sigma_scope", "kstage_fault",
          "features", "observed_signals"}
