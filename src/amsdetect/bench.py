@@ -72,13 +72,9 @@ def generate_features(config: ExperimentConfig) -> tuple[np.ndarray, int, float]
         shape (2n, windows, signals, features), signals in
         ``observed_signals`` order and features in ``features`` order; the
         two scalars come from the simulated waveforms
+    :raises AmsDetectError: the first error of the config's walk
     """
-    walk = _Walk([config])
-    walk.run()
-    if walk.failed:
-        # popped: its traceback will hold this frame, which holds the walk
-        raise walk.failed.pop(0)
-    return (walk.feats[0], *_timebase(config))
+    return (_Walk([config]).run()[0], *_timebase(config))
 
 
 def generate_dataset(config: ExperimentConfig) -> Dataset:
@@ -358,23 +354,25 @@ def run_suite(configs: list[ExperimentConfig]) -> SuiteResult:
     Every entry is simulated first, in one ``_Walk`` over their populations.
     Then all of their combinations are fitted in one ``_fit_jobs`` call, so
     same-shape GMM fits of different entries share lockstep batches, and
-    each entry is scored.  An entry the walk could not finish is prepared
-    again alone, so it fails (or not) with the error ``evaluate`` raises;
-    every report is the one ``evaluate`` gives.  What is held across
-    entries is their raw feature arrays, never their waveforms.
+    each entry is scored.  The walk stops at its first error, which names
+    no entry; then every entry is prepared again alone, so each fails (or
+    not) with the error ``evaluate`` raises.  Every report is the one
+    ``evaluate`` gives.  What is held across entries is their raw feature
+    arrays, never their waveforms.
     """
     if not configs:
         raise ConfigurationError("suite contains no experiments",
                                  config_key="experiments")
-    walk = _Walk(configs)
-    walk.run()
+    try:
+        feats = _Walk(configs).run()
+    except AmsDetectError:
+        feats = [None] * len(configs)
     prepared: list = []
-    for e, cfg in enumerate(configs):
+    for cfg, f in zip(configs, feats):
         try:
-            prepared.append(_prepare(cfg, None if e in walk.failed else walk.feats[e]))
+            prepared.append(_prepare(cfg, f))
         except AmsDetectError as exc:
             prepared.append(str(exc))
-    del walk
     entries = [p for p in prepared if isinstance(p, _Prepared)]
     fits = iter(_fit_jobs([(p, combo) for p in entries for combo in p.combos]))
     out = []

@@ -16,7 +16,7 @@ from .centroid import _check_scope
 from .cluster.birch import _check_params
 from .cluster.spectral import _check_sigma
 from .errors import ConfigurationError, _read_text
-from .features import FEATURE_NAMES, _check_selection
+from .features import FEATURE_NAMES, _check_selection, _check_windows
 from .inject import FAULT_NAMES, TEMP_RANGE, PointPeriodic, PointRandom, _check_temperature
 from .waveforms import (_ANALYSES, SweepSpec, VrefConfig, Waveform, _check_kstage,
                         _check_sine, _sample_period, sine_stimulus)
@@ -104,7 +104,8 @@ class ExperimentConfig:
     names, types, combinations, finite and non-negative noise scales, the
     counts no owner checks up front (``n_samples_per_class``, ``seed``,
     ``window_k``) and array sizes.  Every key is checked whether or not the
-    run uses it.
+    run uses it, and ``window_k`` also against the signal the walk windows
+    (``n_samples``, or ``sweep_points`` for a DC analysis).
 
     Construction also builds, once, what the walk simulates from; these are
     plain attributes, not fields, so ``fields()``, ``==`` and
@@ -252,6 +253,8 @@ class ExperimentConfig:
                          * len(self.features))
         _check_sizes(self, ("n_samples_per_class", feature_bytes),
                      ("window_k", feature_bytes * (self.window_k or 1)))
+        _check_windows(self.n_samples if _analysis(self) == "transient" else self.sweep_points,
+                       self.window_k or 1, self.features)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":

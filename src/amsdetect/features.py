@@ -45,17 +45,26 @@ def _check_selection(selection) -> tuple[str, ...]:
     return sel
 
 
+def _check_windows(n: int, k: int, selection) -> None:
+    """Refuse (config key ``window_k``) k windows of n samples that do not
+    divide evenly, or that leave the slope in ``selection`` one sample."""
+    if k < 1:
+        raise WindowError("window count must be >= 1", config_key="window_k")
+    if n % k != 0:
+        raise WindowError(f"{n} samples do not divide into {k} equal windows",
+                          config_key="window_k")
+    if "slope" in selection and n // k < 2:
+        raise InputError("slope needs at least 2 samples", config_key="window_k")
+
+
 def _windowed_rows(x: np.ndarray, k: int, selection) -> np.ndarray:
     """``windowed_features`` of each row of a C-contiguous (rows, n) array.
 
     :returns: shape (rows, k, d); each row's bytes are those of the row alone
     """
-    if k < 1:
-        raise WindowError("window count must be >= 1")
     rows, n = x.shape
-    if n % k != 0:
-        raise WindowError(f"{n} samples do not divide into {k} equal windows")
     sel = _check_selection(selection)
+    _check_windows(n, k, sel)
     x = x.reshape(rows * k, -1)
     width = x.shape[1]
     out = np.empty((rows * k, len(sel)))
@@ -70,8 +79,6 @@ def _windowed_rows(x: np.ndarray, k: int, selection) -> np.ndarray:
             else:
                 # least-squares slope of value against sample index (per-sample
                 # units); one dot per window keeps its bytes as if alone
-                if width < 2:
-                    raise InputError("slope needs at least 2 samples")
                 idx = np.arange(width, dtype=np.float64)
                 di = idx - idx.mean()
                 den = np.dot(di, di)

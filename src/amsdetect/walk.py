@@ -8,19 +8,19 @@ own windows, features and signals.  The time recursions step many
 instances at once on one time-major lane buffer, no wider than one of
 those configs would get alone, and everything else runs in chunks of
 ``_CHUNK`` instances; each instance still gets the bytes it would get
-simulated alone.
+simulated alone.  The walk stops at its first error, which does not say
+which config caused it; a walk of one config alone raises that config's
+own error.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
 
 import numpy as np
 
 from .config import ExperimentConfig, _analysis, _stimulus
-from .errors import AmsDetectError
 from .features import _windowed_rows
 from .inject import apply_component_fault
 from .waveforms import (OpampModel, _check_finite, _input_rows, _lowpass_steps, _output_drive,
@@ -130,19 +130,33 @@ def _instance_chain(config: ExperimentConfig, rng: np.random.Generator,
     return build_kstage(base, gains, stages, apply_component_fault(base, *fault))
 
 
+def _lanes(pops: list[_Population], width: int):
+    """The lanes of the populations' first ``n_output`` instances, laid end
+    to end, ``width`` columns a lane: yields each lane's (population, first
+    instance, count, column) runs, in column order."""
+    starts = list(accumulate((p.n_output for p in pops), initial=0))
+    for lo in range(0, starts[-1], width or 1):     # width is 0 with no instances
+        runs = []
+        for pop, start in zip(pops, starts):
+            first = max(lo - start, 0)
+            count = min(lo + width - start, pop.n_output) - first
+            if count > 0:
+                runs.append((pop, first, count, start + first - lo))
+        yield runs
+
+
 class _Walk:
     """The raw features of several configs, each population simulated once.
 
     Populations that share lanes (``_sim_key``) are walked together, on a
     lane buffer at most 2 x the largest ``n_samples_per_class`` among their
-    consumers wide; no waveform outlives its chunk or its lane.  An error
-    fails the configs it touches, which get no more features, and the walk
-    goes on: ``failed`` holds each one's first error, without its traceback.
+    consumers wide; no waveform outlives its chunk or its lane.  ``run``
+    stops at the first error, which may belong to any consumer: only a
+    config walked alone gets its own error.
     """
 
     def __init__(self, configs: list[ExperimentConfig]):
         self.configs = configs
-        self.failed: dict[int, AmsDetectError] = {}
         self.feats = [np.empty((2 * c.n_samples_per_class, c.window_k or 1,
                                 len(c.observed_signals), len(c.features))) for c in configs]
         self.lanes: dict[str, list[_Population]] = {}
@@ -159,44 +173,15 @@ class _Walk:
                 if "output" in cfg.observed_signals:
                     pop.n_output = max(pop.n_output, n)
 
-    def run(self) -> None:
+    def run(self) -> list[np.ndarray]:
+        """Walk every lane; returns ``feats``, one array per config."""
         for pops in self.lanes.values():
             width = min(2 * max(p.n for p in pops), sum(p.n_output for p in pops))
             if pops[0].config.circuit == "vref_blocks":
                 self._walk_blocks(pops, width)
             else:
                 self._walk_opamps(pops, width)
-
-    @contextmanager
-    def _guard(self, entries):
-        """An AmsDetectError inside fails ``entries``."""
-        try:
-            yield
-        except AmsDetectError as exc:
-            for e in entries:
-                self.failed.setdefault(e, exc.with_traceback(None))
-
-    def _step_lanes(self, pops: list[_Population], width: int, load, step) -> None:
-        """Step the populations' first ``n_output`` instances, laid end to
-        end, ``width`` columns a lane.  ``load(pop, first, count, col)`` puts
-        instances first.. of ``pop`` in columns col..; a population that
-        fails leaves its columns to the next.  ``step(ready, cols)`` steps
-        the ``cols`` loaded columns, ``ready`` listing the (population, first
-        instance, count) in them, in column order."""
-        starts = list(accumulate((p.n_output for p in pops), initial=0))
-        for lo in range(0, starts[-1], width or 1):     # width is 0 with no instances
-            ready, col = [], 0
-            for pop, start in zip(pops, starts):
-                first = max(lo - start, 0)
-                count = min(lo + width - start, pop.n_output) - first
-                if count > 0:
-                    with self._guard(pop.consumers):
-                        load(pop, first, count, col)
-                        ready.append((pop, first, count))
-                        col += count
-            if ready:
-                with self._guard([e for p, _, _ in ready for e in p.consumers]):
-                    step(ready, col)
+        return self.feats
 
     def _featurize(self, pop: _Population, first: int, taps: dict) -> None:
         """Each consumer's features of instances ``first``.. from the taps
@@ -204,55 +189,49 @@ class _Walk:
         for e in pop.consumers:
             cfg = self.configs[e]
             n = cfg.n_samples_per_class
-            if e in self.failed or first >= n:
+            if first >= n:
                 continue
             row = pop.label * n + first
-            with self._guard([e]):
-                for j, s in enumerate(cfg.observed_signals):
-                    if s in taps:
-                        x = taps[s][:n - first]
-                        self.feats[e][row:row + len(x), :, j] = _windowed_rows(
-                            x, cfg.window_k or 1, cfg.features)
+            for j, s in enumerate(cfg.observed_signals):
+                if s in taps:
+                    x = taps[s][:n - first]
+                    self.feats[e][row:row + len(x), :, j] = _windowed_rows(
+                        x, cfg.window_k or 1, cfg.features)
 
-    def _featurize_output(self, lane: np.ndarray, ready: list, streams=None) -> None:
-        """Each population's output features from its columns of a stepped
-        lane, chunk by chunk.  With ``streams`` (one parked random state per
+    def _featurize_output(self, lane: np.ndarray, runs: list, streams=None) -> None:
+        """Each run's output features from its columns of a stepped lane,
+        chunk by chunk.  With ``streams`` (one parked random state per
         column), each row first gets its instance's measurement noise."""
-        rng, col = np.random.default_rng(0), 0
-        for pop, first, count in ready:
-            with self._guard(pop.consumers):
-                for c in _chunks(count):
-                    rows = np.ascontiguousarray(lane[:, col + c.start:col + c.stop].T)
-                    if streams is None:
-                        _check_finite(rows)
-                    else:
-                        for row, stream in zip(rows, streams[col + c.start:col + c.stop]):
-                            rng.bit_generator.state = stream
-                            row += rng.normal(0.0, pop.config.measurement_noise, row.size)
-                            _check_finite(row)
-                    self._featurize(pop, first + c.start, {"output": rows})
-            col += count
+        rng = np.random.default_rng(0)
+        for pop, first, count, col in runs:
+            for c in _chunks(count):
+                span = slice(col + c.start, col + c.stop)
+                rows = np.ascontiguousarray(lane[:, span].T)
+                if streams is None:
+                    _check_finite(rows)
+                else:
+                    for row, stream in zip(rows, streams[span]):
+                        rng.bit_generator.state = stream
+                        row += rng.normal(0.0, pop.config.measurement_noise, row.size)
+                        _check_finite(row)
+                self._featurize(pop, first + c.start, {"output": rows})
 
     def _walk_blocks(self, pops: list[_Population], width: int) -> None:
         """Walk reference chains.  Instances observed at the output go
         through low-pass lanes, one alpha per column; the rest then walk
         without a lane."""
         drive, alpha = np.empty((pops[0].config.n_samples, width)), np.zeros(width)
-
-        def load(pop, first, count, col):
-            self._walk_rows(pop, first, first + count, drive[:, col:col + count])
-            alpha[col:col + count] = pop.config.sample_period / pop.config.vref.output_tau
-
-        def step(ready, cols):
+        for runs in _lanes(pops, width):
+            for pop, first, count, col in runs:
+                self._walk_rows(pop, first, first + count, drive[:, col:col + count])
+                alpha[col:col + count] = pop.config.sample_period / pop.config.vref.output_tau
+            cols = sum(count for _, _, count, _ in runs)
             _lowpass_steps(drive[:, :cols], alpha[:cols])
-            self._featurize_output(drive, ready)
-
-        self._step_lanes(pops, width, load, step)
+            self._featurize_output(drive, runs)
         del drive   # free the lane before the rest walk
         for pop in pops:
             if pop.n > pop.n_output:
-                with self._guard(pop.consumers):
-                    self._walk_rows(pop, pop.n_output, pop.n, None)
+                self._walk_rows(pop, pop.n_output, pop.n, None)
 
     def _walk_rows(self, pop: _Population, start: int, stop: int,
                    drive: np.ndarray | None) -> None:
@@ -284,20 +263,15 @@ class _Walk:
         """
         cfg = pops[0].config
         mode = _analysis(cfg)
+        stimulus = _stimulus(cfg)
         chains, streams = [None] * width, [None] * width
-        stimulus = []   # built at the first step, after the first chains, as alone
-
-        def load(pop, first, count, col):
-            fault = pop.config.fault if pop.label else None
-            for j, i in enumerate(range(first, first + count), col):
-                rng = np.random.default_rng(_child_seed(pop.config.seed, pop.label, i, 0))
-                chains[j] = _instance_chain(pop.config, rng, fault)
-                streams[j] = rng.bit_generator.state
-
-        def step(ready, cols):
-            if not stimulus:
-                stimulus.append(_stimulus(cfg) if mode == "transient" else cfg.sweep)
-            self._featurize_output(_simulate_columns(chains[:cols], mode, stimulus[0]),
-                                   ready, streams[:cols])
-
-        self._step_lanes(pops, width, load, step)
+        for runs in _lanes(pops, width):
+            for pop, first, count, col in runs:
+                fault = pop.config.fault if pop.label else None
+                for j, i in enumerate(range(first, first + count), col):
+                    rng = np.random.default_rng(_child_seed(pop.config.seed, pop.label, i, 0))
+                    chains[j] = _instance_chain(pop.config, rng, fault)
+                    streams[j] = rng.bit_generator.state
+            cols = sum(count for _, _, count, _ in runs)
+            self._featurize_output(_simulate_columns(chains[:cols], mode, stimulus),
+                                   runs, streams[:cols])

@@ -313,11 +313,11 @@ def test_evaluate_rejects_impossible_windowing():
 
 def test_suite_records_failures_and_continues(tmp_path):
     good = _fast_config()
-    bad = _fast_config(window_k=7)
+    bad = _fast_config(experiment="OmBoth", measurement_noise=1e308)
     result = run_suite([good, bad])
     assert result.entries[0].report is not None
     assert result.entries[1].report is None
-    assert "window" in result.entries[1].error
+    assert result.entries[1].error == "waveform samples must be finite"
     path = tmp_path / "suite.csv"
     suite_to_csv(result, path)
     lines = path.read_text().splitlines()
@@ -326,6 +326,15 @@ def test_suite_records_failures_and_continues(tmp_path):
     assert lines[2].endswith(",,,,5")        # empty metrics on the failed row
     with pytest.raises(ConfigurationError):
         run_suite([])
+
+
+@pytest.mark.parametrize("window_k", [7, 300])
+def test_config_refuses_windows_the_walk_cannot_window(window_k):
+    """300 samples do not divide into 7 windows, and 300 windows leave the
+    slope one sample each: refused at construction, before any walk."""
+    with pytest.raises(AmsDetectError) as err:
+        ExperimentConfig(experiment="IA", n_samples=300, window_k=window_k)
+    assert err.value.config_key == "window_k"
 
 
 def test_suite_csv_is_reproducible(tmp_path):
@@ -462,6 +471,14 @@ def test_overflow_in_the_chain_is_the_waveform_error(kw):
         generate_features(_fast_config(**kw))
 
 
+@pytest.mark.parametrize("kw", _NON_FINITE)
+def test_the_walk_stops_at_its_first_error(kw):
+    """A shared walk raises the first error of any config in it."""
+    population_walk = walk._Walk([_fast_config(**kw), _fast_config()])
+    with pytest.raises(InputError, match="^waveform samples must be finite$"):
+        population_walk.run()
+
+
 def test_suite_records_a_non_finite_simulation_against_its_entry():
     result = run_suite([_fast_config(**kw) for kw in _NON_FINITE] + [_fast_config()])
     assert [e.error for e in result.entries] == ["waveform samples must be finite"] * 3 + [None]
@@ -489,27 +506,29 @@ def test_run_suite_equals_evaluate_per_config(tmp_path):
         _fast_config(),
         _fast_config(algorithm="birch"),
         _fast_config(algorithm="spectral", window_k=5),
-        _fast_config(algorithm="gmm", window_k=7),     # fails: 300 % 7 != 0
+        _fast_config(algorithm="gmm", noise_std=1e305),     # fails in the chain
         # one ITPA population (and the clean one above) at n = 30 and 40,
         # with and without windows and the output, and failing at the output
         _fast_config(experiment="ITPA", n_samples_per_class=30),
         _fast_config(experiment="ITPA", n_samples_per_class=40, window_k=5,
                      observed_signals=("trig",)),
-        _fast_config(experiment="ITPA", window_k=7, observed_signals=("output",)),
+        _fast_config(experiment="ITPA", observed_signals=("output",),
+                     vref_params={"output_tau": 1e-300}),
         _fast_config(experiment="IA", n_samples_per_class=40,
                      observed_signals=("pll_frequency", "output")),
-        # one clean opamp population for three faults, one failing
+        # one clean opamp population for two faults, and a third in their
+        # lanes failing
         _fast_config(experiment="Open", n_samples_per_class=30),
         _fast_config(experiment="Short", n_samples_per_class=40, window_k=3),
-        _fast_config(experiment="OmBoth", window_k=7),
+        _fast_config(experiment="OmBoth", measurement_noise=1e308),
     ])
     result = run_suite(configs)
     alone = [_entry_bytes(c, tmp_path, f"alone-{i}.csv")
              for i, c in enumerate(configs)]
     assert [e.error for e in result.entries] == [err for _, err in alone]
-    assert [err for _, err in alone][-7:] == [
-        None, None, "300 samples do not divide into 7 equal windows", None, None, None,
-        "300 samples do not divide into 7 equal windows"]
+    nonfinite = "waveform samples must be finite"
+    assert [err for _, err in alone][-8:] == [
+        nonfinite, None, None, nonfinite, None, None, None, nonfinite]
     for i, (entry, (want, _)) in enumerate(zip(result.entries, alone)):
         if want is None:
             assert entry.report is None

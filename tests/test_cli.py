@@ -476,13 +476,22 @@ def _experiment_in_3_gib(tmp_path, key, size):
 
 
 @pytest.mark.parametrize("key", ["kstage_k", "n_samples", "n_samples_per_class",
-                                 "window_k", "sweep_points"])
+                                 "sweep_points"])
 def test_out_of_memory_exits_two(tmp_path, key):
     """A size that passes validation but cannot be allocated ends in exit 2
     with one error line."""
     proc = _experiment_in_3_gib(tmp_path, key, 10**11)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("amsdetect: error: out of memory")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_window_k_that_does_not_divide_exits_two(tmp_path):
+    """window_k can be no larger than the signal it windows, so the size
+    that runs out of memory elsewhere is refused by the config."""
+    proc = _experiment_in_3_gib(tmp_path, "window_k", 10**11)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.endswith("(config key: window_k)\n")
     assert proc.stderr.count("\n") == 1
 
 
