@@ -1,8 +1,9 @@
 """Two-component diagonal-covariance Gaussian mixture fitted by EM.
 
-Initialization comes from a k-means fit with the same seed.  The E step
-runs in log space; variances are floored at 1e-8 to keep components from
-collapsing onto coincident points.  Hard assignments are argmax
+Initialization comes from the centroids of a k-means fit with the same
+seed, in canonical order (``kmeans._two_means``, ``model._swaps``).  The E
+step runs in log space; variances are floored at 1e-8 to keep components
+from collapsing onto coincident points.  Hard assignments are argmax
 responsibility.
 
 One EM loop fits B same-shape data sets ("lanes") at once, in lockstep;
@@ -57,8 +58,8 @@ import math
 import numpy as np
 
 from ..errors import FitError
-from .kmeans import fit_kmeans
-from .model import ClusterModel, _lane_sum, _nearest, as_matrix, canonical_labels
+from .kmeans import _two_means
+from .model import ClusterModel, _lane_sum, _nearest, _swaps, as_matrix, canonical_labels
 
 __all__ = ["fit_gmm", "VAR_FLOOR"]
 
@@ -128,17 +129,20 @@ def _hard_labels(weights, means, variances, mat) -> np.ndarray:
 
 
 def _start(mat, seed):
-    """Starting (weights, means, variances) from a k-means fit."""
+    """Starting (weights, means, variances) from a k-means fit: its
+    canonically ordered centroids and the rows nearest each."""
     n, d = mat.shape
-    km = fit_kmeans(mat, seed=seed)
-    hard = _nearest(mat, km.centroids)
+    centroids, labels, _ = _two_means(mat, seed)
+    if _swaps(mat, labels):
+        centroids = centroids[[1, 0]]
+    hard = _nearest(mat, centroids)
     var = np.empty((2, d))
     w = np.empty(2)
     for j in (0, 1):
         members = mat[hard == j]
         var[j] = np.maximum(members.var(axis=0), VAR_FLOOR)
         w[j] = members.shape[0] / n
-    return w, km.centroids, var
+    return w, centroids, var
 
 
 def _lane(s, w, mu, var, log_resp) -> tuple:

@@ -33,6 +33,7 @@ from .model import (ClusterModel, _sqdist, _two_distinct_rows, as_matrix,
 __all__ = ["fit_kmeans", "lloyd", "kmeans_pp_init"]
 
 _TOL = 1e-10    # Lloyd stops once an iteration lowers the SSE by less than this
+_MAX_ITER = 100
 
 
 def kmeans_pp_init(mat: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -49,7 +50,7 @@ def kmeans_pp_init(mat: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return mat[[first, int(rng.choice(n, p=d2 / total))]]
 
 
-def lloyd(mat: np.ndarray, centroids: np.ndarray, max_iter: int = 100,
+def lloyd(mat: np.ndarray, centroids: np.ndarray, max_iter: int = _MAX_ITER,
           weights: np.ndarray | None = None
           ) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Iterate 2-means assignment/update from the (2, d) ``centroids``, rows
@@ -93,19 +94,28 @@ def lloyd(mat: np.ndarray, centroids: np.ndarray, max_iter: int = 100,
     return centroids, labels, history
 
 
-def fit_kmeans(rows, max_iter: int = 100, seed: int | None = 0) -> ClusterModel:
+def _two_means(mat: np.ndarray, seed: int | None, max_iter: int = _MAX_ITER
+               ) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """``lloyd`` from a k-means++ start seeded by ``seed``, on a validated
+    matrix: (centroids, labels, sse_history), not yet in canonical order.
+
+    :raises FitError: fewer than 2 rows, or fewer than 2 distinct rows
+    """
+    if mat.shape[0] < 2:
+        raise FitError(f"need at least k=2 rows, got {mat.shape[0]}")
+    if not _two_distinct_rows(mat):
+        raise FitError("need at least k=2 distinct rows")
+    return lloyd(mat, kmeans_pp_init(mat, np.random.default_rng(seed)), max_iter)
+
+
+def fit_kmeans(rows, max_iter: int = _MAX_ITER, seed: int | None = 0) -> ClusterModel:
     """Fit 2-means from a k-means++ start seeded by ``seed`` and return a
     canonical ClusterModel.
 
     :raises FitError: fewer than 2 distinct rows, or an empty final cluster
     """
     mat = as_matrix(rows)
-    if mat.shape[0] < 2:
-        raise FitError(f"need at least k=2 rows, got {mat.shape[0]}")
-    if not _two_distinct_rows(mat):
-        raise FitError("need at least k=2 distinct rows")
-    start = kmeans_pp_init(mat, np.random.default_rng(seed))
-    centroids, labels, history = lloyd(mat, start, max_iter)
+    centroids, labels, history = _two_means(mat, seed, max_iter)
     labels, order, mu, sigma = canonical_labels(mat, labels)
     return ClusterModel(algorithm="kmeans", mu_k=mu, sigma_k=sigma,
                         centroids=centroids[order], train_assignments=labels,

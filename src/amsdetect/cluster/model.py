@@ -130,10 +130,16 @@ def canonical_labels(mat: np.ndarray, labels: np.ndarray
         if not np.any(labels == j):
             raise FitError(f"fit produced an empty cluster (id {j})")
     mu, sigma = member_stats(mat, labels)
-    # mean(axis=0)[0] can differ in the last bit, so the decision sums the column
-    if mat[labels == 1, 0].mean() < mat[labels == 0, 0].mean():
+    if _swaps(mat, labels):
         return 1 - labels, np.array([1, 0]), mu[[1, 0]], sigma[[1, 0]]
     return labels, np.array([0, 1]), mu, sigma
+
+
+def _swaps(mat: np.ndarray, labels: np.ndarray) -> bool:
+    """Whether canonical order swaps a split whose clusters both have
+    members: cluster 1's member mean on dim 0 is strictly the lower."""
+    # mean(axis=0)[0] can differ in the last bit, so the decision sums the column
+    return bool(mat[labels == 1, 0].mean() < mat[labels == 0, 0].mean())
 
 
 # Elements of the (d, rows, nb) work array of one row block: 1 MB of float64.

@@ -78,11 +78,12 @@ def _windowed_rows(x: np.ndarray, k: int, selection) -> np.ndarray:
                 out[:, j] = x.var(axis=1)
             else:
                 # least-squares slope of value against sample index (per-sample
-                # units); one dot per window keeps its bytes as if alone
+                # units): one ``ddot`` per window, inside ``np.vecdot``'s loop,
+                # so each window's bytes are those of ``np.dot`` on it alone;
+                # ``dev @ di`` would be one gemv, which rounds differently
                 idx = np.arange(width, dtype=np.float64)
                 di = idx - idx.mean()
-                den = np.dot(di, di)
-                out[:, j] = [np.dot(di, row - m) / den for row, m in zip(x, means)]
+                out[:, j] = np.vecdot(x - means[:, None], di) / np.dot(di, di)
     return out.reshape(rows, k, len(sel))
 
 

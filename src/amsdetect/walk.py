@@ -11,6 +11,11 @@ those configs would get alone, and everything else runs in chunks of
 simulated alone.  The walk stops at its first error, which does not say
 which config caused it; a walk of one config alone raises that config's
 own error.
+
+Seeds are hashed per population, not per instance: each instance's
+streams are seeded by ``SeedSequence([seed, label, idx, leg])``, and
+``_child_seeds`` runs that hash over a whole range of instance indices at
+once, with the same results.
 """
 
 from __future__ import annotations
@@ -23,14 +28,69 @@ import numpy as np
 from .config import ExperimentConfig, _analysis, _stimulus
 from .features import _windowed_rows
 from .inject import apply_component_fault
-from .waveforms import (OpampModel, _check_finite, _input_rows, _lowpass_steps, _output_drive,
-                        _simulate_columns, _walk_chain, build_kstage,
+from .waveforms import (OpampModel, _chain_clock, _check_finite, _input_rows, _lowpass_steps,
+                        _output_drive, _simulate_columns, _walk_chain, build_kstage,
                         default_vref_component_model)
 
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
+_M32 = 0xFFFFFFFF
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
-def _child_seed(*parts: int) -> int:
-    """Stable composite seed; collisions across distinct part tuples are moot."""
-    return int(np.random.SeedSequence(list(parts)).generate_state(1, np.uint64)[0])
+
+def _hasher(h: int, mult: int):
+    """SeedSequence's hashmix over uint32 arrays, its hash constant starting
+    at ``h`` and multiplied by ``mult`` at each call."""
+    def hashmix(v: np.ndarray) -> np.ndarray:
+        nonlocal h
+        v = v ^ h
+        h = h * mult & _M32
+        v *= h
+        return v ^ v >> 16
+    return hashmix
+
+
+def _child_seeds(*parts) -> list[int]:
+    """Stable composite seeds, one per instance index.
+
+    Exactly one part is a 1-D integer array of indices (each < 2**32); the
+    others are ints >= 0 of any size.  Returns, for each index i, what
+    ``int(SeedSequence([..., i, ...]).generate_state(1, np.uint64)[0])``
+    gives: SeedSequence's mixing run as uint32 array operations over all
+    indices at once.  The hash constants do not depend on the data, so they
+    stay Python ints (masked to 32 bits) and the arrays wrap silently.
+    """
+    ids = next(p for p in parts if isinstance(p, np.ndarray))
+    words = []      # the entropy words, little-endian 32-bit words per part
+    for p in parts:
+        if isinstance(p, np.ndarray):
+            words.append(p.astype(np.uint32))
+            continue
+        while True:
+            words.append(np.full(len(ids), p & _M32, dtype=np.uint32))
+            p >>= 32
+            if not p:
+                break
+    words += [np.zeros(len(ids), dtype=np.uint32)] * (_POOL - len(words))
+    hashmix = _hasher(_INIT_A, _MULT_A)
+
+    def mix(x, y):
+        v = x * _MIX_L - y * _MIX_R
+        return v ^ v >> 16
+
+    pool = [hashmix(w) for w in words[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    out = _hasher(_INIT_B, _MULT_B)     # generate_state: two uint32 words, low first
+    low, high = (out(v).astype(np.uint64) for v in pool[:2])
+    return (low | high << 32).tolist()
 
 
 def _jittered(base: OpampModel, rng: np.random.Generator,
@@ -240,14 +300,14 @@ class _Walk:
         stage, and ``drive`` (time-major) gets the output stage's drive."""
         cfg, dt = pop.config, pop.config.sample_period
         legs = cfg.injections if pop.label else ()
+        ids = np.arange(start, stop)
+        noise_seeds, *leg_seeds = (_child_seeds(cfg.seed, pop.label, ids, j)
+                                   for j in range(1 + len(legs)))
+        clock = _chain_clock(cfg.n_samples, dt, cfg.vref)
         for c in _chunks(stop - start):
-            ids = range(start + c.start, start + c.stop)
-            taps = _walk_chain(
-                cfg.vref, _input_rows(cfg.vref, cfg.n_samples, dt,
-                                      [_child_seed(cfg.seed, pop.label, i, 0) for i in ids]),
-                dt, legs, [[_child_seed(cfg.seed, pop.label, i, 1 + j)
-                            for j in range(len(legs))] for i in ids])
-            self._featurize(pop, ids.start, taps)
+            taps = _walk_chain(cfg.vref, _input_rows(cfg.vref, clock[0], noise_seeds[c]), dt,
+                               legs, [s[c] for s in leg_seeds], clock)
+            self._featurize(pop, start + c.start, taps)
             if drive is not None:
                 _output_drive(taps["trig"].T, cfg.vref, out=drive[:, c])
             del taps   # free this chunk's signals before the next chunk's exist
@@ -268,8 +328,9 @@ class _Walk:
         for runs in _lanes(pops, width):
             for pop, first, count, col in runs:
                 fault = pop.config.fault if pop.label else None
-                for j, i in enumerate(range(first, first + count), col):
-                    rng = np.random.default_rng(_child_seed(pop.config.seed, pop.label, i, 0))
+                ids = np.arange(first, first + count)
+                for j, seed in enumerate(_child_seeds(pop.config.seed, pop.label, ids, 0), col):
+                    rng = np.random.default_rng(seed)
                     chains[j] = _instance_chain(pop.config, rng, fault)
                     streams[j] = rng.bit_generator.state
             cols = sum(count for _, _, count, _ in runs)

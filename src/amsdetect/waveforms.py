@@ -156,8 +156,11 @@ class VrefConfig:
             raise ConfigurationError("trig_gain must not be 0", config_key="trig_gain")
 
 
-def _nominal_carrier(n_samples: int, sample_period: float, config: VrefConfig) -> np.ndarray:
-    """Peak-calibrated clean input sinusoid shared by the source and the PLL."""
+def _chain_clock(n_samples: int, sample_period: float, config: VrefConfig
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """What every instance of a chain shares: the peak-calibrated clean input
+    sinusoid (the nominal carrier of the source and the PLL) and the PLL's
+    lock ramp, 1 - exp(-t / pll_lock_tau); (n_samples,) each."""
     with _float_errors():
         t = np.arange(n_samples) * sample_period
         raw = np.sin(2.0 * math.pi * config.input_frequency * t)
@@ -166,35 +169,33 @@ def _nominal_carrier(n_samples: int, sample_period: float, config: VrefConfig) -
             raise ConfigurationError(
                 "input_frequency aliases to an all-zero sample grid",
                 config_key="input_frequency")
-        return config.input_amplitude * raw / peak
+        return config.input_amplitude * raw / peak, 1.0 - np.exp(-t / config.pll_lock_tau)
 
 
-def _input_rows(config: VrefConfig, n_samples: int, sample_period: float,
-                seeds) -> np.ndarray:
-    """Input-source samples, one row per noise seed: (len(seeds), n_samples)."""
-    base = _nominal_carrier(n_samples, sample_period, config)
+def _input_rows(config: VrefConfig, carrier: np.ndarray, seeds) -> np.ndarray:
+    """Input-source samples around the nominal carrier (``_chain_clock``),
+    one row per noise seed: (len(seeds), n_samples)."""
     if config.noise_std <= 0:
-        return np.tile(base, (len(seeds), 1))
-    rows = np.stack([np.random.default_rng(s).normal(0.0, config.noise_std, n_samples)
+        return np.tile(carrier, (len(seeds), 1))
+    rows = np.stack([np.random.default_rng(s).normal(0.0, config.noise_std, len(carrier))
                      for s in seeds])
-    rows += base
+    rows += carrier
     return rows
 
 
-def _pll_rows(x: np.ndarray, sample_period: float, config: VrefConfig
+def _pll_rows(x: np.ndarray, sample_period: float, config: VrefConfig, clock: tuple
               ) -> tuple[np.ndarray, np.ndarray]:
     """PLL frequency trace and intensity of each row of input samples.
 
     Modeled at lock: a first-order transient ramps the VCO to multiplier*f_in,
     and the input's deviation from the nominal carrier pushes the frequency
-    through pll_deviation_gain (zero on a clean noiseless input).
+    through pll_deviation_gain (zero on a clean noiseless input).  ``clock``
+    is the (carrier, lock ramp) pair of ``_chain_clock``.
     """
-    n = x.shape[-1]
-    t = np.arange(n) * sample_period
-    lock = 1.0 - np.exp(-t / config.pll_lock_tau)
+    carrier, lock = clock
     # in place, with each IEEE sum and product's operands swapped at most:
     # f = multiplier * f_in * lock + deviation_gain * (x - carrier)
-    f_inst = np.subtract(x, _nominal_carrier(n, sample_period, config))
+    f_inst = np.subtract(x, carrier)
     np.multiply(f_inst, config.pll_deviation_gain, out=f_inst)
     np.add(f_inst, config.pll_multiplier * config.input_frequency * lock, out=f_inst)
     # phase = 2 * pi * cumsum(f) * dt, and the intensity is its sine
@@ -277,12 +278,13 @@ def _slew_steps(buf: np.ndarray, max_step) -> None:
 
 
 def _walk_chain(cfg: VrefConfig, inp: np.ndarray, sample_period: float,
-                legs: tuple, seeds) -> dict[str, np.ndarray]:
+                legs: tuple, seeds, clock: tuple) -> dict[str, np.ndarray]:
     """One walk down the chain for a chunk of instances: input -> PLL -> trig.
 
-    ``inp`` holds one instance's input samples per row.  ``legs`` is the
-    (block, kind) tuple every row shares, block one of "InputA", "PllB" and
-    "TrigC", and ``seeds`` holds one seed per row and leg.  Row by row, the
+    ``inp`` holds one instance's input samples per row and ``clock`` the
+    chain's ``_chain_clock``.  ``legs`` is the (block, kind) tuple every row
+    shares, block one of "InputA", "PllB" and "TrigC", and ``seeds`` holds
+    one sequence per leg with one seed per row.  Row by row, the
     legs at a block stamp that block's output in order and in place, through
     ``kind.stamp(row, seed)``, before the next block runs, so thresholds and
     amplitudes are relative to the signal as it stands at that block.  Every
@@ -294,15 +296,15 @@ def _walk_chain(cfg: VrefConfig, inp: np.ndarray, sample_period: float,
         before the output stage
     """
     def stamp(x: np.ndarray, block: str) -> None:
-        for row, row_seeds in zip(x, seeds):
-            for (at, kind), seed in zip(legs, row_seeds):
+        for i, row in enumerate(x):
+            for (at, kind), leg_seeds in zip(legs, seeds):
                 if at == block:
-                    kind.stamp(row, seed)
+                    kind.stamp(row, leg_seeds[i])
 
     _check_finite(inp)
     stamp(inp, "InputA")
     with _float_errors():
-        f_trace, intensity = _pll_rows(inp, sample_period, cfg)
+        f_trace, intensity = _pll_rows(inp, sample_period, cfg, clock)
     _check_finite(f_trace)
     _check_finite(intensity)
     stamp(intensity, "PllB")
@@ -351,8 +353,9 @@ def simulate_vref(config: VrefConfig, n_samples: int = 1500,
     :param seed: RNG seed for the input noise source
     """
     dt = _sample_period(n_samples, duration)
+    clock = _chain_clock(n_samples, dt, config)
     signals = {name: Waveform(x[0], dt) for name, x in _walk_chain(
-        config, _input_rows(config, n_samples, dt, [seed]), dt, (), [()]).items()}
+        config, _input_rows(config, clock[0], [seed]), dt, (), (), clock).items()}
     signals["output"] = vref_output_block(signals["trig"], config)
     return signals
 

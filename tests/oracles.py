@@ -33,9 +33,8 @@ from amsdetect.cluster import canonical_labels
 from amsdetect.errors import FitError, InputError
 from amsdetect.features import windowed_features
 from amsdetect.inject import PointPeriodic, PointRandom, apply_component_fault
-from amsdetect.walk import _child_seed
 from amsdetect.waveforms import (OpampModel, SweepSpec, VrefConfig, Waveform,
-                                 _input_rows, _pll_rows, _trig_rows,
+                                 _chain_clock, _input_rows, _pll_rows, _trig_rows,
                                  default_vref_component_model, simulate_opamp,
                                  sine_stimulus)
 
@@ -621,7 +620,8 @@ def multipoint_reference(config, inp, legs, seeds):
 
     dt = inp.sample_period
     inp = inject(inp.samples, "InputA")
-    freq, intensity = _pll_rows(inp.samples, dt, config)
+    freq, intensity = _pll_rows(inp.samples, dt, config,
+                                _chain_clock(len(inp.samples), dt, config))
     intensity = inject(intensity, "PllB")
     trig = inject(_trig_rows(intensity.samples, config), "TrigC")
     return {"input": inp, "pll_frequency": Waveform(freq, dt),
@@ -640,6 +640,11 @@ def _stimulus(config):
                          config.stim_amplitude, config.stim_frequency)
 
 
+def child_seed(*parts):
+    """An instance's composite seed, straight from numpy's SeedSequence."""
+    return int(np.random.SeedSequence(list(parts)).generate_state(1, np.uint64)[0])
+
+
 def _noisy(out, rng, config):
     return {"output": Waveform(
         out.samples + rng.normal(0.0, config.measurement_noise, len(out)),
@@ -649,21 +654,22 @@ def _noisy(out, rng, config):
 def block_signals_reference(config, label, idx):
     """One reference-chain instance, its experiment's legs walked down the
     chain: none when clean; otherwise leg j, with seed
-    ``_child_seed(seed, label, idx, 1 + j)``, of BLOCK_EXPERIMENTS."""
+    ``child_seed(seed, label, idx, 1 + j)``, of BLOCK_EXPERIMENTS."""
     vcfg = VrefConfig(**{"noise_std": config.noise_std, **config.vref_params})
     dt = config.duration / config.n_samples
-    seed = _child_seed(config.seed, label, idx, 0)
-    inp = Waveform(_input_rows(vcfg, config.n_samples, dt, [seed])[0], dt)
+    seed = child_seed(config.seed, label, idx, 0)
+    clock = _chain_clock(config.n_samples, dt, vcfg)
+    inp = Waveform(_input_rows(vcfg, clock[0], [seed])[0], dt)
     legs = [(block, PointRandom(config.rate_pct, config.amp_low, config.amp_high)
              if mode == "random" else PointPeriodic(config.threshold_frac, config.delta_frac))
             for block, mode in BLOCK_EXPERIMENTS[config.experiment]] if label else []
-    seeds = [_child_seed(config.seed, label, idx, 1 + j) for j in range(len(legs))]
+    seeds = [child_seed(config.seed, label, idx, 1 + j) for j in range(len(legs))]
     return multipoint_reference(vcfg, inp, legs, seeds)
 
 
 def component_signals_reference(config, label, idx):
     """One jittered (and, if anomalous, faulted) opamp run by simulate_opamp."""
-    rng = np.random.default_rng(_child_seed(config.seed, label, idx, 0))
+    rng = np.random.default_rng(child_seed(config.seed, label, idx, 0))
     base = (default_vref_component_model() if config.circuit == "vref_components"
             else OpampModel())
     model = _jittered(base, rng, config)
@@ -686,7 +692,7 @@ def component_signals_reference(config, label, idx):
 
 def kstage_signals_reference(config, label, idx):
     """One jittered k-stage chain, its fault on drawn or fixed stages."""
-    rng = np.random.default_rng(_child_seed(config.seed, label, idx, 0))
+    rng = np.random.default_rng(child_seed(config.seed, label, idx, 0))
     base = _jittered(OpampModel(open_loop_gain=30.0, rail_low=-2.5, rail_high=2.5,
                                 offset=0.01, slew_rate=5.0e7), rng, config)
     gains = list(config.kstage_gains or (2.0,) * config.kstage_k)

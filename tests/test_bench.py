@@ -23,10 +23,10 @@ from amsdetect import (ALL_EXPERIMENTS, BLOCK_EXPERIMENTS, AmsDetectError,
                        suite_to_csv)
 from amsdetect import bench, walk
 from amsdetect.config import SIGNAL_ORDER, _read_json
-from amsdetect.walk import _child_seed
+from amsdetect.walk import _child_seeds
 from amsdetect.features import windowed_features
 from amsdetect.inject import PointPeriodic
-from oracles import block_signals_reference, features_reference
+from oracles import block_signals_reference, child_seed, features_reference
 
 
 def test_experiment_registry_is_complete():
@@ -121,10 +121,21 @@ def test_config_dict_round_trip():
 
 
 def test_child_seed_is_stable_and_spread():
-    assert _child_seed(3, 1, 4) == _child_seed(3, 1, 4)
-    seeds = {_child_seed(0, label, idx, 0)
-             for label in (0, 1) for idx in range(50)}
+    ids = np.arange(50)
+    assert _child_seeds(3, 1, ids, 4) == _child_seeds(3, 1, ids, 4)
+    seeds = {s for label in (0, 1) for s in _child_seeds(0, label, ids, 0)}
     assert len(seeds) == 100
+
+
+@given(st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]),
+                 st.integers(0, 2**70 - 1)),
+       st.integers(0, 1), st.integers(0, 10**5), st.integers(1, 40), st.integers(0, 3))
+@settings(max_examples=150, deadline=None)
+def test_child_seeds_match_seed_sequence(seed, label, first, count, leg):
+    """Each index's seed is numpy's SeedSequence([seed, label, i, leg]) hash."""
+    ids = np.arange(first, first + count)
+    assert _child_seeds(seed, label, ids, leg) == [child_seed(seed, label, i, leg)
+                                                   for i in range(first, first + count)]
 
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -604,9 +615,9 @@ def test_suite_simulates_each_population_once(monkeypatch):
         walk._walk_chain, walk._lowpass_steps, walk._simulate_columns,
         walk.apply_component_fault)
 
-    def walk_spy(cfg, inp, dt, legs, seeds):
+    def walk_spy(cfg, inp, dt, legs, seeds, clock):
         walked.extend([tuple((block, type(kind)) for block, kind in legs)] * len(inp))
-        return walk_chain(cfg, inp, dt, legs, seeds)
+        return walk_chain(cfg, inp, dt, legs, seeds, clock)
 
     def lowpass_spy(buf, alpha, start=None):
         lowpass.append(buf.shape[1])

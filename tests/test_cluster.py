@@ -3,6 +3,7 @@ import gc
 import json
 import platform
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -680,6 +681,33 @@ def test_gmm_lanes_match_reference_lane_by_lane(n, d, kind, lanes, max_iter, bad
                 fit.train_assignments)
         for g, w in zip(have, want):
             assert _same(g, w)
+
+
+def test_failing_gmm_lanes_keep_their_messages():
+    """A lane whose k-means start fails, or leaves a component without rows,
+    yields its FitError text; the other lanes in the batch fit as alone."""
+    good = [_matrix(8, 1, "blobs", s) for s in range(3)]
+    flat = np.full((8, 1), 0.25)                            # one distinct row
+    # distinct rows whose squared distances underflow to 0: k-means++ finds
+    # no second centroid, or (rows ~1e-162) the start's nearest-row split
+    # leaves component 1 empty, and its variance NaN (numpy warns of that)
+    unseeded = np.array([[0.0], [1e-170]] * 4)
+    tiny = np.random.default_rng(0).normal(0.0, 1.0, (8, 1)) * 1e-162
+    mats = [good[0], flat, good[1], unseeded, tiny, good[2]]
+    seeds = [0, 1, 2, 3, 0, 5]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        fits = _fit_gmm_lanes(mats, seeds)
+    assert all(isinstance(fits[i], FitError) for i in (1, 3, 4))
+    assert [str(fits[i]) for i in (1, 3, 4)] == [
+        "need at least k=2 distinct rows",
+        "cannot seed k centroids: fewer than k distinct points",
+        "component 1 has no hard members at convergence"]
+    for i in (0, 2, 5):
+        alone = fit_gmm(mats[i], seed=seeds[i])
+        for key in ("weights", "means", "variances", "loglik_history",
+                    "train_assignments", "mu_k", "sigma_k"):
+            assert _same(getattr(fits[i], key), getattr(alone, key)), key
 
 
 def test_gmm_lane_errors_hold_no_frames():

@@ -8,6 +8,7 @@ from amsdetect import (FEATURE_NAMES, ConfigurationError, Dataset, InputError,
                        NormalizationParams, Waveform, WindowError, dataset_from_csv,
                        dataset_to_csv, labels_array, normalize_dataset,
                        windowed_features)
+from amsdetect.features import _windowed_rows
 from oracles import per_window_features, straight_line_fit
 
 
@@ -99,6 +100,25 @@ def test_windowed_features_match_per_window_reference(k, width, seed, log_scale,
     assert got.tobytes() == per_window_features(x, k, sel).tobytes()
     assert windowed_features(Waveform(x, 1.0), 1, sel)[0].tobytes() == \
         per_window_features(x, 1, sel)[0].tobytes()
+
+
+@given(st.integers(1, 16), st.sampled_from([1, 2, 3, 5, 10, 20]), st.integers(2, 200),
+       st.integers(0, 2**32 - 1), st.floats(-6, 3), st.floats(-3, 6),
+       st.permutations(FEATURE_NAMES), st.integers(1, 3))
+@settings(max_examples=100, deadline=None)
+def test_windowed_rows_match_per_window_reference(rows, k, width, seed, log_scale,
+                                                  log_offset, order, n_sel):
+    """Many rows at once, the shape the population walk featurizes: each
+    row byte-equal to featurizing its windows alone."""
+    rng = np.random.default_rng(seed)
+    # each row its own offset, up to 1e6
+    offsets = rng.uniform(-1.0, 1.0, (rows, 1)) * 10.0 ** log_offset
+    x = rng.normal(offsets, 10.0 ** log_scale, (rows, k * width))
+    sel = tuple(order[:n_sel])
+    got = _windowed_rows(x, k, sel)
+    assert got.shape == (rows, k, n_sel)
+    for g, row in zip(got, x):
+        assert g.tobytes() == per_window_features(row, k, sel).tobytes()
 
 
 def test_dataset_validation():

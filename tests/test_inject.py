@@ -11,7 +11,7 @@ from amsdetect import (ConfigurationError, ExperimentConfig, InjectionError,
 from amsdetect import inject, waveforms
 from amsdetect.cli import main
 from amsdetect.inject import _count_half_up
-from amsdetect.waveforms import _walk_chain, vref_output_block
+from amsdetect.waveforms import _chain_clock, _walk_chain, vref_output_block
 from oracles import (multipoint_reference, point_periodic_reference,
                      point_random_reference)
 
@@ -165,7 +165,8 @@ def _walk(legs, seeds, n=1500):
     cfg = VrefConfig()
     clean = simulate_vref(cfg, n, 20e-6)
     dt = clean["input"].sample_period
-    out = _walk_chain(cfg, clean["input"].samples[None].copy(), dt, legs, [seeds])
+    out = _walk_chain(cfg, clean["input"].samples[None].copy(), dt, legs,
+                      [[s] for s in seeds], _chain_clock(n, dt, cfg))
     out["output"] = vref_output_block(Waveform(out["trig"][0], dt), cfg).samples[None]
     ref = multipoint_reference(cfg, clean["input"], legs, seeds)
     assert out.keys() == ref.keys()

@@ -14,7 +14,7 @@ from amsdetect import (ConfigurationError, InputError, OpampModel, SweepSpec,
                        VrefConfig, Waveform, build_kstage,
                        default_vref_component_model, simulate_opamp,
                        simulate_vref, waveform_from_csv, waveform_to_csv)
-from amsdetect.waveforms import (_COLLAPSE_ALPHA, _CSV_ROWS, _e12_fields,
+from amsdetect.waveforms import (_COLLAPSE_ALPHA, _CSV_ROWS, _chain_clock, _e12_fields,
                                  _lowpass_steps, _opamp_transient, _pll_rows,
                                  _simulate_columns, _slew_steps, _time_rows,
                                  _trig_rows, vref_output_block)
@@ -123,7 +123,8 @@ def test_blocks_are_pure_functions():
     """Re-running a block on the same predecessor reproduces its output."""
     cfg = VrefConfig(noise_std=0.01)
     sig = simulate_vref(cfg, 600, 20e-6, seed=5)
-    f2, i2 = _pll_rows(sig["input"].samples, sig["input"].sample_period, cfg)
+    dt = sig["input"].sample_period
+    f2, i2 = _pll_rows(sig["input"].samples, dt, cfg, _chain_clock(600, dt, cfg))
     assert np.array_equal(f2, sig["pll_frequency"].samples)
     assert np.array_equal(i2, sig["pll_intensity"].samples)
     t2 = _trig_rows(sig["pll_intensity"].samples, cfg)
