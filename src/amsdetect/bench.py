@@ -25,6 +25,7 @@ from .centroid import refine_model
 from .cluster import (ClusterModel, as_matrix, assign_many, fit_birch, fit_gmm,
                       fit_kmeans, fit_spectral)
 from .cluster.gmm import _fit_gmm_lanes
+from .cluster.kmeans import _fit_kmeans_lanes
 from .config import (ALGORITHMS, ALL_EXPERIMENTS, BLOCK_EXPERIMENTS, FAULT_EXPERIMENTS,
                      ExperimentConfig, _check_algorithm, default_observed_signals,
                      load_suite)
@@ -207,21 +208,25 @@ def _prepare(config: ExperimentConfig, feats: np.ndarray | None = None) -> _Prep
     return _Prepared(config, feats, *_timebase(config), combos)
 
 
+# The algorithms whose jobs of one matrix shape fit as lanes of one lockstep call
+_LANE_FITS = {"kmeans": _fit_kmeans_lanes, "gmm": _fit_gmm_lanes}
+
+
 def _fit_jobs(jobs: list[tuple[_Prepared, tuple]]) -> list:
     """Fit each (entry, combination) job; a job that fails yields its message.
 
-    GMM jobs of one matrix shape run as lanes of one lockstep EM
-    (``cluster.gmm``), across combinations and entries alike; each lane
-    gets the bytes ``fit_model`` would give it.  Every other algorithm goes
-    through ``fit_model``.  Matrices are built per job, or per shape group
-    for GMM, and dropped after the fit.
+    k-means and GMM jobs of one matrix shape run as lanes of one lockstep
+    fit (``cluster.kmeans``, ``cluster.gmm``), across combinations and
+    entries alike; each lane gets the bytes ``fit_model`` would give it.
+    BIRCH and spectral jobs go through ``fit_model``.  Matrices are built
+    per job, or per shape group for lanes, and dropped after the fit.
     """
     out: list = [None] * len(jobs)
-    gmm_lanes: dict[tuple[int, int], list[int]] = {}
+    groups: dict[tuple[str, tuple[int, int]], list[int]] = {}
     for i, (prep, combo) in enumerate(jobs):
         cfg = prep.config
-        if cfg.algorithm == "gmm":
-            gmm_lanes.setdefault(prep.shape(combo), []).append(i)
+        if cfg.algorithm in _LANE_FITS:
+            groups.setdefault((cfg.algorithm, prep.shape(combo)), []).append(i)
             continue
         try:
             out[i] = fit_model(cfg.algorithm, prep.matrix(combo), seed=cfg.seed,
@@ -230,7 +235,7 @@ def _fit_jobs(jobs: list[tuple[_Prepared, tuple]]) -> list:
                                spectral_sigma=cfg.spectral_sigma)
         except AmsDetectError as exc:
             out[i] = str(exc)
-    for idx in gmm_lanes.values():
+    for (algorithm, _), idx in groups.items():
         lanes, mats = [], []
         for i in idx:
             try:
@@ -240,7 +245,7 @@ def _fit_jobs(jobs: list[tuple[_Prepared, tuple]]) -> list:
                 out[i] = str(exc)
         if lanes:
             seeds = [jobs[i][0].config.seed for i in lanes]
-            for i, fit in zip(lanes, _fit_gmm_lanes(mats, seeds)):
+            for i, fit in zip(lanes, _LANE_FITS[algorithm](mats, seeds)):
                 out[i] = str(fit) if isinstance(fit, FitError) else fit
     return out
 

@@ -178,7 +178,7 @@ def fit_birch(rows, branching: int = 16,
         raise FitError(f"only {len(n)} leaf subclusters for k=2; "
                        "lower birch_threshold")
     cents = ls / n[:, None]
-    if not _two_distinct_rows(cents):
+    if not _two_distinct_rows(cents.T[:, None])[0]:
         raise FitError("need at least k=2 distinct subcluster centroids")
     _, i, j = _farthest_pair(cents)
     global_centroids, _, history = lloyd(cents, cents[[i, j]],

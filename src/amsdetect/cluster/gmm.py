@@ -1,10 +1,12 @@
 """Two-component diagonal-covariance Gaussian mixture fitted by EM.
 
 Initialization comes from the centroids of a k-means fit with the same
-seed, in canonical order (``kmeans._two_means``, ``model._swaps``).  The E
-step runs in log space; variances are floored at 1e-8 to keep components
-from collapsing onto coincident points.  Hard assignments are argmax
-responsibility.
+seed, in canonical order, run for a whole batch of lanes at once
+(``kmeans._two_means``, under the 2-means lane contract in ``kmeans``'s
+docstring); a start that leaves a component without rows refuses its
+lane.  The E step runs in log space; variances are floored at 1e-8 to
+keep components from collapsing onto coincident points.  Hard
+assignments are argmax responsibility.
 
 One EM loop fits B same-shape data sets ("lanes") at once, in lockstep;
 ``fit_gmm`` is its one-lane call.  A suite fits many small (n, d) matrices,
@@ -19,8 +21,9 @@ the lanes shares every numpy call among them.  The lockstep contract:
 - a lane that reaches ``max_iter`` takes the final M step, as a lone fit
   does: its parameters are the post-M values while its labels and history
   come from the last E step;
-- a batch holds at most ``_lane_cap(n, d)`` lanes (measured; see there),
-  so fits with many rows run one lane at a time.
+- a batch holds at most ``model._lane_cap(n, d)`` lanes (measured; see
+  there), so fits with many rows run one lane at a time; the start, EM and
+  member statistics of a batch run on the same lanes.
 
 Both steps run component-major: each lane's data is held as its (d, n)
 transpose and each step fills a (2, d, B, n) work array (lanes next to n,
@@ -59,36 +62,13 @@ import numpy as np
 
 from ..errors import FitError
 from .kmeans import _two_means
-from .model import ClusterModel, _lane_sum, _nearest, _swaps, as_matrix, canonical_labels
+from .model import (ClusterModel, _canonical_lanes, _lane_cap, _lane_sqdist, _lane_stats,
+                    _lane_sum, _lane_swaps, _lanes_t, as_matrix)
 
 __all__ = ["fit_gmm", "VAR_FLOOR"]
 
 VAR_FLOOR = 1e-8
 _TOL = 1e-9       # EM stops once the log-likelihood gains less than this
-
-# Bytes of one batch's (2, d, B, n) work array; see _lane_cap.
-_WORK_BYTES = 1 << 18
-
-
-def _lane_cap(n: int, d: int) -> int:
-    """Most lanes of shape (n, d) one lockstep batch holds.
-
-    The batch's work array is kept within _WORK_BYTES (256 KiB), where the
-    per-lane step time bottoms out.  Measured per lane and EM step, against
-    lanes per batch (work array size), 2-vCPU x86-64 host with 2 MiB of L2
-    per core, numpy 2.4, one BLAS thread, best of 7:
-
-    - n = 80, d = 1: 1 lane 58 µs, 4 lanes 18, 16 lanes 7.7, 64 lanes 4.8
-      (80 KiB), 256 lanes 5.2 (320 KiB), 1,024 lanes 5.3 (1.3 MiB); cap 204;
-    - n = 80, d = 3: 1 lane 62 µs, 16 lanes 16, 64 lanes 11.6 (240 KiB),
-      256 lanes 12.1 (960 KiB); cap 68;
-    - n = 400, d = 3: 1 lane 75 µs, 8 lanes 42 (150 KiB), 16 lanes 41
-      (300 KiB), 64 lanes 43 (1.2 MiB); cap 13;
-    - n = 4,000, d = 1: 1 lane 207 µs, 4 lanes 181 (250 KiB), 8 lanes 206
-      (500 KiB), 16 lanes 238 (1 MiB), 64 lanes 312 (4 MiB); cap 4.  Beyond
-      a few thousand rows stacking buys little, and past the cap it costs.
-    """
-    return max(1, _WORK_BYTES // (2 * d * n * 8))
 
 
 def _log_resp(w, mu, var, points_t, work) -> tuple[np.ndarray, np.ndarray]:
@@ -128,21 +108,36 @@ def _hard_labels(weights, means, variances, mat) -> np.ndarray:
     return (lr[1] > lr[0]).astype(np.intp)
 
 
-def _start(mat, seed):
-    """Starting (weights, means, variances) from a k-means fit: its
-    canonically ordered centroids and the rows nearest each."""
-    n, d = mat.shape
-    centroids, labels, _ = _two_means(mat, seed)
-    if _swaps(mat, labels):
-        centroids = centroids[[1, 0]]
-    hard = _nearest(mat, centroids)
-    var = np.empty((2, d))
-    w = np.empty(2)
-    for j in (0, 1):
-        members = mat[hard == j]
-        var[j] = np.maximum(members.var(axis=0), VAR_FLOOR)
-        w[j] = members.shape[0] / n
-    return w, centroids, var
+def _start(points_t: np.ndarray, seeds) -> tuple[list, list[int], tuple]:
+    """Starting (weights, means, variances) of B lanes from their k-means
+    fits: each lane's canonically ordered centroids and the rows nearest each.
+
+    ``points_t`` is the (d, B, n) data.  :returns: per lane, None or the
+        FitError that refuses its start; the lanes that start; and their
+        (2, k), (2, d, k) and (2, d, k) parameters, lane last
+    """
+    fits = _two_means(points_t, seeds)
+    lanes = [s for s, fit in enumerate(fits) if not isinstance(fit, FitError)]
+    if not lanes:
+        return fits, [], ()
+    pts = points_t[:, lanes]
+    centroids = np.stack([fits[s][0] for s in lanes], axis=-1)
+    ones = np.array([fits[s][1] == 1 for s in lanes])
+    members = np.array([~ones, ones])
+    swap = _lane_swaps(pts, members, members.sum(axis=-1))
+    centroids = np.where(swap, centroids[::-1], centroids)
+    d2 = _lane_sqdist(pts, centroids)
+    hard = d2[1] < d2[0]
+    members = np.array([~hard, hard])
+    counts = members.sum(axis=-1)
+    _, var = _lane_stats(pts, members, counts)
+    fits = [fit if isinstance(fit, FitError) else None for fit in fits]
+    keep = counts.all(axis=0)
+    for i in np.flatnonzero(~keep):
+        j = int(np.argmin(counts[:, i]))
+        fits[lanes[i]] = FitError(f"component {j} has no rows at the k-means start")
+    params = (counts / points_t.shape[2], centroids, np.maximum(var, VAR_FLOOR))
+    return fits, [s for s, on in zip(lanes, keep) if on], tuple(a[..., keep] for a in params)
 
 
 def _lane(s, w, mu, var, log_resp) -> tuple:
@@ -230,49 +225,64 @@ def _em(x, w, mu, var, max_iter) -> list:
             for fit, history in zip(out, histories)]
 
 
-def _model(mat, w, mu, var, history, labels) -> ClusterModel:
-    labels = labels.astype(np.intp)
-    for j in (0, 1):
-        if not np.any(labels == j):
-            raise FitError(f"component {j} has no hard members at convergence")
-    labels, order, mu_stats, sigma_stats = canonical_labels(mat, labels)
-    return ClusterModel(algorithm="gmm", mu_k=mu_stats, sigma_k=sigma_stats,
-                        weights=w[order], means=mu[order], variances=var[order],
-                        train_assignments=labels, loglik_history=history)
+def _models(points_t: np.ndarray, fits: list) -> list[ClusterModel | FitError]:
+    """The canonical model of each lane's EM fit, or its FitError.
+
+    ``points_t`` is the (d, B, n) data of the lanes and ``fits`` what
+    ``_em`` returned for them.
+    """
+    n = points_t.shape[2]
+    out = list(fits)
+    lanes = []
+    for s, fit in enumerate(fits):
+        if isinstance(fit, FitError):
+            continue
+        ones = int(fit[4].sum())
+        if ones in (0, n):
+            out[s] = FitError(f"component {int(ones == 0)} has no hard members "
+                              "at convergence")
+        else:
+            lanes.append(s)
+    if not lanes:
+        return out
+    swap, mu_k, sigma_k = _canonical_lanes(points_t[:, lanes],
+                                           np.array([fits[s][4] for s in lanes]))
+    for i, s in enumerate(lanes):
+        w, mu, var, history, labels = fits[s]
+        order = np.array([1, 0]) if swap[i] else np.array([0, 1])
+        labels = labels.astype(np.intp)
+        out[s] = ClusterModel(algorithm="gmm", mu_k=mu_k[i], sigma_k=sigma_k[i],
+                              weights=w[order], means=mu[order], variances=var[order],
+                              train_assignments=1 - labels if swap[i] else labels,
+                              loglik_history=history)
+    return out
 
 
 def _fit_gmm_lanes(mats, seeds, max_iter: int = 200) -> list[ClusterModel | FitError]:
-    """``fit_gmm(mat, max_iter, seed)`` for each pair, EM in lockstep.
+    """``fit_gmm(mat, max_iter, seed)`` for each pair, in lockstep lanes.
 
     ``mats`` are validated (n, d) matrices of one shape and ``seeds`` the
     matching k-means seeds of their starts.  Batches of more than one lane
-    fit C-ordered copies; a lone lane fits its matrix itself.  A lane that
-    fails yields its FitError, without traceback, in place of a model and
-    leaves the other lanes unchanged.
+    fit C-ordered copies; a lone lane fits its matrix itself.  The start's
+    (d, B, n) copy is dropped before the EM, which holds its own, and
+    rebuilt for the member statistics after it.  A lane that fails yields
+    its FitError, without traceback, in place of a model and leaves the
+    other lanes unchanged.
     """
     n, d = mats[0].shape
     if n < 4:
         return [FitError("need at least 4 rows to fit 2 components") for _ in mats]
-    out: list = [None] * len(mats)
-    starts = []
-    for i, (mat, seed) in enumerate(zip(mats, seeds)):
-        try:
-            starts.append((i, _start(mat, seed)))
-        except FitError as exc:
-            out[i] = exc.with_traceback(None)    # its frames would hold `out`
     cap = _lane_cap(n, d)
-    for b in range(0, len(starts), cap):
-        idx, params = zip(*starts[b:b + cap])
-        if len(idx) == 1:
-            x, params = mats[idx[0]][None], [a[..., None] for a in params[0]]
-        else:
-            x = np.stack([mats[i] for i in idx])
-            params = [np.stack(a, axis=-1) for a in zip(*params)]
-        for i, fit in zip(idx, _em(x, *params, max_iter)):
-            try:
-                out[i] = fit if isinstance(fit, FitError) else _model(mats[i], *fit)
-            except FitError as exc:
-                out[i] = exc.with_traceback(None)
+    out: list = []
+    for lo in range(0, len(mats), cap):
+        batch = mats[lo:lo + cap]
+        fits, lanes, params = _start(_lanes_t(batch), seeds[lo:lo + cap])
+        if lanes:
+            ems = _em(np.stack([batch[s] for s in lanes]) if len(lanes) > 1
+                      else batch[lanes[0]][None], *params, max_iter)
+            for s, model in zip(lanes, _models(_lanes_t([batch[s] for s in lanes]), ems)):
+                fits[s] = model
+        out += fits
     return out
 
 
@@ -281,7 +291,8 @@ def fit_gmm(rows, max_iter: int = 200, seed: int | None = 0) -> ClusterModel:
     log-likelihood history is non-decreasing.
 
     :raises FitError: degenerate data (fewer than 2 distinct rows via the
-        k-means init) or an empty hard cluster at convergence
+        k-means init), a start that leaves a component without rows, or an
+        empty hard cluster at convergence
     """
     mat = as_matrix(rows)
     fit = _fit_gmm_lanes([mat], [seed], max_iter)[0]

@@ -70,8 +70,9 @@ class PointRandom:
                                      f"({self.amp_low!r}), got {self.amp_high!r}",
                                      config_key="amp_high")
 
-    def stamp(self, row: np.ndarray, seed: int | None) -> np.ndarray:
-        """Stamp these anomalies on the finite ``row`` in place; returns the positions."""
+    def stamp(self, row: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Stamp these anomalies on the finite ``row`` in place, drawing
+        positions and amplitudes from ``rng``; returns the positions."""
         n = len(row)
         count = _count_half_up(self.rate_pct, n)
         if count >= n:
@@ -80,7 +81,6 @@ class PointRandom:
         peak = float(np.max(np.abs(row)))
         if peak <= 0.0:
             raise InjectionError("cannot scale anomalies on an all-zero signal")
-        rng = np.random.default_rng(seed)
         positions = np.sort(rng.choice(n, size=count, replace=False))
         mult = rng.uniform(self.amp_low, self.amp_high, count)
         with np.errstate(over="ignore"):
@@ -110,9 +110,9 @@ class PointPeriodic:
             raise ConfigurationError("delta_frac must be finite and >= 0",
                                      config_key="delta_frac")
 
-    def stamp(self, row: np.ndarray, seed: int | None) -> np.ndarray:
+    def stamp(self, row: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Stamp these anomalies on the finite ``row`` in place; returns the
-        positions.  No RNG is drawn, so ``seed`` is ignored."""
+        positions.  Nothing is drawn from ``rng``."""
         peak = float(np.max(row))
         if peak <= 0.0:
             raise InjectionError("periodic injection needs a positive signal peak")
@@ -162,7 +162,7 @@ def inject_points(w: Waveform, kind: PointRandom | PointPeriodic,
     :returns: (the injected waveform, the record of what it changed)
     """
     out = w.samples.copy()
-    positions = kind.stamp(out, seed)
+    positions = kind.stamp(out, np.random.default_rng(seed))
     return (Waveform(out, w.sample_period),
             InjectionRecord(positions, w.samples[positions], out[positions]))
 

@@ -13,13 +13,16 @@ which config caused it; a walk of one config alone raises that config's
 own error.
 
 Seeds are hashed per population, not per instance: each instance's
-streams are seeded by ``SeedSequence([seed, label, idx, leg])``, and
-``_child_seeds`` runs that hash over a whole range of instance indices at
-once, with the same results.
+streams are ``np.random.default_rng(s)`` with ``s`` the
+``SeedSequence([seed, label, idx, leg])`` hash, and ``_stream_states``
+runs both hashes over a whole range of instance indices at once, giving
+each stream's PCG64 state; one reused Generator then takes each state in
+turn, with the same draws.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
 
@@ -42,55 +45,120 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 def _hasher(h: int, mult: int):
     """SeedSequence's hashmix over uint32 arrays, its hash constant starting
-    at ``h`` and multiplied by ``mult`` at each call."""
-    def hashmix(v: np.ndarray) -> np.ndarray:
+    at ``h`` and multiplied by ``mult`` at each call.  ``hashmix(v, calls)``
+    makes ``calls`` consecutive calls at once: slice i of ``v``'s leading
+    axis (of length ``calls``, or 1 to hash one value ``calls`` times) is
+    hashed with the i-th constant."""
+    def hashmix(v: np.ndarray, calls: int) -> np.ndarray:
         nonlocal h
-        v = v ^ h
-        h = h * mult & _M32
-        v *= h
+        consts = []
+        for _ in range(calls):
+            consts.append(h)
+            h = h * mult & _M32
+            consts.append(h)
+        consts = np.array(consts, dtype=np.uint32).reshape((calls, 2) + (1,) * (v.ndim - 1))
+        v = v ^ consts[:, 0]
+        v *= consts[:, 1]
         return v ^ v >> 16
     return hashmix
 
 
-def _child_seeds(*parts) -> list[int]:
-    """Stable composite seeds, one per instance index.
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    v = x * _MIX_L - y * _MIX_R
+    return v ^ v >> 16
 
-    Exactly one part is a 1-D integer array of indices (each < 2**32); the
-    others are ints >= 0 of any size.  Returns, for each index i, what
-    ``int(SeedSequence([..., i, ...]).generate_state(1, np.uint64)[0])``
-    gives: SeedSequence's mixing run as uint32 array operations over all
-    indices at once.  The hash constants do not depend on the data, so they
-    stay Python ints (masked to 32 bits) and the arrays wrap silently.
+
+def _seed_words(words: list[np.ndarray], n_words: int) -> list[np.ndarray]:
+    """``SeedSequence(entropy).generate_state(n_words, np.uint32)`` of many
+    entropies at once: ``words`` holds the little-endian 32-bit entropy
+    words, one uint32 array (one element per entropy) per word.
+
+    SeedSequence's mixing runs as uint32 array operations, the calls that
+    hash one value or one word of the pool several times in a row as one.
+    Its hash constants do not depend on the data, so they stay Python ints
+    (masked to 32 bits) and the arrays wrap silently.  Missing pool words
+    hash as 0, as SeedSequence hashes them.
     """
-    ids = next(p for p in parts if isinstance(p, np.ndarray))
+    entropy = np.stack(words + [np.zeros_like(words[0])] * (_POOL - len(words)))
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = hashmix(entropy[:_POOL], _POOL)
+    for src in range(_POOL):
+        dst = [i for i in range(_POOL) if i != src]
+        pool[dst] = _mix(pool[dst], hashmix(pool[src:src + 1], _POOL - 1))
+    for w in entropy[_POOL:]:
+        pool = _mix(pool, hashmix(w[None], _POOL))
+    # generate_state cycles through the pool
+    return list(_hasher(_INIT_B, _MULT_B)(pool[np.arange(n_words) % _POOL], n_words))
+
+
+def _child_seed_words(*parts) -> list[np.ndarray]:
+    """Stable composite seeds, one per instance, as their (low, high) 32-bit
+    words (uint32 arrays).
+
+    The parts are ints >= 0 of any size and integer arrays of indices (each
+    < 2**32), at least one; the arrays broadcast together.  For each
+    element the words are those of ``int(SeedSequence([..., i, ...])
+    .generate_state(1, np.uint64)[0])``, all elements hashed at once.
+    """
+    shape = np.broadcast_shapes(*(p.shape for p in parts if isinstance(p, np.ndarray)))
     words = []      # the entropy words, little-endian 32-bit words per part
     for p in parts:
         if isinstance(p, np.ndarray):
-            words.append(p.astype(np.uint32))
+            words.append(np.broadcast_to(p, shape).astype(np.uint32))
             continue
         while True:
-            words.append(np.full(len(ids), p & _M32, dtype=np.uint32))
+            words.append(np.full(shape, p & _M32, dtype=np.uint32))
             p >>= 32
             if not p:
                 break
-    words += [np.zeros(len(ids), dtype=np.uint32)] * (_POOL - len(words))
-    hashmix = _hasher(_INIT_A, _MULT_A)
+    return _seed_words(words, 2)
 
-    def mix(x, y):
-        v = x * _MIX_L - y * _MIX_R
-        return v ^ v >> 16
 
-    pool = [hashmix(w) for w in words[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in words[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(w))
-    out = _hasher(_INIT_B, _MULT_B)     # generate_state: two uint32 words, low first
-    low, high = (out(v).astype(np.uint64) for v in pool[:2])
-    return (low | high << 32).tolist()
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M128 = (1 << 128) - 1
+
+
+class _Streams(Sequence):
+    """The PCG64 bit-generator states of many streams, each built when read.
+
+    A stream is held as its four ``SeedSequence(s).generate_state(4,
+    np.uint64)`` words, 32 bytes, in a (4, streams) uint64 array; indexing
+    builds that stream's state dict, and slicing gives the streams of the
+    slice.  ``default_rng(s)`` seeds PCG64 with those words v0..v3: with
+    ``seed = v0 << 64 | v1`` and ``inc = (v2 << 64 | v3) << 1 | 1`` (mod
+    2**128), the state is ``((inc + seed) * MULT + inc) mod 2**128``.
+    """
+
+    def __init__(self, words: np.ndarray):
+        self._words = words
+
+    def __len__(self) -> int:
+        return self._words.shape[1]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return _Streams(self._words[:, i])
+        s_hi, s_lo, i_hi, i_lo = self._words[:, i].tolist()
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128
+        return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                "has_uint32": 0, "uinteger": 0}
+
+
+def _stream_states(*parts) -> _Streams:
+    """The bit-generator state of ``np.random.default_rng(s)`` for each child
+    seed s of ``_child_seed_words(*parts)``, without building a Generator.
+
+    The second hash, ``SeedSequence(s).generate_state(4, np.uint64)``, runs
+    over all seeds at once, a child seed's two 32-bit words being its
+    entropy; only PCG64's 128-bit seeding step is per stream, when its
+    state is read (``_Streams``).  Setting a state on one reused Generator
+    then draws what ``default_rng(s)`` would.  The states come in C order
+    over the parts' broadcast shape.
+    """
+    v = [a.astype(np.uint64) for a in _seed_words(_child_seed_words(*parts), 8)]
+    return _Streams(np.stack([(v[2 * k] | v[2 * k + 1] << 32).ravel() for k in range(4)]))
 
 
 def _jittered(base: OpampModel, rng: np.random.Generator,
@@ -245,18 +313,29 @@ class _Walk:
 
     def _featurize(self, pop: _Population, first: int, taps: dict) -> None:
         """Each consumer's features of instances ``first``.. from the taps
-        it observes (name -> C-contiguous (instances, samples) rows)."""
+        it observes (name -> C-contiguous (instances, samples) rows).
+
+        Each distinct (tap, windows, features) is featurized once, for the
+        most rows a consumer of it needs, and each consumer copies its rows
+        out: rows are featurized independently, so the bytes are the same.
+        """
+        wanted = []             # (consumer, its row, signal index, key, row count)
+        most: dict[tuple, int] = {}
         for e in pop.consumers:
             cfg = self.configs[e]
             n = cfg.n_samples_per_class
             if first >= n:
                 continue
-            row = pop.label * n + first
             for j, s in enumerate(cfg.observed_signals):
                 if s in taps:
-                    x = taps[s][:n - first]
-                    self.feats[e][row:row + len(x), :, j] = _windowed_rows(
-                        x, cfg.window_k or 1, cfg.features)
+                    key = (s, cfg.window_k or 1, cfg.features)
+                    count = min(n - first, len(taps[s]))
+                    wanted.append((e, pop.label * n + first, j, key, count))
+                    most[key] = max(most.get(key, 0), count)
+        feats = {key: _windowed_rows(taps[key[0]][:count], *key[1:])
+                 for key, count in most.items()}
+        for e, row, j, key, count in wanted:
+            self.feats[e][row:row + count, :, j] = feats[key][:count]
 
     def _featurize_output(self, lane: np.ndarray, runs: list, streams=None) -> None:
         """Each run's output features from its columns of a stepped lane,
@@ -267,13 +346,11 @@ class _Walk:
             for c in _chunks(count):
                 span = slice(col + c.start, col + c.stop)
                 rows = np.ascontiguousarray(lane[:, span].T)
-                if streams is None:
-                    _check_finite(rows)
-                else:
+                if streams is not None:
                     for row, stream in zip(rows, streams[span]):
                         rng.bit_generator.state = stream
                         row += rng.normal(0.0, pop.config.measurement_noise, row.size)
-                        _check_finite(row)
+                _check_finite(rows)
                 self._featurize(pop, first + c.start, {"output": rows})
 
     def _walk_blocks(self, pops: list[_Population], width: int) -> None:
@@ -300,13 +377,14 @@ class _Walk:
         stage, and ``drive`` (time-major) gets the output stage's drive."""
         cfg, dt = pop.config, pop.config.sample_period
         legs = cfg.injections if pop.label else ()
-        ids = np.arange(start, stop)
-        noise_seeds, *leg_seeds = (_child_seeds(cfg.seed, pop.label, ids, j)
-                                   for j in range(1 + len(legs)))
+        n = stop - start
+        states = _stream_states(cfg.seed, pop.label, np.arange(start, stop),
+                                np.arange(1 + len(legs))[:, None])
+        noise, *leg_streams = (states[j * n:(j + 1) * n] for j in range(1 + len(legs)))
         clock = _chain_clock(cfg.n_samples, dt, cfg.vref)
         for c in _chunks(stop - start):
-            taps = _walk_chain(cfg.vref, _input_rows(cfg.vref, clock[0], noise_seeds[c]), dt,
-                               legs, [s[c] for s in leg_seeds], clock)
+            taps = _walk_chain(cfg.vref, _input_rows(cfg.vref, clock[0], noise[c]), dt,
+                               legs, [s[c] for s in leg_streams], clock)
             self._featurize(pop, start + c.start, taps)
             if drive is not None:
                 _output_drive(taps["trig"].T, cfg.vref, out=drive[:, c])
@@ -325,12 +403,13 @@ class _Walk:
         mode = _analysis(cfg)
         stimulus = _stimulus(cfg)
         chains, streams = [None] * width, [None] * width
+        rng = np.random.default_rng(0)
         for runs in _lanes(pops, width):
             for pop, first, count, col in runs:
                 fault = pop.config.fault if pop.label else None
                 ids = np.arange(first, first + count)
-                for j, seed in enumerate(_child_seeds(pop.config.seed, pop.label, ids, 0), col):
-                    rng = np.random.default_rng(seed)
+                for j, state in enumerate(_stream_states(pop.config.seed, pop.label, ids, 0), col):
+                    rng.bit_generator.state = state
                     chains[j] = _instance_chain(pop.config, rng, fault)
                     streams[j] = rng.bit_generator.state
             cols = sum(count for _, _, count, _ in runs)

@@ -172,13 +172,17 @@ def _chain_clock(n_samples: int, sample_period: float, config: VrefConfig
         return config.input_amplitude * raw / peak, 1.0 - np.exp(-t / config.pll_lock_tau)
 
 
-def _input_rows(config: VrefConfig, carrier: np.ndarray, seeds) -> np.ndarray:
+def _input_rows(config: VrefConfig, carrier: np.ndarray, streams) -> np.ndarray:
     """Input-source samples around the nominal carrier (``_chain_clock``),
-    one row per noise seed: (len(seeds), n_samples)."""
+    one row per noise stream (a PCG64 bit-generator state, set in turn on
+    one Generator): (len(streams), n_samples)."""
     if config.noise_std <= 0:
-        return np.tile(carrier, (len(seeds), 1))
-    rows = np.stack([np.random.default_rng(s).normal(0.0, config.noise_std, len(carrier))
-                     for s in seeds])
+        return np.tile(carrier, (len(streams), 1))
+    rows = np.empty((len(streams), len(carrier)))
+    rng = np.random.default_rng(0)
+    for row, stream in zip(rows, streams):
+        rng.bit_generator.state = stream
+        row[:] = rng.normal(0.0, config.noise_std, len(carrier))
     rows += carrier
     return rows
 
@@ -278,15 +282,16 @@ def _slew_steps(buf: np.ndarray, max_step) -> None:
 
 
 def _walk_chain(cfg: VrefConfig, inp: np.ndarray, sample_period: float,
-                legs: tuple, seeds, clock: tuple) -> dict[str, np.ndarray]:
+                legs: tuple, streams, clock: tuple) -> dict[str, np.ndarray]:
     """One walk down the chain for a chunk of instances: input -> PLL -> trig.
 
     ``inp`` holds one instance's input samples per row and ``clock`` the
     chain's ``_chain_clock``.  ``legs`` is the (block, kind) tuple every row
-    shares, block one of "InputA", "PllB" and "TrigC", and ``seeds`` holds
-    one sequence per leg with one seed per row.  Row by row, the
-    legs at a block stamp that block's output in order and in place, through
-    ``kind.stamp(row, seed)``, before the next block runs, so thresholds and
+    shares, block one of "InputA", "PllB" and "TrigC", and ``streams`` holds
+    one sequence per leg with one PCG64 bit-generator state per row.  Row
+    by row, the legs at a block stamp that block's output in order and in
+    place, through ``kind.stamp(row, rng)`` with the row's state set on one
+    Generator, before the next block runs, so thresholds and
     amplitudes are relative to the signal as it stands at that block.  Every
     signal must be finite, as every Waveform must be.  The output stage is
     left to the caller (``vref_output_block`` or a batched low-pass over
@@ -295,11 +300,14 @@ def _walk_chain(cfg: VrefConfig, inp: np.ndarray, sample_period: float,
     :returns: signal name -> (rows, n_samples) array, for the four taps
         before the output stage
     """
+    rng = np.random.default_rng(0)
+
     def stamp(x: np.ndarray, block: str) -> None:
         for i, row in enumerate(x):
-            for (at, kind), leg_seeds in zip(legs, seeds):
+            for (at, kind), leg_streams in zip(legs, streams):
                 if at == block:
-                    kind.stamp(row, leg_seeds[i])
+                    rng.bit_generator.state = leg_streams[i]
+                    kind.stamp(row, rng)
 
     _check_finite(inp)
     stamp(inp, "InputA")
@@ -355,7 +363,8 @@ def simulate_vref(config: VrefConfig, n_samples: int = 1500,
     dt = _sample_period(n_samples, duration)
     clock = _chain_clock(n_samples, dt, config)
     signals = {name: Waveform(x[0], dt) for name, x in _walk_chain(
-        config, _input_rows(config, clock[0], [seed]), dt, (), (), clock).items()}
+        config, _input_rows(config, clock[0], [np.random.default_rng(seed).bit_generator.state]),
+        dt, (), (), clock).items()}
     signals["output"] = vref_output_block(signals["trig"], config)
     return signals
 

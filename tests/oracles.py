@@ -659,7 +659,8 @@ def block_signals_reference(config, label, idx):
     dt = config.duration / config.n_samples
     seed = child_seed(config.seed, label, idx, 0)
     clock = _chain_clock(config.n_samples, dt, vcfg)
-    inp = Waveform(_input_rows(vcfg, clock[0], [seed])[0], dt)
+    inp = Waveform(_input_rows(vcfg, clock[0],
+                               [np.random.default_rng(seed).bit_generator.state])[0], dt)
     legs = [(block, PointRandom(config.rate_pct, config.amp_low, config.amp_high)
              if mode == "random" else PointPeriodic(config.threshold_frac, config.delta_frac))
             for block, mode in BLOCK_EXPERIMENTS[config.experiment]] if label else []

@@ -4,7 +4,7 @@ import math
 import pathlib
 import tempfile
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from functools import cache
 
 import numpy as np
@@ -23,7 +23,7 @@ from amsdetect import (ALL_EXPERIMENTS, BLOCK_EXPERIMENTS, AmsDetectError,
                        suite_to_csv)
 from amsdetect import bench, walk
 from amsdetect.config import SIGNAL_ORDER, _read_json
-from amsdetect.walk import _child_seeds
+from amsdetect.walk import _stream_states
 from amsdetect.features import windowed_features
 from amsdetect.inject import PointPeriodic
 from oracles import block_signals_reference, child_seed, features_reference
@@ -120,22 +120,33 @@ def test_config_dict_round_trip():
         ExperimentConfig.from_dict({"algorithm": "gmm"})
 
 
-def test_child_seed_is_stable_and_spread():
+def test_stream_states_are_stable_and_spread():
     ids = np.arange(50)
-    assert _child_seeds(3, 1, ids, 4) == _child_seeds(3, 1, ids, 4)
-    seeds = {s for label in (0, 1) for s in _child_seeds(0, label, ids, 0)}
-    assert len(seeds) == 100
+    assert list(_stream_states(3, 1, ids, 4)) == list(_stream_states(3, 1, ids, 4))
+    states = {s["state"]["state"] for label in (0, 1)
+              for s in _stream_states(0, label, ids, 0)}
+    assert len(states) == 100
+    streams = _stream_states(3, 1, ids, np.arange(2)[:, None])
+    assert len(streams) == 100 and len(streams[50:60]) == 10
+    assert list(streams[50:60]) == list(_stream_states(3, 1, ids[:10], 1))
 
 
 @given(st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]),
                  st.integers(0, 2**70 - 1)),
        st.integers(0, 1), st.integers(0, 10**5), st.integers(1, 40), st.integers(0, 3))
 @settings(max_examples=150, deadline=None)
-def test_child_seeds_match_seed_sequence(seed, label, first, count, leg):
-    """Each index's seed is numpy's SeedSequence([seed, label, i, leg]) hash."""
+def test_stream_states_match_default_rng(seed, label, first, count, leg):
+    """Each index's stream is ``default_rng`` of numpy's
+    SeedSequence([seed, label, i, leg]) hash, state for state, and a
+    Generator set to it draws what that ``default_rng`` draws."""
     ids = np.arange(first, first + count)
-    assert _child_seeds(seed, label, ids, leg) == [child_seed(seed, label, i, leg)
-                                                   for i in range(first, first + count)]
+    want = [np.random.default_rng(child_seed(seed, label, i, leg))
+            for i in range(first, first + count)]
+    states = _stream_states(seed, label, ids, leg)
+    assert list(states) == [rng.bit_generator.state for rng in want]
+    rng = np.random.default_rng(0)
+    rng.bit_generator.state = states[-1]
+    assert rng.normal(size=3).tobytes() == want[-1].normal(size=3).tobytes()
 
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -203,6 +214,36 @@ def test_combinations_concatenate_signals_in_order(monkeypatch):
             raw = data[:, [j * n_feat + f for j in sig_idx for f in feat_idx]]
             want = (raw - raw.min(0)) / (raw.max(0) - raw.min(0))
             assert mat.tobytes() == want.tobytes()
+
+
+@cache
+def _suite_full_kmeans_walk(seed):
+    """suite-full's k-means entries at ``seed`` with their raw features."""
+    configs = [replace(c, seed=seed) for c in load_suite(ROOT / "configs" / "suite-full.json")
+               if c.algorithm == "kmeans"]
+    return configs, walk._Walk(configs).run()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fit_jobs_lanes_match_fit_model_on_suite_full_kmeans(seed):
+    """``_fit_jobs`` fits suite-full's k-means entries, across entries and
+    combinations, as lockstep lanes; each job gets ``fit_model``'s bytes."""
+    configs, feats = _suite_full_kmeans_walk(seed)
+    prepared = [bench._prepare(c, f) for c, f in zip(configs, feats)]
+    jobs = [(p, combo) for p in prepared for combo in p.combos]
+    for (prep, combo), fit in zip(jobs, bench._fit_jobs(jobs)):
+        cfg = prep.config
+        try:
+            want = bench.fit_model("kmeans", prep.matrix(combo), seed=cfg.seed,
+                                   birch_branching=cfg.birch_branching,
+                                   birch_threshold=cfg.birch_threshold,
+                                   spectral_sigma=cfg.spectral_sigma)
+        except AmsDetectError as exc:
+            assert fit == str(exc)
+            continue
+        for key in ("centroids", "train_assignments", "sse_history", "mu_k", "sigma_k"):
+            got, exp = getattr(fit, key), getattr(want, key)
+            assert np.asarray(got).tobytes() == np.asarray(exp).tobytes(), key
 
 
 def test_fit_model_refuses_an_unknown_algorithm():

@@ -551,6 +551,23 @@ def test_normalizing_an_infinite_feature_prints_no_numpy_warning(tmp_path):
         assert "RuntimeWarning" not in proc.stderr
 
 
+@pytest.mark.parametrize("algorithm", ["gmm", "kmeans"])
+def test_fit_whose_seeding_overflows_exits_two_with_one_line(tmp_path, algorithm):
+    """Finite rows whose squared distances overflow float64 refuse the
+    k-means++ seeding: exit 2, one error line, no numpy warning."""
+    data = tmp_path / "data.csv"
+    values = ["-1e154", "-1", "1e154", "-1e-160", "0", "1e154", "1", "1e154"]
+    data.write_text("sample_id,label,window_index,mean\n" + "".join(
+        f"s{i},{i // 4},0,{v}\n" for i, v in enumerate(values)))
+    out = tmp_path / "m.json"
+    proc = _main_in_3_gib("fit", "--in", str(data), "--out", str(out), "--no-normalize",
+                          "--seed", "49", "--algorithm", algorithm)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == ("amsdetect: error: cannot seed k centroids: "
+                           "squared distances overflow float64\n")
+    assert not out.exists()
+
+
 def test_an_infinite_feature_fails_its_combination():
     """Under this suite's ``error::RuntimeWarning`` filter, too."""
     report = evaluate(ExperimentConfig.from_dict(_OVERFLOWING_VARIANCE))

@@ -1,9 +1,9 @@
 import dataclasses
 import gc
+from unittest import mock
 import json
 import platform
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -16,15 +16,19 @@ from amsdetect import (ConfigurationError, FitError, InputError, VAR_FLOOR,
                        fit_gmm, fit_kmeans, fit_spectral,
                        load_model, save_model)
 from amsdetect.cluster import ClusterModel, canonical_labels, lloyd, spectral
+from amsdetect.cluster import model as cluster_model
 from amsdetect.cluster.birch import _leaf_features, _Node, _radius, _Tree
-from amsdetect.cluster.gmm import _em, _fit_gmm_lanes, _log_resp_rows, _model
-from amsdetect.cluster.model import (_WORK_ELEMS, _lane_sum, _nearest, _sqdist,
+from amsdetect.cluster.gmm import _em, _fit_gmm_lanes, _log_resp_rows, _models
+from amsdetect.cluster.kmeans import _fit_kmeans_lanes, _lloyd, _two_means
+from amsdetect.cluster.model import (_WORK_ELEMS, _canonical_lanes, _lane_cap, _lane_stats,
+                                    _lane_sum, _member_sums, _nearest, _sqdist,
                                     _two_distinct_rows)
 from amsdetect.cluster.spectral import spectral_embedding
 from oracles import (birch_leaves_reference, birch_tree_reference, em_step,
                      exhaustive_two_means,
                      fit_birch_reference, fit_gmm_reference, fit_kmeans_reference,
-                     gmm_e_step_reference, lloyd_reference, nearest_reference,
+                     gmm_e_step_reference, kmeans_pp_init_reference, lloyd_reference,
+                     nearest_reference,
                      spectral_embedding_reference, sqdist_broadcast)
 
 
@@ -92,7 +96,7 @@ _DUP_PRONE = arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 3)),
 @example(np.array([[1.0], [1.0], [1.0], [2.0]]))
 @settings(max_examples=300, deadline=None)
 def test_distinct_row_check_agrees_with_unique(mat):
-    assert _two_distinct_rows(mat) == (np.unique(mat, axis=0).shape[0] >= 2)
+    assert _two_distinct_rows(mat.T[:, None])[0] == (np.unique(mat, axis=0).shape[0] >= 2)
 
 
 def test_lloyd_revives_empty_cluster():
@@ -490,6 +494,19 @@ def test_kernels_hold_no_pairwise_tensor(monkeypatch):
     assert peak[0] <= 3 * nn
 
 
+def test_a_lone_lane_of_many_rows_runs_in_row_blocks():
+    """The lane kernels take a lone lane of many rows one row block at a
+    time: at n = 50,000, d = 9 the member statistics hold a quarter of the
+    data's bytes (a copy of each cluster's rows would be the whole), and a
+    k-means fit about two copies (its (d, 1, n) transpose and per-row state)."""
+    n = 50_000
+    mat = np.random.default_rng(0).normal(0.0, 1.0, (n, 9))
+    mat[:, 0] += np.arange(n) % 2 * 4.0
+    labels = (mat[:, 0] > 2.0).astype(np.intp)
+    assert _traced_peak(canonical_labels, mat, labels) <= 0.5 * mat.nbytes
+    assert _traced_peak(fit_kmeans, mat) <= 2.5 * mat.nbytes
+
+
 # ------------------------------------------- component-major Lloyd and EM
 
 def _same(got, want):
@@ -565,13 +582,8 @@ def _em_lanes(mats, inits, max_iter=200):
                        np.maximum(np.ones((2, d)) if var is None else
                                   np.asarray(var, dtype=np.float64).reshape(2, d), VAR_FLOOR)))
     params = [np.stack(a, axis=-1) for a in zip(*starts)]
-    out = []
-    for mat, fit in zip(mats, _em(np.stack(mats), *params, max_iter)):
-        try:
-            out.append(fit if isinstance(fit, FitError) else _model(mat, *fit))
-        except FitError as exc:
-            out.append(exc)
-    return out
+    return _models(np.stack([m.T for m in mats], axis=1),
+                   _em(np.stack(mats), *params, max_iter))
 
 
 def _lone_fit(mat, init, max_iter=200):
@@ -690,19 +702,17 @@ def test_failing_gmm_lanes_keep_their_messages():
     flat = np.full((8, 1), 0.25)                            # one distinct row
     # distinct rows whose squared distances underflow to 0: k-means++ finds
     # no second centroid, or (rows ~1e-162) the start's nearest-row split
-    # leaves component 1 empty, and its variance NaN (numpy warns of that)
+    # leaves component 1 empty, which the start refuses (with no warning)
     unseeded = np.array([[0.0], [1e-170]] * 4)
     tiny = np.random.default_rng(0).normal(0.0, 1.0, (8, 1)) * 1e-162
     mats = [good[0], flat, good[1], unseeded, tiny, good[2]]
     seeds = [0, 1, 2, 3, 0, 5]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        fits = _fit_gmm_lanes(mats, seeds)
+    fits = _fit_gmm_lanes(mats, seeds)
     assert all(isinstance(fits[i], FitError) for i in (1, 3, 4))
     assert [str(fits[i]) for i in (1, 3, 4)] == [
         "need at least k=2 distinct rows",
         "cannot seed k centroids: fewer than k distinct points",
-        "component 1 has no hard members at convergence"]
+        "component 1 has no rows at the k-means start"]
     for i in (0, 2, 5):
         alone = fit_gmm(mats[i], seed=seeds[i])
         for key in ("weights", "means", "variances", "loglik_history",
@@ -807,6 +817,168 @@ def test_fit_kmeans_matches_row_major_reference(n, d, kind, seed):
     for g, w in zip(lloyd(mat, mat[[0, -1]], weights=weights),
                     lloyd_reference(mat, mat[[0, -1]], weights=weights)):
         assert _same(g, w)
+
+
+def _signed(mat, seed):
+    """``mat`` with about half of its zeros turned into -0.0."""
+    flip = (mat == 0.0) & (np.random.default_rng(seed).random(mat.shape) < 0.5)
+    return np.where(flip, -0.0, mat)
+
+
+def _lane_mats(n, d, kind, seed, lanes):
+    """Same-shape lanes: ``_matrix`` kinds, plus "signed" (a grid with
+    -0.0 entries) and "flat" (one distinct row) lanes mixed in."""
+    mats = []
+    for i in range(lanes):
+        base = "grid" if kind == "signed" else kind
+        mat = _matrix(n, d, base, seed + i)
+        mats.append(_signed(mat, seed + i) if kind == "signed" else mat)
+    if lanes > 2:
+        mats[1] = np.full((n, d), -0.0 if kind == "signed" else 0.5)
+    return mats
+
+
+@given(st.integers(1, 300), st.sampled_from([1, 2, 3, 9]),
+       st.sampled_from(["grid", "blobs", "wide", "signed"]), st.integers(0, 2**16),
+       st.integers(1, 7), st.sampled_from([1, 2, 3, 100]), st.sampled_from([None, 96, 2048]))
+@example(n=300, d=1, kind="blobs", seed=0, lanes=5, max_iter=100, block=None)  # past 128
+@example(n=20, d=9, kind="signed", seed=1, lanes=4, max_iter=100, block=96)
+@example(n=9, d=2, kind="grid", seed=2, lanes=7, max_iter=2, block=None)  # capped, ties
+@example(n=1, d=1, kind="wide", seed=3, lanes=2, max_iter=100, block=None)
+@example(n=300, d=9, kind="blobs", seed=4, lanes=1, max_iter=100, block=2048)
+@settings(max_examples=80, deadline=None)
+def test_two_means_lanes_match_reference_lane_by_lane(n, d, kind, seed, lanes, max_iter,
+                                                      block):
+    """k-means++ and Lloyd on lockstep lanes equal the row-major reference,
+    seeded one lane at a time: centroids, labels and SSE history to the bit.
+
+    Lanes share seeds in pairs, so some take one Generator's draws; lane 1
+    of three or more has one distinct row.  A lane the reference refuses is
+    a FitError here, and leaves the others unchanged.  ``block`` shrinks the
+    lane work array, so distances and member sums run in row blocks.
+    """
+    mats = _lane_mats(n, d, kind, seed, lanes)
+    seeds = [seed + i // 2 for i in range(lanes)]
+    points_t = np.stack([m.T for m in mats], axis=1)
+    before = points_t.copy()
+    with mock.patch.object(cluster_model, "_WORK_BYTES", block or cluster_model._WORK_BYTES):
+        fits = _two_means(points_t, seeds, max_iter)
+    assert _same(points_t, before)
+    for mat, lane_seed, fit in zip(mats, seeds, fits):
+        try:
+            start = kmeans_pp_init_reference(mat, np.random.default_rng(lane_seed))
+        except FitError:
+            assert isinstance(fit, FitError)
+            continue
+        want = lloyd_reference(mat, start, max_iter)
+        assert _same(fit[0], want[0]) and _same(fit[1], want[1])
+        assert fit[2] == want[2]
+
+
+@given(st.integers(2, 300), st.sampled_from([1, 2, 3, 9]),
+       st.sampled_from(["grid", "blobs", "wide", "signed"]), st.integers(0, 2**16),
+       st.integers(1, 5), st.sampled_from([1, 3, 100]), st.sampled_from(["ends", "far"]),
+       st.booleans())
+@example(n=200, d=1, kind="blobs", seed=0, lanes=3, max_iter=100, start="far",
+         weighted=True)
+@example(n=6, d=3, kind="signed", seed=1, lanes=4, max_iter=100, start="far",
+         weighted=False)
+@settings(max_examples=80, deadline=None)
+def test_lloyd_lanes_match_reference_with_weights_and_revivals(
+        n, d, kind, seed, lanes, max_iter, start, weighted):
+    """Explicit starts: the two end rows, or ("far") a second centroid so far
+    away that its cluster empties and the worst-fitting row revives it.
+    Weights are BIRCH-like counts, one lane's sometimes all zero."""
+    mats = _lane_mats(n, d, kind, seed, lanes)
+    starts = [m[[0, -1]] if start == "ends" else np.stack([m[0], m[0] + 1e6]) for m in mats]
+    weights = None
+    if weighted:
+        weights = np.random.default_rng(seed).integers(1, 9, (lanes, n)).astype(np.float64)
+        if lanes > 1:
+            weights[-1] = 0.0
+    fits = _lloyd(np.stack([m.T for m in mats], axis=1), np.stack(starts, axis=-1),
+                  max_iter, weights)
+    for i, (mat, fit) in enumerate(zip(mats, fits)):
+        w = None if weights is None else weights[i]
+        try:
+            want = lloyd_reference(mat, starts[i], max_iter, weights=w)
+        except ZeroDivisionError:       # np.average refuses weights summing to zero
+            assert isinstance(fit, FitError) and "sum to zero" in str(fit)
+            continue
+        assert _same(fit[0], want[0]) and _same(fit[1], want[1])
+        assert fit[2] == want[2]
+
+
+@given(st.integers(1, 300), st.sampled_from([1, 2, 3, 9]), st.integers(1, 6),
+       st.sampled_from([0.0, 0.03, 0.5, 0.97, 1.0]), st.sampled_from(["wide", "signed"]),
+       st.integers(0, 2**16), st.sampled_from([None, 96, 2048]))
+@example(n=300, d=1, lanes=3, share=0.5, kind="wide", seed=0, block=None)    # past 128
+@example(n=129, d=1, lanes=2, share=1.0, kind="signed", seed=1, block=None)
+@example(n=16, d=3, lanes=2, share=1.0, kind="signed", seed=2, block=96)  # all -0.0 sums
+@example(n=300, d=9, lanes=1, share=0.5, kind="wide", seed=3, block=96)
+@settings(max_examples=120, deadline=None)
+def test_lane_member_sums_match_numpy(n, d, lanes, share, kind, seed, block):
+    """Each lane's member sums, means, variances and canonical order equal
+    numpy's on its compacted member rows (``mat[members].sum(axis=0)``,
+    ``.mean``, ``.var``, ``.std`` and the column-0 means' comparison).
+    ``block`` shrinks the lane work array, so the rows run in blocks of
+    one row and up."""
+    with mock.patch.object(cluster_model, "_WORK_BYTES", block or cluster_model._WORK_BYTES):
+        _check_lane_member_sums(n, d, lanes, share, kind, seed)
+
+
+def _check_lane_member_sums(n, d, lanes, share, kind, seed):
+    rng = np.random.default_rng(seed)
+    mats = [rng.normal(0.0, 1.0, (n, d)) * 10.0 ** rng.integers(-8, 9, (n, d))
+            for _ in range(lanes)]
+    if kind == "signed":
+        mats = [_signed(np.where(rng.random((n, d)) < 0.5, 0.0, m), seed) for m in mats]
+    ones = rng.random((lanes, n)) < share
+    members = np.stack([~ones, ones])
+    points_t = np.stack([m.T for m in mats], axis=1)
+    sums = _member_sums(points_t, members)
+    counts = members.sum(axis=-1)
+    mu, var = _lane_stats(points_t, members, counts)
+    for b, mat in enumerate(mats):
+        for j in (0, 1):
+            rows = mat[members[j, b]]
+            assert _same(sums[j, :, b], rows.sum(axis=0))
+            if len(rows):
+                assert _same(mu[j, :, b], rows.mean(axis=0))
+                assert _same(var[j, :, b], rows.var(axis=0))
+    both = counts.all(axis=0)
+    if not both.any():
+        return
+    swap, mu_k, sigma_k = _canonical_lanes(points_t[:, both], ones[both])
+    for i, b in enumerate(np.flatnonzero(both)):
+        mat, lab = mats[b], ones[b].astype(np.intp)
+        assert swap[i] == (mat[lab == 1, 0].mean() < mat[lab == 0, 0].mean())
+        order = [1, 0] if swap[i] else [0, 1]
+        want_mu = np.stack([mat[lab == j].mean(axis=0) for j in order])
+        want_sigma = np.stack([mat[lab == j].std(axis=0) for j in order])
+        assert _same(mu_k[i], want_mu) and _same(sigma_k[i], want_sigma)
+
+
+def test_fit_kmeans_lanes_match_lone_fits():
+    """Lanes fit as one call, more lanes than one batch holds, give each
+    lane the bytes of its lone ``fit_kmeans``."""
+    mats = [_matrix(800, 3, kind, s) for s in range(6) for kind in ("grid", "blobs")]
+    assert len(mats) > _lane_cap(800, 3)
+    seeds = [s % 5 for s in range(len(mats))]
+    fits = _fit_kmeans_lanes(mats, seeds)
+    for mat, seed, fit in zip(mats, seeds, fits):
+        alone = fit_kmeans(mat, seed=seed)
+        for key in ("centroids", "train_assignments", "sse_history", "mu_k", "sigma_k"):
+            assert _same(getattr(fit, key), getattr(alone, key)), key
+
+
+def test_overflowing_seeding_is_a_fit_error():
+    """Finite rows whose squared distances overflow refuse the k-means++
+    seeding, and so a k-means or GMM fit, without a numpy warning."""
+    mat = np.array([[-1e154], [-1.0], [1e154], [-1e-160], [0.0], [1e154], [1.0], [1e154]])
+    for fit in (fit_kmeans, fit_gmm):
+        with pytest.raises(FitError, match="squared distances overflow float64"):
+            fit(mat, seed=49)
 
 
 # ------------------------------------------------- array-backed BIRCH tree

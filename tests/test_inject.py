@@ -166,7 +166,8 @@ def _walk(legs, seeds, n=1500):
     clean = simulate_vref(cfg, n, 20e-6)
     dt = clean["input"].sample_period
     out = _walk_chain(cfg, clean["input"].samples[None].copy(), dt, legs,
-                      [[s] for s in seeds], _chain_clock(n, dt, cfg))
+                      [[np.random.default_rng(s).bit_generator.state] for s in seeds],
+                      _chain_clock(n, dt, cfg))
     out["output"] = vref_output_block(Waveform(out["trig"][0], dt), cfg).samples[None]
     ref = multipoint_reference(cfg, clean["input"], legs, seeds)
     assert out.keys() == ref.keys()
