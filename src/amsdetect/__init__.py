@@ -23,8 +23,8 @@ from .features import (FEATURE_NAMES, Dataset, NormalizationParams,
 from .cluster import (MODEL_FORMAT, MODEL_VERSION, VAR_FLOOR, ClusterModel,
                       as_matrix, assign_many, canonical_labels,
                       cluster_stats, fit_birch, fit_gmm, fit_kmeans,
-                      fit_spectral, kmeans_pp_init, lloyd, load_model,
-                      save_model, spectral_embedding)
+                      fit_spectral, lloyd, load_model, save_model,
+                      spectral_embedding)
 from .centroid import CentroidPair, refine_model, select_centroids
 from .earlydetect import (DetectionResult, detect_windowed,
                           detections_to_csv, latency_report, scan_windows)

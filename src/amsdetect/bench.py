@@ -4,11 +4,12 @@
 features; labels and sample ids follow from the instance index and ride
 along for scoring only -- fitting never sees them.
 
-Evaluation runs in three stages: prepare (simulate, and list the
-signal/feature combinations), fit (one dispatcher over every combination;
-each is sliced from the array and min-max normalized when needed) and
-score.  ``evaluate`` is the one-entry case of ``run_suite``, so an entry's
-report has the same bytes in a suite and alone.
+Evaluation runs in three stages: prepare (simulate, min-max normalize each
+feature column once, and list the signal/feature combinations as column
+indices), fit (every combination's gathered columns through the one
+dispatcher, ``_fit_many``, that ``fit_model`` and ``amsdetect fit`` use too)
+and score.  ``evaluate`` is the one-entry case of ``run_suite``, so an
+entry's report has the same bytes in a suite and alone.
 
 Reproducibility contract: everything derives from ``config.seed`` through
 per-sample child seeds, so a (config, seed) pair yields byte-identical
@@ -22,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .centroid import refine_model
-from .cluster import (ClusterModel, as_matrix, assign_many, fit_birch, fit_gmm,
-                      fit_kmeans, fit_spectral)
+from .cluster import ClusterModel, as_matrix, assign_many, fit_birch, fit_spectral
 from .cluster.gmm import _fit_gmm_lanes
 from .cluster.kmeans import _fit_kmeans_lanes
 from .config import (ALGORITHMS, ALL_EXPERIMENTS, BLOCK_EXPERIMENTS, FAULT_EXPERIMENTS,
@@ -148,105 +148,90 @@ class EvaluationReport:
         return max(ok, key=lambda r: r.accuracy_pct)
 
 
+def _fit_many(algorithm: str, mats: list[np.ndarray], params: list[tuple]) -> list:
+    """Fit the named algorithm to each validated matrix of one shape, with
+    its (seed, birch_branching, birch_threshold, spectral_sigma); a fit that
+    fails yields its AmsDetectError.  k-means and GMM fit as lanes of one
+    lockstep call, each lane with the bytes it gets alone."""
+    _check_algorithm(algorithm)
+    if algorithm in ("kmeans", "gmm"):
+        fit = _fit_kmeans_lanes if algorithm == "kmeans" else _fit_gmm_lanes
+        return fit(mats, [p[0] for p in params])
+    out: list = []
+    for mat, (seed, branching, threshold, sigma) in zip(mats, params):
+        try:
+            out.append(fit_birch(mat, branching, threshold) if algorithm == "birch"
+                       else fit_spectral(mat, sigma, seed=seed))
+        except AmsDetectError as exc:
+            out.append(exc)
+    return out
+
+
 def fit_model(algorithm: str, mat: np.ndarray, *, seed: int, birch_branching: int,
               birch_threshold: float, spectral_sigma: float) -> ClusterModel:
     """Fit one 2-cluster model of the named algorithm to a validated matrix."""
-    _check_algorithm(algorithm)
-    if algorithm == "kmeans":
-        return fit_kmeans(mat, seed=seed)
-    if algorithm == "gmm":
-        return fit_gmm(mat, seed=seed)
-    if algorithm == "birch":
-        return fit_birch(mat, birch_branching, birch_threshold)
-    return fit_spectral(mat, spectral_sigma, seed=seed)
+    fit = _fit_many(algorithm, [mat],
+                    [(seed, birch_branching, birch_threshold, spectral_sigma)])[0]
+    if isinstance(fit, AmsDetectError):
+        raise fit
+    return fit
 
 
 @dataclass
 class _Prepared:
-    """One config after simulation: its raw features and combinations.
-
-    A combination's matrix is rebuilt from ``feats`` each time it is needed
-    (fit, then score), with the same bytes each time, so no more than one
-    shape group's matrices are held at once.
-    """
+    """One config after simulation: ``values`` has a row per (instance,
+    window) and a column per (signal, feature), signal-major, each min-max
+    normalized over the rows; a combination is (signal name, feature name,
+    its column indices)."""
 
     config: ExperimentConfig
-    feats: np.ndarray
+    values: np.ndarray
     samples_per_window: int
     sample_period: float
-    combos: list[tuple[tuple[str, ...], tuple[str, ...]]]
-
-    def shape(self, combo) -> tuple[int, int]:
-        signals, names = combo
-        return (self.feats.shape[0] * self.feats.shape[1], len(signals) * len(names))
-
-    def matrix(self, combo) -> np.ndarray:
-        """The combination's rows, signal-major, feature-minor, min-max normalized."""
-        signals, names = combo
-        sig_idx = [self.config.observed_signals.index(s) for s in signals]
-        feat_idx = [self.config.features.index(f) for f in names]
-        raw = self.feats[:, :, sig_idx][..., feat_idx].reshape(self.shape(combo))
-        return as_matrix(NormalizationParams(raw.min(0), raw.max(0)).apply(raw))
+    combos: list[tuple[str, str, list[int]]]
 
 
 def _prepare(config: ExperimentConfig, feats: np.ndarray | None = None) -> _Prepared:
-    """A config's raw features, simulated alone unless given, and the
-    signal/feature combinations it is scored on."""
+    """A config's features, simulated alone unless given, and its
+    combinations: each signal and (with two or more) all of them, each with
+    each feature and (with two or more) all of them, "agg"."""
     if feats is None:
         feats = generate_features(config)[0]
-    combos: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
-    for s in config.observed_signals:
-        for f in config.features:
-            combos.append(((s,), (f,)))
-        if len(config.features) >= 2:
-            combos.append(((s,), config.features))
-    if len(config.observed_signals) >= 2:
-        for f in config.features:
-            combos.append((config.observed_signals, (f,)))
-        if len(config.features) >= 2:
-            combos.append((config.observed_signals, config.features))
-    return _Prepared(config, feats, *_timebase(config), combos)
+    raw = feats.reshape(feats.shape[0] * feats.shape[1], -1)
+    signals, names = config.observed_signals, config.features
+    n_sig, n_feat = len(signals), len(names)
+    sig_sets = [[j] for j in range(n_sig)] + [list(range(n_sig))] * (n_sig > 1)
+    feat_sets = [[f] for f in range(n_feat)] + [list(range(n_feat))] * (n_feat > 1)
+    combos = [("+".join(signals[j] for j in js), names[fs[0]] if len(fs) == 1 else "agg",
+               [j * n_feat + f for j in js for f in fs])
+              for js in sig_sets for fs in feat_sets]
+    return _Prepared(config, NormalizationParams(raw.min(0), raw.max(0)).apply(raw),
+                     *_timebase(config), combos)
 
 
-# The algorithms whose jobs of one matrix shape fit as lanes of one lockstep call
-_LANE_FITS = {"kmeans": _fit_kmeans_lanes, "gmm": _fit_gmm_lanes}
+def _fit_jobs(jobs: list[tuple[_Prepared, list[int]]]) -> list:
+    """Fit each (entry, columns) job; a job that fails yields its message.
 
-
-def _fit_jobs(jobs: list[tuple[_Prepared, tuple]]) -> list:
-    """Fit each (entry, combination) job; a job that fails yields its message.
-
-    k-means and GMM jobs of one matrix shape run as lanes of one lockstep
-    fit (``cluster.kmeans``, ``cluster.gmm``), across combinations and
-    entries alike; each lane gets the bytes ``fit_model`` would give it.
-    BIRCH and spectral jobs go through ``fit_model``.  Matrices are built
-    per job, or per shape group for lanes, and dropped after the fit.
+    Jobs of one algorithm and shape, across combinations and entries alike,
+    share one ``_fit_many`` call on their gathered columns, which are
+    dropped after it.  A matrix that fails validation fails its job alone.
     """
     out: list = [None] * len(jobs)
-    groups: dict[tuple[str, tuple[int, int]], list[int]] = {}
-    for i, (prep, combo) in enumerate(jobs):
-        cfg = prep.config
-        if cfg.algorithm in _LANE_FITS:
-            groups.setdefault((cfg.algorithm, prep.shape(combo)), []).append(i)
-            continue
-        try:
-            out[i] = fit_model(cfg.algorithm, prep.matrix(combo), seed=cfg.seed,
-                               birch_branching=cfg.birch_branching,
-                               birch_threshold=cfg.birch_threshold,
-                               spectral_sigma=cfg.spectral_sigma)
-        except AmsDetectError as exc:
-            out[i] = str(exc)
-    for (algorithm, _), idx in groups.items():
-        lanes, mats = [], []
+    groups: dict[tuple[str, int, int], list[int]] = {}
+    for i, (prep, cols) in enumerate(jobs):
+        groups.setdefault((prep.config.algorithm, len(prep.values), len(cols)), []).append(i)
+    for (algorithm, *_), idx in groups.items():
+        mats = {}
         for i in idx:
             try:
-                mats.append(jobs[i][0].matrix(jobs[i][1]))
-                lanes.append(i)
+                mats[i] = as_matrix(jobs[i][0].values[:, jobs[i][1]])
             except AmsDetectError as exc:
                 out[i] = str(exc)
-        if lanes:
-            seeds = [jobs[i][0].config.seed for i in lanes]
-            for i, fit in zip(lanes, _LANE_FITS[algorithm](mats, seeds)):
-                out[i] = str(fit) if isinstance(fit, FitError) else fit
+        if mats:        # a group whose matrices all fail fits nothing
+            params = [(c.seed, c.birch_branching, c.birch_threshold, c.spectral_sigma)
+                      for c in (jobs[i][0].config for i in mats)]
+            for i, fit in zip(mats, _fit_many(algorithm, list(mats.values()), params)):
+                out[i] = str(fit) if isinstance(fit, AmsDetectError) else fit
     return out
 
 
@@ -256,18 +241,16 @@ def _score(prep: _Prepared, fits: list) -> EvaluationReport:
     :raises FitError: every combination failed
     """
     config = prep.config
-    n_inst, n_win = prep.feats.shape[:2]
-    n = n_inst // 2
+    n = config.n_samples_per_class
+    n_inst, n_win = 2 * n, config.window_k or 1
     labels = np.repeat([0, 1], n)
     rows_out: list[ResultRow] = []
-    for (signals, names), model in zip(prep.combos, fits):
-        sig_name = "+".join(signals)
-        feat_name = names[0] if len(names) == 1 else "agg"
+    for (sig_name, feat_name, cols), model in zip(prep.combos, fits):
         if isinstance(model, str):
             rows_out.append(ResultRow(sig_name, feat_name, float("nan"), error=model))
             continue
         try:
-            mat = prep.matrix((signals, names))
+            mat = as_matrix(prep.values[:, cols])
             if config.centroid_select:
                 model = refine_model(model, mat, config.sigma_scope)
             # an instance is anomalous iff one of its windows is (a
@@ -300,7 +283,7 @@ def evaluate(config: ExperimentConfig) -> EvaluationReport:
     Windowed configs score instances: one is anomalous iff any window is.
     """
     prep = _prepare(config)
-    return _score(prep, _fit_jobs([(prep, combo) for combo in prep.combos]))
+    return _score(prep, _fit_jobs([(prep, cols) for *_, cols in prep.combos]))
 
 
 def report_to_csv(report: EvaluationReport, path) -> None:
@@ -362,8 +345,9 @@ def run_suite(configs: list[ExperimentConfig]) -> SuiteResult:
     each entry is scored.  The walk stops at its first error, which names
     no entry; then every entry is prepared again alone, so each fails (or
     not) with the error ``evaluate`` raises.  Every report is the one
-    ``evaluate`` gives.  What is held across entries is their raw feature
-    arrays, never their waveforms.
+    ``evaluate`` gives.  What is held across entries is their feature
+    arrays, raw until an entry is prepared and normalized after, never
+    their waveforms.
     """
     if not configs:
         raise ConfigurationError("suite contains no experiments",
@@ -373,13 +357,14 @@ def run_suite(configs: list[ExperimentConfig]) -> SuiteResult:
     except AmsDetectError:
         feats = [None] * len(configs)
     prepared: list = []
-    for cfg, f in zip(configs, feats):
+    for i, cfg in enumerate(configs):
         try:
-            prepared.append(_prepare(cfg, f))
+            prepared.append(_prepare(cfg, feats[i]))
         except AmsDetectError as exc:
             prepared.append(str(exc))
+        feats[i] = None         # so raw and normalized features of all entries never coexist
     entries = [p for p in prepared if isinstance(p, _Prepared)]
-    fits = iter(_fit_jobs([(p, combo) for p in entries for combo in p.combos]))
+    fits = iter(_fit_jobs([(p, cols) for p in entries for *_, cols in p.combos]))
     out = []
     for cfg, p in zip(configs, prepared):
         if isinstance(p, str):

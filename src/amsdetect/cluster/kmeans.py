@@ -1,8 +1,8 @@
 """Lloyd 2-means with D^2-weighted seeding, fitted as lockstep lanes.
 
 The inner loop (`lloyd`) is shared by the other algorithms: BIRCH reuses it
-with per-point weights for its global phase and spectral clustering runs it
-on the embedded rows.
+with per-point weights for its global phase and spectral clustering runs
+the seeded 2-means (`_two_means`) on the embedded rows.
 
 Distances to the one or two centroids are taken component-major against
 the (d, n) transpose of the data, so each numpy call runs over n elements
@@ -50,9 +50,9 @@ cost is per-call numpy overhead, so the lanes share every numpy call:
   all lanes.  A squared-distance total of zero or one that overflows
   refuses the lane.
 
-``fit_kmeans``, ``lloyd`` and ``kmeans_pp_init`` are one-lane calls;
-``gmm`` starts its lanes from ``_two_means`` and ``bench`` fits k-means
-entries through ``_fit_kmeans_lanes``.
+``fit_kmeans`` and ``lloyd`` are one-lane calls; ``gmm`` starts its lanes
+and ``spectral`` its one embedding lane from ``_two_means``, and ``bench``
+fits k-means entries through ``_fit_kmeans_lanes``.
 """
 
 from __future__ import annotations
@@ -63,22 +63,10 @@ from ..errors import FitError
 from .model import (ClusterModel, _canonical_lanes, _compact_pairwise, _lane_cap,
                     _lane_sqdist, _lanes_t, _member_sums, _two_distinct_rows, as_matrix)
 
-__all__ = ["fit_kmeans", "lloyd", "kmeans_pp_init"]
+__all__ = ["fit_kmeans", "lloyd"]
 
 _TOL = 1e-10    # Lloyd stops once an iteration lowers the SSE by less than this
 _MAX_ITER = 100
-
-
-def kmeans_pp_init(mat: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding for two centroids (Arthur & Vassilvitskii, 2007).
-
-    One uniform draw, then one draw weighted by squared distance to it.
-    """
-    first = int(rng.integers(mat.shape[0]))
-    cdf, errors = _pp_cdf(np.ascontiguousarray(mat.T)[:, None], np.array([first]))
-    if errors[0] is not None:
-        raise errors[0]
-    return mat[[first, int((cdf[0] <= rng.random()).sum())]]
 
 
 def _pp_cdf(points_t: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, list]:

@@ -33,7 +33,7 @@ import ctypes
 import numpy as np
 
 from ..errors import ConfigurationError, FitError
-from .kmeans import kmeans_pp_init, lloyd
+from .kmeans import _two_means
 from .model import ClusterModel, _sqdist_blocks, as_matrix, canonical_labels
 
 __all__ = ["fit_spectral", "spectral_embedding"]
@@ -93,16 +93,17 @@ def fit_spectral(rows, sigma: float, seed: int | None = 0) -> ClusterModel:
     """Embed with kernel width ``sigma``, row-normalize, and 2-means the
     embedding from a k-means++ start seeded by ``seed``.
 
-    :raises FitError: fewer than 3 rows, an isolated similarity row, or an
-        empty final cluster
+    :raises FitError: fewer than 3 rows, an isolated similarity row, fewer
+        than 2 distinct embedded rows, or an empty final cluster
     """
     mat = as_matrix(rows)
     _, u = spectral_embedding(mat, sigma)
     norms = np.linalg.norm(u, axis=1, keepdims=True)
     embedding = np.divide(u, norms, out=np.zeros_like(u), where=norms > 0.0)
-    seeds = kmeans_pp_init(embedding, np.random.default_rng(seed))
-    _, labels, _ = lloyd(embedding, seeds)
-    labels, _, mu, sigma_k = canonical_labels(mat, labels)
+    fit = _two_means(np.ascontiguousarray(embedding.T)[:, None], [seed])[0]
+    if isinstance(fit, FitError):
+        raise fit
+    labels, _, mu, sigma_k = canonical_labels(mat, fit[1])
     return ClusterModel(algorithm="spectral", mu_k=mu, sigma_k=sigma_k,
                         train_rows=mat.copy(), train_assignments=labels,
                         embedding=embedding)

@@ -200,7 +200,15 @@ def dataset_to_csv(ds: Dataset, feature_names, path) -> None:
     Rows are ordered as ``sorted`` orders their (sample_id, window_index).
     ``feature_names`` label the value columns; pass None for anonymous
     ``f1..fD`` headers.
+
+    :raises InputError: a sample id that ``dataset_from_csv`` would not
+        read back unchanged: one holding ``,``, ``\n`` or ``\r``, or with
+        surrounding whitespace; nothing is written
     """
+    for sid in dict.fromkeys(ds.sample_ids):
+        if sid != sid.strip() or any(c in sid for c in ",\n\r"):
+            raise InputError(f"sample id {sid!r} would not read back from a dataset CSV "
+                             "(it holds ',' or a line break, or surrounding whitespace)")
     dim = ds.values.shape[1]
     if feature_names is None:
         feature_names = [f"f{j + 1}" for j in range(dim)]

@@ -350,7 +350,8 @@ class _Walk:
                     for row, stream in zip(rows, streams[span]):
                         rng.bit_generator.state = stream
                         row += rng.normal(0.0, pop.config.measurement_noise, row.size)
-                _check_finite(rows)
+                _check_finite(rows, "output",
+                              "vref_params" if streams is None else "measurement_noise")
                 self._featurize(pop, first + c.start, {"output": rows})
 
     def _walk_blocks(self, pops: list[_Population], width: int) -> None:

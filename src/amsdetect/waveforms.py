@@ -73,12 +73,15 @@ def _check_finite_key(key: str, value: float) -> None:
         raise ConfigurationError(f"{key} must be finite, got {value!r}", config_key=key)
 
 
-def _check_finite(samples: np.ndarray) -> None:
+def _check_finite(samples: np.ndarray, tap: str = "waveform",
+                  config_key: str | None = None) -> None:
+    """Refuse non-finite samples of ``tap``; ``config_key`` names the
+    config key whose value most likely overflowed it."""
     # min and max propagate NaN and expose +-inf without a mask of the
     # samples; on a time-major buffer that mask alone raised suite-full's
     # peak RSS by about 1 MB
     if not (np.isfinite(samples.min()) and np.isfinite(samples.max())):
-        raise InputError("waveform samples must be finite")
+        raise InputError(f"{tap} samples must be finite", config_key=config_key)
 
 
 @dataclass
@@ -293,7 +296,8 @@ def _walk_chain(cfg: VrefConfig, inp: np.ndarray, sample_period: float,
     place, through ``kind.stamp(row, rng)`` with the row's state set on one
     Generator, before the next block runs, so thresholds and
     amplitudes are relative to the signal as it stands at that block.  Every
-    signal must be finite, as every Waveform must be.  The output stage is
+    signal must be finite, as every Waveform must be; the error names the
+    tap and the config key that feeds it.  The output stage is
     left to the caller (``vref_output_block`` or a batched low-pass over
     many chunks).
 
@@ -309,16 +313,16 @@ def _walk_chain(cfg: VrefConfig, inp: np.ndarray, sample_period: float,
                     rng.bit_generator.state = leg_streams[i]
                     kind.stamp(row, rng)
 
-    _check_finite(inp)
+    _check_finite(inp, "input", "noise_std")
     stamp(inp, "InputA")
     with _float_errors():
         f_trace, intensity = _pll_rows(inp, sample_period, cfg, clock)
-    _check_finite(f_trace)
-    _check_finite(intensity)
+    _check_finite(f_trace, "pll_frequency", "vref_params")
+    _check_finite(intensity, "pll_intensity", "vref_params")
     stamp(intensity, "PllB")
     with _float_errors():
         trig = _trig_rows(intensity, cfg)
-    _check_finite(trig)
+    _check_finite(trig, "trig", "vref_params")
     stamp(trig, "TrigC")
     return {"input": inp, "pll_frequency": f_trace, "pll_intensity": intensity,
             "trig": trig}
@@ -333,6 +337,7 @@ def vref_output_block(trig: Waveform, config: VrefConfig) -> Waveform:
     dt = trig.sample_period
     buf = _output_drive(trig.samples, config)[:, None]
     _lowpass_steps(buf, dt / config.output_tau)
+    _check_finite(buf, "output", "vref_params")
     return Waveform(buf[:, 0], dt)
 
 

@@ -31,7 +31,7 @@ import numpy as np
 from amsdetect.config import BLOCK_EXPERIMENTS, FAULT_EXPERIMENTS
 from amsdetect.cluster import canonical_labels
 from amsdetect.errors import FitError, InputError
-from amsdetect.features import windowed_features
+from amsdetect.features import NormalizationParams, windowed_features
 from amsdetect.inject import PointPeriodic, PointRandom, apply_component_fault
 from amsdetect.waveforms import (OpampModel, SweepSpec, VrefConfig, Waveform,
                                  _chain_clock, _input_rows, _pll_rows, _trig_rows,
@@ -726,6 +726,17 @@ def features_reference(config):
             feats[i, :, j] = windowed_features(by_name[s], k, config.features)
     w = by_name[config.observed_signals[0]]
     return feats, len(w) // k, w.sample_period
+
+
+def combination_matrix_reference(config, feats, signals, names):
+    """A combination's matrix built from raw features alone: slice its
+    signals and features out of the (instances, windows, signals, features)
+    array, signal-major, then min-max normalize each column."""
+    sig_idx = [config.observed_signals.index(s) for s in signals]
+    feat_idx = [config.features.index(f) for f in names]
+    raw = feats[:, :, sig_idx][..., feat_idx].reshape(
+        feats.shape[0] * feats.shape[1], len(sig_idx) * len(feat_idx))
+    return NormalizationParams(raw.min(0), raw.max(0)).apply(raw)
 
 
 def waveform_to_csv_reference(w, path):

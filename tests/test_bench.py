@@ -4,7 +4,7 @@ import math
 import pathlib
 import tempfile
 import tracemalloc
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from functools import cache
 
 import numpy as np
@@ -21,12 +21,13 @@ from amsdetect import (ALL_EXPERIMENTS, BLOCK_EXPERIMENTS, AmsDetectError,
                        generate_dataset, generate_features,
                        load_suite, permutation_accuracy, run_suite,
                        suite_to_csv)
-from amsdetect import bench, walk
+from amsdetect import ALGORITHMS, as_matrix, bench, walk
 from amsdetect.config import SIGNAL_ORDER, _read_json
 from amsdetect.walk import _stream_states
 from amsdetect.features import windowed_features
 from amsdetect.inject import PointPeriodic
-from oracles import block_signals_reference, child_seed, features_reference
+from oracles import (block_signals_reference, child_seed, combination_matrix_reference,
+                     features_reference)
 
 
 def test_experiment_registry_is_complete():
@@ -196,7 +197,7 @@ def test_combinations_concatenate_signals_in_order(monkeypatch):
     seen, fit = [], bench._fit_jobs
 
     def spy(jobs):
-        seen.extend(prep.matrix(combo) for prep, combo in jobs)
+        seen.extend(as_matrix(prep.values[:, cols]) for prep, cols in jobs)
         return fit(jobs)
 
     monkeypatch.setattr(bench, "_fit_jobs", spy)
@@ -217,33 +218,50 @@ def test_combinations_concatenate_signals_in_order(monkeypatch):
 
 
 @cache
-def _suite_full_kmeans_walk(seed):
-    """suite-full's k-means entries at ``seed`` with their raw features."""
-    configs = [replace(c, seed=seed) for c in load_suite(ROOT / "configs" / "suite-full.json")
-               if c.algorithm == "kmeans"]
-    return configs, walk._Walk(configs).run()
+def _suite_full_prepared(seed):
+    """suite-full's entries at ``seed``, prepared from one shared walk."""
+    configs = [replace(c, seed=seed) for c in load_suite(ROOT / "configs" / "suite-full.json")]
+    return [bench._prepare(c, f) for c, f in zip(configs, walk._Walk(configs).run())]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_fit_jobs_lanes_match_fit_model_on_suite_full_kmeans(seed):
-    """``_fit_jobs`` fits suite-full's k-means entries, across entries and
-    combinations, as lockstep lanes; each job gets ``fit_model``'s bytes."""
-    configs, feats = _suite_full_kmeans_walk(seed)
-    prepared = [bench._prepare(c, f) for c, f in zip(configs, feats)]
-    jobs = [(p, combo) for p in prepared for combo in p.combos]
-    for (prep, combo), fit in zip(jobs, bench._fit_jobs(jobs)):
+def test_fit_jobs_match_fit_model_on_suite_full(seed):
+    """``_fit_jobs`` fits suite-full's combinations of all four algorithms
+    grouped across entries and combinations, k-means and GMM as lockstep
+    lanes; each job's model has the bytes ``fit_model`` gives its matrix."""
+    prepared = _suite_full_prepared(seed)
+    assert {p.config.algorithm for p in prepared} == set(ALGORITHMS)
+    jobs = [(p, cols) for p in prepared for *_, cols in p.combos]
+    for (prep, cols), fit in zip(jobs, bench._fit_jobs(jobs)):
         cfg = prep.config
         try:
-            want = bench.fit_model("kmeans", prep.matrix(combo), seed=cfg.seed,
-                                   birch_branching=cfg.birch_branching,
+            want = bench.fit_model(cfg.algorithm, as_matrix(prep.values[:, cols]),
+                                   seed=cfg.seed, birch_branching=cfg.birch_branching,
                                    birch_threshold=cfg.birch_threshold,
                                    spectral_sigma=cfg.spectral_sigma)
         except AmsDetectError as exc:
             assert fit == str(exc)
             continue
-        for key in ("centroids", "train_assignments", "sse_history", "mu_k", "sigma_k"):
-            got, exp = getattr(fit, key), getattr(want, key)
-            assert np.asarray(got).tobytes() == np.asarray(exp).tobytes(), key
+        for f in fields(want):
+            got, exp = getattr(fit, f.name), getattr(want, f.name)
+            assert (got is None) == (exp is None), f.name
+            if exp is not None:
+                assert np.asarray(got).tobytes() == np.asarray(exp).tobytes(), f.name
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_column_gathers_equal_the_per_combination_build(seed):
+    """Normalizing an entry's columns once and gathering a combination's
+    gives the bits of slicing its raw features and normalizing them."""
+    configs = [replace(c, seed=seed) for c in load_suite(ROOT / "configs" / "suite-full.json")]
+    for cfg, feats, prep in zip(configs, walk._Walk(configs).run(),
+                                _suite_full_prepared(seed)):
+        for sig_name, feat_name, cols in prep.combos:
+            names = cfg.features if feat_name == "agg" else (feat_name,)
+            want = combination_matrix_reference(cfg, feats, sig_name.split("+"), names)
+            got = prep.values[:, cols]
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (cfg.experiment, sig_name, feat_name)
 
 
 def test_fit_model_refuses_an_unknown_algorithm():
@@ -369,7 +387,7 @@ def test_suite_records_failures_and_continues(tmp_path):
     result = run_suite([good, bad])
     assert result.entries[0].report is not None
     assert result.entries[1].report is None
-    assert result.entries[1].error == "waveform samples must be finite"
+    assert result.entries[1].error == "output samples must be finite"
     path = tmp_path / "suite.csv"
     suite_to_csv(result, path)
     lines = path.read_text().splitlines()
@@ -503,37 +521,44 @@ _NON_FINITE = [dict(experiment="TA", vref_params={"output_tau": 1e-300}),
 
 @pytest.mark.parametrize("kw", _NON_FINITE)
 def test_non_finite_simulation_raises_the_waveform_error(kw):
+    """The walk names the tap that overflowed and the key that feeds it."""
     cfg = _fast_config(**kw)
-    with pytest.raises(InputError, match="^waveform samples must be finite$"):
+    with pytest.raises(InputError, match="^output samples must be finite$") as err:
         generate_features(cfg)
+    assert err.value.config_key == ("vref_params" if "vref_params" in kw
+                                    else "measurement_noise")
     # the reference's loops over numpy scalars warn where the values overflow
     with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(InputError, match="^waveform samples must be finite$"):
+            pytest.raises(InputError, match="samples must be finite$"):
         features_reference(cfg)
 
 
-@pytest.mark.parametrize("kw", [
-    dict(experiment="IA", noise_std=1e305),
-    dict(experiment="TA", vref_params={"output_gain": 1e308, "output_level": 1e308})])
-def test_overflow_in_the_chain_is_the_waveform_error(kw):
+@pytest.mark.parametrize("kw, tap, key", [
+    pytest.param(dict(experiment="IA", noise_std=1e305), "pll_frequency", "vref_params",
+                 id="kw0"),
+    pytest.param(dict(experiment="TA", vref_params={"output_gain": 1e308,
+                                                    "output_level": 1e308}),
+                 "output", "vref_params", id="kw1")])
+def test_overflow_in_the_chain_is_the_waveform_error(kw, tap, key):
     """A PLL trace or an output-stage drive that overflows ends in the
-    finite check, not in a numpy RuntimeWarning (an error under this
-    suite's warning filter)."""
-    with pytest.raises(InputError, match="^waveform samples must be finite$"):
+    finite check of its tap, not in a numpy RuntimeWarning (an error under
+    this suite's warning filter)."""
+    with pytest.raises(InputError, match=f"^{tap} samples must be finite$") as err:
         generate_features(_fast_config(**kw))
+    assert err.value.config_key == key
 
 
 @pytest.mark.parametrize("kw", _NON_FINITE)
 def test_the_walk_stops_at_its_first_error(kw):
     """A shared walk raises the first error of any config in it."""
     population_walk = walk._Walk([_fast_config(**kw), _fast_config()])
-    with pytest.raises(InputError, match="^waveform samples must be finite$"):
+    with pytest.raises(InputError, match="^output samples must be finite$"):
         population_walk.run()
 
 
 def test_suite_records_a_non_finite_simulation_against_its_entry():
     result = run_suite([_fast_config(**kw) for kw in _NON_FINITE] + [_fast_config()])
-    assert [e.error for e in result.entries] == ["waveform samples must be finite"] * 3 + [None]
+    assert [e.error for e in result.entries] == ["output samples must be finite"] * 3 + [None]
     assert result.entries[3].report is not None
 
 
@@ -578,9 +603,9 @@ def test_run_suite_equals_evaluate_per_config(tmp_path):
     alone = [_entry_bytes(c, tmp_path, f"alone-{i}.csv")
              for i, c in enumerate(configs)]
     assert [e.error for e in result.entries] == [err for _, err in alone]
-    nonfinite = "waveform samples must be finite"
+    output, chain = "output samples must be finite", "pll_frequency samples must be finite"
     assert [err for _, err in alone][-8:] == [
-        nonfinite, None, None, nonfinite, None, None, None, nonfinite]
+        chain, None, None, output, None, None, None, output]
     for i, (entry, (want, _)) in enumerate(zip(result.entries, alone)):
         if want is None:
             assert entry.report is None
@@ -743,7 +768,8 @@ def test_suite_memory_holds_features_across_entries_not_waveforms(monkeypatch):
     Populations are walked one lane group at a time, on a lane buffer no
     wider than the widest one an entry of the group gets alone, and fitted
     together, so at any moment the suite holds either about one entry's
-    generation or one fit's buffers, plus the raw features of every entry.
+    generation or one fit's buffers, plus the features of every entry (raw
+    until the entry is prepared, normalized after, of the same size).
     Measured on these two entries: peak 1.57 MB against a bound of
     1.62 MB (generation 1.56 MB, fits 0.95 MB, features 0.06 MB).  Keeping
     the lane's 0.96 MB time-major buffer until the fits, as the second half
@@ -754,8 +780,8 @@ def test_suite_memory_holds_features_across_entries_not_waveforms(monkeypatch):
                for e, k in (("IPTPA", None), ("IPPA", 5))]
     run_suite(configs)                         # warm caches outside the trace
     prepared = [bench._prepare(c) for c in configs]
-    jobs = [(p, combo) for p in prepared for combo in p.combos]
-    bound = sum(p.feats.nbytes for p in prepared) + max(
+    jobs = [(p, cols) for p in prepared for *_, cols in p.combos]
+    bound = sum(p.values.nbytes for p in prepared) + max(
         max(_traced_peak(lambda: generate_features(c)) for c in configs),
         _traced_peak(lambda: bench._fit_jobs(jobs)))
     assert _traced_peak(lambda: run_suite(configs)) < bound
@@ -781,7 +807,7 @@ def test_suite_full_peak_is_no_more_than_one_entry_at_a_time():
 
     def one_entry_at_a_time():
         prepared = [bench._prepare(c) for c in configs]
-        fits = iter(bench._fit_jobs([(p, combo) for p in prepared for combo in p.combos]))
+        fits = iter(bench._fit_jobs([(p, cols) for p in prepared for *_, cols in p.combos]))
         return [bench._score(p, [next(fits) for _ in p.combos]) for p in prepared]
 
     run_suite(configs)                         # warm caches outside the trace

@@ -169,6 +169,19 @@ def test_featurize_overflow_exits_two_naming_the_file(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_featurize_refuses_an_id_a_dataset_csv_cannot_return(tmp_path, capsys):
+    """A file stem with a comma is a sample id that ``fit`` would not read
+    back unchanged, so featurize refuses it and writes no dataset."""
+    waves = [_wave_csv(tmp_path / f"{name}.csv", [0.0, 1.0, 0.5, 0.25])
+             for name in ("a,b", "c")]
+    out = tmp_path / "d.csv"
+    assert main(["featurize", "--in", *map(str, waves), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "amsdetect: error: sample id 'a,b' would not read back from a dataset CSV "
+        "(it holds ',' or a line break, or surrounding whitespace)\n")
+    assert not out.exists()
+
+
 # a valid first line, then bytes that are not UTF-8 (but are Latin-1)
 NOT_TEXT = b"t,value\n0.0,1.0\n" + bytes(range(128, 256))
 
@@ -371,6 +384,24 @@ def test_oversized_integer_config_values_exit_two(tmp_path, capsys, entry, key):
     assert f"(config key: {key})" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry, tap, key", [
+    ({"experiment": "TA", "vref_params": {"output_gain": 1e308}}, "output", "vref_params"),
+    ({"experiment": "TA", "vref_params": {"trig_gain": 1e308}}, "trig", "vref_params"),
+    ({"experiment": "PA", "vref_params": {"pll_deviation_gain": 1e308}}, "pll_intensity",
+     "vref_params"),
+    ({"experiment": "TA", "noise_std": 1e308}, "input", "noise_std"),
+    ({"experiment": "Open", "measurement_noise": 1e308}, "output", "measurement_noise"),
+])
+def test_simulation_overflow_names_its_tap_and_key(tmp_path, capsys, entry, tap, key):
+    """A finite config value that overflows inside the simulation exits 2
+    naming the tap that overflowed and a key the user can set."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_samples_per_class": 10, **entry}))
+    assert main(["experiment", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        f"amsdetect: error: {tap} samples must be finite (config key: {key})\n")
+
+
 @pytest.mark.parametrize("windows", [[0, 5], [0, 0], [1, 2], [0, 1, 1]])
 def test_detect_refuses_windows_other_than_0_to_k_minus_1(tmp_path, capsys, windows):
     """A sample's windows are scanned in time order, so a gap or a repeat
@@ -525,7 +556,9 @@ def test_simulate_overflow_prints_no_numpy_warning(tmp_path, argv, code):
         want = ("duration must be finite and > 0, got inf (config key: duration)"
                 if "--duration" in argv else
                 "stim_frequency must be finite, got inf (config key: stim_frequency)"
-                if "--stim-frequency" in argv else "waveform samples must be finite")
+                if "--stim-frequency" in argv else
+                "pll_frequency samples must be finite (config key: vref_params)"
+                if "--noise-std" in argv else "waveform samples must be finite")
         assert proc.stderr == f"amsdetect: error: {want}\n"
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -202,3 +204,21 @@ def test_dataset_csv_rejects_mismatched_names(tmp_path):
     rows = Dataset(["a"], [0], [0], [[1.0, 2.0]])
     with pytest.raises(InputError):
         dataset_to_csv(rows, ["only-one"], tmp_path / "x.csv")
+
+
+@pytest.mark.parametrize("sid", ["a,b", "a\nb", "a\rb", " a", "a ", "\ta", "\x0ba"])
+def test_dataset_csv_refuses_an_id_it_cannot_return(tmp_path, sid):
+    """An id that ``dataset_from_csv`` would split, cut or strip is refused
+    by name before anything is written."""
+    rows = Dataset(["ok", sid], [0, 1], [0, 0], [[1.0], [2.0]])
+    path = tmp_path / "d.csv"
+    with pytest.raises(InputError, match="^" + re.escape(f"sample id {sid!r} would not")):
+        dataset_to_csv(rows, None, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("sid", ["", "a b", "a;b", "a\tb"])
+def test_dataset_csv_returns_ids_with_inner_spaces_unchanged(tmp_path, sid):
+    rows = Dataset([sid], [1], [0], [[1.0]])
+    dataset_to_csv(rows, None, tmp_path / "d.csv")
+    assert list(dataset_from_csv(tmp_path / "d.csv")[1].sample_ids) == [sid]
