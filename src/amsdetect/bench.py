@@ -87,21 +87,23 @@ def generate_dataset(config: ExperimentConfig) -> Dataset:
                                 np.arange(2 * n) // n, feats)
 
 
-def _best_mapping(labels: np.ndarray, pred_if_1: np.ndarray, pred_if_0: np.ndarray
-                  ) -> tuple[float, int, tuple[int, int, int, int]]:
-    """The better of two predictions, made with cluster 1 or cluster 0 anomalous.
+def _best_mappings(labels: np.ndarray, pred_if_1: np.ndarray, pred_if_0: np.ndarray
+                   ) -> list[tuple[float, int, tuple[int, int, int, int]]]:
+    """The better of two predictions per row of (rows, instances) arrays,
+    made with cluster 1 or cluster 0 anomalous, all rows at once.
 
-    Ties go to cluster 1.  :returns: (accuracy, anomalous cluster id,
-    (tn, fp, fn, tp))
+    Ties go to cluster 1.  A mean of 0/1 values and a count are exact, so
+    each row gets the bytes it gets alone.  :returns: (accuracy, anomalous
+    cluster id, (tn, fp, fn, tp)) per row
     """
-    acc1 = float(np.mean(pred_if_1 == labels))
-    acc0 = float(np.mean(pred_if_0 == labels))
-    pred, bad, acc = (pred_if_1, 1, acc1) if acc1 >= acc0 else (pred_if_0, 0, acc0)
-    tn = int(np.sum((labels == 0) & (pred == 0)))
-    fp = int(np.sum((labels == 0) & (pred == 1)))
-    fn = int(np.sum((labels == 1) & (pred == 0)))
-    tp = int(np.sum((labels == 1) & (pred == 1)))
-    return acc, bad, (tn, fp, fn, tp)
+    acc1 = np.mean(pred_if_1 == labels, axis=1)
+    acc0 = np.mean(pred_if_0 == labels, axis=1)
+    one = acc1 >= acc0
+    pred = np.where(one[:, None], pred_if_1, pred_if_0)
+    conf = [np.count_nonzero((labels == lab) & (pred == p), axis=1)
+            for lab, p in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    return [(float(acc), int(bad), tuple(map(int, c)))
+            for acc, bad, *c in zip(np.where(one, acc1, acc0), one, *conf)]
 
 
 def permutation_accuracy(labels, assignments) -> tuple[float, int, tuple[int, int, int, int]]:
@@ -114,7 +116,7 @@ def permutation_accuracy(labels, assignments) -> tuple[float, int, tuple[int, in
     asg = np.asarray(assignments, dtype=np.int64)
     if lab.shape != asg.shape or lab.size == 0:
         raise FitError("labels and assignments must be equal-length and non-empty")
-    return _best_mapping(lab, asg, 1 - asg)
+    return _best_mappings(lab, asg[None], 1 - asg[None])[0]
 
 
 @dataclass
@@ -245,29 +247,32 @@ def _score(prep: _Prepared, fits: list) -> EvaluationReport:
     n_inst, n_win = 2 * n, config.window_k or 1
     labels = np.repeat([0, 1], n)
     rows_out: list[ResultRow] = []
-    for (sig_name, feat_name, cols), model in zip(prep.combos, fits):
-        if isinstance(model, str):
-            rows_out.append(ResultRow(sig_name, feat_name, float("nan"), error=model))
-            continue
-        try:
-            mat = as_matrix(prep.values[:, cols])
-            if config.centroid_select:
-                model = refine_model(model, mat, config.sigma_scope)
-            # an instance is anomalous iff one of its windows is (a
-            # whole-signal entry has one window)
-            per_inst = assign_many(model, mat).reshape(n_inst, n_win)
-            acc, bad, conf = _best_mapping(labels, (per_inst == 1).any(axis=1),
-                                           (per_inst == 0).any(axis=1))
-            detect = {}
+    assigned = {}           # row index -> (instances, windows) cluster ids
+    for i, ((sig_name, feat_name, cols), model) in enumerate(zip(prep.combos, fits)):
+        error = model if isinstance(model, str) else None
+        if error is None:
+            try:
+                mat = as_matrix(prep.values[:, cols])
+                if config.centroid_select:
+                    model = refine_model(model, mat, config.sigma_scope)
+                assigned[i] = assign_many(model, mat).reshape(n_inst, n_win)
+            except AmsDetectError as exc:
+                error = str(exc)
+        rows_out.append(ResultRow(sig_name, feat_name, float("nan"), error=error))
+    if assigned:
+        # an instance is anomalous iff one of its windows is (a
+        # whole-signal entry has one window)
+        per_inst = np.stack(list(assigned.values()))
+        mappings = _best_mappings(labels, (per_inst == 1).any(axis=2),
+                                  (per_inst == 0).any(axis=2))
+        for (i, asg), (acc, bad, conf) in zip(assigned.items(), mappings):
+            row = rows_out[i]
+            row.accuracy_pct, (row.tn, row.fp, row.fn, row.tp) = 100.0 * acc, conf
             if config.window_k:
                 rep = latency_report(scan_windows(
-                    per_inst[n:], prep.samples_per_window, prep.sample_period, bad))
-                detect = {k: rep[k] for k in ("detect_rate", "mean_speedup",
-                                              "mean_latency_s")}
-            rows_out.append(ResultRow(sig_name, feat_name, 100.0 * acc, *conf, **detect))
-        except AmsDetectError as exc:
-            rows_out.append(ResultRow(sig_name, feat_name, float("nan"),
-                                      error=str(exc)))
+                    asg[n:], prep.samples_per_window, prep.sample_period, bad))
+                row.detect_rate, row.mean_speedup, row.mean_latency_s = (
+                    rep["detect_rate"], rep["mean_speedup"], rep["mean_latency_s"])
     report = EvaluationReport(config, n_inst * n_win, rows_out)
     report.best  # raises FitError when every combination failed
     return report

@@ -13,7 +13,7 @@ Two families are supported:
 An injection kind, ``PointRandom`` or ``PointPeriodic``, validates its
 parameters once and stamps a row in place.  ``inject_points`` applies a kind
 to a copy of one waveform and records what it changed; the reference chain's
-walk (``waveforms._walk_chain``) stamps each block's legs on its output
+walk (``walk._Walk``) stamps each block's legs on its output
 before the next block runs, so every anomaly propagates through the blocks
 downstream of it.
 """

@@ -4,17 +4,26 @@ Simulation is batched by population: the instances of one class whose
 bytes the same inputs fix (circuit, seed, stimulus, resolved injection
 legs or fault; ``_sim_key``) are simulated once, for the largest n among
 the configs that share them, and each config featurizes its own with its
-own windows, features and signals.  The time recursions step many
-instances at once on one time-major lane buffer, no wider than one of
-those configs would get alone, and everything else runs in chunks of
-``_CHUNK`` instances; each instance still gets the bytes it would get
-simulated alone.  The walk stops at its first error, which does not say
-which config caused it; a walk of one config alone raises that config's
-own error.
+own windows, features and signals.
 
-Seeds are hashed per population, not per instance: each instance's
-streams are ``np.random.default_rng(s)`` with ``s`` the
-``SeedSequence([seed, label, idx, leg])`` hash, and ``_stream_states``
+Reference-chain populations of one class of one chain (seed, sample
+count, duration, ``VrefConfig``) differ only in their legs, and are walked
+as one prefix tree (``_Node``), chunk by chunk of ``_CHUNK`` instances:
+the input rows are drawn once, each distinct set of legs at a block stamps
+once (on a copy only where a sibling still reads the unstamped rows), each
+PLL and trig trace runs once per node, and each tap is featurized once, at
+the node where it becomes final, for every consumer below.  The leaves'
+output drive fills instance-major low-pass lanes (``_Lane``) across trees;
+opamp chains step on lanes of whole populations (``_lanes``).  No lane is
+wider than one of the configs would get alone, and each instance gets the
+bytes it would get simulated alone.  The walk stops at its first error,
+which does not say which config caused it; a walk of one config alone
+raises that config's own error.
+
+Seeds are hashed per population (per tree on the reference chain), not
+per instance: each instance's streams are ``np.random.default_rng(s)``
+with ``s`` the ``SeedSequence([seed, label, idx, leg])`` hash, leg 0 the
+input noise and leg 1 + j the j-th injection leg, and ``_stream_states``
 runs both hashes over a whole range of instance indices at once, giving
 each stream's PCG64 state; one reused Generator then takes each state in
 turn, with the same draws.
@@ -31,9 +40,9 @@ import numpy as np
 from .config import ExperimentConfig, _analysis, _stimulus
 from .features import _windowed_rows
 from .inject import apply_component_fault
-from .waveforms import (OpampModel, _chain_clock, _check_finite, _input_rows, _lowpass_steps,
-                        _output_drive, _simulate_columns, _walk_chain, build_kstage,
-                        default_vref_component_model)
+from .waveforms import (_BLOCKS, OpampModel, _chain_clock, _chain_step, _check_finite,
+                        _input_rows, _lowpass_steps, _output_drive, _simulate_columns,
+                        _stamp_rows, build_kstage, default_vref_component_model)
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
 _M32 = 0xFFFFFFFF
@@ -273,14 +282,71 @@ def _lanes(pops: list[_Population], width: int):
         yield runs
 
 
+@dataclass
+class _Node:
+    """A node of a prefix tree of reference-chain populations of one class:
+    the populations below it (``pops``, the most instances one needs ``n``)
+    share their rows up to its block, ``_BLOCKS[depth - 1]``, whose legs it
+    stamps (``legs``: (leg index, kind) pairs).  A leaf is one population."""
+
+    legs: tuple = ()
+    pops: list[_Population] = field(default_factory=list)
+    children: dict[str, "_Node"] = field(default_factory=dict)
+    n: int = 0
+
+
+class _Lane:
+    """A low-pass lane of reference chains: the output stage's time-major
+    drive, one instance per column, ``width`` columns.  It is filled run by
+    run and stepped, then featurized, whenever it is full and at ``flush``."""
+
+    def __init__(self, walk: "_Walk", n_samples: int, width: int):
+        self.walk, self.cols, self.runs = walk, 0, []
+        self.drive, self.alpha = np.empty((n_samples, width)), np.zeros(width)
+
+    def add(self, pop: _Population, first: int, trig: np.ndarray) -> None:
+        """Take the drive of the instances ``first``.. (rows of ``trig``) that
+        a consumer of ``pop`` observes at the output."""
+        count = min(len(trig), pop.n_output - first)
+        while count > 0:
+            take = min(count, self.drive.shape[1] - self.cols)
+            span = slice(self.cols, self.cols + take)
+            _output_drive(trig[:take].T, pop.config.vref, out=self.drive[:, span])
+            self.alpha[span] = pop.config.sample_period / pop.config.vref.output_tau
+            self.runs.append((pop, first, take, self.cols))
+            self.cols += take
+            trig, first, count = trig[take:], first + take, count - take
+            if self.cols == self.drive.shape[1]:
+                self.flush()
+
+    def flush(self) -> None:
+        if self.cols:
+            _lowpass_steps(self.drive[:, :self.cols], self.alpha[:self.cols])
+            self.walk._featurize_output(self.drive, self.runs)
+            self.cols, self.runs = 0, []
+
+
+def _queue(todo: list, node: _Node, level: int, x: np.ndarray, first: int) -> list:
+    """Push the children of ``node`` that instance ``first`` reaches, each
+    with ``x``, its parent's rows, and whether to stamp a copy of them.  The
+    child without legs is popped first; every child with legs but the last
+    popped stamps a copy, since a sibling still reads ``x``."""
+    kids = sorted((k for k in node.children.values() if k.n > first), key=lambda k: not k.legs)
+    todo.extend((level, kid, x, i > 0 and bool(kid.legs)) for i, kid in enumerate(kids))
+    return todo
+
+
 class _Walk:
     """The raw features of several configs, each population simulated once.
 
     Populations that share lanes (``_sim_key``) are walked together, on a
     lane buffer at most 2 x the largest ``n_samples_per_class`` among their
-    consumers wide; no waveform outlives its chunk or its lane.  ``run``
-    stops at the first error, which may belong to any consumer: only a
-    config walked alone gets its own error.
+    consumers wide.  Reference-chain populations are walked tree by tree,
+    one chunk of instances at a time, and a lane takes each chunk's output
+    drive as it comes, so one lane may hold several trees' instances and
+    one tree's instances several lanes; no waveform outlives its chunk or
+    its lane.  ``run`` stops at the first error, which may belong to any
+    consumer: only a config walked alone gets its own error.
     """
 
     def __init__(self, configs: list[ExperimentConfig]):
@@ -311,9 +377,10 @@ class _Walk:
                 self._walk_opamps(pops, width)
         return self.feats
 
-    def _featurize(self, pop: _Population, first: int, taps: dict) -> None:
-        """Each consumer's features of instances ``first``.. from the taps
-        it observes (name -> C-contiguous (instances, samples) rows).
+    def _featurize(self, pops: list[_Population], first: int, taps: dict) -> None:
+        """Each consumer of ``pops`` (populations of one class) gets its
+        features of instances ``first``.. from the taps it observes (name ->
+        C-contiguous (instances, samples) rows).
 
         Each distinct (tap, windows, features) is featurized once, for the
         most rows a consumer of it needs, and each consumer copies its rows
@@ -321,17 +388,18 @@ class _Walk:
         """
         wanted = []             # (consumer, its row, signal index, key, row count)
         most: dict[tuple, int] = {}
-        for e in pop.consumers:
-            cfg = self.configs[e]
-            n = cfg.n_samples_per_class
-            if first >= n:
-                continue
-            for j, s in enumerate(cfg.observed_signals):
-                if s in taps:
-                    key = (s, cfg.window_k or 1, cfg.features)
-                    count = min(n - first, len(taps[s]))
-                    wanted.append((e, pop.label * n + first, j, key, count))
-                    most[key] = max(most.get(key, 0), count)
+        for pop in pops:
+            for e in pop.consumers:
+                cfg = self.configs[e]
+                n = cfg.n_samples_per_class
+                if first >= n:
+                    continue
+                for j, s in enumerate(cfg.observed_signals):
+                    if s in taps:
+                        key = (s, cfg.window_k or 1, cfg.features)
+                        count = min(n - first, len(taps[s]))
+                        wanted.append((e, pop.label * n + first, j, key, count))
+                        most[key] = max(most.get(key, 0), count)
         feats = {key: _windowed_rows(taps[key[0]][:count], *key[1:])
                  for key, count in most.items()}
         for e, row, j, key, count in wanted:
@@ -352,44 +420,52 @@ class _Walk:
                         row += rng.normal(0.0, pop.config.measurement_noise, row.size)
                 _check_finite(rows, "output",
                               "vref_params" if streams is None else "measurement_noise")
-                self._featurize(pop, first + c.start, {"output": rows})
+                self._featurize([pop], first + c.start, {"output": rows})
 
     def _walk_blocks(self, pops: list[_Population], width: int) -> None:
-        """Walk reference chains.  Instances observed at the output go
-        through low-pass lanes, one alpha per column; the rest then walk
-        without a lane."""
-        drive, alpha = np.empty((pops[0].config.n_samples, width)), np.zeros(width)
-        for runs in _lanes(pops, width):
-            for pop, first, count, col in runs:
-                self._walk_rows(pop, first, first + count, drive[:, col:col + count])
-                alpha[col:col + count] = pop.config.sample_period / pop.config.vref.output_tau
-            cols = sum(count for _, _, count, _ in runs)
-            _lowpass_steps(drive[:, :cols], alpha[:cols])
-            self._featurize_output(drive, runs)
-        del drive   # free the lane before the rest walk
+        """Walk reference chains as prefix trees, one tree at a time; the
+        leaves fill low-pass lanes with the output stage's drive."""
+        trees: dict[str, _Node] = {}
         for pop in pops:
-            if pop.n > pop.n_output:
-                self._walk_rows(pop, pop.n_output, pop.n, None)
+            cfg = pop.config
+            node = trees.setdefault(repr((cfg.seed, pop.label, cfg.duration, cfg.vref)), _Node())
+            legs = list(enumerate(cfg.injections if pop.label else ()))
+            for block in _BLOCKS:
+                node.pops.append(pop)
+                node.n = max(node.n, pop.n)
+                at = tuple((j, kind) for j, (b, kind) in legs if b == block)
+                node = node.children.setdefault(repr(at), _Node(legs=at))
+            node.pops.append(pop)
+            node.n = pop.n
+        lane = _Lane(self, pops[0].config.n_samples, width)
+        for root in trees.values():
+            self._walk_tree(root, lane)
+        lane.flush()
 
-    def _walk_rows(self, pop: _Population, start: int, stop: int,
-                   drive: np.ndarray | None) -> None:
-        """Walk instances start..stop of a block population down the chain,
-        chunk by chunk: consumers featurize the four taps before the output
-        stage, and ``drive`` (time-major) gets the output stage's drive."""
-        cfg, dt = pop.config, pop.config.sample_period
-        legs = cfg.injections if pop.label else ()
-        n = stop - start
-        states = _stream_states(cfg.seed, pop.label, np.arange(start, stop),
-                                np.arange(1 + len(legs))[:, None])
-        noise, *leg_streams = (states[j * n:(j + 1) * n] for j in range(1 + len(legs)))
+    def _walk_tree(self, root: _Node, lane: "_Lane") -> None:
+        """Walk one tree's instances, chunk by chunk, depth first: at each
+        node the legs stamp the parent's rows, the chain runs on past the
+        node's block (``_chain_step``), and every consumer below featurizes
+        the taps final there; a leaf's trig rows go on to ``lane``.  A
+        node's rows live only while a child still has to read them."""
+        cfg, label = root.pops[0].config, root.pops[0].label
+        dt, total = cfg.sample_period, root.n
+        legs = max(len(p.config.injections) for p in root.pops) if label else 0
+        states = _stream_states(cfg.seed, label, np.arange(total), np.arange(1 + legs)[:, None])
         clock = _chain_clock(cfg.n_samples, dt, cfg.vref)
-        for c in _chunks(stop - start):
-            taps = _walk_chain(cfg.vref, _input_rows(cfg.vref, clock[0], noise[c]), dt,
-                               legs, [s[c] for s in leg_streams], clock)
-            self._featurize(pop, start + c.start, taps)
-            if drive is not None:
-                _output_drive(taps["trig"].T, cfg.vref, out=drive[:, c])
-            del taps   # free this chunk's signals before the next chunk's exist
+        for c in _chunks(total):
+            todo = _queue([], root, 0, _input_rows(cfg.vref, clock[0], states[c]), c.start)
+            while todo:
+                level, node, x, shared = todo.pop()
+                rows = x[:node.n - c.start].copy() if shared else x[:node.n - c.start]
+                _stamp_rows(rows, [(kind, states[(1 + j) * total:][c]) for j, kind in node.legs])
+                taps, nxt = _chain_step(cfg.vref, _BLOCKS[level], rows, dt, clock)
+                self._featurize(node.pops, c.start, taps)
+                if nxt is None:
+                    lane.add(node.pops[0], c.start, rows)
+                else:
+                    _queue(todo, node, level + 1, nxt, c.start)
+                del rows, taps, nxt     # free this node's signals before the next node's exist
 
     def _walk_opamps(self, pops: list[_Population], width: int) -> None:
         """Simulate opamp or k-stage chains in lanes of one stimulus, then

@@ -8,7 +8,7 @@ Implementation notes:
   each block is a pure function of its predecessor's samples plus its own
   parameters.  Block-level anomaly injection stamps a block's output before
   the next block runs, so the anomaly propagates downstream
-  (``_walk_chain``).
+  (``_chain_step``).
 * The input sinusoid is peak-calibrated: the raw sample grid rarely hits the
   analytic peak of sin(), so the samples are rescaled to make max(|input|)
   equal the configured amplitude exactly (injection magnitudes are expressed
@@ -178,7 +178,7 @@ def _chain_clock(n_samples: int, sample_period: float, config: VrefConfig
 def _input_rows(config: VrefConfig, carrier: np.ndarray, streams) -> np.ndarray:
     """Input-source samples around the nominal carrier (``_chain_clock``),
     one row per noise stream (a PCG64 bit-generator state, set in turn on
-    one Generator): (len(streams), n_samples)."""
+    one Generator): (len(streams), n_samples), each sample finite."""
     if config.noise_std <= 0:
         return np.tile(carrier, (len(streams), 1))
     rows = np.empty((len(streams), len(carrier)))
@@ -187,6 +187,7 @@ def _input_rows(config: VrefConfig, carrier: np.ndarray, streams) -> np.ndarray:
         rng.bit_generator.state = stream
         row[:] = rng.normal(0.0, config.noise_std, len(carrier))
     rows += carrier
+    _check_finite(rows, "input", "noise_std")
     return rows
 
 
@@ -284,48 +285,48 @@ def _slew_steps(buf: np.ndarray, max_step) -> None:
             prev = row
 
 
-def _walk_chain(cfg: VrefConfig, inp: np.ndarray, sample_period: float,
-                legs: tuple, streams, clock: tuple) -> dict[str, np.ndarray]:
-    """One walk down the chain for a chunk of instances: input -> PLL -> trig.
+# The blocks whose output injection legs stamp, in chain order.
+_BLOCKS = ("InputA", "PllB", "TrigC")
 
-    ``inp`` holds one instance's input samples per row and ``clock`` the
-    chain's ``_chain_clock``.  ``legs`` is the (block, kind) tuple every row
-    shares, block one of "InputA", "PllB" and "TrigC", and ``streams`` holds
-    one sequence per leg with one PCG64 bit-generator state per row.  Row
-    by row, the legs at a block stamp that block's output in order and in
-    place, through ``kind.stamp(row, rng)`` with the row's state set on one
-    Generator, before the next block runs, so thresholds and
-    amplitudes are relative to the signal as it stands at that block.  Every
-    signal must be finite, as every Waveform must be; the error names the
-    tap and the config key that feeds it.  The output stage is
-    left to the caller (``vref_output_block`` or a batched low-pass over
-    many chunks).
 
-    :returns: signal name -> (rows, n_samples) array, for the four taps
-        before the output stage
-    """
+def _stamp_rows(x: np.ndarray, legs) -> None:
+    """Stamp each row of ``x`` in place with ``legs``, (kind, streams) pairs
+    in order: row i gets ``kind.stamp(row, rng)`` with ``streams[i]`` (a
+    PCG64 bit-generator state) set on one Generator."""
+    if not legs:
+        return
     rng = np.random.default_rng(0)
+    for i, row in enumerate(x):
+        for kind, streams in legs:
+            rng.bit_generator.state = streams[i]
+            kind.stamp(row, rng)
 
-    def stamp(x: np.ndarray, block: str) -> None:
-        for i, row in enumerate(x):
-            for (at, kind), leg_streams in zip(legs, streams):
-                if at == block:
-                    rng.bit_generator.state = leg_streams[i]
-                    kind.stamp(row, rng)
 
-    _check_finite(inp, "input", "noise_std")
-    stamp(inp, "InputA")
-    with _float_errors():
-        f_trace, intensity = _pll_rows(inp, sample_period, cfg, clock)
-    _check_finite(f_trace, "pll_frequency", "vref_params")
-    _check_finite(intensity, "pll_intensity", "vref_params")
-    stamp(intensity, "PllB")
-    with _float_errors():
-        trig = _trig_rows(intensity, cfg)
-    _check_finite(trig, "trig", "vref_params")
-    stamp(trig, "TrigC")
-    return {"input": inp, "pll_frequency": f_trace, "pll_intensity": intensity,
-            "trig": trig}
+def _chain_step(cfg: VrefConfig, block: str, x: np.ndarray, sample_period: float,
+                clock: tuple) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
+    """The chain past one block for a chunk of instances, one per row.
+
+    ``x`` is ``block``'s output with its legs stamped (``_stamp_rows``), so
+    thresholds and amplitudes are relative to the signal as it stands at
+    that block; ``clock`` is the chain's ``_chain_clock``.  Each signal must
+    be finite; the error names the tap and the config key that feeds it.
+
+    :returns: (the taps final from here on, name -> rows; the next block's
+        unstamped output, None after "TrigC": the output stage is the
+        caller's)
+    """
+    if block == "InputA":
+        with _float_errors():
+            f_trace, intensity = _pll_rows(x, sample_period, cfg, clock)
+        _check_finite(f_trace, "pll_frequency", "vref_params")
+        _check_finite(intensity, "pll_intensity", "vref_params")
+        return {"input": x, "pll_frequency": f_trace}, intensity
+    if block == "PllB":
+        with _float_errors():
+            trig = _trig_rows(x, cfg)
+        _check_finite(trig, "trig", "vref_params")
+        return {"pll_intensity": x}, trig
+    return {"trig": x}, None
 
 
 def vref_output_block(trig: Waveform, config: VrefConfig) -> Waveform:
@@ -367,9 +368,11 @@ def simulate_vref(config: VrefConfig, n_samples: int = 1500,
     """
     dt = _sample_period(n_samples, duration)
     clock = _chain_clock(n_samples, dt, config)
-    signals = {name: Waveform(x[0], dt) for name, x in _walk_chain(
-        config, _input_rows(config, clock[0], [np.random.default_rng(seed).bit_generator.state]),
-        dt, (), (), clock).items()}
+    x = _input_rows(config, clock[0], [np.random.default_rng(seed).bit_generator.state])
+    signals = {}
+    for block in _BLOCKS:       # a chain with no legs to stamp
+        taps, x = _chain_step(config, block, x, dt, clock)
+        signals.update((name, Waveform(rows[0], dt)) for name, rows in taps.items())
     signals["output"] = vref_output_block(signals["trig"], config)
     return signals
 
@@ -437,6 +440,10 @@ class SweepSpec:
                 raise ConfigurationError(
                     f"sweep {key} must be finite, got {getattr(self, key)!r}",
                     config_key=f"sweep_{key}")
+        # np.linspace steps by (stop - start) / (n_points - 1)
+        if not math.isfinite(self.stop - self.start):
+            raise ConfigurationError(f"sweep from {self.start!r} to {self.stop!r} "
+                                     "overflows its span", config_key="sweep_stop")
 
     @property
     def values(self) -> np.ndarray:
@@ -546,6 +553,7 @@ def sine_stimulus(n_samples: int, duration: float, dc: float, amplitude: float,
     with _float_errors():
         t = np.arange(n_samples) * dt
         samples = dc + amplitude * np.sin(2.0 * np.pi * frequency * t)
+    _check_finite(samples, "stimulus", "stim_amplitude")
     return Waveform(samples, dt)
 
 

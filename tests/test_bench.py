@@ -25,7 +25,7 @@ from amsdetect import ALGORITHMS, as_matrix, bench, walk
 from amsdetect.config import SIGNAL_ORDER, _read_json
 from amsdetect.walk import _stream_states
 from amsdetect.features import windowed_features
-from amsdetect.inject import PointPeriodic
+from amsdetect.inject import PointPeriodic, PointRandom
 from oracles import (block_signals_reference, child_seed, combination_matrix_reference,
                      features_reference)
 
@@ -672,18 +672,58 @@ def test_walk_shares_nothing_across_a_simulation_input(experiment, key, value):
         assert feats.tobytes() == generate_features(cfg)[0].tobytes()
 
 
+_BLOCK_ENTRY = st.builds(
+    lambda experiment, seed, n, k, signals: _fast_config(
+        experiment=experiment, seed=seed, n_samples=60, n_samples_per_class=n, window_k=k,
+        observed_signals=signals),
+    st.sampled_from(sorted(BLOCK_EXPERIMENTS)), st.sampled_from([5, 6]), st.integers(10, 20),
+    st.sampled_from([None, 2, 3, 5]),
+    st.lists(st.sampled_from(SIGNAL_ORDER), min_size=1, max_size=5, unique=True))
+
+
+@settings(max_examples=30, deadline=None)
+@given(configs=st.lists(_BLOCK_ENTRY, min_size=1, max_size=6))
+def test_walked_together_block_entries_get_the_bytes_they_get_alone(configs):
+    """Block entries walked as prefix trees share input rows, stamps, PLL
+    traces and lanes only where their simulations agree: whatever the mix
+    of experiments, instance counts, windows and taps, each entry gets the
+    features ``generate_features`` gives it alone."""
+    alone = []
+    for cfg in configs:
+        try:
+            alone.append(generate_features(cfg)[0].tobytes())
+        except AmsDetectError:
+            alone.append(None)
+    population_walk = walk._Walk(configs)
+    if None in alone:
+        with pytest.raises(AmsDetectError):
+            population_walk.run()
+        return
+    assert [f.tobytes() for f in population_walk.run()] == alone
+
+
 def test_suite_simulates_each_population_once(monkeypatch):
     """Entries that share a population simulate it once, for the largest n
-    among them; each time recursion runs ceil(columns / cap) lanes per
-    group, cap being 2 x the group's largest n per class."""
-    walked, lowpass, simulated = [], [], []
-    walk_chain, lowpass_steps, simulate_columns, apply_fault = (
-        walk._walk_chain, walk._lowpass_steps, walk._simulate_columns,
-        walk.apply_component_fault)
+    among them, and populations of one class share their rows as a prefix
+    tree: each input row is drawn, each stamped row stamped and each PLL
+    trace run once per node.  Each time recursion runs ceil(columns / cap)
+    lanes per group, cap being 2 x the group's largest n per class."""
+    drawn, stepped, stamped, lowpass, simulated = [], [], [], [], []
+    input_rows, chain_step, stamp_rows, lowpass_steps, simulate_columns, apply_fault = (
+        walk._input_rows, walk._chain_step, walk._stamp_rows, walk._lowpass_steps,
+        walk._simulate_columns, walk.apply_component_fault)
 
-    def walk_spy(cfg, inp, dt, legs, seeds, clock):
-        walked.extend([tuple((block, type(kind)) for block, kind in legs)] * len(inp))
-        return walk_chain(cfg, inp, dt, legs, seeds, clock)
+    def input_spy(cfg, carrier, streams):
+        drawn.append(len(streams))
+        return input_rows(cfg, carrier, streams)
+
+    def step_spy(cfg, block, x, dt, clock):
+        stepped.append((block, len(x)))
+        return chain_step(cfg, block, x, dt, clock)
+
+    def stamp_spy(x, legs):
+        stamped.extend((type(kind), len(x)) for kind, _ in legs)
+        return stamp_rows(x, legs)
 
     def lowpass_spy(buf, alpha, start=None):
         lowpass.append(buf.shape[1])
@@ -698,7 +738,9 @@ def test_suite_simulates_each_population_once(monkeypatch):
         simulated.append([getattr(chain[0], "fault_tag", None) for chain in chains])
         return simulate_columns(chains, mode, stimulus)
 
-    monkeypatch.setattr(walk, "_walk_chain", walk_spy)
+    monkeypatch.setattr(walk, "_input_rows", input_spy)
+    monkeypatch.setattr(walk, "_chain_step", step_spy)
+    monkeypatch.setattr(walk, "_stamp_rows", stamp_spy)
     monkeypatch.setattr(walk, "_lowpass_steps", lowpass_spy)
     monkeypatch.setattr(walk, "_simulate_columns", simulate_spy)
     monkeypatch.setattr(walk, "apply_component_fault", fault_spy)
@@ -707,9 +749,18 @@ def test_suite_simulates_each_population_once(monkeypatch):
     result = run_suite(configs)
     assert [e.error for e in result.entries] == [None] * len(configs)
 
-    assert walked.count(()) == 40                      # one clean walk, at n = 40
-    assert walked.count((("PllB", PointPeriodic),)) == 40   # PA = PPA
-    assert len(walked) == 40 + 40 + 40 + 40 + 30       # clean, IA, PA/PPA, TA, IPTPA
+    # one clean tree and one anomalous tree, each drawn once at n = 40,
+    # not once per population (40 + 40 + 40 + 40 + 30 anomalous rows)
+    assert sum(drawn) == 40 + 40
+    # PLL traces: the clean input, and the anomalous input unstamped (PA =
+    # PPA, TA) and stamped (IA, IPTPA)
+    assert sum(n for block, n in stepped if block == "InputA") == 40 + 40 + 40
+    # trig traces, one per leaf here: clean, PA/PPA, TA, IA and IPTPA
+    assert sum(n for block, n in stepped if block == "PllB") == 4 * 40 + 30
+    # IA and IPTPA share their input leg; PA = PPA and IPTPA stamp the PLL,
+    # TA and IPTPA the trig
+    assert sum(n for kind, n in stamped if kind is PointRandom) == 40
+    assert sum(n for kind, n in stamped if kind is PointPeriodic) == 40 + 30 + 40 + 30
     # output lanes: clean (TA's 40 >= IPTPA's 30), TA and IPTPA anomalous
     assert lowpass == [80, 110 - 80] and len(lowpass) == math.ceil(110 / 80)
     # opamp lanes: one clean population for the three faults

@@ -544,10 +544,11 @@ def test_size_numpy_cannot_hold_exits_two(tmp_path, key):
     (["--circuit", "opamp", "--analysis", "dc_input_sweep",
       "--sweep-start=-1e308", "--sweep-stop=1e308"], 2),
     (["--noise-std", "1e305"], 2),
-    (["--duration", "inf"], 2)])
+    (["--duration", "inf"], 2),
+    (["--circuit", "opamp", "--stim-amplitude", "1e308", "--stim-dc", "1e308"], 2)])
 def test_simulate_overflow_prints_no_numpy_warning(tmp_path, argv, code):
     """Overflow inside a simulation is silent: the output clips it (exit 0)
-    or the finite check reports it in one error line (exit 2)."""
+    or a check reports it in one error line that names a key (exit 2)."""
     proc = _main_in_3_gib("simulate", *argv, "--out", str(tmp_path / "sim"))
     assert proc.returncode == code, proc.stderr
     assert "RuntimeWarning" not in proc.stderr
@@ -558,7 +559,10 @@ def test_simulate_overflow_prints_no_numpy_warning(tmp_path, argv, code):
                 "stim_frequency must be finite, got inf (config key: stim_frequency)"
                 if "--stim-frequency" in argv else
                 "pll_frequency samples must be finite (config key: vref_params)"
-                if "--noise-std" in argv else "waveform samples must be finite")
+                if "--noise-std" in argv else
+                "stimulus samples must be finite (config key: stim_amplitude)"
+                if "--stim-dc" in argv else
+                "sweep from -1e+308 to 1e+308 overflows its span (config key: sweep_stop)")
         assert proc.stderr == f"amsdetect: error: {want}\n"
 
 

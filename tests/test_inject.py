@@ -11,7 +11,8 @@ from amsdetect import (ConfigurationError, ExperimentConfig, InjectionError,
 from amsdetect import inject, waveforms
 from amsdetect.cli import main
 from amsdetect.inject import _count_half_up
-from amsdetect.waveforms import _chain_clock, _walk_chain, vref_output_block
+from amsdetect.waveforms import (_BLOCKS, _chain_clock, _chain_step, _stamp_rows,
+                                 vref_output_block)
 from oracles import (multipoint_reference, point_periodic_reference,
                      point_random_reference)
 
@@ -161,13 +162,17 @@ def test_periodic_delta_zero_runs_in_cli_and_config(tmp_path, capsys):
 
 def _walk(legs, seeds, n=1500):
     """(clean signals, signals walked with ``legs`` and their ``seeds``),
-    the walk checked byte for byte against the block-by-block reference."""
+    the chain's steps checked byte for byte against the block-by-block
+    reference."""
     cfg = VrefConfig()
     clean = simulate_vref(cfg, n, 20e-6)
     dt = clean["input"].sample_period
-    out = _walk_chain(cfg, clean["input"].samples[None].copy(), dt, legs,
-                      [[np.random.default_rng(s).bit_generator.state] for s in seeds],
-                      _chain_clock(n, dt, cfg))
+    x, clock, out = clean["input"].samples[None].copy(), _chain_clock(n, dt, cfg), {}
+    streams = [[np.random.default_rng(s).bit_generator.state] for s in seeds]
+    for block in _BLOCKS:
+        _stamp_rows(x, [(kind, s) for (at, kind), s in zip(legs, streams) if at == block])
+        taps, x = _chain_step(cfg, block, x, dt, clock)
+        out.update(taps)
     out["output"] = vref_output_block(Waveform(out["trig"][0], dt), cfg).samples[None]
     ref = multipoint_reference(cfg, clean["input"], legs, seeds)
     assert out.keys() == ref.keys()
